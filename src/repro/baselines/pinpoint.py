@@ -22,27 +22,21 @@ evaluates in Section 5.1:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from repro.absint.triage import make_triage
-from repro.checkers.base import AnalysisResult, BugCandidate, Checker
-from repro.exec.cache import SliceCache
-from repro.exec.scheduler import (ExecConfig, ExecutionPlan, QueryFn,
-                                  WorkerSpec)
-from repro.exec.telemetry import Telemetry
+from repro.checkers.base import BugCandidate
+from repro.engine.base import PathSensitiveEngine
 from repro.fusion.instantiate import assemble_condition
 from repro.fusion.transform import ConditionTransformer
 from repro.limits import Budget, Deadline, QueryDeadlineExceeded
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.pdg.reduce import ViewRegistry
-from repro.pdg.slicing import Slice, compute_slice
+from repro.pdg.slicing import Slice
 from repro.smt.incremental import SessionStats, SolverSession
 from repro.smt.preprocess import constraint_set_size
 from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, SolverConfig
 from repro.smt.tactics import eliminate_quantifier, hfs_simplify, lfs_simplify
 from repro.smt.terms import Term
-from repro.sparse.driver import QueryRecord, run_analysis
 from repro.sparse.engine import SparseConfig
 
 #: Applied to each freshly expanded summary before caching.
@@ -66,29 +60,35 @@ class PinpointConfig:
     sparsify: bool = True
 
 
-class PinpointEngine:
+class PinpointEngine(PathSensitiveEngine):
     """Conventional path-sensitive sparse analysis (Algorithm 2)."""
 
     def __init__(self, pdg: ProgramDependenceGraph,
                  config: Optional[PinpointConfig] = None) -> None:
-        self.pdg = pdg
-        self.config = config if config is not None else PinpointConfig()
+        super().__init__(pdg, config if config is not None
+                         else PinpointConfig())
         self.transformer = ConditionTransformer(pdg)
         self.smt = SmtSolver(self.transformer.manager, self.config.solver)
         self._summary_cache: dict[tuple, list[Term]] = {}
         self._sessions: dict[object, SolverSession] = {}
-        self.views = ViewRegistry(pdg)
         self.session_stats = SessionStats()
         self.cached_condition_nodes = 0
         self.peak_condition_nodes = 0
-        self.query_records: list[QueryRecord] = []
-        #: The in-flight query's deadline; set by :meth:`_solve_one` so
+        #: The in-flight query's deadline; set by :meth:`solve_one` so
         #: the recursive expansion helpers can observe it.
         self._deadline: Optional[Deadline] = None
 
     @property
     def name(self) -> str:
         return "pinpoint" + self.config.variant_suffix
+
+    @property
+    def solver_config(self) -> SolverConfig:
+        return self.config.solver
+
+    @property
+    def incremental(self) -> bool:
+        return self.config.incremental
 
     # ------------------------------------------------------------------ #
     # Summary expansion: condition cloning + condition caching
@@ -133,146 +133,23 @@ class PinpointEngine:
             budget.check_time()
 
     # ------------------------------------------------------------------ #
-    # Analysis
+    # Solving (called by the PathSensitiveEngine skeleton)
     # ------------------------------------------------------------------ #
 
-    def analyze(self, checker: Checker,
-                exec_config: Optional[ExecConfig] = None,
-                telemetry: Optional[Telemetry] = None,
-                triage=None, store=None) -> AnalysisResult:
-        """Run the checker; ``exec_config`` opts into the query-execution
-        layer (slice memoization, ``jobs > 1`` worker pools, telemetry)
-        and ``triage`` into the abstract-interpretation pre-pass (``True``,
-        a ``TriageConfig`` or a prebuilt ``CandidateTriage``).  ``store``
-        (an :class:`~repro.exec.store.ArtifactStore`) opts into warm
-        incremental re-analysis.  With no argument the seed sequential
-        path runs untouched.
-
-        Reusable hot engine: per-run state (query records, telemetry
-        deltas) is rebuilt on every call, mirroring FusionEngine."""
-        self.query_records = []
-        sessions_before = self.session_stats.as_tuple()
-        view = self.views.view_for(checker) if self.config.sparsify \
-            else None
-        if telemetry is not None:
-            self.views.flush_telemetry(telemetry)
-        index = view.slice_index if view is not None else None
-        cache = None
-        if exec_config is not None and exec_config.effective_jobs <= 1:
-            cache = SliceCache(exec_config.slice_cache_capacity,
-                               index=index)
-        incremental = self.config.incremental
-
-        def solve(candidate: BugCandidate) -> SmtResult:
-            # One deadline covers the whole query — slicing included.
-            # QueryDeadlineExceeded escaping from the slice stage is
-            # converted to UNKNOWN by the driver's sequential loop.
-            deadline = Deadline.after(self.config.solver.time_limit)
-            if cache is not None:
-                the_slice = cache.get(self.pdg, [candidate.path],
-                                      deadline=deadline)
-            else:
-                the_slice = compute_slice(self.pdg, [candidate.path],
-                                          deadline=deadline, index=index)
-            group = candidate.group_key() if incremental else None
-            return self._solve_one(candidate, the_slice, deadline=deadline,
-                                   group=group)
-
-        execution = None
-        if exec_config is not None or telemetry is not None:
-            config = exec_config if exec_config is not None \
-                else ExecConfig()
-            spec = None
-            # Fault plans need the worker path even at jobs=1 (the
-            # injection hooks live in the scheduler's _WorkerState), and
-            # so do per-request query timeouts (FaultPolicy overrides
-            # the engine solver's limit only in the worker state) and
-            # circuit breakers (admission lives in the scheduler).
-            if config.effective_jobs > 1 or config.fault_plan is not None \
-                    or config.faults.query_timeout is not None \
-                    or config.breaker is not None:
-                spec = WorkerSpec(self.pdg, checker, self.config.sparse,
-                                  pinpoint_query_factory,
-                                  replace(self.config, budget=None),
-                                  query_timeout=self.config.solver
-                                  .time_limit,
-                                  grouped=incremental,
-                                  sparsify=self.config.sparsify)
-            execution = ExecutionPlan(config, spec, telemetry)
-
-        triage = make_triage(self.pdg, checker, triage, view=view)
-        binding = store.bind(self.pdg,
-                             self._store_fingerprint(triage, checker),
-                             checker.name, telemetry) \
-            if store is not None else None
-        result = run_analysis(self.pdg, checker, self.name, solve,
-                              self._memory_snapshot, self.config.budget,
-                              self.config.sparse, self.query_records,
-                              execution=execution, triage=triage,
-                              store=binding, view=view)
-        if cache is not None and telemetry is not None:
-            stats = cache.stats()
-            telemetry.record_cache("slice", stats.hits, stats.misses,
-                                   stats.evictions,
-                                   capacity=stats.capacity)
-        if telemetry is not None and incremental:
-            # Sequential-path sessions live on this engine; worker-side
-            # sessions are recorded by the scheduler.  Delta only — a
-            # hot engine's cumulative totals must not be re-counted.
-            delta = tuple(
-                now - before for now, before in
-                zip(self.session_stats.as_tuple(), sessions_before))
-            telemetry.record_incremental(
-                **dict(zip(("sessions", "assumption_solves",
-                            "reused_clauses", "encoder_hits",
-                            "learned_kept"), delta)))
-        return result
-
-    def _store_fingerprint(self, triage, checker: Checker) -> dict:
-        """Verdict-affecting knobs (see FusionEngine._store_fingerprint
-        for the exclusion rationale).  The summary tactic is keyed by
-        name: the tactics are pure formula transforms, so equal names
-        mean equal verdicts."""
-        config = self.config
-        sparse = config.sparse
+    def _fingerprint_extras(self) -> dict:
+        """The summary tactic is keyed by name: the tactics are pure
+        formula transforms, so equal names mean equal verdicts."""
+        tactic = self.config.summary_tactic
         return {
-            "engine": self.name,
-            "width": self.pdg.program.width,
-            "loop_strategy": getattr(self.pdg.program, "loop_strategy",
-                                     None),
-            "loop_paths": getattr(self.pdg.program, "loop_paths", None),
-            "enabled_passes": None if config.solver.enabled_passes is None
-            else list(config.solver.enabled_passes),
-            "use_preprocess": config.solver.use_preprocess,
-            "summary_tactic": None if config.summary_tactic is None
-            else config.summary_tactic.__name__,
-            "abstraction_refinement": config.abstraction_refinement,
-            "incremental": config.incremental,
-            "sparse": [sparse.max_paths_per_pair, sparse.max_path_len,
-                       sparse.max_candidates, sparse.revisit_cap],
-            "triage": None if triage is None
-            else [triage.config.max_refinement_steps,
-                  triage.config.widen_after],
-            # Defensive keying, mirroring FusionEngine: the sparsified
-            # pipeline is byte-identical by contract, but a footprint bug
-            # must not silently replay wrong warm verdicts.
-            "sparsify": self.config.sparsify,
-            "footprint": [list(part) if isinstance(part, tuple) else part
-                          for part in checker.footprint().key()]
-            if self.config.sparsify else None,
+            "summary_tactic": None if tactic is None else tactic.__name__,
+            "abstraction_refinement": self.config.abstraction_refinement,
         }
 
-    def _solve_one(self, candidate: BugCandidate, the_slice: Slice,
-                   deadline: Optional[Deadline] = None,
-                   group: Optional[object] = None) -> SmtResult:
-        """Decide one candidate against an already-computed slice,
-        bounded by the per-query deadline (defaults to the solver
-        config's ``time_limit``).  Overrunning it during summary
-        expansion yields UNKNOWN, never an exception.  ``group`` (with
-        ``config.incremental``) routes the query through that group's
-        persistent assumption-based solver session."""
-        if deadline is None:
-            deadline = Deadline.after(self.config.solver.time_limit)
+    def solve_one(self, candidate: BugCandidate, the_slice: Slice,
+                  deadline: Optional[Deadline],
+                  group: Optional[object] = None) -> SmtResult:
+        """Overrunning ``deadline`` during summary expansion yields
+        UNKNOWN, never an exception."""
         self._deadline = deadline
         checker = self._checker_for(group)
         try:
@@ -363,19 +240,19 @@ class PinpointEngine:
         if checker is None:
             checker = self.smt.check
         result: Optional[SmtResult] = None
+        constraints = self._full_condition(candidate, the_slice,
+                                           max_depth=0)
         for depth in range(max_rounds):
-            constraints = self._full_condition(candidate, the_slice,
-                                               max_depth=depth)
             result = checker(constraints, deadline=deadline)
             self._check_memory()
             if result.status is SmtStatus.UNSAT:
                 return result
-            full = self._full_condition(candidate, the_slice,
-                                        max_depth=depth + 1)
-            previous = self._full_condition(candidate, the_slice,
-                                            max_depth=depth)
-            if constraint_set_size(full) == constraint_set_size(previous):
+            deeper = self._full_condition(candidate, the_slice,
+                                          max_depth=depth + 1)
+            if constraint_set_size(deeper) \
+                    == constraint_set_size(constraints):
                 return result  # abstraction is already exact
+            constraints = deeper
         assert result is not None
         return result
 
@@ -389,52 +266,6 @@ class PinpointEngine:
         return graph + conditions, conditions
 
 
-def pinpoint_query_factory(pdg: ProgramDependenceGraph,
-                           config: PinpointConfig) -> QueryFn:
-    """Per-query pure solver for the scheduler's workers.
-
-    A fresh engine per query keeps the outcome a function of ``(pdg,
-    candidate, config)`` alone.  Each worker query re-expands its own
-    summaries (no cross-query summary cache), which is the honest
-    per-process memory story: cloned-condition caches do not share pages
-    across workers any more than Pinpoint's do across machines.
-    """
-
-    if config.incremental:
-        return _PinpointGroupRunner(pdg, config)
-
-    def query(candidate: BugCandidate, the_slice: Slice,
-              deadline: Optional[Deadline] = None,
-              group: Optional[object] = None) \
-            -> tuple[SmtResult, tuple[int, int]]:
-        engine = PinpointEngine(pdg, config)
-        result = engine._solve_one(candidate, the_slice, deadline=deadline)
-        return result, engine._memory_snapshot()
-
-    return query
-
-
-class _PinpointGroupRunner:
-    """Batch-lifetime runner sharing incremental sessions (see the
-    Fusion counterpart in :mod:`repro.fusion.engine` for the
-    determinism argument)."""
-
-    def __init__(self, pdg: ProgramDependenceGraph,
-                 config: PinpointConfig) -> None:
-        self._engine = PinpointEngine(pdg, config)
-
-    def __call__(self, candidate: BugCandidate, the_slice: Slice,
-                 deadline: Optional[Deadline] = None,
-                 group: Optional[object] = None) \
-            -> tuple[SmtResult, tuple[int, int]]:
-        result = self._engine._solve_one(candidate, the_slice,
-                                         deadline=deadline, group=group)
-        return result, self._engine._memory_snapshot()
-
-    def session_stats(self) -> SessionStats:
-        return self._engine.session_stats.snapshot()
-
-
 # --------------------------------------------------------------------- #
 # Variants
 # --------------------------------------------------------------------- #
@@ -444,7 +275,6 @@ def _qe_tactic(engine: PinpointEngine, fn: str,
                constraints: list[Term]) -> list[Term]:
     mgr = engine.transformer.manager
     formula = mgr.conj(constraints)
-    needed = engine.transformer.needed_key  # noqa: F841 (doc aid)
     interface = {v.name for v in engine.transformer.interface_vars(
         fn, frozenset())}
     local_vars = [v for v in formula.free_vars()

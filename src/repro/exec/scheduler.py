@@ -87,7 +87,8 @@ QueryFn = Callable[[BugCandidate, Slice, Optional[Deadline]],
                    tuple[SmtResult, tuple[int, int]]]
 
 #: ``(pdg, factory_config) -> QueryFn`` — must be a module-level function
-#: so the process backend can pickle it by reference.
+#: or class so the process backend can pickle it by reference (the engines
+#: use :class:`repro.engine.base.QueryRunner`).
 QueryFactory = Callable[[ProgramDependenceGraph, object], QueryFn]
 
 BACKENDS = ("auto", "serial", "thread", "process")

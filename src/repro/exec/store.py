@@ -72,7 +72,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.checkers.base import BugCandidate, BugReport
-from repro.fusion.quickpath import QuickPathTable
 from repro.lang.fingerprint import FINGERPRINT_VERSION, program_keys
 from repro.lang.ir import Call
 from repro.pdg.graph import ProgramDependenceGraph
@@ -304,6 +303,10 @@ class StoreBinding:
         self.config_key = _sha(_canonical(dict(
             fingerprint, store_schema=STORE_SCHEMA,
             fingerprint_version=FINGERPRINT_VERSION)))
+
+        # Imported here: repro.fusion imports the engine skeleton, which
+        # imports this package.
+        from repro.fusion.quickpath import QuickPathTable
 
         program = pdg.program
         self._content = program_keys(program)

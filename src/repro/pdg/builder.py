@@ -12,10 +12,31 @@ from __future__ import annotations
 
 import itertools
 
-from repro.cfg.control_dep import structural_control_deps
-from repro.lang.ir import Call, Program
+from repro.lang.ir import Branch, Call, Program, Stmt
 from repro.pdg.graph import (CallSite, DataEdge, EdgeKind,
                              ProgramDependenceGraph, Vertex)
+
+
+def structural_control_deps(function_body: list[Stmt]) -> dict[int, set[int]]:
+    """Control dependence straight from branch nesting.
+
+    Only the *innermost* enclosing branch is recorded: this matches the
+    Ferrante–Ottenstein–Warren semantics (and the paper's Figure 7, where
+    ``r = q`` depends on ``if (f=e)`` which itself depends on
+    ``if (c=b)``) — the full chain is recovered transitively through the
+    branch statements' own control dependences, which is exactly what
+    Rule (2) of Figure 8 does during slicing.
+    """
+    result: dict[int, set[int]] = {}
+
+    def walk(stmts: list[Stmt], parent: int | None) -> None:
+        for stmt in stmts:
+            result[id(stmt)] = set() if parent is None else {parent}
+            if isinstance(stmt, Branch):
+                walk(stmt.body, id(stmt))
+
+    walk(function_body, None)
+    return result
 
 
 def build_pdg(program: Program) -> ProgramDependenceGraph:

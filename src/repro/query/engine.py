@@ -17,10 +17,10 @@ region between the pair:
    ``restrict=`` the pair's backward-closed region instead of the
    whole covered set; restricted values are byte-identical at every
    vertex a decision reads, so verdicts match the full run.
-4. **Per-pair SMT** — surviving candidates are solved through the
-   engine's own solve path (Fusion's graph solver or Pinpoint's
-   summary expansion), including the pair's group-keyed incremental
-   :class:`~repro.smt.incremental.SolverSession` when enabled.
+4. **Per-pair SMT** — surviving candidates are solved through
+   :meth:`~repro.engine.base.PathSensitiveEngine.solve_candidate`, the
+   same slicing, deadline and group-keyed incremental
+   :class:`~repro.smt.incremental.SolverSession` as a full ``analyze``.
 5. **Verdict caching** — with an artifact store attached, pair
    verdicts replay from (and commit to) the *same* content-addressed
    entries a full ``analyze`` uses, so a query after an analysis is
@@ -38,11 +38,12 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.checkers.base import BugCandidate, BugReport, Checker
-from repro.limits import Deadline, QueryDeadlineExceeded
+from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
+                                 Checker)
+from repro.limits import QueryDeadlineExceeded
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.smt.solver import SmtResult, SmtStatus
-from repro.sparse.driver import public_witness
+from repro.sparse.driver import _run_triage, public_witness
 from repro.sparse.engine import collect_candidates
 
 
@@ -204,58 +205,25 @@ def _pair_triage(engine, checker: Checker, view,
     return triage
 
 
-def _solve_pair_candidate(engine, candidate: BugCandidate, view,
-                          deadline_s: Optional[float]) -> SmtResult:
-    """One candidate through the engine's own solve path — the same
-    slicing, the same per-group incremental session, the same deadline
-    shape as the engine's sequential ``analyze`` loop."""
-    from repro.pdg.slicing import compute_slice
-
-    index = view.slice_index if view is not None else None
-    if hasattr(engine, "_solve_one"):  # Pinpoint and variants
-        limit = engine.config.solver.time_limit \
-            if deadline_s is None else deadline_s
-        deadline = Deadline.after(limit)
-        the_slice = compute_slice(engine.pdg, [candidate.path],
-                                  deadline=deadline, index=index)
-        group = candidate.group_key() if engine.config.incremental \
-            else None
-        return engine._solve_one(candidate, the_slice, deadline=deadline,
-                                 group=group)
-    limit = engine.config.solver.solver.time_limit \
-        if deadline_s is None else deadline_s
-    deadline = Deadline.after(limit)
-    the_slice = compute_slice(engine.pdg, [candidate.path],
-                              deadline=deadline, index=index)
-    group = candidate.group_key() if engine.config.solver.incremental \
-        else None
-    return engine.solver.solve([candidate.path], the_slice,
-                               deadline=deadline, group=group)
-
-
 def run_demand_query(engine, checker: Checker, sink_indices,
                      def_indices=None, *, triage: bool = False,
                      store=None, telemetry=None,
                      deadline_s: Optional[float] = None) -> Verdict:
     """Resolve one (def sites, sink sites) pair against a hot engine.
 
-    ``engine`` is a Fusion or Pinpoint engine object (the infer
-    baseline has no per-candidate solve path and is rejected by
-    :meth:`repro.engine.AnalysisSession.query`).  ``sink_indices`` /
+    ``engine`` is a :class:`~repro.engine.base.PathSensitiveEngine`
+    (the infer baseline has no per-candidate solve path and is rejected
+    by :meth:`repro.engine.AnalysisSession.query`).  ``sink_indices`` /
     ``def_indices`` are PDG vertex index collections; ``def_indices``
     of None means "any source".  The returned verdict's findings are
     byte-identical to the corresponding entries of a full ``analyze``.
     """
-    from repro.absint.triage import TriageVerdict
     from repro.engine.core import findings_payload
 
     pdg: ProgramDependenceGraph = engine.pdg
     sinks = frozenset(sink_indices)
     defs = frozenset(def_indices) if def_indices is not None else None
-    sparsify = getattr(engine.config, "sparsify", False)
-    view = engine.views.view_for(checker) if sparsify else None
-    if telemetry is not None:
-        engine.views.flush_telemetry(telemetry)
+    view = engine.checker_view(checker, telemetry)
     slice_index = engine.views.slice_index
 
     selected, skipped = _select_sources(pdg, checker, view, slice_index,
@@ -269,57 +237,36 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     region = pair_region(pdg, slice_index, matched)
     pdg_edges = sum(len(pdg.data_succs(v)) for v in pdg.vertices)
 
+    # Counters and reports, in the shape ``findings_payload`` reads.
+    tally = AnalysisResult(engine.name, checker.name)
     reports: dict[int, BugReport] = {}
     pending = list(range(len(matched)))
     binding = None
-    triage_decided = 0
-    smt_queries = 0
-    unknown_queries = 0
+    triage_obj = _pair_triage(engine, checker, view, region) \
+        if triage and matched else None
 
     if matched and store is not None:
-        triage_probe = _pair_triage(engine, checker, view, region) \
-            if triage else None
         binding = store.bind(pdg,
-                             engine._store_fingerprint(triage_probe,
-                                                       checker),
+                             engine._store_fingerprint(triage_obj, checker),
                              checker.name, telemetry)
         pending = binding.replay(matched, reports)
-        triage_obj = triage_probe
-    else:
-        triage_obj = _pair_triage(engine, checker, view, region) \
-            if triage and matched else None
 
     if triage_obj is not None and pending:
-        still_pending = []
-        for position in pending:
-            candidate = matched[position]
-            decision = triage_obj.decide(candidate)
-            if decision.verdict is TriageVerdict.NEEDS_SMT:
-                still_pending.append(position)
-                continue
-            triage_decided += 1
-            feasible = decision.verdict \
-                is TriageVerdict.PROVEN_FEASIBLE
-            # Sorted witness keys: the cold output must match what a
-            # store replay would render back from sorted-key JSON.
-            reports[position] = BugReport(
-                candidate, feasible,
-                witness=dict(sorted(decision.witness.items())),
-                decided_in_triage=True)
-        pending = still_pending
+        pending = _run_triage(matched, triage_obj, reports, tally, pending)
 
+    index = view.slice_index if view is not None else None
     for position in pending:
         candidate = matched[position]
         started = time.perf_counter()
         try:
-            smt_result = _solve_pair_candidate(engine, candidate, view,
-                                               deadline_s)
+            smt_result = engine.solve_candidate(candidate, index=index,
+                                                time_limit=deadline_s)
         except QueryDeadlineExceeded:
             smt_result = SmtResult(SmtStatus.UNKNOWN)
         seconds = time.perf_counter() - started
-        smt_queries += 1
+        tally.smt_queries += 1
         if smt_result.status is SmtStatus.UNKNOWN:
-            unknown_queries += 1
+            tally.unknown_queries += 1
         if telemetry is not None:
             telemetry.record_query(smt_result.status, seconds,
                                    smt_result.decided_in_preprocess,
@@ -334,21 +281,20 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     if binding is not None:
         binding.commit(matched, reports)
 
-    ordered = [reports[position] for position in sorted(reports)]
-    findings = findings_payload(_ReportCarrier(ordered))
+    tally.reports = [reports[position] for position in sorted(reports)]
     verdict = Verdict(
         checker=checker.name,
         reachable=bool(matched),
-        feasible=any(report.feasible for report in ordered),
-        findings=findings,
+        feasible=bool(tally.bugs),
+        findings=findings_payload(tally),
         candidates=len(matched),
         sources_scanned=len(selected),
         sources_skipped=skipped,
-        replayed_verdicts=sum(1 for report in ordered
+        replayed_verdicts=sum(1 for report in tally.reports
                               if report.replayed),
-        triage_decided=triage_decided,
-        smt_queries=smt_queries,
-        unknown_queries=unknown_queries,
+        triage_decided=tally.triage_decided,
+        smt_queries=tally.smt_queries,
+        unknown_queries=tally.unknown_queries,
         region_nodes=len(region),
         region_edges=_region_edge_count(pdg, region),
         pdg_nodes=pdg.num_vertices,
@@ -363,13 +309,6 @@ def run_demand_query(engine, checker: Checker, sink_indices,
             pdg_edges=verdict.pdg_edges,
             verdicts_replayed=verdict.replayed_verdicts)
     return verdict
-
-
-class _ReportCarrier:
-    """Minimal ``AnalysisResult`` stand-in for ``findings_payload``."""
-
-    def __init__(self, reports: list[BugReport]) -> None:
-        self.reports = reports
 
 
 __all__ = ["Verdict", "run_demand_query", "pair_region",

@@ -1,10 +1,12 @@
-"""Tests for the CFG, dominance, and control-dependence substrate."""
+"""Tests for the CFG/dominance oracle and its cross-check against the
+structural control dependence the PDG builder uses."""
 
 import pytest
 
-from repro.cfg import (ControlFlowGraph, DominatorTree, block_control_deps,
-                       statement_control_deps, structural_control_deps)
 from repro.lang import Branch, compile_source
+from repro.pdg.builder import structural_control_deps
+from cfg_oracle import (ControlFlowGraph, DominatorTree, block_control_deps,
+                        statement_control_deps)
 
 DIAMOND = """
 fun f(a) {

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.exec.telemetry import SCHEMA
 
 SOURCE = """
 fun bar(x) {
@@ -231,7 +232,7 @@ class TestTriageFlag:
               "--telemetry", str(out)])
         capsys.readouterr()
         payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-exec-telemetry/10"
+        assert payload["schema"] == SCHEMA
         triage = payload["triage"]
         assert triage["decided_infeasible"] + triage["decided_feasible"] \
             + triage["sent_to_smt"] >= 1

@@ -15,6 +15,7 @@ import pytest
 
 from repro.bench import SubjectSpec, generate_subject
 from repro.cli import main
+from repro.exec.telemetry import SCHEMA
 
 SOURCE = """
 fun bar(x) {
@@ -117,7 +118,7 @@ class TestTelemetryKeyOrder:
                         "--telemetry", str(path))
             outs.append(json.loads(path.read_text()))
         first, second = outs
-        assert first["schema"] == "repro-exec-telemetry/10"
+        assert first["schema"] == SCHEMA
         assert list(first) == list(second)
         for section in ("solver", "store", "triage", "faults", "memory"):
             assert list(first[section]) == list(second[section])

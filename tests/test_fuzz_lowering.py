@@ -106,8 +106,8 @@ def test_fuzzed_program_full_pipeline(seed, a, b):
 
     # The post-dominance control-dependence computation agrees with the
     # structural nesting on every fuzzed shape.
-    from repro.cfg import (ControlFlowGraph, statement_control_deps,
-                           structural_control_deps)
+    from repro.pdg.builder import structural_control_deps
+    from cfg_oracle import ControlFlowGraph, statement_control_deps
     fn = program.functions["f"]
     cfg = ControlFlowGraph(fn)
     from_cfg = statement_control_deps(cfg)

@@ -16,6 +16,7 @@ from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
 from repro.engine import AnalysisSession, EngineSettings
 from repro.exec import ArtifactStore, FaultPlan, Telemetry
+from repro.exec.telemetry import SCHEMA
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.lang import LoweringConfig, compile_source
 from repro.serve import (COMPILE_ERROR, INVALID_PARAMS, INVALID_REQUEST,
@@ -277,7 +278,7 @@ def test_telemetry_serve_section_schema():
                 await rpc(app, "initialize", tenant="t", source=SOURCE)
                 await rpc(app, "analyze", tenant="t")
                 snapshot = (await rpc(app, "telemetry"))["result"]
-                assert snapshot["schema"] == "repro-exec-telemetry/10"
+                assert snapshot["schema"] == SCHEMA
                 serve = snapshot["serve"]
                 for key in ("requests", "errors", "rejected",
                             "sessions_alive", "replayed_verdicts",

@@ -19,6 +19,8 @@ import sys
 
 import pytest
 
+from repro.exec.telemetry import SCHEMA
+
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: CI matrix entries pin the seeds via REPRO_FAULT_SEEDS; locally a fixed
@@ -115,7 +117,7 @@ def test_sigkill_restart_differential(daemon_factory):
         == warm["counters"]["candidates"]
     assert json.dumps(warm["findings"]) == json.dumps(cold["findings"])
     telemetry = second.rpc("telemetry")["result"]
-    assert telemetry["schema"] == "repro-exec-telemetry/10"
+    assert telemetry["schema"] == SCHEMA
     assert telemetry["serve"]["sessions_recovered"] == 1
     assert telemetry["serve"]["recoveries_crash"] == 1
     second.shutdown()
@@ -142,7 +144,7 @@ def test_store_fault_matrix_never_kills_the_daemon(daemon_factory, seed):
     # Faulted store I/O may cost re-solves, never verdicts.
     assert json.dumps(warm["findings"]) == json.dumps(cold["findings"])
     telemetry = daemon.rpc("telemetry")["result"]
-    assert telemetry["schema"] == "repro-exec-telemetry/10"
+    assert telemetry["schema"] == SCHEMA
     store = telemetry["store"]
     assert {"corrupt_entries", "quarantined", "io_errors"} <= set(store)
     # The seeded plan fired at least one store fault by now.

@@ -16,6 +16,7 @@ from repro.baselines import PinpointEngine
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
 from repro.exec import ExecConfig, Telemetry
+from repro.exec.telemetry import SCHEMA
 from repro.fusion import FusionEngine, prepare_pdg
 
 FUZZ_SEEDS = list(range(50))
@@ -108,7 +109,7 @@ def test_triage_decides_candidates_and_reports_telemetry():
             exec_config=ExecConfig(jobs=1), telemetry=telemetry,
             triage=True)
         payload = telemetry.as_dict()
-        assert payload["schema"] == "repro-exec-telemetry/10"
+        assert payload["schema"] == SCHEMA
         triage = payload["triage"]
         assert triage["decided_infeasible"] \
             == result.triage_decided_infeasible
