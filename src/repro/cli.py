@@ -21,9 +21,14 @@ from typing import Optional, Sequence
 
 from repro.engine import (CHECKER_FACTORIES, ENGINE_CHOICES,
                           analysis_payload, build_engine)
+from repro.exec import BACKENDS
 from repro.fusion import prepare_pdg
 from repro.lang import LoweringConfig, compile_source
 from repro.pdg import pdg_to_dot
+
+#: What ``--backend auto`` means, on every subcommand that takes it.
+AUTO_BACKEND_HELP = ("auto: in-process at one job, process pool above "
+                     "(thread without fork)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "a 429-style error (default 32)")
     serve.add_argument("--jobs", type=int, default=1,
                        help="per-request worker pool size (default 1)")
-    serve.add_argument("--backend", default="auto",
-                       help="per-request pool flavor (default auto)")
+    serve.add_argument("--backend", default="auto", choices=BACKENDS,
+                       help="per-request query executor (default "
+                            + AUTO_BACKEND_HELP + ")")
     serve.add_argument("--cache-root", metavar="DIR", default=None,
                        help="root directory for per-tenant artifact "
                             "stores (default: a private temp dir)")
@@ -284,14 +290,12 @@ def _record_loop_telemetry(telemetry, program) -> None:
 def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags for the repro.exec query-execution layer (shared by the
     ``analyze`` and ``bench`` subcommands)."""
-    from repro.exec import BACKENDS
-
     parser.add_argument("--jobs", type=int, default=1,
                         help="worker pool size; 1 = seed sequential path "
                              "(default 1)")
     parser.add_argument("--backend", default="auto", choices=BACKENDS,
-                        help="worker pool flavor (default auto: process "
-                             "when fork is available, else thread)")
+                        help="query executor (default "
+                             + AUTO_BACKEND_HELP + ")")
     parser.add_argument("--batch-size", type=int, default=0,
                         help="queries per worker batch; 0 = auto")
     parser.add_argument("--triage", action=argparse.BooleanOptionalAction,

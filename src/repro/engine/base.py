@@ -158,7 +158,8 @@ class PathSensitiveEngine:
                                index=index)
         solve = partial(self.solve_candidate, index=index, cache=cache)
 
-        execution = self._execution_plan(checker, exec_config, telemetry)
+        execution = self._execution_plan(checker, exec_config, telemetry,
+                                         slice_index=index)
         triage = make_triage(self.pdg, checker, triage, view=view)
         binding = store.bind(self.pdg,
                              self._store_fingerprint(triage, checker),
@@ -229,20 +230,23 @@ class PathSensitiveEngine:
 
     def _execution_plan(self, checker: Checker,
                         exec_config: Optional[ExecConfig],
-                        telemetry: Optional[Telemetry]
-                        ) -> Optional[ExecutionPlan]:
+                        telemetry: Optional[Telemetry],
+                        slice_index=None) -> Optional[ExecutionPlan]:
+        """``slice_index`` (the checker view's) goes to the scheduler's
+        in-process rungs; it never rides in the pickled spec."""
         if exec_config is None and telemetry is None:
             return None
         config = exec_config if exec_config is not None else ExecConfig()
         spec = None
-        # A fault plan needs the worker path even at jobs=1: injection
-        # hooks live in the scheduler's _WorkerState, and the inline
-        # ladder rung gives single-job runs the same retry/synthesize
-        # machinery.  A per-request query timeout (FaultPolicy) takes
+        # A fault plan needs the scheduler even at jobs=1: injection
+        # hooks live in its _WorkerState, and retry/synthesize live in
+        # its ladder.  A per-request query timeout (FaultPolicy) takes
         # the same route — the worker state is where it overrides the
         # engine solver's own limit (the serve daemon's per-request
         # deadlines rely on this at jobs=1).  A circuit breaker does
         # too: admission and short-circuiting live in the scheduler.
+        # None of this forks at one job: ``auto`` runs the inline rung,
+        # in this process; only an explicit ``process`` backend pools.
         if config.effective_jobs > 1 or config.fault_plan is not None \
                 or config.faults.query_timeout is not None \
                 or config.breaker is not None:
@@ -254,7 +258,8 @@ class PathSensitiveEngine:
                               query_timeout=self.solver_config.time_limit,
                               grouped=self.incremental,
                               sparsify=self.config.sparsify)
-        return ExecutionPlan(config, spec, telemetry)
+        return ExecutionPlan(config, spec, telemetry,
+                             slice_index=slice_index)
 
 
 class QueryRunner:

@@ -34,10 +34,14 @@ death is survivable by requeueing.  Failure handling has three tiers:
 
 Worker model:
 
-* **thread** — workers share the parent's PDG, candidate list and one
-  lock-protected :class:`~repro.exec.cache.SliceCache`.  Useful for
-  differential testing and on platforms without ``fork``; the GIL limits
-  CPU parallelism.
+* **inline** — no pool: batches run one after another in the calling
+  process, on the parent's PDG, candidate list and condensed slice
+  index.  ``auto`` starts here at one job; it is also the ladder's last
+  rung.
+* **thread** — workers share the parent's PDG, candidate list, slice
+  index and one lock-protected :class:`~repro.exec.cache.SliceCache`.
+  Useful for differential testing and on platforms without ``fork``; the
+  GIL limits CPU parallelism.
 * **process** — each worker process receives the pickled
   :class:`WorkerSpec` once (pool initializer), rebuilds the PDG and
   re-collects the candidate list (collection is deterministic, so indices
@@ -62,7 +66,7 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
                                 wait)
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.checkers.base import BugCandidate, Checker
 from repro.exec.breaker import CircuitBreaker
@@ -77,6 +81,9 @@ from repro.smt.incremental import SessionStats
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.sparse.driver import public_witness
 from repro.sparse.engine import SparseConfig, collect_candidates
+
+if TYPE_CHECKING:
+    from repro.pdg.reduce import SliceIndex
 
 #: A per-query pure solver: ``(candidate, slice, deadline) -> (result,
 #: (total memory units, condition memory units))``.  Factories return
@@ -114,11 +121,17 @@ class ExecConfig:
     breaker: Optional[CircuitBreaker] = None
 
     def resolved_backend(self) -> str:
-        if self.backend == "auto":
-            return "process" if _HAS_FORK else "thread"
+        """``auto`` solves in the calling process (the ``inline`` rung)
+        at one job: a one-worker pool would only add a fork, a pickled
+        PDG and a rebuilt candidate list.  Above one job it picks a
+        process pool where ``fork`` exists, else a thread pool."""
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown exec backend {self.backend!r}")
-        return self.backend
+        if self.backend != "auto":
+            return self.backend
+        if self.effective_jobs == 1:
+            return "inline"
+        return "process" if _HAS_FORK else "thread"
 
     @property
     def effective_jobs(self) -> int:
@@ -207,17 +220,15 @@ class ExecutionPlan:
     config: ExecConfig
     spec: Optional[WorkerSpec] = None
     telemetry: Optional[Telemetry] = None
-
-    @property
-    def parallel_jobs(self) -> int:
-        if self.spec is None:
-            return 1
-        return self.config.effective_jobs
+    #: The parent's condensed slice index (its checker view's), handed to
+    #: the in-process rungs.  Never pickled: process workers rebuild
+    #: their own from the spec.
+    slice_index: Optional[SliceIndex] = None
 
     def make_scheduler(self, budget: Optional[Budget]) -> "QueryScheduler":
         assert self.spec is not None
         return QueryScheduler(self.spec, self.config, self.telemetry,
-                              budget)
+                              budget, slice_index=self.slice_index)
 
 
 @dataclass
@@ -237,20 +248,21 @@ class _Batch:
 class _WorkerState:
     """Per-worker solving state: candidates, slice cache, query function.
 
-    The thread backend builds one shared instance (candidates and cache
-    shared, fresh engine per query); the process backend builds one per
-    worker process from the pickled spec.
+    The inline and thread rungs build one instance from the parent's
+    candidates and slice index (thread workers share it: candidates and
+    cache shared, fresh engine per query); the process backend builds one
+    per worker process from the pickled spec, re-collecting both.
     """
 
     def __init__(self, spec: WorkerSpec,
                  cache_capacity: Optional[int],
                  candidates: Optional[list[BugCandidate]] = None,
+                 slice_index: Optional[SliceIndex] = None,
                  policy: Optional[FaultPolicy] = None,
                  plan: Optional[FaultPlan] = None,
                  process_worker: bool = False) -> None:
         self.pdg = spec.pdg
         self.spec = spec
-        slice_index = None
         if candidates is None:
             view = None
             if spec.sparsify:
@@ -399,11 +411,13 @@ class QueryScheduler:
 
     def __init__(self, spec: WorkerSpec, config: ExecConfig,
                  telemetry: Optional[Telemetry] = None,
-                 budget: Optional[Budget] = None) -> None:
+                 budget: Optional[Budget] = None,
+                 slice_index: Optional[SliceIndex] = None) -> None:
         self.spec = spec
         self.config = config
         self.telemetry = telemetry
         self.budget = budget
+        self.slice_index = slice_index
         #: index -> group_key, populated per run when a breaker is set;
         #: failure/success events are attributed to groups through it.
         self._breaker_groups: Optional[dict[int, tuple]] = None
@@ -443,7 +457,9 @@ class QueryScheduler:
                    for ordinal, chunk in enumerate(chunks)]
         ladder = self._ladder(backend, jobs)
         if self.telemetry is not None:
-            self.telemetry.annotate(jobs=jobs, backend=backend,
+            # The rung that runs, not the configured name: a one-job
+            # ``auto``/``serial``/``thread`` run reports ``inline``.
+            self.telemetry.annotate(jobs=jobs, backend=ladder[0],
                                     batches=len(batches))
             self.telemetry.count("batches", len(batches))
         run_deadline = None
@@ -564,7 +580,8 @@ class QueryScheduler:
         return batches
 
     def _ladder(self, backend: str, jobs: int) -> list[str]:
-        """The degradation ladder, starting at the configured backend."""
+        """The degradation ladder, starting at the configured backend.
+        Only an explicit ``process`` backend forks at one job."""
         if jobs == 1 and backend != "process":
             return ["inline"]
         if backend == "thread":
@@ -572,6 +589,16 @@ class QueryScheduler:
         return ["process", "thread", "inline"]
 
     # -- ladder levels --------------------------------------------------- #
+
+    def _in_process_state(self, candidates: list[BugCandidate]
+                          ) -> _WorkerState:
+        """Worker state for the inline and thread rungs: the parent's
+        candidates and slice index, nothing re-collected."""
+        return _WorkerState(self.spec, self.config.slice_cache_capacity,
+                            candidates=candidates,
+                            slice_index=self.slice_index,
+                            policy=self.config.faults,
+                            plan=self.config.fault_plan)
 
     def _run_level(self, level: str, candidates: list[BugCandidate],
                    work: list[_Batch], outcomes: list[QueryOutcome],
@@ -593,10 +620,7 @@ class QueryScheduler:
         """Single-worker case and the ladder's last rung: no pool, still
         batched (budget cadence matches the parallel backends), always
         completes — a batch that keeps failing is synthesized UNKNOWN."""
-        state = _WorkerState(self.spec, self.config.slice_cache_capacity,
-                             candidates=candidates,
-                             policy=self.config.faults,
-                             plan=self.config.fault_plan)
+        state = self._in_process_state(candidates)
         queue = deque(work)
         try:
             while queue:
@@ -621,10 +645,7 @@ class QueryScheduler:
                     work: list[_Batch], outcomes: list[QueryOutcome],
                     jobs: int, run_deadline: Optional[Deadline]
                     ) -> list[_Batch]:
-        state = _WorkerState(self.spec, self.config.slice_cache_capacity,
-                             candidates=candidates,
-                             policy=self.config.faults,
-                             plan=self.config.fault_plan)
+        state = self._in_process_state(candidates)
         executor = ThreadPoolExecutor(max_workers=jobs,
                                       thread_name_prefix="repro-query")
 

@@ -12,10 +12,11 @@ execution modes behind one result contract:
 * **sequential** (the default, and the ``jobs=1`` degenerate case) — the
   seed loop: one engine, one solver, candidates decided in order.  All
   Figure-11/Table-3 benchmark semantics live here, unchanged.
-* **parallel** — an :class:`~repro.exec.scheduler.ExecutionPlan` routes
-  batches of candidates through a worker pool; outcomes come back keyed
-  by candidate index, so reports are assembled in exactly the sequential
-  order regardless of completion order.  The differential suite
+* **scheduled** — an :class:`~repro.exec.scheduler.ExecutionPlan` routes
+  batches of candidates through the query scheduler (a worker pool above
+  one job, in-process at one job); outcomes come back keyed by candidate
+  index, so reports are assembled in exactly the sequential order
+  regardless of completion order.  The differential suite
   (``tests/test_parallel_driver.py``) pins both modes to byte-identical
   report lists.
 """
@@ -287,7 +288,7 @@ def _run_scheduled(candidates: list[BugCandidate],
                    query_records: Optional[list[QueryRecord]],
                    reports: dict[int, BugReport],
                    store: Optional["StoreBinding"] = None) -> None:
-    """Dispatch the candidates through the plan's worker pool.
+    """Dispatch the candidates through the plan's query scheduler.
 
     Outcomes are assembled into reports even when a budget violation
     aborts the run mid-way (the ``finally`` clause), mirroring the

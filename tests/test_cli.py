@@ -125,6 +125,14 @@ class TestOtherCommands:
             "sessions", "assumption_solves", "reused_clauses",
             "encoder_hits", "learned_kept"}
 
+    def test_serve_rejects_unknown_backend(self, capsys):
+        """A typo fails at startup with argparse's usage error, not as an
+        internal error on the first analyze that has queries to solve."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--stdio", "--backend", "bogus"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
     def test_bench_no_json_flag(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         code = main(["bench", "--subject", "mcf", "--engine", "fusion",

@@ -139,24 +139,30 @@ def test_serial_backend_is_the_degenerate_case():
 @pytest.mark.skipif(_cpu_count() < 2,
                     reason="wall-time speedup needs >= 2 CPUs")
 def test_process_pool_speedup_on_multicore():
-    """On a multi-core box, 4 process workers must beat sequential wall
-    time on a query-heavy subject (guarded: CI runners with one core
-    cannot demonstrate a speedup, only overhead)."""
+    """On a multi-core box, one process worker per CPU (up to 4) must
+    beat sequential wall time on a query-heavy subject.  Guarded: a
+    one-core runner can show only overhead, and more workers than CPUs
+    contend for them.  Each side takes its best of two runs, so one
+    scheduling hiccup on a shared host cannot flip the comparison."""
     import time
 
     spec = SubjectSpec("speedup", seed=5, num_functions=24, layers=4,
                        avg_stmts=8, call_fanout=2, null_bugs=(3, 2, 2))
     pdg = prepare_pdg(generate_subject(spec).program)
     checker = NullDereferenceChecker()
+    pooled = ExecConfig(jobs=min(4, _cpu_count()), backend="process")
 
-    t0 = time.perf_counter()
-    sequential = PinpointEngine(pdg).analyze(checker)
-    t_seq = time.perf_counter() - t0
+    def best_of_two(exec_config):
+        times = []
+        for _ in range(2):
+            t0 = time.perf_counter()
+            result = PinpointEngine(pdg).analyze(checker,
+                                                 exec_config=exec_config)
+            times.append(time.perf_counter() - t0)
+        return result, min(times)
 
-    t0 = time.perf_counter()
-    parallel = PinpointEngine(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=4, backend="process"))
-    t_par = time.perf_counter() - t0
+    sequential, t_seq = best_of_two(None)
+    parallel, t_par = best_of_two(pooled)
 
     assert canonical(parallel) == canonical(sequential)
     assert t_par < t_seq, (t_par, t_seq)

@@ -1,0 +1,213 @@
+"""One job means no pool: single-job runs solve in the calling process.
+
+With ``jobs=1`` and the default ``auto`` backend, every run that needs
+the query scheduler — a per-request deadline, a circuit breaker, a fault
+plan — executes on the scheduler's *inline* rung.  No process pool is
+ever constructed (``ProcessPoolExecutor`` is patched to fail), and the
+findings are byte-identical to the same run on an explicit one-worker
+process pool, which still forks.
+"""
+
+import asyncio
+import json
+import pickle
+import re
+import tempfile
+
+import pytest
+
+from repro.bench import SubjectSpec, generate_subject
+from repro.checkers import NullDereferenceChecker
+from repro.cli import main
+from repro.engine import CHECKER_FACTORIES, EngineSettings, build_engine
+from repro.exec import ExecConfig, FaultPlan, FaultPolicy, Telemetry
+from repro.exec import scheduler
+from repro.fusion import prepare_pdg
+from repro.serve import ServeApp, ServeConfig
+
+
+def subject(seed: int = 4):
+    return generate_subject(SubjectSpec(
+        "single-job", seed=seed, num_functions=5, layers=2, avg_stmts=5,
+        call_fanout=2, null_bugs=(1, 1, 1), taint23_bugs=(1, 1, 0),
+        taint402_bugs=(1, 0, 1)))
+
+
+def body_edit(source: str) -> str:
+    """An unused statement at the top of the first function: the edited
+    function's verdicts are re-solved, the rest replay from the store."""
+    match = re.search(r"fun (\w+)\([^)]*\) \{\n", source)
+    assert match is not None
+    return source[:match.end()] + "  zq_edit = 7;\n" + source[match.end():]
+
+
+def canonical(result):
+    """Every program-visible report field, in report order."""
+    return [(report.checker,
+             tuple((step.vertex.index, step.frame.fid)
+                   for step in report.candidate.path.steps),
+             report.feasible,
+             report.decided_in_preprocess,
+             tuple(sorted(report.witness.items())))
+            for report in result.reports]
+
+
+def _forbidden_pool(*args, **kwargs):
+    raise AssertionError("a one-job auto run built a process pool")
+
+
+@pytest.fixture
+def no_process_pool(monkeypatch):
+    """Make any process-pool construction fail loudly."""
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _forbidden_pool)
+
+
+def serve_findings(engine: str, backend: str, source: str) -> list[str]:
+    """Cold analyze, edit, warm analyze — for every checker, with the
+    breaker on and a per-request deadline; returns each response's
+    findings as canonical bytes."""
+    edited = body_edit(source)
+
+    async def drive() -> list[str]:
+        with tempfile.TemporaryDirectory() as root:
+            app = ServeApp(ServeConfig(
+                settings=EngineSettings(engine=engine), jobs=1,
+                backend=backend, cache_root=root))
+            try:
+                async def rpc(method, **params):
+                    response = await app.handle({
+                        "jsonrpc": "2.0", "id": 1, "method": method,
+                        "params": params})
+                    assert "result" in response, response.get("error")
+                    return response["result"]
+
+                out = []
+                warm_counters = []
+                for checker in sorted(CHECKER_FACTORIES):
+                    tenant = f"{engine}-{checker}"
+                    await rpc("initialize", tenant=tenant, source=source)
+                    cold = await rpc("analyze", tenant=tenant,
+                                     checker=checker, deadline_s=5)
+                    await rpc("update", tenant=tenant, source=edited)
+                    warm = await rpc("analyze", tenant=tenant,
+                                     checker=checker, deadline_s=5)
+                    out += [json.dumps(cold["findings"]),
+                            json.dumps(warm["findings"])]
+                    warm_counters.append(warm["counters"])
+                # Some warm run both replays verdicts and re-solves the
+                # edited function's: the scheduler sees a partial list.
+                assert any(c["smt_queries"] and c["replayed_verdicts"]
+                           for c in warm_counters)
+                return out
+            finally:
+                app.close()
+
+    return asyncio.run(drive())
+
+
+@pytest.mark.parametrize("engine", ["fusion", "pinpoint"])
+def test_serve_single_job_matches_process_pool(engine, monkeypatch):
+    source = subject().source
+    expected = serve_findings(engine, "process", source)
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _forbidden_pool)
+    assert serve_findings(engine, "auto", source) == expected
+
+
+@pytest.mark.parametrize("engine", ["fusion", "pinpoint"])
+@pytest.mark.parametrize("incremental", [False, True])
+def test_query_timeout_runs_inline_with_sequential_verdicts(
+        engine, incremental, no_process_pool):
+    pdg = prepare_pdg(subject().program)
+    checker = NullDereferenceChecker()
+    sequential = build_engine(engine, pdg, want_model=True,
+                              incremental=incremental).analyze(checker)
+    assert sequential.smt_queries > 0
+    telemetry = Telemetry()
+    inline = build_engine(engine, pdg, want_model=True,
+                          incremental=incremental).analyze(
+        checker, exec_config=ExecConfig(
+            jobs=1, faults=FaultPolicy(query_timeout=5)),
+        telemetry=telemetry)
+    assert canonical(inline) == canonical(sequential)
+    snapshot = telemetry.as_dict()
+    assert snapshot["context"]["backend"] == "inline"
+    assert snapshot["faults"]["pool_rebuilds"] == 0
+
+
+def test_injected_crash_is_retried_inline(no_process_pool):
+    pdg = prepare_pdg(subject().program)
+    checker = NullDereferenceChecker()
+    sequential = build_engine("fusion", pdg, want_model=True) \
+        .analyze(checker)
+    telemetry = Telemetry()
+    crashed = build_engine("fusion", pdg, want_model=True).analyze(
+        checker, exec_config=ExecConfig(
+            jobs=1, fault_plan=FaultPlan(crash_on_batch=frozenset({0}),
+                                         crash_times=1)),
+        telemetry=telemetry)
+    assert crashed.failure is None
+    assert crashed.unknown_queries == sequential.unknown_queries
+    assert canonical(crashed) == canonical(sequential)
+    snapshot = telemetry.as_dict()
+    assert snapshot["faults"]["batch_retries"] >= 1
+    assert snapshot["faults"]["synthesized_unknown"] == 0
+    assert snapshot["context"]["backend"] == "inline"
+
+
+def test_cli_single_job_deadline_runs_inline(tmp_path, no_process_pool,
+                                             capsys):
+    out = tmp_path / "single.json"
+    assert main(["analyze", "--subject", "mcf", "--query-timeout", "5",
+                 "--fault-plan", "raise=0", "--telemetry", str(out)]) == 0
+    capsys.readouterr()
+    payload = json.loads(out.read_text())
+    assert payload["context"]["backend"] == "inline"
+    assert payload["faults"]["pool_rebuilds"] == 0
+    assert payload["faults"]["query_errors"] == 1
+
+
+def test_explicit_process_backend_still_forks_at_one_job(monkeypatch):
+    built = []
+    real = scheduler.ProcessPoolExecutor
+
+    def counting(*args, **kwargs):
+        built.append(kwargs["max_workers"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", counting)
+    pdg = prepare_pdg(subject().program)
+    telemetry = Telemetry()
+    build_engine("fusion", pdg).analyze(
+        NullDereferenceChecker(),
+        exec_config=ExecConfig(jobs=1, backend="process",
+                               faults=FaultPolicy(query_timeout=5)),
+        telemetry=telemetry)
+    assert built == [1]
+    assert telemetry.as_dict()["context"]["backend"] == "process"
+
+
+def test_auto_resolves_by_job_count():
+    assert ExecConfig(jobs=1).resolved_backend() == "inline"
+    assert ExecConfig(jobs=4).resolved_backend() == \
+        ("process" if scheduler._HAS_FORK else "thread")
+    assert ExecConfig(jobs=1, backend="process").resolved_backend() \
+        == "process"
+    with pytest.raises(ValueError):
+        ExecConfig(backend="bogus").resolved_backend()
+
+
+def test_in_process_rungs_slice_with_the_view_index():
+    """The inline and thread rungs reuse the parent's condensed slice
+    index; the pickled worker spec never carries it."""
+    pdg = prepare_pdg(subject().program)
+    engine = build_engine("fusion", pdg)
+    checker = NullDereferenceChecker()
+    view = engine.checker_view(checker)
+    assert view is not None and view.slice_index is not None
+    plan = engine._execution_plan(
+        checker, ExecConfig(faults=FaultPolicy(query_timeout=5)), None,
+        slice_index=view.slice_index)
+    assert plan is not None and plan.spec is not None
+    state = plan.make_scheduler(None)._in_process_state([])
+    assert state.cache.index is view.slice_index
+    assert b"SliceIndex" not in pickle.dumps(plan.spec)
