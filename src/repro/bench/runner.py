@@ -124,9 +124,10 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
                sparsify: bool = True) -> RunOutcome:
     """Run one (engine, checker) pair on one subject.
 
-    ``jobs=1`` (the default) is the seed sequential path — benchmark
-    numbers for Table 3 / Figure 11 are unchanged.  ``jobs > 1`` routes
-    feasibility queries through the :mod:`repro.exec` scheduler;
+    Feasibility queries run through the :mod:`repro.exec` scheduler:
+    ``jobs=1`` (the default) solves inline on the engine, so Table 3 /
+    Figure 11 memory and query numbers are those of one engine deciding
+    every candidate in order; ``jobs > 1`` fans out to a worker pool.
     ``triage=True`` enables the absint pre-pass on the path-sensitive
     engines.  ``query_timeout``/``max_retries``/``on_error`` tune the
     fault-tolerance layer, and ``fault_plan`` injects deterministic
@@ -161,17 +162,11 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
         policy_kwargs["query_timeout"] = query_timeout
     if max_retries is not None:
         policy_kwargs["max_retries"] = max_retries
-    default_faults = (on_error == "unknown" and max_retries is None
-                      and fault_plan is None)
-    if jobs == 1 and backend == "auto" and telemetry is None \
-            and default_faults and query_timeout is None:
-        result = engine_obj.analyze(checker, **kwargs)
-    else:
-        exec_config = ExecConfig(jobs=jobs, backend=backend,
-                                 faults=FaultPolicy(**policy_kwargs),
-                                 fault_plan=fault_plan)
-        result = engine_obj.analyze(checker, exec_config=exec_config,
-                                    telemetry=telemetry, **kwargs)
+    exec_config = ExecConfig(jobs=jobs, backend=backend,
+                             faults=FaultPolicy(**policy_kwargs),
+                             fault_plan=fault_plan)
+    result = engine_obj.analyze(checker, exec_config=exec_config,
+                                telemetry=telemetry, **kwargs)
     if telemetry is not None:
         telemetry.annotate(subject=subject_name)
     precision = evaluate_reports(subject, result)

@@ -291,8 +291,8 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags for the repro.exec query-execution layer (shared by the
     ``analyze`` and ``bench`` subcommands)."""
     parser.add_argument("--jobs", type=int, default=1,
-                        help="worker pool size; 1 = seed sequential path "
-                             "(default 1)")
+                        help="worker pool size; 1 = solve in-process on "
+                             "one engine (default 1)")
     parser.add_argument("--backend", default="auto", choices=BACKENDS,
                         help="query executor (default "
                              + AUTO_BACKEND_HELP + ")")
@@ -441,7 +441,7 @@ def cmd_subjects(_args: argparse.Namespace) -> int:
 
 
 def _exec_options(args: argparse.Namespace):
-    """(ExecConfig | None, Telemetry | None) from the shared exec flags."""
+    """(ExecConfig, Telemetry | None) from the shared exec flags."""
     from repro.exec import ExecConfig, FaultPlan, FaultPolicy, Telemetry
 
     telemetry = Telemetry() if args.telemetry else None
@@ -456,12 +456,6 @@ def _exec_options(args: argparse.Namespace):
             fault_plan = FaultPlan.parse(args.fault_plan)
         except ValueError as error:
             raise SystemExit(f"repro: bad --fault-plan: {error}")
-    plain = (args.jobs == 1 and args.backend == "auto"
-             and args.batch_size == 0 and args.on_error == "unknown"
-             and args.query_timeout is None and args.max_retries is None
-             and fault_plan is None)
-    if plain and telemetry is None:
-        return None, None
     return ExecConfig(jobs=args.jobs, backend=args.backend,
                       batch_size=args.batch_size,
                       faults=FaultPolicy(**policy_kwargs),
@@ -518,12 +512,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if bench_telemetry is None and not args.no_bench_json:
         # The bench record needs the incremental-solver counters even
         # when the caller did not ask for a telemetry file; the internal
-        # instance is never written out.  Reports are unaffected (the
-        # differential suite pins exec-path and seed-path reports to be
-        # identical).
+        # instance is never written out.
         from repro.exec import Telemetry
         bench_telemetry = Telemetry()
-    fault_plan = exec_config.fault_plan if exec_config is not None else None
     outcome = run_engine(args.subject, args.engine, args.checker,
                          time_budget=args.time_budget,
                          jobs=args.jobs, backend=args.backend,
@@ -531,7 +522,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          query_timeout=args.query_timeout,
                          max_retries=args.max_retries,
                          on_error=args.on_error,
-                         fault_plan=fault_plan,
+                         fault_plan=exec_config.fault_plan,
                          store=_make_store(args),
                          incremental=args.incremental,
                          sparsify=args.sparsify)

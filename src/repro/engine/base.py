@@ -4,9 +4,10 @@ Pinpoint (Algorithm 2) and Fusion (Algorithm 5) run the same sparse
 collection of dependence paths and differ only in *how* the feasibility
 of a collected path is decided (see :mod:`repro.sparse.driver`).
 :class:`PathSensitiveEngine` owns everything else: the per-checker
-sparse views, the sequential slice cache, the per-query deadline, the
-worker-pool execution plan, store binding, session-delta telemetry and
-the store-fingerprint keys both engines share.  An engine supplies only
+sparse views, the execution plan every run hands the query scheduler
+(whose inline rung solves on this engine), store binding,
+session-delta telemetry and the store-fingerprint keys both engines
+share.  An engine supplies only
 
 * :meth:`~PathSensitiveEngine.solve_one` — decide one candidate
   against its already-computed slice;
@@ -22,18 +23,16 @@ the store-fingerprint keys both engines share.  An engine supplies only
 from __future__ import annotations
 
 from dataclasses import asdict, replace
-from functools import partial
 from typing import Optional
 
 from repro.absint.triage import make_triage
 from repro.checkers.base import AnalysisResult, BugCandidate, Checker
-from repro.exec.cache import SliceCache
 from repro.exec.scheduler import ExecConfig, ExecutionPlan, WorkerSpec
 from repro.exec.telemetry import Telemetry
 from repro.limits import Deadline
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.reduce import ViewRegistry
-from repro.pdg.slicing import Slice, compute_slice
+from repro.pdg.slicing import Slice
 from repro.smt.incremental import SessionStats
 from repro.smt.solver import SmtResult, SolverConfig
 from repro.sparse.driver import QueryRecord, run_analysis
@@ -100,42 +99,19 @@ class PathSensitiveEngine:
         flushes view-registry counters into ``telemetry``."""
         view = self.views.view_for(checker) if self.config.sparsify \
             else None
-        if telemetry is not None:
-            self.views.flush_telemetry(telemetry)
+        self.views.flush_telemetry(telemetry)
         return view
-
-    def solve_candidate(self, candidate: BugCandidate, *, index=None,
-                        cache: Optional[SliceCache] = None,
-                        time_limit: Optional[float] = None) -> SmtResult:
-        """Slice one candidate and decide it with :meth:`solve_one`.
-
-        One deadline covers the whole query — slicing included; it runs
-        ``time_limit`` seconds (default: the solver's own limit).
-        ``QueryDeadlineExceeded`` escaping from the slice stage is the
-        caller's to convert to UNKNOWN.  ``cache`` memoizes slices;
-        without one, ``index`` (a view's condensed slice index) speeds up
-        the slice computation."""
-        deadline = Deadline.after(self.solver_config.time_limit
-                                  if time_limit is None else time_limit)
-        if cache is not None:
-            the_slice = cache.get(self.pdg, [candidate.path],
-                                  deadline=deadline)
-        else:
-            the_slice = compute_slice(self.pdg, [candidate.path],
-                                      deadline=deadline, index=index)
-        group = candidate.group_key() if self.incremental else None
-        return self.solve_one(candidate, the_slice, deadline, group)
 
     def analyze(self, checker: Checker,
                 exec_config: Optional[ExecConfig] = None,
                 telemetry: Optional[Telemetry] = None,
                 triage=None, store=None) -> AnalysisResult:
-        """Run the checker; ``exec_config`` opts into the query-execution
-        layer (slice memoization, ``jobs > 1`` worker pools, telemetry).
+        """Run the checker through the query scheduler.  ``exec_config``
+        tunes it (default ``ExecConfig()``: one job, solved inline on
+        this engine); ``telemetry`` receives the run's counters.
         ``triage`` opts into the abstract-interpretation pre-pass: pass
         ``True`` (default config), a ``TriageConfig``, or a prebuilt
-        ``CandidateTriage``.  With no argument the seed sequential path
-        runs untouched.  ``store`` (an
+        ``CandidateTriage``.  ``store`` (an
         :class:`~repro.exec.store.ArtifactStore`) opts into warm
         incremental re-analysis: cached verdicts whose dependencies are
         unchanged are replayed instead of re-solved.
@@ -145,38 +121,24 @@ class PathSensitiveEngine:
         requests); all per-run state — query records, telemetry deltas,
         the result's counters — is rebuilt here, so one request never
         observes a previous request's numbers."""
+        telemetry = telemetry if telemetry is not None else Telemetry()
         self.query_records = []
         sessions_before = self.session_stats.as_tuple()
         view = self.checker_view(checker, telemetry)
-        index = view.slice_index if view is not None else None
-        # Sequential-path slice memo (workers keep their own; see the
-        # scheduler).  Only built when the caller opted into the exec
-        # layer and this run will actually solve in-process.
-        cache = None
-        if exec_config is not None and exec_config.effective_jobs <= 1:
-            cache = SliceCache(exec_config.slice_cache_capacity,
-                               index=index)
-        solve = partial(self.solve_candidate, index=index, cache=cache)
-
-        execution = self._execution_plan(checker, exec_config, telemetry,
-                                         slice_index=index)
+        execution = self._execution_plan(
+            checker, exec_config, telemetry,
+            slice_index=view.slice_index if view is not None else None)
         triage = make_triage(self.pdg, checker, triage, view=view)
         binding = store.bind(self.pdg,
                              self._store_fingerprint(triage, checker),
                              checker.name, telemetry) \
             if store is not None else None
-        result = run_analysis(self.pdg, checker, self.name, solve,
+        result = run_analysis(self.pdg, checker, self.name, execution,
                               self._memory_snapshot, self.config.budget,
                               self.config.sparse, self.query_records,
-                              execution=execution, triage=triage,
-                              store=binding, view=view)
-        if cache is not None and telemetry is not None:
-            stats = cache.stats()
-            telemetry.record_cache("slice", stats.hits, stats.misses,
-                                   stats.evictions,
-                                   capacity=stats.capacity)
-        if telemetry is not None and self.incremental:
-            # Sequential-path sessions live on this engine; worker-side
+                              triage=triage, store=binding, view=view)
+        if self.incremental:
+            # Sessions on this engine (the inline rung's); pool workers'
             # sessions are recorded by the scheduler.  Only this run's
             # delta is recorded: a hot engine's cumulative totals must
             # not be re-counted by every later request.
@@ -231,35 +193,24 @@ class PathSensitiveEngine:
     def _execution_plan(self, checker: Checker,
                         exec_config: Optional[ExecConfig],
                         telemetry: Optional[Telemetry],
-                        slice_index=None) -> Optional[ExecutionPlan]:
-        """``slice_index`` (the checker view's) goes to the scheduler's
-        in-process rungs; it never rides in the pickled spec."""
-        if exec_config is None and telemetry is None:
-            return None
-        config = exec_config if exec_config is not None else ExecConfig()
-        spec = None
-        # A fault plan needs the scheduler even at jobs=1: injection
-        # hooks live in its _WorkerState, and retry/synthesize live in
-        # its ladder.  A per-request query timeout (FaultPolicy) takes
-        # the same route — the worker state is where it overrides the
-        # engine solver's own limit (the serve daemon's per-request
-        # deadlines rely on this at jobs=1).  A circuit breaker does
-        # too: admission and short-circuiting live in the scheduler.
-        # None of this forks at one job: ``auto`` runs the inline rung,
-        # in this process; only an explicit ``process`` backend pools.
-        if config.effective_jobs > 1 or config.fault_plan is not None \
-                or config.faults.query_timeout is not None \
-                or config.breaker is not None:
-            # Workers cannot observe the whole run's clock; the
-            # completion loop enforces the budget at batch granularity.
-            spec = WorkerSpec(self.pdg, checker, self.config.sparse,
-                              QueryRunner,
-                              (type(self), replace(self.config, budget=None)),
-                              query_timeout=self.solver_config.time_limit,
-                              grouped=self.incremental,
-                              sparsify=self.config.sparsify)
-        return ExecutionPlan(config, spec, telemetry,
-                             slice_index=slice_index)
+                        slice_index=None) -> ExecutionPlan:
+        """The scheduler recipe for one run: the picklable ``WorkerSpec``
+        pool workers rebuild fresh engines from, and the inline rung's
+        query bound to this engine.  ``slice_index`` (the checker
+        view's) goes to the in-process rungs; neither it nor the bound
+        query rides in the pickled spec."""
+        # Workers cannot observe the whole run's clock; the completion
+        # loop enforces the budget.
+        recipe = (type(self), replace(self.config, budget=None))
+        spec = WorkerSpec(self.pdg, checker, self.config.sparse,
+                          QueryRunner, recipe,
+                          query_timeout=self.solver_config.time_limit,
+                          grouped=self.incremental,
+                          sparsify=self.config.sparsify)
+        return ExecutionPlan(
+            exec_config if exec_config is not None else ExecConfig(),
+            spec, telemetry, slice_index=slice_index,
+            inline_query=QueryRunner(self.pdg, recipe, engine=self))
 
 
 class QueryRunner:
@@ -269,28 +220,35 @@ class QueryRunner:
     carries the class (pickled by reference) and ``(engine class, engine
     config)`` as the factory config.
 
-    A query without a ``group`` runs on a *fresh* engine (fresh term
-    manager; for Pinpoint also no cross-query summary cache), so its
-    outcome is a function of ``(pdg, candidate, config)`` alone — the
-    determinism contract of :mod:`repro.exec.scheduler`.  Grouped queries
-    (incremental mode) share one engine for the runner's lifetime: the
-    scheduler builds one runner per *batch*, and batches contain whole
-    groups, so every candidate of a group is decided inside one per-group
-    :class:`~repro.smt.incremental.SolverSession`.  Determinism holds
-    because a group's queries always arrive in candidate-index order and
-    SAT variable numbering depends only on encoding order.
+    In a pool worker, a query without a ``group`` runs on a *fresh*
+    engine (fresh term manager; for Pinpoint also no cross-query summary
+    cache), so its outcome is a function of ``(pdg, candidate, config)``
+    alone — the determinism contract of :mod:`repro.exec.scheduler`.
+    Grouped queries (incremental mode) share one engine for the runner's
+    lifetime: the scheduler builds one runner per *batch*, and batches
+    contain whole groups, so every candidate of a group is decided inside
+    one per-group :class:`~repro.smt.incremental.SolverSession`.
+    Determinism holds because a group's queries always arrive in
+    candidate-index order and SAT variable numbering depends only on
+    encoding order.
+
+    A runner bound to an ``engine`` (the inline rung's) solves every
+    query on it, so its caches and memory model accumulate across the
+    run exactly as the caller's engine dictates.
     """
 
-    def __init__(self, pdg: ProgramDependenceGraph, recipe) -> None:
+    def __init__(self, pdg: ProgramDependenceGraph, recipe,
+                 engine: Optional[PathSensitiveEngine] = None) -> None:
         self._pdg = pdg
         self._engine_cls, self._config = recipe
-        self._shared: Optional[PathSensitiveEngine] = None
+        self._shared = engine
+        self._bound = engine is not None
 
     def __call__(self, candidate: BugCandidate, the_slice: Slice,
                  deadline: Optional[Deadline] = None,
                  group: Optional[object] = None) \
             -> tuple[SmtResult, tuple[int, int]]:
-        if group is None:
+        if group is None and not self._bound:
             engine = self._engine_cls(self._pdg, self._config)
         else:
             if self._shared is None:

@@ -1,20 +1,22 @@
-"""Parallel batched feasibility solving over a fault-tolerant worker pool.
+"""Batched feasibility solving: the one per-candidate solve loop.
 
-The scheduler turns the driver's per-candidate solve loop into batched
-query execution: candidates are partitioned into index batches and
-dispatched over a ``concurrent.futures`` pool, thread- or process-backed.
-Results are keyed by candidate index, so the assembled report list is
-**deterministic regardless of completion order**.
+Every analysis and demand query decides its candidates here.
+Candidates are partitioned into index batches and solved in the calling
+process (the *inline* rung) or dispatched over a ``concurrent.futures``
+pool, thread- or process-backed.  Results are keyed by candidate index,
+so the assembled report list is **deterministic regardless of
+completion order**.
 
-Determinism of the *verdicts* rests on a stronger property that the
-differential test suite (`tests/test_parallel_driver.py`) enforces: each
-query is solved as a pure function of ``(PDG, candidate, engine config)``
-— a worker builds a fresh engine (fresh term manager) per query, so a
-query's outcome cannot depend on which other queries ran before it, on
-which worker it landed, or on how many workers there are.  Feasibility
-statuses, preprocess decisions and program-variable witnesses then match
-the seed sequential driver exactly; only solver-internal choice variables
-(``!k*``, filtered from witnesses) ever differed, see
+Determinism of the *verdicts* across rungs rests on a stronger property
+that the differential test suite (`tests/test_parallel_driver.py`)
+enforces: a pool worker solves each query as a pure function of
+``(PDG, candidate, engine config)`` — it builds a fresh engine (fresh
+term manager) per query, so a query's outcome cannot depend on which
+other queries ran before it, on which worker it landed, or on how many
+workers there are.  Feasibility statuses, preprocess decisions and
+program-variable witnesses then match the inline rung, which solves in
+index order on the caller's own engine, exactly; only solver-internal
+choice variables (``!k*``, filtered from witnesses) ever differed, see
 ``docs/parallelism.md``.
 
 Purity is also what makes the layer *fault-tolerant* (see
@@ -36,8 +38,10 @@ Worker model:
 
 * **inline** — no pool: batches run one after another in the calling
   process, on the parent's PDG, candidate list and condensed slice
-  index.  ``auto`` starts here at one job; it is also the ladder's last
-  rung.
+  index, in index order, through one query for the whole run — the
+  caller's engine (``inline_query``), so cross-query caches and the
+  modelled memory accumulate on that engine.  ``auto`` starts here at one job; it is
+  also the ladder's last rung.
 * **thread** — workers share the parent's PDG, candidate list, slice
   index and one lock-protected :class:`~repro.exec.cache.SliceCache`.
   Useful for differential testing and on platforms without ``fork``; the
@@ -49,10 +53,12 @@ Worker model:
   only candidate *indices* and compact :class:`QueryOutcome` records
   across the process boundary.
 
-Budgets are enforced at two cadences: the completion loop checks the run
-budget per absorbed batch, and workers receive the run clock as an
-absolute :class:`~repro.limits.Deadline` so they stop *between queries*
-once it expires and return the partial batch.
+Budgets are enforced after every query on the inline rung (each outcome
+is absorbed as soon as it exists, so a memory-out or time-out stops at
+the query that caused it); pool rungs check per absorbed batch, and
+their workers receive the run clock as an absolute
+:class:`~repro.limits.Deadline` so they stop *between queries* once it
+expires and return the partial batch.
 """
 
 from __future__ import annotations
@@ -85,11 +91,13 @@ from repro.sparse.engine import SparseConfig, collect_candidates
 if TYPE_CHECKING:
     from repro.pdg.reduce import SliceIndex
 
-#: A per-query pure solver: ``(candidate, slice, deadline) -> (result,
+#: A per-query solver: ``(candidate, slice, deadline) -> (result,
 #: (total memory units, condition memory units))``.  Factories return
-#: one; the contract is that every call builds fresh solver state, so the
-#: outcome is independent of call order (the determinism guarantee), and
-#: that overrunning ``deadline`` yields an UNKNOWN result.
+#: one for pool workers; the contract is that every call builds fresh
+#: solver state, so the outcome is independent of call order (the
+#: determinism guarantee), and that overrunning ``deadline`` yields an
+#: UNKNOWN result.  The inline rung's query may instead solve on the
+#: caller's engine (:attr:`ExecutionPlan.inline_query`).
 QueryFn = Callable[[BugCandidate, Slice, Optional[Deadline]],
                    tuple[SmtResult, tuple[int, int]]]
 
@@ -214,21 +222,24 @@ class QueryOutcome:
 @dataclass
 class ExecutionPlan:
     """Bundle handed to ``run_analysis``: config + worker recipe +
-    telemetry sink.  ``spec=None`` means telemetry-only instrumentation
-    of the sequential path (no parallel capability)."""
+    telemetry sink."""
 
     config: ExecConfig
-    spec: Optional[WorkerSpec] = None
+    spec: WorkerSpec
     telemetry: Optional[Telemetry] = None
     #: The parent's condensed slice index (its checker view's), handed to
     #: the in-process rungs.  Never pickled: process workers rebuild
     #: their own from the spec.
     slice_index: Optional[SliceIndex] = None
+    #: The inline rung's query function, bound to the caller's engine.
+    #: Never pickled: thread and process rungs build fresh engines from
+    #: the spec.
+    inline_query: Optional[QueryFn] = None
 
     def make_scheduler(self, budget: Optional[Budget]) -> "QueryScheduler":
-        assert self.spec is not None
         return QueryScheduler(self.spec, self.config, self.telemetry,
-                              budget, slice_index=self.slice_index)
+                              budget, slice_index=self.slice_index,
+                              inline_query=self.inline_query)
 
 
 @dataclass
@@ -250,8 +261,9 @@ class _WorkerState:
 
     The inline and thread rungs build one instance from the parent's
     candidates and slice index (thread workers share it: candidates and
-    cache shared, fresh engine per query); the process backend builds one
-    per worker process from the pickled spec, re-collecting both.
+    cache shared, fresh engine per query; the inline rung passes its
+    run-long ``query``); the process backend builds one per worker
+    process from the pickled spec, re-collecting both.
     """
 
     def __init__(self, spec: WorkerSpec,
@@ -260,7 +272,8 @@ class _WorkerState:
                  slice_index: Optional[SliceIndex] = None,
                  policy: Optional[FaultPolicy] = None,
                  plan: Optional[FaultPlan] = None,
-                 process_worker: bool = False) -> None:
+                 process_worker: bool = False,
+                 query: Optional[QueryFn] = None) -> None:
         self.pdg = spec.pdg
         self.spec = spec
         if candidates is None:
@@ -275,11 +288,13 @@ class _WorkerState:
         self.candidates = candidates
         self.cache = SliceCache(cache_capacity, index=slice_index)
         self.grouped = spec.grouped
-        # Grouped (incremental) mode builds a fresh runner per batch in
-        # solve_batch instead — a shared runner would make concurrent
-        # thread-backend batches race on one solver session.
-        self.query = None if self.grouped \
-            else spec.query_factory(spec.pdg, spec.factory_config)
+        # Without a caller's query, grouped (incremental) mode builds a
+        # fresh runner per batch in solve_batch instead — a shared runner
+        # would make concurrent thread-backend batches race on one solver
+        # session.
+        if query is None and not self.grouped:
+            query = spec.query_factory(spec.pdg, spec.factory_config)
+        self.query = query
         self.session_totals = SessionStats()
         self._session_lock = threading.Lock()
         self.policy = policy if policy is not None else FaultPolicy()
@@ -290,20 +305,27 @@ class _WorkerState:
 
     def solve_batch(self, indices: Sequence[int],
                     ordinal: Optional[int] = None, attempt: int = 0,
-                    run_deadline: Optional[Deadline] = None
+                    run_deadline: Optional[Deadline] = None,
+                    emit: Optional[Callable[[QueryOutcome], None]] = None
                     ) -> list[QueryOutcome]:
+        """Solve ``indices`` in order.  Outcomes are returned, or handed
+        to ``emit`` one by one as they are produced (the inline rung
+        absorbs, and checks the budget, after every query)."""
         if self.plan is not None:
             # May SIGKILL this process (process backend) or raise
             # WorkerCrash for the whole batch (thread/inline backends).
             self.plan.crash_worker(ordinal, attempt, self.process_worker)
         query = self.query
-        if self.grouped:
+        per_batch = query is None
+        if per_batch:
             # One runner per batch: group-affinity partitioning put each
             # group's candidates in one batch, so this runner's sessions
             # see the whole group, in index order.
             query = self.spec.query_factory(self.spec.pdg,
                                             self.spec.factory_config)
-        outcomes = []
+        outcomes: list[QueryOutcome] = []
+        if emit is None:
+            emit = outcomes.append
         try:
             for index in indices:
                 if run_deadline is not None and run_deadline.expired:
@@ -312,9 +334,9 @@ class _WorkerState:
                     # budget check turns this into the run's "time"
                     # failure with all results solved so far preserved.
                     break
-                outcomes.append(self._solve_one(index, query))
+                emit(self._solve_one(index, query))
         finally:
-            if self.grouped:
+            if per_batch:
                 stats_fn = getattr(query, "session_stats", None)
                 if stats_fn is not None:
                     with self._session_lock:
@@ -412,12 +434,18 @@ class QueryScheduler:
     def __init__(self, spec: WorkerSpec, config: ExecConfig,
                  telemetry: Optional[Telemetry] = None,
                  budget: Optional[Budget] = None,
-                 slice_index: Optional[SliceIndex] = None) -> None:
+                 slice_index: Optional[SliceIndex] = None,
+                 inline_query: Optional[QueryFn] = None) -> None:
         self.spec = spec
         self.config = config
-        self.telemetry = telemetry
+        self.telemetry = telemetry if telemetry is not None \
+            else Telemetry()
         self.budget = budget
         self.slice_index = slice_index
+        #: The inline rung's query, kept for the whole run (default: one
+        #: runner from the spec, so grouped sessions span the run).
+        self.inline_query = inline_query if inline_query is not None \
+            else spec.query_factory(spec.pdg, spec.factory_config)
         #: index -> group_key, populated per run when a breaker is set;
         #: failure/success events are attributed to groups through it.
         self._breaker_groups: Optional[dict[int, tuple]] = None
@@ -448,20 +476,21 @@ class QueryScheduler:
             outcomes.sort(key=lambda outcome: outcome.index)
             return outcomes
         jobs = min(self.config.effective_jobs, len(index_list))
-        backend = self.config.resolved_backend()
-        if self.spec.grouped:
+        ladder = self._ladder(self.config.resolved_backend(), jobs)
+        # Group affinity only matters to per-batch pool runners; the
+        # inline query keeps every group's session, so it solves in index
+        # order.
+        if self.spec.grouped and ladder[0] != "inline":
             chunks = self._partition_grouped(index_list, candidates, jobs)
         else:
             chunks = self._partition(index_list, jobs)
         batches = [_Batch(ordinal, chunk)
                    for ordinal, chunk in enumerate(chunks)]
-        ladder = self._ladder(backend, jobs)
-        if self.telemetry is not None:
-            # The rung that runs, not the configured name: a one-job
-            # ``auto``/``serial``/``thread`` run reports ``inline``.
-            self.telemetry.annotate(jobs=jobs, backend=ladder[0],
-                                    batches=len(batches))
-            self.telemetry.count("batches", len(batches))
+        # The rung that runs, not the configured name: a one-job
+        # ``auto``/``serial``/``thread`` run reports ``inline``.
+        self.telemetry.annotate(jobs=jobs, backend=ladder[0],
+                                batches=len(batches))
+        self.telemetry.count("batches", len(batches))
         run_deadline = None
         if self.budget is not None and self.budget.max_seconds is not None:
             run_deadline = self.budget.deadline()
@@ -471,15 +500,14 @@ class QueryScheduler:
             if not remaining:
                 break
             if step > 0:
-                self._record_fault("degradations")
-                if self.telemetry is not None:
-                    self.telemetry.annotate(degraded_to=level)
+                self.telemetry.record_fault("degradations")
+                self.telemetry.annotate(degraded_to=level)
             remaining = self._run_level(level, candidates, remaining,
                                         outcomes, jobs, run_deadline)
         assert not remaining, "inline execution left batches behind"
         if self.config.breaker is not None:
-            self._record_breaker(open_groups=self.config.breaker
-                                 .open_count())
+            self.telemetry.record_breaker(
+                open_groups=self.config.breaker.open_count())
         outcomes.sort(key=lambda outcome: outcome.index)
         return outcomes
 
@@ -507,10 +535,10 @@ class QueryScheduler:
                 admitted, probe = breaker.admit(group)
                 decisions[group] = admitted
                 if probe:
-                    self._record_breaker(probes=1)
+                    self.telemetry.record_breaker(probes=1)
             (allowed if decisions[group] else blocked).append(index)
         if blocked:
-            self._record_breaker(short_circuits=len(blocked))
+            self.telemetry.record_breaker(short_circuits=len(blocked))
             self._absorb(
                 [QueryOutcome(index, SmtStatus.UNKNOWN, False, 0.0, 0,
                               {}, 0, 0,
@@ -530,11 +558,7 @@ class QueryScheduler:
                   if index in self._breaker_groups}
         for group in sorted(groups):
             if breaker.record_failure(group):
-                self._record_breaker(trips=1)
-
-    def _record_breaker(self, **counts: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record_breaker(**counts)
+                self.telemetry.record_breaker(trips=1)
 
     # -- partitioning --------------------------------------------------- #
 
@@ -556,7 +580,7 @@ class QueryScheduler:
 
         Queries are reordered group-contiguously (groups in order of
         first appearance, indices ascending within a group — the same
-        per-group solve order the sequential path produces), and batch
+        per-group solve order the inline rung produces), and batch
         boundaries never split a group, so each group's candidates share
         one worker-side solver session.  Outcomes are index-keyed, so
         the reordering never shows in the report.
@@ -590,7 +614,8 @@ class QueryScheduler:
 
     # -- ladder levels --------------------------------------------------- #
 
-    def _in_process_state(self, candidates: list[BugCandidate]
+    def _in_process_state(self, candidates: list[BugCandidate],
+                          query: Optional[QueryFn] = None
                           ) -> _WorkerState:
         """Worker state for the inline and thread rungs: the parent's
         candidates and slice index, nothing re-collected."""
@@ -598,7 +623,7 @@ class QueryScheduler:
                             candidates=candidates,
                             slice_index=self.slice_index,
                             policy=self.config.faults,
-                            plan=self.config.fault_plan)
+                            plan=self.config.fault_plan, query=query)
 
     def _run_level(self, level: str, candidates: list[BugCandidate],
                    work: list[_Batch], outcomes: list[QueryOutcome],
@@ -607,7 +632,7 @@ class QueryScheduler:
         """Run ``work`` at one ladder level; returns the batches this
         level could not execute (they degrade to the next level)."""
         if level == "inline":
-            self._run_inline(candidates, work, outcomes, run_deadline)
+            self._run_inline(candidates, work, outcomes)
             return []
         if level == "thread":
             return self._run_thread(candidates, work, outcomes, jobs,
@@ -615,28 +640,33 @@ class QueryScheduler:
         return self._run_process(work, outcomes, jobs, run_deadline)
 
     def _run_inline(self, candidates: list[BugCandidate],
-                    work: list[_Batch], outcomes: list[QueryOutcome],
-                    run_deadline: Optional[Deadline]) -> None:
-        """Single-worker case and the ladder's last rung: no pool, still
-        batched (budget cadence matches the parallel backends), always
-        completes — a batch that keeps failing is synthesized UNKNOWN."""
-        state = self._in_process_state(candidates)
+                    work: list[_Batch], outcomes: list[QueryOutcome]
+                    ) -> None:
+        """Single-worker case and the ladder's last rung: no pool, on the
+        caller's engine, always completes — a batch that keeps failing
+        is synthesized UNKNOWN.  Each outcome is absorbed as soon as it
+        exists, so the run budget is checked after every query (no run
+        deadline needed).  A batch only fails before its first query (an
+        injected crash) or fatally (abort policy, budget), so a retry
+        never re-absorbs."""
+        state = self._in_process_state(candidates, self.inline_query)
+
+        def absorb(outcome: QueryOutcome) -> None:
+            self._absorb([outcome], outcomes)
+
         queue = deque(work)
         try:
             while queue:
                 batch = queue.popleft()
                 try:
-                    batch_outcomes = state.solve_batch(
-                        batch.indices, batch.ordinal, batch.attempt,
-                        run_deadline)
+                    state.solve_batch(batch.indices, batch.ordinal,
+                                      batch.attempt, emit=absorb)
                 except Exception as error:
                     retry = self._batch_failed(batch, error)
                     if retry is not None:
                         queue.append(retry)
                     else:
                         self._synthesize(batch, error, outcomes)
-                    continue
-                self._absorb(batch_outcomes, outcomes)
         finally:
             self._record_cache(state.cache)
             self._record_sessions(state.session_snapshot())
@@ -697,8 +727,8 @@ class QueryScheduler:
             # deterministic) until the rebuild budget runs out, then hand
             # the rest to the next ladder level.
             rebuilds += 1
-            self._record_fault("pool_rebuilds")
-            self._record_fault("requeued_batches", len(lost))
+            self.telemetry.record_fault("pool_rebuilds")
+            self.telemetry.record_fault("requeued_batches", len(lost))
             for batch in lost:
                 self._breaker_batch_failure(batch)
             if rebuilds > policy.max_retries:
@@ -745,12 +775,10 @@ class QueryScheduler:
                 if merge_cache_deltas:
                     batch_outcomes, (hits, misses, evictions), sessions \
                         = result
-                    if self.telemetry is not None:
-                        self.telemetry.record_cache(
-                            "slice", hits, misses, evictions,
-                            capacity=self.config.slice_cache_capacity)
-                        self._record_sessions(
-                            SessionStats.from_tuple(sessions))
+                    self.telemetry.record_cache(
+                        "slice", hits, misses, evictions,
+                        capacity=self.config.slice_cache_capacity)
+                    self._record_sessions(SessionStats.from_tuple(sessions))
                 else:
                     batch_outcomes = result
                 try:
@@ -788,7 +816,7 @@ class QueryScheduler:
             raise error
         if batch.attempt >= self.config.faults.max_retries:
             return None
-        self._record_fault("batch_retries")
+        self.telemetry.record_fault("batch_retries")
         time.sleep(backoff_delay(self.config.faults, batch.attempt,
                                  token=batch.ordinal))
         return batch.bumped()
@@ -797,7 +825,8 @@ class QueryScheduler:
                     outcomes: list[QueryOutcome]) -> None:
         """Give every query of an unrecoverable batch an UNKNOWN outcome
         (soundy: the reports survive, flagged with the error)."""
-        self._record_fault("synthesized_unknown", len(batch.indices))
+        self.telemetry.record_fault("synthesized_unknown",
+                                    len(batch.indices))
         self._absorb(
             [QueryOutcome(index, SmtStatus.UNKNOWN, False, 0.0, 0, {},
                           0, 0, error=_describe(error))
@@ -807,21 +836,20 @@ class QueryScheduler:
     def _absorb(self, batch: list[QueryOutcome],
                 outcomes: list[QueryOutcome]) -> None:
         outcomes.extend(batch)
-        if self.telemetry is not None:
-            for outcome in batch:
-                if outcome.short_circuited:
-                    # Never dispatched: no solver work, no fault — the
-                    # breaker section already counted the short-circuit.
-                    continue
-                self.telemetry.record_query(
-                    outcome.status, outcome.seconds,
-                    outcome.decided_in_preprocess, outcome.condition_nodes)
-                self.telemetry.record_memory(outcome.memory_units,
-                                             outcome.condition_memory_units)
-                if outcome.timed_out:
-                    self.telemetry.record_fault("query_timeouts")
-                elif outcome.error is not None:
-                    self.telemetry.record_fault("query_errors")
+        for outcome in batch:
+            if outcome.short_circuited:
+                # Never dispatched: no solver work, no fault — the
+                # breaker section already counted the short-circuit.
+                continue
+            self.telemetry.record_query(
+                outcome.status, outcome.seconds,
+                outcome.decided_in_preprocess, outcome.condition_nodes)
+            self.telemetry.record_memory(outcome.memory_units,
+                                         outcome.condition_memory_units)
+            if outcome.timed_out:
+                self.telemetry.record_fault("query_timeouts")
+            elif outcome.error is not None:
+                self.telemetry.record_fault("query_errors")
         breaker = self.config.breaker
         if breaker is not None and self._breaker_groups is not None:
             for outcome in batch:
@@ -832,23 +860,22 @@ class QueryScheduler:
                     continue
                 if outcome.timed_out or outcome.error is not None:
                     if breaker.record_failure(group):
-                        self._record_breaker(trips=1)
+                        self.telemetry.record_breaker(trips=1)
                 elif breaker.record_success(group):
-                    self._record_breaker(recoveries=1)
+                    self.telemetry.record_breaker(recoveries=1)
         if self.budget is not None:
             for outcome in batch:
                 self.budget.check_memory(outcome.memory_units)
             self.budget.check_time()
 
     def _record_cache(self, cache: SliceCache) -> None:
-        if self.telemetry is not None:
-            stats = cache.stats()
-            self.telemetry.record_cache(
-                "slice", stats.hits, stats.misses, stats.evictions,
-                capacity=self.config.slice_cache_capacity)
+        stats = cache.stats()
+        self.telemetry.record_cache(
+            "slice", stats.hits, stats.misses, stats.evictions,
+            capacity=self.config.slice_cache_capacity)
 
     def _record_sessions(self, stats: SessionStats) -> None:
-        if self.telemetry is None or not self.spec.grouped:
+        if not self.spec.grouped:
             return
         self.telemetry.record_incremental(
             sessions=stats.sessions,
@@ -856,7 +883,3 @@ class QueryScheduler:
             reused_clauses=stats.reused_clauses,
             encoder_hits=stats.encoder_hits,
             learned_kept=stats.learned_kept)
-
-    def _record_fault(self, name: str, amount: int = 1) -> None:
-        if self.telemetry is not None:
-            self.telemetry.record_fault(name, amount)

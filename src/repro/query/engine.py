@@ -17,10 +17,11 @@ region between the pair:
    ``restrict=`` the pair's backward-closed region instead of the
    whole covered set; restricted values are byte-identical at every
    vertex a decision reads, so verdicts match the full run.
-4. **Per-pair SMT** — surviving candidates are solved through
-   :meth:`~repro.engine.base.PathSensitiveEngine.solve_candidate`, the
-   same slicing, deadline and group-keyed incremental
-   :class:`~repro.smt.incremental.SolverSession` as a full ``analyze``.
+4. **Per-pair SMT** — surviving candidates are solved through the same
+   query scheduler and report assembly as a full ``analyze``
+   (:func:`~repro.sparse.driver.solve_pending`, inline on the hot
+   engine): the same slicing, deadline and group-keyed incremental
+   :class:`~repro.smt.incremental.SolverSession`.
 5. **Verdict caching** — with an artifact store attached, pair
    verdicts replay from (and commit to) the *same* content-addressed
    entries a full ``analyze`` uses, so a query after an analysis is
@@ -34,16 +35,16 @@ cap (50k) is far above every bundled subject; see ``docs/queries.md``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
-from repro.limits import QueryDeadlineExceeded
+from repro.exec.faults import FaultPolicy
+from repro.exec.scheduler import ExecConfig
+from repro.exec.telemetry import Telemetry
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.smt.solver import SmtResult, SmtStatus
-from repro.sparse.driver import _run_triage, public_witness
+from repro.sparse.driver import _run_triage, solve_pending
 from repro.sparse.engine import collect_candidates
 
 
@@ -220,6 +221,7 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     """
     from repro.engine.core import findings_payload
 
+    telemetry = telemetry if telemetry is not None else Telemetry()
     pdg: ProgramDependenceGraph = engine.pdg
     sinks = frozenset(sink_indices)
     defs = frozenset(def_indices) if def_indices is not None else None
@@ -254,29 +256,17 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     if triage_obj is not None and pending:
         pending = _run_triage(matched, triage_obj, reports, tally, pending)
 
-    index = view.slice_index if view is not None else None
-    for position in pending:
-        candidate = matched[position]
-        started = time.perf_counter()
-        try:
-            smt_result = engine.solve_candidate(candidate, index=index,
-                                                time_limit=deadline_s)
-        except QueryDeadlineExceeded:
-            smt_result = SmtResult(SmtStatus.UNKNOWN)
-        seconds = time.perf_counter() - started
-        tally.smt_queries += 1
-        if smt_result.status is SmtStatus.UNKNOWN:
-            tally.unknown_queries += 1
-        if telemetry is not None:
-            telemetry.record_query(smt_result.status, seconds,
-                                   smt_result.decided_in_preprocess,
-                                   smt_result.condition_nodes)
-        if binding is not None:
-            binding.observe(position, smt_result.status)
-        reports[position] = BugReport(
-            candidate, smt_result.status is not SmtStatus.UNSAT,
-            smt_result.decided_in_preprocess, seconds,
-            public_witness(smt_result.model))
+    if pending:
+        # The demand-query contract: a deadline overrun is UNKNOWN,
+        # any other error propagates.  One job, so the inline rung runs
+        # on this engine (pool workers would re-collect the full
+        # candidate list, not ``matched``).
+        faults = FaultPolicy(on_error="abort", query_timeout=deadline_s)
+        plan = engine._execution_plan(
+            checker, ExecConfig(faults=faults), telemetry,
+            slice_index=view.slice_index if view is not None else None)
+        solve_pending(plan.make_scheduler(None), matched, pending, tally,
+                      reports, binding)
 
     if binding is not None:
         binding.commit(matched, reports)
@@ -300,14 +290,13 @@ def run_demand_query(engine, checker: Checker, sink_indices,
         pdg_nodes=pdg.num_vertices,
         pdg_edges=pdg_edges,
         region_indices=frozenset(region))
-    if telemetry is not None:
-        telemetry.record_demand(
-            demand_queries=1,
-            region_nodes=verdict.region_nodes,
-            region_edges=verdict.region_edges,
-            pdg_nodes=verdict.pdg_nodes,
-            pdg_edges=verdict.pdg_edges,
-            verdicts_replayed=verdict.replayed_verdicts)
+    telemetry.record_demand(
+        demand_queries=1,
+        region_nodes=verdict.region_nodes,
+        region_edges=verdict.region_edges,
+        pdg_nodes=verdict.pdg_nodes,
+        pdg_edges=verdict.pdg_edges,
+        verdicts_replayed=verdict.replayed_verdicts)
     return verdict
 
 

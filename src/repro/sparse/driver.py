@@ -6,19 +6,17 @@ feasibility — and differs only in *how* feasibility is decided.  The
 driver also enforces the run's resource budget (the paper's 12 h / 100 GB
 caps) and records per-query data for the Figure 11 scatter.
 
-Since the queries are independent of one another, the driver supports two
-execution modes behind one result contract:
-
-* **sequential** (the default, and the ``jobs=1`` degenerate case) — the
-  seed loop: one engine, one solver, candidates decided in order.  All
-  Figure-11/Table-3 benchmark semantics live here, unchanged.
-* **scheduled** — an :class:`~repro.exec.scheduler.ExecutionPlan` routes
-  batches of candidates through the query scheduler (a worker pool above
-  one job, in-process at one job); outcomes come back keyed by candidate
-  index, so reports are assembled in exactly the sequential order
-  regardless of completion order.  The differential suite
-  (``tests/test_parallel_driver.py``) pins both modes to byte-identical
-  report lists.
+Between collection and assembly sit the cheap deciders (store replay,
+triage); whatever they leave pending goes to the one per-candidate solve
+loop, the :class:`~repro.exec.scheduler.QueryScheduler` an
+:class:`~repro.exec.scheduler.ExecutionPlan` describes.  At one job its
+inline rung solves in the calling process, on the caller's engine, in
+index order, checking the budget after every query; above one job a
+worker pool solves batches.  Outcomes come back keyed by candidate
+index, so reports are assembled in index order regardless of completion
+order (:func:`solve_pending`, shared with demand queries).  The
+differential suite (``tests/test_parallel_driver.py``) pins every rung
+to byte-identical report lists.
 """
 
 from __future__ import annotations
@@ -29,17 +27,17 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
-from repro.limits import (Budget, MemoryBudgetExceeded,
-                          QueryDeadlineExceeded, ResourceExceeded,
+from repro.limits import (Budget, MemoryBudgetExceeded, ResourceExceeded,
                           TimeBudgetExceeded)
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.smt.solver import SmtResult, SmtStatus
+from repro.smt.solver import SmtStatus
 from repro.smt.terms import Term
 from repro.sparse.engine import SparseConfig, collect_candidates
 
 if TYPE_CHECKING:  # imported lazily via the plan object; no runtime cycle
     from repro.absint.triage import CandidateTriage
-    from repro.exec.scheduler import ExecutionPlan, QueryOutcome
+    from repro.exec.scheduler import (ExecutionPlan, QueryOutcome,
+                                      QueryScheduler)
     from repro.exec.store import StoreBinding
 
 
@@ -56,7 +54,6 @@ class QueryRecord:
     sat_clauses: int = 0
 
 
-SolveFn = Callable[[BugCandidate], SmtResult]
 MemoryFn = Callable[[], tuple[int, int]]  # (total units, condition units)
 
 
@@ -75,75 +72,55 @@ def public_witness(model: dict[Term, int]) -> dict[str, int]:
 
 
 def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
-                 engine_name: str, solve_candidate: SolveFn,
+                 engine_name: str, execution: "ExecutionPlan",
                  memory_snapshot: MemoryFn,
                  budget: Optional[Budget] = None,
                  sparse_config: Optional[SparseConfig] = None,
                  query_records: Optional[list[QueryRecord]] = None,
-                 execution: Optional["ExecutionPlan"] = None,
                  triage: Optional["CandidateTriage"] = None,
                  store: Optional["StoreBinding"] = None,
                  view=None) -> AnalysisResult:
     budget = budget if budget is not None else Budget()
     budget.restart_clock()
     result = AnalysisResult(engine_name, checker.name)
-    telemetry = execution.telemetry if execution is not None else None
-    if telemetry is not None:
-        telemetry.annotate(engine=engine_name, checker=checker.name)
+    scheduler = execution.make_scheduler(budget)
+    telemetry = scheduler.telemetry
+    telemetry.annotate(engine=engine_name, checker=checker.name)
     start = time.perf_counter()
-    #: index -> report, filled by triage and by whichever solve loop runs;
+    #: index -> report, filled by store replay, triage and the scheduler;
     #: merged into ``result.reports`` in index order even on budget aborts.
     reports: dict[int, BugReport] = {}
     pending: Optional[list[int]] = None
     candidates: list[BugCandidate] = []
 
     try:
-        if telemetry is not None:
-            with telemetry.stage("collect"):
-                candidates = collect_candidates(pdg, checker, sparse_config,
-                                                view=view)
-            telemetry.count("candidates", len(candidates))
-        else:
+        with telemetry.stage("collect"):
             candidates = collect_candidates(pdg, checker, sparse_config,
                                             view=view)
+        telemetry.count("candidates", len(candidates))
         result.candidates = len(candidates)
 
         if store is not None:
             # Warm-run replay: verdicts whose recorded dependencies are
             # unchanged come straight from the persistent store; only the
             # rest flow into triage and the solve loop.
-            if telemetry is not None:
-                with telemetry.stage("store_replay"):
-                    pending = store.replay(candidates, reports)
-            else:
+            with telemetry.stage("store_replay"):
                 pending = store.replay(candidates, reports)
             result.replayed_verdicts = len(candidates) - len(pending)
 
         if triage is not None:
-            if telemetry is not None:
-                with telemetry.stage("triage"):
-                    pending = _run_triage(candidates, triage, reports,
-                                          result, pending)
-            else:
+            with telemetry.stage("triage"):
                 pending = _run_triage(candidates, triage, reports, result,
                                       pending)
-            if telemetry is not None:
-                telemetry.record_triage(
-                    result.triage_decided_infeasible,
-                    result.triage_decided_feasible,
-                    len(pending), triage.stats.refinement_steps,
-                    triage.stats.fixpoint.seconds)
-                telemetry.count("triage_decided", result.triage_decided)
+            telemetry.record_triage(
+                result.triage_decided_infeasible,
+                result.triage_decided_feasible,
+                len(pending), triage.stats.refinement_steps,
+                triage.stats.fixpoint.seconds)
+            telemetry.count("triage_decided", result.triage_decided)
 
-        if execution is not None and execution.spec is not None:
-            _run_scheduled(candidates, pending, execution, result, budget,
-                           query_records, reports, store)
-        else:
-            policy = execution.config.faults if execution is not None \
-                else None
-            _run_sequential(candidates, pending, solve_candidate,
-                            memory_snapshot, result, budget, query_records,
-                            telemetry, reports, policy, store)
+        solve_pending(scheduler, candidates, pending, result, reports,
+                      store, query_records)
     except MemoryBudgetExceeded:
         result.failure = "memory"
     except TimeBudgetExceeded:
@@ -153,10 +130,7 @@ def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
     if store is not None:
         # Persist this run's verdicts (partial results included on budget
         # aborts) and the function records the next diff starts from.
-        if telemetry is not None:
-            with telemetry.stage("store_commit"):
-                store.commit(candidates, reports)
-        else:
+        with telemetry.stage("store_commit"):
             store.commit(candidates, reports)
     result.reports = [reports[index] for index in sorted(reports)]
 
@@ -165,12 +139,11 @@ def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
     result.condition_memory_units = max(result.condition_memory_units,
                                         condition)
     result.wall_time = time.perf_counter() - start
-    if telemetry is not None:
-        telemetry.record_memory(result.memory_units,
-                                result.condition_memory_units)
-        telemetry.set_wall_seconds(result.wall_time)
-        if result.failure is not None:
-            telemetry.annotate(failure=result.failure)
+    telemetry.record_memory(result.memory_units,
+                            result.condition_memory_units)
+    telemetry.set_wall_seconds(result.wall_time)
+    if result.failure is not None:
+        telemetry.annotate(failure=result.failure)
     return result
 
 
@@ -208,93 +181,21 @@ def _run_triage(candidates: list[BugCandidate],
     return pending
 
 
-def _run_sequential(candidates: list[BugCandidate],
-                    pending: Optional[list[int]],
-                    solve_candidate: SolveFn, memory_snapshot: MemoryFn,
-                    result: AnalysisResult, budget: Budget,
-                    query_records: Optional[list[QueryRecord]],
-                    telemetry, reports: dict[int, BugReport],
-                    policy=None, store: Optional["StoreBinding"] = None
-                    ) -> None:
-    """The seed per-candidate loop (shared engine, in submission order).
+def solve_pending(scheduler: "QueryScheduler",
+                  candidates: list[BugCandidate],
+                  pending: Optional[list[int]], result: AnalysisResult,
+                  reports: dict[int, BugReport],
+                  store: Optional["StoreBinding"] = None,
+                  query_records: Optional[list[QueryRecord]] = None
+                  ) -> None:
+    """Solve the ``pending`` candidates (all when None) through
+    ``scheduler`` and assemble their outcomes into ``reports`` and the
+    ``result`` counters.
 
-    ``policy`` (a :class:`~repro.exec.faults.FaultPolicy`, present when
-    the caller opted into the execution layer) enables per-query fault
-    isolation: with ``on_error="unknown"`` a query that raises is
-    reported UNKNOWN instead of unwinding the run.  Without a policy
-    only per-query deadline overruns are isolated (they are part of the
-    query contract, not a failure); run-budget violations always
-    propagate.
+    Outcomes are assembled even when a budget violation or an abort
+    policy ends the run mid-way (the ``finally`` clause), so partial
+    results survive.
     """
-    indices = range(len(candidates)) if pending is None else pending
-    for index in indices:
-        candidate = candidates[index]
-        t0 = time.perf_counter()
-        error = None
-        timed_out = False
-        try:
-            smt_result = solve_candidate(candidate)
-        except QueryDeadlineExceeded as exc:
-            smt_result = SmtResult(SmtStatus.UNKNOWN)
-            error, timed_out = f"{type(exc).__name__}: {exc}", True
-        except ResourceExceeded:
-            raise
-        except Exception as exc:
-            if policy is None or policy.on_error == "abort":
-                raise
-            smt_result = SmtResult(SmtStatus.UNKNOWN)
-            error = f"{type(exc).__name__}: {exc}"
-        seconds = time.perf_counter() - t0
-        if error is not None:
-            result.error_queries += 1
-            if telemetry is not None:
-                telemetry.record_fault(
-                    "query_timeouts" if timed_out else "query_errors")
-        result.smt_queries += 1
-        if smt_result.decided_in_preprocess:
-            result.decided_in_preprocess += 1
-        if smt_result.status is SmtStatus.UNKNOWN:
-            result.unknown_queries += 1
-        if query_records is not None:
-            query_records.append(QueryRecord(
-                smt_result.status, seconds,
-                smt_result.decided_in_preprocess,
-                smt_result.condition_nodes,
-                sat_clauses=smt_result.sat_clauses))
-        if telemetry is not None:
-            telemetry.record_query(smt_result.status, seconds,
-                                   smt_result.decided_in_preprocess,
-                                   smt_result.condition_nodes)
-        if store is not None:
-            store.observe(index, smt_result.status)
-        feasible = smt_result.status is not SmtStatus.UNSAT
-        reports[index] = BugReport(
-            candidate, feasible, smt_result.decided_in_preprocess,
-            seconds, public_witness(smt_result.model))
-        total, condition = memory_snapshot()
-        result.memory_units = max(result.memory_units, total)
-        result.condition_memory_units = max(
-            result.condition_memory_units, condition)
-        if telemetry is not None:
-            telemetry.record_memory(total, condition)
-        budget.check_memory(total)
-        budget.check_time()
-
-
-def _run_scheduled(candidates: list[BugCandidate],
-                   pending: Optional[list[int]],
-                   execution: "ExecutionPlan", result: AnalysisResult,
-                   budget: Budget,
-                   query_records: Optional[list[QueryRecord]],
-                   reports: dict[int, BugReport],
-                   store: Optional["StoreBinding"] = None) -> None:
-    """Dispatch the candidates through the plan's query scheduler.
-
-    Outcomes are assembled into reports even when a budget violation
-    aborts the run mid-way (the ``finally`` clause), mirroring the
-    sequential loop's partial-results behavior.
-    """
-    scheduler = execution.make_scheduler(budget)
     outcomes: list["QueryOutcome"] = []
     try:
         scheduler.run(candidates, sink=outcomes, indices=pending)

@@ -143,6 +143,34 @@ class TestOtherCommands:
         assert not (tmp_path / "BENCH_incremental.json").exists()
 
 
+class TestObservabilityKeepsVerdicts:
+    def test_failing_query_same_with_and_without_telemetry(
+            self, source_file, tmp_path, monkeypatch, capsys):
+        """``--telemetry`` only observes: a query that raises is handled
+        the same way (reported UNKNOWN) whether or not it is given."""
+        from repro.fusion import FusionEngine
+
+        solve_one = FusionEngine.solve_one
+
+        def flaky(self, candidate, *args, **kwargs):
+            if candidate.sink.function == "safe":
+                raise RuntimeError("injected solver failure")
+            return solve_one(self, candidate, *args, **kwargs)
+
+        monkeypatch.setattr(FusionEngine, "solve_one", flaky)
+        runs = []
+        for extra in ([], ["--telemetry", str(tmp_path / "t.json")]):
+            code = main(["analyze", "--subject", source_file, "--json",
+                         *extra])
+            payload = json.loads(capsys.readouterr().out)
+            runs.append((code, payload["findings"]))
+        assert runs[0] == runs[1]
+        code, findings = runs[0]
+        assert code == 0
+        assert {f["sink_function"]: f["feasible"] for f in findings} \
+            == {"foo": True, "safe": True}
+
+
 class TestVerboseScan:
     def test_verbose_report(self, source_file, capsys):
         code = main(["scan", source_file, "--checker", "null-deref",

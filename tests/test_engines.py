@@ -242,3 +242,48 @@ class TestResourceAccounting:
         config = PinpointConfig(budget=Budget(max_memory_units=10))
         result = PinpointEngine(pdg, config).analyze(NullDereferenceChecker())
         assert result.failure == "memory"
+
+    # Budget parity: a run that exhausts its budget mid-way stops at the
+    # same query, with the same partial reports, as the original
+    # one-engine sequential loop did.  The pinned (failure, queries,
+    # reports) triples were measured on that loop.
+
+    @staticmethod
+    def budget_subject_pdg():
+        from repro.bench import SubjectSpec, generate_subject
+
+        spec = SubjectSpec("budget-parity", seed=5, num_functions=10,
+                           layers=3, avg_stmts=7, call_fanout=2,
+                           null_bugs=(2, 2, 2))
+        return prepare_pdg(generate_subject(spec).program)
+
+    def test_memory_out_mid_run_keeps_partial_reports(self):
+        from repro.limits import Budget
+        from repro.baselines import PinpointConfig
+
+        pdg = self.budget_subject_pdg()
+        unbounded = PinpointEngine(pdg).analyze(NullDereferenceChecker())
+        assert unbounded.smt_queries == 6
+        config = PinpointConfig(budget=Budget(max_memory_units=2000))
+        result = PinpointEngine(pdg, config).analyze(NullDereferenceChecker())
+        assert (result.failure, result.smt_queries, len(result.reports)) \
+            == ("memory", 3, 3)
+
+    def test_time_out_mid_run_keeps_partial_reports(self, monkeypatch):
+        import time
+
+        from repro.limits import Budget
+
+        solve_one = FusionEngine.solve_one
+
+        def slow(self, *args, **kwargs):
+            time.sleep(0.2)
+            return solve_one(self, *args, **kwargs)
+
+        monkeypatch.setattr(FusionEngine, "solve_one", slow)
+        pdg = self.budget_subject_pdg()
+        config = FusionConfig(budget=Budget(max_seconds=0.5))
+        result = FusionEngine(pdg, config).analyze(NullDereferenceChecker())
+        assert result.candidates == 6
+        assert (result.failure, result.smt_queries, len(result.reports)) \
+            == ("time", 3, 3)

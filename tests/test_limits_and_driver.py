@@ -7,6 +7,7 @@ import pytest
 from repro.limits import (Budget, MemoryBudgetExceeded, TimeBudgetExceeded,
                           unlimited)
 from repro.checkers import NullDereferenceChecker
+from repro.exec.scheduler import ExecConfig, ExecutionPlan, WorkerSpec
 from repro.fusion import prepare_pdg
 from repro.lang import compile_source
 from repro.smt.solver import SmtResult, SmtStatus
@@ -64,9 +65,18 @@ fun f(a) {
 
 
 def make_driver_run(solve_fn, **kwargs):
+    """``run_analysis`` with a bare per-candidate solve function as the
+    scheduler's query."""
     pdg = prepare_pdg(compile_source(SRC))
-    return run_analysis(pdg, NullDereferenceChecker(), "test-engine",
-                        solve_fn, lambda: (123, 45), **kwargs)
+    checker = NullDereferenceChecker()
+
+    def query(candidate, the_slice, deadline=None, group=None):
+        return solve_fn(candidate), (123, 45)
+
+    spec = WorkerSpec(pdg, checker, None, lambda pdg, config: query, None)
+    plan = ExecutionPlan(ExecConfig(), spec)
+    return run_analysis(pdg, checker, "test-engine", plan,
+                        lambda: (123, 45), **kwargs)
 
 
 class TestDriver:

@@ -1,12 +1,12 @@
-"""Differential suite: parallel execution is report-identical to the seed
-sequential driver.
+"""Differential suite: parallel execution is report-identical to the
+one-job run (the scheduler's inline rung, on the caller's engine).
 
 The query scheduler's contract (`repro.exec.scheduler`) is that every
 feasibility query is a pure function of ``(PDG, candidate, engine
 config)`` and that outcomes are assembled by candidate index.  These
 tests pin that contract across fifty fuzzed programs: for each one, the
 BugReport list produced with ``jobs=2`` and ``jobs=4`` must equal the
-seed sequential run in *every* program-visible field — order,
+one-job run in *every* program-visible field — order,
 feasibility, preprocess decision, and witness — for both Fusion and
 Pinpoint, on both pool backends.
 """
@@ -124,8 +124,9 @@ def test_single_query_batches_are_deterministic():
 
 
 def test_serial_backend_is_the_degenerate_case():
-    """``--jobs 1`` (and backend=serial at any job count) takes the seed
-    sequential path; Table-3/Figure-11 semantics are untouched."""
+    """``--jobs 1`` (and backend=serial at any job count) is the inline
+    rung on the caller's engine, the same run as passing no exec config
+    at all; Table-3/Figure-11 semantics are untouched."""
     pdg = fuzz_pdg(3)
     checker = NullDereferenceChecker()
     sequential = fusion_with_witness(pdg).analyze(checker)
