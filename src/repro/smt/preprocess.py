@@ -126,6 +126,41 @@ def flatten_conjunction(constraints: Iterable[Term]) -> list[Term]:
     return out
 
 
+class _RunState:
+    """What one :meth:`Preprocessor.run` shares across its passes: the
+    query's deadline and two tables.
+
+    Terms are hash-consed and immutable, so a term's simplified form and
+    its free variables depend on the term alone: ``simplified`` maps a term
+    id to its ``simplify`` result, ``free`` to its variables.  Eliminating
+    one variable then costs work only in the constraints that mention it,
+    not a fresh rewrite of every constraint.  The tables die with the run;
+    nothing is kept on the preprocessor or the term manager.
+    """
+
+    __slots__ = ("manager", "deadline", "simplified", "free")
+
+    def __init__(self, manager: TermManager,
+                 deadline: Optional[Deadline]) -> None:
+        self.manager = manager
+        self.deadline = deadline
+        self.simplified: dict[int, Term] = {}
+        self.free: dict[int, frozenset[Term]] = {}
+
+    def simplify(self, term: Term) -> Term:
+        return simplify(self.manager, term, self.simplified)
+
+    def free_vars(self, term: Term) -> frozenset[Term]:
+        found = self.free.get(term.tid)
+        if found is None:
+            found = self.free[term.tid] = frozenset(term.free_vars())
+        return found
+
+    def check_deadline(self) -> None:
+        if self.deadline is not None:
+            self.deadline.check("preprocessing")
+
+
 class Preprocessor:
     """The configurable preprocessing pipeline.
 
@@ -161,41 +196,49 @@ class Preprocessor:
 
     def run(self, constraints: Iterable[Term],
             deadline: Optional[Deadline] = None) -> PreprocessResult:
-        mgr = self.manager
+        """Run the enabled passes to a fixpoint (at most ``max_rounds``).
+
+        ``deadline`` is checked once per round and once per eliminated
+        variable, so no single round can overrun it by much.
+        """
+        run = _RunState(self.manager, deadline)
         stats = PreprocessStats()
         completions: list[CompletionStep] = []
-        work = [simplify(mgr, c) for c in flatten_conjunction(constraints)]
+        work = [run.simplify(c) for c in flatten_conjunction(constraints)]
         stats.initial_size = constraint_set_size(work)
 
         for _ in range(self.max_rounds):
-            if deadline is not None:
-                deadline.check("preprocessing")
+            run.check_deadline()
             stats.rounds += 1
             before = (len(work), constraint_set_size(work))
-            work = self._normalize(work)
+            work = self._normalize(work, run)
             if work is None:
                 stats.final_size = 0
                 return PreprocessResult(Verdict.UNSAT, [], completions, stats)
             if "constants" in self.enabled:
-                work = self._propagate_constants(work, completions, stats)
+                work = self._propagate_constants(work, completions, stats,
+                                                 run)
                 if work is None:
                     stats.final_size = 0
                     return PreprocessResult(Verdict.UNSAT, [], completions, stats)
             if "equalities" in self.enabled:
-                work = self._propagate_equalities(work, completions, stats)
+                work = self._propagate_equalities(work, completions, stats,
+                                                  run)
             if "strength" in self.enabled:
-                work = self._strength_reduce(work, stats)
+                work = self._strength_reduce(work, stats, run)
             if "gaussian" in self.enabled:
-                result = self._gaussian_eliminate(work, completions, stats)
+                result = self._gaussian_eliminate(work, completions, stats,
+                                                  run)
                 if result is None:
                     stats.final_size = 0
                     return PreprocessResult(Verdict.UNSAT, [], completions, stats)
                 work = result
             if "unconstrained" in self.enabled:
-                work = self._eliminate_unconstrained(work, completions, stats)
+                work = self._eliminate_unconstrained(work, completions, stats,
+                                                     run)
             if "probing" in self.enabled:
-                work = self._probe_isolated(work, completions, stats)
-            work_check = self._normalize(work)
+                work = self._probe_isolated(work, completions, stats, run)
+            work_check = self._normalize(work, run)
             if work_check is None:
                 stats.final_size = 0
                 return PreprocessResult(Verdict.UNSAT, [], completions, stats)
@@ -211,13 +254,13 @@ class Preprocessor:
     # Normalisation
     # ------------------------------------------------------------------ #
 
-    def _normalize(self, work: list[Term]) -> Optional[list[Term]]:
+    def _normalize(self, work: list[Term],
+                   run: _RunState) -> Optional[list[Term]]:
         """Simplify, flatten, dedupe; None signals UNSAT."""
-        mgr = self.manager
         out: list[Term] = []
         seen: set[int] = set()
         for c in flatten_conjunction(work):
-            c = simplify(mgr, c)
+            c = run.simplify(c)
             if c.op is Op.FALSE:
                 return None
             if c.op is Op.TRUE or c.tid in seen:
@@ -226,10 +269,23 @@ class Preprocessor:
             out.append(c)
         return out
 
-    def _substitute_all(self, work: list[Term],
-                        mapping: dict[Term, Term]) -> list[Term]:
+    def _substitute_all(self, work: list[Term], mapping: dict[Term, Term],
+                        run: _RunState) -> list[Term]:
+        """Substitute ``mapping`` into every constraint and simplify.
+
+        A key can occur in a constraint only if all of the key's variables
+        do, so a constraint lacking them is returned as is: work items are
+        already simplified, and ``simplify`` is idempotent.
+        """
         mgr = self.manager
-        return [simplify(mgr, mgr.substitute(c, mapping)) for c in work]
+        key_vars = [run.free_vars(key) for key in mapping]
+        out: list[Term] = []
+        for c in work:
+            support = run.free_vars(c)
+            if any(kv <= support for kv in key_vars):
+                c = run.simplify(mgr.substitute(c, mapping))
+            out.append(c)
+        return out
 
     # ------------------------------------------------------------------ #
     # Constant propagation (forward and backward)
@@ -237,7 +293,8 @@ class Preprocessor:
 
     def _propagate_constants(self, work: list[Term],
                              completions: list[CompletionStep],
-                             stats: PreprocessStats) -> Optional[list[Term]]:
+                             stats: PreprocessStats,
+                             run: _RunState) -> Optional[list[Term]]:
         mgr = self.manager
         changed = True
         while changed:
@@ -273,10 +330,10 @@ class Preprocessor:
 
             completions.append(
                 CompletionStep("constant bindings", assign))
-            work = self._substitute_all(work, bindings)
+            work = self._substitute_all(work, bindings, run)
             # Re-assert the bindings are consistent (conflicting constants
             # for the same variable show up as false after simplify).
-            normalized = self._normalize(work)
+            normalized = self._normalize(work, run)
             if normalized is None:
                 return None
             if len(normalized) != len(work) or any(
@@ -291,10 +348,11 @@ class Preprocessor:
 
     def _propagate_equalities(self, work: list[Term],
                               completions: list[CompletionStep],
-                              stats: PreprocessStats) -> list[Term]:
-        mgr = self.manager
+                              stats: PreprocessStats,
+                              run: _RunState) -> list[Term]:
         progress = True
         while progress:
+            run.check_deadline()
             progress = False
             for i, c in enumerate(work):
                 if c.op is not Op.EQ:
@@ -302,10 +360,10 @@ class Preprocessor:
                 lhs, rhs = c.args
                 var, definition = None, None
                 if lhs.is_var and not self._is_protected(lhs) \
-                        and lhs not in rhs.free_vars():
+                        and lhs not in run.free_vars(rhs):
                     var, definition = lhs, rhs
                 elif rhs.is_var and not self._is_protected(rhs) \
-                        and rhs not in lhs.free_vars():
+                        and rhs not in run.free_vars(lhs):
                     var, definition = rhs, lhs
                 if var is None:
                     continue
@@ -320,7 +378,7 @@ class Preprocessor:
 
                 completions.append(
                     CompletionStep(f"equality {var.name}", assign))
-                work = self._substitute_all(rest, mapping)
+                work = self._substitute_all(rest, mapping, run)
                 progress = True
                 break
         return work
@@ -329,8 +387,8 @@ class Preprocessor:
     # Strength reduction
     # ------------------------------------------------------------------ #
 
-    def _strength_reduce(self, work: list[Term],
-                         stats: PreprocessStats) -> list[Term]:
+    def _strength_reduce(self, work: list[Term], stats: PreprocessStats,
+                         run: _RunState) -> list[Term]:
         mgr = self.manager
 
         def reduce_node(node: Term, args: tuple[Term, ...]) -> Term:
@@ -360,7 +418,7 @@ class Preprocessor:
             for node in c.iter_dag():
                 new_args = tuple(cache[a.tid] for a in node.args)
                 cache[node.tid] = reduce_node(node, new_args)
-            out.append(simplify(mgr, cache[c.tid]))
+            out.append(run.simplify(cache[c.tid]))
         return out
 
     # ------------------------------------------------------------------ #
@@ -444,7 +502,8 @@ class Preprocessor:
 
     def _gaussian_eliminate(self, work: list[Term],
                             completions: list[CompletionStep],
-                            stats: PreprocessStats) -> Optional[list[Term]]:
+                            stats: PreprocessStats,
+                            run: _RunState) -> Optional[list[Term]]:
         mgr = self.manager
         # Group linear equations by width.
         rows_by_width: dict[int, list[tuple[dict[Term, int], int]]] = {}
@@ -516,7 +575,7 @@ class Preprocessor:
                 var, coeffs, const = solved[i]
                 definition = self._linear_to_term(coeffs, const, width)
                 definition = mgr.substitute(definition, substitution)
-                substitution[var] = simplify(mgr, definition)
+                substitution[var] = run.simplify(definition)
                 the_var, the_def = var, substitution[var]
 
                 def assign(model: dict[Term, int],
@@ -528,10 +587,20 @@ class Preprocessor:
 
             # Rows without an odd pivot: check divisibility by the common
             # power of two (UNSAT if violated), solve isolated single-variable
-            # rows exactly, keep the rest as residual constraints.
+            # rows exactly, keep the rest as residual constraints.  Usage is
+            # counted in ``others`` as they will be after the pivot
+            # substitution: a variable that reaches them only through a
+            # pivot's definition is still constrained there.
             var_usage: dict[Term, int] = {}
             for c in others:
-                for v in c.free_vars():
+                used: set[Term] = set()
+                for v in run.free_vars(c):
+                    definition = substitution.get(v)
+                    if definition is None:
+                        used.add(v)
+                    else:
+                        used |= run.free_vars(definition)
+                for v in used:
                     var_usage[v] = var_usage.get(v, 0) + 1
             for coeffs, _ in pending:
                 for v in coeffs:
@@ -562,12 +631,12 @@ class Preprocessor:
                             f"gaussian exact {var.name}", assign_exact))
                         continue
                 residual_rows.append(
-                    simplify(mgr, mgr.eq(
+                    run.simplify(mgr.eq(
                         self._linear_to_term(coeffs, 0, width),
                         mgr.bv_const(const, width))))
 
-        out = self._substitute_all(others, substitution) if substitution \
-            else list(others)
+        out = self._substitute_all(others, substitution, run) \
+            if substitution else list(others)
         out.extend(residual_rows)
         return out
 
@@ -598,10 +667,11 @@ class Preprocessor:
 
     def _eliminate_unconstrained(self, work: list[Term],
                                  completions: list[CompletionStep],
-                                 stats: PreprocessStats) -> list[Term]:
-        mgr = self.manager
+                                 stats: PreprocessStats,
+                                 run: _RunState) -> list[Term]:
         changed = True
         while changed:
+            run.check_deadline()
             changed = False
             counts = self._path_counts(work)
 
@@ -623,7 +693,7 @@ class Preprocessor:
             old, fresh, completion = replacement
             stats.unconstrained_eliminated += 1
             completions.append(completion)
-            work = self._substitute_all(work, {old: fresh})
+            work = self._substitute_all(work, {old: fresh}, run)
             changed = True
         return work
 
@@ -633,7 +703,7 @@ class Preprocessor:
 
     def _probe_isolated(self, work: list[Term],
                         completions: list[CompletionStep],
-                        stats: PreprocessStats,
+                        stats: PreprocessStats, run: _RunState,
                         attempts: int = 24) -> list[Term]:
         """Discharge constraints whose variables appear nowhere else.
 
@@ -646,7 +716,7 @@ class Preprocessor:
         """
         rng = random.Random(0xF051)
         usage: dict[Term, int] = {}
-        supports = [c.free_vars() for c in work]
+        supports = [run.free_vars(c) for c in work]
         for support in supports:
             for var in support:
                 usage[var] = usage.get(var, 0) + 1

@@ -14,16 +14,40 @@ conventional design (Figure 10 of the paper).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.smt import semantics
 from repro.smt.terms import COMMUTATIVE_OPS, Op, Term, TermManager
 
 
-def simplify(manager: TermManager, term: Term) -> Term:
-    """Return an equivalent, locally simplified term."""
-    cache: dict[int, Term] = {}
-    for node in term.iter_dag():
-        new_args = tuple(cache[a.tid] for a in node.args)
-        cache[node.tid] = _simplify_node(manager, node, new_args)
+def simplify(manager: TermManager, term: Term,
+             memo: Optional[dict[int, Term]] = None) -> Term:
+    """Return an equivalent, locally simplified term.
+
+    ``memo`` maps term ids to their simplified form and may be shared by
+    several calls on the same ``manager``: terms are hash-consed and
+    immutable, so a node's simplified form depends on the node alone.  The
+    walk never descends into a node already in the memo.  Everything such
+    a node's sub-DAG would intern was interned when it was first
+    simplified, and since only this walk fills the memo, the node's
+    descendants are all in it too: the remaining nodes are visited in the
+    same post-order, so a shared memo yields the same terms *and* the same
+    term ids as fresh calls.
+    """
+    cache: dict[int, Term] = {} if memo is None else memo
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.tid in cache:
+            continue
+        if expanded:
+            new_args = tuple(cache[a.tid] for a in node.args)
+            cache[node.tid] = _simplify_node(manager, node, new_args)
+        else:
+            stack.append((node, True))
+            for arg in node.args:
+                if arg.tid not in cache:
+                    stack.append((arg, False))
     return cache[term.tid]
 
 

@@ -147,8 +147,8 @@ def test_process_pool_speedup_on_multicore():
     scheduling hiccup on a shared host cannot flip the comparison."""
     import time
 
-    spec = SubjectSpec("speedup", seed=5, num_functions=24, layers=4,
-                       avg_stmts=8, call_fanout=2, null_bugs=(3, 2, 2))
+    spec = SubjectSpec("speedup", seed=5, num_functions=64, layers=5,
+                       avg_stmts=8, call_fanout=2, null_bugs=(8, 6, 6))
     pdg = prepare_pdg(generate_subject(spec).program)
     checker = NullDereferenceChecker()
     pooled = ExecConfig(jobs=min(4, _cpu_count()), backend="process")

@@ -9,9 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import (Preprocessor, TermManager, Verdict, evaluate,
-                       constraint_set_size, flatten_conjunction)
-from strategies import bool_terms, make_manager
+from repro.limits import Deadline, QueryDeadlineExceeded
+from repro.smt import (Op, Preprocessor, SmtSolver, SmtStatus, SolverConfig,
+                       TermManager, Verdict, evaluate, constraint_set_size,
+                       flatten_conjunction, to_sexpr)
+from repro.smt import preprocess
+from repro.smt.rewriter import _simplify_node
+from strategies import WIDTH, all_assignments, bool_terms, make_manager
 
 
 @pytest.fixture
@@ -208,6 +212,187 @@ class TestGaussianElimination:
             mgr.eq(mgr.bvmul(x, y), mgr.bv_const(9, 8)),
         ], enabled=("gaussian",))
         assert result.verdict is Verdict.UNKNOWN
+
+    def test_even_row_var_reaching_others_through_pivot_kept(self, mgr):
+        # x + 2v = 0 solves x = -2v, which carries v into x <u 1.  The even
+        # row 2v = 4 therefore constrains v (v in {2, 10}, so x = 12), and
+        # must not be dropped as an isolated row: the system is UNSAT.
+        x, v = mgr.bv_var("x", 4), mgr.bv_var("v", 4)
+        two = mgr.bv_const(2, 4)
+        constraints = [
+            mgr.eq(mgr.bvadd(x, mgr.bvmul(two, v)), mgr.bv_const(0, 4)),
+            mgr.eq(mgr.bvmul(two, v), mgr.bv_const(4, 4)),
+            mgr.ult(x, mgr.bv_const(1, 4)),
+        ]
+        assert not any(
+            all(evaluate(c, {x: xv, v: vv}) == 1 for c in constraints)
+            for xv in range(16) for vv in range(16))
+        assert SmtSolver(mgr, SolverConfig(use_preprocess=False)).check(
+            constraints).status is SmtStatus.UNSAT
+        assert run(mgr, constraints).verdict is not Verdict.SAT
+        assert SmtSolver(mgr).check(constraints).status is SmtStatus.UNSAT
+
+
+def _linear_systems(draw):
+    """Linear rows over two width-4 variables with even coefficients,
+    each row with at most one odd-coefficient pivot, plus one non-linear
+    constraint (a comparison outside any equation).  Once a pivot is
+    solved, every other row is a single-variable even row.  The rows share
+    a planted solution, so only the comparison can make the system UNSAT."""
+    mgr, bv_vars, _ = make_manager()
+    bv_vars = bv_vars[:2]
+    value = st.integers(0, (1 << WIDTH) - 1)
+    even = st.sampled_from(range(0, 1 << WIDTH, 2))
+    odd = st.sampled_from(range(1, 1 << WIDTH, 2))
+    planted = {var: draw(value) for var in bv_vars}
+    constraints = []
+    for _ in range(draw(st.integers(1, 3))):
+        coefficients = {var: draw(even) for var in bv_vars}
+        pivot = draw(st.sampled_from([None, *bv_vars]))
+        if pivot is not None:
+            coefficients[pivot] = draw(odd)
+        lhs = mgr.bv_const(0, WIDTH)
+        for var, coefficient in coefficients.items():
+            lhs = mgr.bvadd(lhs, mgr.bvmul(mgr.bv_const(coefficient, WIDTH),
+                                           var))
+        rhs = sum(c * planted[var] for var, c in coefficients.items())
+        constraints.append(mgr.eq(lhs, mgr.bv_const(rhs, WIDTH)))
+    a, b = draw(st.sampled_from(bv_vars)), draw(st.sampled_from(bv_vars))
+    operand = draw(st.sampled_from([a, mgr.bvmul(a, b)]))
+    compare = draw(st.sampled_from([mgr.ult, mgr.ule, mgr.slt, mgr.sle]))
+    constraints.append(compare(operand, mgr.bv_const(draw(value), WIDTH)))
+    return mgr, bv_vars, constraints
+
+
+class TestLinearSystemsAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_match_enumeration(self, data):
+        """Every SAT verdict's completed model satisfies the system, every
+        UNSAT verdict has no solution among all 256 assignments, and the
+        full solver agrees with enumeration."""
+        mgr, bv_vars, constraints = _linear_systems(data.draw)
+        satisfiable = any(
+            all(evaluate(c, env) == 1 for c in constraints)
+            for env in all_assignments(bv_vars, []))
+
+        result = Preprocessor(mgr).run(constraints)
+        if result.verdict is Verdict.SAT:
+            model = result.complete_model({})
+            for var in bv_vars:
+                model.setdefault(var, 0)
+            assert all(evaluate(c, model) == 1 for c in constraints)
+        if result.verdict is Verdict.UNSAT:
+            assert not satisfiable
+        expected = SmtStatus.SAT if satisfiable else SmtStatus.UNSAT
+        assert SmtSolver(mgr).check(constraints).status is expected
+
+
+class _CountdownDeadline(Deadline):
+    """A deadline that expires on its ``n``-th check (never, if None)."""
+
+    def __init__(self, n=None):
+        super().__init__(None)
+        object.__setattr__(self, "checks", 0)
+        object.__setattr__(self, "n", n)
+
+    def check(self, what: str = "query") -> None:
+        object.__setattr__(self, "checks", self.checks + 1)
+        if self.n is not None and self.checks >= self.n:
+            raise QueryDeadlineExceeded(f"{what} exceeded its deadline")
+
+
+def _equality_chain(mgr, links=200):
+    """x0 = x1 + 0, x1 = x2 + 1, ...: one elimination per link."""
+    xs = [mgr.bv_var(f"x{i}", 8) for i in range(links + 1)]
+    chain = [mgr.eq(xs[i], mgr.bvadd(xs[i + 1], mgr.bv_const(i, 8)))
+             for i in range(links)]
+    return chain + [mgr.ult(xs[0], xs[links])]
+
+
+class TestDeadlineGranularity:
+    def test_checked_once_per_elimination(self, mgr):
+        deadline = _CountdownDeadline()
+        result = Preprocessor(mgr).run(_equality_chain(mgr),
+                                       deadline=deadline)
+        assert result.stats.equalities_propagated == 200
+        assert deadline.checks > result.stats.rounds + 200
+
+    def test_expires_mid_round(self, mgr):
+        deadline = _CountdownDeadline(10)
+        with pytest.raises(QueryDeadlineExceeded):
+            Preprocessor(mgr).run(_equality_chain(mgr), deadline=deadline)
+        assert deadline.checks == 10
+
+    def test_solver_turns_expiry_into_unknown(self, mgr):
+        result = SmtSolver(mgr).check(_equality_chain(mgr),
+                                      deadline=_CountdownDeadline(10))
+        assert result.status is SmtStatus.UNKNOWN
+
+
+def _reference_simplify(manager, term, memo=None):
+    """The rewriter's walk before it took a memo: every call starts from
+    scratch.  The shared memo must change nothing but the cost."""
+    cache = {}
+    for node in term.iter_dag():
+        new_args = tuple(cache[a.tid] for a in node.args)
+        cache[node.tid] = _simplify_node(manager, node, new_args)
+    return cache[term.tid]
+
+
+def _copy_into(manager, constraints):
+    """Rebuild ``constraints`` node by node in ``manager``."""
+    copied = {}
+    for c in constraints:
+        for node in c.iter_dag():
+            if node.tid in copied:
+                continue
+            args = tuple(copied[a.tid] for a in node.args)
+            if node.op is Op.VAR:
+                copied[node.tid] = manager.var(node.name, node.sort)
+            elif node.op is Op.CONST:
+                copied[node.tid] = manager.bv_const(node.value,
+                                                    node.sort.width)
+            elif not args:
+                copied[node.tid] = manager.bool_const(bool(node.value))
+            else:
+                copied[node.tid] = manager.rebuild(node, args)
+    return [copied[c.tid] for c in constraints]
+
+
+def _observe(manager, constraints):
+    result = Preprocessor(manager).run(constraints)
+    return (result.verdict, [to_sexpr(c) for c in result.constraints],
+            [c.tid for c in result.constraints], result.stats,
+            [step.description for step in result.completions], len(manager))
+
+
+def _assert_memo_changes_nothing(constraints):
+    """Production run vs. memo-free run, each in a fresh manager: same
+    verdict, residual (text and term ids), stats, completions and
+    manager size."""
+    def fresh_run():
+        manager = TermManager()
+        return _observe(manager, _copy_into(manager, constraints))
+
+    memoised = fresh_run()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preprocess, "simplify", _reference_simplify)
+        reference = fresh_run()
+    assert memoised == reference
+
+
+class TestMemoIdentity:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_random_constraints(self, data):
+        mgr, bv_vars, bool_vars = make_manager()
+        constraints = data.draw(st.lists(bool_terms(mgr, bv_vars, bool_vars),
+                                         min_size=1, max_size=4))
+        _assert_memo_changes_nothing(constraints)
+
+    def test_equality_chain(self, mgr):
+        _assert_memo_changes_nothing(_equality_chain(mgr))
 
 
 class TestStrengthReduction:

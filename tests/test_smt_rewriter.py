@@ -144,6 +144,31 @@ class TestIdempotence:
             assert simplify(mgr, once) is once
 
 
+class TestSharedMemo:
+    def test_second_call_reuses_memo_and_interns_nothing(self, mgr):
+        p = mgr.bool_var("p")
+        x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
+        shared = mgr.bvadd(mgr.bvmul(x, mgr.bv_const(1, 8)), y)
+        expr = mgr.ite(p, mgr.slt(shared, y), mgr.eq(shared, x))
+        memo = {}
+        first = simplify(mgr, expr, memo)
+        size = len(mgr)
+        assert simplify(mgr, expr, memo) is first
+        assert len(mgr) == size
+        # A new term over the memoised sub-DAG reuses it as well.
+        bigger = mgr.not_(expr)
+        assert simplify(mgr, bigger, memo) is simplify(mgr, bigger)
+
+    def test_memo_matches_fresh_calls(self, mgr):
+        x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
+        terms = [mgr.bvsub(mgr.bvadd(y, x), mgr.bvadd(x, y)),
+                 mgr.ult(mgr.bvadd(x, y), mgr.bv_const(0, 8)),
+                 mgr.eq(mgr.bvadd(x, y), mgr.bvadd(y, x))]
+        memo = {}
+        assert [simplify(mgr, t, memo) for t in terms] \
+            == [simplify(mgr, t) for t in terms]
+
+
 class TestSoundnessProperty:
     @settings(max_examples=150, deadline=None)
     @given(data=__import__("hypothesis").strategies.data())
