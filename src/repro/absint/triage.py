@@ -100,9 +100,7 @@ class CandidateTriage:
         return self._state
 
     def decide(self, candidate: BugCandidate) -> TriageDecision:
-        the_slice = compute_slice(
-            self.pdg, [candidate.path],
-            index=self.view.slice_index if self.view is not None else None)
+        the_slice = compute_slice(self.pdg, [candidate.path])
         refiner = SliceRefiner(self.pdg, self.state,
                                max_steps=self.config.max_refinement_steps)
         if refiner.proves_infeasible(the_slice):

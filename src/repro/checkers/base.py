@@ -119,6 +119,12 @@ class Checker(abc.ABC):
         for third-party checkers that declare nothing."""
         return CheckerFootprint(checker=self.name, volatile_sources=True)
 
+    def sink_sites(self, pdg: ProgramDependenceGraph) -> list[Vertex]:
+        """Every vertex a sink edge can end at.  A view of a checker
+        with volatile sources walks backward from these; the default,
+        every vertex, is always sound."""
+        return pdg.vertices
+
     def sources_for(self, pdg: ProgramDependenceGraph,
                     view) -> list[Vertex]:
         """Sources restricted to a sparse ``view``, in ``sources`` order.

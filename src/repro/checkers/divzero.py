@@ -49,22 +49,20 @@ class DivByZeroChecker(Checker):
             volatile_sources=True)
 
     def sources(self, pdg: ProgramDependenceGraph) -> list[Vertex]:
-        state = self._fixpoint(pdg)
-        return self._zero_defs(pdg, state)
+        return self._zero_defs(pdg.vertices, self._fixpoint(pdg))
 
     def sources_for(self, pdg: ProgramDependenceGraph, view) -> list[Vertex]:
         """Observable zero definitions, via the view's *restricted*
         fixpoint: values at observable vertices equal the full run's
-        (the covered set is pred-closed), and vertices outside stay
-        bottom but are filtered out by observability anyway."""
-        state = view.fixpoint_state()
-        return [vertex for vertex in self._zero_defs(pdg, state)
-                if view.observable(vertex)]
+        (the covered set is pred-closed)."""
+        observable = [pdg.vertices[index]
+                      for index in sorted(view.observable_indices)]
+        return self._zero_defs(observable, view.fixpoint_state())
 
-    def _zero_defs(self, pdg: ProgramDependenceGraph,
-                   state) -> list[Vertex]:
+    @staticmethod
+    def _zero_defs(vertices: list[Vertex], state) -> list[Vertex]:
         out = []
-        for vertex in pdg.vertices:
+        for vertex in vertices:
             if vertex.var.type is not VarType.INT:
                 continue
             value = state.values[vertex.index]
@@ -94,6 +92,12 @@ class DivByZeroChecker(Checker):
                 and dst.op in (BinOp.DIV, BinOp.REM)
                 and isinstance(dst.rhs, Var)
                 and dst.rhs.name == edge.src.var.name)
+
+    def sink_sites(self, pdg: ProgramDependenceGraph) -> list[Vertex]:
+        """The ``/`` and ``%`` statements with a variable divisor."""
+        return [vertex for vertex in pdg.sites.of_class(Binary)
+                if vertex.stmt.op in (BinOp.DIV, BinOp.REM)
+                and isinstance(vertex.stmt.rhs, Var)]
 
     # ------------------------------------------------------------------ #
     # Interval support

@@ -38,13 +38,9 @@ class NullDereferenceChecker(Checker):
             remappable=True)
 
     def sources(self, pdg: ProgramDependenceGraph) -> list[Vertex]:
-        out = []
-        for vertex in pdg.vertices:
-            stmt = vertex.stmt
-            if isinstance(stmt, Assign) and isinstance(stmt.source, Const) \
-                    and stmt.source.is_null:
-                out.append(vertex)
-        return out
+        return [vertex for vertex in pdg.sites.of_class(Assign)
+                if isinstance(vertex.stmt.source, Const)
+                and vertex.stmt.source.is_null]
 
     def propagates(self, edge: DataEdge) -> bool:
         if edge.kind in (EdgeKind.CALL, EdgeKind.RETURN):

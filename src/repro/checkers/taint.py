@@ -43,9 +43,7 @@ class TaintChecker(Checker):
             remappable=True)
 
     def sources(self, pdg: ProgramDependenceGraph) -> list[Vertex]:
-        return [v for v in pdg.vertices
-                if isinstance(v.stmt, Call)
-                and v.stmt.callee in self.source_calls]
+        return pdg.sites.calling(self.source_calls)
 
     def propagates(self, edge: DataEdge) -> bool:
         if edge.kind in (EdgeKind.CALL, EdgeKind.RETURN):

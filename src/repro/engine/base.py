@@ -125,9 +125,7 @@ class PathSensitiveEngine:
         self.query_records = []
         sessions_before = self.session_stats.as_tuple()
         view = self.checker_view(checker, telemetry)
-        execution = self._execution_plan(
-            checker, exec_config, telemetry,
-            slice_index=view.slice_index if view is not None else None)
+        execution = self._execution_plan(checker, exec_config, telemetry)
         triage = make_triage(self.pdg, checker, triage, view=view)
         binding = store.bind(self.pdg,
                              self._store_fingerprint(triage, checker),
@@ -192,13 +190,10 @@ class PathSensitiveEngine:
 
     def _execution_plan(self, checker: Checker,
                         exec_config: Optional[ExecConfig],
-                        telemetry: Optional[Telemetry],
-                        slice_index=None) -> ExecutionPlan:
+                        telemetry: Optional[Telemetry]) -> ExecutionPlan:
         """The scheduler recipe for one run: the picklable ``WorkerSpec``
         pool workers rebuild fresh engines from, and the inline rung's
-        query bound to this engine.  ``slice_index`` (the checker
-        view's) goes to the in-process rungs; neither it nor the bound
-        query rides in the pickled spec."""
+        query bound to this engine (never pickled)."""
         # Workers cannot observe the whole run's clock; the completion
         # loop enforces the budget.
         recipe = (type(self), replace(self.config, budget=None))
@@ -209,7 +204,7 @@ class PathSensitiveEngine:
                           sparsify=self.config.sparsify)
         return ExecutionPlan(
             exec_config if exec_config is not None else ExecConfig(),
-            spec, telemetry, slice_index=slice_index,
+            spec, telemetry,
             inline_query=QueryRunner(self.pdg, recipe, engine=self))
 
 

@@ -97,12 +97,8 @@ class SliceCache:
     one instance across workers.
     """
 
-    def __init__(self, capacity: Optional[int] = 256,
-                 index=None) -> None:
+    def __init__(self, capacity: Optional[int] = 256) -> None:
         self.capacity = capacity
-        #: Optional :class:`repro.pdg.reduce.SliceIndex`; misses compute
-        #: the Rule (3) closure over the condensed DAG (set-identical).
-        self.index = index
         self._entries: "OrderedDict[Fingerprint, _CachedSlice]" = \
             OrderedDict()
         self._lock = threading.Lock()
@@ -138,7 +134,7 @@ class SliceCache:
             with self._lock:
                 self.lookups += 1
                 self.misses += 1
-            return compute_slice(pdg, paths, deadline, index=self.index)
+            return compute_slice(pdg, paths, deadline)
 
         key, frames, canon_by_fid = path_fingerprint(paths)
         with self._lock:
@@ -152,7 +148,7 @@ class SliceCache:
         if entry is not None:
             return self._rehydrate(entry, frames)
 
-        the_slice = compute_slice(pdg, paths, deadline, index=self.index)
+        the_slice = compute_slice(pdg, paths, deadline)
         entry = _CachedSlice(
             needed={fn: frozenset(vs)
                     for fn, vs in the_slice.needed.items()},

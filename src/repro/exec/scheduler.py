@@ -37,13 +37,13 @@ death is survivable by requeueing.  Failure handling has three tiers:
 Worker model:
 
 * **inline** — no pool: batches run one after another in the calling
-  process, on the parent's PDG, candidate list and condensed slice
-  index, in index order, through one query for the whole run — the
-  caller's engine (``inline_query``), so cross-query caches and the
-  modelled memory accumulate on that engine.  ``auto`` starts here at one job; it is
+  process, on the parent's PDG and candidate list, in index order,
+  through one query for the whole run — the caller's engine
+  (``inline_query``), so cross-query caches and the modelled memory
+  accumulate on that engine.  ``auto`` starts here at one job; it is
   also the ladder's last rung.
-* **thread** — workers share the parent's PDG, candidate list, slice
-  index and one lock-protected :class:`~repro.exec.cache.SliceCache`.
+* **thread** — workers share the parent's PDG, candidate list and one
+  lock-protected :class:`~repro.exec.cache.SliceCache`.
   Useful for differential testing and on platforms without ``fork``; the
   GIL limits CPU parallelism.
 * **process** — each worker process receives the pickled
@@ -72,7 +72,7 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
                                 ProcessPoolExecutor, ThreadPoolExecutor,
                                 wait)
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.checkers.base import BugCandidate, Checker
 from repro.exec.breaker import CircuitBreaker
@@ -87,9 +87,6 @@ from repro.smt.incremental import SessionStats
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.sparse.driver import public_witness
 from repro.sparse.engine import SparseConfig, collect_candidates
-
-if TYPE_CHECKING:
-    from repro.pdg.reduce import SliceIndex
 
 #: A per-query solver: ``(candidate, slice, deadline) -> (result,
 #: (total memory units, condition memory units))``.  Factories return
@@ -177,10 +174,9 @@ class WorkerSpec:
     #: Checker-specific PDG sparsification: process workers that
     #: re-collect the candidate list build the same pruned
     #: :class:`~repro.pdg.reduce.SparsePDGView` the parent used, so
-    #: collection walks the identical adjacency (and hands the view's
-    #: condensed slice index to the worker's slice cache).  Collection
-    #: with and without the view is byte-identical by the pruning
-    #: contract; the flag only keeps worker-side *cost* in line.
+    #: collection walks the identical adjacency.  Collection with and
+    #: without the view is byte-identical by the pruning contract; the
+    #: flag only keeps worker-side *cost* in line.
     sparsify: bool = False
 
 
@@ -227,10 +223,6 @@ class ExecutionPlan:
     config: ExecConfig
     spec: WorkerSpec
     telemetry: Optional[Telemetry] = None
-    #: The parent's condensed slice index (its checker view's), handed to
-    #: the in-process rungs.  Never pickled: process workers rebuild
-    #: their own from the spec.
-    slice_index: Optional[SliceIndex] = None
     #: The inline rung's query function, bound to the caller's engine.
     #: Never pickled: thread and process rungs build fresh engines from
     #: the spec.
@@ -238,8 +230,7 @@ class ExecutionPlan:
 
     def make_scheduler(self, budget: Optional[Budget]) -> "QueryScheduler":
         return QueryScheduler(self.spec, self.config, self.telemetry,
-                              budget, slice_index=self.slice_index,
-                              inline_query=self.inline_query)
+                              budget, inline_query=self.inline_query)
 
 
 @dataclass
@@ -260,16 +251,15 @@ class _WorkerState:
     """Per-worker solving state: candidates, slice cache, query function.
 
     The inline and thread rungs build one instance from the parent's
-    candidates and slice index (thread workers share it: candidates and
-    cache shared, fresh engine per query; the inline rung passes its
-    run-long ``query``); the process backend builds one per worker
-    process from the pickled spec, re-collecting both.
+    candidates (thread workers share it: candidates and cache shared,
+    fresh engine per query; the inline rung passes its run-long
+    ``query``); the process backend builds one per worker process from
+    the pickled spec, re-collecting the candidates.
     """
 
     def __init__(self, spec: WorkerSpec,
                  cache_capacity: Optional[int],
                  candidates: Optional[list[BugCandidate]] = None,
-                 slice_index: Optional[SliceIndex] = None,
                  policy: Optional[FaultPolicy] = None,
                  plan: Optional[FaultPlan] = None,
                  process_worker: bool = False,
@@ -282,11 +272,10 @@ class _WorkerState:
                 from repro.pdg.reduce import build_view
 
                 view = build_view(spec.pdg, spec.checker)
-                slice_index = view.slice_index
             candidates = collect_candidates(spec.pdg, spec.checker,
                                             spec.sparse, view=view)
         self.candidates = candidates
-        self.cache = SliceCache(cache_capacity, index=slice_index)
+        self.cache = SliceCache(cache_capacity)
         self.grouped = spec.grouped
         # Without a caller's query, grouped (incremental) mode builds a
         # fresh runner per batch in solve_batch instead — a shared runner
@@ -434,14 +423,12 @@ class QueryScheduler:
     def __init__(self, spec: WorkerSpec, config: ExecConfig,
                  telemetry: Optional[Telemetry] = None,
                  budget: Optional[Budget] = None,
-                 slice_index: Optional[SliceIndex] = None,
                  inline_query: Optional[QueryFn] = None) -> None:
         self.spec = spec
         self.config = config
         self.telemetry = telemetry if telemetry is not None \
             else Telemetry()
         self.budget = budget
-        self.slice_index = slice_index
         #: The inline rung's query, kept for the whole run (default: one
         #: runner from the spec, so grouped sessions span the run).
         self.inline_query = inline_query if inline_query is not None \
@@ -618,10 +605,9 @@ class QueryScheduler:
                           query: Optional[QueryFn] = None
                           ) -> _WorkerState:
         """Worker state for the inline and thread rungs: the parent's
-        candidates and slice index, nothing re-collected."""
+        candidates, nothing re-collected."""
         return _WorkerState(self.spec, self.config.slice_cache_capacity,
                             candidates=candidates,
-                            slice_index=self.slice_index,
                             policy=self.config.faults,
                             plan=self.config.fault_plan, query=query)
 

@@ -132,6 +132,8 @@ class Telemetry:
             "nodes_elided": 0,       # vertices pruned from walks
             "edges_kept": 0,         # data edges kept in views
             "edges_elided": 0,       # data edges pruned from walks
+            # Both counted over each view's kept subgraph (region plus
+            # kept destinations), not the whole PDG.
             "scc_count": 0,          # condensed components across views
             "bypass_edges": 0,       # chain-elision bypass stitches
             "live_sources": 0,       # sources that can reach a sink

@@ -56,11 +56,8 @@ def view_to_dot(view) -> str:
     members they elide.
     """
     pdg = view.pdg
-    shown: set[int] = set(view.region)
-    for entries in (view.kept_entries(v) for v in pdg.vertices):
-        for edge, _ in entries:
-            shown.add(edge.src.index)
-            shown.add(edge.dst.index)
+    cond = view.condensation
+    shown = set(cond.scc_of)  # the kept subgraph's vertices
 
     lines = ["digraph sparse_view {", "  rankdir=BT;",
              f'  label="{view.checker_name} view: '
@@ -92,26 +89,24 @@ def view_to_dot(view) -> str:
             lines.append(
                 f"  v{edge.src.index} -> v{edge.dst.index}{attrs};")
 
-    cond = view.condensation
-    if cond is not None:
-        for comp, members in enumerate(cond.members):
-            if len(members) > 1 and any(m in shown for m in members):
-                anchor = members[0]
-                lines.append(
-                    f'  v{anchor} [xlabel="scc{comp} '
-                    f'({len(members)} members)"];')
-        for comp, entries in enumerate(cond._bypass):
-            if entries is None:
+    for comp, members in enumerate(cond.members):
+        if len(members) > 1 and any(m in shown for m in members):
+            anchor = members[0]
+            lines.append(
+                f'  v{anchor} [xlabel="scc{comp} '
+                f'({len(members)} members)"];')
+    for comp, entries in enumerate(cond._bypass):
+        if entries is None:
+            continue
+        for target, carried in entries:
+            if not carried:
                 continue
-            for target, carried in entries:
-                if not carried:
-                    continue
-                src = cond.members[comp][0]
-                dst = cond.members[target][0]
-                if src in shown and dst in shown:
-                    lines.append(
-                        f"  v{src} -> v{dst} [style=bold,color=gray,"
-                        f'label="bypass {len(carried)}"];')
+            src = cond.members[comp][0]
+            dst = cond.members[target][0]
+            if src in shown and dst in shown:
+                lines.append(
+                    f"  v{src} -> v{dst} [style=bold,color=gray,"
+                    f'label="bypass {len(carried)}"];')
     lines.append("}")
     return "\n".join(lines)
 

@@ -15,7 +15,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
-from repro.lang.ir import Operand, Program, Stmt, Var
+from repro.lang.ir import Call, Operand, Program, Stmt, Var
 
 
 class EdgeKind(enum.Enum):
@@ -81,6 +81,33 @@ class CallSite:
     call_vertex: Vertex  # the receiver-defining call statement
 
 
+class SiteIndex:
+    """A PDG's vertices by statement class and by callee, in index order.
+
+    Checkers name their sources and sink sites through it, so a view
+    finds its seeds with a dict lookup instead of a pass over every
+    vertex."""
+
+    def __init__(self, vertices: Iterable[Vertex]) -> None:
+        self._by_class: dict[type, list[Vertex]] = {}
+        self._by_callee: dict[str, list[Vertex]] = {}
+        for vertex in vertices:
+            stmt = vertex.stmt
+            self._by_class.setdefault(type(stmt), []).append(vertex)
+            if isinstance(stmt, Call):
+                self._by_callee.setdefault(stmt.callee, []).append(vertex)
+
+    def of_class(self, stmt_class: type) -> list[Vertex]:
+        """Vertices whose statement is exactly a ``stmt_class``."""
+        return self._by_class.get(stmt_class, [])
+
+    def calling(self, callees: Iterable[str]) -> list[Vertex]:
+        """Call vertices whose callee is in ``callees``."""
+        return sorted((vertex for callee in callees
+                       for vertex in self._by_callee.get(callee, ())),
+                      key=lambda vertex: vertex.index)
+
+
 class ProgramDependenceGraph:
     """Whole-program PDG with vertex/edge queries used by every engine."""
 
@@ -96,6 +123,8 @@ class ProgramDependenceGraph:
         self._function_vertices: dict[str, list[Vertex]] = {}
         self._return_vertex: dict[str, Vertex] = {}
         self._param_vertices: dict[str, list[Vertex]] = {}
+        self._data_edges = 0
+        self._sites: Optional[SiteIndex] = None
 
     # ------------------------------------------------------------------ #
     # Construction API (used by the builder)
@@ -109,11 +138,13 @@ class ProgramDependenceGraph:
         self._preds[vertex.index] = []
         self._succs[vertex.index] = []
         self._function_vertices.setdefault(function, []).append(vertex)
+        self._sites = None
         return vertex
 
     def add_data_edge(self, edge: DataEdge) -> None:
         self._preds[edge.dst.index].append(edge)
         self._succs[edge.src.index].append(edge)
+        self._data_edges += 1
 
     def set_control_parent(self, vertex: Vertex, branch: Vertex) -> None:
         self._control_parent[vertex.index] = branch
@@ -141,6 +172,18 @@ class ProgramDependenceGraph:
     def data_succs(self, vertex: Vertex) -> list[DataEdge]:
         return self._succs[vertex.index]
 
+    def backward_closure(self, indices: Iterable[int]) -> set[int]:
+        """``indices`` plus every vertex index they transitively
+        data-depend on."""
+        closure = set(indices)
+        stack = list(closure)
+        while stack:
+            for edge in self._preds[stack.pop()]:
+                if edge.src.index not in closure:
+                    closure.add(edge.src.index)
+                    stack.append(edge.src.index)
+        return closure
+
     def control_parent(self, vertex: Vertex) -> Optional[Vertex]:
         return self._control_parent.get(vertex.index)
 
@@ -163,6 +206,13 @@ class ProgramDependenceGraph:
     def functions(self) -> Iterable[str]:
         return self._function_vertices.keys()
 
+    @property
+    def sites(self) -> SiteIndex:
+        """Vertices by statement class and callee (built on first use)."""
+        if self._sites is None:
+            self._sites = SiteIndex(self.vertices)
+        return self._sites
+
     # ------------------------------------------------------------------ #
     # Statistics (Table 2 columns)
     # ------------------------------------------------------------------ #
@@ -172,15 +222,18 @@ class ProgramDependenceGraph:
         return len(self.vertices)
 
     @property
+    def num_data_edges(self) -> int:
+        return self._data_edges
+
+    @property
     def num_edges(self) -> int:
-        data = sum(len(edges) for edges in self._preds.values())
-        return data + len(self._control_parent)
+        return self._data_edges + len(self._control_parent)
 
     def stats(self) -> dict[str, int]:
         return {
             "functions": len(self._function_vertices),
             "vertices": self.num_vertices,
-            "data_edges": sum(len(e) for e in self._preds.values()),
+            "data_edges": self._data_edges,
             "control_edges": len(self._control_parent),
             "callsites": len(self.callsites),
         }

@@ -4,10 +4,10 @@ A checker observes only a fraction of the program — a taint checker
 cares about the calls named in its source/sink sets, a divide-by-zero
 checker about divisor definitions.  This module builds, per checker, a
 pruned :class:`SparsePDGView` of the dependence graph containing only
-the defs/uses the checker's footprint can reach, plus an SCC
-condensation with transitive reduction and chain elision so backward
-closures (slicing, the restricted fixpoint's covered set) walk a
-condensed DAG and expand SCC members lazily.
+the defs/uses the checker's footprint can reach.  The view is built by
+one walk outward from the checker's seeds, so its cost tracks what it
+keeps rather than the program size; an SCC condensation of the kept
+subgraph (transitive reduction, chain elision) is built on demand.
 
 The contract is *byte identity*: candidates, verdicts, and reports
 produced through a view equal the full-graph pipeline exactly.  The
@@ -52,7 +52,7 @@ if TYPE_CHECKING:  # avoid an import cycle with repro.checkers
 
 
 class Condensation:
-    """SCC condensation of a directed graph over ``range(num_nodes)``.
+    """SCC condensation of a directed graph over the node ids ``nodes``.
 
     Built in three layers: Tarjan SCCs (iterative), transitive
     reduction of the condensed DAG, then *chain elision* — condensed
@@ -61,26 +61,37 @@ class Condensation:
     is stitched from the chain's entry anchor to its exit anchor.
     Closure queries traverse only anchors and expand elided members
     lazily from the bypass edges they cross.
+
+    ``scc_of`` maps each node id to its component and ``members`` lists
+    each component's node ids in ascending order; the layers themselves
+    run over dense positions.
     """
 
-    def __init__(self, num_nodes: int, edges: Iterable[tuple[int, int]]):
-        adjacency: list[list[int]] = [[] for _ in range(num_nodes)]
+    def __init__(self, nodes: Iterable[int],
+                 edges: Iterable[tuple[int, int]]):
+        ids = sorted(nodes)
+        position = {node: dense for dense, node in enumerate(ids)}
+        adjacency: list[list[int]] = [[] for _ in ids]
         edge_count = 0
         for src, dst in edges:
-            adjacency[src].append(dst)
+            adjacency[position[src]].append(position[dst])
             edge_count += 1
-        self.num_nodes = num_nodes
+        self.num_nodes = len(ids)
         self.num_edges = edge_count
-        self.scc_of: list[int] = [-1] * num_nodes
+        dense_scc = [-1] * self.num_nodes
         self.members: list[list[int]] = []
-        self._tarjan(adjacency)
-        self._condense(adjacency)
+        self._tarjan(adjacency, dense_scc)
+        self._condense(adjacency, dense_scc)
         self._reduce()
         self._elide()
+        self.scc_of: dict[int, int] = dict(zip(ids, dense_scc))
+        self.members = [[ids[dense] for dense in component]
+                        for component in self.members]
 
     # -- Tarjan ---------------------------------------------------------- #
 
-    def _tarjan(self, adjacency: list[list[int]]) -> None:
+    def _tarjan(self, adjacency: list[list[int]],
+                scc_of: list[int]) -> None:
         n = self.num_nodes
         index_of = [-1] * n
         low = [0] * n
@@ -117,7 +128,7 @@ class Condensation:
                     while True:
                         member = stack.pop()
                         on_stack[member] = 0
-                        self.scc_of[member] = len(self.members)
+                        scc_of[member] = len(self.members)
                         component.append(member)
                         if member == node:
                             break
@@ -128,16 +139,17 @@ class Condensation:
 
     # -- condensed DAG --------------------------------------------------- #
 
-    def _condense(self, adjacency: list[list[int]]) -> None:
+    def _condense(self, adjacency: list[list[int]],
+                  scc_of: list[int]) -> None:
         # Tarjan emits SCCs in reverse topological order: every
         # condensed edge runs from a higher SCC id to a lower one.
         count = len(self.members)
         self.scc_count = count
         succ_sets: list[set[int]] = [set() for _ in range(count)]
         for node in range(self.num_nodes):
-            comp = self.scc_of[node]
+            comp = scc_of[node]
             for succ in adjacency[node]:
-                succ_comp = self.scc_of[succ]
+                succ_comp = scc_of[succ]
                 if succ_comp != comp:
                     succ_sets[comp].add(succ_comp)
         self.succs: list[list[int]] = [sorted(s) for s in succ_sets]
@@ -204,14 +216,18 @@ class Condensation:
     # -- queries --------------------------------------------------------- #
 
     def reachable(self, src_node: int, dst_node: int) -> bool:
-        """Whether ``dst_node`` is reachable from ``src_node`` (or equal)."""
-        src_comp = self.scc_of[src_node]
-        dst_comp = self.scc_of[dst_node]
+        """Whether ``dst_node`` is reachable from ``src_node`` (or equal).
+        A node outside the graph reaches only itself."""
+        if src_node == dst_node:
+            return True
+        src_comp = self.scc_of.get(src_node)
+        dst_comp = self.scc_of.get(dst_node)
+        if src_comp is None or dst_comp is None:
+            return False
         return src_comp == dst_comp or \
             bool((self._descendants[src_comp] >> dst_comp) & 1)
 
-    def closure_sccs(self, seed_sccs: Iterable[int],
-                     deadline=None) -> set[int]:
+    def closure_sccs(self, seed_sccs: Iterable[int]) -> set[int]:
         """All SCC ids reachable from ``seed_sccs`` (seeds included).
 
         Walks the reduced DAG over anchors only; elided chain members
@@ -230,52 +246,17 @@ class Condensation:
             else:
                 stack.append(comp)
         visited: set[int] = set()
-        steps = 0
         while stack:
             comp = stack.pop()
             if comp in visited:
                 continue
             visited.add(comp)
             collected.add(comp)
-            steps += 1
-            if deadline is not None and steps & 0x3F == 0:
-                deadline.check("slicing")
             for target, carried in self._bypass[comp]:
                 collected.update(carried)
                 if target not in visited:
                     stack.append(target)
         return collected
-
-
-class SliceIndex:
-    """Checker-independent backward-closure engine for one PDG.
-
-    The condensation is built over the *reversed* data edges, so a
-    forward closure on the condensed DAG is a backward data-dependence
-    closure on the PDG — exactly Rule 3 of the slicer and the covered
-    set of the restricted fixpoint.
-    """
-
-    def __init__(self, pdg: ProgramDependenceGraph):
-        self.pdg = pdg
-        edges = [(vertex.index, edge.src.index)
-                 for vertex in pdg.vertices
-                 for edge in pdg.data_preds(vertex)]
-        self.condensation = Condensation(pdg.num_vertices, edges)
-
-    def closure_indices(self, seeds: Iterable[int],
-                        deadline=None) -> set[int]:
-        """Vertex indices backward-reachable from ``seeds`` (inclusive)."""
-        cond = self.condensation
-        seed_sccs = {cond.scc_of[index] for index in seeds}
-        out: set[int] = set()
-        steps = 0
-        for comp in cond.closure_sccs(seed_sccs, deadline):
-            out.update(cond.members[comp])
-            steps += 1
-            if deadline is not None and steps & 0x3F == 0:
-                deadline.check("slicing")
-        return out
 
 
 # ---------------------------------------------------------------------- #
@@ -295,6 +276,9 @@ class SparsePDGView:
         self.footprint = footprint
         #: Observable vertex indices: a sink edge is reachable over
         #: propagating edges.  Sources outside this set are elided.
+        #: Like ``_sink_dsts`` (destinations of sink edges), exact on
+        #: every vertex the view's walk reaches, which includes the
+        #: region; a vertex no walk reaches may be left out.
         self.observable_indices: set[int] = set()
         self._sink_dsts: set[int] = set()
         #: region vertex index -> ((edge, is_sink), ...) — the kept
@@ -309,14 +293,12 @@ class SparsePDGView:
         #: Functions any raw source can reach over propagating edges;
         #: None when the footprint is not remappable (never consulted).
         self.source_reach_functions: Optional[set[str]] = None
-        self.slice_index: Optional[SliceIndex] = None
-        self.condensation: Optional[Condensation] = None
         self.nodes_before = pdg.num_vertices
-        self.edges_before = sum(
-            len(pdg.data_succs(v)) for v in pdg.vertices)
+        self.edges_before = pdg.num_data_edges
         self.nodes_kept = 0
         self.edges_kept = 0
-        # Lazy, graph-generation-bound caches (reset by remap).
+        # Lazy, graph-generation-bound caches (never carried by remap).
+        self._condensation: Optional[Condensation] = None
         self._covered: Optional[list[int]] = None
         self._fixpoints: dict = {}
 
@@ -328,6 +310,19 @@ class SparsePDGView:
     def kept_entries(self, vertex) -> tuple:
         """(edge, is_sink) pairs surviving pruning, in succ order."""
         return self._kept.get(vertex.index, ())
+
+    @property
+    def condensation(self) -> Condensation:
+        """SCC condensation of the kept subgraph — the region plus the
+        kept edges' destinations — built on first use (view stats,
+        ``view_to_dot`` and the demand pre-filter read it)."""
+        if self._condensation is None:
+            edges = [(index, edge.dst.index)
+                     for index, entries in self._kept.items()
+                     for edge, _ in entries]
+            self._condensation = Condensation(
+                self.region.union(dst for _, dst in edges), edges)
+        return self._condensation
 
     # -- triage API ------------------------------------------------------ #
 
@@ -351,20 +346,7 @@ class SparsePDGView:
             for function in functions:
                 for param in self.pdg.param_vertices(function):
                     seeds.add(param.index)
-            if self.slice_index is not None:
-                closure = self.slice_index.closure_indices(seeds)
-            else:
-                closure = set()
-                work = list(seeds)
-                while work:
-                    index = work.pop()
-                    if index in closure:
-                        continue
-                    closure.add(index)
-                    for edge in self.pdg.data_preds(vertices[index]):
-                        if edge.src.index not in closure:
-                            work.append(edge.src.index)
-            self._covered = sorted(closure)
+            self._covered = sorted(self.pdg.backward_closure(seeds))
         return self._covered
 
     def fixpoint_state(self, taint_spec=None, widen_after: int = 12):
@@ -399,10 +381,8 @@ class SparsePDGView:
             "edges_kept": self.edges_kept,
             "nodes_elided": self.nodes_before - self.nodes_kept,
             "edges_elided": self.edges_before - self.edges_kept,
-            "scc_count": self.condensation.scc_count
-            if self.condensation is not None else 0,
-            "bypass_edges": self.condensation.bypass_edges
-            if self.condensation is not None else 0,
+            "scc_count": self.condensation.scc_count,
+            "bypass_edges": self.condensation.bypass_edges,
             "sources_total": self.sources_total,
             "live_sources": len(self.live_sources),
             "sources_elided": self.sources_total - len(self.live_sources),
@@ -500,97 +480,135 @@ class SparsePDGView:
         view.source_reach_functions = self.source_reach_functions
         view.nodes_kept = self.nodes_kept
         view.edges_kept = self.edges_kept
-        view.condensation = self.condensation
         return view
 
 
-def build_view(pdg: ProgramDependenceGraph, checker: "Checker",
-               slice_index: Optional[SliceIndex] = None) -> SparsePDGView:
-    """Build a checker's sparse view of ``pdg`` (see module docstring)."""
+def _closure(seeds: Iterable[int], neighbours: dict[int, list[int]]
+             ) -> set[int]:
+    """Everything reachable from ``seeds`` over ``neighbours`` lists."""
+    closed = set(seeds)
+    work = list(closed)
+    while work:
+        for other in neighbours.get(work.pop(), ()):
+            if other not in closed:
+                closed.add(other)
+                work.append(other)
+    return closed
+
+
+def _observe_backward(pdg: ProgramDependenceGraph, checker: "Checker",
+                      view: SparsePDGView) -> None:
+    """Observability by one backward walk from the checker's sink
+    sites: sink-edge sources, then their propagating ancestors."""
+    edge_kinds = view.footprint.edge_kinds
+    observable: set[int] = set()
+    for site in checker.sink_sites(pdg):
+        for edge in pdg.data_preds(site):
+            if edge.kind in edge_kinds and checker.is_sink_edge(edge):
+                view._sink_dsts.add(site.index)
+                observable.add(edge.src.index)
+    work = list(observable)
+    while work:
+        for edge in pdg.data_preds(pdg.vertices[work.pop()]):
+            index = edge.src.index
+            if index not in observable and edge.kind in edge_kinds \
+                    and not checker.is_sink_edge(edge) \
+                    and checker.propagates(edge):
+                observable.add(index)
+                work.append(index)
+    view.observable_indices = observable
+
+
+def build_view(pdg: ProgramDependenceGraph,
+               checker: "Checker") -> SparsePDGView:
+    """Build a checker's sparse view of ``pdg`` (see module docstring).
+
+    One seeded walk: from the checker's sources forward over
+    propagating edges, classifying each visited vertex's out-edges
+    once.  Every pruning decision about a vertex depends only on what
+    is forward-reachable from it, so deciding inside that closure gives
+    the whole-graph answer.  Volatile sources are known only once
+    observability is (div-zero reads them off the restricted fixpoint),
+    so those views first walk backward from :meth:`Checker.sink_sites`
+    and seed the forward walk with the live sources.
+    """
     footprint = checker.footprint()
     view = SparsePDGView(pdg, checker.name, footprint)
-    view.slice_index = slice_index
     edge_kinds = footprint.edge_kinds
-    num = pdg.num_vertices
+    vertices = pdg.vertices
+    if footprint.volatile_sources:
+        _observe_backward(pdg, checker, view)
+        seeds = checker.sources_for(pdg, view)
+    else:
+        seeds = checker.sources(pdg)
 
-    # One pure classification pass over every data edge.
-    classified: list[list[tuple[int, DataEdge, bool, bool]]] = \
-        [[] for _ in range(num)]
-    prop_preds: list[list[int]] = [[] for _ in range(num)]
-    local_prop_preds: list[list[int]] = [[] for _ in range(num)]
-    prop_succs: list[list[int]] = [[] for _ in range(num)]
+    # Forward closure of the seeds over propagating edges.
+    # index -> [(succ position, edge, is_sink)], sink and propagating
+    # out-edges only.
+    classified: dict[int, list[tuple[int, DataEdge, bool]]] = {}
+    prop_preds: dict[int, list[int]] = {}
+    local_prop_preds: dict[int, list[int]] = {}
     sink_sources: set[int] = set()
-    useful_seeds: set[int] = set()
-    for vertex in pdg.vertices:
-        source_index = vertex.index
-        for position, edge in enumerate(pdg.data_succs(vertex)):
+    interprocedural: set[int] = set()
+    sink_dsts: set[int] = set()
+    work = [seed.index for seed in seeds]
+    while work:
+        index = work.pop()
+        if index in classified:
+            continue
+        entries = classified[index] = []
+        for position, edge in enumerate(pdg.data_succs(vertices[index])):
             if edge.kind not in edge_kinds:
                 continue
-            is_sink = checker.is_sink_edge(edge)
-            is_prop = not is_sink and checker.propagates(edge)
-            if not (is_sink or is_prop):
-                continue
-            classified[source_index].append(
-                (position, edge, is_sink, is_prop))
-            if is_sink:
-                sink_sources.add(source_index)
-                useful_seeds.add(source_index)
-                view._sink_dsts.add(edge.dst.index)
-            else:
-                prop_preds[edge.dst.index].append(source_index)
-                prop_succs[source_index].append(edge.dst.index)
+            if checker.is_sink_edge(edge):
+                entries.append((position, edge, True))
+                sink_sources.add(index)
+                sink_dsts.add(edge.dst.index)
+            elif checker.propagates(edge):
+                entries.append((position, edge, False))
+                work.append(edge.dst.index)
+                prop_preds.setdefault(edge.dst.index, []).append(index)
                 if edge.kind in _INTERPROCEDURAL:
-                    useful_seeds.add(source_index)
+                    interprocedural.add(index)
                 else:
-                    local_prop_preds[edge.dst.index].append(source_index)
+                    local_prop_preds.setdefault(edge.dst.index,
+                                                []).append(index)
+    useful = _closure(sink_sources | interprocedural, local_prop_preds)
 
-    def backward(seeds: set[int], preds: list[list[int]]) -> set[int]:
-        closed = set(seeds)
-        work = list(seeds)
-        while work:
-            index = work.pop()
-            for pred in preds[index]:
-                if pred not in closed:
-                    closed.add(pred)
-                    work.append(pred)
-        return closed
-
-    view.observable_indices = backward(sink_sources, prop_preds)
-    useful = backward(useful_seeds, local_prop_preds)
-
-    kept_all: dict[int, list[tuple[int, DataEdge, bool]]] = {}
-    for index in range(num):
-        entries = [(position, edge, is_sink)
-                   for position, edge, is_sink, is_prop in classified[index]
-                   if is_sink or edge.kind in _INTERPROCEDURAL
-                   or edge.dst.index in useful]
-        if entries:
-            kept_all[index] = entries
-
-    sources = checker.sources_for(pdg, view)
+    if footprint.volatile_sources:
+        sources = seeds
+        view.sources_total = len(sources)
+    else:
+        view.observable_indices = _closure(sink_sources, prop_preds)
+        view._sink_dsts = sink_dsts
+        sources = checker.sources_for(pdg, view)
+        view.sources_total = len(seeds)
+        if footprint.remappable:
+            view.source_reach_functions = \
+                {vertices[index].function for index in classified}
     view.live_sources = sources
-    view.sources_total = len(checker.sources(pdg)) \
-        if not footprint.volatile_sources else len(sources)
 
     # Region: everything the pruned walk can visit.
     region = {source.index for source in sources}
     work = list(region)
     while work:
         index = work.pop()
-        for _, edge, is_sink in kept_all.get(index, ()):
+        kept = [(position, edge, is_sink)
+                for position, edge, is_sink in classified[index]
+                if is_sink or edge.kind in _INTERPROCEDURAL
+                or edge.dst.index in useful]
+        if not kept:
+            continue
+        view._kept[index] = tuple((edge, is_sink)
+                                  for _, edge, is_sink in kept)
+        view._kept_pos[index] = tuple(position for position, _, _ in kept)
+        for _, edge, is_sink in kept:
             if not is_sink and edge.dst.index not in region:
                 region.add(edge.dst.index)
                 work.append(edge.dst.index)
     view.region = region
-    view._kept = {
-        index: tuple((edge, is_sink)
-                     for _, edge, is_sink in kept_all[index])
-        for index in region if index in kept_all}
-    view._kept_pos = {
-        index: tuple(position for position, _, _ in kept_all[index])
-        for index in region if index in kept_all}
 
-    touched = {pdg.vertices[index].function for index in region}
+    touched = {vertices[index].function for index in region}
     kept_dsts: set[int] = set()
     for entries in view._kept.values():
         for edge, _ in entries:
@@ -599,19 +617,6 @@ def build_view(pdg: ProgramDependenceGraph, checker: "Checker",
     view.touched_functions = touched
     view.nodes_kept = len(region | kept_dsts)
     view.edges_kept = sum(len(e) for e in view._kept.values())
-
-    if footprint.remappable and not footprint.volatile_sources:
-        reach = backward({s.index for s in checker.sources(pdg)},
-                         # forward closure: reuse helper with succ lists
-                         prop_succs)
-        view.source_reach_functions = \
-            {pdg.vertices[index].function for index in reach}
-
-    # Condensed DAG of the kept subgraph (stats, dot, unit tests).
-    kept_edges = [(index, edge.dst.index)
-                  for index, entries in view._kept.items()
-                  for edge, _ in entries]
-    view.condensation = Condensation(num, kept_edges)
     return view
 
 
@@ -621,20 +626,13 @@ def build_view(pdg: ProgramDependenceGraph, checker: "Checker",
 
 
 class ViewRegistry:
-    """Per-engine cache of checker views plus the shared slice index."""
+    """Per-engine cache of checker views."""
 
     def __init__(self, pdg: ProgramDependenceGraph) -> None:
         self.pdg = pdg
         self._views: dict[str, SparsePDGView] = {}
-        self._slice_index: Optional[SliceIndex] = None
         #: Telemetry counters accumulated since the last flush.
         self._pending: dict[str, float] = {}
-
-    @property
-    def slice_index(self) -> SliceIndex:
-        if self._slice_index is None:
-            self._slice_index = SliceIndex(self.pdg)
-        return self._slice_index
 
     def _bump(self, **counts) -> None:
         for key, value in counts.items():
@@ -652,7 +650,7 @@ class ViewRegistry:
             self._bump(view_cache_hits=1)
             return view
         started = time.perf_counter()
-        view = build_view(self.pdg, checker, self.slice_index)
+        view = build_view(self.pdg, checker)
         elapsed = time.perf_counter() - started
         self._views[checker.name] = view
         stats = view.stats()
@@ -721,7 +719,6 @@ class ViewRegistry:
                         break
             remapped = view.remap(self.pdg) if survived else None
             if remapped is not None:
-                remapped.slice_index = self.slice_index
                 self._views[name] = remapped
                 self._bump(views_remapped=1)
             else:

@@ -64,19 +64,13 @@ class Slice:
 
 def compute_slice(pdg: ProgramDependenceGraph,
                   paths: Iterable[DependencePath],
-                  deadline: Optional[Deadline] = None,
-                  index=None) -> Slice:
+                  deadline: Optional[Deadline] = None) -> Slice:
     """Apply Rules (1)-(3) to Π.
 
     ``deadline`` (when given) bounds the computation: a query's per-query
     clock covers its slicing stage, so a pathological closure raises
     :class:`~repro.limits.QueryDeadlineExceeded` instead of running
     unbounded (the caller converts that to an UNKNOWN verdict).
-
-    ``index`` (a :class:`repro.pdg.reduce.SliceIndex`, when given)
-    answers the Rule (3) closure over the SCC-condensed,
-    transitively-reduced dependence DAG instead of walking raw edges;
-    the closure is a set, so the result is identical either way.
     """
     result = Slice()
     seeds: list[Vertex] = []
@@ -111,13 +105,7 @@ def compute_slice(pdg: ProgramDependenceGraph,
             for branch in pdg.control_chain(step.vertex):
                 add_requirement(step.frame, branch, True)
 
-    if index is not None:
-        for vertex_index in index.closure_indices(
-                {vertex.index for vertex in seeds}, deadline):
-            vertex = pdg.vertices[vertex_index]
-            result.needed.setdefault(vertex.function, set()).add(vertex)
-    else:
-        _data_closure(pdg, seeds, result, deadline)
+    _data_closure(pdg, seeds, result, deadline)
     return result
 
 

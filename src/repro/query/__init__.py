@@ -1,8 +1,8 @@
 """``repro.query``: public demand-driven value-flow queries.
 
 The demand API answers "can this def site reach this sink, feasibly?"
-for a single (source, sink) pair by walking only the condensed region
-between them — instead of re-running a whole-program ``analyze``.  See
+for a single (source, sink) pair by walking only the region between
+them — instead of re-running a whole-program ``analyze``.  See
 ``docs/queries.md`` for the latency contract and the region-subset
 guarantee; entry points:
 

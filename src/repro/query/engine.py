@@ -1,13 +1,15 @@
 """Demand-driven value-flow queries (the ``repro.query`` engine).
 
 A demand query decides one (def site, sink) pair without paying for a
-whole-program ``analyze``.  The pipeline walks only the condensed
-region between the pair:
+whole-program ``analyze``.  The pipeline walks only the region between
+the pair:
 
 1. **Source selection** — checker sources are filtered to the def
-   sites (when given) and pre-filtered by an O(1) SCC-condensation
-   reachability check (:class:`~repro.pdg.reduce.Condensation`): a
-   source that cannot reach any sink vertex is never walked.
+   sites (when given) and pre-filtered by reachability: an O(1) check
+   on the condensation of the view's kept subgraph
+   (:class:`~repro.pdg.reduce.Condensation`), or without a view one
+   backward walk from the sinks over all data edges.  A source that
+   cannot reach any sink vertex is never walked.
 2. **Demand collection** — each selected source replays exactly the
    per-source walk of :func:`~repro.sparse.engine.collect_candidates`
    (same view pruning, same frame interning, same dedup), so the
@@ -107,41 +109,36 @@ def cached_verdict(verdict: Verdict) -> Verdict:
 
 
 def _select_sources(pdg: ProgramDependenceGraph, checker: Checker, view,
-                    slice_index, sink_indices: frozenset,
+                    sink_indices: frozenset,
                     def_indices: Optional[frozenset]) -> tuple[list, int]:
     """The demand walk's sources: def-site filtered, then pre-filtered
-    by condensation reachability.  Returns (selected, skipped)."""
-    sources = view.live_sources if view is not None \
-        else checker.sources(pdg)
-    forward = view.condensation if view is not None else None
-    backward = slice_index.condensation if slice_index is not None \
-        else None
+    by reachability to a sink.  Returns (selected, skipped).
+
+    With a view, reachability runs over its kept subgraph; without
+    one, over all data edges (a sound over-approximation of the
+    propagating subgraph)."""
+    if view is not None:
+        sources = view.live_sources
+        condensation = view.condensation
+
+        def reaches(index: int) -> bool:
+            return any(condensation.reachable(index, sink)
+                       for sink in sink_indices)
+    else:
+        sources = checker.sources(pdg)
+        reaches = pdg.backward_closure(sink_indices).__contains__
     selected = []
     skipped = 0
     for source in sources:
-        if def_indices is not None and source.index not in def_indices:
-            skipped += 1
-            continue
-        if forward is not None:
-            reaches = any(forward.reachable(source.index, sink)
-                          for sink in sink_indices)
-        elif backward is not None:
-            # The slice index condenses the *reversed* data edges, so
-            # sink-to-source reachability there is source-to-sink
-            # reachability on the PDG (over all data edges — a sound
-            # over-approximation of the propagating subgraph).
-            reaches = any(backward.reachable(sink, source.index)
-                          for sink in sink_indices)
-        else:
-            reaches = True
-        if not reaches:
+        if (def_indices is not None and source.index not in def_indices) \
+                or not reaches(source.index):
             skipped += 1
             continue
         selected.append(source)
     return selected, skipped
 
 
-def pair_region(pdg: ProgramDependenceGraph, slice_index,
+def pair_region(pdg: ProgramDependenceGraph,
                 candidates: list[BugCandidate]) -> set[int]:
     """The pair's region: everything a decision on these candidates can
     read — path vertices, their governing-branch chains, the root
@@ -163,19 +160,7 @@ def pair_region(pdg: ProgramDependenceGraph, slice_index,
     for function in root_functions:
         for param in pdg.param_vertices(function):
             seeds.add(param.index)
-    if not seeds:
-        return set()
-    if slice_index is not None:
-        return slice_index.closure_indices(seeds)
-    closure = set(seeds)
-    stack = list(seeds)
-    while stack:
-        index = stack.pop()
-        for edge in pdg.data_preds(pdg.vertices[index]):
-            if edge.src.index not in closure:
-                closure.add(edge.src.index)
-                stack.append(edge.src.index)
-    return closure
+    return pdg.backward_closure(seeds)
 
 
 def _region_edge_count(pdg: ProgramDependenceGraph,
@@ -226,18 +211,15 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     sinks = frozenset(sink_indices)
     defs = frozenset(def_indices) if def_indices is not None else None
     view = engine.checker_view(checker, telemetry)
-    slice_index = engine.views.slice_index
 
-    selected, skipped = _select_sources(pdg, checker, view, slice_index,
-                                        sinks, defs)
+    selected, skipped = _select_sources(pdg, checker, view, sinks, defs)
     walked = collect_candidates(pdg, checker, engine.config.sparse,
                                 view=view, sources=selected)
     matched = [candidate for candidate in walked
                if candidate.sink.index in sinks
                and (defs is None or candidate.source.index in defs)]
 
-    region = pair_region(pdg, slice_index, matched)
-    pdg_edges = sum(len(pdg.data_succs(v)) for v in pdg.vertices)
+    region = pair_region(pdg, matched)
 
     # Counters and reports, in the shape ``findings_payload`` reads.
     tally = AnalysisResult(engine.name, checker.name)
@@ -262,9 +244,8 @@ def run_demand_query(engine, checker: Checker, sink_indices,
         # on this engine (pool workers would re-collect the full
         # candidate list, not ``matched``).
         faults = FaultPolicy(on_error="abort", query_timeout=deadline_s)
-        plan = engine._execution_plan(
-            checker, ExecConfig(faults=faults), telemetry,
-            slice_index=view.slice_index if view is not None else None)
+        plan = engine._execution_plan(checker, ExecConfig(faults=faults),
+                                      telemetry)
         solve_pending(plan.make_scheduler(None), matched, pending, tally,
                       reports, binding)
 
@@ -288,7 +269,7 @@ def run_demand_query(engine, checker: Checker, sink_indices,
         region_nodes=len(region),
         region_edges=_region_edge_count(pdg, region),
         pdg_nodes=pdg.num_vertices,
-        pdg_edges=pdg_edges,
+        pdg_edges=pdg.num_data_edges,
         region_indices=frozenset(region))
     telemetry.record_demand(
         demand_queries=1,

@@ -161,6 +161,52 @@ def test_triage_session_query_matches_full(engine):
     assert_queries_match_full(source, full, query_session)
 
 
+def forward_reach(start, successors):
+    seen = {start}
+    work = [start]
+    while work:
+        for index in successors(work.pop()):
+            if index not in seen:
+                seen.add(index)
+                work.append(index)
+    return seen
+
+
+@pytest.mark.parametrize("sparsify", [True, False])
+def test_prefilter_skips_exactly_the_sources_that_cannot_reach(sparsify):
+    """``sources_scanned``/``sources_skipped`` match brute-force
+    reachability from each source to the sink: over the view's kept
+    edges with sparsification, over every data edge without it."""
+    checker = NullDereferenceChecker()
+    for seed in SEEDS[:6]:
+        source = fuzz_source(seed)
+        session = AnalysisSession(
+            source, settings=EngineSettings(sparsify=sparsify))
+        pdg = session.pdg
+        view = session.engine.checker_view(checker)
+        if sparsify:
+            sources = view.live_sources
+
+            def successors(index):
+                return [edge.dst.index for edge, _
+                        in view.kept_entries(pdg.vertices[index])]
+        else:
+            assert view is None
+            sources = checker.sources(pdg)
+
+            def successors(index):
+                return [edge.dst.index
+                        for edge in pdg.data_succs(pdg.vertices[index])]
+        for line, sinks in sink_lines(session, source):
+            sink_set = {vertex.index for vertex in sinks}
+            scanned = sum(1 for vertex in sources
+                          if forward_reach(vertex.index, successors)
+                          & sink_set)
+            verdict = session.query(CHECKER, sink=(line, None))
+            assert verdict.sources_scanned == scanned, (seed, line)
+            assert verdict.sources_skipped == len(sources) - scanned
+
+
 def test_def_restriction_narrows_to_the_pair():
     """A def-line restriction keeps exactly the full-run findings whose
     source was born on that line."""

@@ -10,7 +10,6 @@ process pool, which still forks.
 
 import asyncio
 import json
-import pickle
 import re
 import tempfile
 
@@ -195,19 +194,3 @@ def test_auto_resolves_by_job_count():
     with pytest.raises(ValueError):
         ExecConfig(backend="bogus").resolved_backend()
 
-
-def test_in_process_rungs_slice_with_the_view_index():
-    """The inline and thread rungs reuse the parent's condensed slice
-    index; the pickled worker spec never carries it."""
-    pdg = prepare_pdg(subject().program)
-    engine = build_engine("fusion", pdg)
-    checker = NullDereferenceChecker()
-    view = engine.checker_view(checker)
-    assert view is not None and view.slice_index is not None
-    plan = engine._execution_plan(
-        checker, ExecConfig(faults=FaultPolicy(query_timeout=5)), None,
-        slice_index=view.slice_index)
-    assert plan is not None and plan.spec is not None
-    state = plan.make_scheduler(None)._in_process_state([])
-    assert state.cache.index is view.slice_index
-    assert b"SliceIndex" not in pickle.dumps(plan.spec)
