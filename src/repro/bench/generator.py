@@ -370,9 +370,9 @@ def generate_subject(spec: SubjectSpec) -> GeneratedSubject:
     return SubjectGenerator(spec).generate()
 
 
-#: The ``repro bench --loops`` subject family: (name, seed) pairs fed to
-#: :func:`loop_heavy_source`.  The perf gate's loop cells pin a committed
-#: run of this family (``results/BENCH_loops.json``).
+#: The loop-heavy subject family: (name, seed) pairs fed to
+#: :func:`loop_heavy_source`.  The bench gate's loop cells pin both loop
+#: strategies on this family (``tests/test_bench_gate.py``).
 LOOP_HEAVY_FAMILY: tuple[tuple[str, int], ...] = (
     ("loops-a", 7002),
     ("loops-b", 7003),
@@ -394,7 +394,7 @@ def loop_heavy_source(seed: int, *, functions: int = 4) -> str:
     ``summaries`` and ``unroll`` strategies.
 
     Returns source text rather than a compiled program so callers
-    (``repro bench --loops``, tests/test_loops_differential.py) can
+    (tests/test_bench_gate.py, tests/test_loops_differential.py) can
     compile the same subject under several lowering configs.
     """
     rng = random.Random(seed)

@@ -45,14 +45,6 @@ class RunOutcome:
     result: AnalysisResult
     precision: PrecisionRecall
     query_records: list[QueryRecord] = field(default_factory=list)
-    #: Graph-size cells: full PDG vs the checker's sparsified view
-    #: (equal when sparsification is off or the engine has no views).
-    #: docs/sparsification.md; the perf gate keys its taint-reduction
-    #: floor off these.
-    pdg_nodes: int = 0
-    pdg_edges: int = 0
-    view_nodes: int = 0
-    view_edges: int = 0
 
     @property
     def failed(self) -> Optional[str]:
@@ -74,19 +66,6 @@ class RunOutcome:
             "unknown": self.result.unknown_queries,
             "errors": self.result.error_queries,
             "replayed": self.result.replayed_verdicts,
-            "pdg_nodes": self.pdg_nodes,
-            "pdg_edges": self.pdg_edges,
-            "view_nodes": self.view_nodes,
-            "view_edges": self.view_edges,
-            # Per-query detail, in candidate order: wall seconds and SAT
-            # clause-database size at search time (0 = decided before the
-            # SAT stage).  Machine-readable perf trajectory for
-            # BENCH_incremental.json.
-            "query_seconds": [round(r.seconds, 6)
-                              for r in self.query_records],
-            "query_clauses": [r.sat_clauses for r in self.query_records],
-            "solve_seconds_total": round(
-                sum(r.seconds for r in self.query_records), 6),
             "failure": self.result.failure,
         }
 
@@ -171,15 +150,5 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
         telemetry.annotate(subject=subject_name)
     precision = evaluate_reports(subject, result)
     records = getattr(engine_obj, "query_records", [])
-    pdg_nodes = pdg.num_vertices
-    pdg_edges = sum(len(pdg.data_succs(v)) for v in pdg.vertices)
-    view_nodes, view_edges = pdg_nodes, pdg_edges
-    views = getattr(engine_obj, "views", None)
-    if sparsify and views is not None:
-        stats = views.view_for(checker).stats()
-        view_nodes = stats["nodes_kept"]
-        view_edges = stats["edges_kept"]
     return RunOutcome(subject_name, engine, checker_name, result, precision,
-                      list(records), pdg_nodes=pdg_nodes,
-                      pdg_edges=pdg_edges, view_nodes=view_nodes,
-                      view_edges=view_edges)
+                      list(records))

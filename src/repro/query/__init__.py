@@ -11,7 +11,7 @@ guarantee; entry points:
 * :meth:`repro.engine.AnalysisSession.query` — the session-level API
   (view reuse, artifact-store verdict caching, per-pair memo).
 * :func:`repro.query.engine.run_demand_query` — the engine-level
-  pipeline (used by ``repro bench --demand``).
+  pipeline (used by the bench gate, ``tests/test_bench_gate.py``).
 """
 
 from __future__ import annotations

@@ -93,12 +93,15 @@ class TestAnalyzeDeterminism:
         second = run_analyze(capsys, "--subject", "mcf", "--json")
         assert findings_text(first) == findings_text(second)
 
-    def test_warm_findings_match_cold_bytes(self, generated_file, capsys):
+    def test_warm_findings_match_cold_bytes(self, generated_file, tmp_path,
+                                            capsys):
         with tempfile.TemporaryDirectory() as root:
             cold = run_analyze(capsys, "--subject", generated_file,
-                               "--json", "--cache-dir", root)
+                               "--json", "--cache-dir", root,
+                               "--telemetry", str(tmp_path / "cold.json"))
             warm = run_analyze(capsys, "--subject", generated_file,
-                               "--json", "--cache-dir", root)
+                               "--json", "--cache-dir", root,
+                               "--telemetry", str(tmp_path / "warm.json"))
         assert findings_json(cold)["findings"] \
             == findings_json(warm)["findings"]
         # Witness key order must survive the JSON round-trip through
@@ -106,6 +109,14 @@ class TestAnalyzeDeterminism:
         for finding in findings_json(warm)["findings"]:
             keys = list(finding["witness"])
             assert keys == sorted(keys)
+        # The warm run replays every verdict from the store instead of
+        # solving it.
+        cold_tel, warm_tel = (json.loads((tmp_path / name).read_text())
+                              for name in ("cold.json", "warm.json"))
+        assert cold_tel["store"]["store_hits"] == 0
+        store = warm_tel["store"]
+        assert store["store_hits"] == store["replayed_verdicts"] > 0, store
+        assert warm_tel["solver"]["total"] < cold_tel["solver"]["total"]
 
 
 class TestTelemetryKeyOrder:
