@@ -23,8 +23,13 @@ from repro.engine import (CHECKER_FACTORIES, ENGINE_CHOICES,
                           EngineSettings, analysis_payload, build_engine)
 from repro.exec import BACKENDS
 from repro.fusion import prepare_pdg
-from repro.lang import LoweringConfig, compile_source
+from repro.lang import (LexError, LoweringConfig, LoweringError,
+                        ParseError, compile_source)
 from repro.pdg import pdg_to_dot
+
+#: A malformed source file: every subcommand reports these as
+#: ``repro <cmd>: LINE:COL: message`` and exits 2.
+FRONTEND_ERRORS = (LexError, ParseError, LoweringError)
 
 #: What ``--backend auto`` means, on every subcommand that takes it.
 AUTO_BACKEND_HELP = ("auto: in-process at one job, process pool above "
@@ -519,7 +524,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     try:
         session = AnalysisSession(source, settings=_engine_settings(args),
                                   store=store)
-    except Exception as error:  # lex/parse/lowering errors
+    except ValueError as error:  # arity mismatch, recursion
         print(f"repro query: {error}", file=sys.stderr)
         return 2
     _record_loop_telemetry(telemetry, session.pdg.program)
@@ -704,9 +709,6 @@ def cmd_pdg(args: argparse.Namespace) -> int:
 
 def cmd_lint(args: argparse.Namespace) -> int:
     """PDG well-formedness sanitizer over ``pdg/validate.py``."""
-    from repro.lang.lexer import LexError
-    from repro.lang.lowering import LoweringError
-    from repro.lang.parser import ParseError
     from repro.pdg.validate import validate_pdg
 
     try:
@@ -715,7 +717,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         else:
             program = _resolve_subject_program(args.subject)
         pdg = prepare_pdg(program)
-    except (LexError, ParseError, LoweringError, ValueError) as error:
+    except ValueError as error:  # arity mismatch, recursion
         print(f"repro lint: {error}", file=sys.stderr)
         return 2
     report = validate_pdg(pdg)
@@ -741,7 +743,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "bench": cmd_bench, "query": cmd_query,
                 "analyze": cmd_analyze, "serve": cmd_serve,
                 "pdg": cmd_pdg, "lint": cmd_lint}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except FRONTEND_ERRORS as error:
+        print(f"repro {args.command}: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -204,9 +204,10 @@ class AnalysisSession:
         #: Per-pair demand-verdict memo for the current program version
         #: (cleared on every edit; see :meth:`query`).
         self._query_cache: dict = {}
-        #: Lazily-lexed token stream of the current source, shared by
-        #: every site resolution of this program version.
-        self._query_tokens = None
+        #: Line index of the current source (see
+        #: :func:`repro.query.sites.line_index`), built by the version's
+        #: first query and shared by every site resolution after it.
+        self._line_index = None
         #: Loop-summary recipes survive edits: keys canonicalize the
         #: loop body + seed kinds, so only loops an edit actually
         #: touches re-summarize (created lazily on first compile).
@@ -252,7 +253,7 @@ class AnalysisSession:
                                pdg.program)
         self.source, self.pdg, self.engine = source, pdg, engine
         self._query_cache.clear()
-        self._query_tokens = None
+        self._line_index = None
         self.generation += 1
 
     def analyze(self, checker: str, *, exec_config=None,
@@ -299,7 +300,7 @@ class AnalysisSession:
         per-candidate solve path to dispatch the pair through).
         """
         from repro.query.engine import cached_verdict, run_demand_query
-        from repro.query.sites import (resolve_def_sites,
+        from repro.query.sites import (line_index, resolve_def_sites,
                                        resolve_sink_sites)
 
         if self.engine is None:
@@ -316,13 +317,12 @@ class AnalysisSession:
             line, col = sink
         else:
             line, col = sink, None
-        if self._query_tokens is None:
-            from repro.lang.lexer import tokenize
-            self._query_tokens = tokenize(self.source)
-        tokens = self._query_tokens
+        if self._line_index is None:
+            self._line_index = line_index(self.source)
+        index = self._line_index
         sink_sites = resolve_sink_sites(self.pdg, self.source,
                                         checker_obj, line, col,
-                                        tokens=tokens)
+                                        index=index)
         if not sink_sites:
             raise ValueError(f"no {checker} sink at line {line}"
                              + (f" col {col}" if col is not None else ""))
@@ -331,7 +331,7 @@ class AnalysisSession:
         if def_line is not None:
             def_sites = resolve_def_sites(self.pdg, self.source,
                                           checker_obj, def_line,
-                                          tokens=tokens)
+                                          index=index)
             if not def_sites:
                 raise ValueError(f"no {checker} source at line "
                                  f"{def_line}")

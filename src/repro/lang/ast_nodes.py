@@ -9,13 +9,12 @@ it into the normalized gated-SSA IR of ``repro.lang.ir``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from repro.lang.ir import BinOp
 
 
-@dataclass(frozen=True)
-class SourceLoc:
+class SourceLoc(NamedTuple):
     line: int
     column: int
 

@@ -1,10 +1,19 @@
-"""Lexer for the surface small language."""
+"""Lexer for the surface small language.
+
+One compiled master pattern, applied line by line: each match skips
+blanks and takes one token or comment.  Identifiers start with a letter
+(``str.isalpha``) or ``_`` and continue with ``\\w``; integers are runs
+of Unicode decimal digits (``\\d``, exactly what ``int()`` accepts).
+Lines end only at ``\\n``; ``\\r``, spaces and tabs are one column each.
+A ``#``/``//`` comment does not advance the column, so end of input
+after a trailing comment sits at the comment's column.
+"""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+import re
+from typing import Iterator, NamedTuple
 
 from repro.lang.ast_nodes import SourceLoc
 
@@ -36,9 +45,11 @@ KEYWORDS = frozenset({"fun", "extern", "if", "else", "while", "return",
 OPERATORS = ("<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
              "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^")
 
+#: A ``#`` or ``//`` line comment, up to (not including) the newline.
+COMMENT = re.compile(r"(?:#|//)[^\n]*")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     loc: SourceLoc
@@ -56,68 +67,57 @@ _PUNCT = {
     ";": TokenKind.SEMI,
 }
 
+#: Kind of every fixed spelling: keywords, punctuation and operators.
+_FIXED = {**dict.fromkeys(KEYWORDS, TokenKind.KEYWORD), **_PUNCT,
+          **dict.fromkeys(OPERATORS, TokenKind.OP)}
+
+_WORD, _INT, _COMMENT = 1, 2, 3
+_MASTER = re.compile(
+    r"[ \t\r]*(?:"
+    # A word may also start with a non-decimal numeric that ``\w``
+    # admits (``²``, ``½``); ``iter_tokens`` rejects those.
+    r"([^\W\d]\w*)"
+    r"|(\d+)"
+    rf"|({COMMENT.pattern})"
+    r"|([(){},;]|" + "|".join(map(re.escape, OPERATORS)) + ")"
+    r"|([^ \t\r]))")
+
+# Tokens are built with ``tuple.__new__``, skipping the named tuple's
+# Python-level constructor: the lexer makes two tuples per token.
+_new = tuple.__new__
+
+
+def iter_tokens(source: str) -> Iterator[Token]:
+    """Yield the tokens of ``source``, ending with one ``EOF`` token.
+
+    Raises :class:`LexError` at the first illegal character, after
+    yielding every token before it.
+    """
+    # ``split`` gives at least one line, so ``line`` and ``end_col``
+    # are bound when the loop ends.
+    for line, text in enumerate(source.split("\n"), 1):
+        end_col = len(text) + 1
+        for match in _MASTER.finditer(text):
+            group = match.lastindex
+            token = match[group]
+            col = match.start(group) + 1
+            kind = _FIXED.get(token)
+            if kind is None:
+                if group == _INT:
+                    kind = TokenKind.INT
+                elif group == _WORD and (token[0] == "_"
+                                         or token[0].isalpha()):
+                    kind = TokenKind.IDENT
+                elif group == _COMMENT:
+                    end_col = col
+                    continue
+                else:
+                    raise LexError(f"unexpected character {token[0]!r}",
+                                   SourceLoc(line, col))
+            yield _new(Token, (kind, token, _new(SourceLoc, (line, col))))
+    yield Token(TokenKind.EOF, "", SourceLoc(line, end_col))
+
 
 def tokenize(source: str) -> list[Token]:
     """Tokenize ``source``; raises :class:`LexError` on illegal input."""
-    return list(_tokens(source))
-
-
-def _tokens(source: str) -> Iterator[Token]:
-    line = 1
-    col = 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        loc = SourceLoc(line, col)
-
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#" or source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            yield Token(TokenKind.INT, source[i:j], loc)
-            col += j - i
-            i = j
-            continue
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
-            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-            yield Token(kind, text, loc)
-            col += j - i
-            i = j
-            continue
-
-        if ch in _PUNCT:
-            yield Token(_PUNCT[ch], ch, loc)
-            i += 1
-            col += 1
-            continue
-
-        for op in OPERATORS:
-            if source.startswith(op, i):
-                yield Token(TokenKind.OP, op, loc)
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            raise LexError(f"unexpected character {ch!r}", loc)
-
-    yield Token(TokenKind.EOF, "", SourceLoc(line, col))
+    return list(iter_tokens(source))

@@ -27,7 +27,7 @@ Grammar (EBNF)::
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.lang.ast_nodes import (AssignStmt, BinExpr, BoolLit, CallExpr,
                                   Expr, ExprStmt, ExternDecl, FunctionDecl,
@@ -35,7 +35,7 @@ from repro.lang.ast_nodes import (AssignStmt, BinExpr, BoolLit, CallExpr,
                                   ReturnStmt, SourceLoc, Statement,
                                   UnaryExpr, WhileStmt)
 from repro.lang.ir import BinOp
-from repro.lang.lexer import Token, TokenKind, tokenize
+from repro.lang.lexer import Token, TokenKind, iter_tokens
 
 
 class ParseError(Exception):
@@ -48,22 +48,23 @@ _BINOPS = {op.value: op for op in BinOp}
 
 
 class Parser:
-    def __init__(self, tokens: list[Token]) -> None:
-        self._tokens = tokens
-        self._pos = 0
+    """Pulls tokens from a stream ending in ``EOF``, holding only the
+    current token and one of lookahead."""
+
+    def __init__(self, tokens: Iterable[Token]) -> None:
+        self._tokens = iter(tokens)
+        self._current = next(self._tokens)
+        self._next = next(self._tokens, self._current)
 
     # ------------------------------------------------------------------ #
     # Token helpers
     # ------------------------------------------------------------------ #
 
-    @property
-    def _current(self) -> Token:
-        return self._tokens[self._pos]
-
     def _advance(self) -> Token:
         token = self._current
         if token.kind is not TokenKind.EOF:
-            self._pos += 1
+            self._current = self._next
+            self._next = next(self._tokens, self._next)
         return token
 
     def _check(self, kind: TokenKind, text: Optional[str] = None) -> bool:
@@ -89,16 +90,24 @@ class Parser:
     # ------------------------------------------------------------------ #
 
     def parse_module(self) -> Module:
+        """Parse the whole stream.  A :class:`LexError` anywhere in it
+        wins over an earlier :class:`ParseError`: the rest of the
+        stream is drained before a parse error propagates."""
         module = Module()
-        while not self._check(TokenKind.EOF):
-            if self._check(TokenKind.KEYWORD, "extern"):
-                module.externs.extend(self._parse_extern())
-            elif self._check(TokenKind.KEYWORD, "fun"):
-                module.functions.append(self._parse_function())
-            else:
-                raise ParseError(
-                    f"expected 'fun' or 'extern', found "
-                    f"{self._current.text!r}", self._current.loc)
+        try:
+            while not self._check(TokenKind.EOF):
+                if self._check(TokenKind.KEYWORD, "extern"):
+                    module.externs.extend(self._parse_extern())
+                elif self._check(TokenKind.KEYWORD, "fun"):
+                    module.functions.append(self._parse_function())
+                else:
+                    raise ParseError(
+                        f"expected 'fun' or 'extern', found "
+                        f"{self._current.text!r}", self._current.loc)
+        except ParseError:
+            for _ in self._tokens:
+                pass
+            raise
         return module
 
     def _parse_extern(self) -> list[ExternDecl]:
@@ -155,8 +164,7 @@ class Parser:
 
         # Assignment (IDENT "=" ...) vs expression statement.
         if token.kind is TokenKind.IDENT and \
-                self._tokens[self._pos + 1].kind is TokenKind.OP and \
-                self._tokens[self._pos + 1].text == "=":
+                self._next.kind is TokenKind.OP and self._next.text == "=":
             target = self._advance().text
             self._advance()  # '='
             value = self._parse_expr()
@@ -254,4 +262,4 @@ class Parser:
 
 def parse(source: str) -> Module:
     """Parse surface source text into a :class:`Module`."""
-    return Parser(tokenize(source)).parse_module()
+    return Parser(iter_tokens(source)).parse_module()

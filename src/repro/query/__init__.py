@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 from repro.query.engine import (Verdict, cached_verdict, pair_region,
                                 run_demand_query)
-from repro.query.sites import (LineProfile, profile_line,
+from repro.query.sites import (LineProfile, line_index,
                                resolve_def_sites, resolve_sink_sites)
 
 
@@ -42,4 +42,4 @@ def can_reach(session, def_site: Optional[int],
 
 __all__ = ["Verdict", "can_reach", "run_demand_query", "pair_region",
            "cached_verdict", "resolve_sink_sites", "resolve_def_sites",
-           "profile_line", "LineProfile"]
+           "line_index", "LineProfile"]

@@ -2,23 +2,24 @@
 
 IR statements carry no source locations — only tokens do — so a demand
 query's ``--sink LINE[:COL]`` / ``--def LINE`` coordinates are resolved
-by re-tokenizing the held source: the enclosing function is tracked via
-``fun`` headers and brace depth, and the names mentioned on the target
-line (callees and assignment targets) are matched against that
-function's vertices.  Loop unrolling and recursion cloning duplicate a
-source line into several vertices (``x`` vs ``x.1``, ``f`` vs ``f%1``);
-a site deliberately resolves to *all* of them, so the demand walk sees
-exactly the candidates a full analysis would report for the line.
+through a line index built by one token pass over the held source: the
+enclosing function is tracked via ``fun`` headers and brace depth, and
+the names mentioned on the target line (callees and assignment targets)
+are matched against that function's vertices.  Loop unrolling and
+recursion cloning duplicate a source line into several vertices (``x``
+vs ``x.1``, ``f`` vs ``f%1``); a site deliberately resolves to *all* of
+them, so the demand walk sees exactly the candidates a full analysis
+would report for the line.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.checkers.base import Checker
 from repro.lang.ir import Call
-from repro.lang.lexer import TokenKind, tokenize
+from repro.lang.lexer import Token, TokenKind, iter_tokens
 from repro.pdg.graph import ProgramDependenceGraph, Vertex
 
 
@@ -29,7 +30,8 @@ class LineProfile:
     line: int
     #: Source-level name of the enclosing function (None at top level).
     function: Optional[str] = None
-    #: Names called on the line (``IDENT (`` sequences, headers excluded).
+    #: Names called on the line (``IDENT (`` sequences, including the
+    #: name in a ``fun`` header).
     called: list[str] = field(default_factory=list)
     #: Names assigned on the line (``IDENT =`` sequences).
     defined: list[str] = field(default_factory=list)
@@ -37,49 +39,61 @@ class LineProfile:
     called_cols: list[int] = field(default_factory=list)
 
 
-def profile_line(source: str, line: int,
-                 tokens: Optional[list] = None) -> LineProfile:
-    """Tokenize ``source`` and describe what ``line`` mentions.
+def line_index(source: str) -> dict[int, LineProfile]:
+    """Profile every line of ``source`` that holds a token, in one pass.
 
-    Pass a pre-tokenized ``tokens`` list to skip re-lexing — a hot
-    session resolves many lines of one program version, and the token
-    stream is the dominant cost on multi-thousand-line tenants.
+    A line missing from the index (blank or comment-only) mentions
+    nothing; :func:`resolve_sink_sites` and :func:`resolve_def_sites`
+    read it as ``LineProfile(line)``.  A hot session builds the index
+    once per program version, so each site resolution costs one line.
     """
-    profile = LineProfile(line)
-    if tokens is None:
-        tokens = tokenize(source)
+    index: dict[int, LineProfile] = {}
     current: Optional[str] = None
     pending: Optional[str] = None
     after_fun = False
     depth = 0
-    for position, token in enumerate(tokens):
-        if token.kind is TokenKind.KEYWORD and token.text == "fun":
+    # An identifier waiting for the next token to say whether it is
+    # called or assigned, with the profile of its line.
+    waiting: Optional[tuple[Token, LineProfile]] = None
+    for token in iter_tokens(source):
+        kind = token.kind
+        if waiting is not None:
+            name, profile = waiting
+            if kind is TokenKind.LPAREN:
+                profile.called.append(name.text)
+                profile.called_cols.append(name.loc.column)
+            elif kind is TokenKind.OP and token.text == "=":
+                profile.defined.append(name.text)
+            waiting = None
+        if kind is TokenKind.KEYWORD and token.text == "fun":
             after_fun = True
-        elif after_fun and token.kind is TokenKind.IDENT:
+        elif after_fun and kind is TokenKind.IDENT:
             pending, after_fun = token.text, False
-        elif token.kind is TokenKind.LBRACE:
+        elif kind is TokenKind.LBRACE:
             if depth == 0 and pending is not None:
                 current, pending = pending, None
             depth += 1
-        elif token.kind is TokenKind.RBRACE:
+        elif kind is TokenKind.RBRACE:
             depth -= 1
             if depth <= 0:
                 current, depth = None, 0
-        if token.loc.line != line:
-            continue
-        if profile.function is None and current is not None:
+        line = token.loc.line
+        profile = index.get(line)
+        if profile is None:
+            profile = index[line] = LineProfile(line)
+        if profile.function is None:
             profile.function = current
-        if token.kind is TokenKind.IDENT and not after_fun:
-            following = tokens[position + 1] \
-                if position + 1 < len(tokens) else None
-            if following is not None:
-                if following.kind is TokenKind.LPAREN:
-                    profile.called.append(token.text)
-                    profile.called_cols.append(token.loc.column)
-                elif following.kind is TokenKind.OP \
-                        and following.text == "=":
-                    profile.defined.append(token.text)
-    return profile
+        if kind is TokenKind.IDENT and not after_fun:
+            waiting = (token, profile)
+    return index
+
+
+def _profile(source: str, line: int,
+             index: Optional[dict[int, LineProfile]]) -> LineProfile:
+    if index is None:
+        index = line_index(source)
+    profile = index.get(line)
+    return profile if profile is not None else LineProfile(line)
 
 
 def _same_function(vertex_function: str, source_name: str) -> bool:
@@ -119,15 +133,17 @@ def _line_vertices(pdg: ProgramDependenceGraph,
 def resolve_sink_sites(pdg: ProgramDependenceGraph, source: str,
                        checker: Checker, line: int,
                        col: Optional[int] = None,
-                       tokens: Optional[list] = None) -> list[Vertex]:
+                       index: Optional[dict[int, LineProfile]] = None
+                       ) -> list[Vertex]:
     """Vertices completing the checker's bug pattern at ``line``.
 
     A vertex qualifies when the line selects it *and* it receives at
     least one sink edge.  ``col`` narrows a line with several calls to
     the one whose callee token covers (or starts nearest after) the
-    column.
+    column.  ``index`` is the source's :func:`line_index`; without it
+    the whole source is lexed.
     """
-    profile = profile_line(source, line, tokens)
+    profile = _profile(source, line, index)
     if col is not None and profile.called:
         best = None
         for name, start in zip(profile.called, profile.called_cols):
@@ -137,8 +153,7 @@ def resolve_sink_sites(pdg: ProgramDependenceGraph, source: str,
                 if start <= col:
                     break
         if best is not None:
-            keep = best
-            profile.called = [keep]
+            profile = replace(profile, called=[best])
     matched = _line_vertices(pdg, profile)
     sinks = []
     for vertex in matched:
@@ -151,13 +166,14 @@ def resolve_sink_sites(pdg: ProgramDependenceGraph, source: str,
 
 def resolve_def_sites(pdg: ProgramDependenceGraph, source: str,
                       checker: Checker, line: int,
-                      tokens: Optional[list] = None) -> list[Vertex]:
+                      index: Optional[dict[int, LineProfile]] = None
+                      ) -> list[Vertex]:
     """Source vertices (checker facts) created at ``line``."""
-    profile = profile_line(source, line, tokens)
+    profile = _profile(source, line, index)
     matched = {vertex.index for vertex in _line_vertices(pdg, profile)}
     return [vertex for vertex in checker.sources(pdg)
             if vertex.index in matched]
 
 
-__all__ = ["LineProfile", "profile_line", "resolve_sink_sites",
+__all__ = ["LineProfile", "line_index", "resolve_sink_sites",
            "resolve_def_sites"]

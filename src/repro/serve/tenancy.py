@@ -40,6 +40,7 @@ from typing import Optional
 
 from repro.engine import AnalysisSession, EngineSettings
 from repro.exec import ArtifactStore, CircuitBreaker, FaultPlan, Telemetry
+from repro.lang.lexer import COMMENT
 from repro.serve.journal import JOURNAL_BASENAME, SessionJournal
 from repro.serve.protocol import (COMPILE_ERROR, INVALID_PARAMS,
                                   UNKNOWN_TENANT, ServeError)
@@ -50,20 +51,11 @@ def _mask_comments(text: str) -> str:
 
     Same-length as the input, so every index into the mask is an index
     into the original — the splicer searches and scans the mask but
-    splices the original.  Mirrors the lexer's comment rule
-    (``repro.lang.lexer``); the language has no string literals, so a
-    comment marker is never quoted.
+    splices the original.  Uses the lexer's own comment pattern
+    (``repro.lang.lexer.COMMENT``); the language has no string
+    literals, so a comment marker is never quoted.
     """
-    chars = list(text)
-    i, n = 0, len(text)
-    while i < n:
-        if text[i] == "#" or text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                chars[i] = " "
-                i += 1
-        else:
-            i += 1
-    return "".join(chars)
+    return COMMENT.sub(lambda match: " " * len(match.group()), text)
 
 
 def splice_function(source: str, name: str, text: str) -> str:

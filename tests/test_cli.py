@@ -237,6 +237,28 @@ class TestLint:
         assert main(["lint", str(bad)]) == 2
 
 
+class TestMalformedSource:
+    """Every subcommand that compiles a file reports a frontend error
+    as one ``repro <cmd>: LINE:COL: message`` line and exits 2."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "{}"],
+        ["analyze", "--subject", "{}"],
+        ["pdg", "--subject", "{}"],
+        ["lint", "{}"],
+        ["query", "{}", "--checker", "null-deref", "--sink", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_lex_error_exits_two(self, argv, tmp_path, capsys):
+        bad = tmp_path / "bad.fl"
+        bad.write_text("fun main(a) {\nx = $;\nreturn 0;\n}\n")
+        code = main([str(bad) if arg == "{}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == \
+            f"repro {argv[0]}: 2:5: unexpected character '$'\n"
+        assert captured.out == ""
+
+
 class TestTriageFlag:
     def test_analyze_with_triage(self, source_file, capsys):
         code = main(["analyze", "--subject", source_file, "--triage",

@@ -5,7 +5,7 @@ import pytest
 from repro.lang import LexError, ParseError, parse, tokenize
 from repro.lang.ast_nodes import (AssignStmt, BinExpr, CallExpr, ExprStmt,
                                   IfStmt, IntLit, Name, NullLit, ReturnStmt,
-                                  UnaryExpr, WhileStmt)
+                                  SourceLoc, UnaryExpr, WhileStmt)
 from repro.lang.ir import BinOp
 from repro.lang.lexer import TokenKind
 
@@ -35,6 +35,43 @@ class TestLexer:
     def test_illegal_character(self):
         with pytest.raises(LexError):
             tokenize("a $ b")
+
+    def test_tokens_are_hashable_named_tuples(self):
+        [token, eof] = tokenize("x")
+        assert token == (TokenKind.IDENT, "x", (1, 1))
+        assert repr(token) == "IDENT('x')@1:1"
+        assert str(token.loc) == repr(token.loc) == "1:1"
+        assert str(eof.loc) == "1:2"
+        assert len({token, tokenize("x")[0], eof}) == 2
+
+    def test_eof_after_trailing_comment_sits_at_the_comment(self):
+        assert tokenize("a # note")[-1].loc == SourceLoc(1, 3)
+        assert tokenize("a # note\n")[-1].loc == SourceLoc(2, 1)
+
+    def test_unicode_decimal_digits_are_integers(self):
+        [f] = parse("fun f() { x = ٣; return x; }").functions
+        assert f.body[0].value == IntLit(3, SourceLoc(1, 15))
+
+    @pytest.mark.parametrize("digit", ["²", "①"])
+    def test_non_decimal_digits_are_rejected_at_their_column(self, digit):
+        with pytest.raises(LexError) as excinfo:
+            tokenize(f"x = {digit};")
+        assert excinfo.value.loc == SourceLoc(1, 5)
+        assert str(excinfo.value) == f"1:5: unexpected character {digit!r}"
+
+
+class TestErrorOrder:
+    def test_later_lex_error_wins_over_earlier_parse_error(self):
+        source = ("fun f(a) {\n"
+                  "  x = = 1;\n"
+                  + "  y = a;\n" * 6
+                  + "  z = $;\n"
+                  "}\n")
+        with pytest.raises(ParseError):
+            parse(source.replace("$", "1"))
+        with pytest.raises(LexError) as excinfo:
+            parse(source)
+        assert excinfo.value.loc == SourceLoc(9, 7)
 
 
 class TestParserDeclarations:
