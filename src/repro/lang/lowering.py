@@ -265,29 +265,17 @@ class _FunctionLowering:
         from repro import loops
 
         stats = self.loop_stats
-        if not loops.summarize.loop_eligible(stmt):
+        shape = loops.loop_shape(stmt)
+        if shape is None:
             if stats is not None:
                 stats.fallback_unrolls += 1
             return False
-        reads, writes = loops.summarize.loop_names(stmt)
-        seed_kinds: dict[str, tuple] = {}
-        for name in sorted(reads | writes):
-            operand = self._env.get(name)
-            if operand is None:
-                continue  # loop-local; reads-before-def fail over to unroll
-            const = operand if isinstance(operand, Const) else \
-                self._const_defs.get(operand.name)
-            if const is not None and not const.is_null:
-                tag = "cb" if const.type is VarType.BOOL else "ci"
-                seed_kinds[name] = (tag, const.value)
-            else:
-                kind = "bool" if _op_type(operand) is VarType.BOOL else "int"
-                seed_kinds[name] = ("v", kind)
+        kinds = tuple(self._seed_kind(name) for name in shape.names)
         cache = self.summary_cache
         if cache is None:
             from repro.loops import SummaryCache
             cache = self.summary_cache = SummaryCache()
-        recipe = cache.summarize(stmt, seed_kinds,
+        recipe = cache.summarize(shape, kinds,
                                  width=self.config.width,
                                  depth=self.config.loop_unroll,
                                  loop_paths=self.config.loop_paths,
@@ -301,6 +289,17 @@ class _FunctionLowering:
         if stats is not None:
             stats.loops_summarized += 1
         return True
+
+    def _seed_kind(self, name: str) -> Optional[tuple]:
+        """How the loop summarizer seeds ``name`` (a ``SeedKind``)."""
+        operand = self._env.get(name)
+        if operand is None:
+            return None  # loop-local; reads-before-def fail over to unroll
+        const = operand if isinstance(operand, Const) else \
+            self._const_defs.get(operand.name)
+        if const is not None and not const.is_null:
+            return ("cb" if const.type is VarType.BOOL else "ci", const.value)
+        return ("v", "bool" if _op_type(operand) is VarType.BOOL else "int")
 
     def _lower_unrolled_while(self, stmt: ast.WhileStmt,
                               out: list[Stmt]) -> None:

@@ -20,14 +20,14 @@ budgets exceeded) fall back to classic unrolling per loop.
 See docs/loops.md for the strategy/budget/fallback contract.
 """
 
-from repro.loops.summarize import (LoopStats, SummaryCache, SummaryRecipe,
-                                   summarize_loop)
+from repro.loops.summarize import (LoopShape, LoopStats, SummaryCache,
+                                   SummaryRecipe, loop_shape, summarize_loop)
 from repro.loops.emit import emit_summary
 
 #: Valid ``--loop-strategy`` values, in precedence order.
 LOOP_STRATEGIES = ("summaries", "unroll")
 
 __all__ = [
-    "LOOP_STRATEGIES", "LoopStats", "SummaryCache", "SummaryRecipe",
-    "emit_summary", "summarize_loop",
+    "LOOP_STRATEGIES", "LoopShape", "LoopStats", "SummaryCache",
+    "SummaryRecipe", "emit_summary", "loop_shape", "summarize_loop",
 ]

@@ -31,8 +31,8 @@ Design rules that keep checker verdicts aligned with the unrolled IR:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 from repro.lang import ast_nodes as ast
 from repro.lang.ir import BinOp
@@ -77,138 +77,103 @@ class LoopStats:
 class SummaryRecipe:
     """Everything the emitter needs to splice one loop summary into IR.
 
-    ``placeholders`` maps the term id of each opaque input variable back
-    to the surface name it stands for; the emitter substitutes the
-    lowering environment's operand for it, so the recipe itself is
-    reusable across unroll copies and across edits that only move the
-    loop (the cache key canonicalizes seeds by kind, not by SSA name).
+    ``placeholders`` maps the term id of each opaque input variable to
+    the variable it stands for, and ``outputs`` pairs each variable the
+    loop writes with its exit value; the emitter substitutes the lowering
+    environment's operand for every placeholder.  The cache stores
+    recipes in canonical names (``v0``, ``v1``, ... as in
+    :class:`LoopShape`) and hands out :meth:`renamed` copies, so one
+    recipe serves every spelling of a loop shape, every unroll copy of an
+    enclosing loop and every edit that only moves the loop.
     """
 
     placeholders: dict[int, str]
     outputs: list[tuple[str, Term]]
     observables: list[tuple[Term, Term]]
     paths: int
-    sat_checks: int
+
+    def renamed(self, names: tuple[str, ...]) -> "SummaryRecipe":
+        """This canonical recipe with each ``vK`` spelled ``names[K]``.
+
+        Outputs come back sorted by surface name: the emitter numbers its
+        ``%ls`` temporaries in output order and shares subterms across
+        outputs, so this order keeps the IR independent of which spelling
+        of the loop filled the cache.
+        """
+        surface = {f"v{k}": name for k, name in enumerate(names)}
+        return SummaryRecipe(
+            placeholders={tid: surface[name]
+                          for tid, name in self.placeholders.items()},
+            outputs=sorted(((surface[name], term)
+                            for name, term in self.outputs),
+                           key=lambda output: output[0]),
+            observables=self.observables,
+            paths=self.paths,
+        )
 
 
 #: Seed kinds: ("ci", value) / ("cb", value) for known integer / boolean
 #: constants, ("v", "int"|"bool") for opaque inputs (including ``null``
-#: constants, which must stay opaque so null value-flow survives).
-SeedKind = tuple
+#: constants, which must stay opaque so null value-flow survives), and
+#: ``None`` for loop-locals, which are not seeded.
+SeedKind = Optional[tuple]
 
 
-def loop_eligible(stmt: ast.WhileStmt) -> bool:
-    """Cheap syntactic gate: bodies with calls, returns, nested loops,
-    null literals or bare expression statements always unroll."""
-    return _eligible_expr(stmt.cond) and _eligible_block(stmt.body)
+class LoopShape(NamedTuple):
+    """A loop up to a consistent renaming of its variables.
+
+    ``key`` is the loop's s-expression with every identifier, read or
+    assigned, spelled by its first-appearance number, so
+    ``while (i < n) { i = i + 4; }`` and ``while (j < m) { j = j + 4; }``
+    share one key.  ``names`` lists the surface identifiers in that
+    order: ``names[K]`` is the variable the key calls ``vK``.
+    """
+
+    stmt: ast.WhileStmt
+    key: str
+    names: tuple[str, ...]
 
 
-def _eligible_expr(expr: ast.Expr) -> bool:
-    if isinstance(expr, (ast.IntLit, ast.BoolLit, ast.Name)):
-        return True
-    if isinstance(expr, ast.UnaryExpr):
-        return _eligible_expr(expr.operand)
-    if isinstance(expr, ast.BinExpr):
-        return _eligible_expr(expr.lhs) and _eligible_expr(expr.rhs)
-    return False  # CallExpr, NullLit
+def loop_shape(stmt: ast.WhileStmt) -> Optional[LoopShape]:
+    """One walk over ``stmt``; ``None`` means it always unrolls (bodies
+    with calls, returns, nested loops, null literals or bare expression
+    statements)."""
+    numbers: dict[str, int] = {}
 
+    def name(ident: str) -> str:
+        return f"v{numbers.setdefault(ident, len(numbers))}"
 
-def _eligible_block(stmts: list[ast.Statement]) -> bool:
-    for stmt in stmts:
-        if isinstance(stmt, ast.AssignStmt):
-            if not _eligible_expr(stmt.value):
-                return False
-        elif isinstance(stmt, ast.IfStmt):
-            if not (_eligible_expr(stmt.cond)
-                    and _eligible_block(stmt.then_body)
-                    and _eligible_block(stmt.else_body)):
-                return False
-        else:  # WhileStmt, ReturnStmt, ExprStmt
-            return False
-    return True
+    def expr(node: ast.Expr) -> str:
+        if isinstance(node, ast.Name):
+            return f"(n {name(node.ident)})"
+        if isinstance(node, ast.IntLit):
+            return f"(i {node.value})"
+        if isinstance(node, ast.BoolLit):
+            return f"(b {int(node.value)})"
+        if isinstance(node, ast.UnaryExpr):
+            return f"(u{node.op} {expr(node.operand)})"
+        if isinstance(node, ast.BinExpr):
+            return f"({node.op.value} {expr(node.lhs)} {expr(node.rhs)})"
+        raise _Ineligible  # CallExpr, NullLit
 
+    def block(stmts: list[ast.Statement]) -> str:
+        parts = []
+        for node in stmts:
+            if isinstance(node, ast.AssignStmt):
+                parts.append(f"(= {name(node.target)} {expr(node.value)})")
+            elif isinstance(node, ast.IfStmt):
+                parts.append(f"(if {expr(node.cond)} "
+                             f"({block(node.then_body)}) "
+                             f"({block(node.else_body)}))")
+            else:  # WhileStmt, ReturnStmt, ExprStmt
+                raise _Ineligible
+        return " ".join(parts)
 
-def loop_names(stmt: ast.WhileStmt) -> tuple[set[str], set[str]]:
-    """(names read anywhere, names assigned anywhere) in cond + body."""
-    reads: set[str] = set()
-    writes: set[str] = set()
-    _expr_names(stmt.cond, reads)
-    _block_names(stmt.body, reads, writes)
-    return reads, writes
-
-
-def _expr_names(expr: ast.Expr, reads: set[str]) -> None:
-    if isinstance(expr, ast.Name):
-        reads.add(expr.ident)
-    elif isinstance(expr, ast.UnaryExpr):
-        _expr_names(expr.operand, reads)
-    elif isinstance(expr, ast.BinExpr):
-        _expr_names(expr.lhs, reads)
-        _expr_names(expr.rhs, reads)
-    elif isinstance(expr, ast.CallExpr):
-        for arg in expr.args:
-            _expr_names(arg, reads)
-
-
-def _block_names(stmts: list[ast.Statement], reads: set[str],
-                 writes: set[str]) -> None:
-    for stmt in stmts:
-        if isinstance(stmt, ast.AssignStmt):
-            _expr_names(stmt.value, reads)
-            writes.add(stmt.target)
-        elif isinstance(stmt, ast.IfStmt):
-            _expr_names(stmt.cond, reads)
-            _block_names(stmt.then_body, reads, writes)
-            _block_names(stmt.else_body, reads, writes)
-        elif isinstance(stmt, ast.WhileStmt):
-            _expr_names(stmt.cond, reads)
-            _block_names(stmt.body, reads, writes)
-
-
-# --------------------------------------------------------------------- #
-# Canonical AST dump (cache key component)
-# --------------------------------------------------------------------- #
-
-def dump_while(stmt: ast.WhileStmt) -> str:
-    body = " ".join(_dump_stmt(s) for s in stmt.body)
-    return f"(while {_dump_expr(stmt.cond)} ({body}))"
-
-
-def _dump_expr(expr: ast.Expr) -> str:
-    if isinstance(expr, ast.IntLit):
-        return f"(i {expr.value})"
-    if isinstance(expr, ast.BoolLit):
-        return f"(b {int(expr.value)})"
-    if isinstance(expr, ast.NullLit):
-        return "(null)"
-    if isinstance(expr, ast.Name):
-        return f"(n {expr.ident})"
-    if isinstance(expr, ast.UnaryExpr):
-        return f"(u{expr.op} {_dump_expr(expr.operand)})"
-    if isinstance(expr, ast.BinExpr):
-        return (f"({expr.op.value} {_dump_expr(expr.lhs)} "
-                f"{_dump_expr(expr.rhs)})")
-    if isinstance(expr, ast.CallExpr):
-        args = " ".join(_dump_expr(a) for a in expr.args)
-        return f"(call {expr.callee} {args})"
-    return f"(? {type(expr).__name__})"
-
-
-def _dump_stmt(stmt: ast.Statement) -> str:
-    if isinstance(stmt, ast.AssignStmt):
-        return f"(= {stmt.target} {_dump_expr(stmt.value)})"
-    if isinstance(stmt, ast.IfStmt):
-        then = " ".join(_dump_stmt(s) for s in stmt.then_body)
-        other = " ".join(_dump_stmt(s) for s in stmt.else_body)
-        return f"(if {_dump_expr(stmt.cond)} ({then}) ({other}))"
-    if isinstance(stmt, ast.WhileStmt):
-        return dump_while(stmt)
-    if isinstance(stmt, ast.ReturnStmt):
-        value = _dump_expr(stmt.value) if stmt.value is not None else ""
-        return f"(ret {value})"
-    if isinstance(stmt, ast.ExprStmt):
-        return f"(expr {_dump_expr(stmt.expr)})"
-    return f"(? {type(stmt).__name__})"
+    try:
+        key = f"(while {expr(stmt.cond)} ({block(stmt.body)}))"
+    except _Ineligible:
+        return None
+    return LoopShape(stmt, key, tuple(numbers))
 
 
 # --------------------------------------------------------------------- #
@@ -224,17 +189,23 @@ class _PathState:
 
 
 class _Summarizer:
-    def __init__(self, manager: TermManager, stmt: ast.WhileStmt,
-                 seed_kinds: dict[str, SeedKind], width: int, depth: int,
+    """Explores one loop in canonical names: the state maps ``vK`` (see
+    :class:`LoopShape`), so the recipe it builds fits every spelling."""
+
+    def __init__(self, manager: TermManager, shape: LoopShape,
+                 kinds: tuple[SeedKind, ...], width: int, depth: int,
                  loop_paths: int) -> None:
         self.mgr = manager
-        self.stmt = stmt
+        self.stmt = shape.stmt
+        self.canonical = {name: f"v{k}" for k, name in enumerate(shape.names)}
         self.width = width
         self.depth = depth
         self.loop_paths = loop_paths
         self.placeholders: dict[int, str] = {}
         self.seed_terms: dict[str, Term] = {}
-        for name, kind in seed_kinds.items():
+        for name, kind in zip(self.canonical.values(), kinds):
+            if kind is None:
+                continue
             if kind[0] == "ci":
                 term = manager.bv_const(kind[1], width)
             elif kind[0] == "cb":
@@ -342,7 +313,7 @@ class _Summarizer:
         if isinstance(expr, ast.BoolLit):
             return mgr.bool_const(expr.value)
         if isinstance(expr, ast.Name):
-            term = state.env.get(expr.ident)
+            term = state.env.get(self.canonical[expr.ident])
             if term is None:
                 raise _Ineligible  # the unroll fallback reports the error
             return term
@@ -408,7 +379,8 @@ class _Summarizer:
         for stmt in block:
             if isinstance(stmt, ast.AssignStmt):
                 for state in states:
-                    state.env[stmt.target] = self._eval(stmt.value, state)
+                    state.env[self.canonical[stmt.target]] = \
+                        self._eval(stmt.value, state)
                 continue
             if not isinstance(stmt, ast.IfStmt):
                 raise _Ineligible
@@ -485,12 +457,10 @@ class _Summarizer:
             # the unroll fallback path.
             return None
 
-        write_names = sorted(
-            name for name in self.seed_terms
-            if any(env.get(name) is not self.seed_terms[name]
-                   for _, env in exits))
         outputs: list[tuple[str, Term]] = []
-        for name in write_names:
+        for name, seed in self.seed_terms.items():
+            if all(env.get(name) is seed for _, env in exits):
+                continue  # not written on any path
             merged = exits[-1][1][name]
             for guard, env in reversed(exits[:-1]):
                 merged = self._fold(self.mgr.ite(guard, env[name], merged))
@@ -501,26 +471,31 @@ class _Summarizer:
             observables=[(entry[0], entry[1])
                          for entry in self.observables.values()],
             paths=len(exits),
-            sat_checks=self.sat_checks,
         )
 
 
-def summarize_loop(manager: TermManager, stmt: ast.WhileStmt,
-                   seed_kinds: dict[str, SeedKind], *, width: int,
-                   depth: int, loop_paths: int) -> Optional[SummaryRecipe]:
-    """Summarize one loop; ``None`` means "fall back to unrolling"."""
-    return _Summarizer(manager, stmt, seed_kinds, width, depth,
-                       loop_paths).run()
+def summarize_loop(manager: TermManager, shape: LoopShape,
+                   kinds: tuple[SeedKind, ...], *, width: int, depth: int,
+                   loop_paths: int) -> tuple[Optional[SummaryRecipe], int]:
+    """Summarize one loop in canonical names: (recipe, SAT checks run).
+    A ``None`` recipe means "fall back to unrolling"; ``kinds[K]`` seeds
+    ``shape.names[K]``."""
+    summarizer = _Summarizer(manager, shape, kinds, width, depth, loop_paths)
+    return summarizer.run(), summarizer.sat_checks
 
 
 class SummaryCache:
     """Per-session recipe cache, hot across edits.
 
-    Keys canonicalize the loop by its AST dump plus the *kinds* of its
-    seeds (constant values matter; opaque variable names do not), so the
-    same loop body re-summarizes for free after unrelated edits, across
-    unroll copies of an enclosing loop, and across tenants sharing a
-    session.  Failed summarizations are cached too (negative entries).
+    Keys hold the loop's alpha-canonical shape (:class:`LoopShape`), the
+    *kinds* of its seeds by canonical name (constant values matter, since
+    they fold trip counts; variable spellings do not), and the
+    ``(width, depth, loop_paths)`` configuration.  So a loop shape is
+    explored once however its variables are spelled, after unrelated
+    edits, across unroll copies of an enclosing loop, and across tenants
+    sharing a session.  Failed summarizations are cached too (negative
+    entries).  Recipes are stored in canonical names; every return maps
+    them back to the caller's names (:meth:`SummaryRecipe.renamed`).
     """
 
     def __init__(self) -> None:
@@ -533,24 +508,27 @@ class SummaryCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def summarize(self, stmt: ast.WhileStmt, seed_kinds: dict[str, SeedKind],
+    def summarize(self, shape: LoopShape, kinds: tuple[SeedKind, ...],
                   *, width: int, depth: int, loop_paths: int,
                   stats: Optional[LoopStats] = None
                   ) -> Optional[SummaryRecipe]:
-        key = (dump_while(stmt), tuple(sorted(seed_kinds.items())),
-               width, depth, loop_paths)
+        """The recipe for ``shape`` in its surface names, or ``None``;
+        ``kinds[K]`` seeds ``shape.names[K]``."""
+        key = (shape.key, kinds, width, depth, loop_paths)
         with self._lock:
             if key in self._entries:
                 self.hits += 1
                 if stats is not None:
                     stats.summary_cache_hits += 1
-                return self._entries[key]
-            self.misses += 1
-            recipe = summarize_loop(self.manager, stmt, seed_kinds,
-                                    width=width, depth=depth,
-                                    loop_paths=loop_paths)
-            self._entries[key] = recipe
-            if stats is not None and recipe is not None:
-                stats.paths_enumerated += recipe.paths
-                stats.sat_checks += recipe.sat_checks
-            return recipe
+                recipe = self._entries[key]
+            else:
+                self.misses += 1
+                recipe, sat_checks = summarize_loop(
+                    self.manager, shape, kinds, width=width, depth=depth,
+                    loop_paths=loop_paths)
+                self._entries[key] = recipe
+                if stats is not None:
+                    stats.sat_checks += sat_checks
+                    if recipe is not None:
+                        stats.paths_enumerated += recipe.paths
+        return None if recipe is None else recipe.renamed(shape.names)

@@ -670,7 +670,8 @@ async def _serve_client(app: ServeApp, reader: asyncio.StreamReader,
                           f"Connection: close\r\n\r\n").encode())
             streamed = 0
             # count=0 streams until the client disconnects or the
-            # daemon drains; each line is one full schema /9 snapshot.
+            # daemon drains; each line is one full snapshot in the
+            # repro.exec.telemetry.SCHEMA format.
             while not app.stopped.is_set():
                 app._sync_gauges()
                 snapshot = json.dumps(app.telemetry.as_dict())

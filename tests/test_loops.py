@@ -2,7 +2,9 @@
 
 Covers: the summary/unroll semantic-equivalence contract on hand-written
 loops, every fallback-to-unroll rule, observable (division) emission,
-the cross-edit summary cache, the loop-lowering telemetry counters, and
+the cross-edit summary cache and its alpha-canonical keys (renamed loops
+share one entry, with IR equal to a cache that never hits), the
+loop-lowering telemetry counters, and
 the recursion-limit regression of the legacy unroll path (a free-bound
 loop at ``--unroll 2000`` used to blow the Python stack).
 """
@@ -336,6 +338,94 @@ class TestSummaryCache:
         assert second.loop_stats.fallback_unrolls == 1
         assert second.loop_stats.summary_cache_hits == 1
         assert cache.hits == 1 and cache.misses == 1
+        # The overflowing exploration ran its feasibility solves before
+        # giving up, and the miss counts them; the hit runs none.
+        assert first.loop_stats.sat_checks > 0
+        assert second.loop_stats.sat_checks == 0
+
+
+class NeverHitCache(SummaryCache):
+    """Summarizes every loop afresh, numbering its variables in sorted
+    surface order, so its recipes need no re-sort on the way out."""
+
+    def summarize(self, shape, kinds, **config):
+        order = sorted(range(len(shape.names)), key=shape.names.__getitem__)
+        sorted_shape = shape._replace(
+            names=tuple(shape.names[k] for k in order))
+        return SummaryCache().summarize(
+            sorted_shape, tuple(kinds[k] for k in order), **config)
+
+
+class TestAlphaCanonicalKeys:
+    """Loops that differ only in variable spelling share one entry."""
+
+    RENAMED = """
+    fun f(n, k) {
+      a = k;
+      b = k - 1;
+      while (b < n) {
+        b = b + 1;
+        if (k > 9) { a = a + 2; } else { a = a + b; }
+      }
+      return a + b;
+    }
+
+    fun g(m, k) {
+      x = k;
+      y = k - 1;
+      while (y < m) {
+        y = y + 1;
+        if (k > 9) { x = x + 2; } else { x = x + y; }
+      }
+      return x + y;
+    }
+    """
+
+    @staticmethod
+    def compile_with(source: str, cache: SummaryCache, depth: int = 2):
+        return compile_source(source, LoweringConfig(
+            loop_unroll=depth, summary_cache=cache))
+
+    def test_renamed_loop_hits_with_identical_ir(self):
+        from repro.lang.pretty import format_program
+
+        # `b` is numbered before `a`, `y` before `x`: canonical order is
+        # not surface order, so the hit must re-sort its outputs.
+        cache = SummaryCache()
+        shared = self.compile_with(self.RENAMED, cache)
+        assert (cache.misses, cache.hits) == (1, 1)
+        assert shared.loop_stats.loops_summarized == 2
+        fresh = self.compile_with(self.RENAMED, NeverHitCache())
+        assert format_program(shared) == format_program(fresh)
+
+    @pytest.mark.parametrize("seeds", [
+        ("i = 0; j = k;", "i = 1; j = k;"),              # constant value
+        ("i = k + 1; j = k + 2;", "i = k > 1; j = k > 2;"),  # int vs bool
+    ])
+    def test_seed_value_or_kind_change_misses(self, seeds):
+        source = "\n".join(f"""
+        fun f{n}(k) {{
+          {seed}
+          while (i != j) {{ i = j; }}
+          return 0;
+        }}""" for n, seed in enumerate(seeds))
+        cache = SummaryCache()
+        program = self.compile_with(source, cache)
+        assert program.loop_stats.loops_summarized == 2
+        assert (cache.misses, cache.hits) == (2, 0)
+
+    @pytest.mark.parametrize("depth", [2, 8])
+    def test_shared_cache_matches_never_hit_cache_on_fuzz_corpus(self, depth):
+        from repro.bench.generator import loop_heavy_source
+        from repro.lang.pretty import format_program
+
+        shared = SummaryCache()
+        for seed in range(25):
+            source = loop_heavy_source(9000 + seed, functions=3)
+            assert format_program(self.compile_with(source, shared, depth)) \
+                == format_program(self.compile_with(source, NeverHitCache(),
+                                                    depth)), seed
+        assert shared.hits > shared.misses
 
 
 class TestUnrollRecursionRegression:
