@@ -228,8 +228,8 @@ class AnalysisSession:
         :meth:`repro.pdg.reduce.ViewRegistry.adopt`), so a hot session
         pays view construction only for the checkers an edit can affect.
         """
+        from repro.exec.store import ProgramIndex
         from repro.fusion import prepare_pdg
-        from repro.lang.fingerprint import program_keys
 
         if self._summary_cache is None \
                 and self.settings.loop_strategy == "summaries":
@@ -247,9 +247,11 @@ class AnalysisSession:
         if old_engine is not None and old_pdg is not None \
                 and getattr(old_engine, "views", None) is not None \
                 and getattr(engine, "views", None) is not None:
+            # The old version's keys were built by its binds; the new
+            # index is reused by every bind on the new version.
             engine.views.adopt(old_engine.views,
-                               program_keys(old_pdg.program),
-                               program_keys(pdg.program),
+                               ProgramIndex.of(old_pdg).content,
+                               ProgramIndex.of(pdg).content,
                                pdg.program)
         self.source, self.pdg, self.engine = source, pdg, engine
         self._query_cache.clear()

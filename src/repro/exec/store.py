@@ -48,7 +48,8 @@ edit), and the direct callers of interface-changed functions (they read
 the stale summary).  The dirty set is reported through telemetry
 (``store.dirty_functions``); replay decisions themselves always re-check
 the per-entry dependency records, so correctness never rests on the
-call-graph propagation.
+call-graph propagation.  The keys are derived once per program version
+(:class:`ProgramIndex`); the diff and the record read run on every bind.
 
 Corruption policy: every persisted payload carries a sha256 checksum
 verified on read.  A file that is torn, truncated, bit-flipped, or
@@ -94,6 +95,83 @@ def _sha(payload: str) -> str:
 
 def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+#: Interface key of a function the program does not define.
+ABSENT_INTERFACE = _sha(_canonical({"exists": False}))
+
+
+def _interface_key(pdg: ProgramDependenceGraph, quickpaths,
+                   name: str) -> str:
+    """What a query can read from ``name`` without slicing it."""
+    fn = pdg.program.functions.get(name)
+    if fn is None:
+        return ABSENT_INTERFACE
+    summary = quickpaths.summary(name)
+    ret = pdg.return_vertex(name)
+    record = {
+        "exists": True,
+        "params": [[p.name, p.type.value] for p in fn.params],
+        "return": None if ret is None
+        else [ret.var.name, ret.var.type.value],
+        # Havoc provenance ids are run-local; only the shape matters
+        # for the constraints a summary produces.
+        "summary": [summary.shape.value, summary.scale,
+                    summary.param_index, summary.offset],
+    }
+    return _sha(_canonical(record))
+
+
+class ProgramIndex:
+    """The store's keys for one program version, derived once per PDG.
+
+    Everything here is a function of the PDG alone, so every bind on
+    one version (each ``analyze``, each demand query) and the version's
+    view adoption share one instance.  :meth:`of` caches it on the PDG
+    (``pdg.store_index``): it lives exactly as long as the version it
+    describes, holds no reference back to the PDG, and is never pickled
+    into process workers.
+    """
+
+    def __init__(self, pdg: ProgramDependenceGraph) -> None:
+        # Imported here: repro.fusion imports the engine skeleton, which
+        # imports this package.
+        from repro.fusion.quickpath import QuickPathTable
+
+        program = pdg.program
+        quickpaths = QuickPathTable(pdg)
+        self.content: dict[str, str] = program_keys(program)
+        self.interface: dict[str, str] = {}
+        self.callees: dict[str, tuple[str, ...]] = {}
+        for name, fn in program.functions.items():
+            self.interface[name] = _interface_key(pdg, quickpaths, name)
+            self.callees[name] = tuple(sorted(
+                {s.callee for s in fn.statements()
+                 if isinstance(s, Call)}))
+        #: The per-function records a commit persists.
+        self.records: dict[str, dict] = {
+            name: {"content": self.content[name],
+                   "interface": self.interface[name]}
+            for name in sorted(self.content)}
+        # Stable coordinates: a vertex is (its function, its position
+        # in that function); one list slot per vertex index keeps the
+        # index small enough to live as long as the PDG.
+        self.position: list[Optional[int]] = [None] * pdg.num_vertices
+        for name in program.functions:
+            for position, vertex in enumerate(pdg.function_vertices(name)):
+                self.position[vertex.index] = position
+        self.site: dict[int, tuple[str, int]] = {
+            site_id: (site.call_vertex.function,
+                      self.position[site.call_vertex.index])
+            for site_id, site in pdg.callsites.items()}
+
+    @classmethod
+    def of(cls, pdg: ProgramDependenceGraph) -> "ProgramIndex":
+        """The PDG's index, built on first use.  Two racing first uses
+        build equal indexes; either may stay."""
+        if pdg.store_index is None:
+            pdg.store_index = cls(pdg)
+        return pdg.store_index
 
 
 @dataclass
@@ -280,7 +358,8 @@ class ArtifactStore:
     def bind(self, pdg: ProgramDependenceGraph, fingerprint: dict,
              checker: str, telemetry: Optional["Telemetry"] = None
              ) -> "StoreBinding":
-        """Prepare one run: compute current keys, diff against the
+        """Prepare one run: look up the program version's keys (derived
+        once per PDG, see :class:`ProgramIndex`), diff them against the
         persisted records, and hand back the replay/commit hooks the
         driver calls."""
         binding = StoreBinding(self, pdg, fingerprint, checker, telemetry)
@@ -303,54 +382,15 @@ class StoreBinding:
         self.config_key = _sha(_canonical(dict(
             fingerprint, store_schema=STORE_SCHEMA,
             fingerprint_version=FINGERPRINT_VERSION)))
-
-        # Imported here: repro.fusion imports the engine skeleton, which
-        # imports this package.
-        from repro.fusion.quickpath import QuickPathTable
-
-        program = pdg.program
-        self._content = program_keys(program)
-        self._quickpaths = QuickPathTable(pdg)
-        self._interface: dict[str, str] = {}
-        self._callees: dict[str, tuple[str, ...]] = {}
-        for name, fn in program.functions.items():
-            self._interface[name] = self._interface_key(name)
-            self._callees[name] = tuple(sorted(
-                {s.callee for s in fn.statements()
-                 if isinstance(s, Call)}))
-        # Stable coordinates for vertices and call sites.
-        self._ordinal: dict[int, tuple[str, int]] = {}
-        for name in program.functions:
-            for position, vertex in enumerate(pdg.function_vertices(name)):
-                self._ordinal[vertex.index] = (name, position)
-        self._site: dict[int, tuple[str, int]] = {
-            site_id: self._ordinal[site.call_vertex.index]
-            for site_id, site in pdg.callsites.items()}
-
+        self.index = ProgramIndex.of(pdg)
+        #: The verified records this bind read (None when cold or
+        #: unreadable); ``commit`` rewrites them only when they differ.
+        self._previous = store.read_function_records(self.config_key)
         self._compute_dirty()
         self._replayed: set[int] = set()
         self._uncacheable: set[int] = set()
 
     # -- key derivation -------------------------------------------------- #
-
-    def _interface_key(self, name: str) -> str:
-        """What a query can read from ``name`` without slicing it."""
-        fn = self.pdg.program.functions.get(name)
-        if fn is None:
-            return _sha(_canonical({"exists": False}))
-        summary = self._quickpaths.summary(name)
-        ret = self.pdg.return_vertex(name)
-        record = {
-            "exists": True,
-            "params": [[p.name, p.type.value] for p in fn.params],
-            "return": None if ret is None
-            else [ret.var.name, ret.var.type.value],
-            # Havoc provenance ids are run-local; only the shape matters
-            # for the constraints a summary produces.
-            "summary": [summary.shape.value, summary.scale,
-                        summary.param_index, summary.offset],
-        }
-        return _sha(_canonical(record))
 
     def candidate_key(self, candidate: BugCandidate) -> Optional[str]:
         """Entry key of one candidate, or None when the path touches a
@@ -358,6 +398,7 @@ class StoreBinding:
         collected over this PDG, but corrupted inputs must miss)."""
         frames: dict[int, int] = {}
         signatures: list[list] = []
+        sites, positions = self.index.site, self.index.position
 
         def visit(frame) -> int:
             known = frames.get(frame.fid)
@@ -366,7 +407,7 @@ class StoreBinding:
             parent = visit(frame.parent) if frame.parent is not None else -1
             site = None
             if frame.callsite is not None:
-                site = self._site.get(frame.callsite)
+                site = sites.get(frame.callsite)
                 if site is None:
                     return -2
             canonical = len(signatures)
@@ -377,11 +418,13 @@ class StoreBinding:
 
         steps = []
         for step in candidate.path.steps:
-            coordinate = self._ordinal.get(step.vertex.index)
+            vertex = step.vertex
+            position = positions[vertex.index] \
+                if vertex.index < len(positions) else None
             canonical = visit(step.frame)
-            if coordinate is None or canonical < 0:
+            if position is None or canonical < 0:
                 return None
-            steps.append([coordinate, canonical])
+            steps.append([[vertex.function, position], canonical])
         payload = _canonical({"checker": candidate.checker,
                               "steps": steps, "frames": signatures})
         return _sha(f"{self.config_key}\n{self.checker}\n{payload}")
@@ -394,50 +437,51 @@ class StoreBinding:
             the_slice = compute_slice(self.pdg, [candidate.path])
         except Exception:
             return None
+        index = self.index
         strong = {step.vertex.function for step in candidate.path.steps}
         strong.update(the_slice.needed)
-        strong = {fn for fn in strong if fn in self._content}
+        strong = {fn for fn in strong if fn in index.content}
         weak: set[str] = set()
         worklist = list(strong)
         while worklist:
-            for callee in self._callees.get(worklist.pop(), ()):
+            for callee in index.callees.get(worklist.pop(), ()):
                 if callee in strong or callee in weak:
                     continue
                 weak.add(callee)
                 worklist.append(callee)
         return {
-            "content": {fn: self._content[fn] for fn in sorted(strong)},
-            "interface": {fn: self._interface.get(fn,
-                                                  self._interface_key(fn))
+            "content": {fn: index.content[fn] for fn in sorted(strong)},
+            "interface": {fn: index.interface.get(fn, ABSENT_INTERFACE)
                           for fn in sorted(weak)},
         }
 
     # -- dirty set -------------------------------------------------------- #
 
     def _compute_dirty(self) -> None:
-        previous = self.store.read_function_records(self.config_key)
+        previous = self._previous
         if previous is None:
             return  # cold: nothing recorded, nothing to invalidate
         self.stats.cold = False
-        names = set(previous) | set(self._content)
+        content, interface = self.index.content, self.index.interface
+        names = set(previous) | set(content)
         changed: set[str] = set()
         interface_changed: set[str] = set()
         for name in names:
             old = previous.get(name, {})
-            if old.get("content") != self._content.get(name):
+            if old.get("content") != content.get(name):
                 changed.add(name)
             old_iface = old.get("interface")
-            new_iface = self._interface.get(name)
-            if name not in previous or name not in self._content \
+            new_iface = interface.get(name)
+            if name not in previous or name not in content \
                     or old_iface != new_iface:
                 interface_changed.add(name)
         dirty = set(changed)
-        for name, callees in self._callees.items():
+        for name, callees in self.index.callees.items():
             if any(callee in interface_changed for callee in callees):
                 dirty.add(name)
         # Deleted functions' callers read a new "extern" interface.
-        deleted = set(previous) - set(self._content)
-        for name, callees in self._callees.items():
+        deleted = set(previous) - set(content)
+        for name, callees in self.index.callees.items():
             if any(callee in deleted for callee in callees):
                 dirty.add(name)
         self.stats.changed_functions = changed
@@ -480,11 +524,12 @@ class StoreBinding:
         interface = deps.get("interface")
         if not isinstance(content, dict) or not isinstance(interface, dict):
             return False
+        index = self.index
         for fn, key in content.items():
-            if self._content.get(fn) != key:
+            if index.content.get(fn) != key:
                 return False
         for fn, key in interface.items():
-            if self._interface.get(fn, self._interface_key(fn)) != key:
+            if index.interface.get(fn, ABSENT_INTERFACE) != key:
                 return False
         return True
 
@@ -522,7 +567,8 @@ class StoreBinding:
     def commit(self, candidates: list[BugCandidate],
                reports: dict[int, BugReport]) -> None:
         """Persist every verdict solved this run plus the per-function
-        records the next run's dirty-set diff needs."""
+        records the next run's dirty-set diff needs (rewritten only when
+        they differ from the verified records this bind read)."""
         for index, report in reports.items():
             if index in self._replayed or index in self._uncacheable:
                 continue
@@ -543,10 +589,9 @@ class StoreBinding:
                 },
             })
             self.stats.committed += 1
-        self.store.write_function_records(self.config_key, {
-            name: {"content": self._content[name],
-                   "interface": self._interface[name]}
-            for name in sorted(self._content)})
+        if self._previous != self.index.records:
+            self.store.write_function_records(self.config_key,
+                                              self.index.records)
         current = self.store.integrity_snapshot()
         base = self._integrity_base
         self.stats.corrupt_entries = (current["corrupt_entries"]

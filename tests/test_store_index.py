@@ -1,0 +1,239 @@
+"""The artifact store's per-version key index (`repro.exec.store`).
+
+Contract under test (docs/caching.md, "A warm run proceeds in three
+steps"):
+
+* a program version's store keys are derived once: every ``analyze``
+  and every demand query on one version share one
+  :class:`~repro.exec.store.ProgramIndex`, view adoption reuses the old
+  version's, and an edit builds exactly one more;
+* the index's keys are exactly what ``program_keys`` and a
+  per-function interface recomputation give;
+* entry keys and dependency records are unchanged by the index (a
+  store written before it replays in full);
+* a commit rewrites the per-function records only when they changed;
+* the index lives and dies with its PDG: it never keeps an old program
+  version alive and is never pickled into process workers.
+"""
+
+import gc
+import hashlib
+import json
+import pickle
+import re
+import weakref
+
+import pytest
+
+import repro.exec.store as store_module
+from repro.bench import SubjectSpec, generate_subject
+from repro.checkers import NullDereferenceChecker
+from repro.engine import AnalysisSession
+from repro.engine.core import CHECKER_FACTORIES
+from repro.exec import ArtifactStore
+from repro.exec.store import ABSENT_INTERFACE, ProgramIndex
+from repro.fusion import prepare_pdg
+from repro.fusion.quickpath import QuickPathTable
+from repro.lang import compile_source
+from repro.lang.fingerprint import program_keys
+from repro.query import resolve_sink_sites
+from repro.sparse.engine import SparseConfig, collect_candidates
+
+
+def fuzz_source(seed: int) -> str:
+    spec = SubjectSpec("store-index", seed=seed, num_functions=6,
+                       layers=2, avg_stmts=5, call_fanout=2,
+                       null_bugs=(1, 1, 1))
+    return generate_subject(spec).source
+
+
+def edit_one_constant(source: str) -> str:
+    edited, count = re.subn(r"\+ (\d+);",
+                            lambda m: f"+ {int(m.group(1)) + 1};",
+                            source, count=1)
+    assert count == 1, "generator produced no additive constant"
+    return edited
+
+
+def sink_lines(session) -> list[int]:
+    checker = NullDereferenceChecker()
+    return [line for line in range(1, session.source.count("\n") + 2)
+            if resolve_sink_sites(session.pdg, session.source, checker,
+                                  line)]
+
+
+@pytest.fixture
+def counters(monkeypatch):
+    """Count index builds, binds, and the programs ``program_keys`` ran
+    on."""
+    counts = {"indexes": 0, "binds": 0, "keyed": []}
+    build, bind, keys = (ProgramIndex.__init__, ArtifactStore.bind,
+                         store_module.program_keys)
+
+    def counting_build(self, pdg):
+        counts["indexes"] += 1
+        build(self, pdg)
+
+    def counting_bind(self, *args, **kwargs):
+        counts["binds"] += 1
+        return bind(self, *args, **kwargs)
+
+    def counting_keys(program):
+        counts["keyed"].append(program)
+        return keys(program)
+
+    monkeypatch.setattr(ProgramIndex, "__init__", counting_build)
+    monkeypatch.setattr(ArtifactStore, "bind", counting_bind)
+    monkeypatch.setattr(store_module, "program_keys", counting_keys)
+    return counts
+
+
+def test_one_index_per_program_version(tmp_path, counters):
+    source = fuzz_source(1)
+    session = AnalysisSession(source, store=ArtifactStore(str(tmp_path)))
+    for checker in CHECKER_FACTORIES:
+        session.analyze(checker)
+    lines = sink_lines(session)
+    assert len(lines) >= 2
+    for line in lines:
+        session.query("null-deref", sink=line)
+    assert counters["binds"] > len(CHECKER_FACTORIES), \
+        "no demand query reached the store"
+    assert counters["indexes"] == 1
+
+    old_program = session.pdg.program
+    binds = counters["binds"]
+    session.update_source(edit_one_constant(source))
+    for checker in CHECKER_FACTORIES:
+        session.analyze(checker)
+    assert counters["binds"] == binds + len(CHECKER_FACTORIES)
+    assert counters["indexes"] == 2
+    # The old version's keys came from its index, never recomputed.
+    assert sum(program is old_program
+               for program in counters["keyed"]) == 1
+
+
+def test_index_keys_match_fresh_derivation(tmp_path):
+    session = AnalysisSession(fuzz_source(2),
+                              store=ArtifactStore(str(tmp_path)))
+    session.analyze("null-deref")
+    pdg = session.pdg
+    index = pdg.store_index
+    assert index is ProgramIndex.of(pdg)
+    assert index.content == program_keys(pdg.program)
+    assert set(index.interface) == set(pdg.program.functions)
+    for name in pdg.program.functions:
+        # A fresh quick-path table per function: no shared memo.
+        assert index.interface[name] == store_module._interface_key(
+            pdg, QuickPathTable(pdg), name)
+    assert index.records == {
+        name: {"content": index.content[name],
+               "interface": index.interface[name]}
+        for name in pdg.program.functions}
+    assert [index.position[vertex.index] for vertex in pdg.vertices] == [
+        pdg.function_vertices(vertex.function).index(vertex)
+        for vertex in pdg.vertices]
+    absent = json.dumps({"exists": False}, sort_keys=True,
+                        separators=(",", ":"))
+    assert ABSENT_INTERFACE == hashlib.sha256(absent.encode()).hexdigest()
+
+
+#: A null value returned through a callee, so the path has a call frame.
+GOLDEN_SOURCE = """
+fun pass(v) {
+  w = v;
+  return w;
+}
+
+fun bar(x) {
+  y = x * 2;
+  return y;
+}
+
+fun foo(a, b) {
+  p = null;
+  q = pass(p);
+  c = bar(a);
+  if (c > b) {
+    deref(q);
+  }
+  return 0;
+}
+"""
+
+
+def test_entry_keys_and_deps_are_pinned(tmp_path):
+    """Entry keys and dependency records are part of the on-disk
+    format: a store written before the index existed must replay, so
+    these literals change only with STORE_SCHEMA or
+    FINGERPRINT_VERSION."""
+    pdg = prepare_pdg(compile_source(GOLDEN_SOURCE))
+    checker = NullDereferenceChecker()
+    candidates = collect_candidates(pdg, checker, SparseConfig())
+    assert len(candidates) == 1
+    [candidate] = candidates
+    assert any(step.frame.callsite is not None
+               for step in candidate.path.steps)
+    binding = ArtifactStore(str(tmp_path)).bind(
+        pdg, {"engine": "golden"}, checker.name)
+    assert binding.candidate_key(candidate) == (
+        "55373884d9fb5ffcd31dd9deaacd06c6f920dc48c6bc5de4aec7c2f6d81aa708")
+    assert binding.dependencies(candidate) == {
+        "content": {
+            "bar": "f43b245fb8e1ec67f3409f32256779e4"
+                   "632ef2345373c16743c3fe615e6fc074",
+            "foo": "728137856dde819a5836aaeeb4241b3e"
+                   "37b0f3dd92d4766df4feb73e9d1636af",
+            "pass": "7909054492569bf1613491d86682870f"
+                    "f9b37d4ab731cd24bf3a1b736d7e1b33",
+        },
+        "interface": {"deref": ABSENT_INTERFACE},
+    }
+
+
+def test_unchanged_records_are_not_rewritten(tmp_path, monkeypatch):
+    writes = []
+    write = ArtifactStore.write_function_records
+
+    def counting_write(self, config_key, records):
+        writes.append(config_key)
+        write(self, config_key, records)
+
+    monkeypatch.setattr(ArtifactStore, "write_function_records",
+                        counting_write)
+    source = fuzz_source(5)
+    store = ArtifactStore(str(tmp_path))
+    session = AnalysisSession(source, store=store)
+    session.analyze("null-deref")
+    assert len(writes) == 1 and store.last_run.cold
+    session.analyze("null-deref")
+    AnalysisSession(source, store=store).analyze("null-deref")
+    assert len(writes) == 1 and not store.last_run.cold
+    session.update_source(edit_one_constant(source))
+    session.analyze("null-deref")
+    assert len(writes) == 2
+
+
+def test_old_version_is_released_after_an_edit(tmp_path):
+    source = fuzz_source(3)
+    session = AnalysisSession(source, store=ArtifactStore(str(tmp_path)))
+    session.analyze("null-deref")
+    for line in sink_lines(session):
+        session.query("null-deref", sink=line)
+    assert session.pdg.store_index is not None
+    old_pdg = weakref.ref(session.pdg)
+    session.update_source(edit_one_constant(source))
+    gc.collect()
+    assert old_pdg() is None
+
+
+def test_index_is_never_pickled(tmp_path):
+    session = AnalysisSession(fuzz_source(4))
+    pdg = session.pdg
+    assert pdg.store_index is None
+    before = len(pickle.dumps(pdg))
+    ArtifactStore(str(tmp_path)).bind(pdg, {"engine": "fusion"},
+                                      "null-deref")
+    assert pdg.store_index is not None
+    assert len(pickle.dumps(pdg)) == before
+    assert pickle.loads(pickle.dumps(pdg)).store_index is None
