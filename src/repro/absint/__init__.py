@@ -1,23 +1,15 @@
-"""Sparse abstract interpretation over the PDG (the triage layer).
+"""Sparse abstract interpretation over the PDG.
 
 Public surface: the domains (:class:`Interval`, :class:`Nullness`,
-:class:`AbsValue`), the whole-graph fixpoint (:func:`analyze_pdg`), and
-the candidate triage API (:class:`CandidateTriage`) the engines call
-before scheduling SMT queries.
+:class:`AbsValue`) and the whole-graph fixpoint (:func:`analyze_pdg`)
+that div-zero's sources and the sparse views' seeding read.
 """
 
-from repro.absint.domains import (AbsValue, FixpointStats, Interval,
-                                  Nullness, TaintSpec, TriageStats)
-from repro.absint.fixpoint import (AbstractState, FixpointConfig,
-                                   analyze_pdg)
-from repro.absint.refine import SliceRefiner
+from repro.absint.domains import AbsValue, FixpointStats, Interval, Nullness
+from repro.absint.fixpoint import AbstractState, analyze_pdg
 from repro.absint.transfer import binary_interval
-from repro.absint.triage import (CandidateTriage, TriageConfig,
-                                 TriageDecision, TriageVerdict, make_triage)
 
 __all__ = [
-    "AbsValue", "AbstractState", "CandidateTriage", "FixpointConfig",
-    "FixpointStats", "Interval", "Nullness", "SliceRefiner", "TaintSpec",
-    "TriageConfig", "TriageDecision", "TriageStats", "TriageVerdict",
-    "analyze_pdg", "binary_interval", "make_triage",
+    "AbsValue", "AbstractState", "FixpointStats", "Interval", "Nullness",
+    "analyze_pdg", "binary_interval",
 ]

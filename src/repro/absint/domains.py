@@ -1,10 +1,10 @@
-"""Abstract domains for the sparse triage pass.
+"""Abstract domains for the sparse fixpoint (:mod:`repro.absint.fixpoint`).
 
 Three classic domains over the IR's ``2**width``-wrapped machine
 integers, combined as a reduced product (:class:`AbsValue`):
 
 * **Intervals** — signed value ranges ``[lo, hi]``.  This is the domain
-  triage verdicts rest on, so every transfer function must
+  div-zero's sources rest on, so every transfer function must
   over-approximate the SMT/interpreter semantics (``repro.smt.semantics``
   is the ground truth: wrapping add/sub/mul, *unsigned* division,
   *signed* comparisons, shift-past-width yields zero).
@@ -17,14 +17,13 @@ integers, combined as a reduced product (:class:`AbsValue`):
   ``Value.taints`` provenance.
 
 The lattices are deliberately value-only (no relations): relational
-reasoning happens in :mod:`repro.absint.refine`, per candidate, where the
-slice's requirements supply the relations.
+reasoning is the SMT stage's job.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -192,60 +191,11 @@ class AbsValue:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class TaintSpec:
-    """Which extern calls create and which launder taint labels.
-
-    Derived from the :class:`~repro.checkers.base.Checker` protocol when
-    the checker exposes ``source_calls``/``sanitizers`` (the
-    ``TaintChecker`` family); checkers without taint vocabulary get the
-    interpreter's built-in tables so abstract taints stay comparable with
-    concrete ``Value.taints`` provenance.
-    """
-
-    sources: frozenset = frozenset()
-    sanitizers: frozenset = frozenset()
-
-    @staticmethod
-    def default() -> "TaintSpec":
-        from repro.lang.interp import SANITIZERS, TAINT_SOURCES
-
-        return TaintSpec(frozenset(TAINT_SOURCES), frozenset(SANITIZERS))
-
-    @staticmethod
-    def from_checker(checker: object) -> "TaintSpec":
-        sources = getattr(checker, "source_calls", None)
-        sanitizers = getattr(checker, "sanitizers", None)
-        if sources is None:
-            return TaintSpec.default()
-        return TaintSpec(frozenset(sources),
-                         frozenset(sanitizers or frozenset()))
-
-
 @dataclass
 class FixpointStats:
-    """Telemetry for one fixpoint run (feeds the triage counters)."""
+    """Cost counters for one fixpoint run."""
 
     iterations: int = 0
     widenings: int = 0
     seconds: float = 0.0
     vertices: int = 0
-
-    def as_dict(self) -> dict:
-        return {"iterations": self.iterations, "widenings": self.widenings,
-                "seconds": self.seconds, "vertices": self.vertices}
-
-
-@dataclass
-class TriageStats:
-    """Aggregate triage outcomes for one analysis run."""
-
-    decided_infeasible: int = 0
-    decided_feasible: int = 0
-    sent_to_smt: int = 0
-    refinement_steps: int = 0
-    fixpoint: FixpointStats = field(default_factory=FixpointStats)
-
-    @property
-    def decided(self) -> int:
-        return self.decided_infeasible + self.decided_feasible

@@ -9,19 +9,22 @@ where the dependence representation puts them:
 * **gated-ite joins** — an ``ite`` vertex joins its arms, but consults
   the condition's abstract value first: a condition proven constant keeps
   only the live arm (the "gated" part of gated SSA);
-* **context-tagged call/return edges** — call edges carry their
-  parenthesis label, and the per-call-site actual values are recorded
-  individually (:attr:`AbstractState.param_contributions`) before being
-  joined.  The *joined* value is deliberately further widened to an
-  unconstrained interval at parameters: a candidate's SMT fragment treats
-  its root frame's parameters as free variables, so any triage verdict
-  derived from a narrower-than-top parameter would be unsound for paths
-  rooted in that function.  Nullness and taints keep the join (they feed
-  witnesses and the differential-vs-interpreter suite, never verdicts).
+* **call/return edges** — a parameter joins the actuals of every call
+  edge into it.  The joined interval is deliberately widened to top at
+  parameters: a candidate's SMT fragment treats its root frame's
+  parameters as free variables, so a fact derived from a narrower
+  parameter range would not hold for paths rooted in that function.
+  Nullness and taints keep the join (the interpreter differential in
+  ``tests/test_absint.py`` checks them).
+
+Two consumers read the result: div-zero's sources (definitions whose
+interval is exactly ``[0, 0]``, :mod:`repro.checkers.divzero`) and the
+seeding of its sparse view
+(:meth:`repro.pdg.reduce.SparsePDGView.fixpoint_state`).
 
 Termination: the whole-graph edge relation is cyclic (mismatched
 call/return labels close loops the valid-path discipline never walks),
-so after ``widen_after`` updates a vertex widens instead of joining.
+so after :data:`WIDEN_AFTER` updates a vertex widens instead of joining.
 Unrolled-loop chains are acyclic but deep; the same counter bounds how
 long a chain can keep refining before its bounds are pushed to the
 extremes.
@@ -34,21 +37,17 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.absint.domains import (AbsValue, FixpointStats, Interval,
-                                  Nullness, TaintSpec)
+from repro.absint.domains import AbsValue, FixpointStats, Interval, Nullness
 from repro.absint.transfer import binary_interval
+from repro.lang.interp import TAINT_SOURCES
 from repro.lang.ir import (Assign, Binary, Branch, Call, Const, Identity,
                            IfThenElse, Operand, Return)
 from repro.pdg.graph import EdgeKind, ProgramDependenceGraph, Vertex
 from repro.smt.semantics import to_signed
 
 
-@dataclass
-class FixpointConfig:
-    """Knobs for the fixpoint loop."""
-
-    #: Joins tolerated at one vertex before widening kicks in.
-    widen_after: int = 12
+#: Joins tolerated at one vertex before widening kicks in.
+WIDEN_AFTER = 12
 
 
 @dataclass
@@ -58,10 +57,6 @@ class AbstractState:
     pdg: ProgramDependenceGraph
     width: int
     values: list[AbsValue]
-    #: ``(param vertex index, callsite id) -> joined actual value`` — the
-    #: per-context view of the labelled call edges.
-    param_contributions: dict[tuple[int, int], AbsValue] \
-        = field(default_factory=dict)
     stats: FixpointStats = field(default_factory=FixpointStats)
 
     def value_of(self, vertex: Vertex) -> AbsValue:
@@ -75,16 +70,8 @@ class AbstractState:
             return AbsValue.top(self.width)
         return self.values[vertex.index]
 
-    def interval_of(self, vertex: Vertex) -> Interval:
-        value = self.values[vertex.index]
-        if value.interval is None:
-            return Interval.top(self.width)
-        return value.interval
-
 
 def analyze_pdg(pdg: ProgramDependenceGraph,
-                taint_spec: Optional[TaintSpec] = None,
-                config: Optional[FixpointConfig] = None,
                 restrict: Optional[Iterable[int]] = None) -> AbstractState:
     """Run the sparse fixpoint and return the per-vertex abstract state.
 
@@ -97,8 +84,6 @@ def analyze_pdg(pdg: ProgramDependenceGraph,
     vertices are byte-identical to the full run; vertices outside stay
     bottom and must not be read.
     """
-    spec = taint_spec if taint_spec is not None else TaintSpec.default()
-    config = config if config is not None else FixpointConfig()
     state = AbstractState(pdg, pdg.program.width,
                           [AbsValue.bottom()] * pdg.num_vertices)
     start = time.perf_counter()
@@ -124,13 +109,13 @@ def analyze_pdg(pdg: ProgramDependenceGraph,
         queued[index] = False
         vertex = pdg.vertices[index]
         state.stats.iterations += 1
-        new = _transfer(pdg, vertex, state, spec).reduce()
+        new = _transfer(pdg, vertex, state).reduce()
         old = state.values[index]
         merged = old.join(new)
         if merged == old:
             continue
         update_counts[index] += 1
-        if update_counts[index] > config.widen_after:
+        if update_counts[index] > WIDEN_AFTER:
             merged = old.widen(merged, state.width)
             state.stats.widenings += 1
         state.values[index] = merged
@@ -165,7 +150,7 @@ def _operand_value(pdg: ProgramDependenceGraph, function: str,
 
 
 def _transfer(pdg: ProgramDependenceGraph, vertex: Vertex,
-              state: AbstractState, spec: TaintSpec) -> AbsValue:
+              state: AbstractState) -> AbsValue:
     stmt = vertex.stmt
     if isinstance(stmt, Identity):
         return _param_transfer(pdg, vertex, state)
@@ -178,15 +163,15 @@ def _transfer(pdg: ProgramDependenceGraph, vertex: Vertex,
     if isinstance(stmt, Binary):
         return _binary_transfer(pdg, vertex, stmt, state)
     if isinstance(stmt, Call):
-        return _call_transfer(pdg, vertex, stmt, state, spec)
+        return _call_transfer(pdg, vertex, stmt, state)
     raise TypeError(f"no transfer for {stmt!r}")
 
 
 def _param_transfer(pdg: ProgramDependenceGraph, vertex: Vertex,
                     state: AbstractState) -> AbsValue:
-    """Parameter identity: join labelled call-edge actuals, tag each
-    contribution by call site, then force the interval to top (see the
-    module docstring for why parameters must stay unconstrained)."""
+    """Parameter identity: join the call-edge actuals, then force the
+    interval to top (see the module docstring for why parameters must
+    stay unconstrained)."""
     joined = AbsValue(Interval.top(state.width), Nullness.NOT_NULL,
                       frozenset())
     for edge in pdg.data_preds(vertex):
@@ -195,11 +180,6 @@ def _param_transfer(pdg: ProgramDependenceGraph, vertex: Vertex,
         actual = state.values[edge.src.index]
         if actual.is_bottom:
             continue
-        if edge.callsite is not None:
-            key = (vertex.index, edge.callsite)
-            previous = state.param_contributions.get(key,
-                                                     AbsValue.bottom())
-            state.param_contributions[key] = previous.join(actual)
         joined = joined.join(actual)
     return AbsValue(Interval.top(state.width), joined.nullness,
                     joined.taints)
@@ -239,14 +219,13 @@ def _binary_transfer(pdg: ProgramDependenceGraph, vertex: Vertex,
 
 
 def _call_transfer(pdg: ProgramDependenceGraph, vertex: Vertex,
-                   stmt: Call, state: AbstractState,
-                   spec: TaintSpec) -> AbsValue:
+                   stmt: Call, state: AbstractState) -> AbsValue:
     if pdg.program.is_extern(stmt.callee):
         # Extern results are havoc for feasibility (the SMT translation
         # leaves them free), so the interval must be top even though the
         # interpreter's default model returns small constants.
         taints = frozenset({stmt.callee}) \
-            if stmt.callee in spec.sources else frozenset()
+            if stmt.callee in TAINT_SOURCES else frozenset()
         return AbsValue(Interval.top(state.width), Nullness.NOT_NULL,
                         taints)
     result = AbsValue.bottom()

@@ -56,8 +56,6 @@ class PinpointConfig:
     #: sessions (see ``GraphSolverConfig.incremental``); opt-in, the CLI
     #: enables it per run.
     incremental: bool = False
-    #: Checker-specific PDG sparsification (see ``FusionConfig.sparsify``).
-    sparsify: bool = True
 
 
 class PinpointEngine(PathSensitiveEngine):
@@ -310,8 +308,7 @@ def make_pinpoint(pdg: ProgramDependenceGraph, variant: str = "",
                   budget: Optional[Budget] = None,
                   solver: Optional[SolverConfig] = None,
                   sparse: Optional[SparseConfig] = None,
-                  incremental: bool = False,
-                  sparsify: bool = True) -> PinpointEngine:
+                  incremental: bool = False) -> PinpointEngine:
     """Factory for ``""`` (plain), ``"qe"``, ``"lfs"``, ``"hfs"``, ``"ar"``."""
     tactics: dict[str, Optional[SummaryTactic]] = {
         "": None, "qe": _qe_tactic, "lfs": _lfs_tactic, "hfs": _hfs_tactic,
@@ -326,6 +323,5 @@ def make_pinpoint(pdg: ProgramDependenceGraph, variant: str = "",
         summary_tactic=tactics[variant],
         abstraction_refinement=(variant == "ar"),
         variant_suffix=f"+{variant.upper()}" if variant else "",
-        incremental=incremental,
-        sparsify=sparsify)
+        incremental=incremental)
     return PinpointEngine(pdg, config)

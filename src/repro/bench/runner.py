@@ -79,14 +79,13 @@ def pdg_for(subject_name: str) -> ProgramDependenceGraph:
 def make_engine(engine: str, pdg: ProgramDependenceGraph,
                 budget: Optional[Budget],
                 query_timeout: Optional[float] = None,
-                incremental: bool = False, sparsify: bool = True):
+                incremental: bool = False):
     """Thin wrapper over :func:`repro.engine.build_engine` (the shared
     factory): bench engines run without witness extraction and under the
     run budget."""
     return build_engine(engine, pdg, want_model=False,
                         query_timeout=query_timeout,
-                        incremental=incremental, budget=budget,
-                        sparsify=sparsify)
+                        incremental=incremental, budget=budget)
 
 
 def run_engine(subject_name: str, engine: str, checker_name: str,
@@ -94,21 +93,18 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
                memory_budget: int = DEFAULT_MEMORY_BUDGET,
                jobs: int = 1, backend: str = "auto",
                telemetry: Optional[Telemetry] = None,
-               triage: bool = False,
                query_timeout: Optional[float] = None,
                max_retries: Optional[int] = None,
                on_error: str = "unknown",
                fault_plan: Optional[FaultPlan] = None,
-               store=None, incremental: bool = False,
-               sparsify: bool = True) -> RunOutcome:
+               store=None, incremental: bool = False) -> RunOutcome:
     """Run one (engine, checker) pair on one subject.
 
     Feasibility queries run through the :mod:`repro.exec` scheduler:
     ``jobs=1`` (the default) solves inline on the engine, so Table 3 /
     Figure 11 memory and query numbers are those of one engine deciding
     every candidate in order; ``jobs > 1`` fans out to a worker pool.
-    ``triage=True`` enables the absint pre-pass on the path-sensitive
-    engines.  ``query_timeout``/``max_retries``/``on_error`` tune the
+    ``query_timeout``/``max_retries``/``on_error`` tune the
     fault-tolerance layer, and ``fault_plan`` injects deterministic
     faults (CI resilience matrix).  ``store`` (an
     :class:`~repro.exec.store.ArtifactStore`) opts the path-sensitive
@@ -122,14 +118,9 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
                     max_memory_units=memory_budget)
     engine_obj = make_engine(engine, pdg, budget,
                              query_timeout=query_timeout,
-                             incremental=incremental, sparsify=sparsify)
+                             incremental=incremental)
     checker: Checker = CHECKERS[checker_name]()
     kwargs = {}
-    if triage:
-        if engine == "infer":
-            raise ValueError("triage requires a path-sensitive engine; "
-                             "infer has no per-candidate SMT stage")
-        kwargs["triage"] = True
     if store is not None:
         if engine == "infer":
             raise ValueError("the artifact store requires a "

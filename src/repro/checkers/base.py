@@ -182,12 +182,7 @@ class BugReport:
     solve_time: float = 0.0
     #: A concrete satisfying assignment for the path condition
     #: (variable name -> value), when the engine was asked to extract one.
-    #: Triage-decided feasible reports carry an *abstract* witness instead
-    #: (entry-argument picks from the interval domain).
     witness: dict[str, int] = field(default_factory=dict)
-    #: True when the abstract-interpretation triage stage settled the
-    #: verdict and no SMT query was ever built for this candidate.
-    decided_in_triage: bool = False
     #: True when the verdict was replayed from a persistent artifact
     #: store (warm run) instead of being solved in this run; the
     #: ``decided_*`` flags then describe the original cold-run decision.
@@ -228,11 +223,8 @@ class AnalysisResult:
     #: isolated to an UNKNOWN verdict instead of aborting the run (see
     #: docs/robustness.md).  A subset of ``unknown_queries``.
     error_queries: int = 0
-    #: Candidates the absint triage stage settled without an SMT query.
-    triage_decided_infeasible: int = 0
-    triage_decided_feasible: int = 0
     #: Verdicts replayed from the persistent artifact store (warm run);
-    #: these bypass triage and the SMT stage entirely.
+    #: these bypass the SMT stage entirely.
     replayed_verdicts: int = 0
     wall_time: float = 0.0
     #: Deterministic memory model: live term-DAG nodes, cached summary
@@ -245,22 +237,16 @@ class AnalysisResult:
     def bugs(self) -> list[BugReport]:
         return [r for r in self.reports if r.feasible]
 
-    @property
-    def triage_decided(self) -> int:
-        return self.triage_decided_infeasible + self.triage_decided_feasible
-
     def summary(self) -> str:
         status = self.failure if self.failure else "ok"
         unknown = f", {self.unknown_queries} unknown" \
             if self.unknown_queries else ""
         errors = f", {self.error_queries} errored" \
             if self.error_queries else ""
-        triaged = f", {self.triage_decided} triaged" \
-            if self.triage_decided else ""
         replayed = f", {self.replayed_verdicts} replayed" \
             if self.replayed_verdicts else ""
         return (f"{self.engine}/{self.checker}: {len(self.bugs)} bugs / "
                 f"{self.candidates} candidates, {self.smt_queries} queries"
-                f"{unknown}{errors}{triaged}{replayed}, "
+                f"{unknown}{errors}{replayed}, "
                 f"{self.wall_time:.2f}s, "
                 f"{self.memory_units} mem units [{status}]")

@@ -12,7 +12,7 @@ fact, and a bug is the zero reaching the divisor operand of an integer
 
 Must-facts keep the engine contract intact: as with ``null-deref``, path
 feasibility of the candidate *is* the bug condition, so the SMT stage
-(or the triage stage) needs no extra "divisor == 0" obligation.
+needs no extra "divisor == 0" obligation.
 """
 
 from __future__ import annotations

@@ -240,7 +240,7 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """The engine switches, declared once for every subcommand that
     builds a path-sensitive engine (query/analyze/bench/serve).  Each
     has an on and an off spelling; the infer baseline has no SMT stage
-    and ignores ``--incremental`` and ``--sparsify``."""
+    and ignores ``--incremental``."""
     parser.add_argument("--incremental",
                         action=argparse.BooleanOptionalAction,
                         default=True,
@@ -248,17 +248,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
                              "assumption-based solver sessions with "
                              "cross-query clause reuse (default on; see "
                              "docs/solver.md)")
-    parser.add_argument("--sparsify",
-                        action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="run candidate collection, slicing and triage "
-                             "over per-checker pruned PDG views (reports "
-                             "are byte-identical either way; default on; "
-                             "see docs/sparsification.md)")
-    parser.add_argument("--triage", action=argparse.BooleanOptionalAction,
-                        default=False,
-                        help="run the abstract-interpretation triage pass "
-                             "before the SMT stage (default off)")
 
 
 def _lowering_config(args: argparse.Namespace) -> LoweringConfig:
@@ -272,8 +261,6 @@ def _engine_settings(args: argparse.Namespace) -> EngineSettings:
     """The session settings described by the engine and frontend flags."""
     return EngineSettings(engine=args.engine,
                           incremental=args.incremental,
-                          triage=args.triage,
-                          sparsify=args.sparsify,
                           loop_unroll=args.unroll,
                           width=args.width,
                           loop_strategy=args.loop_strategy,
@@ -330,14 +317,6 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                              "read nor write the store)")
 
 
-def _make_engine(name: str, pdg, want_model: bool,
-                 query_timeout: Optional[float] = None,
-                 incremental: bool = False, sparsify: bool = True):
-    return build_engine(name, pdg, want_model=want_model,
-                        query_timeout=query_timeout,
-                        incremental=incremental, sparsify=sparsify)
-
-
 def cmd_scan(args: argparse.Namespace) -> int:
     if args.file == "-":
         source = sys.stdin.read()
@@ -356,8 +335,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     exit_code = 0
     verbose_sections = []
     for checker_name in checker_names:
-        engine = _make_engine(args.engine, pdg,
-                              args.witness or args.verbose)
+        engine = build_engine(args.engine, pdg,
+                              want_model=args.witness or args.verbose)
         result = engine.analyze(CHECKER_FACTORIES[checker_name]())
         if args.verbose:
             from repro.checkers.format import format_results
@@ -473,22 +452,17 @@ def _write_telemetry(args: argparse.Namespace, telemetry) -> bool:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import run_engine
 
-    if args.triage and args.engine == "infer":
-        print("repro bench: --triage requires a path-sensitive engine "
-              "(infer has no SMT stage)", file=sys.stderr)
-        return 2
     exec_config, telemetry = _exec_options(args)
     outcome = run_engine(args.subject, args.engine, args.checker,
                          time_budget=args.time_budget,
                          jobs=args.jobs, backend=args.backend,
-                         telemetry=telemetry, triage=args.triage,
+                         telemetry=telemetry,
                          query_timeout=args.query_timeout,
                          max_retries=args.max_retries,
                          on_error=args.on_error,
                          fault_plan=exec_config.fault_plan,
                          store=_make_store(args),
-                         incremental=args.incremental,
-                         sparsify=args.sparsify)
+                         incremental=args.incremental)
     print(json.dumps(outcome.row(), indent=2))
     if not _write_telemetry(args, telemetry):
         return 2
@@ -598,23 +572,16 @@ def _resolve_subject_program(name: str,
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.triage and args.engine == "infer":
-        print("repro analyze: --triage requires a path-sensitive engine "
-              "(infer has no SMT stage)", file=sys.stderr)
-        return 2
     exec_config, telemetry = _exec_options(args)
     program = _resolve_subject_program(args.subject, args)
     _record_loop_telemetry(telemetry, program)
     pdg = prepare_pdg(program)
-    engine = _make_engine(args.engine, pdg, want_model=True,
+    engine = build_engine(args.engine, pdg, want_model=True,
                           query_timeout=args.query_timeout,
-                          incremental=args.incremental,
-                          sparsify=args.sparsify)
+                          incremental=args.incremental)
     checker = CHECKER_FACTORIES[args.checker]()
-    kwargs = {"triage": True} if args.triage else {}
     store = _make_store(args)
-    if store is not None:
-        kwargs["store"] = store
+    kwargs = {"store": store} if store is not None else {}
     result = engine.analyze(checker, exec_config=exec_config,
                             telemetry=telemetry, **kwargs)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import asdict, replace
 from typing import Optional
 
-from repro.absint.triage import make_triage
 from repro.checkers.base import AnalysisResult, BugCandidate, Checker
 from repro.exec.scheduler import ExecConfig, ExecutionPlan, WorkerSpec
 from repro.exec.telemetry import Telemetry
@@ -40,8 +39,8 @@ from repro.sparse.driver import QueryRecord, run_analysis
 
 class PathSensitiveEngine:
     """Base of the engines that decide each candidate with an SMT query
-    (module docstring).  ``config`` must carry ``sparse``, ``budget``
-    and ``sparsify``."""
+    (module docstring).  ``config`` must carry ``sparse`` and
+    ``budget``."""
 
     name: str
     #: Counters of this engine's incremental solver sessions.
@@ -95,23 +94,20 @@ class PathSensitiveEngine:
 
     def checker_view(self, checker: Checker,
                      telemetry: Optional[Telemetry] = None):
-        """The checker's sparse view (None when sparsification is off);
-        flushes view-registry counters into ``telemetry``."""
-        view = self.views.view_for(checker) if self.config.sparsify \
-            else None
+        """The checker's sparse view; flushes view-registry counters into
+        ``telemetry``."""
+        view = self.views.view_for(checker)
         self.views.flush_telemetry(telemetry)
         return view
 
     def analyze(self, checker: Checker,
                 exec_config: Optional[ExecConfig] = None,
                 telemetry: Optional[Telemetry] = None,
-                triage=None, store=None) -> AnalysisResult:
+                store=None) -> AnalysisResult:
         """Run the checker through the query scheduler.  ``exec_config``
         tunes it (default ``ExecConfig()``: one job, solved inline on
         this engine); ``telemetry`` receives the run's counters.
-        ``triage`` opts into the abstract-interpretation pre-pass: pass
-        ``True`` (default config), a ``TriageConfig``, or a prebuilt
-        ``CandidateTriage``.  ``store`` (an
+        ``store`` (an
         :class:`~repro.exec.store.ArtifactStore`) opts into warm
         incremental re-analysis: cached verdicts whose dependencies are
         unchanged are replayed instead of re-solved.
@@ -126,15 +122,13 @@ class PathSensitiveEngine:
         sessions_before = self.session_stats.as_tuple()
         view = self.checker_view(checker, telemetry)
         execution = self._execution_plan(checker, exec_config, telemetry)
-        triage = make_triage(self.pdg, checker, triage, view=view)
-        binding = store.bind(self.pdg,
-                             self._store_fingerprint(triage, checker),
+        binding = store.bind(self.pdg, self._store_fingerprint(checker),
                              checker.name, telemetry) \
             if store is not None else None
         result = run_analysis(self.pdg, checker, self.name, execution,
                               self._memory_snapshot, self.config.budget,
                               self.config.sparse, self.query_records,
-                              triage=triage, store=binding, view=view)
+                              store=binding, view=view)
         if self.incremental:
             # Sessions on this engine (the inline rung's); pool workers'
             # sessions are recorded by the scheduler.  Only this run's
@@ -147,7 +141,7 @@ class PathSensitiveEngine:
                 **asdict(SessionStats.from_tuple(delta)))
         return result
 
-    def _store_fingerprint(self, triage, checker: Checker) -> dict:
+    def _store_fingerprint(self, checker: Checker) -> dict:
         """Every knob that can change a cacheable verdict (or the report
         built from it).  Time/conflict limits are deliberately excluded:
         exceeding either yields UNKNOWN, which is never persisted, so
@@ -159,7 +153,6 @@ class PathSensitiveEngine:
         program = self.pdg.program
         solver = self.solver_config
         sparse = self.config.sparse
-        sparsify = self.config.sparsify
         fingerprint = {
             "engine": self.name,
             "width": program.width,
@@ -173,17 +166,12 @@ class PathSensitiveEngine:
             "incremental": self.incremental,
             "sparse": [sparse.max_paths_per_pair, sparse.max_path_len,
                        sparse.max_candidates, sparse.revisit_cap],
-            "triage": None if triage is None
-            else [triage.config.max_refinement_steps,
-                  triage.config.widen_after],
-            # The sparsified pipeline is byte-identical by contract, but
-            # a footprint bug would silently replay wrong verdicts, so
-            # the flag and the checker's footprint version key the store
-            # defensively (flipping either invalidates warm artifacts).
-            "sparsify": sparsify,
+            # Views are byte-identical to the full walk by contract, but
+            # a footprint bug would silently replay wrong verdicts, so the
+            # checker's footprint keys the store defensively (changing it
+            # invalidates warm artifacts).
             "footprint": [list(part) if isinstance(part, tuple) else part
-                          for part in checker.footprint().key()]
-            if sparsify else None,
+                          for part in checker.footprint().key()],
         }
         fingerprint.update(self._fingerprint_extras())
         return fingerprint
@@ -200,8 +188,7 @@ class PathSensitiveEngine:
         spec = WorkerSpec(self.pdg, checker, self.config.sparse,
                           QueryRunner, recipe,
                           query_timeout=self.solver_config.time_limit,
-                          grouped=self.incremental,
-                          sparsify=self.config.sparsify)
+                          grouped=self.incremental)
         return ExecutionPlan(
             exec_config if exec_config is not None else ExecConfig(),
             spec, telemetry,

@@ -47,8 +47,7 @@ ENGINE_CHOICES = ("fusion", "fusion-unopt", "pinpoint", "pinpoint+lfs",
 def build_engine(name: str, pdg, *, want_model: bool = False,
                  query_timeout: Optional[float] = None,
                  incremental: bool = False,
-                 budget: Optional[Budget] = None,
-                 sparsify: bool = True):
+                 budget: Optional[Budget] = None):
     """One configured engine object from an engine name.
 
     ``query_timeout`` overrides the solver's default 10 s per-query cap
@@ -56,9 +55,7 @@ def build_engine(name: str, pdg, *, want_model: bool = False,
     docs/robustness.md); ``incremental`` routes grouped queries through
     persistent assumption-based solver sessions (docs/solver.md; the
     infer baseline has no SMT stage and ignores it); ``budget`` bounds
-    the whole run (bench's Memory-Out/timeout protocol); ``sparsify``
-    runs collection/slicing/triage over per-checker pruned PDG views
-    (docs/sparsification.md — results are byte-identical either way).
+    the whole run (bench's Memory-Out/timeout protocol).
     """
     from repro.baselines.infer import InferConfig, InferEngine
     from repro.baselines.pinpoint import make_pinpoint
@@ -73,13 +70,13 @@ def build_engine(name: str, pdg, *, want_model: bool = False,
             solver=GraphSolverConfig(optimized=(name == "fusion"),
                                      want_model=want_model, solver=smt,
                                      incremental=incremental),
-            budget=budget, sparsify=sparsify))
+            budget=budget))
     if name == "infer":
         return InferEngine(pdg, InferConfig(budget=budget))
     if name.startswith("pinpoint"):
         variant = name.partition("+")[2].lower()
         return make_pinpoint(pdg, variant, budget=budget, solver=smt,
-                             incremental=incremental, sparsify=sparsify)
+                             incremental=incremental)
     raise ValueError(f"unknown engine {name!r}")
 
 
@@ -116,6 +113,13 @@ def analysis_payload(result: AnalysisResult, *, engine: str, checker: str,
     }
 
 
+#: Settings fields earlier versions journaled, each with the one value
+#: this version still implements (the triage pass was deleted and
+#: sparsified views became unconditional).  A recovered journal may carry
+#: them at that value; any other value declines recovery.
+RETIRED_SETTINGS = {"triage": False, "sparsify": True}
+
+
 @dataclass(frozen=True)
 class EngineSettings:
     """Everything that configures one :class:`AnalysisSession`.
@@ -129,8 +133,6 @@ class EngineSettings:
     engine: str = "fusion"
     want_model: bool = True
     incremental: bool = True
-    triage: bool = False
-    sparsify: bool = True
     query_timeout: Optional[float] = None
     loop_unroll: int = 2
     width: int = 8
@@ -161,9 +163,13 @@ class EngineSettings:
         """Inverse of :meth:`to_payload`; raises ``ValueError`` on
         unknown fields or an unknown engine, so a journal written by an
         incompatible version refuses to rehydrate instead of silently
-        changing behavior."""
+        changing behavior.  :data:`RETIRED_SETTINGS` at their surviving
+        value are dropped first."""
         from dataclasses import fields
 
+        payload = {name: value for name, value in payload.items()
+                   if name not in RETIRED_SETTINGS
+                   or value is not RETIRED_SETTINGS[name]}
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -241,8 +247,7 @@ class AnalysisSession:
         engine = build_engine(self.settings.engine, pdg,
                               want_model=self.settings.want_model,
                               query_timeout=self.settings.query_timeout,
-                              incremental=self.settings.incremental,
-                              sparsify=self.settings.sparsify)
+                              incremental=self.settings.incremental)
         old_engine, old_pdg = self.engine, self.pdg
         if old_engine is not None and old_pdg is not None \
                 and getattr(old_engine, "views", None) is not None \
@@ -273,13 +278,10 @@ class AnalysisSession:
         if factory is None:
             raise ValueError(f"unknown checker {checker!r}")
         kwargs = {}
-        # The infer baseline has no per-candidate SMT stage: nothing to
-        # triage, no verdicts to cache (same gating as the CLI).
-        if self.settings.engine != "infer":
-            if self.settings.triage:
-                kwargs["triage"] = True
-            if self.store is not None:
-                kwargs["store"] = self.store
+        # The infer baseline has no per-candidate SMT stage: no verdicts
+        # to cache (same gating as the CLI).
+        if self.settings.engine != "infer" and self.store is not None:
+            kwargs["store"] = self.store
         return self.engine.analyze(factory(), exec_config=exec_config,
                                    telemetry=telemetry, **kwargs)
 
@@ -292,10 +294,10 @@ class AnalysisSession:
         sources created on that line.  Returns a
         :class:`~repro.query.Verdict` whose findings are byte-identical
         to the pair's entries in a full :meth:`analyze` — the walk
-        reuses the engine's hot views, the triage setting, the artifact
-        store (per-pair verdicts replay under the same fingerprint
-        scheme as full runs), plus a per-program-version memo so a
-        repeated query costs a dictionary lookup.
+        reuses the engine's hot views, the artifact store (per-pair
+        verdicts replay under the same fingerprint scheme as full runs),
+        plus a per-program-version memo so a repeated query costs a
+        dictionary lookup.
 
         Raises ``ValueError`` for an unknown checker, a position that
         resolves to no site, or the infer engine (which has no
@@ -354,7 +356,6 @@ class AnalysisSession:
             return verdict
         verdict = run_demand_query(self.engine, checker_obj,
                                    sink_indices, def_indices,
-                                   triage=self.settings.triage,
                                    store=self.store,
                                    telemetry=telemetry,
                                    deadline_s=deadline_s)

@@ -171,13 +171,6 @@ class WorkerSpec:
     #: rebuilds the runner from scratch, so the degradation ladder's
     #: retry/requeue logic needs no special casing.
     grouped: bool = False
-    #: Checker-specific PDG sparsification: process workers that
-    #: re-collect the candidate list build the same pruned
-    #: :class:`~repro.pdg.reduce.SparsePDGView` the parent used, so
-    #: collection walks the identical adjacency.  Collection with and
-    #: without the view is byte-identical by the pruning contract; the
-    #: flag only keeps worker-side *cost* in line.
-    sparsify: bool = False
 
 
 @dataclass
@@ -267,13 +260,13 @@ class _WorkerState:
         self.pdg = spec.pdg
         self.spec = spec
         if candidates is None:
-            view = None
-            if spec.sparsify:
-                from repro.pdg.reduce import build_view
+            # Process workers re-collect the candidate list over the
+            # same pruned view the parent walked.
+            from repro.pdg.reduce import build_view
 
-                view = build_view(spec.pdg, spec.checker)
-            candidates = collect_candidates(spec.pdg, spec.checker,
-                                            spec.sparse, view=view)
+            candidates = collect_candidates(
+                spec.pdg, spec.checker, spec.sparse,
+                view=build_view(spec.pdg, spec.checker))
         self.candidates = candidates
         self.cache = SliceCache(cache_capacity)
         self.grouped = spec.grouped
@@ -450,8 +443,8 @@ class QueryScheduler:
         ``indices`` (when given) restricts solving to those positions of
         ``candidates`` — still *full-list* indices, because the process
         backend's workers re-collect the complete candidate list and index
-        into it.  The triage stage uses this to route only NEEDS_SMT
-        candidates through the pool.
+        into it.  Store replay uses this to route only the candidates it
+        could not replay through the pool.
         """
         outcomes = sink if sink is not None else []
         index_list = (list(range(len(candidates))) if indices is None

@@ -26,7 +26,7 @@ Everything is addressed by content, never by position:
   frame numbering, call sites named by their call vertex's stable
   coordinates).  Global vertex indices and frame ids never leak into the
   store.
-* **Config fingerprint** — engine name and the solver/sparse/triage
+* **Config fingerprint** — engine name and the solver/sparse/footprint
   knobs that can change a verdict, plus the bit width and the store and
   fingerprint schema versions.
 
@@ -552,9 +552,7 @@ class StoreBinding:
             candidate, payload["feasible"],
             decided_in_preprocess=bool(payload.get("decided_in_preprocess",
                                                    False)),
-            solve_time=0.0, witness=witness,
-            decided_in_triage=bool(payload.get("decided_in_triage", False)),
-            replayed=True)
+            solve_time=0.0, witness=witness, replayed=True)
 
     def observe(self, index: int, status: SmtStatus) -> None:
         """Record one solved query's status.  UNKNOWN verdicts (solver
@@ -584,7 +582,6 @@ class StoreBinding:
                 "report": {
                     "feasible": report.feasible,
                     "decided_in_preprocess": report.decided_in_preprocess,
-                    "decided_in_triage": report.decided_in_triage,
                     "witness": dict(report.witness),
                 },
             })

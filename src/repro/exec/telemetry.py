@@ -52,7 +52,8 @@ from repro.smt.solver import SmtStatus
 #: /10 added the "loops" section (solver-driven loop summaries: loops
 #: summarized vs fallen back to unrolling, feasible paths enumerated,
 #: summary-cache hits, lowering-time SAT feasibility checks).
-SCHEMA = "repro-exec-telemetry/10"
+#: /11 dropped the "triage" section (the triage pass was deleted).
+SCHEMA = "repro-exec-telemetry/11"
 
 #: Request-latency samples kept for the percentile estimates; the serve
 #: soak keeps a daemon alive indefinitely, so the window is bounded
@@ -76,11 +77,6 @@ class Telemetry:
         self.caches: dict[str, dict[str, int]] = {}
         self.memory: dict[str, int] = {
             "peak_units": 0, "peak_condition_units": 0,
-        }
-        self.triage: dict[str, float] = {
-            "decided_infeasible": 0, "decided_feasible": 0,
-            "sent_to_smt": 0, "refinement_steps": 0,
-            "fixpoint_seconds": 0.0,
         }
         self.store: dict[str, int] = {
             "store_hits": 0,           # verdicts found valid in the store
@@ -224,19 +220,6 @@ class Telemetry:
             if capacity is not None:
                 entry["capacity"] = capacity
 
-    def record_triage(self, decided_infeasible: int, decided_feasible: int,
-                      sent_to_smt: int, refinement_steps: int = 0,
-                      fixpoint_seconds: float = 0.0) -> None:
-        """One triage stage's outcome counts (candidates decided without
-        an SMT query, candidates forwarded, fixpoint cost)."""
-        with self._lock:
-            t = self.triage
-            t["decided_infeasible"] += decided_infeasible
-            t["decided_feasible"] += decided_feasible
-            t["sent_to_smt"] += sent_to_smt
-            t["refinement_steps"] += refinement_steps
-            t["fixpoint_seconds"] += fixpoint_seconds
-
     def record_store(self, **counts: int) -> None:
         """One artifact-store run's counters (see the ``store`` keys)."""
         with self._lock:
@@ -342,8 +325,7 @@ class Telemetry:
                         mine[key] = mine.get(key, 0) + value
             for key, value in snapshot["memory"].items():
                 self.memory[key] = max(self.memory[key], value)
-            for section, mine in (("triage", self.triage),
-                                  ("store", self.store),
+            for section, mine in (("store", self.store),
                                   ("incremental", self.incremental),
                                   ("reduce", self.reduce),
                                   ("query", self.query),
@@ -401,7 +383,6 @@ class Telemetry:
                 "caches": {name: dict(entry)
                            for name, entry in sorted(self.caches.items())},
                 "memory": dict(self.memory),
-                "triage": dict(self.triage),
                 "store": dict(self.store),
                 "incremental": dict(self.incremental),
                 "reduce": dict(self.reduce),

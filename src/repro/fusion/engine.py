@@ -33,11 +33,6 @@ class FusionConfig:
     solver: GraphSolverConfig = field(default_factory=GraphSolverConfig)
     sparse: SparseConfig = field(default_factory=SparseConfig)
     budget: Optional[Budget] = None
-    #: Checker-specific PDG sparsification: collection, slicing and the
-    #: triage fixpoint run over a pruned
-    #: :class:`~repro.pdg.reduce.SparsePDGView` (byte-identical results,
-    #: see the pruning contract in ``repro.pdg.reduce``).
-    sparsify: bool = True
 
 
 def prepare_pdg(program: Program) -> ProgramDependenceGraph:

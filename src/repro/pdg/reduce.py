@@ -300,7 +300,7 @@ class SparsePDGView:
         # Lazy, graph-generation-bound caches (never carried by remap).
         self._condensation: Optional[Condensation] = None
         self._covered: Optional[list[int]] = None
-        self._fixpoints: dict = {}
+        self._fixpoint = None
 
     # -- walk API -------------------------------------------------------- #
 
@@ -324,13 +324,13 @@ class SparsePDGView:
                 self.region.union(dst for _, dst in edges), edges)
         return self._condensation
 
-    # -- triage API ------------------------------------------------------ #
+    # -- fixpoint API ---------------------------------------------------- #
 
     def covered(self) -> list[int]:
         """Ascending vertex indices the restricted fixpoint must visit.
 
         Candidate paths only contain observable vertices and sink-edge
-        destinations, so triage reads abstract values at those
+        destinations, so a reader of abstract values needs those
         vertices, their governing branches, their functions'
         parameters, and everything backward-data-reachable from them.
         The set is pred-closed, which makes the restricted fixpoint
@@ -349,25 +349,18 @@ class SparsePDGView:
             self._covered = sorted(self.pdg.backward_closure(seeds))
         return self._covered
 
-    def fixpoint_state(self, taint_spec=None, widen_after: int = 12):
+    def fixpoint_state(self):
         """Memoized restricted fixpoint over :meth:`covered`.
 
         Values at covered vertices are byte-identical to a full
         :func:`~repro.absint.fixpoint.analyze_pdg` run; everything
-        outside stays bottom and is never read by triage.
+        outside stays bottom and must not be read.
         """
-        from repro.absint.domains import TaintSpec
-        from repro.absint.fixpoint import FixpointConfig, analyze_pdg
+        if self._fixpoint is None:
+            from repro.absint.fixpoint import analyze_pdg
 
-        spec = taint_spec if taint_spec is not None else TaintSpec.default()
-        key = (spec.sources, spec.sanitizers, widen_after)
-        state = self._fixpoints.get(key)
-        if state is None:
-            state = analyze_pdg(self.pdg, spec,
-                                FixpointConfig(widen_after=widen_after),
-                                restrict=self.covered())
-            self._fixpoints[key] = state
-        return state
+            self._fixpoint = analyze_pdg(self.pdg, restrict=self.covered())
+        return self._fixpoint
 
     # -- reporting ------------------------------------------------------- #
 

@@ -4,27 +4,21 @@ A demand query decides one (def site, sink) pair without paying for a
 whole-program ``analyze``.  The pipeline walks only the region between
 the pair:
 
-1. **Source selection** — checker sources are filtered to the def
-   sites (when given) and pre-filtered by reachability: an O(1) check
-   on the condensation of the view's kept subgraph
-   (:class:`~repro.pdg.reduce.Condensation`), or without a view one
-   backward walk from the sinks over all data edges.  A source that
-   cannot reach any sink vertex is never walked.
+1. **Source selection** — the view's live sources are filtered to the
+   def sites (when given) and pre-filtered by reachability: an O(1)
+   check on the condensation of the view's kept subgraph
+   (:class:`~repro.pdg.reduce.Condensation`).  A source that cannot
+   reach any sink vertex is never walked.
 2. **Demand collection** — each selected source replays exactly the
    per-source walk of :func:`~repro.sparse.engine.collect_candidates`
    (same view pruning, same frame interning, same dedup), so the
    candidates found for the pair are byte-identical to the full run's.
-3. **Region-restricted triage** (when the session enables triage) —
-   the abstract-interpretation pre-pass runs its fixpoint with
-   ``restrict=`` the pair's backward-closed region instead of the
-   whole covered set; restricted values are byte-identical at every
-   vertex a decision reads, so verdicts match the full run.
-4. **Per-pair SMT** — surviving candidates are solved through the same
+3. **Per-pair SMT** — surviving candidates are solved through the same
    query scheduler and report assembly as a full ``analyze``
    (:func:`~repro.sparse.driver.solve_pending`, inline on the hot
    engine): the same slicing, deadline and group-keyed incremental
    :class:`~repro.smt.incremental.SolverSession`.
-5. **Verdict caching** — with an artifact store attached, pair
+4. **Verdict caching** — with an artifact store attached, pair
    verdicts replay from (and commit to) the *same* content-addressed
    entries a full ``analyze`` uses, so a query after an analysis is
    warm and vice versa.
@@ -46,7 +40,7 @@ from repro.exec.faults import FaultPolicy
 from repro.exec.scheduler import ExecConfig
 from repro.exec.telemetry import Telemetry
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.sparse.driver import _run_triage, solve_pending
+from repro.sparse.driver import solve_pending
 from repro.sparse.engine import collect_candidates
 
 
@@ -66,7 +60,6 @@ class Verdict:
     sources_scanned: int = 0
     sources_skipped: int = 0
     replayed_verdicts: int = 0
-    triage_decided: int = 0
     smt_queries: int = 0
     unknown_queries: int = 0
     #: The pair's region: path vertices, their governing branches, the
@@ -92,7 +85,6 @@ class Verdict:
             "sources_scanned": self.sources_scanned,
             "sources_skipped": self.sources_skipped,
             "replayed_verdicts": self.replayed_verdicts,
-            "triage_decided": self.triage_decided,
             "smt_queries": self.smt_queries,
             "unknown_queries": self.unknown_queries,
             "region_nodes": self.region_nodes,
@@ -108,30 +100,18 @@ def cached_verdict(verdict: Verdict) -> Verdict:
     return replace(verdict, from_cache=True)
 
 
-def _select_sources(pdg: ProgramDependenceGraph, checker: Checker, view,
-                    sink_indices: frozenset,
+def _select_sources(view, sink_indices: frozenset,
                     def_indices: Optional[frozenset]) -> tuple[list, int]:
-    """The demand walk's sources: def-site filtered, then pre-filtered
-    by reachability to a sink.  Returns (selected, skipped).
-
-    With a view, reachability runs over its kept subgraph; without
-    one, over all data edges (a sound over-approximation of the
-    propagating subgraph)."""
-    if view is not None:
-        sources = view.live_sources
-        condensation = view.condensation
-
-        def reaches(index: int) -> bool:
-            return any(condensation.reachable(index, sink)
-                       for sink in sink_indices)
-    else:
-        sources = checker.sources(pdg)
-        reaches = pdg.backward_closure(sink_indices).__contains__
+    """The demand walk's sources: the view's live sources, def-site
+    filtered, then pre-filtered by reachability to a sink over the
+    view's kept subgraph.  Returns (selected, skipped)."""
+    condensation = view.condensation
     selected = []
     skipped = 0
-    for source in sources:
+    for source in view.live_sources:
         if (def_indices is not None and source.index not in def_indices) \
-                or not reaches(source.index):
+                or not any(condensation.reachable(source.index, sink)
+                           for sink in sink_indices):
             skipped += 1
             continue
         selected.append(source)
@@ -144,9 +124,8 @@ def pair_region(pdg: ProgramDependenceGraph,
     read — path vertices, their governing-branch chains, the root
     frame's parameters — backward-closed over data edges.
 
-    The set is pred-closed (closure over data predecessors), which is
-    what lets the triage fixpoint run with ``restrict=`` on it, and it
-    is contained in the pair's backward slice (the differential suite
+    The set is pred-closed (closure over data predecessors) and
+    contained in the pair's backward slice (the differential suite
     asserts this).
     """
     seeds: set[int] = set()
@@ -170,30 +149,8 @@ def _region_edge_count(pdg: ProgramDependenceGraph,
                if edge.dst.index in region)
 
 
-def _pair_triage(engine, checker: Checker, view,
-                 region: set[int]):
-    """A :class:`~repro.absint.triage.CandidateTriage` whose fixpoint is
-    restricted to the pair's region instead of the view's full covered
-    set.  Both sets are pred-closed, so restricted values agree with
-    the full run at every vertex a decision reads — verdicts and
-    witnesses are byte-identical to full-analysis triage.
-    """
-    from repro.absint.fixpoint import FixpointConfig, analyze_pdg
-    from repro.absint.triage import CandidateTriage
-
-    triage = CandidateTriage(engine.pdg, checker, view=view)
-    state = analyze_pdg(engine.pdg, triage.taint_spec,
-                        FixpointConfig(widen_after=triage.config
-                                       .widen_after),
-                        restrict=sorted(region))
-    triage._state = state
-    triage.stats.fixpoint = state.stats
-    return triage
-
-
 def run_demand_query(engine, checker: Checker, sink_indices,
-                     def_indices=None, *, triage: bool = False,
-                     store=None, telemetry=None,
+                     def_indices=None, *, store=None, telemetry=None,
                      deadline_s: Optional[float] = None) -> Verdict:
     """Resolve one (def sites, sink sites) pair against a hot engine.
 
@@ -212,7 +169,7 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     defs = frozenset(def_indices) if def_indices is not None else None
     view = engine.checker_view(checker, telemetry)
 
-    selected, skipped = _select_sources(pdg, checker, view, sinks, defs)
+    selected, skipped = _select_sources(view, sinks, defs)
     walked = collect_candidates(pdg, checker, engine.config.sparse,
                                 view=view, sources=selected)
     matched = [candidate for candidate in walked
@@ -226,17 +183,11 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     reports: dict[int, BugReport] = {}
     pending = list(range(len(matched)))
     binding = None
-    triage_obj = _pair_triage(engine, checker, view, region) \
-        if triage and matched else None
 
     if matched and store is not None:
-        binding = store.bind(pdg,
-                             engine._store_fingerprint(triage_obj, checker),
+        binding = store.bind(pdg, engine._store_fingerprint(checker),
                              checker.name, telemetry)
         pending = binding.replay(matched, reports)
-
-    if triage_obj is not None and pending:
-        pending = _run_triage(matched, triage_obj, reports, tally, pending)
 
     if pending:
         # The demand-query contract: a deadline overrun is UNKNOWN,
@@ -263,7 +214,6 @@ def run_demand_query(engine, checker: Checker, sink_indices,
         sources_skipped=skipped,
         replayed_verdicts=sum(1 for report in tally.reports
                               if report.replayed),
-        triage_decided=tally.triage_decided,
         smt_queries=tally.smt_queries,
         unknown_queries=tally.unknown_queries,
         region_nodes=len(region),

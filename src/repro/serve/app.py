@@ -342,7 +342,6 @@ class ServeApp:
                 "smt_queries": result.smt_queries,
                 "unknown_queries": result.unknown_queries,
                 "error_queries": result.error_queries,
-                "triage_decided": result.triage_decided,
                 "replayed_verdicts": result.replayed_verdicts,
                 "bugs": len(result.bugs),
             },

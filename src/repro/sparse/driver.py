@@ -6,9 +6,9 @@ feasibility — and differs only in *how* feasibility is decided.  The
 driver also enforces the run's resource budget (the paper's 12 h / 100 GB
 caps) and records per-query data for the Figure 11 scatter.
 
-Between collection and assembly sit the cheap deciders (store replay,
-triage); whatever they leave pending goes to the one per-candidate solve
-loop, the :class:`~repro.exec.scheduler.QueryScheduler` an
+Between collection and assembly sits store replay; whatever it leaves
+pending goes to the one per-candidate solve loop, the
+:class:`~repro.exec.scheduler.QueryScheduler` an
 :class:`~repro.exec.scheduler.ExecutionPlan` describes.  At one job its
 inline rung solves in the calling process, on the caller's engine, in
 index order, checking the budget after every query; above one job a
@@ -35,7 +35,6 @@ from repro.smt.terms import Term
 from repro.sparse.engine import SparseConfig, collect_candidates
 
 if TYPE_CHECKING:  # imported lazily via the plan object; no runtime cycle
-    from repro.absint.triage import CandidateTriage
     from repro.exec.scheduler import (ExecutionPlan, QueryOutcome,
                                       QueryScheduler)
     from repro.exec.store import StoreBinding
@@ -77,7 +76,6 @@ def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
                  budget: Optional[Budget] = None,
                  sparse_config: Optional[SparseConfig] = None,
                  query_records: Optional[list[QueryRecord]] = None,
-                 triage: Optional["CandidateTriage"] = None,
                  store: Optional["StoreBinding"] = None,
                  view=None) -> AnalysisResult:
     budget = budget if budget is not None else Budget()
@@ -87,7 +85,7 @@ def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
     telemetry = scheduler.telemetry
     telemetry.annotate(engine=engine_name, checker=checker.name)
     start = time.perf_counter()
-    #: index -> report, filled by store replay, triage and the scheduler;
+    #: index -> report, filled by store replay and the scheduler;
     #: merged into ``result.reports`` in index order even on budget aborts.
     reports: dict[int, BugReport] = {}
     pending: Optional[list[int]] = None
@@ -103,21 +101,10 @@ def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
         if store is not None:
             # Warm-run replay: verdicts whose recorded dependencies are
             # unchanged come straight from the persistent store; only the
-            # rest flow into triage and the solve loop.
+            # rest flow into the solve loop.
             with telemetry.stage("store_replay"):
                 pending = store.replay(candidates, reports)
             result.replayed_verdicts = len(candidates) - len(pending)
-
-        if triage is not None:
-            with telemetry.stage("triage"):
-                pending = _run_triage(candidates, triage, reports, result,
-                                      pending)
-            telemetry.record_triage(
-                result.triage_decided_infeasible,
-                result.triage_decided_feasible,
-                len(pending), triage.stats.refinement_steps,
-                triage.stats.fixpoint.seconds)
-            telemetry.count("triage_decided", result.triage_decided)
 
         solve_pending(scheduler, candidates, pending, result, reports,
                       store, query_records)
@@ -145,40 +132,6 @@ def run_analysis(pdg: ProgramDependenceGraph, checker: Checker,
     if result.failure is not None:
         telemetry.annotate(failure=result.failure)
     return result
-
-
-def _run_triage(candidates: list[BugCandidate],
-                triage: "CandidateTriage", reports: dict[int, BugReport],
-                result: AnalysisResult,
-                indices: Optional[list[int]] = None) -> list[int]:
-    """Decide what the abstract interpreter can; return the indices that
-    still need an SMT query (always full-list indices — the process
-    backend's workers re-collect the complete candidate list).
-
-    ``indices`` restricts triage to those positions (store-replayed
-    verdicts never re-enter triage)."""
-    from repro.absint.triage import TriageVerdict
-
-    pending: list[int] = []
-    index_list = range(len(candidates)) if indices is None else indices
-    for index in index_list:
-        candidate = candidates[index]
-        decision = triage.decide(candidate)
-        if decision.verdict is TriageVerdict.NEEDS_SMT:
-            pending.append(index)
-            continue
-        feasible = decision.verdict is TriageVerdict.PROVEN_FEASIBLE
-        if feasible:
-            result.triage_decided_feasible += 1
-        else:
-            result.triage_decided_infeasible += 1
-        # Sorted for determinism: store replay reads witnesses back from
-        # sorted-key JSON, so cold output must use the same key order.
-        reports[index] = BugReport(candidate, feasible,
-                                   witness=dict(sorted(
-                                       decision.witness.items())),
-                                   decided_in_triage=True)
-    return pending
 
 
 def solve_pending(scheduler: "QueryScheduler",

@@ -1,19 +1,21 @@
-"""Unit tests for the abstract-interpretation triage pass.
+"""Unit tests for the sparse abstract interpreter (``repro.absint``).
 
 Three layers: exhaustive interval-transfer soundness at a small width
 (every op, every concrete pair must land inside the abstract result),
-the sparse fixpoint on handwritten programs, and the triage verdicts on
-programs engineered to hit each of the three outcomes.
+the sparse fixpoint on handwritten programs, and the fixpoint's forward
+soundness against concrete execution on fuzzed functions.
 """
 
-from repro.absint import (CandidateTriage, Interval, Nullness, TriageVerdict,
-                          analyze_pdg, binary_interval)
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.absint import Interval, Nullness, analyze_pdg, binary_interval
 from repro.absint.transfer import wrap_range
-from repro.checkers import NullDereferenceChecker
-from repro.fusion import FusionEngine, prepare_pdg
-from repro.lang import BinOp, compile_source
+from repro.fusion import prepare_pdg
+from repro.lang import BinOp, Interpreter, Return, compile_source
 from repro.smt import to_signed
-from repro.sparse import collect_candidates
 
 WIDTH = 4
 MASK = (1 << WIDTH) - 1
@@ -156,118 +158,73 @@ def test_fixpoint_nullness():
     assert state.var_value("main", "q").nullness is Nullness.NOT_NULL
 
 
-def _candidates(src):
-    pdg = prepare_pdg(compile_source(src))
-    checker = NullDereferenceChecker()
-    cands = collect_candidates(pdg, checker)
-    return pdg, checker, cands
+class ExprFuzzer:
+    """Random extern-free function texts from a seeded RNG."""
+
+    def __init__(self, rng: random.Random) -> None:
+        self.rng = rng
+        self.counter = 0
+
+    def expr(self, vars_, depth=0) -> str:
+        rng = self.rng
+        if depth > 2 or rng.random() < 0.35:
+            if rng.random() < 0.5 and vars_:
+                return rng.choice(vars_)
+            return str(rng.randint(0, 40))
+        op = rng.choice(["+", "-", "*", "/", "%", "&", "|", "^",
+                         "<<", ">>"])
+        left = self.expr(vars_, depth + 1)
+        right = self.expr(vars_, depth + 1)
+        if op in ("<<", ">>"):
+            right = str(rng.randint(0, 3))
+        return f"({left} {op} {right})"
+
+    def cond(self, vars_) -> str:
+        op = self.rng.choice(["<", "<=", ">", ">=", "==", "!="])
+        return f"{self.expr(vars_, 2)} {op} {self.expr(vars_, 2)}"
+
+    def function(self) -> str:
+        rng = self.rng
+        vars_ = ["a", "b"]
+        lines = []
+        for _ in range(rng.randint(2, 6)):
+            name = f"v{self.counter}"
+            self.counter += 1
+            if rng.random() < 0.25:
+                lines.append(f"  if ({self.cond(vars_)}) {{")
+                lines.append(f"    {name} = {self.expr(vars_)};")
+                lines.append("  } else {")
+                lines.append(f"    {name} = {self.expr(vars_)};")
+                lines.append("  }")
+            else:
+                lines.append(f"  {name} = {self.expr(vars_)};")
+            vars_.append(name)
+        ret = rng.choice(vars_)
+        return "fun f(a, b) {\n" + "\n".join(lines) + \
+            f"\n  return {ret};\n}}"
 
 
-def test_triage_proves_feasible_straight_line():
-    src = """
-    fun main(a) {
-      p = null;
-      deref(p);
-      return 0;
-    }
-    """
-    pdg, checker, cands = _candidates(src)
-    assert cands
-    triage = CandidateTriage(pdg, checker)
-    decision = triage.decide(cands[0])
-    assert decision.verdict is TriageVerdict.PROVEN_FEASIBLE
-    assert isinstance(decision.witness, dict)
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**9), a=st.integers(0, 255),
+       b=st.integers(0, 255))
+def test_concrete_return_value_inside_abstract_interval(seed, a, b):
+    """Forward soundness: whatever the arguments, the concrete return
+    value (and its taint/null provenance) lies inside the fixpoint's
+    abstract value for the returned definition."""
+    src = ExprFuzzer(random.Random(seed)).function()
+    program = compile_source(src)
+    pdg = prepare_pdg(program)
+    state = analyze_pdg(pdg)
 
-
-def test_triage_proves_infeasible_contradictory_guard():
-    src = """
-    fun main(a) {
-      p = null;
-      if (a > 6) {
-        if (a < 3) {
-          deref(p);
-        }
-      }
-      return 0;
-    }
-    """
-    pdg, checker, cands = _candidates(src)
-    assert cands
-    triage = CandidateTriage(pdg, checker)
-    assert triage.decide(cands[0]).verdict is TriageVerdict.PROVEN_INFEASIBLE
-
-
-def test_triage_proves_infeasible_through_arithmetic():
-    src = """
-    fun main(a) {
-      p = null;
-      c = a + a;
-      d = c * 2;
-      if (d == 7) {
-        deref(p);
-      }
-      return 0;
-    }
-    """
-    pdg, checker, cands = _candidates(src)
-    assert cands
-    triage = CandidateTriage(pdg, checker)
-    assert triage.decide(cands[0]).verdict is TriageVerdict.PROVEN_INFEASIBLE
-
-
-def test_triage_proves_infeasible_antisymmetry():
-    src = """
-    fun main(c, d) {
-      p = null;
-      if (c < d) {
-        if (d < c) {
-          deref(p);
-        }
-      }
-      return 0;
-    }
-    """
-    pdg, checker, cands = _candidates(src)
-    assert cands
-    triage = CandidateTriage(pdg, checker)
-    assert triage.decide(cands[0]).verdict is TriageVerdict.PROVEN_INFEASIBLE
-
-
-def test_triage_defers_to_smt_when_unsure():
-    src = """
-    fun main(a) {
-      p = null;
-      if (a > 20) {
-        deref(p);
-      }
-      return 0;
-    }
-    """
-    pdg, checker, cands = _candidates(src)
-    assert cands
-    triage = CandidateTriage(pdg, checker)
-    assert triage.decide(cands[0]).verdict is TriageVerdict.NEEDS_SMT
-
-
-def test_triage_verdicts_match_solver():
-    """Every PROVEN_* verdict above agrees with the SMT engine."""
-    for src in [
-        "fun main(a) { p = null; deref(p); return 0; }",
-        """fun main(a) { p = null;
-           if (a > 6) { if (a < 3) { deref(p); } } return 0; }""",
-        """fun main(a) { p = null;
-           if (a > 20) { deref(p); } return 0; }""",
-    ]:
-        pdg = prepare_pdg(compile_source(src))
-        checker = NullDereferenceChecker()
-        triage = CandidateTriage(pdg, checker)
-        solved = FusionEngine(pdg).analyze(NullDereferenceChecker())
-        by_smt = {(r.candidate.source.index, r.candidate.sink.index):
-                  r.feasible for r in solved.reports}
-        for cand in collect_candidates(pdg, checker):
-            decision = triage.decide(cand)
-            if decision.verdict is TriageVerdict.NEEDS_SMT:
-                continue
-            key = (cand.source.index, cand.sink.index)
-            expected = decision.verdict is TriageVerdict.PROVEN_FEASIBLE
-            assert by_smt[key] == expected, (src, key, decision)
+    concrete_value = Interpreter(program).run("f", (a, b)).return_value
+    signed = to_signed(concrete_value.bits, program.width)
+    for vertex in pdg.vertices:
+        if vertex.function != "f" or not isinstance(vertex.stmt, Return):
+            continue
+        abstract = state.value_of(vertex)
+        assert not abstract.is_bottom, src
+        assert abstract.interval.contains(signed), \
+            (src, a, b, signed, abstract)
+        assert concrete_value.taints <= frozenset(abstract.taints), src
+        if not abstract.nullness.may_be_null:
+            assert not concrete_value.is_null, src

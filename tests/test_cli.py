@@ -260,43 +260,49 @@ class TestMalformedSource:
 
 
 class TestTriageFlag:
+    """The triage pre-pass is gone: both spellings of its switch are
+    refused by argparse, and the default run reports what the run
+    without triage always reported."""
+
     def test_analyze_with_triage(self, source_file, capsys):
-        code = main(["analyze", "--subject", source_file, "--triage",
-                     "--json"])
-        payload = json.loads(capsys.readouterr().out)
-        assert code == 0
-        assert "triaged" in payload["summary"]
-        feasible = [f for f in payload["findings"] if f["feasible"]]
-        assert len(feasible) == 1
-        assert feasible[0]["source_function"] == "foo"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--subject", source_file, "--triage",
+                  "--json"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --triage" in captured.err
+        assert captured.out == ""
 
     def test_triage_report_set_matches_no_triage(self, source_file,
                                                  capsys):
-        main(["analyze", "--subject", source_file, "--json"])
-        base = json.loads(capsys.readouterr().out)["findings"]
-        main(["analyze", "--subject", source_file, "--triage", "--json"])
-        triaged = json.loads(capsys.readouterr().out)["findings"]
-        def strip(findings):
-            return [(f["source_function"], f["sink_function"],
-                     f["feasible"]) for f in findings]
-        assert strip(triaged) == strip(base)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--subject", source_file, "--no-triage",
+                  "--json"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
+        code = main(["analyze", "--subject", source_file, "--json"])
+        findings = json.loads(capsys.readouterr().out)["findings"]
+        assert code == 0
+        assert [(f["source_function"], f["sink_function"], f["feasible"])
+                for f in findings] == [("foo", "foo", True),
+                                       ("safe", "safe", False)]
 
     def test_triage_rejected_for_infer(self, source_file, capsys):
-        code = main(["analyze", "--subject", source_file,
-                     "--engine", "infer", "--triage"])
-        assert code == 2
-        assert "path-sensitive" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--subject", source_file,
+                  "--engine", "infer", "--triage"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --triage" in capsys.readouterr().err
 
     def test_triage_telemetry(self, source_file, tmp_path, capsys):
         out = tmp_path / "telemetry.json"
-        main(["analyze", "--subject", source_file, "--triage",
-              "--telemetry", str(out)])
+        code = main(["analyze", "--subject", source_file,
+                     "--telemetry", str(out)])
         capsys.readouterr()
+        assert code == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == SCHEMA
-        triage = payload["triage"]
-        assert triage["decided_infeasible"] + triage["decided_feasible"] \
-            + triage["sent_to_smt"] >= 1
+        assert "triage" not in payload
 
 
 class TestDivZeroChecker:
@@ -316,10 +322,18 @@ class TestDivZeroChecker:
         assert any("%" in s for s in sinks)
 
     def test_triage_composes_with_divzero(self, tmp_path, capsys):
+        """div-zero's sources read the abstract-interpretation fixpoint
+        that the triage pass used to share; the retired switch is refused
+        for this checker too, and the plain run still flags both."""
         path = tmp_path / "div.fl"
         path.write_text(DIVZERO_SOURCE)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--subject", str(path),
+                  "--checker", "div-zero", "--triage", "--json"])
+        assert excinfo.value.code == 2
+        capsys.readouterr()
         code = main(["analyze", "--subject", str(path),
-                     "--checker", "div-zero", "--triage", "--json"])
+                     "--checker", "div-zero", "--no-incremental", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert len([f for f in payload["findings"] if f["feasible"]]) == 2

@@ -131,6 +131,6 @@ class TestTelemetryKeyOrder:
         first, second = outs
         assert first["schema"] == SCHEMA
         assert list(first) == list(second)
-        for section in ("solver", "store", "triage", "faults", "memory"):
+        for section in ("solver", "store", "faults", "memory"):
             assert list(first[section]) == list(second[section])
         assert first["counters"] == second["counters"]

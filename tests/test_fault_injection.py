@@ -177,8 +177,7 @@ class TestWorkerCrashes:
         assert faults["degradations"] >= 1
         assert faults["pool_rebuilds"] >= 1
         # The synthesized queries stay reported (soundy convention).
-        for report in result.reports:
-            assert report.feasible or not report.decided_in_triage
+        assert len(result.bugs) >= result.unknown_queries
 
 
 class TestDeadlines:

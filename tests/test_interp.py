@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import PinpointEngine
+from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker, cwe402_checker
 from repro.fusion import (ConditionTransformer, FusionConfig, FusionEngine,
                           GraphSolverConfig, prepare_pdg)
@@ -17,6 +19,41 @@ def interp(src, fn="f", args=(), **kwargs):
     program = compile_source(src, LoweringConfig(**kwargs)) \
         if kwargs else compile_source(src)
     return Interpreter(program).run(fn, args)
+
+
+def fusion_with_models(pdg) -> FusionEngine:
+    """Fusion extracting a model per report, with every callee cloned.
+    A quick path's HAVOC summary drops the binding of a return that
+    bottoms out in an extern, so that return is free in the model and
+    may take a value no execution produces; with quick paths off every
+    value a replay computes is pinned by the condition."""
+    return FusionEngine(pdg, FusionConfig(solver=GraphSolverConfig(
+        want_model=True, use_quickpaths=False)))
+
+
+def empty_function_model(callee, args) -> Value:
+    """Externs as the condition transformer models them (Figure 5, last
+    rule): a one-actual extern returns its actual's bits.  The witness is
+    a model of that semantics, so a replay must use it too; the
+    interpreter's default havoc (0) would contradict any witness whose
+    branch reads an extern's result."""
+    return Value(args[0].bits) if len(args) == 1 else Value(0)
+
+
+def replays_into_sink(program, report) -> bool:
+    """Run the path's root activation on the witness's values for its
+    parameters (0 where the model leaves one free) and check that a null
+    reaches the report's sink.  The root is the sink side of the path: a
+    fact that escapes its birth function through a return replays from
+    the caller whose body reaches the sink."""
+    root = report.candidate.path.root_frame()
+    params = program.functions[root.function].params
+    args = [report.witness.get(f"{root.function}::{p.name}#f{root.fid}", 0)
+            for p in params]
+    execution = Interpreter(program, extern_model=empty_function_model) \
+        .run(root.function, args)
+    return any(event.passed_null for event in
+               execution.events_for(report.sink.stmt.callee))
 
 
 class TestBasicExecution:
@@ -147,7 +184,8 @@ class TestProvenance:
 class TestWitnessReplay:
     """The solver's model, fed back through the interpreter, must drive
     the tracked value into the sink — end-to-end confirmation of every
-    feasible report."""
+    feasible report — and the reported set must match the generator's
+    ground-truth labels."""
 
     SRC = """
     fun bar(x) {
@@ -201,6 +239,68 @@ class TestWitnessReplay:
         execution = Interpreter(program).run("entry", [k])
         assert any(e.passed_taint("getpass")
                    for e in execution.events_for("sendmsg"))
+
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_reports_never_contradict_execution(self, seed):
+        """On generated subjects, Fusion (default and with models) and
+        Pinpoint report every labelled-feasible source and no
+        labelled-infeasible one, and every witness of the model-extracting
+        Fusion replays into a null reaching the sink (Pinpoint extracts
+        no models)."""
+        spec = SubjectSpec("fuzz-witness-replay", seed=seed,
+                           num_functions=6, layers=3, avg_stmts=5,
+                           call_fanout=2, null_bugs=(1, 1, 1))
+        subject = generate_subject(spec)
+        program = subject.program
+        pdg = prepare_pdg(program)
+        truth = subject.truth_for("null-deref")
+        feasible = {bug.source_function for bug in truth
+                    if bug.path_feasible}
+        infeasible = {bug.source_function for bug in truth
+                      if not bug.path_feasible}
+
+        fusion = fusion_with_models(pdg).analyze(NullDereferenceChecker())
+        default = FusionEngine(pdg).analyze(NullDereferenceChecker())
+        pinpoint = PinpointEngine(pdg).analyze(NullDereferenceChecker())
+        for result in (fusion, default, pinpoint):
+            reported = {report.source.function for report in result.bugs}
+            assert feasible <= reported, (seed, result.engine)
+            assert not reported & infeasible, (seed, result.engine)
+        for report in fusion.bugs:
+            assert replays_into_sink(program, report), \
+                (seed, report, report.witness)
+
+    def test_witness_replays_when_source_escapes_via_return(self):
+        """A fact born in a parameter-free callee and escaping through a
+        return edge must be replayed from the *caller* — the function
+        whose execution actually reaches the sink — not the birth
+        function (whose replay would never call anything)."""
+        program = compile_source("""
+fun make() {
+  p = null;
+  return p;
+}
+fun use(k) {
+  p = make();
+  c = 1;
+  d = 2;
+  if (c < d) {
+    deref(p);
+  }
+  return 0;
+}
+""")
+        pdg = prepare_pdg(program)
+        fusion = fusion_with_models(pdg).analyze(NullDereferenceChecker())
+        pinpoint = PinpointEngine(pdg).analyze(NullDereferenceChecker())
+        for result in (fusion, pinpoint):
+            assert result.bugs, "the escaped null must reach the deref"
+            for report in result.bugs:
+                assert report.candidate.path.root_frame().function == "use"
+        for report in fusion.bugs:
+            assert replays_into_sink(program, report), report.witness
 
 
 class TestDifferentialAgainstSmt:

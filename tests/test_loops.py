@@ -507,9 +507,10 @@ class TestConfigurationSurface:
             assert args.width == 8, command
         assert not hasattr(parser.parse_args(["bench"] + required["bench"]),
                            "loop_strategy")
-        # The engine switches: same defaults and both spellings on every
-        # subcommand that builds a path-sensitive engine.
-        defaults = {"incremental": True, "sparsify": True, "triage": False}
+        # The one engine switch: same default and both spellings on every
+        # subcommand that builds a path-sensitive engine; the retired
+        # switches are gone.
+        defaults = {"incremental": True}
         for command in ("query", "analyze", "bench", "serve"):
             argv = [command] + required[command]
             args = parser.parse_args(argv)
@@ -520,6 +521,10 @@ class TestConfigurationSurface:
                                     (False, f"--no-{name}")):
                     args = parser.parse_args(argv + [flag])
                     assert getattr(args, name) is value, (command, flag)
+            for retired in ("--triage", "--no-triage", "--sparsify",
+                            "--no-sparsify"):
+                with pytest.raises(SystemExit):
+                    parser.parse_args(argv + [retired])
 
     def test_scan_loop_strategy_flag(self, tmp_path, capsys):
         from repro.cli import main

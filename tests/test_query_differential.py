@@ -153,8 +153,15 @@ def test_query_matches_parallel_backends(seed, backend):
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_triage_session_query_matches_full(engine):
+    """Settings recovered from a journal written while the triage pass
+    existed (``triage: false``, ``sparsify: true``) are the defaults, and
+    a session built from them answers demand queries as the full
+    analysis does."""
+    payload = {**EngineSettings(engine=engine).to_payload(),
+               "triage": False, "sparsify": True}
+    settings = EngineSettings.from_payload(payload)
+    assert settings == EngineSettings(engine=engine)
     source = fuzz_source(3)
-    settings = EngineSettings(engine=engine, triage=True)
     full_session = AnalysisSession(source, settings=settings)
     full = full_session.analyze(CHECKER)
     query_session = AnalysisSession(source, settings=settings)
@@ -172,31 +179,22 @@ def forward_reach(start, successors):
     return seen
 
 
-@pytest.mark.parametrize("sparsify", [True, False])
-def test_prefilter_skips_exactly_the_sources_that_cannot_reach(sparsify):
+def test_prefilter_skips_exactly_the_sources_that_cannot_reach():
     """``sources_scanned``/``sources_skipped`` match brute-force
-    reachability from each source to the sink: over the view's kept
-    edges with sparsification, over every data edge without it."""
+    reachability from each source to the sink over the view's kept
+    edges."""
     checker = NullDereferenceChecker()
     for seed in SEEDS[:6]:
         source = fuzz_source(seed)
-        session = AnalysisSession(
-            source, settings=EngineSettings(sparsify=sparsify))
+        session = AnalysisSession(source)
         pdg = session.pdg
         view = session.engine.checker_view(checker)
-        if sparsify:
-            sources = view.live_sources
+        sources = view.live_sources
 
-            def successors(index):
-                return [edge.dst.index for edge, _
-                        in view.kept_entries(pdg.vertices[index])]
-        else:
-            assert view is None
-            sources = checker.sources(pdg)
+        def successors(index):
+            return [edge.dst.index for edge, _
+                    in view.kept_entries(pdg.vertices[index])]
 
-            def successors(index):
-                return [edge.dst.index
-                        for edge in pdg.data_succs(pdg.vertices[index])]
         for line, sinks in sink_lines(session, source):
             sink_set = {vertex.index for vertex in sinks}
             scanned = sum(1 for vertex in sources

@@ -250,15 +250,14 @@ def test_view_collection_identity(seed):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_restricted_fixpoint_matches_full_on_covered(seed):
-    from repro.absint.domains import TaintSpec
-    from repro.absint.fixpoint import FixpointConfig, analyze_pdg
+    from repro.absint.fixpoint import analyze_pdg
 
     pdg = fuzz_pdg(seed)
     view = build_view(pdg, NullDereferenceChecker())
     covered = view.covered()
     if not covered:
         pytest.skip("view empty for this seed")
-    full = analyze_pdg(pdg, TaintSpec.default(), FixpointConfig())
+    full = analyze_pdg(pdg)
     restricted = view.fixpoint_state()
     for vertex_index in covered:
         assert restricted.values[vertex_index] == \

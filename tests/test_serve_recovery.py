@@ -313,6 +313,72 @@ class TestCrashRecovery:
 
 
 # --------------------------------------------------------------------- #
+# Journals written by the previous version
+# --------------------------------------------------------------------- #
+
+#: ``EngineSettings.to_payload()`` as the version with the triage pass
+#: and the ``--[no-]sparsify`` switch journaled it, at its defaults.
+PARENT_SETTINGS = {"engine": "fusion", "want_model": True,
+                   "incremental": True, "triage": False, "sparsify": True,
+                   "query_timeout": None, "loop_unroll": 2, "width": 8,
+                   "loop_strategy": "summaries", "loop_paths": 64}
+
+
+class TestParentJournals:
+    @staticmethod
+    def crash_with_journal(tmp, settings):
+        """Run a tenant cold, crash, and leave a journal whose only
+        record carries ``settings``.  Returns the cold analyze result."""
+        async def main():
+            app = make_app(tmp)
+            try:
+                await rpc(app, "initialize", tenant="t", source=SOURCE)
+                return (await rpc(app, "analyze", tenant="t"))["result"]
+            finally:
+                app.close()
+        cold = run(main())
+        tenants_dir = os.path.join(tmp, "tenants")
+        (digest,) = os.listdir(tenants_dir)
+        journal = SessionJournal(os.path.join(tenants_dir, digest), "t")
+        os.remove(journal.path)
+        journal.record_source(1, SOURCE, settings)
+        return cold
+
+    def test_parent_defaults_recover(self, tmp_path):
+        tmp = str(tmp_path)
+        cold = self.crash_with_journal(tmp, PARENT_SETTINGS)
+
+        async def main():
+            app = make_app(tmp)
+            try:
+                assert (await rpc(app, "tenants"))["result"]["recoverable"] \
+                    == ["t"]
+                warm = (await rpc(app, "analyze", tenant="t"))["result"]
+                assert warm["counters"]["smt_queries"] == 0
+                assert json.dumps(warm["findings"]) \
+                    == json.dumps(cold["findings"])
+                serve = (await rpc(app, "telemetry"))["result"]["serve"]
+                assert serve["sessions_recovered"] == 1
+            finally:
+                app.close()
+        run(main())
+
+    def test_retired_switch_flipped_declines(self, tmp_path):
+        for flipped in ({"triage": True}, {"sparsify": False}):
+            tmp = str(tmp_path / next(iter(flipped)))
+            self.crash_with_journal(tmp, {**PARENT_SETTINGS, **flipped})
+
+            async def main():
+                app = make_app(tmp)
+                try:
+                    lost = await rpc(app, "analyze", tenant="t")
+                    assert lost["error"]["code"] == UNKNOWN_TENANT, flipped
+                finally:
+                    app.close()
+            run(main())
+
+
+# --------------------------------------------------------------------- #
 # Health, readiness, watchdog
 # --------------------------------------------------------------------- #
 

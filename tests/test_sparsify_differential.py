@@ -1,13 +1,13 @@
 """Differential suite: sparsified analysis is byte-identical to the
-full-graph pipeline.
+full-graph walk.
 
 The sparsification contract (`repro.pdg.reduce`, docs/sparsification.md)
 is that per-checker pruned views change *nothing* the program can see:
-candidates, triage decisions, verdicts, witnesses, and the rendered
-findings payload are equal to the full walk, bit for bit.  These tests
-pin that across 25 fuzzed programs for both path-sensitive engines,
-sequential and pooled (thread and process backends), with and without
-the absint triage pre-pass.
+candidates, verdicts, witnesses, and the rendered findings payload are
+equal to the full walk, bit for bit.  These tests pin that across 25
+fuzzed programs for both path-sensitive engines, sequential and pooled
+(thread and process backends), against the full-walk engines of
+``tests/full_walk_oracle.py``.
 """
 
 import json
@@ -21,6 +21,8 @@ from repro.engine import findings_payload
 from repro.exec import ExecConfig
 from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
                           prepare_pdg)
+
+from full_walk_oracle import FullWalkFusion, FullWalkPinpoint
 
 FUZZ_SEEDS = list(range(25))
 
@@ -38,12 +40,14 @@ def fuzz_pdg(seed: int):
 
 
 def fusion(pdg, sparsify: bool) -> FusionEngine:
-    return FusionEngine(pdg, FusionConfig(
-        solver=GraphSolverConfig(want_model=True), sparsify=sparsify))
+    engine = FusionEngine if sparsify else FullWalkFusion
+    return engine(pdg, FusionConfig(
+        solver=GraphSolverConfig(want_model=True)))
 
 
 def pinpoint(pdg, sparsify: bool) -> PinpointEngine:
-    return PinpointEngine(pdg, PinpointConfig(sparsify=sparsify))
+    engine = PinpointEngine if sparsify else FullWalkPinpoint
+    return engine(pdg, PinpointConfig())
 
 
 def rendered(result) -> str:
@@ -74,17 +78,6 @@ def test_fusion_sparsified_matches_full(seed):
     assert sparse.smt_queries == full.smt_queries
 
 
-@pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_fusion_sparsified_matches_full_with_triage(seed):
-    pdg = fuzz_pdg(seed)
-    checker = NullDereferenceChecker()
-    full = fusion(pdg, sparsify=False).analyze(checker, triage=True)
-    sparse = fusion(pdg, sparsify=True).analyze(checker, triage=True)
-    assert rendered(sparse) == rendered(full)
-    assert sparse.triage_decided == full.triage_decided
-    assert sparse.smt_queries == full.smt_queries
-
-
 @pytest.mark.parametrize("seed", SMALL_SEEDS)
 def test_pinpoint_sparsified_matches_full(seed):
     pdg = fuzz_pdg(seed)
@@ -93,16 +86,6 @@ def test_pinpoint_sparsified_matches_full(seed):
     sparse = pinpoint(pdg, sparsify=True).analyze(checker)
     assert rendered(sparse) == rendered(full)
     assert canonical(sparse) == canonical(full)
-
-
-@pytest.mark.parametrize("seed", SMALL_SEEDS)
-def test_pinpoint_sparsified_matches_full_with_triage(seed):
-    pdg = fuzz_pdg(seed)
-    checker = NullDereferenceChecker()
-    full = pinpoint(pdg, sparsify=False).analyze(checker, triage=True)
-    sparse = pinpoint(pdg, sparsify=True).analyze(checker, triage=True)
-    assert rendered(sparse) == rendered(full)
-    assert sparse.triage_decided == full.triage_decided
 
 
 @pytest.mark.parametrize("checker_name", ["cwe-23", "cwe-402",

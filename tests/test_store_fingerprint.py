@@ -1,7 +1,7 @@
 """Golden store fingerprints for every path-sensitive engine.
 
 The artifact store keys warm verdicts by the engine's
-``_store_fingerprint(triage, checker)`` (docs/caching.md).  The
+``_store_fingerprint(checker)`` (docs/caching.md).  The
 warm-equals-cold differential suites cannot notice a dropped or renamed
 key: a warm store would only cold-miss (or, worse, replay verdicts
 across configurations).  These literal dicts pin every key and value, so
@@ -10,7 +10,6 @@ any change to the fingerprint shows up here as a deliberate edit.
 
 import pytest
 
-from repro.absint.triage import CandidateTriage
 from repro.checkers import NullDereferenceChecker
 from repro.engine import ENGINE_CHOICES, build_engine
 from repro.fusion import prepare_pdg
@@ -31,8 +30,6 @@ SHARED = {
     "use_preprocess": True,
     "incremental": False,
     "sparse": [2, 80, 50000, 2],
-    "triage": None,
-    "sparsify": True,
     "footprint": FOOTPRINT,
 }
 
@@ -73,27 +70,19 @@ def test_every_path_sensitive_engine_is_pinned():
 
 @pytest.mark.parametrize("name", PATH_SENSITIVE)
 def test_fingerprint_without_triage(pdg, name):
+    """The default fingerprint; the triage pass and its key are gone."""
     engine = build_engine(name, pdg)
-    assert engine._store_fingerprint(None, NullDereferenceChecker()) \
+    assert engine._store_fingerprint(NullDereferenceChecker()) \
         == GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", PATH_SENSITIVE)
-def test_fingerprint_with_triage(pdg, name):
-    engine = build_engine(name, pdg)
-    checker = NullDereferenceChecker()
-    triage = CandidateTriage(pdg, checker)
-    assert engine._store_fingerprint(triage, checker) \
-        == {**GOLDEN[name], "triage": [20000, 12]}
-
-
-@pytest.mark.parametrize("name", PATH_SENSITIVE)
 def test_fingerprint_incremental_unsparsified(pdg, name):
-    engine = build_engine(name, pdg, incremental=True, sparsify=False,
-                          want_model=True)
-    expected = {**GOLDEN[name], "incremental": True, "sparsify": False,
-                "footprint": None}
+    """Sessions change the fingerprint; sparsification, now
+    unconditional, no longer does (no ``sparsify`` key)."""
+    engine = build_engine(name, pdg, incremental=True, want_model=True)
+    expected = {**GOLDEN[name], "incremental": True}
     if "want_model" in expected:
         expected["want_model"] = True
-    assert engine._store_fingerprint(None, NullDereferenceChecker()) \
+    assert engine._store_fingerprint(NullDereferenceChecker()) \
         == expected
