@@ -16,10 +16,11 @@ Three layers live here:
   per-group solver sessions stay alive across ``analyze()`` calls, and
   an optional persistent :class:`~repro.exec.store.ArtifactStore` so a
   re-analysis of an unchanged program replays every verdict instead of
-  re-solving (``docs/caching.md``).  ``update_source`` swaps in a new
-  program (fresh PDG, fresh engine — term-manager state never leaks
-  across program versions) while the store carries over, so the next
-  ``analyze`` re-decides only verdicts the edit invalidated.
+  re-solving (``docs/caching.md``).  ``update_source`` recompiles only
+  the functions an edit changed.  A changed program gets a fresh PDG and
+  a fresh engine (term-manager state never leaks across program
+  versions); an unchanged one keeps both.  The store carries over, so
+  the next ``analyze`` re-decides only verdicts the edit invalidated.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Optional
 from repro.checkers import DivByZeroChecker, NullDereferenceChecker
 from repro.checkers.base import AnalysisResult
 from repro.checkers.taint import cwe23_checker, cwe402_checker
-from repro.lang import LoweringConfig, compile_source
+from repro.lang import LoweringConfig
 from repro.limits import Budget
 
 CHECKER_FACTORIES = {
@@ -139,16 +140,13 @@ class EngineSettings:
     loop_strategy: str = "summaries"
     loop_paths: int = 64
 
-    def lowering(self, summary_cache=None) -> LoweringConfig:
-        """The front-end config; ``summary_cache`` optionally shares a
-        per-session ``repro.loops.SummaryCache`` so hot daemon sessions
-        re-use loop summaries across edits (invalidated only when a
-        loop body's canonical dump or seed kinds change)."""
+    def lowering(self) -> LoweringConfig:
+        """The front-end config (a session's frontend cache adds the
+        summary cache it shares across versions)."""
         return LoweringConfig(loop_unroll=self.loop_unroll,
                               width=self.width,
                               loop_strategy=self.loop_strategy,
-                              loop_paths=self.loop_paths,
-                              summary_cache=summary_cache)
+                              loop_paths=self.loop_paths)
 
     def to_payload(self) -> dict:
         """JSON-safe field dict (the serve session journal persists it,
@@ -186,6 +184,15 @@ class EngineSettings:
         return settings
 
 
+def _same_program(old, new) -> bool:
+    """Whether ``new`` holds ``old``'s very functions, in the same order,
+    with the same externs: then its PDG is ``old``'s too."""
+    return old is not None and old.externs == new.externs \
+        and len(old.functions) == len(new.functions) \
+        and all(a is b for a, b in zip(old.functions.values(),
+                                       new.functions.values()))
+
+
 class AnalysisSession:
     """One program's hot analysis state (see module docstring).
 
@@ -202,6 +209,8 @@ class AnalysisSession:
             else EngineSettings()
         self.store = store
         self.source: Optional[str] = None
+        #: The compiled program (before recursion unrolling).
+        self.program = None
         self.pdg = None
         self.engine = None
         #: Bumped on every successful ``update_source``; lets a driver
@@ -214,10 +223,13 @@ class AnalysisSession:
         #: :func:`repro.query.sites.line_index`), built by the version's
         #: first query and shared by every site resolution after it.
         self._line_index = None
-        #: Loop-summary recipes survive edits: keys canonicalize the
-        #: loop body + seed kinds, so only loops an edit actually
-        #: touches re-summarize (created lazily on first compile).
-        self._summary_cache = None
+        #: Compiled functions of the current version
+        #: (:class:`repro.lang.frontend.FrontendCache`): an edit parses
+        #: and lowers only the functions it changed.  Its loop-summary
+        #: cache survives edits too: keys canonicalize the loop body +
+        #: seed kinds, so only loops an edit actually touches
+        #: re-summarize.  Created by the first compile.
+        self.frontend = None
         if source is not None:
             self.update_source(source)
 
@@ -228,37 +240,46 @@ class AnalysisSession:
         bad edit never bricks the session — the previous program stays
         analysable.
 
-        Per-checker sparse views migrate selectively: views whose
-        footprint does not intersect the edited functions are *remapped*
-        onto the new PDG instead of rebuilt (see
-        :meth:`repro.pdg.reduce.ViewRegistry.adopt`), so a hot session
-        pays view construction only for the checkers an edit can affect.
+        Only the functions the edit changed are parsed and lowered (see
+        :mod:`repro.lang.frontend`).  When every function compiles to
+        the current version's ``Function`` object, in the same order and
+        with the same externs, the program is unchanged: the PDG, the
+        engine and its views stay.  Otherwise per-checker sparse views
+        migrate selectively: views whose footprint does not intersect
+        the edited functions are *remapped* onto the new PDG instead of
+        rebuilt (see :meth:`repro.pdg.reduce.ViewRegistry.adopt`), so a
+        hot session pays view construction only for the checkers an edit
+        can affect.
         """
         from repro.exec.store import ProgramIndex
         from repro.fusion import prepare_pdg
+        from repro.lang.frontend import FrontendCache
 
-        if self._summary_cache is None \
-                and self.settings.loop_strategy == "summaries":
-            from repro.loops import SummaryCache
-            self._summary_cache = SummaryCache()
-        program = compile_source(
-            source, self.settings.lowering(self._summary_cache))
-        pdg = prepare_pdg(program)
-        engine = build_engine(self.settings.engine, pdg,
-                              want_model=self.settings.want_model,
-                              query_timeout=self.settings.query_timeout,
-                              incremental=self.settings.incremental)
-        old_engine, old_pdg = self.engine, self.pdg
-        if old_engine is not None and old_pdg is not None \
-                and getattr(old_engine, "views", None) is not None \
-                and getattr(engine, "views", None) is not None:
-            # The old version's keys were built by its binds; the new
-            # index is reused by every bind on the new version.
-            engine.views.adopt(old_engine.views,
-                               ProgramIndex.of(old_pdg).content,
-                               ProgramIndex.of(pdg).content,
-                               pdg.program)
-        self.source, self.pdg, self.engine = source, pdg, engine
+        if self.frontend is None:
+            self.frontend = FrontendCache(self.settings.lowering())
+        program, frontend = self.frontend.compile(source)
+        if _same_program(self.program, program):
+            # The kept PDG reads its program's loop counters; this
+            # version's are those of a compile that re-used every loop.
+            self.program.loop_stats = program.loop_stats
+        else:
+            pdg = prepare_pdg(program)
+            engine = build_engine(self.settings.engine, pdg,
+                                  want_model=self.settings.want_model,
+                                  query_timeout=self.settings.query_timeout,
+                                  incremental=self.settings.incremental)
+            old_engine, old_pdg = self.engine, self.pdg
+            if old_engine is not None and old_pdg is not None \
+                    and getattr(old_engine, "views", None) is not None \
+                    and getattr(engine, "views", None) is not None:
+                # The old version's keys were built by its binds; the
+                # new index is reused by every bind on the new version.
+                engine.views.adopt(old_engine.views,
+                                   ProgramIndex.of(old_pdg).content,
+                                   ProgramIndex.of(pdg).content,
+                                   pdg.program)
+            self.program, self.pdg, self.engine = program, pdg, engine
+        self.source, self.frontend = source, frontend
         self._query_cache.clear()
         self._line_index = None
         self.generation += 1

@@ -263,6 +263,25 @@ class Function:
     def defined_vars(self) -> dict[str, Stmt]:
         return {stmt.result.name: stmt for stmt in self.statements()}
 
+    def validate(self) -> None:
+        """Check SSA form and operand definedness; raise on violations."""
+        defined: set[str] = set()
+        for stmt in self.statements():
+            if stmt.result.name in defined:
+                raise ValueError(
+                    f"{self.name}: variable {stmt.result.name} "
+                    f"defined twice (SSA violation)")
+            defined.add(stmt.result.name)
+        for stmt in self.statements():
+            for var in stmt.used_vars():
+                if var.name not in defined:
+                    raise ValueError(
+                        f"{self.name}: use of undefined variable "
+                        f"{var.name} in {stmt!r}")
+        returns = [s for s in self.statements() if isinstance(s, Return)]
+        if len(returns) > 1:
+            raise ValueError(f"{self.name}: multiple return statements")
+
 
 @dataclass
 class Program:
@@ -295,21 +314,4 @@ class Program:
     def validate(self) -> None:
         """Check SSA form and operand definedness; raise on violations."""
         for function in self.functions.values():
-            defined: set[str] = set()
-            for stmt in function.statements():
-                if stmt.result.name in defined:
-                    raise ValueError(
-                        f"{function.name}: variable {stmt.result.name} "
-                        f"defined twice (SSA violation)")
-                defined.add(stmt.result.name)
-            for stmt in function.statements():
-                for var in stmt.used_vars():
-                    if var.name not in defined:
-                        raise ValueError(
-                            f"{function.name}: use of undefined variable "
-                            f"{var.name} in {stmt!r}")
-            returns = [s for s in function.statements()
-                       if isinstance(s, Return)]
-            if len(returns) > 1:
-                raise ValueError(
-                    f"{function.name}: multiple return statements")
+            function.validate()

@@ -87,15 +87,16 @@ _MASTER = re.compile(
 _new = tuple.__new__
 
 
-def iter_tokens(source: str) -> Iterator[Token]:
+def iter_tokens(source: str, first_line: int = 1) -> Iterator[Token]:
     """Yield the tokens of ``source``, ending with one ``EOF`` token.
 
-    Raises :class:`LexError` at the first illegal character, after
-    yielding every token before it.
+    ``first_line`` numbers the first line of ``source`` (a slice of a
+    larger file lexes at its real lines).  Raises :class:`LexError` at
+    the first illegal character, after yielding every token before it.
     """
     # ``split`` gives at least one line, so ``line`` and ``end_col``
     # are bound when the loop ends.
-    for line, text in enumerate(source.split("\n"), 1):
+    for line, text in enumerate(source.split("\n"), first_line):
         end_col = len(text) + 1
         for match in _MASTER.finditer(text):
             group = match.lastindex

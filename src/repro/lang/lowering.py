@@ -25,7 +25,7 @@ The pipeline applies, in one pass over the structured AST:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.lang import ast_nodes as ast
 from repro.lang.ir import (Assign, Binary, BinOp, Branch, Call, Const,
@@ -84,7 +84,8 @@ def lower_module(module: ast.Module,
     summary_cache = config.summary_cache
     if summary_cache is None and config.loop_strategy == "summaries":
         summary_cache = SummaryCache()
-    return_types = _infer_return_types(module)
+    return_types = infer_return_types(
+        [(decl.name, return_summary(decl)) for decl in module.functions])
     program = Program(width=config.width)
     program.externs.update(decl.name for decl in module.externs)
 
@@ -102,46 +103,62 @@ def lower_module(module: ast.Module,
     return program
 
 
-def _infer_return_types(module: ast.Module) -> dict[str, VarType]:
-    """Fixpoint inference of each function's return type (INT default)."""
-    types: dict[str, VarType] = {f.name: VarType.INT
-                                 for f in module.functions}
+class ReturnSummary(NamedTuple):
+    """What a function's return type depends on: whether some ``return``
+    value is boolean by its own shape, and the callees whose results are
+    returned directly (their types decide the rest)."""
 
-    def expr_type(expr: ast.Expr) -> VarType:
-        if isinstance(expr, (ast.IntLit, ast.NullLit)):
-            return VarType.INT
-        if isinstance(expr, ast.BoolLit):
-            return VarType.BOOL
-        if isinstance(expr, ast.Name):
-            return VarType.INT  # approximation; the lowering re-checks
-        if isinstance(expr, ast.UnaryExpr):
-            return VarType.BOOL if expr.op == "!" else VarType.INT
-        if isinstance(expr, ast.BinExpr):
-            return expr.op.result_type()
-        if isinstance(expr, ast.CallExpr):
-            return types.get(expr.callee, VarType.INT)
-        return VarType.INT
+    boolean: bool
+    returned_calls: tuple[str, ...]
 
-    def returns(stmts: list[ast.Statement]):
-        for stmt in stmts:
-            if isinstance(stmt, ast.ReturnStmt) and stmt.value is not None:
-                yield stmt.value
-            elif isinstance(stmt, ast.IfStmt):
-                yield from returns(stmt.then_body)
-                yield from returns(stmt.else_body)
-            elif isinstance(stmt, ast.WhileStmt):
-                yield from returns(stmt.body)
 
-    for _ in range(len(module.functions) + 1):
+def return_summary(decl: ast.FunctionDecl) -> ReturnSummary:
+    """The :class:`ReturnSummary` of one parsed function."""
+    boolean = False
+    calls: list[str] = []
+    for value in _returned_values(decl.body):
+        if isinstance(value, ast.CallExpr):
+            calls.append(value.callee)
+        elif _shape_type(value) is VarType.BOOL:
+            boolean = True
+    return ReturnSummary(boolean, tuple(calls))
+
+
+def _returned_values(stmts: list[ast.Statement]):
+    for stmt in stmts:
+        if isinstance(stmt, ast.ReturnStmt) and stmt.value is not None:
+            yield stmt.value
+        elif isinstance(stmt, ast.IfStmt):
+            yield from _returned_values(stmt.then_body)
+            yield from _returned_values(stmt.else_body)
+        elif isinstance(stmt, ast.WhileStmt):
+            yield from _returned_values(stmt.body)
+
+
+def _shape_type(expr: ast.Expr) -> VarType:
+    """The type of a non-call expression from its outermost node."""
+    if isinstance(expr, ast.BoolLit):
+        return VarType.BOOL
+    if isinstance(expr, ast.UnaryExpr):
+        return VarType.BOOL if expr.op == "!" else VarType.INT
+    if isinstance(expr, ast.BinExpr):
+        return expr.op.result_type()
+    return VarType.INT  # literals; names are approximated, lowering re-checks
+
+
+def infer_return_types(summaries: list[tuple[str, ReturnSummary]]
+                       ) -> dict[str, VarType]:
+    """Fixpoint inference of each function's return type (INT default)
+    from per-function summaries, in declaration order."""
+    types: dict[str, VarType] = {name: VarType.INT for name, _ in summaries}
+    for _ in range(len(summaries) + 1):
         changed = False
-        for decl in module.functions:
-            inferred = VarType.INT
-            for value in returns(decl.body):
-                if expr_type(value) is VarType.BOOL:
-                    inferred = VarType.BOOL
-                    break
-            if types[decl.name] is not inferred:
-                types[decl.name] = inferred
+        for name, summary in summaries:
+            inferred = VarType.BOOL if summary.boolean or any(
+                types.get(callee) is VarType.BOOL
+                for callee in summary.returned_calls) else VarType.INT
+            if types[name] is not inferred:
+                types[name] = inferred
                 changed = True
         if not changed:
             break
@@ -167,6 +184,11 @@ class _FunctionLowering:
         # summarizer seed induction variables with their values so trip
         # counts fold and PDG size stays independent of the unroll bound.
         self._const_defs: dict[str, Const] = {}
+        #: Every callee the lowering read, in first-call order, with the
+        #: return type it used (None: not defined here, so an extern).
+        self.callees: dict[str, Optional[VarType]] = {}
+        #: Loops looked up in the summary cache.
+        self.summary_lookups = 0
 
     # ------------------------------------------------------------------ #
     # Naming
@@ -280,6 +302,7 @@ class _FunctionLowering:
                                  depth=self.config.loop_unroll,
                                  loop_paths=self.config.loop_paths,
                                  stats=stats)
+        self.summary_lookups += 1
         if recipe is None:
             if stats is not None:
                 stats.fallback_unrolls += 1
@@ -471,8 +494,10 @@ class _FunctionLowering:
                         expr.loc)
             if expr.callee in self.defined:
                 rtype = self.return_types[expr.callee]
+                self.callees.setdefault(expr.callee, rtype)
             else:
                 self.externs.add(expr.callee)
+                self.callees.setdefault(expr.callee, None)
                 rtype = VarType.INT
             result = self._fresh(name_hint or "%t", rtype)
             out.append(Call(result, expr.callee, args))

@@ -260,6 +260,7 @@ class Parser:
         raise ParseError(f"unexpected token {token.text!r}", token.loc)
 
 
-def parse(source: str) -> Module:
-    """Parse surface source text into a :class:`Module`."""
-    return Parser(iter_tokens(source)).parse_module()
+def parse(source: str, first_line: int = 1) -> Module:
+    """Parse surface source text into a :class:`Module`; ``first_line``
+    numbers the first line of ``source``."""
+    return Parser(iter_tokens(source, first_line)).parse_module()

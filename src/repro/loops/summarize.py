@@ -72,6 +72,10 @@ class LoopStats:
             "sat_checks": self.sat_checks,
         }
 
+    def add(self, other: "LoopStats") -> None:
+        for name, value in other.as_dict().items():
+            setattr(self, name, getattr(self, name) + value)
+
 
 @dataclass
 class SummaryRecipe:

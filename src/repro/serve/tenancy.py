@@ -40,22 +40,10 @@ from typing import Optional
 
 from repro.engine import AnalysisSession, EngineSettings
 from repro.exec import ArtifactStore, CircuitBreaker, FaultPlan, Telemetry
-from repro.lang.lexer import COMMENT
+from repro.lang.scan import block_end, mask_comments
 from repro.serve.journal import JOURNAL_BASENAME, SessionJournal
 from repro.serve.protocol import (COMPILE_ERROR, INVALID_PARAMS,
                                   UNKNOWN_TENANT, ServeError)
-
-
-def _mask_comments(text: str) -> str:
-    """``text`` with every ``#``/``//`` line comment blanked to spaces.
-
-    Same-length as the input, so every index into the mask is an index
-    into the original — the splicer searches and scans the mask but
-    splices the original.  Uses the lexer's own comment pattern
-    (``repro.lang.lexer.COMMENT``); the language has no string
-    literals, so a comment marker is never quoted.
-    """
-    return COMMENT.sub(lambda match: " " * len(match.group()), text)
 
 
 def splice_function(source: str, name: str, text: str) -> str:
@@ -66,15 +54,16 @@ def splice_function(source: str, name: str, text: str) -> str:
     function); a name mismatch between ``name`` and ``text`` is an
     error, so a typo cannot silently orphan the old definition.
 
-    Comment spans are skipped during both the header search and the
-    brace scan: the lexer accepts ``#``/``//`` line comments, so a
-    brace or a ``fun`` header inside one is prose, not structure.
+    The header search and the brace scan both read the comment-masked
+    text (:mod:`repro.lang.scan`): the lexer accepts ``#``/``//`` line
+    comments, so a brace or a ``fun`` header inside one is prose, not
+    structure.
     """
-    header = re.search(r"\bfun\s+(\w+)\s*\(", _mask_comments(text))
+    header = re.search(r"\bfun\s+(\w+)\s*\(", mask_comments(text))
     if header is None or header.group(1) != name:
         raise ServeError(INVALID_PARAMS,
                          f"edit text must define function {name!r}")
-    masked = _mask_comments(source)
+    masked = mask_comments(source)
     match = re.search(rf"\bfun\s+{re.escape(name)}\s*\(", masked)
     if match is None:
         sep = "" if source.endswith("\n") else "\n"
@@ -83,18 +72,11 @@ def splice_function(source: str, name: str, text: str) -> str:
     if open_brace < 0:
         raise ServeError(COMPILE_ERROR,
                          f"held source is malformed at function {name!r}")
-    depth = 0
-    for position in range(open_brace, len(masked)):
-        char = masked[position]
-        if char == "{":
-            depth += 1
-        elif char == "}":
-            depth -= 1
-            if depth == 0:
-                return (source[:match.start()] + text.strip()
-                        + source[position + 1:])
-    raise ServeError(COMPILE_ERROR,
-                     f"unbalanced braces in function {name!r}")
+    end = block_end(masked, open_brace)
+    if end < 0:
+        raise ServeError(COMPILE_ERROR,
+                         f"unbalanced braces in function {name!r}")
+    return source[:match.start()] + text.strip() + source[end:]
 
 
 class TenantSession:
