@@ -16,7 +16,6 @@ from typing import Optional
 
 from typing import TYPE_CHECKING
 
-from repro.lang.ir import Assign, Call, Const
 from repro.pdg.graph import (DataEdge, EdgeKind, ProgramDependenceGraph,
                              Vertex)
 
@@ -24,23 +23,12 @@ if TYPE_CHECKING:  # avoid a package-level import cycle with repro.sparse
     from repro.sparse.paths import DependencePath
 
 
-#: Symbol-class vocabulary for :class:`CheckerFootprint.symbol_classes`.
-SYMBOL_CLASS_TAINT_SOURCES = "taint-sources"
-SYMBOL_CLASS_TAINT_SINKS = "taint-sinks"
-SYMBOL_CLASS_SANITIZERS = "sanitizers"
-SYMBOL_CLASS_DIVISOR_DEFS = "divisor-defs"
-SYMBOL_CLASS_NULL_PRODUCING = "null-producing-ops"
-SYMBOL_CLASS_DEREF_SINKS = "deref-sinks"
-SYMBOL_CLASS_FORMAT_ARGS = "format-args"
-
-
 @dataclass(frozen=True)
 class CheckerFootprint:
     """What a checker can observe — the contract behind sparsification.
 
     ``repro.pdg.reduce`` builds per-checker pruned PDG views from this
-    declaration, and the daemon uses it to decide whether an edit can
-    possibly change what the checker sees (see ``ViewRegistry.adopt``).
+    declaration.
 
     ``version`` participates in artifact-store fingerprints: bump it
     whenever the checker's observation semantics change, so warm-cache
@@ -53,21 +41,14 @@ class CheckerFootprint:
     source_symbols: frozenset = frozenset()
     #: Extern symbols whose calls complete the bug pattern.
     sink_symbols: frozenset = frozenset()
-    #: Human-readable classes of the observed symbols (see the
-    #: ``SYMBOL_CLASS_*`` vocabulary above).
-    symbol_classes: tuple = ()
     #: Data-edge kinds ``propagates``/``is_sink_edge`` may return True
     #: for; other kinds are skipped without consulting the checker.
     edge_kinds: frozenset = frozenset(EdgeKind)
     #: The checker treats ``null`` literal assignments as sources.
     null_literal_sources: bool = False
-    #: Sources are value-dependent (any edit anywhere may create one),
-    #: so views can never be carried across edits.
+    #: Sources are value-dependent (read off the abstract fixpoint), so
+    #: the view finds them by walking backward from the sink sites.
     volatile_sources: bool = False
-    #: ``propagates``/``is_sink_edge`` are pure per-edge functions and
-    #: ``propagates`` on CALL/RETURN edges does not inspect statement
-    #: contents.  Required for cross-edit view remapping.
-    remappable: bool = False
 
     def key(self) -> tuple:
         """Stable fingerprint component (artifact-store keying)."""
@@ -75,22 +56,6 @@ class CheckerFootprint:
                 tuple(sorted(self.source_symbols)),
                 tuple(sorted(self.sink_symbols)),
                 self.null_literal_sources, self.volatile_sources)
-
-    def observes(self, function) -> bool:
-        """Whether ``function``'s body contains this checker's source
-        or sink constructs (used to scope daemon-edit invalidation)."""
-        if self.volatile_sources:
-            return True
-        for stmt in function.statements():
-            if isinstance(stmt, Call) and (
-                    stmt.callee in self.source_symbols
-                    or stmt.callee in self.sink_symbols):
-                return True
-            if self.null_literal_sources and isinstance(stmt, Assign) \
-                    and isinstance(stmt.source, Const) \
-                    and stmt.source.is_null:
-                return True
-        return False
 
 
 class Checker(abc.ABC):
@@ -115,7 +80,7 @@ class Checker(abc.ABC):
         """This checker's observation footprint.
 
         The default is maximally conservative — volatile sources, all
-        edge kinds, not remappable — which keeps sparsification sound
+        edge kinds — which keeps sparsification sound
         for third-party checkers that declare nothing."""
         return CheckerFootprint(checker=self.name, volatile_sources=True)
 

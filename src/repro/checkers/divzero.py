@@ -19,8 +19,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.checkers.base import (SYMBOL_CLASS_DIVISOR_DEFS, Checker,
-                                 CheckerFootprint)
+from repro.checkers.base import Checker, CheckerFootprint
 from repro.lang.ir import (Assign, Binary, BinOp, Call, IfThenElse, Return,
                            Var, VarType)
 from repro.pdg.graph import DataEdge, EdgeKind, ProgramDependenceGraph, Vertex
@@ -39,11 +38,10 @@ class DivByZeroChecker(Checker):
 
     def footprint(self) -> CheckerFootprint:
         # Sources are value-dependent (any interval proven [0, 0]), so
-        # they are volatile: an edit anywhere can fold a new zero into
-        # existence, and views must be rebuilt after every edit.
+        # they are volatile: known only once the fixpoint has run, which
+        # makes the view walk backward from the sink sites first.
         return CheckerFootprint(
             checker=self.name,
-            symbol_classes=(SYMBOL_CLASS_DIVISOR_DEFS,),
             edge_kinds=frozenset({EdgeKind.LOCAL, EdgeKind.CALL,
                                   EdgeKind.RETURN}),
             volatile_sources=True)

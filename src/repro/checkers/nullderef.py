@@ -12,9 +12,7 @@ pattern of the paper's Figure 1 example, where the null flows from
 from __future__ import annotations
 
 from repro.lang.ir import (Assign, Call, Const, IfThenElse, Return, Var)
-from repro.checkers.base import (SYMBOL_CLASS_DEREF_SINKS,
-                                 SYMBOL_CLASS_NULL_PRODUCING, Checker,
-                                 CheckerFootprint)
+from repro.checkers.base import Checker, CheckerFootprint
 from repro.pdg.graph import DataEdge, EdgeKind, ProgramDependenceGraph, Vertex
 
 #: Library routines that dereference their pointer arguments.
@@ -32,10 +30,7 @@ class NullDereferenceChecker(Checker):
         return CheckerFootprint(
             checker=self.name,
             sink_symbols=self.sinks,
-            symbol_classes=(SYMBOL_CLASS_NULL_PRODUCING,
-                            SYMBOL_CLASS_DEREF_SINKS),
-            null_literal_sources=True,
-            remappable=True)
+            null_literal_sources=True)
 
     def sources(self, pdg: ProgramDependenceGraph) -> list[Vertex]:
         return [vertex for vertex in pdg.sites.of_class(Assign)

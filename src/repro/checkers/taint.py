@@ -14,10 +14,7 @@ propagates through ``Binary`` statements and EXTERN edges.
 from __future__ import annotations
 
 from repro.lang.ir import Assign, Binary, Call, IfThenElse, Return, Var
-from repro.checkers.base import (SYMBOL_CLASS_SANITIZERS,
-                                 SYMBOL_CLASS_TAINT_SINKS,
-                                 SYMBOL_CLASS_TAINT_SOURCES, Checker,
-                                 CheckerFootprint)
+from repro.checkers.base import Checker, CheckerFootprint
 from repro.pdg.graph import DataEdge, EdgeKind, ProgramDependenceGraph, Vertex
 
 
@@ -36,11 +33,7 @@ class TaintChecker(Checker):
         return CheckerFootprint(
             checker=self.name,
             source_symbols=self.source_calls,
-            sink_symbols=self.sink_calls,
-            symbol_classes=(SYMBOL_CLASS_TAINT_SOURCES,
-                            SYMBOL_CLASS_TAINT_SINKS,
-                            SYMBOL_CLASS_SANITIZERS),
-            remappable=True)
+            sink_symbols=self.sink_calls)
 
     def sources(self, pdg: ProgramDependenceGraph) -> list[Vertex]:
         return pdg.sites.calling(self.source_calls)

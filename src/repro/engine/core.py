@@ -244,14 +244,11 @@ class AnalysisSession:
         :mod:`repro.lang.frontend`).  When every function compiles to
         the current version's ``Function`` object, in the same order and
         with the same externs, the program is unchanged: the PDG, the
-        engine and its views stay.  Otherwise per-checker sparse views
-        migrate selectively: views whose footprint does not intersect
-        the edited functions are *remapped* onto the new PDG instead of
-        rebuilt (see :meth:`repro.pdg.reduce.ViewRegistry.adopt`), so a
-        hot session pays view construction only for the checkers an edit
-        can affect.
+        engine and its views stay.  Otherwise the new engine rebuilds
+        each per-checker sparse view on first use; it only takes over
+        the old views' telemetry counters
+        (:meth:`repro.pdg.reduce.ViewRegistry.adopt`).
         """
-        from repro.exec.store import ProgramIndex
         from repro.fusion import prepare_pdg
         from repro.lang.frontend import FrontendCache
 
@@ -268,16 +265,10 @@ class AnalysisSession:
                                   want_model=self.settings.want_model,
                                   query_timeout=self.settings.query_timeout,
                                   incremental=self.settings.incremental)
-            old_engine, old_pdg = self.engine, self.pdg
-            if old_engine is not None and old_pdg is not None \
-                    and getattr(old_engine, "views", None) is not None \
+            old_engine = self.engine
+            if getattr(old_engine, "views", None) is not None \
                     and getattr(engine, "views", None) is not None:
-                # The old version's keys were built by its binds; the
-                # new index is reused by every bind on the new version.
-                engine.views.adopt(old_engine.views,
-                                   ProgramIndex.of(old_pdg).content,
-                                   ProgramIndex.of(pdg).content,
-                                   pdg.program)
+                engine.views.adopt(old_engine.views)
             self.program, self.pdg, self.engine = program, pdg, engine
         self.source, self.frontend = source, frontend
         self._query_cache.clear()

@@ -53,7 +53,9 @@ from repro.smt.solver import SmtStatus
 #: summarized vs fallen back to unrolling, feasible paths enumerated,
 #: summary-cache hits, lowering-time SAT feasibility checks).
 #: /11 dropped the "triage" section (the triage pass was deleted).
-SCHEMA = "repro-exec-telemetry/11"
+#: /12 dropped "views_remapped", "scc_count" and "bypass_edges" from the
+#: "reduce" section (views are rebuilt after an edit, never condensed).
+SCHEMA = "repro-exec-telemetry/12"
 
 #: Request-latency samples kept for the percentile estimates; the serve
 #: soak keeps a daemon alive indefinitely, so the window is bounded
@@ -121,17 +123,12 @@ class Telemetry:
         self.reduce: dict[str, float] = {
             "views_built": 0,        # pruned views constructed from scratch
             "view_cache_hits": 0,    # analyze() calls served a cached view
-            "views_remapped": 0,     # views migrated across an edit
             "views_invalidated": 0,  # views dropped by an edit
             "build_seconds": 0.0,    # total view construction time
             "nodes_kept": 0,         # footprint-reachable vertices kept
             "nodes_elided": 0,       # vertices pruned from walks
             "edges_kept": 0,         # data edges kept in views
             "edges_elided": 0,       # data edges pruned from walks
-            # Both counted over each view's kept subgraph (region plus
-            # kept destinations), not the whole PDG.
-            "scc_count": 0,          # condensed components across views
-            "bypass_edges": 0,       # chain-elision bypass stitches
             "live_sources": 0,       # sources that can reach a sink
             "sources_elided": 0,     # sources pruned as unobservable
         }

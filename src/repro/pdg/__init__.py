@@ -6,8 +6,7 @@ from repro.pdg.builder import build_pdg
 from repro.pdg.callgraph import CallGraph, clone_function, unroll_recursion
 from repro.pdg.slicing import Requirement, Slice, compute_slice
 from repro.pdg.dot import pdg_to_dot, view_to_dot
-from repro.pdg.reduce import (Condensation, SparsePDGView, ViewRegistry,
-                              build_view)
+from repro.pdg.reduce import SparsePDGView, ViewRegistry, build_view
 from repro.pdg.validate import ValidationReport, validate_pdg
 
 __all__ = [
@@ -17,6 +16,6 @@ __all__ = [
     "CallGraph", "clone_function", "unroll_recursion",
     "Requirement", "Slice", "compute_slice",
     "pdg_to_dot", "view_to_dot",
-    "Condensation", "SparsePDGView", "ViewRegistry", "build_view",
+    "SparsePDGView", "ViewRegistry", "build_view",
     "ValidationReport", "validate_pdg",
 ]

@@ -48,16 +48,13 @@ def pdg_to_dot(pdg: ProgramDependenceGraph,
 def view_to_dot(view) -> str:
     """Render a checker's :class:`~repro.pdg.reduce.SparsePDGView`.
 
-    Kept vertices are grouped per function (the full graph's elided
-    vertices are simply absent); sink edges are red, propagating
-    call/return edges carry their parenthesis labels.  Non-trivial SCCs
-    of the kept subgraph are annotated, and the condensation's bypass
-    stitches are drawn as bold edges labelled with the number of chain
-    members they elide.
+    Only the kept subgraph is drawn: the region plus the kept edges'
+    destinations, grouped per function (the full graph's elided
+    vertices are simply absent).  Sink edges are red, propagating
+    call/return edges carry their parenthesis labels.
     """
     pdg = view.pdg
-    cond = view.condensation
-    shown = set(cond.scc_of)  # the kept subgraph's vertices
+    shown = view.kept_vertices()
 
     lines = ["digraph sparse_view {", "  rankdir=BT;",
              f'  label="{view.checker_name} view: '
@@ -88,25 +85,6 @@ def view_to_dot(view) -> str:
                 attrs = ' [style=dotted]'
             lines.append(
                 f"  v{edge.src.index} -> v{edge.dst.index}{attrs};")
-
-    for comp, members in enumerate(cond.members):
-        if len(members) > 1 and any(m in shown for m in members):
-            anchor = members[0]
-            lines.append(
-                f'  v{anchor} [xlabel="scc{comp} '
-                f'({len(members)} members)"];')
-    for comp, entries in enumerate(cond._bypass):
-        if entries is None:
-            continue
-        for target, carried in entries:
-            if not carried:
-                continue
-            src = cond.members[comp][0]
-            dst = cond.members[target][0]
-            if src in shown and dst in shown:
-                lines.append(
-                    f"  v{src} -> v{dst} [style=bold,color=gray,"
-                    f'label="bypass {len(carried)}"];')
     lines.append("}")
     return "\n".join(lines)
 

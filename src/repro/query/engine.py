@@ -5,10 +5,9 @@ whole-program ``analyze``.  The pipeline walks only the region between
 the pair:
 
 1. **Source selection** — the view's live sources are filtered to the
-   def sites (when given) and pre-filtered by reachability: an O(1)
-   check on the condensation of the view's kept subgraph
-   (:class:`~repro.pdg.reduce.Condensation`).  A source that cannot
-   reach any sink vertex is never walked.
+   def sites (when given) and pre-filtered by reachability: one
+   backward walk from the sink vertices over the view's kept edges.
+   A source that cannot reach any sink vertex is never walked.
 2. **Demand collection** — each selected source replays exactly the
    per-source walk of :func:`~repro.sparse.engine.collect_candidates`
    (same view pruning, same frame interning, same dedup), so the
@@ -104,18 +103,12 @@ def _select_sources(view, sink_indices: frozenset,
                     def_indices: Optional[frozenset]) -> tuple[list, int]:
     """The demand walk's sources: the view's live sources, def-site
     filtered, then pre-filtered by reachability to a sink over the
-    view's kept subgraph.  Returns (selected, skipped)."""
-    condensation = view.condensation
-    selected = []
-    skipped = 0
-    for source in view.live_sources:
-        if (def_indices is not None and source.index not in def_indices) \
-                or not any(condensation.reachable(source.index, sink)
-                           for sink in sink_indices):
-            skipped += 1
-            continue
-        selected.append(source)
-    return selected, skipped
+    view's kept edges.  Returns (selected, skipped)."""
+    reaching = view.reaching(sink_indices)
+    selected = [source for source in view.live_sources
+                if source.index in reaching and
+                (def_indices is None or source.index in def_indices)]
+    return selected, len(view.live_sources) - len(selected)
 
 
 def pair_region(pdg: ProgramDependenceGraph,

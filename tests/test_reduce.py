@@ -1,22 +1,19 @@
 """Unit tests for checker-specific PDG sparsification (repro.pdg.reduce).
 
-Four layers are pinned here:
+Five layers are pinned here:
 
-* the :class:`Condensation` (SCC collapse, transitive reduction, chain
-  elision with bypass stitching) answers reachability and closure
-  queries identically to brute-force graph walks, and Rule-3 slicing is
-  exactly the backward data closure;
+* Rule-3 slicing is exactly the backward data closure;
 * the seeded :func:`build_view` equals the full-classification oracle
   (``tests/view_oracle.py``) field by field;
+* the demand query's source pre-filter (one backward walk from the
+  sinks over a view's kept edges) equals brute-force forward
+  reachability from each source;
 * a :class:`SparsePDGView` preserves candidate collection — including
   frame-id interning order — and the restricted fixpoint's abstract
   values at every covered vertex;
-* the :class:`ViewRegistry` migration policy across daemon edits:
-  remap for provably unaffected views, invalidation (and a fresh,
-  still-identical rebuild) for everything else.
+* an edit that changes the program invalidates every view of the old
+  engine, and the session then answers exactly like a fresh one.
 """
-
-import random
 
 import pytest
 
@@ -25,9 +22,12 @@ from repro.checkers import (Checker, DivByZeroChecker,
                             NullDereferenceChecker)
 from repro.checkers.taint import cwe23_checker, cwe402_checker
 from repro.engine import AnalysisSession, EngineSettings
+from repro.engine.core import findings_payload
+from repro.exec import Telemetry
 from repro.fusion import prepare_pdg
 from repro.pdg import compute_slice
-from repro.pdg.reduce import Condensation, build_view
+from repro.pdg.reduce import build_view
+from repro.query.engine import _select_sources
 from repro.sparse.engine import collect_candidates
 from view_oracle import full_view
 
@@ -41,20 +41,7 @@ def fuzz_pdg(seed: int, **overrides):
 
 
 # ---------------------------------------------------------------------
-# Condensation vs brute force
-
-
-def random_graph(seed: int, num_nodes: int = 32):
-    rng = random.Random(seed)
-    edges = []
-    for _ in range(num_nodes * 2):
-        edges.append((rng.randrange(num_nodes), rng.randrange(num_nodes)))
-    # A few deliberate cycles so non-trivial SCCs always exist.
-    for _ in range(4):
-        a, b = rng.randrange(num_nodes), rng.randrange(num_nodes)
-        edges.append((a, b))
-        edges.append((b, a))
-    return num_nodes, edges
+# Rule-3 slicing vs brute force
 
 
 def brute_closure(num_nodes, edges, seeds):
@@ -70,58 +57,6 @@ def brute_closure(num_nodes, edges, seeds):
         seen.add(node)
         work.extend(succs[node])
     return seen
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_condensation_reachability_matches_brute_force(seed):
-    num_nodes, edges = random_graph(seed)
-    cond = Condensation(range(num_nodes), edges)
-    closures = [brute_closure(num_nodes, edges, [node])
-                for node in range(num_nodes)]
-    for src in range(num_nodes):
-        for dst in range(num_nodes):
-            assert cond.reachable(src, dst) == (dst in closures[src]), \
-                (seed, src, dst)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_condensation_closure_matches_brute_force(seed):
-    """closure_sccs — including lazy bypass expansion and mid-chain
-    seeds — yields exactly the brute-force forward closure."""
-    num_nodes, edges = random_graph(seed)
-    cond = Condensation(range(num_nodes), edges)
-    rng = random.Random(seed + 1000)
-    for _ in range(8):
-        seeds = {rng.randrange(num_nodes)
-                 for _ in range(rng.randrange(1, 5))}
-        expected = brute_closure(num_nodes, edges, seeds)
-        sccs = cond.closure_sccs({cond.scc_of[s] for s in seeds})
-        got = {member for comp in sccs for member in cond.members[comp]}
-        assert got == expected, (seed, seeds)
-
-
-def test_chain_elision_bypass_preserves_membership():
-    """A long chain is elided down to bypass stitches, yet every chain
-    member still shows up in closures crossing (or seeded inside) it."""
-    # 0 -> 1 -> 2 -> 3 -> 4 -> 5, plus a side branch 0 -> 6.
-    edges = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 6)]
-    cond = Condensation(range(7), edges)
-    assert cond.bypass_edges >= 1
-    full = cond.closure_sccs({cond.scc_of[0]})
-    assert {m for c in full for m in cond.members[c]} == set(range(7))
-    # Seeded mid-chain: the tail (and nothing upstream) is collected.
-    mid = cond.closure_sccs({cond.scc_of[3]})
-    assert {m for c in mid for m in cond.members[c]} == {3, 4, 5}
-
-
-def test_condensation_over_sparse_node_ids():
-    """Node ids need not be dense: members and reachability speak in
-    the ids given, and a node outside the graph reaches only itself."""
-    cond = Condensation([40, 10, 30, 20], [(10, 20), (20, 10), (20, 30)])
-    assert sorted(cond.members) == [[10, 20], [30], [40]]
-    assert cond.reachable(10, 30) and not cond.reachable(30, 10)
-    assert not cond.reachable(10, 40)
-    assert cond.reachable(99, 99) and not cond.reachable(10, 99)
 
 
 def reversed_data_edges(pdg):
@@ -168,19 +103,6 @@ def test_compute_slice_is_backward_data_closure(seed):
             assert all(vertex.function == function for vertex in vertices)
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_sliced_membership_survives_condensed_closure(seed):
-    """Closures read off a condensation of the reversed data edges keep
-    exactly the Rule-3 membership: PDG-shaped graphs carry the long
-    def-use chains that chain elision stitches over."""
-    pdg = fuzz_pdg(seed)
-    cond = Condensation(range(pdg.num_vertices), reversed_data_edges(pdg))
-    for _, the_slice, seeds in sliced_cases(pdg):
-        sccs = cond.closure_sccs({cond.scc_of[index] for index in seeds})
-        assert {member for comp in sccs for member in cond.members[comp]} \
-            == needed_indices(the_slice)
-
-
 # ---------------------------------------------------------------------
 # seeded view construction vs the full-classification oracle
 
@@ -209,20 +131,60 @@ def test_seeded_view_matches_full_classification(seed, name):
                    loop_density=0.3)
     view = build_view(pdg, VIEW_CHECKERS[name]())
     oracle = full_view(pdg, VIEW_CHECKERS[name]())
-    for field in ("_kept", "_kept_pos", "region", "sources_total",
-                  "touched_functions", "source_reach_functions",
+    for field in ("_kept", "region", "sources_total",
                   "nodes_kept", "edges_kept"):
         assert getattr(view, field) == getattr(oracle, field), field
     assert [vertex.index for vertex in view.live_sources] == \
         [vertex.index for vertex in oracle.live_sources]
-    shown = view.region.union(edge.dst.index
-                              for entries in view._kept.values()
-                              for edge, _ in entries)
+    shown = view.kept_vertices()
     assert view.observable_indices & shown == \
         oracle.observable_indices & shown
     assert view._sink_dsts & shown == oracle._sink_dsts & shown
-    assert view.condensation.num_nodes == view.nodes_kept
-    assert view.condensation.scc_count <= view.nodes_kept
+
+
+# ---------------------------------------------------------------------
+# the demand query's source pre-filter vs forward reachability
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_source_prefilter_matches_forward_reachability(seed):
+    """For every checker and every sink vertex, ``_select_sources``
+    keeps exactly the live sources from which the sink is forward
+    reachable over the view's kept edges, with and without def-site
+    filtering; every other live source is counted as skipped."""
+    pdg = fuzz_pdg(seed, taint23_bugs=(1, 1, 0), taint402_bugs=(1, 0, 1),
+                   loop_density=0.3)
+    outcomes = set()
+    for name in sorted(VIEW_CHECKERS):
+        view = build_view(pdg, VIEW_CHECKERS[name]())
+        edges = [(index, edge.dst.index)
+                 for index, entries in view._kept.items()
+                 for edge, _ in entries]
+        reach = {source.index: brute_closure(pdg.num_vertices, edges,
+                                             [source.index])
+                 for source in view.live_sources}
+        sinks = sorted({edge.dst.index for entries in view._kept.values()
+                        for edge, is_sink in entries if is_sink})
+        every_other = frozenset(source.index
+                                for source in view.live_sources[::2])
+        for sink in sinks:
+            for defs in (None, every_other):
+                selected, skipped = _select_sources(
+                    view, frozenset([sink]), defs)
+                expected = [source for source in view.live_sources
+                            if sink in reach[source.index]
+                            and (defs is None or source.index in defs)]
+                assert selected == expected, (name, sink, defs)
+                assert skipped == len(view.live_sources) - len(expected)
+                outcomes.add((defs is None, bool(selected), bool(skipped)))
+    # Non-vacuous: some query keeps a source, some skips one for
+    # reachability alone, and the def-site filter skips some too.
+    assert any(unfiltered and selected
+               for unfiltered, selected, _ in outcomes), outcomes
+    assert any(unfiltered and skipped
+               for unfiltered, _, skipped in outcomes), outcomes
+    assert any(not unfiltered and skipped
+               for unfiltered, _, skipped in outcomes), outcomes
 
 
 # ---------------------------------------------------------------------
@@ -267,16 +229,11 @@ def test_restricted_fixpoint_matches_full_on_covered(seed):
 
 
 # ---------------------------------------------------------------------
-# cross-edit migration (ViewRegistry.adopt via AnalysisSession)
+# edits (ViewRegistry.adopt via AnalysisSession)
 
 
 LEAF = """fun leaf(x) {
   y = x + 1;
-  return y;
-}"""
-
-LEAF_EDITED = """fun leaf(x) {
-  y = x + 2;
   return y;
 }"""
 
@@ -296,38 +253,58 @@ fun main(a) {
 }
 """
 
+#: Edits that change the program's IR, by what they touch.
+IR_EDITS = {
+    "leaf-body": SOURCE.replace("y = x + 1", "y = x + 2"),
+    "taint-function": SOURCE.replace("s = t + a", "s = t + t"),
+    "new-function": SOURCE + "\nfun extra(q) {\n  return q;\n}\n",
+}
+
+CHECKERS = ("null-deref", "cwe-23", "cwe-402", "div-zero")
+
 
 def reduce_counters(session):
-    from repro.exec import Telemetry
-
     telemetry = Telemetry()
     session.engine.views.flush_telemetry(telemetry)
     return telemetry.as_dict()["reduce"]
 
 
-def test_adopt_remaps_views_untouched_by_the_edit():
-    session = AnalysisSession(SOURCE, settings=EngineSettings())
-    before = session.analyze("cwe-23")
-    session.update_source(SOURCE.replace(LEAF, LEAF_EDITED))
-    counters = reduce_counters(session)
-    assert counters["views_remapped"] == 1
-    assert counters["views_invalidated"] == 0
-    after = session.analyze("cwe-23")
-    assert [r.feasible for r in after.reports] == \
-        [r.feasible for r in before.reports]
+def sink_lines(source, callees=("fopen", "deref")):
+    return [number for number, line in enumerate(source.splitlines(), 1)
+            if any(f"{callee}(" in line for callee in callees)]
 
 
-def test_adopt_invalidates_views_observing_the_edit():
+@pytest.mark.parametrize("edit", sorted(IR_EDITS))
+def test_ir_edit_rebuilds_every_view(edit):
+    """An edit that changes the IR invalidates every view the old
+    engine held, whatever the edit touched, and the edited session's
+    ``analyze`` and ``query`` payloads equal a fresh session's."""
+    edited = IR_EDITS[edit]
     session = AnalysisSession(SOURCE, settings=EngineSettings())
-    session.analyze("cwe-23")
-    # Editing the function holding the taint source/sink must drop the
-    # taint view (rebuilt on next use, still correct).
-    session.update_source(SOURCE.replace("s = t + a", "s = t + t"))
+    for checker in CHECKERS:
+        session.analyze(checker)
+    old_engine = session.engine
+    session.update_source(edited)
+    assert session.engine is not old_engine
     counters = reduce_counters(session)
-    assert counters["views_invalidated"] == 1
-    assert counters["views_remapped"] == 0
-    result = session.analyze("cwe-23")
-    assert any(r.feasible for r in result.reports)
+    assert counters["views_invalidated"] == len(CHECKERS)
+    assert "views_remapped" not in counters
+
+    fresh = AnalysisSession(edited, settings=EngineSettings())
+    telemetry = Telemetry()
+    for checker in CHECKERS:
+        assert findings_payload(session.analyze(
+            checker, telemetry=telemetry)) == \
+            findings_payload(fresh.analyze(checker)), checker
+    assert telemetry.as_dict()["reduce"]["views_built"] == len(CHECKERS)
+    for line in sink_lines(edited):
+        for checker in ("null-deref", "cwe-23"):
+            try:
+                expected = fresh.query(checker, sink=line).to_payload()
+            except ValueError:  # the line holds no sink of this checker
+                continue
+            assert session.query(checker, sink=line).to_payload() == \
+                expected, (checker, line)
 
 
 def test_adopt_never_remaps_volatile_footprints():
@@ -335,16 +312,16 @@ def test_adopt_never_remaps_volatile_footprints():
     create one, so its view never survives an edit."""
     session = AnalysisSession(SOURCE, settings=EngineSettings())
     session.analyze("div-zero")
-    session.update_source(SOURCE.replace(LEAF, LEAF_EDITED))
+    session.update_source(IR_EDITS["leaf-body"])
     counters = reduce_counters(session)
     assert counters["views_invalidated"] == 1
-    assert counters["views_remapped"] == 0
+    assert "views_remapped" not in counters
 
 
-def test_remapped_view_answers_queries_like_a_fresh_one():
-    """An edit that shifts every vertex index after ``leaf`` keeps the
-    taint view (remapped), and the remapped view's reachability
-    pre-filter must speak the new graph's indices."""
+def test_index_shifting_edit_answers_queries_like_a_fresh_session():
+    """An edit that shifts every vertex index after ``leaf``: the
+    rebuilt taint view's reachability pre-filter speaks the new graph's
+    indices."""
     source = LEAF + "\n" + TAINTED + """
 fun main(a) {
   c = leaf(a);
@@ -355,28 +332,17 @@ fun main(a) {
         f"  z{k} = x + {k};\n" for k in range(4)))
 
     def fopen_line(text):
-        return next(number for number, line
-                    in enumerate(text.splitlines(), 1) if "fopen" in line)
+        return sink_lines(text, ("fopen",))[0]
 
     session = AnalysisSession(source, settings=EngineSettings())
     assert session.query("cwe-23", sink=fopen_line(source)).feasible
     session.update_source(grown)
-    assert reduce_counters(session)["views_remapped"] == 1
+    assert reduce_counters(session)["views_invalidated"] == 1
     warm = session.query("cwe-23", sink=fopen_line(grown))
     fresh = AnalysisSession(grown, settings=EngineSettings()).query(
         "cwe-23", sink=fopen_line(grown))
     assert fresh.reachable and fresh.feasible
     assert warm.to_payload() == fresh.to_payload()
-
-
-def test_adopt_drops_everything_when_functions_appear():
-    session = AnalysisSession(SOURCE, settings=EngineSettings())
-    session.analyze("cwe-23")
-    session.update_source(
-        SOURCE + "\nfun extra(q) {\n  return q;\n}\n")
-    counters = reduce_counters(session)
-    assert counters["views_invalidated"] == 1
-    assert counters["views_remapped"] == 0
 
 
 def test_divzero_view_identity():

@@ -5,8 +5,8 @@ steps"):
 
 * a program version's store keys are derived once: every ``analyze``
   and every demand query on one version share one
-  :class:`~repro.exec.store.ProgramIndex`, view adoption reuses the old
-  version's, and an edit builds exactly one more;
+  :class:`~repro.exec.store.ProgramIndex`, and an edit builds exactly
+  one more;
 * the index's keys are exactly what ``program_keys`` and a
   per-function interface recomputation give;
 * entry keys and dependency records are unchanged by the index (a

@@ -23,31 +23,27 @@ def full_view(pdg: ProgramDependenceGraph, checker) -> SparsePDGView:
     edge_kinds = footprint.edge_kinds
     num = pdg.num_vertices
 
-    classified: list[list[tuple[int, DataEdge, bool, bool]]] = \
+    classified: list[list[tuple[DataEdge, bool]]] = \
         [[] for _ in range(num)]
     prop_preds: list[list[int]] = [[] for _ in range(num)]
     local_prop_preds: list[list[int]] = [[] for _ in range(num)]
-    prop_succs: list[list[int]] = [[] for _ in range(num)]
     sink_sources: set[int] = set()
     useful_seeds: set[int] = set()
     for vertex in pdg.vertices:
         source_index = vertex.index
-        for position, edge in enumerate(pdg.data_succs(vertex)):
+        for edge in pdg.data_succs(vertex):
             if edge.kind not in edge_kinds:
                 continue
             is_sink = checker.is_sink_edge(edge)
-            is_prop = not is_sink and checker.propagates(edge)
-            if not (is_sink or is_prop):
+            if not (is_sink or checker.propagates(edge)):
                 continue
-            classified[source_index].append(
-                (position, edge, is_sink, is_prop))
+            classified[source_index].append((edge, is_sink))
             if is_sink:
                 sink_sources.add(source_index)
                 useful_seeds.add(source_index)
                 view._sink_dsts.add(edge.dst.index)
             else:
                 prop_preds[edge.dst.index].append(source_index)
-                prop_succs[source_index].append(edge.dst.index)
                 if edge.kind in _INTERPROCEDURAL:
                     useful_seeds.add(source_index)
                 else:
@@ -67,12 +63,11 @@ def full_view(pdg: ProgramDependenceGraph, checker) -> SparsePDGView:
     view.observable_indices = closure(sink_sources, prop_preds)
     useful = closure(useful_seeds, local_prop_preds)
 
-    kept_all: dict[int, list[tuple[int, DataEdge, bool]]] = {}
+    kept_all: dict[int, tuple[tuple[DataEdge, bool], ...]] = {}
     for index in range(num):
-        entries = [(position, edge, is_sink)
-                   for position, edge, is_sink, _ in classified[index]
-                   if is_sink or edge.kind in _INTERPROCEDURAL
-                   or edge.dst.index in useful]
+        entries = tuple((edge, is_sink) for edge, is_sink in classified[index]
+                        if is_sink or edge.kind in _INTERPROCEDURAL
+                        or edge.dst.index in useful)
         if entries:
             kept_all[index] = entries
 
@@ -85,32 +80,16 @@ def full_view(pdg: ProgramDependenceGraph, checker) -> SparsePDGView:
     work = list(region)
     while work:
         index = work.pop()
-        for _, edge, is_sink in kept_all.get(index, ()):
+        for edge, is_sink in kept_all.get(index, ()):
             if not is_sink and edge.dst.index not in region:
                 region.add(edge.dst.index)
                 work.append(edge.dst.index)
     view.region = region
-    view._kept = {
-        index: tuple((edge, is_sink)
-                     for _, edge, is_sink in kept_all[index])
-        for index in region if index in kept_all}
-    view._kept_pos = {
-        index: tuple(position for position, _, _ in kept_all[index])
-        for index in region if index in kept_all}
+    view._kept = {index: kept_all[index]
+                  for index in region if index in kept_all}
 
-    touched = {pdg.vertices[index].function for index in region}
-    kept_dsts: set[int] = set()
-    for entries in view._kept.values():
-        for edge, _ in entries:
-            kept_dsts.add(edge.dst.index)
-            touched.add(edge.dst.function)
-    view.touched_functions = touched
+    kept_dsts = {edge.dst.index for entries in view._kept.values()
+                 for edge, _ in entries}
     view.nodes_kept = len(region | kept_dsts)
     view.edges_kept = sum(len(e) for e in view._kept.values())
-
-    if footprint.remappable and not footprint.volatile_sources:
-        reach = closure({s.index for s in checker.sources(pdg)},
-                        prop_succs)
-        view.source_reach_functions = \
-            {pdg.vertices[index].function for index in reach}
     return view
