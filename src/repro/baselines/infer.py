@@ -148,8 +148,8 @@ class InferEngine:
                 return env.get(operand.name, set())
             return set()
 
-        for stmt in fn.statements():
-            vertex = self.pdg.vertex_of(stmt)
+        for vertex in self.pdg.function_vertices(fn_name):
+            stmt = vertex.stmt
             facts: set[Fact] = set()
             if isinstance(stmt, Identity):
                 index = param_index.get(stmt.result.name)

@@ -20,7 +20,6 @@ from repro.fusion.transform import ConditionTransformer
 from repro.lang.ir import Program
 from repro.limits import Budget, Deadline
 from repro.pdg.builder import build_pdg
-from repro.pdg.callgraph import unroll_recursion
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice, compute_slice
 from repro.smt.incremental import SessionStats
@@ -36,8 +35,9 @@ class FusionConfig:
 
 
 def prepare_pdg(program: Program) -> ProgramDependenceGraph:
-    """Unroll recursion and build the whole-program dependence graph."""
-    return build_pdg(unroll_recursion(program))
+    """Validate the program, unroll recursion and build the
+    whole-program dependence graph."""
+    return build_pdg(program, unroll=True)
 
 
 class FusionEngine(PathSensitiveEngine):

@@ -12,24 +12,24 @@ An entry holds what compiling its function produced: the name, the
 :class:`~repro.lang.lowering.ReturnSummary` that return-type inference
 reads, the lowered :class:`~repro.lang.ir.Function`, the externs the
 lowering added, and its loop counters.  It also records each callee the
-lowering read, with the return type it used (None for a callee that was
-not defined, i.e. an extern).  A version then compiles as follows:
+lowering read, with the return type and arity it used (None for a callee
+that was not defined, i.e. an extern).  A version then compiles as follows:
 
 1. Functions whose key misses are parsed, alone, at their real line.
 2. Return types are inferred over the summaries of every function, hit
    or miss, so no AST has to be kept.
 3. An entry is reused only if each recorded callee still has the
-   recorded status and return type.  Otherwise the function is parsed
-   (if step 1 did not) and lowered again, so a changed return type
-   re-lowers its callers.
+   recorded status, return type and arity.  Otherwise the function is
+   parsed (if step 1 did not) and lowered again, so a changed return
+   type or parameter list re-lowers its callers.
 
 When every function hits, the result holds the very ``Function`` objects
 of the previous version, and the session can tell by identity that the
 program is unchanged.
 
 Errors stay those of a cold compile: any frontend error on this path
-(a source the scan cannot cut, a lex, parse, lowering or validation
-error) re-runs the whole-module
+(a source the scan cannot cut, a lex, parse or lowering error) re-runs
+the whole-module
 :func:`~repro.lang.lowering.compile_source`, which raises exactly what
 it raises without a cache.  :meth:`compile` never mutates its cache.
 It returns a successor that holds only the entries the new version
@@ -56,17 +56,13 @@ class _Entry(NamedTuple):
     name: str
     returns: ReturnSummary
     function: Function
-    #: (callee, return type the lowering used), None for an extern.
-    callees: tuple[tuple[str, Optional[VarType]], ...]
+    #: (callee, (return type, arity) the lowering used), None: extern.
+    callees: tuple[tuple[str, Optional[tuple[VarType, int]]], ...]
     #: Callees the lowering added to ``Program.externs``, in call order.
     externs: tuple[str, ...]
     #: ``repro.loops.LoopStats`` that lowering the function again would
     #: count: every summarized loop is then a summary-cache hit.
     loop_stats: object
-
-    def fits(self, return_types: dict[str, VarType]) -> bool:
-        return all(return_types.get(callee) is used
-                   for callee, used in self.callees)
 
 
 class FrontendCache:
@@ -131,22 +127,26 @@ class FrontendCache:
             parsed.append(decl.name)
             pending.append((item, decl.name, return_summary(decl), None,
                             decl))
-        defined = {name for _, name, _, _, _ in pending}
         return_types = infer_return_types(
             [(name, returns) for _, name, returns, _, _ in pending])
+        signatures = {name: (return_types[name],
+                             len(entry.function.params if decl is None
+                                 else decl.params))
+                      for _, name, _, entry, decl in pending}
 
         loop_stats = LoopStats()
         entries: dict[str, _Entry] = {}
         lowered: list[str] = []
         for item, name, returns, entry, decl in pending:
-            if entry is not None and entry.fits(return_types):
+            if entry is not None and all(signatures.get(callee) == used
+                                         for callee, used in entry.callees):
                 program.externs.update(entry.externs)
                 loop_stats.add(entry.loop_stats)
             else:
                 if decl is None:
                     decl = _parse_function(source, item)
                     parsed.append(name)
-                entry = self._lower(decl, returns, return_types, defined,
+                entry = self._lower(decl, returns, signatures,
                                     program.externs, loop_stats)
                 lowered.append(name)
             program.add(entry.function)
@@ -159,17 +159,15 @@ class FrontendCache:
         return program, successor
 
     def _lower(self, decl: FunctionDecl, returns: ReturnSummary,
-               return_types: dict[str, VarType], defined: set[str],
+               signatures: dict[str, tuple[VarType, int]],
                externs: set[str], loop_stats) -> _Entry:
         from repro.loops import LoopStats
 
         stats = LoopStats()
-        lowering = _FunctionLowering(decl, self.config, return_types,
-                                     defined, externs,
+        lowering = _FunctionLowering(decl, self.config, signatures, externs,
                                      summary_cache=self.config.summary_cache,
                                      loop_stats=stats)
         function = lowering.run()
-        function.validate()
         loop_stats.add(stats)
         callees = tuple(lowering.callees.items())
         return _Entry(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Union
 
 
 class VarType(enum.Enum):
@@ -106,9 +106,6 @@ class Stmt:
 
     def operands(self) -> tuple[Operand, ...]:
         raise NotImplementedError
-
-    def used_vars(self) -> tuple[Var, ...]:
-        return tuple(op for op in self.operands() if isinstance(op, Var))
 
 
 @dataclass
@@ -236,18 +233,15 @@ class Function:
         which is user-controlled and may exceed the Python stack.
         """
 
-        def walk(stmts: Sequence[Stmt]) -> Iterator[Stmt]:
-            stack: list[Iterator[Stmt]] = [iter(stmts)]
-            while stack:
-                stmt = next(stack[-1], None)
-                if stmt is None:
-                    stack.pop()
-                    continue
+        stack = [iter(self.body)]
+        while stack:
+            for stmt in stack[-1]:
                 yield stmt
                 if isinstance(stmt, Branch):
                     stack.append(iter(stmt.body))
-
-        return walk(self.body)
+                    break
+            else:
+                stack.pop()
 
     @property
     def return_stmt(self) -> Optional[Return]:
@@ -264,23 +258,11 @@ class Function:
         return {stmt.result.name: stmt for stmt in self.statements()}
 
     def validate(self) -> None:
-        """Check SSA form and operand definedness; raise on violations."""
-        defined: set[str] = set()
-        for stmt in self.statements():
-            if stmt.result.name in defined:
-                raise ValueError(
-                    f"{self.name}: variable {stmt.result.name} "
-                    f"defined twice (SSA violation)")
-            defined.add(stmt.result.name)
-        for stmt in self.statements():
-            for var in stmt.used_vars():
-                if var.name not in defined:
-                    raise ValueError(
-                        f"{self.name}: use of undefined variable "
-                        f"{var.name} in {stmt!r}")
-        returns = [s for s in self.statements() if isinstance(s, Return)]
-        if len(returns) > 1:
-            raise ValueError(f"{self.name}: multiple return statements")
+        """Check SSA form, operand definedness and the single return, by
+        the PDG builder's walk; raise ``ValueError`` on a violation."""
+        from repro.pdg.builder import walk_function
+
+        walk_function(self)
 
 
 @dataclass
@@ -312,6 +294,6 @@ class Program:
         return sum(f.size() for f in self.functions.values())
 
     def validate(self) -> None:
-        """Check SSA form and operand definedness; raise on violations."""
+        """:meth:`Function.validate` on every function."""
         for function in self.functions.values():
             function.validate()

@@ -75,7 +75,8 @@ class LoweringConfig:
 
 def lower_module(module: ast.Module,
                  config: Optional[LoweringConfig] = None) -> Program:
-    """Lower a parsed module to a validated IR :class:`Program`."""
+    """Lower a parsed module to an IR :class:`Program` (building its PDG
+    validates it)."""
     config = config if config is not None else LoweringConfig()
     from repro.loops import LOOP_STRATEGIES, LoopStats, SummaryCache
     if config.loop_strategy not in LOOP_STRATEGIES:
@@ -86,17 +87,17 @@ def lower_module(module: ast.Module,
         summary_cache = SummaryCache()
     return_types = infer_return_types(
         [(decl.name, return_summary(decl)) for decl in module.functions])
+    signatures = {decl.name: (return_types[decl.name], len(decl.params))
+                  for decl in module.functions}
     program = Program(width=config.width)
     program.externs.update(decl.name for decl in module.externs)
 
-    defined = {f.name for f in module.functions}
     for decl in module.functions:
-        lowering = _FunctionLowering(decl, config, return_types, defined,
+        lowering = _FunctionLowering(decl, config, signatures,
                                      program.externs,
                                      summary_cache=summary_cache,
                                      loop_stats=loop_stats)
         program.add(lowering.run())
-    program.validate()
     program.loop_stats = loop_stats
     program.loop_strategy = config.loop_strategy
     program.loop_paths = config.loop_paths
@@ -167,13 +168,13 @@ def infer_return_types(summaries: list[tuple[str, ReturnSummary]]
 
 class _FunctionLowering:
     def __init__(self, decl: ast.FunctionDecl, config: LoweringConfig,
-                 return_types: dict[str, VarType], defined: set[str],
+                 signatures: dict[str, tuple[VarType, int]],
                  externs: set[str], summary_cache: Optional[object] = None,
                  loop_stats: Optional[object] = None) -> None:
         self.decl = decl
         self.config = config
-        self.return_types = return_types
-        self.defined = defined
+        #: Each defined function's (return type, arity).
+        self.signatures = signatures
         self.externs = externs
         self.summary_cache = summary_cache
         self.loop_stats = loop_stats
@@ -185,8 +186,8 @@ class _FunctionLowering:
         # counts fold and PDG size stays independent of the unroll bound.
         self._const_defs: dict[str, Const] = {}
         #: Every callee the lowering read, in first-call order, with the
-        #: return type it used (None: not defined here, so an extern).
-        self.callees: dict[str, Optional[VarType]] = {}
+        #: signature it used (None: not defined here, so an extern).
+        self.callees: dict[str, Optional[tuple[VarType, int]]] = {}
         #: Loops looked up in the summary cache.
         self.summary_lookups = 0
 
@@ -492,13 +493,17 @@ class _FunctionLowering:
                     raise LoweringError(
                         f"call to {expr.callee}: arguments must be integers",
                         expr.loc)
-            if expr.callee in self.defined:
-                rtype = self.return_types[expr.callee]
-                self.callees.setdefault(expr.callee, rtype)
+            signature = self.signatures.get(expr.callee)
+            if signature is not None:
+                rtype, arity = signature
+                if len(args) != arity:
+                    raise LoweringError(
+                        f"call to {expr.callee} with {len(args)} args, "
+                        f"expected {arity}", expr.loc)
             else:
                 self.externs.add(expr.callee)
-                self.callees.setdefault(expr.callee, None)
                 rtype = VarType.INT
+            self.callees.setdefault(expr.callee, signature)
             result = self._fresh(name_hint or "%t", rtype)
             out.append(Call(result, expr.callee, args))
             return result

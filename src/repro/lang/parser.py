@@ -45,6 +45,11 @@ class ParseError(Exception):
 
 
 _BINOPS = {op.value: op for op in BinOp}
+#: Binding strength of each binary operator (all are left-associative).
+_PRECEDENCE = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3,
+               "!=": 3, "&": 4, "|": 4, "^": 4, "<<": 5, ">>": 5, "+": 6,
+               "-": 6, "*": 7, "/": 7, "%": 7}
+_COMPARISON, _TIGHTEST = 3, 7
 
 
 class Parser:
@@ -190,36 +195,26 @@ class Parser:
         return IfStmt(cond, then_body, else_body, loc)
 
     # ------------------------------------------------------------------ #
-    # Expressions (precedence climbing via nested levels)
+    # Expressions (precedence climbing)
     # ------------------------------------------------------------------ #
 
-    _LEVELS = (
-        ("||",),
-        ("&&",),
-        ("<", "<=", ">", ">=", "==", "!="),
-        ("&", "|", "^"),
-        ("<<", ">>"),
-        ("+", "-"),
-        ("*", "/", "%"),
-    )
-
-    def _parse_expr(self) -> Expr:
-        return self._parse_level(0)
-
-    def _parse_level(self, level: int) -> Expr:
-        if level >= len(self._LEVELS):
-            return self._parse_unary()
-        ops = self._LEVELS[level]
-        expr = self._parse_level(level + 1)
-        is_comparison = level == 2
-        while self._current.kind is TokenKind.OP and \
-                self._current.text in ops:
-            token = self._advance()
-            rhs = self._parse_level(level + 1)
-            expr = BinExpr(_BINOPS[token.text], expr, rhs, token.loc)
-            if is_comparison:
-                break  # comparisons do not chain (a < b < c is rejected)
-        return expr
+    def _parse_expr(self, min_prec: int = 1) -> Expr:
+        """An expression whose operators bind at least ``min_prec``.  An
+        operator is taken only if it binds no tighter than the previous
+        one (tighter ones went to its right operand), and never a
+        comparison right after one: ``a < b < c`` does not parse."""
+        expr = self._parse_unary()
+        prev = _TIGHTEST
+        while True:
+            token = self._current
+            prec = _PRECEDENCE.get(token.text)  # only OP tokens match
+            if prec is None or not min_prec <= prec <= prev \
+                    or prec == prev == _COMPARISON:
+                return expr
+            self._advance()
+            expr = BinExpr(_BINOPS[token.text], expr,
+                           self._parse_expr(prec + 1), token.loc)
+            prev = prec
 
     def _parse_unary(self) -> Expr:
         token = self._current

@@ -1,122 +1,161 @@
-"""PDG construction: the data-dependence rules of Figure 5 plus the
-innermost-branch control dependence of Definition 3.1.
+"""PDG construction (Definition 3.1, Figure 5): one walk per function,
+then a link.
 
-Call statements targeting a *defined* function produce labelled call edges
-(actual -> parameter identity) and a labelled return edge (callee return ->
-receiver); calls to *empty* functions (externs) connect each actual
-directly to the receiver.  Each call statement gets a globally unique
-call-site id — the parenthesis label of the CFL-reachability formulation.
+The walk records each statement with its control parent, the innermost
+enclosing branch (the FOW semantics of the paper's Figure 7; Rule (2)
+of Figure 8 recovers outer branches transitively), and resolves each
+operand to the local index of its one SSA definition.  It is also the
+IR validator.  The link numbers vertices at each function's offset and
+replays each statement's edges in statement order, so edge lists
+interleave local and call edges as one pass over the program would.  A
+call to a defined function gets a call-site id (the CFL parenthesis
+label), call edges actual -> parameter identity and a return edge
+callee return -> receiver; a call to an extern (empty function) links
+each actual to the receiver.
 """
 
 from __future__ import annotations
 
-import itertools
+from typing import Container, NamedTuple, Optional
 
-from repro.lang.ir import Branch, Call, Program, Stmt
+from repro.lang.ir import Branch, Call, Function, Program, Return, Stmt, Var
 from repro.pdg.graph import (CallSite, DataEdge, EdgeKind,
                              ProgramDependenceGraph, Vertex)
 
 
-def structural_control_deps(function_body: list[Stmt]) -> dict[int, set[int]]:
-    """Control dependence straight from branch nesting.
+class Fragment(NamedTuple):
+    """One function's walk.  ``rows`` holds, per statement in program
+    order: the statement, the local index of its control parent (-1 at
+    top level), the kind of its incoming edges (None for a call to a
+    defined function) and, per operand, the local index of its
+    definition (None for a constant)."""
 
-    Only the *innermost* enclosing branch is recorded: this matches the
-    Ferrante–Ottenstein–Warren semantics (and the paper's Figure 7, where
-    ``r = q`` depends on ``if (f=e)`` which itself depends on
-    ``if (c=b)``) — the full chain is recovered transitively through the
-    branch statements' own control dependences, which is exactly what
-    Rule (2) of Figure 8 does during slicing.
-    """
-    result: dict[int, set[int]] = {}
+    function: Function
+    rows: list[tuple[Stmt, int, Optional[EdgeKind], list]]
+    defs: dict[str, int]  # variable name -> local index
+    ret: int  # local index of the return, -1 if there is none
+    callees: set[str]  # defined functions it calls
 
-    def walk(stmts: list[Stmt], parent: int | None) -> None:
+
+def walk_function(function: Function,
+                  defined: Container[str] = ()) -> Fragment:
+    """Walk ``function`` once; calls to ``defined`` get call edges.
+
+    Raises ``ValueError`` if the function is not in SSA form, uses an
+    undefined variable or has more than one return.  Iterative: branch
+    nesting grows with the unroll bound, which may exceed the stack."""
+    rows: list = []
+    defs: dict[str, int] = {}
+    callees: set[str] = set()
+    returns, late = [], []  # late: rows using a variable defined after them
+    stack = [(iter(function.body), -1)]
+    while stack:
+        stmts, parent = stack[-1]
         for stmt in stmts:
-            result[id(stmt)] = set() if parent is None else {parent}
+            index = len(rows)
+            name = stmt.result.name
+            if name in defs:
+                raise ValueError(f"{function.name}: variable {name} "
+                                 f"defined twice (SSA violation)")
+            defs[name] = index
+            # -1: defined later in the function, or never (checked below).
+            used = [defs.get(op.name, -1) if isinstance(op, Var) else None
+                    for op in stmt.operands()]
+            if -1 in used:
+                late.append(index)
+            kind: Optional[EdgeKind] = EdgeKind.LOCAL
+            if isinstance(stmt, Call):
+                kind = None if stmt.callee in defined else EdgeKind.EXTERN
+                if kind is None:
+                    callees.add(stmt.callee)
+            elif isinstance(stmt, Return):
+                returns.append(index)
+            rows.append((stmt, parent, kind, used))
             if isinstance(stmt, Branch):
-                walk(stmt.body, id(stmt))
+                stack.append((iter(stmt.body), index))
+                break
+        else:
+            stack.pop()
+    for index in late:
+        stmt, _, _, used = rows[index]
+        for position, op in enumerate(stmt.operands()):
+            if used[position] == -1:
+                if op.name not in defs:
+                    raise ValueError(f"{function.name}: use of undefined "
+                                     f"variable {op.name} in {stmt!r}")
+                used[position] = defs[op.name]
+    if len(returns) > 1:
+        raise ValueError(f"{function.name}: multiple return statements")
+    return Fragment(function, rows, defs, returns[0] if returns else -1,
+                    callees)
 
-    walk(function_body, None)
-    return result
 
+def build_pdg(program: Program, *,
+              unroll: bool = False) -> ProgramDependenceGraph:
+    """Validate ``program`` and build its whole-program dependence graph.
 
-def build_pdg(program: Program) -> ProgramDependenceGraph:
-    """Build the whole-program dependence graph.
+    Recursion would make the engines' template instantiation
+    non-terminating: with ``unroll`` a recursive program is first passed
+    through :func:`repro.pdg.callgraph.unroll_recursion` (the paper's
+    up-front call-graph unrolling); without it, recursion raises."""
+    from repro.pdg.callgraph import CallGraph, unroll_recursion
 
-    The program must be recursion-free (run
-    :func:`repro.pdg.callgraph.unroll_recursion` first if needed);
-    recursion would make the template instantiation of the engines
-    non-terminating, mirroring the paper's up-front call-graph unrolling.
-    """
-    from repro.pdg.callgraph import CallGraph
-
-    if CallGraph(program).recursive_functions():
+    fragments = [walk_function(function, program.functions)
+                 for function in program.functions.values()]
+    graph = CallGraph(program, {fragment.function.name: fragment.callees
+                                for fragment in fragments})
+    if graph.recursive_functions():
+        if unroll:
+            return build_pdg(unroll_recursion(program))
         raise ValueError(
             "program contains recursion; apply unroll_recursion() first")
 
     pdg = ProgramDependenceGraph(program)
-    callsite_counter = itertools.count(1)
-
-    # Pass 1: vertices and control-dependence edges.
-    for function in program.functions.values():
-        control = structural_control_deps(function.body)
-        stmt_vertex: dict[int, Vertex] = {}
-        for stmt in function.statements():
-            stmt_vertex[id(stmt)] = pdg.add_vertex(function.name, stmt)
-        for stmt in function.statements():
-            for branch_id in control[id(stmt)]:
-                pdg.set_control_parent(stmt_vertex[id(stmt)],
-                                       stmt_vertex[branch_id])
+    for fragment in fragments:
+        function = fragment.function
+        offset = len(pdg.vertices)
+        local = pdg._function_vertices[function.name] = []
+        for index, (stmt, parent, _, _) in enumerate(fragment.rows):
+            local.append(Vertex(offset + index, function.name, stmt))
+            if parent >= 0:
+                pdg._control_parent[offset + index] = local[parent]
+        pdg.vertices.extend(local)
+        pdg._def_of[function.name] = {var: local[index] for var, index
+                                      in fragment.defs.items()}
         pdg._param_vertices[function.name] = [
-            stmt_vertex[id(s)] for s in function.body[:len(function.params)]]
-        ret = function.return_stmt
-        if ret is not None:
-            pdg._return_vertex[function.name] = stmt_vertex[id(ret)]
+            local[fragment.defs[stmt.result.name]]
+            for stmt in function.body[:len(function.params)]]
+        if fragment.ret >= 0:
+            pdg._return_vertex[function.name] = local[fragment.ret]
 
-    # Pass 2: data-dependence edges (Figure 5).
-    for function in program.functions.values():
-        for stmt in function.statements():
-            vertex = pdg.vertex_of(stmt)
-            if isinstance(stmt, Call) and stmt.callee in program.functions:
-                _add_call_edges(pdg, function.name, vertex, stmt,
-                                next(callsite_counter))
-            elif isinstance(stmt, Call):
-                # Empty function: actual -> receiver (Figure 5, last rule).
-                for operand in stmt.operands():
-                    _add_use_edge(pdg, function.name, vertex, operand,
-                                  EdgeKind.EXTERN)
-            else:
-                for operand in stmt.operands():
-                    _add_use_edge(pdg, function.name, vertex, operand)
+    pdg._preds = [[] for _ in pdg.vertices]
+    pdg._succs = [[] for _ in pdg.vertices]
+    add = pdg.add_data_edge
+    callsite_id = 0
+    for fragment in fragments:
+        caller = fragment.function.name
+        local = pdg._function_vertices[caller]
+        for dst, (stmt, _, kind, used) in zip(local, fragment.rows):
+            if kind is not None:
+                for src in used:
+                    if src is not None:
+                        add(DataEdge(local[src], dst, kind))
+                continue
+            callee = program.functions[stmt.callee]
+            if len(used) != len(callee.params):
+                raise ValueError(
+                    f"call to {callee.name} with {len(used)} args, "
+                    f"expected {len(callee.params)}")
+            callsite_id += 1
+            pdg.callsites[callsite_id] = CallSite(callsite_id, caller,
+                                                  callee.name, dst)
+            # Actual -> formal identity, labelled "(i".
+            for src, param in zip(used, pdg.param_vertices(callee.name)):
+                if src is not None:
+                    add(DataEdge(local[src], param, EdgeKind.CALL,
+                                 callsite_id))
+            # Callee return -> receiver, labelled ")i".
+            ret = pdg.return_vertex(callee.name)
+            if ret is not None:
+                add(DataEdge(ret, dst, EdgeKind.RETURN, callsite_id))
     return pdg
-
-
-def _add_use_edge(pdg: ProgramDependenceGraph, function: str,
-                  vertex: Vertex, operand,
-                  kind: EdgeKind = EdgeKind.LOCAL) -> None:
-    src = pdg.def_of_operand(function, operand)
-    if src is not None:
-        pdg.add_data_edge(DataEdge(src, vertex, kind))
-
-
-def _add_call_edges(pdg: ProgramDependenceGraph, caller: str,
-                    call_vertex: Vertex, stmt: Call,
-                    callsite_id: int) -> None:
-    callee = pdg.program.functions[stmt.callee]
-    params = pdg.param_vertices(callee.name)
-    if len(stmt.args) != len(callee.params):
-        raise ValueError(
-            f"call to {callee.name} with {len(stmt.args)} args, "
-            f"expected {len(callee.params)}")
-    pdg.callsites[callsite_id] = CallSite(callsite_id, caller, callee.name,
-                                          call_vertex)
-    # Actual -> formal identity, labelled "(i".
-    for actual, param_vertex in zip(stmt.args, params):
-        src = pdg.def_of_operand(caller, actual)
-        if src is not None:
-            pdg.add_data_edge(DataEdge(src, param_vertex, EdgeKind.CALL,
-                                       callsite_id))
-    # Callee return -> receiver, labelled ")i".
-    ret = pdg.return_vertex(callee.name)
-    if ret is not None:
-        pdg.add_data_edge(DataEdge(ret, call_vertex, EdgeKind.RETURN,
-                                   callsite_id))

@@ -21,6 +21,8 @@ class CallGraph:
     edges: dict[str, set[str]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.edges:  # collected by the PDG builder's walk
+            return
         for function in self.program.functions.values():
             callees = {s.callee for s in function.statements()
                        if isinstance(s, Call)
@@ -158,13 +160,13 @@ def unroll_recursion(program: Program, depth: int = 2) -> Program:
 
     new_program = Program(width=program.width)
     new_program.externs.update(program.externs)
+    scc_of = {member: scc for scc in graph.sccs() for member in scc}
 
     for name, function in program.functions.items():
         if name not in recursive:
             new_program.add(clone_function(function, name, {}, set()))
             continue
-        scc = {m for m in recursive
-               if _same_scc(graph, name, m)}
+        scc = scc_of[name]
         for level in range(depth):
             level_name = name if level == 0 else f"{name}%{level}"
             if level < depth - 1:
@@ -177,14 +179,4 @@ def unroll_recursion(program: Program, depth: int = 2) -> Program:
                 clone_function(function, level_name, redirect, externized))
     for name in recursive:
         new_program.externs.add(f"{name}%cut")
-    new_program.validate()
     return new_program
-
-
-def _same_scc(graph: CallGraph, a: str, b: str) -> bool:
-    if a == b:
-        return True
-    for scc in graph.sccs():
-        if a in scc:
-            return b in scc
-    return False

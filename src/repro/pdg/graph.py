@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from repro.lang.ir import Call, Operand, Program, Stmt, Var
 
@@ -27,9 +27,9 @@ class EdgeKind(enum.Enum):
     EXTERN = "extern"  # actual -> receiver through an empty function
 
 
-@dataclass(frozen=True)
-class Vertex:
-    """A PDG vertex: one statement of one function."""
+class Vertex(NamedTuple):
+    """A PDG vertex: one statement of one function.  Equal and hashed
+    by index alone."""
 
     index: int
     function: str
@@ -49,9 +49,11 @@ class Vertex:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Vertex) and other.index == self.index
 
+    def __ne__(self, other: object) -> bool:
+        return not self == other
 
-@dataclass(frozen=True)
-class DataEdge:
+
+class DataEdge(NamedTuple):
     """A data-dependence edge ``src -> dst`` (dst uses what src defines)."""
 
     src: Vertex
@@ -114,10 +116,11 @@ class ProgramDependenceGraph:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.vertices: list[Vertex] = []
-        self._vertex_of_stmt: dict[int, Vertex] = {}
-        self._def_of: dict[tuple[str, str], Vertex] = {}
-        self._preds: dict[int, list[DataEdge]] = {}
-        self._succs: dict[int, list[DataEdge]] = {}
+        #: Per function: variable name -> defining vertex.
+        self._def_of: dict[str, dict[str, Vertex]] = {}
+        #: Data edges into / out of each vertex, by vertex index.
+        self._preds: list[list[DataEdge]] = []
+        self._succs: list[list[DataEdge]] = []
         self._control_parent: dict[int, Vertex] = {}
         self.callsites: dict[int, CallSite] = {}
         self._function_vertices: dict[str, list[Vertex]] = {}
@@ -141,17 +144,6 @@ class ProgramDependenceGraph:
     # Construction API (used by the builder)
     # ------------------------------------------------------------------ #
 
-    def add_vertex(self, function: str, stmt: Stmt) -> Vertex:
-        vertex = Vertex(len(self.vertices), function, stmt)
-        self.vertices.append(vertex)
-        self._vertex_of_stmt[id(stmt)] = vertex
-        self._def_of[(function, stmt.result.name)] = vertex
-        self._preds[vertex.index] = []
-        self._succs[vertex.index] = []
-        self._function_vertices.setdefault(function, []).append(vertex)
-        self._sites = None
-        return vertex
-
     def add_data_edge(self, edge: DataEdge) -> None:
         self._preds[edge.dst.index].append(edge)
         self._succs[edge.src.index].append(edge)
@@ -164,17 +156,14 @@ class ProgramDependenceGraph:
     # Queries
     # ------------------------------------------------------------------ #
 
-    def vertex_of(self, stmt: Stmt) -> Vertex:
-        return self._vertex_of_stmt[id(stmt)]
-
     def def_of(self, function: str, var: str) -> Vertex:
-        return self._def_of[(function, var)]
+        return self._def_of[function][var]
 
     def def_of_operand(self, function: str,
                        operand: Operand) -> Optional[Vertex]:
         """Defining vertex of an operand, or None for constants."""
         if isinstance(operand, Var):
-            return self._def_of.get((function, operand.name))
+            return self._def_of.get(function, {}).get(operand.name)
         return None
 
     def data_preds(self, vertex: Vertex) -> list[DataEdge]:

@@ -1,7 +1,8 @@
 """Test oracle: CFGs, dominator trees and post-dominance control deps.
 
 The PDG builder reads control dependence straight off the structured
-IR's branch nesting (:func:`repro.pdg.builder.structural_control_deps`).
+IR's branch nesting (each statement's control parent is its innermost
+enclosing branch, :func:`repro.pdg.builder.walk_function`).
 This module is the textbook construction it is checked against: a CFG
 per function, dominator/post-dominator trees (Cooper–Harvey–Kennedy) and
 control dependence from post-dominance (Ferrante–Ottenstein–Warren), the

@@ -1,10 +1,10 @@
 """Tests for the CFG/dominance oracle and its cross-check against the
-structural control dependence the PDG builder uses."""
+control parents the PDG builder reads off branch nesting."""
 
 import pytest
 
 from repro.lang import Branch, compile_source
-from repro.pdg.builder import structural_control_deps
+from repro.pdg import build_pdg
 from cfg_oracle import (ControlFlowGraph, DominatorTree, block_control_deps,
                         statement_control_deps)
 
@@ -148,9 +148,11 @@ class TestControlDependence:
         function = prog.functions["f"]
         cfg = ControlFlowGraph(function)
         from_cfg = statement_control_deps(cfg)
-        from_structure = structural_control_deps(function.body)
-        for stmt in function.statements():
-            assert from_cfg[id(stmt)] == from_structure[id(stmt)], repr(stmt)
+        pdg = build_pdg(prog)
+        for vertex in pdg.function_vertices("f"):
+            parent = pdg.control_parent(vertex)
+            from_pdg = set() if parent is None else {id(parent.stmt)}
+            assert from_cfg[id(vertex.stmt)] == from_pdg, repr(vertex)
 
     def test_branch_statement_itself_not_self_dependent(self):
         prog = compile_source(DIAMOND)

@@ -258,6 +258,24 @@ class TestMalformedSource:
             f"repro {argv[0]}: 2:5: unexpected character '$'\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["scan", "{}"],
+        ["analyze", "--subject", "{}"],
+        ["pdg", "--subject", "{}"],
+        ["lint", "{}"],
+        ["query", "{}", "--checker", "null-deref", "--sink", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_wrong_arity_call_exits_two(self, argv, tmp_path, capsys):
+        bad = tmp_path / "arity.fl"
+        bad.write_text("fun g(a) { return a; }\nfun f(x) {\n"
+                       "  y = g(x, x);\n  return y;\n}\n")
+        code = main([str(bad) if arg == "{}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == \
+            f"repro {argv[0]}: 3:7: call to g with 2 args, expected 1\n"
+        assert captured.out == ""
+
 
 class TestTriageFlag:
     """The triage pre-pass is gone: both spellings of its switch are

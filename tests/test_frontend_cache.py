@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 
 from repro.engine import AnalysisSession, findings_payload
 from repro.exec import ArtifactStore
-from repro.lang import (LoweringConfig, compile_source, format_program,
-                        tokenize)
+from repro.lang import (LoweringConfig, LoweringError, compile_source,
+                        format_program, tokenize)
 from repro.lang.frontend import FrontendCache
 from repro.lang.scan import block_end, mask_comments, top_level_items
 from repro.loops import SummaryCache
@@ -194,6 +194,25 @@ class TestReuse:
         assert [s.result.type for s in relowered.statements()] \
             != [s.result.type for s in user.statements()]
 
+    def test_changed_callee_arity_relowers_its_callers(self):
+        session = AnalysisSession(corpus_source(6))
+        source, pdg = session.source, session.pdg
+        widened = source.replace("fun zq_flag(a) {", "fun zq_flag(a, b) {")
+        call = widened.index("zq_flag(a);")
+        line = widened.count("\n", 0, call) + 1
+        column = call - widened.rindex("\n", 0, call)
+        with pytest.raises(LoweringError) as error:
+            session.update_source(widened)
+        assert str(error.value) == \
+            f"{line}:{column}: call to zq_flag with 1 args, expected 2"
+        assert session.source == source and session.pdg is pdg
+
+        session.update_source(widened.replace("zq_flag(a);",
+                                              "zq_flag(a, a);"))
+        assert session.frontend.lowered == ("zq_flag", "zq_user")
+        fresh = AnalysisSession(session.source)
+        assert pdg_shape(session.pdg) == pdg_shape(fresh.pdg)
+
     def test_removed_callee_relowers_its_callers_as_extern_calls(self):
         session = AnalysisSession(corpus_source(3))
         source = session.source
@@ -306,6 +325,8 @@ class TestScan:
         "fun f() { x = @; return 1; }",
         "fun f() { return 1 }\n fun g() { ]",
         "fun f() {\n  return true + 1;\n}",
+        "fun g(a) { return a; }\nfun f(x) {\n  y = g(x, x);\n"
+        "  return y;\n}",
     ])
     def test_errors_are_those_of_a_cold_compile(self, source):
         with pytest.raises(Exception) as cold:

@@ -105,15 +105,13 @@ def test_fuzzed_program_full_pipeline(seed, a, b):
     assert report.ok, (report.errors, src)
 
     # The post-dominance control-dependence computation agrees with the
-    # structural nesting on every fuzzed shape.
-    from repro.pdg.builder import structural_control_deps
+    # PDG's control parents on every fuzzed shape.
     from cfg_oracle import ControlFlowGraph, statement_control_deps
-    fn = program.functions["f"]
-    cfg = ControlFlowGraph(fn)
-    from_cfg = statement_control_deps(cfg)
-    from_structure = structural_control_deps(fn.body)
-    for stmt in fn.statements():
-        assert from_cfg[id(stmt)] == from_structure[id(stmt)], src
+    from_cfg = statement_control_deps(ControlFlowGraph(program.functions["f"]))
+    for vertex in pdg.function_vertices("f"):
+        parent = pdg.control_parent(vertex)
+        from_pdg = set() if parent is None else {id(parent.stmt)}
+        assert from_cfg[id(vertex.stmt)] == from_pdg, src
 
     # Interpreter semantics...
     concrete = Interpreter(program).run("f", (a, b)).return_value.bits

@@ -271,6 +271,12 @@ class TestTypeChecking:
         with pytest.raises(LoweringError):
             compile_source("fun f() { return nope; }")
 
+    def test_wrong_arity_call_rejected_at_the_call(self):
+        with pytest.raises(LoweringError) as error:
+            compile_source("fun g(a) { return a; }\nfun f(x) {\n"
+                           "  y = g(x, x);\n  return y;\n}\n")
+        assert str(error.value) == "3:7: call to g with 2 args, expected 1"
+
     def test_percent_identifiers_rejected(self):
         # '%'-prefixed names are reserved for internal temporaries; the
         # lexer refuses them outright.

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.lang import Branch, Call, compile_source
+from repro.lang import (Assign, Branch, Call, Const, Function, Identity,
+                        Program, Return, Var, compile_source)
 from repro.pdg import (CallGraph, EdgeKind, build_pdg, pdg_to_dot,
                        unroll_recursion)
 
@@ -98,8 +99,9 @@ class TestControlEdges:
         foo = fig1_pdg.program.functions["foo"]
         branch = next(s for s in foo.statements() if isinstance(s, Branch))
         inner = branch.body[0]
-        parent = fig1_pdg.control_parent(fig1_pdg.vertex_of(inner))
-        assert parent is fig1_pdg.vertex_of(branch)
+        parent = fig1_pdg.control_parent(
+            fig1_pdg.def_of("foo", inner.result.name))
+        assert parent is fig1_pdg.def_of("foo", branch.result.name)
 
     def test_top_level_statements_have_no_parent(self, fig1_pdg):
         p = fig1_pdg.def_of("foo", "p")
@@ -180,6 +182,62 @@ class TestRecursionHandling:
     def test_non_recursive_program_unchanged(self):
         prog = compile_source(FIGURE1)
         assert unroll_recursion(prog) is prog
+
+
+class TestBuildValidates:
+    """The builder's walk is the IR validator: hand-built IR that breaks
+    SSA, uses an undefined variable, returns twice or calls a defined
+    function with the wrong number of arguments is refused with the
+    messages ``Program.validate`` has always raised."""
+
+    @staticmethod
+    def program(*functions):
+        program = Program()
+        for function in functions:
+            program.add(function)
+        return program
+
+    @pytest.mark.parametrize("body, message", [
+        ([Identity(Var("a")), Assign(Var("x"), Var("a")),
+          Assign(Var("x"), Const(1))],
+         "bad: variable x defined twice (SSA violation)"),
+        ([Identity(Var("a")), Assign(Var("x"), Var("ghost"))],
+         "bad: use of undefined variable ghost in x = ghost"),
+        ([Identity(Var("a")), Return(Var("r"), Var("a")),
+          Return(Var("s"), Var("a"))],
+         "bad: multiple return statements"),
+        ([Identity(Var("a")), Assign(Var("x"), Var("ghost")),
+          Assign(Var("a"), Const(1))],
+         "bad: variable a defined twice (SSA violation)"),
+    ], ids=["ssa", "undefined", "returns", "ssa-before-undefined"])
+    def test_invalid_ir_refused(self, body, message):
+        program = self.program(Function("bad", (Var("a"),), body))
+        for check in (program.validate, lambda: build_pdg(program)):
+            with pytest.raises(ValueError) as error:
+                check()
+            assert str(error.value) == message
+
+    def test_use_before_definition_links_like_a_later_def(self):
+        # Validation has always accepted a use that precedes its
+        # (single) definition; the edge comes from that definition.
+        program = self.program(Function("f", (Var("a"),), [
+            Identity(Var("a")), Assign(Var("y"), Var("x")),
+            Assign(Var("x"), Var("a")), Return(Var("r"), Var("y"))]))
+        pdg = build_pdg(program)
+        y, x = pdg.def_of("f", "y"), pdg.def_of("f", "x")
+        assert [edge.src for edge in pdg.data_preds(y)] == [x]
+
+    def test_wrong_arity_call_refused_at_link(self):
+        program = self.program(
+            Function("g", (Var("a"),), [Identity(Var("a")),
+                                        Return(Var("r"), Var("a"))]),
+            Function("f", (Var("x"),), [
+                Identity(Var("x")), Call(Var("y"), "g", (Var("x"), Var("x"))),
+                Return(Var("r"), Var("y"))]))
+        program.validate()
+        with pytest.raises(ValueError,
+                           match="^call to g with 2 args, expected 1$"):
+            build_pdg(program)
 
 
 class TestCallGraph:
