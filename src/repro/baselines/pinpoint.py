@@ -32,7 +32,7 @@ from repro.fusion.transform import ConditionTransformer
 from repro.limits import Budget, Deadline, QueryDeadlineExceeded
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice
-from repro.smt.incremental import SessionStats, SolverSession
+from repro.smt.incremental import SessionStats
 from repro.smt.preprocess import constraint_set_size
 from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, SolverConfig
 from repro.smt.tactics import eliminate_quantifier, hfs_simplify, lfs_simplify
@@ -52,10 +52,6 @@ class PinpointConfig:
     #: AR mode: solve by iterative condition extension instead of one shot.
     abstraction_refinement: bool = False
     variant_suffix: str = ""
-    #: Route grouped queries through persistent assumption-based solver
-    #: sessions (see ``GraphSolverConfig.incremental``); opt-in, the CLI
-    #: enables it per run.
-    incremental: bool = False
 
 
 class PinpointEngine(PathSensitiveEngine):
@@ -68,8 +64,6 @@ class PinpointEngine(PathSensitiveEngine):
         self.transformer = ConditionTransformer(pdg)
         self.smt = SmtSolver(self.transformer.manager, self.config.solver)
         self._summary_cache: dict[tuple, list[Term]] = {}
-        self._sessions: dict[object, SolverSession] = {}
-        self.session_stats = SessionStats()
         self.cached_condition_nodes = 0
         self.peak_condition_nodes = 0
         #: The in-flight query's deadline; set by :meth:`solve_one` so
@@ -85,8 +79,8 @@ class PinpointEngine(PathSensitiveEngine):
         return self.config.solver
 
     @property
-    def incremental(self) -> bool:
-        return self.config.incremental
+    def session_stats(self) -> SessionStats:
+        return self.smt.session_stats
 
     # ------------------------------------------------------------------ #
     # Summary expansion: condition cloning + condition caching
@@ -107,21 +101,27 @@ class PinpointEngine(PathSensitiveEngine):
         self._check_memory()
         return constraints
 
-    def _expand(self, fn: str, needed_of,
-                skip: frozenset[int]) -> list[Term]:
+    def _expand(self, fn: str, needed_of, skip: frozenset[int],
+                depth: Optional[int] = None) -> list[Term]:
+        """``fn``'s condition with every callee cloned in, from the
+        cached summaries; with a ``depth``, expansion stops that many
+        call levels down (callees beyond the bound are left
+        unconstrained — AR's coarse abstraction)."""
         if self._deadline is not None:
             self._deadline.check("summary expansion")
-        mgr = self.transformer.manager
         template = self.transformer.template(fn, needed_of(fn))
         out = list(template.constraints)
+        if depth is not None and depth <= 0:
+            return out
         for binding in template.calls:
             if binding.callsite in skip:
                 continue
-            child = self.expanded_summary(binding.callee, needed_of)
-            suffix = f"@{binding.callsite}"
-            out.extend(mgr.rename(c, suffix) for c in child)
-            out.extend(self.transformer.binding_constraints(
-                fn, "", binding, suffix))
+            if depth is None:
+                child = self.expanded_summary(binding.callee, needed_of)
+            else:
+                child = self._expand(binding.callee, needed_of,
+                                     frozenset(), depth - 1)
+            out.extend(self.transformer.clone_at(fn, binding, child))
         return out
 
     def _check_memory(self) -> None:
@@ -149,31 +149,18 @@ class PinpointEngine(PathSensitiveEngine):
         """Overrunning ``deadline`` during summary expansion yields
         UNKNOWN, never an exception."""
         self._deadline = deadline
-        checker = self._checker_for(group)
         try:
             if self.config.abstraction_refinement:
                 return self._solve_with_refinement(candidate, the_slice,
                                                    deadline=deadline,
-                                                   checker=checker)
+                                                   group=group)
             constraints = self._full_condition(candidate, the_slice)
-            return checker(constraints, deadline=deadline)
+            return self.smt.check(constraints, deadline=deadline,
+                                  group=group)
         except QueryDeadlineExceeded:
             return SmtResult(SmtStatus.UNKNOWN)
         finally:
             self._deadline = None
-
-    def _checker_for(self, group: Optional[object]):
-        """The solve entry point for this query: the group's session
-        (incremental mode) or the one-shot solver."""
-        if group is not None and self.config.incremental:
-            session = self._sessions.get(group)
-            if session is None:
-                session = SolverSession(self.transformer.manager,
-                                        self.config.solver,
-                                        stats=self.session_stats)
-                self._sessions[group] = session
-            return session.check
-        return self.smt.check
 
     def _full_condition(self, candidate: BugCandidate,
                         the_slice: Slice,
@@ -184,14 +171,10 @@ class PinpointEngine(PathSensitiveEngine):
         def needed_of(fn: str) -> frozenset[int]:
             return needed.get(fn, frozenset())
 
-        if max_depth is None:
-            def instance(fn: str, skip: frozenset[int]) -> list[Term]:
-                if not skip:
-                    return self.expanded_summary(fn, needed_of)
-                return self._expand(fn, needed_of, skip)
-        else:
-            def instance(fn: str, skip: frozenset[int]) -> list[Term]:
-                return self._expand_bounded(fn, needed_of, skip, max_depth)
+        def instance(fn: str, skip: frozenset[int]) -> list[Term]:
+            if not skip and max_depth is None:
+                return self.expanded_summary(fn, needed_of)
+            return self._expand(fn, needed_of, skip, max_depth)
 
         constraints = assemble_condition(
             self.transformer, [candidate.path], the_slice, instance)
@@ -204,44 +187,22 @@ class PinpointEngine(PathSensitiveEngine):
     # Abstraction refinement (Pinpoint+AR)
     # ------------------------------------------------------------------ #
 
-    def _expand_bounded(self, fn: str, needed_of, skip: frozenset[int],
-                        depth: int) -> list[Term]:
-        """Expansion truncated at ``depth`` call levels (callees beyond the
-        bound are left unconstrained — the coarse abstraction)."""
-        if self._deadline is not None:
-            self._deadline.check("summary expansion")
-        mgr = self.transformer.manager
-        template = self.transformer.template(fn, needed_of(fn))
-        out = list(template.constraints)
-        if depth <= 0:
-            return out
-        for binding in template.calls:
-            if binding.callsite in skip:
-                continue
-            child = self._expand_bounded(binding.callee, needed_of,
-                                         frozenset(), depth - 1)
-            suffix = f"@{binding.callsite}"
-            out.extend(mgr.rename(c, suffix) for c in child)
-            out.extend(self.transformer.binding_constraints(
-                fn, "", binding, suffix))
-        return out
-
     def _solve_with_refinement(self, candidate: BugCandidate,
                                the_slice: Slice,
                                max_rounds: int = 8,
                                deadline: Optional[Deadline] = None,
-                               checker=None) -> SmtResult:
+                               group: Optional[object] = None
+                               ) -> SmtResult:
         """Solve with a growing abstraction: an UNSAT verdict at any level
         is final; SAT verdicts trigger deeper expansion (each round is a
         fresh SMT query — the cost the paper observes for AR).  All
         rounds share the one per-query deadline."""
-        if checker is None:
-            checker = self.smt.check
         result: Optional[SmtResult] = None
         constraints = self._full_condition(candidate, the_slice,
                                            max_depth=0)
         for depth in range(max_rounds):
-            result = checker(constraints, deadline=deadline)
+            result = self.smt.check(constraints, deadline=deadline,
+                                    group=group)
             self._check_memory()
             if result.status is SmtStatus.UNSAT:
                 return result
@@ -307,8 +268,7 @@ def _hfs_tactic(engine: PinpointEngine, fn: str,
 def make_pinpoint(pdg: ProgramDependenceGraph, variant: str = "",
                   budget: Optional[Budget] = None,
                   solver: Optional[SolverConfig] = None,
-                  sparse: Optional[SparseConfig] = None,
-                  incremental: bool = False) -> PinpointEngine:
+                  sparse: Optional[SparseConfig] = None) -> PinpointEngine:
     """Factory for ``""`` (plain), ``"qe"``, ``"lfs"``, ``"hfs"``, ``"ar"``."""
     tactics: dict[str, Optional[SummaryTactic]] = {
         "": None, "qe": _qe_tactic, "lfs": _lfs_tactic, "hfs": _hfs_tactic,
@@ -322,6 +282,5 @@ def make_pinpoint(pdg: ProgramDependenceGraph, variant: str = "",
         budget=budget,
         summary_tactic=tactics[variant],
         abstraction_refinement=(variant == "ar"),
-        variant_suffix=f"+{variant.upper()}" if variant else "",
-        incremental=incremental)
+        variant_suffix=f"+{variant.upper()}" if variant else "")
     return PinpointEngine(pdg, config)

@@ -5,24 +5,24 @@ collection of dependence paths and differ only in *how* the feasibility
 of a collected path is decided (see :mod:`repro.sparse.driver`).
 :class:`PathSensitiveEngine` owns everything else: the per-checker
 sparse views, the execution plan every run hands the query scheduler
-(whose inline rung solves on this engine), store binding,
-session-delta telemetry and the store-fingerprint keys both engines
+(whose inline rung solves on this engine and records its session
+deltas), store binding and the store-fingerprint keys both engines
 share.  An engine supplies only
 
 * :meth:`~PathSensitiveEngine.solve_one` — decide one candidate
   against its already-computed slice;
 * :meth:`~PathSensitiveEngine._memory_snapshot` — its memory model;
-* ``session_stats`` — its incremental-session counters;
+* ``session_stats`` — its SMT solver's session counters;
 * :meth:`~PathSensitiveEngine._fingerprint_extras` — its own
   verdict-affecting knobs;
-* ``solver_config`` and ``incremental`` — where its config keeps the SMT
-  solver settings (the per-query ``time_limit`` among them) and the
-  incremental-sessions switch.
+* ``solver_config`` — where its config keeps the SMT solver settings
+  (the per-query ``time_limit`` and the ``incremental`` sessions switch
+  among them).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, replace
+from dataclasses import replace
 from typing import Optional
 
 from repro.checkers.base import AnalysisResult, BugCandidate, Checker
@@ -65,18 +65,13 @@ class PathSensitiveEngine:
         preprocessing passes)."""
         raise NotImplementedError
 
-    @property
-    def incremental(self) -> bool:
-        """Whether grouped queries share per-group solver sessions."""
-        raise NotImplementedError
-
     def solve_one(self, candidate: BugCandidate, the_slice: Slice,
                   deadline: Optional[Deadline],
                   group: Optional[object] = None) -> SmtResult:
         """Decide one candidate against its already-computed slice.
         Overrunning ``deadline`` yields UNKNOWN, never an exception.
-        ``group`` (incremental mode only) routes the query through that
-        group's persistent solver session."""
+        ``group`` is handed to :meth:`~repro.smt.solver.SmtSolver.check`
+        (it picks a solver session under ``solver_config.incremental``)."""
         raise NotImplementedError
 
     def _memory_snapshot(self) -> tuple[int, int]:
@@ -119,27 +114,20 @@ class PathSensitiveEngine:
         observes a previous request's numbers."""
         telemetry = telemetry if telemetry is not None else Telemetry()
         self.query_records = []
-        sessions_before = self.session_stats.as_tuple()
         view = self.checker_view(checker, telemetry)
         execution = self._execution_plan(checker, exec_config, telemetry)
         binding = store.bind(self.pdg, self._store_fingerprint(checker),
                              checker.name, telemetry) \
             if store is not None else None
-        result = run_analysis(self.pdg, checker, self.name, execution,
-                              self._memory_snapshot, self.config.budget,
-                              self.config.sparse, self.query_records,
-                              store=binding, view=view)
-        if self.incremental:
-            # Sessions on this engine (the inline rung's); pool workers'
-            # sessions are recorded by the scheduler.  Only this run's
-            # delta is recorded: a hot engine's cumulative totals must
-            # not be re-counted by every later request.
-            delta = tuple(
-                now - before for now, before in
-                zip(self.session_stats.as_tuple(), sessions_before))
-            telemetry.record_incremental(
-                **asdict(SessionStats.from_tuple(delta)))
-        return result
+        return run_analysis(self.pdg, checker, self.name, execution,
+                            self._memory_snapshot, self.config.budget,
+                            self.config.sparse, self.query_records,
+                            store=binding, view=view)
+
+    @property
+    def incremental(self) -> bool:
+        """Whether grouped queries share per-group solver sessions."""
+        return self.solver_config.incremental
 
     def _store_fingerprint(self, checker: Checker) -> dict:
         """Every knob that can change a cacheable verdict (or the report

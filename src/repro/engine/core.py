@@ -64,20 +64,19 @@ def build_engine(name: str, pdg, *, want_model: bool = False,
                               GraphSolverConfig)
     from repro.smt.solver import SolverConfig
 
-    smt = SolverConfig(time_limit=query_timeout) \
-        if query_timeout is not None else SolverConfig()
+    smt = SolverConfig(incremental=incremental)
+    if query_timeout is not None:
+        smt.time_limit = query_timeout
     if name in ("fusion", "fusion-unopt"):
         return FusionEngine(pdg, FusionConfig(
             solver=GraphSolverConfig(optimized=(name == "fusion"),
-                                     want_model=want_model, solver=smt,
-                                     incremental=incremental),
+                                     want_model=want_model, solver=smt),
             budget=budget))
     if name == "infer":
         return InferEngine(pdg, InferConfig(budget=budget))
     if name.startswith("pinpoint"):
         variant = name.partition("+")[2].lower()
-        return make_pinpoint(pdg, variant, budget=budget, solver=smt,
-                             incremental=incremental)
+        return make_pinpoint(pdg, variant, budget=budget, solver=smt)
     raise ValueError(f"unknown engine {name!r}")
 
 

@@ -629,6 +629,11 @@ class QueryScheduler:
         injected crash) or fatally (abort policy, budget), so a retry
         never re-absorbs."""
         state = self._in_process_state(candidates, self.inline_query)
+        # A bound inline query solves on the caller's engine, whose
+        # sessions outlive the run: record only this run's delta.
+        engine_stats = getattr(self.inline_query, "session_stats", None)
+        engine_before = engine_stats() if engine_stats is not None \
+            else None
 
         def absorb(outcome: QueryOutcome) -> None:
             self._absorb([outcome], outcomes)
@@ -648,7 +653,10 @@ class QueryScheduler:
                         self._synthesize(batch, error, outcomes)
         finally:
             self._record_cache(state.cache)
-            self._record_sessions(state.session_snapshot())
+            sessions = state.session_snapshot()
+            if engine_before is not None:
+                sessions.merge(engine_stats().since(engine_before))
+            self._record_sessions(sessions)
 
     def _run_thread(self, candidates: list[BugCandidate],
                     work: list[_Batch], outcomes: list[QueryOutcome],

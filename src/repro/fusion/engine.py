@@ -61,12 +61,8 @@ class FusionEngine(PathSensitiveEngine):
         return self.config.solver.solver
 
     @property
-    def incremental(self) -> bool:
-        return self.config.solver.incremental
-
-    @property
     def session_stats(self) -> SessionStats:
-        return self.solver.session_stats
+        return self.solver.smt.session_stats
 
     def solve_one(self, candidate: BugCandidate, the_slice: Slice,
                   deadline: Optional[Deadline],

@@ -28,7 +28,6 @@ from repro.fusion.transform import CallBinding, ConditionTransformer
 from repro.limits import Deadline, QueryDeadlineExceeded
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice
-from repro.smt.incremental import SessionStats, SolverSession
 from repro.smt.preprocess import Preprocessor, Verdict, constraint_set_size
 from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, SolverConfig
 from repro.smt.terms import Term
@@ -44,12 +43,6 @@ class GraphSolverConfig:
     #: Extract a satisfying model per feasible query (a concrete witness
     #: for the bug report); costs model completion time.
     want_model: bool = False
-    #: Route grouped queries through persistent assumption-based
-    #: :class:`SolverSession`s (cross-query clause reuse).  Verdicts are
-    #: identical either way; SAT *models* may legitimately differ from
-    #: the fresh-solver ones, so this stays opt-in at the engine level
-    #: (the CLI turns it on per run).
-    incremental: bool = False
 
 
 @dataclass
@@ -75,11 +68,6 @@ class IrBasedSmtSolver:
         self.stats = GraphSolverStats()
         self.smt = SmtSolver(self.transformer.manager, self.config.solver)
         self._local_cache: dict[tuple, list[Term]] = {}
-        #: Lazily opened per-group incremental sessions (see
-        #: ``GraphSolverConfig.incremental``); stats are aggregated
-        #: across all of this solver's sessions.
-        self._sessions: dict[object, SolverSession] = {}
-        self.session_stats = SessionStats()
         #: The in-flight query's deadline; set by :meth:`solve` so the
         #: recursive cloning/template helpers can observe it without
         #: threading a parameter through every closure.
@@ -100,9 +88,7 @@ class IrBasedSmtSolver:
         preprocessing, SAT search) yields UNKNOWN, never an exception.
 
         ``group`` names the candidate's shared-prefix group (typically
-        ``(checker, function)``); when set and the config enables
-        incremental solving, the query is decided inside that group's
-        persistent :class:`SolverSession` instead of a fresh solver.
+        ``(checker, function)``), handed to :meth:`SmtSolver.check`.
         """
         self.stats.queries += 1
         if deadline is None:
@@ -112,22 +98,9 @@ class IrBasedSmtSolver:
                                             deadline=deadline)
         except QueryDeadlineExceeded:
             return SmtResult(SmtStatus.UNKNOWN)
-        if group is not None and self.config.incremental:
-            return self._session(group).check(
-                constraints, want_model=self.config.want_model,
-                deadline=deadline)
         return self.smt.check(constraints,
                               want_model=self.config.want_model,
-                              deadline=deadline)
-
-    def _session(self, group: object) -> SolverSession:
-        session = self._sessions.get(group)
-        if session is None:
-            session = SolverSession(self.transformer.manager,
-                                    self.config.solver,
-                                    stats=self.session_stats)
-            self._sessions[group] = session
-        return session
+                              deadline=deadline, group=group)
 
     def condition_of(self, paths: Sequence[DependencePath],
                      the_slice: Slice,
@@ -264,7 +237,6 @@ class IrBasedSmtSolver:
     def _clone_callee(self, caller: str, binding: CallBinding, needed_of,
                       optimized: bool) -> list[Term]:
         """Rules (7)/(8): clone the callee at this call site."""
-        mgr = self.transformer.manager
         self.stats.clones += 1
         if self._deadline is not None:
             self._deadline.check("condition cloning")
@@ -274,8 +246,4 @@ class IrBasedSmtSolver:
         else:
             child = self._expanded_instance(binding.callee, needed_of,
                                             frozenset())
-        suffix = f"@{binding.callsite}"
-        out = [mgr.rename(c, suffix) for c in child]
-        out.extend(self.transformer.binding_constraints(
-            caller, "", binding, suffix))
-        return out
+        return self.transformer.clone_at(caller, binding, child)

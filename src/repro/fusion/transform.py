@@ -237,6 +237,16 @@ class ConditionTransformer:
                 self.var_term(binding.callee, ret.var, callee_suffix)))
         return out
 
+    def clone_at(self, caller: str, binding: CallBinding,
+                 callee_constraints: list[Term]) -> list[Term]:
+        """Rules (7)/(8): the callee's constraints renamed into the
+        call site's instance (``@callsite``), then the binding
+        constraints tying that instance to the caller."""
+        suffix = f"@{binding.callsite}"
+        out = [self.manager.rename(c, suffix) for c in callee_constraints]
+        out.extend(self.binding_constraints(caller, "", binding, suffix))
+        return out
+
     def interface_vars(self, function: str,
                        needed: frozenset[int]) -> set[Term]:
         """Variables of a template that outside parties may reference:

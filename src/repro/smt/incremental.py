@@ -19,11 +19,13 @@ re-solves that shared prefix from scratch for every query.  A
   learned clause as a premise.  Tseitin definitions are globally valid
   equivalences, hence also safe to persist.
 
-Preprocessing stays **per query**: the equisatisfiable pipeline of
-Algorithm 3 runs on each query's own constraint set exactly as in the
-non-incremental path, so ``decided_in_preprocess`` and all verdicts
-match the fresh-solver behaviour bit for bit.  Only the residual
-constraints reach the shared CNF.
+A session is a :class:`~repro.smt.solver.SmtSolver` that overrides only
+the search step of Algorithm 3: preprocessing stays **per query** and
+runs on each query's own constraint set exactly as in the fresh solver,
+so ``decided_in_preprocess`` and all verdicts match the fresh-solver
+behaviour bit for bit.  Only the residual constraints reach the shared
+CNF.  Sessions are opened by their owning solver, one per query group,
+when ``SolverConfig.incremental`` is set.
 
 Models under assumptions may differ from fresh-solver models (both are
 valid; the search explores a different order), so engines keep sessions
@@ -32,225 +34,61 @@ opt-in via their config and the CLI enables them per run.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
-from repro.limits import Deadline, QueryDeadlineExceeded
+from repro.limits import Deadline
 from repro.smt.bitblast import BitBlaster
-from repro.smt.preprocess import (Preprocessor, PreprocessStats, Verdict,
-                                  constraint_set_size)
-from repro.smt.sat import SatResult, SatSolver, SatStatus
-from repro.smt.solver import SmtResult, SmtStatus, SolverConfig
+from repro.smt.sat import SatResult, SatSolver
+from repro.smt.solver import SessionStats, SmtSolver, SolverConfig
 from repro.smt.terms import Term, TermManager
 
-
-@dataclass
-class SessionStats:
-    """Counters aggregated over the sessions of one engine/worker.
-
-    All fields are additive, so stats can be merged across workers and
-    shipped between processes as plain tuples.
-    """
-
-    sessions: int = 0
-    assumption_solves: int = 0
-    #: Clauses already present in a session's database when a follow-up
-    #: query's search started (the reuse the session paid for once).
-    reused_clauses: int = 0
-    #: Encoder-cache hits: term ids that resolved to already-emitted
-    #: Tseitin literals instead of being re-bit-blasted.
-    encoder_hits: int = 0
-    #: Learned clauses retained across a solve boundary.
-    learned_kept: int = 0
-
-    def merge(self, other: "SessionStats") -> None:
-        self.sessions += other.sessions
-        self.assumption_solves += other.assumption_solves
-        self.reused_clauses += other.reused_clauses
-        self.encoder_hits += other.encoder_hits
-        self.learned_kept += other.learned_kept
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.sessions, self.assumption_solves, self.reused_clauses,
-                self.encoder_hits, self.learned_kept)
-
-    @classmethod
-    def from_tuple(cls, values: tuple[int, int, int, int, int]
-                   ) -> "SessionStats":
-        return cls(*values)
-
-    def snapshot(self) -> "SessionStats":
-        return SessionStats(*self.as_tuple())
+__all__ = ["SessionStats", "SolverSession"]
 
 
-class SolverSession:
+class SolverSession(SmtSolver):
     """A persistent CNF context deciding queries under assumptions.
 
-    Lifecycle: ``open`` (construction) → any number of
-    :meth:`check`/:meth:`assume`/:meth:`solve` calls → :meth:`close`.
-    The session owns a :class:`SatSolver` and a :class:`BitBlaster`
-    over the engine's shared :class:`TermManager`; hash-consed term ids
-    key the encoder cache, so structural sharing between queries turns
-    directly into skipped bit-blasting.
+    :meth:`check` is :meth:`SmtSolver.check` unchanged; only the search
+    step differs.  The session owns a :class:`SatSolver` and a
+    :class:`BitBlaster` over the engine's shared :class:`TermManager`;
+    hash-consed term ids key the encoder cache, so structural sharing
+    between queries turns directly into skipped bit-blasting.
+    ``stats`` is the owning solver's ``session_stats``.
     """
 
     def __init__(self, manager: TermManager,
                  config: Optional[SolverConfig] = None,
                  stats: Optional[SessionStats] = None) -> None:
-        self.manager = manager
-        self.config = config if config is not None else SolverConfig()
-        self.stats = stats if stats is not None else SessionStats()
+        super().__init__(manager, config)
+        if stats is not None:
+            self.session_stats = stats
         self.solver = SatSolver()
         self.blaster = BitBlaster(self.solver)
-        self.queries = 0
-        self.decided_in_preprocess = 0
         self._solves = 0  # SAT searches run in this session
-        self._closed = False
-        self.stats.sessions += 1
+        self.session_stats.sessions += 1
 
-    # ------------------------------------------------------------------ #
-    # Low-level interface (open/assume/solve/close)
-    # ------------------------------------------------------------------ #
-
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
-    def close(self) -> None:
-        """Drop the session; further solves raise ``RuntimeError``."""
-        self._closed = True
-
-    def assert_permanent(self, term: Term) -> None:
-        """Clause the Boolean ``term`` into the shared prefix for good.
-
-        Use for constraints known to hold across *every* query of the
-        group; per-query constraints must go through assumptions.
-        """
-        self._require_open()
-        self.blaster.assert_true(term)
-
-    def assume(self, term: Term) -> int:
-        """Encode a Boolean term and return its assumption literal."""
-        self._require_open()
-        return self.blaster.literal(term)
-
-    def solve(self, assumptions: Iterable[int] = (),
-              conflict_limit: Optional[int] = None,
-              time_limit: Optional[float] = None,
-              deadline: Optional[Deadline] = None) -> SatResult:
-        """SAT-solve the session database under assumption literals."""
-        self._require_open()
-        self._note_reuse()
-        self.stats.assumption_solves += 1
-        self._solves += 1
-        return self.solver.solve(conflict_limit=conflict_limit,
-                                 time_limit=time_limit, deadline=deadline,
-                                 assumptions=list(assumptions))
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise RuntimeError("solver session is closed")
-
-    def _note_reuse(self) -> None:
+    def _search(self, residual: list[Term], deadline: Deadline
+                ) -> tuple[SatResult, BitBlaster, int]:
+        """Encode each residual constraint into the kept database and
+        solve under those literals as assumptions."""
+        stats = self.session_stats
         # Only solves after the first can reuse anything; count what the
         # database carries into them (original + learned clauses).
         if self._solves > 0:
-            self.stats.reused_clauses += self.solver.num_clauses
-            self.stats.learned_kept += self.solver.learned_clauses
-
-    # ------------------------------------------------------------------ #
-    # High-level interface (drop-in for SmtSolver.check)
-    # ------------------------------------------------------------------ #
-
-    def check(self, constraints: Iterable[Term],
-              want_model: bool = False,
-              deadline: Optional[Deadline] = None) -> SmtResult:
-        """Decide the conjunction of ``constraints`` in this session.
-
-        Mirrors :meth:`SmtSolver.check` — same per-query preprocessing,
-        same deadline discipline (a tripped deadline yields UNKNOWN,
-        never an exception) — but encodes the residual constraints into
-        the persistent database and solves under assumptions.
-        """
-        self._require_open()
-        start = time.perf_counter()
-        self.queries += 1
-        constraints = list(constraints)
-        condition_nodes = constraint_set_size(constraints)
-        if deadline is None:
-            deadline = Deadline.after(self.config.time_limit)
-        try:
-            return self._check_bounded(constraints, want_model, deadline,
-                                       start, condition_nodes)
-        except QueryDeadlineExceeded:
-            return SmtResult(SmtStatus.UNKNOWN, {}, False, None,
-                             time.perf_counter() - start,
-                             condition_nodes=condition_nodes)
-
-    def _check_bounded(self, constraints: list[Term], want_model: bool,
-                       deadline: Deadline, start: float,
-                       condition_nodes: int) -> SmtResult:
-        deadline.check()
-        pre_stats: Optional[PreprocessStats] = None
-        completions = None
-        if self.config.use_preprocess:
-            preprocessor = Preprocessor(self.manager,
-                                        enabled=self.config.enabled_passes)
-            pre = preprocessor.run(constraints, deadline=deadline)
-            pre_stats = pre.stats
-            completions = pre
-            if pre.verdict is Verdict.SAT:
-                self.decided_in_preprocess += 1
-                model = pre.complete_model({}) if want_model else {}
-                return SmtResult(SmtStatus.SAT, model, True, pre_stats,
-                                 time.perf_counter() - start,
-                                 condition_nodes=condition_nodes)
-            if pre.verdict is Verdict.UNSAT:
-                self.decided_in_preprocess += 1
-                return SmtResult(SmtStatus.UNSAT, {}, True, pre_stats,
-                                 time.perf_counter() - start,
-                                 condition_nodes=condition_nodes)
-            residual = pre.constraints
-        else:
-            residual = constraints
-
-        self._note_reuse()
+            stats.reused_clauses += self.solver.num_clauses
+            stats.learned_kept += self.solver.learned_clauses
         hits_before = self.blaster.encoder_hits
         assumptions: list[int] = []
         for constraint in residual:
             deadline.check("bit-blasting")
             assumptions.append(self.blaster.literal(constraint))
-        self.stats.encoder_hits += self.blaster.encoder_hits - hits_before
-        self.stats.assumption_solves += 1
+        stats.encoder_hits += self.blaster.encoder_hits - hits_before
+        stats.assumption_solves += 1
         self._solves += 1
         conflicts_before = self.solver.conflicts
         sat_result = self.solver.solve(
             conflict_limit=self.config.conflict_limit,
             time_limit=self.config.time_limit,
             deadline=deadline, assumptions=assumptions)
-        conflicts = sat_result.conflicts - conflicts_before
-
-        elapsed = time.perf_counter() - start
-        sat_clauses = self.solver.num_clauses
-        if sat_result.status is SatStatus.UNKNOWN:
-            return SmtResult(SmtStatus.UNKNOWN, {}, False, pre_stats, elapsed,
-                             conflicts, condition_nodes=condition_nodes,
-                             sat_clauses=sat_clauses)
-        if sat_result.status is SatStatus.UNSAT:
-            return SmtResult(SmtStatus.UNSAT, {}, False, pre_stats, elapsed,
-                             conflicts, condition_nodes=condition_nodes,
-                             sat_clauses=sat_clauses)
-
-        model: dict[Term, int] = {}
-        if want_model:
-            seen_vars: set[Term] = set()
-            for constraint in residual:
-                seen_vars.update(constraint.free_vars())
-            model = {var: self.blaster.model_value(var, sat_result.model)
-                     for var in seen_vars}
-            if completions is not None:
-                model = completions.complete_model(model)
-        return SmtResult(SmtStatus.SAT, model, False, pre_stats, elapsed,
-                         conflicts, condition_nodes=condition_nodes,
-                         sat_clauses=sat_clauses)
+        return (sat_result, self.blaster,
+                sat_result.conflicts - conflicts_before)

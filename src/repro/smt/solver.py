@@ -18,7 +18,7 @@ from repro.limits import Deadline, QueryDeadlineExceeded
 from repro.smt.bitblast import BitBlaster
 from repro.smt.preprocess import (Preprocessor, PreprocessStats, Verdict,
                                   constraint_set_size)
-from repro.smt.sat import SatStatus
+from repro.smt.sat import SatResult, SatStatus
 from repro.smt.terms import Term, TermManager
 
 
@@ -65,6 +65,56 @@ class SolverConfig:
     #: slicing, condition transformation, preprocessing and the SAT
     #: search share one :class:`~repro.limits.Deadline` derived from it.
     time_limit: Optional[float] = 10.0
+    #: Decide grouped queries (``check(..., group=...)``) inside that
+    #: group's persistent :class:`~repro.smt.incremental.SolverSession`.
+    #: Verdicts are identical either way; SAT *models* may legitimately
+    #: differ from the fresh-solver ones, so this stays opt-in at the
+    #: engine level (the CLI turns it on per run).
+    incremental: bool = False
+
+
+@dataclass
+class SessionStats:
+    """Counters aggregated over the solver sessions of one solver.
+
+    All fields are additive, so stats can be merged across workers and
+    shipped between processes as plain tuples.
+    """
+
+    sessions: int = 0
+    assumption_solves: int = 0
+    #: Clauses already present in a session's database when a follow-up
+    #: query's search started (the reuse the session paid for once).
+    reused_clauses: int = 0
+    #: Encoder-cache hits: term ids that resolved to already-emitted
+    #: Tseitin literals instead of being re-bit-blasted.
+    encoder_hits: int = 0
+    #: Learned clauses retained across a solve boundary.
+    learned_kept: int = 0
+
+    def merge(self, other: "SessionStats") -> None:
+        self.sessions += other.sessions
+        self.assumption_solves += other.assumption_solves
+        self.reused_clauses += other.reused_clauses
+        self.encoder_hits += other.encoder_hits
+        self.learned_kept += other.learned_kept
+
+    def as_tuple(self) -> tuple[int, int, int, int, int]:
+        return (self.sessions, self.assumption_solves, self.reused_clauses,
+                self.encoder_hits, self.learned_kept)
+
+    @classmethod
+    def from_tuple(cls, values: tuple[int, int, int, int, int]
+                   ) -> "SessionStats":
+        return cls(*values)
+
+    def snapshot(self) -> "SessionStats":
+        return SessionStats(*self.as_tuple())
+
+    def since(self, before: "SessionStats") -> "SessionStats":
+        """The counts added after the ``before`` snapshot."""
+        return SessionStats(*(now - then for now, then in
+                              zip(self.as_tuple(), before.as_tuple())))
 
 
 class SmtSolver:
@@ -73,6 +123,13 @@ class SmtSolver:
     This plays the role of "the default solver of Z3" in the paper's
     Figure 11 comparison: it sees only the final formula, with all program
     structure lost.
+
+    :meth:`check` is the one implementation of Algorithm 3; only its
+    search step (:meth:`_search`) differs in a
+    :class:`~repro.smt.incremental.SolverSession`.  With
+    ``config.incremental``, grouped queries are routed to that group's
+    session, opened on first use; ``session_stats`` counts over all of
+    them.
     """
 
     def __init__(self, manager: TermManager,
@@ -81,17 +138,25 @@ class SmtSolver:
         self.config = config if config is not None else SolverConfig()
         self.queries = 0
         self.decided_in_preprocess = 0
+        self.session_stats = SessionStats()
+        self._sessions: dict[object, SmtSolver] = {}
 
     def check(self, constraints: Iterable[Term],
               want_model: bool = False,
-              deadline: Optional[Deadline] = None) -> SmtResult:
+              deadline: Optional[Deadline] = None,
+              group: Optional[object] = None) -> SmtResult:
         """Decide satisfiability of the conjunction of ``constraints``.
 
         ``deadline`` is the query's shared wall clock (already covering
         its slicing/transform stages); when absent, a fresh deadline is
         derived from ``config.time_limit``.  A tripped deadline anywhere
         in the pipeline yields an UNKNOWN result, never an exception.
+        ``group`` names the query's shared-prefix group; it only matters
+        under ``config.incremental``.
         """
+        if group is not None and self.config.incremental:
+            return self._session(group).check(constraints, want_model,
+                                              deadline)
         start = time.perf_counter()
         self.queries += 1
         constraints = list(constraints)
@@ -99,41 +164,61 @@ class SmtSolver:
         if deadline is None:
             deadline = Deadline.after(self.config.time_limit)
 
+        def result(status: SmtStatus, pre_stats=None, model=None,
+                   decided: bool = False, conflicts: int = 0,
+                   sat_clauses: int = 0) -> SmtResult:
+            return SmtResult(status, model or {}, decided, pre_stats,
+                             time.perf_counter() - start, conflicts,
+                             condition_nodes=condition_nodes,
+                             sat_clauses=sat_clauses)
+
         try:
-            return self._check_bounded(constraints, want_model, deadline,
-                                       start, condition_nodes)
-        except QueryDeadlineExceeded:
-            return SmtResult(SmtStatus.UNKNOWN, {}, False, None,
-                             time.perf_counter() - start,
-                             condition_nodes=condition_nodes)
-
-    def _check_bounded(self, constraints: list[Term], want_model: bool,
-                       deadline: Deadline, start: float,
-                       condition_nodes: int) -> SmtResult:
-        deadline.check()
-        pre_stats: Optional[PreprocessStats] = None
-        completions = None
-        if self.config.use_preprocess:
-            preprocessor = Preprocessor(self.manager,
-                                        enabled=self.config.enabled_passes)
-            pre = preprocessor.run(constraints, deadline=deadline)
-            pre_stats = pre.stats
-            completions = pre
-            if pre.verdict is Verdict.SAT:
-                self.decided_in_preprocess += 1
-                model = pre.complete_model({}) if want_model else {}
-                return SmtResult(SmtStatus.SAT, model, True, pre_stats,
-                                 time.perf_counter() - start,
-                                 condition_nodes=condition_nodes)
-            if pre.verdict is Verdict.UNSAT:
-                self.decided_in_preprocess += 1
-                return SmtResult(SmtStatus.UNSAT, {}, True, pre_stats,
-                                 time.perf_counter() - start,
-                                 condition_nodes=condition_nodes)
-            residual = pre.constraints
-        else:
+            deadline.check()
+            pre = None
             residual = constraints
+            if self.config.use_preprocess:
+                pre = Preprocessor(self.manager,
+                                   enabled=self.config.enabled_passes
+                                   ).run(constraints, deadline=deadline)
+                if pre.verdict is not Verdict.UNKNOWN:
+                    self.decided_in_preprocess += 1
+                    if pre.verdict is Verdict.UNSAT:
+                        return result(SmtStatus.UNSAT, pre.stats,
+                                      decided=True)
+                    return result(SmtStatus.SAT, pre.stats,
+                                  pre.complete_model({}) if want_model
+                                  else None, decided=True)
+                residual = pre.constraints
+            sat_result, blaster, conflicts = self._search(residual,
+                                                          deadline)
+        except QueryDeadlineExceeded:
+            return result(SmtStatus.UNKNOWN)
 
+        pre_stats = pre.stats if pre is not None else None
+        sat_clauses = blaster.solver.num_clauses
+        if sat_result.status is not SatStatus.SAT:
+            status = SmtStatus.UNSAT \
+                if sat_result.status is SatStatus.UNSAT \
+                else SmtStatus.UNKNOWN
+            return result(status, pre_stats, conflicts=conflicts,
+                          sat_clauses=sat_clauses)
+        answer = result(SmtStatus.SAT, pre_stats, conflicts=conflicts,
+                        sat_clauses=sat_clauses)
+        if want_model:
+            seen_vars: set[Term] = set()
+            for constraint in residual:
+                seen_vars.update(constraint.free_vars())
+            model = {var: blaster.model_value(var, sat_result.model)
+                     for var in seen_vars}
+            answer.model = pre.complete_model(model) \
+                if pre is not None else model
+        return answer
+
+    def _search(self, residual: list[Term], deadline: Deadline
+                ) -> tuple[SatResult, BitBlaster, int]:
+        """Bit-blast the residual constraints and run the SAT search:
+        the search's result, the blaster holding its encoding, and the
+        conflicts it took."""
         blaster = BitBlaster()
         for constraint in residual:
             deadline.check("bit-blasting")
@@ -141,33 +226,18 @@ class SmtSolver:
         sat_result = blaster.solve(conflict_limit=self.config.conflict_limit,
                                    time_limit=self.config.time_limit,
                                    deadline=deadline)
+        return sat_result, blaster, sat_result.conflicts
 
-        elapsed = time.perf_counter() - start
-        sat_clauses = blaster.solver.num_clauses
-        if sat_result.status is SatStatus.UNKNOWN:
-            return SmtResult(SmtStatus.UNKNOWN, {}, False, pre_stats, elapsed,
-                             sat_result.conflicts,
-                             condition_nodes=condition_nodes,
-                             sat_clauses=sat_clauses)
-        if sat_result.status is SatStatus.UNSAT:
-            return SmtResult(SmtStatus.UNSAT, {}, False, pre_stats, elapsed,
-                             sat_result.conflicts,
-                             condition_nodes=condition_nodes,
-                             sat_clauses=sat_clauses)
+    def _session(self, group: object) -> "SmtSolver":
+        session = self._sessions.get(group)
+        if session is None:
+            # Imported here: the session module subclasses SmtSolver.
+            from repro.smt.incremental import SolverSession
 
-        model: dict[Term, int] = {}
-        if want_model:
-            seen_vars: set[Term] = set()
-            for constraint in residual:
-                seen_vars.update(constraint.free_vars())
-            model = {var: blaster.model_value(var, sat_result.model)
-                     for var in seen_vars}
-            if completions is not None:
-                model = completions.complete_model(model)
-        return SmtResult(SmtStatus.SAT, model, False, pre_stats, elapsed,
-                         sat_result.conflicts,
-                         condition_nodes=condition_nodes,
-                         sat_clauses=sat_clauses)
+            session = SolverSession(self.manager, self.config,
+                                    stats=self.session_stats)
+            self._sessions[group] = session
+        return session
 
 
 def smt_solve(manager: TermManager, constraints: Iterable[Term],

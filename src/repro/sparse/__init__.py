@@ -4,12 +4,9 @@ from repro.sparse.paths import (DependencePath, Frame, FrameTable, PathStep,
                                 extend_path)
 from repro.sparse.engine import SparseConfig, collect_candidates
 from repro.sparse.driver import QueryRecord, run_analysis
-from repro.sparse.summaries import (TransferSummary, TransferSummaryTable,
-                                    discover_pairs)
 
 __all__ = [
     "DependencePath", "Frame", "FrameTable", "PathStep", "extend_path",
     "SparseConfig", "collect_candidates",
     "QueryRecord", "run_analysis",
-    "TransferSummary", "TransferSummaryTable", "discover_pairs",
 ]

@@ -16,7 +16,9 @@ region sizes — against the committed expectations in
 * **demand** on the same cell: every reported (source, sink) pair
   re-decided by ``run_demand_query``, its findings equal to the full
   run's, its region at most ``DEMAND_REGION_CEILING`` of the PDG
-  (docs/queries.md);
+  (docs/queries.md); ``demand_sessions`` holds those queries'
+  solver-session counters, whose reused clauses must stay above zero
+  (the queries re-decide groups the full run opened sessions for);
 * **loops**: the loop-heavy family under both loop strategies, with
   equal verdicts and at least ``LOOP_NODE_REDUCTION_FLOOR`` times fewer
   PDG nodes under summaries (docs/loops.md).
@@ -99,9 +101,10 @@ def ffmpeg_cell() -> dict:
     return cell
 
 
-def demand_cell() -> list[dict]:
+def demand_cell(telemetry: Telemetry) -> list[dict]:
     """Every (source, sink) pair the full ffmpeg × cwe-23 run reports,
-    re-decided on demand on the same hot engine."""
+    re-decided on demand on the same hot engine; ``telemetry`` collects
+    the queries' counters."""
     checker = CHECKER_FACTORIES["cwe-23"]()
     engine = build_engine("fusion", pdg_for("ffmpeg"), want_model=True,
                           incremental=True)
@@ -112,7 +115,8 @@ def demand_cell() -> list[dict]:
         by_pair.setdefault(key, (report, []))[1].append(finding)
     pairs = []
     for (source, sink), (sample, findings) in by_pair.items():
-        verdict = run_demand_query(engine, checker, {sink}, {source})
+        verdict = run_demand_query(engine, checker, {sink}, {source},
+                                   telemetry=telemetry)
         pairs.append({
             "source": f"{sample.source.function}: {sample.source.stmt!r}",
             "sink": f"{sample.sink.function}: {sample.sink.stmt!r}",
@@ -163,8 +167,11 @@ def loops_cell() -> dict:
 
 
 def fresh_cells() -> dict:
+    demand_telemetry = Telemetry()
     return {"mcf": mcf_cell(), "ffmpeg": ffmpeg_cell(),
-            "demand": demand_cell(), "loops": loops_cell()}
+            "demand": demand_cell(demand_telemetry),
+            "demand_sessions": demand_telemetry.as_dict()["incremental"],
+            "loops": loops_cell()}
 
 
 def _flatten(tree, path: str = "") -> dict:
@@ -214,6 +221,11 @@ def test_cells_match_expectations(fresh):
 def test_solver_sessions_stay_on(fresh):
     counters = fresh["mcf"]["incremental"]
     assert all(counters[name] > 0 for name in SESSION_COUNTERS), counters
+
+
+def test_demand_queries_reuse_the_full_runs_sessions(fresh):
+    counters = fresh["demand_sessions"]
+    assert counters["reused_clauses"] > 0, counters
 
 
 def test_taint_view_keeps_edge_reduction(fresh):

@@ -7,12 +7,11 @@ same `decided_in_preprocess` split, models that satisfy the constraints
 clauses) across the group's queries.  See docs/solver.md.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import (SatStatus, SessionStats, SmtSolver, SmtStatus,
-                       SolverConfig, SolverSession, TermManager)
+from repro.smt import (SessionStats, SmtSolver, SmtStatus, SolverConfig,
+                       SolverSession, TermManager)
 from repro.smt.semantics import evaluate
 from strategies import bool_terms, make_manager
 
@@ -41,33 +40,6 @@ class TestSessionLifecycle:
         SolverSession(TermManager(), stats=stats)
         SolverSession(TermManager(), stats=stats)
         assert stats.sessions == 2
-
-    def test_closed_session_rejects_use(self):
-        manager = TermManager()
-        session = SolverSession(manager)
-        x = manager.bool_var("x")
-        session.close()
-        assert session.closed
-        for call in (lambda: session.check([x]),
-                     lambda: session.assume(x),
-                     lambda: session.assert_permanent(x),
-                     lambda: session.solve()):
-            with pytest.raises(RuntimeError):
-                call()
-
-    def test_low_level_assume_solve(self):
-        manager = TermManager()
-        session = SolverSession(manager)
-        x = manager.bv_var("x", 4)
-        five = manager.bv_const(5, 4)
-        session.assert_permanent(manager.ule(x, five))  # x <= 5 always
-        hi = session.assume(manager.ult(five, x))       # 5 < x
-        lo = session.assume(manager.eq(x, manager.bv_const(3, 4)))
-        assert session.solve([hi]).status is SatStatus.UNSAT
-        assert session.solve([lo]).status is SatStatus.SAT
-        # The earlier UNSAT-under-assumptions answer is not permanent.
-        assert session.solve([hi]).status is SatStatus.UNSAT
-        assert session.solve([]).status is SatStatus.SAT
 
 
 class TestSessionReuse:
@@ -150,11 +122,12 @@ class TestEngineIntegration:
         checker = NullDereferenceChecker()
         base = FusionEngine(pdg).analyze(checker)
         engine = FusionEngine(pdg, FusionConfig(
-            solver=GraphSolverConfig(incremental=True)))
+            solver=GraphSolverConfig(
+                solver=SolverConfig(incremental=True))))
         result = engine.analyze(checker)
         assert [(r.feasible, r.decided_in_preprocess)
                 for r in result.reports] == \
             [(r.feasible, r.decided_in_preprocess) for r in base.reports]
-        stats = engine.solver.session_stats
+        stats = engine.session_stats
         assert stats.sessions > 0
         assert stats.assumption_solves > 0

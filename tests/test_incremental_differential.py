@@ -14,9 +14,11 @@ import pytest
 from repro.baselines.pinpoint import make_pinpoint
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
+from repro.engine import AnalysisSession, EngineSettings
 from repro.exec import ExecConfig, Telemetry
 from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
                           prepare_pdg)
+from repro.smt import SolverConfig
 
 FUZZ_SEEDS = list(range(50))
 
@@ -33,7 +35,8 @@ def fuzz_pdg(seed: int):
 
 def fusion(pdg, incremental: bool):
     return FusionEngine(pdg, FusionConfig(
-        solver=GraphSolverConfig(incremental=incremental)))
+        solver=GraphSolverConfig(
+            solver=SolverConfig(incremental=incremental))))
 
 
 def canonical(result):
@@ -93,7 +96,8 @@ def test_pinpoint_incremental_matches(seed):
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     baseline = make_pinpoint(pdg, "").analyze(checker)
-    incremental = make_pinpoint(pdg, "", incremental=True).analyze(checker)
+    incremental = make_pinpoint(
+        pdg, "", solver=SolverConfig(incremental=True)).analyze(checker)
     assert canonical(incremental) == canonical(baseline)
     assert run_stats(incremental) == run_stats(baseline)
 
@@ -102,7 +106,8 @@ def test_pinpoint_incremental_thread_pool_matches():
     pdg = fuzz_pdg(11)
     checker = NullDereferenceChecker()
     baseline = make_pinpoint(pdg, "").analyze(checker)
-    parallel = make_pinpoint(pdg, "", incremental=True).analyze(
+    parallel = make_pinpoint(
+        pdg, "", solver=SolverConfig(incremental=True)).analyze(
         checker, exec_config=ExecConfig(jobs=4, backend="thread"))
     assert canonical(parallel) == canonical(baseline)
 
@@ -137,3 +142,34 @@ def test_telemetry_session_reuse_via_thread_pool():
     counters = telemetry.as_dict()["incremental"]
     assert counters["sessions"] > 0, counters
     assert counters["assumption_solves"] > 0, counters
+
+
+TWO_GUARDS = """\
+fun main(a, b) {
+  p = null;
+  if (a > 20) {
+    if (b < 3) {
+      deref(p);
+    }
+  }
+  return 0;
+}
+"""
+
+
+@pytest.mark.parametrize("engine", ["fusion", "pinpoint"])
+def test_demand_query_records_its_sessions(engine):
+    """A demand query solves inline on the session's hot engine; its
+    telemetry must count exactly the sessions that query opened (the
+    scheduler records the engine's before/after delta)."""
+    session = AnalysisSession(TWO_GUARDS,
+                              settings=EngineSettings(engine=engine))
+    telemetry = Telemetry()
+    session.query("null-deref", sink=5, telemetry=telemetry)
+    counters = telemetry.as_dict()["incremental"]
+    assert counters["sessions"] == 1, counters
+    assert session.engine.session_stats.sessions == 1
+    # A later run on the same engine reports only its own delta.
+    again = Telemetry()
+    session.analyze("null-deref", telemetry=again)
+    assert again.as_dict()["incremental"]["sessions"] == 0

@@ -397,9 +397,11 @@ def test_hot_engine_counters_are_per_request():
     with tempfile.TemporaryDirectory() as tmp:
         store = ArtifactStore(tmp)
         from repro.fusion import FusionConfig, GraphSolverConfig
+        from repro.smt import SolverConfig
         pdg = prepare_pdg(compile_source(source, LoweringConfig()))
         engine = FusionEngine(pdg, FusionConfig(
-            solver=GraphSolverConfig(want_model=True, incremental=True)))
+            solver=GraphSolverConfig(
+                want_model=True, solver=SolverConfig(incremental=True))))
 
         cold_tel = Telemetry()
         cold = engine.analyze(NullDereferenceChecker(), store=store,

@@ -1,4 +1,5 @@
-"""Tests for the S_t transfer-summary table (Algorithm 2's cache).
+"""Tests for the S_t transfer-summary table (Algorithm 2's cache),
+kept as the test-only oracle ``tests/transfer_summaries_oracle.py``.
 
 The key property: summary-based discovery finds exactly the
 (source, sink) pairs the path-enumerating sparse collector finds —
@@ -13,7 +14,7 @@ from repro.checkers import NullDereferenceChecker, cwe23_checker
 from repro.fusion import prepare_pdg
 from repro.lang import compile_source
 from repro.sparse import collect_candidates
-from repro.sparse.summaries import TransferSummaryTable, discover_pairs
+from transfer_summaries_oracle import TransferSummaryTable, discover_pairs
 
 FIGURE1 = """
 fun bar(x) {
