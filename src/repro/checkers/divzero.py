@@ -30,7 +30,9 @@ class DivByZeroChecker(Checker):
 
     def __init__(self) -> None:
         self._state = None  # lazy absint fixpoint, keyed to one PDG
-        self._state_pdg: Optional[int] = None
+        #: The PDG ``_state`` belongs to, compared by identity (an
+        #: ``id()`` can be reused by a later PDG once this one is freed).
+        self._state_pdg: Optional[ProgramDependenceGraph] = None
 
     # ------------------------------------------------------------------ #
     # Checker protocol
@@ -102,11 +104,11 @@ class DivByZeroChecker(Checker):
     # ------------------------------------------------------------------ #
 
     def _fixpoint(self, pdg: ProgramDependenceGraph):
-        if self._state is None or self._state_pdg != id(pdg):
+        if self._state is None or self._state_pdg is not pdg:
             from repro.absint.fixpoint import analyze_pdg
 
             self._state = analyze_pdg(pdg)
-            self._state_pdg = id(pdg)
+            self._state_pdg = pdg
         return self._state
 
     @staticmethod

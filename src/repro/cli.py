@@ -15,6 +15,7 @@ JSON, or a graphviz dump of the dependence graph.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Optional, Sequence
@@ -437,9 +438,21 @@ def _make_store(args: argparse.Namespace):
                          fault_plan=fault_plan)
 
 
-def _write_telemetry(args: argparse.Namespace, telemetry) -> bool:
+def _collections() -> list[int]:
+    """Cyclic-collector runs so far in this process, per generation."""
+    return [generation["collections"] for generation in gc.get_stats()]
+
+
+def _write_telemetry(args: argparse.Namespace, telemetry,
+                     collections: list[int]) -> bool:
+    """Write the run's telemetry, with the collector runs since the
+    ``collections`` snapshot taken when the command started."""
     if telemetry is None or not args.telemetry:
         return True
+    telemetry.record_gc(**{
+        f"collections_gen{generation}": now - then
+        for generation, (then, now) in enumerate(zip(collections,
+                                                     _collections()))})
     try:
         telemetry.write(args.telemetry)
     except OSError as error:
@@ -452,6 +465,7 @@ def _write_telemetry(args: argparse.Namespace, telemetry) -> bool:
 def cmd_bench(args: argparse.Namespace) -> int:
     from repro.bench import run_engine
 
+    collections = _collections()
     exec_config, telemetry = _exec_options(args)
     outcome = run_engine(args.subject, args.engine, args.checker,
                          time_budget=args.time_budget,
@@ -464,7 +478,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          store=_make_store(args),
                          incremental=args.incremental)
     print(json.dumps(outcome.row(), indent=2))
-    if not _write_telemetry(args, telemetry):
+    if not _write_telemetry(args, telemetry, collections):
         return 2
     return 0 if outcome.failed is None else 2
 
@@ -473,6 +487,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro.engine import AnalysisSession
     from repro.exec import Telemetry
 
+    collections = _collections()
     if args.file == "-":
         source = sys.stdin.read()
     else:
@@ -531,7 +546,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 pairs = ", ".join(f"{k}={v}" for k, v
                                   in finding["witness"].items())
                 print(f"      witness: {pairs}")
-    if not _write_telemetry(args, telemetry):
+    if not _write_telemetry(args, telemetry, collections):
         return 2
     return 1 if verdict.feasible else 0
 
@@ -572,6 +587,7 @@ def _resolve_subject_program(name: str,
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    collections = _collections()
     exec_config, telemetry = _exec_options(args)
     program = _resolve_subject_program(args.subject, args)
     _record_loop_telemetry(telemetry, program)
@@ -602,7 +618,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                 pairs = ", ".join(f"{k}={v}"
                                   for k, v in report.witness.items())
                 print(f"      witness: {pairs}")
-    if not _write_telemetry(args, telemetry):
+    if not _write_telemetry(args, telemetry, collections):
         return 2
     return 0 if result.failure is None else 2
 

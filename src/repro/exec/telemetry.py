@@ -55,7 +55,8 @@ from repro.smt.solver import SmtStatus
 #: /11 dropped the "triage" section (the triage pass was deleted).
 #: /12 dropped "views_remapped", "scc_count" and "bypass_edges" from the
 #: "reduce" section (views are rebuilt after an edit, never condensed).
-SCHEMA = "repro-exec-telemetry/12"
+#: /13 added the "gc" section (cyclic-collector runs per generation).
+SCHEMA = "repro-exec-telemetry/13"
 
 #: Request-latency samples kept for the percentile estimates; the serve
 #: soak keeps a daemon alive indefinitely, so the window is bounded
@@ -159,6 +160,14 @@ class Telemetry:
             "synthesized_unknown": 0, # outcomes fabricated after retry
                                       # exhaustion
         }
+        #: Python's cyclic-collector runs during the run, per generation
+        #: (the CLI takes ``gc.get_stats()`` deltas around its command);
+        #: not in ``counters``, since the counts are not deterministic.
+        self.gc: dict[str, int] = {
+            "collections_gen0": 0,
+            "collections_gen1": 0,
+            "collections_gen2": 0,
+        }
         self.wall_seconds = 0.0
 
     # ------------------------------------------------------------------ #
@@ -261,6 +270,12 @@ class Telemetry:
             for key, amount in counts.items():
                 self.loops[key] = self.loops.get(key, 0) + amount
 
+    def record_gc(self, **counts: int) -> None:
+        """Collector runs per generation (see the ``gc`` section keys)."""
+        with self._lock:
+            for key, amount in counts.items():
+                self.gc[key] = self.gc.get(key, 0) + amount
+
     def record_fault(self, kind: str, amount: int = 1) -> None:
         """One fault-tolerance event (see the ``faults`` section keys)."""
         with self._lock:
@@ -327,7 +342,8 @@ class Telemetry:
                                   ("reduce", self.reduce),
                                   ("query", self.query),
                                   ("loops", self.loops),
-                                  ("faults", self.faults)):
+                                  ("faults", self.faults),
+                                  ("gc", self.gc)):
                 for key, value in snapshot[section].items():
                     mine[key] = mine.get(key, 0) + value
             for key, value in snapshot.get("breaker", {}).items():
@@ -388,6 +404,7 @@ class Telemetry:
                 "serve": serve,
                 "breaker": dict(self.breaker),
                 "faults": dict(self.faults),
+                "gc": dict(self.gc),
             }
 
     def to_json(self, indent: int = 2) -> str:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import dataclasses
 from typing import NamedTuple, Optional
 
+from repro.collector import paused
 from repro.lang.ast_nodes import FunctionDecl
 from repro.lang.ir import Function, Program, VarType
 from repro.lang.lexer import LexError
@@ -89,6 +90,7 @@ class FrontendCache:
     def __len__(self) -> int:
         return len(self._entries)
 
+    @paused
     def compile(self, source: str) -> tuple[Program, "FrontendCache"]:
         """``source`` compiled, and the cache for the next version.
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+from repro.collector import paused
 from repro.lang import ast_nodes as ast
 from repro.lang.ir import (Assign, Binary, BinOp, Branch, Call, Const,
                            Function, IfThenElse, Identity, Operand, Program,
@@ -554,6 +555,7 @@ def _is_static_false(operand: Operand) -> bool:
         and operand.value == 0
 
 
+@paused
 def compile_source(source: str,
                    config: Optional[LoweringConfig] = None) -> Program:
     """Parse and lower surface source text in one step."""

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Container, NamedTuple, Optional
 
+from repro.collector import paused
 from repro.lang.ir import Branch, Call, Function, Program, Return, Stmt, Var
 from repro.pdg.graph import (CallSite, DataEdge, EdgeKind,
                              ProgramDependenceGraph, Vertex)
@@ -90,6 +91,7 @@ def walk_function(function: Function,
                     callees)
 
 
+@paused
 def build_pdg(program: Program, *,
               unroll: bool = False) -> ProgramDependenceGraph:
     """Validate ``program`` and build its whole-program dependence graph.

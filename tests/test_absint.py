@@ -141,6 +141,29 @@ def test_fixpoint_constants_and_joins():
         pdg.program.width)
 
 
+def test_div_zero_fixpoint_is_keyed_by_the_graph_not_its_address(
+        monkeypatch):
+    """CPython reuses a freed object's address, so ``id(pdg)`` can name
+    a later PDG: a constant ``id`` simulates that reuse, and the checker
+    must still run the fixpoint again for a different graph."""
+    from repro.checkers.divzero import DivByZeroChecker
+
+    monkeypatch.setattr("repro.checkers.divzero.id", lambda obj: 1,
+                        raising=False)
+    checker = DivByZeroChecker()
+    zero = prepare_pdg(compile_source(
+        "fun f(a) {\n  z = 0;\n  q = a / z;\n  return q;\n}\n"))
+    other = prepare_pdg(compile_source(
+        "fun f(a) {\n  z = a + 1;\n  q = a / z;\n  return q;\n}\n"))
+    first = checker._fixpoint(zero)
+    second = checker._fixpoint(other)
+    assert second is not first
+    assert checker._fixpoint(other) is second
+    assert [vertex.stmt.result.name for vertex in checker.sources(zero)] \
+        == ["z"]
+    assert checker.sources(other) == []
+
+
 def test_fixpoint_nullness():
     src = """
     fun main(a) {

@@ -350,6 +350,8 @@ def test_telemetry_merge_folds_counters():
     second.record_incremental(sessions=2, assumption_solves=5)
     second.record_memory(100, 10)
     first.record_memory(70, 30)
+    first.record_gc(collections_gen0=2)
+    second.record_gc(collections_gen0=3, collections_gen2=1)
     first.merge(second)
     merged = first.as_dict()
     assert merged["counters"]["scheduled_queries"] == 5
@@ -359,6 +361,8 @@ def test_telemetry_merge_folds_counters():
     # Memory peaks fold as maxima, not sums.
     assert merged["memory"]["peak_units"] == 100
     assert merged["memory"]["peak_condition_units"] == 30
+    assert merged["gc"] == {"collections_gen0": 5, "collections_gen1": 0,
+                            "collections_gen2": 1}
 
 
 # ---------------------------------------------------------------------
