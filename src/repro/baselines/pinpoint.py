@@ -32,7 +32,6 @@ from repro.fusion.transform import ConditionTransformer
 from repro.limits import Budget, Deadline, QueryDeadlineExceeded
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice
-from repro.smt.incremental import SessionStats
 from repro.smt.preprocess import constraint_set_size
 from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, SolverConfig
 from repro.smt.tactics import eliminate_quantifier, hfs_simplify, lfs_simplify
@@ -77,10 +76,6 @@ class PinpointEngine(PathSensitiveEngine):
     @property
     def solver_config(self) -> SolverConfig:
         return self.config.solver
-
-    @property
-    def session_stats(self) -> SessionStats:
-        return self.smt.session_stats
 
     # ------------------------------------------------------------------ #
     # Summary expansion: condition cloning + condition caching
@@ -144,19 +139,16 @@ class PinpointEngine(PathSensitiveEngine):
         }
 
     def solve_one(self, candidate: BugCandidate, the_slice: Slice,
-                  deadline: Optional[Deadline],
-                  group: Optional[object] = None) -> SmtResult:
+                  deadline: Optional[Deadline]) -> SmtResult:
         """Overrunning ``deadline`` during summary expansion yields
         UNKNOWN, never an exception."""
         self._deadline = deadline
         try:
             if self.config.abstraction_refinement:
                 return self._solve_with_refinement(candidate, the_slice,
-                                                   deadline=deadline,
-                                                   group=group)
+                                                   deadline=deadline)
             constraints = self._full_condition(candidate, the_slice)
-            return self.smt.check(constraints, deadline=deadline,
-                                  group=group)
+            return self.smt.check(constraints, deadline=deadline)
         except QueryDeadlineExceeded:
             return SmtResult(SmtStatus.UNKNOWN)
         finally:
@@ -190,8 +182,7 @@ class PinpointEngine(PathSensitiveEngine):
     def _solve_with_refinement(self, candidate: BugCandidate,
                                the_slice: Slice,
                                max_rounds: int = 8,
-                               deadline: Optional[Deadline] = None,
-                               group: Optional[object] = None
+                               deadline: Optional[Deadline] = None
                                ) -> SmtResult:
         """Solve with a growing abstraction: an UNSAT verdict at any level
         is final; SAT verdicts trigger deeper expansion (each round is a
@@ -201,8 +192,7 @@ class PinpointEngine(PathSensitiveEngine):
         constraints = self._full_condition(candidate, the_slice,
                                            max_depth=0)
         for depth in range(max_rounds):
-            result = self.smt.check(constraints, deadline=deadline,
-                                    group=group)
+            result = self.smt.check(constraints, deadline=deadline)
             self._check_memory()
             if result.status is SmtStatus.UNSAT:
                 return result

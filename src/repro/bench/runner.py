@@ -78,14 +78,12 @@ def pdg_for(subject_name: str) -> ProgramDependenceGraph:
 
 def make_engine(engine: str, pdg: ProgramDependenceGraph,
                 budget: Optional[Budget],
-                query_timeout: Optional[float] = None,
-                incremental: bool = False):
+                query_timeout: Optional[float] = None):
     """Thin wrapper over :func:`repro.engine.build_engine` (the shared
     factory): bench engines run without witness extraction and under the
     run budget."""
     return build_engine(engine, pdg, want_model=False,
-                        query_timeout=query_timeout,
-                        incremental=incremental, budget=budget)
+                        query_timeout=query_timeout, budget=budget)
 
 
 def run_engine(subject_name: str, engine: str, checker_name: str,
@@ -97,7 +95,7 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
                max_retries: Optional[int] = None,
                on_error: str = "unknown",
                fault_plan: Optional[FaultPlan] = None,
-               store=None, incremental: bool = False) -> RunOutcome:
+               store=None) -> RunOutcome:
     """Run one (engine, checker) pair on one subject.
 
     Feasibility queries run through the :mod:`repro.exec` scheduler:
@@ -117,8 +115,7 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
     budget = Budget(max_seconds=time_budget,
                     max_memory_units=memory_budget)
     engine_obj = make_engine(engine, pdg, budget,
-                             query_timeout=query_timeout,
-                             incremental=incremental)
+                             query_timeout=query_timeout)
     checker: Checker = CHECKERS[checker_name]()
     kwargs = {}
     if store is not None:

@@ -122,13 +122,13 @@ class BugCandidate:
         return (self.checker, self.source.index, self.sink.index)
 
     def group_key(self) -> tuple:
-        """Shared-prefix group for incremental solving.
+        """The candidate's poison group for the circuit breaker
+        (:mod:`repro.exec.breaker`).
 
         Candidates with the same checker and sink function share almost
         all of their sliced condition (the per-function local conditions
-        of Algorithm 6), so their queries are decided inside one
-        :class:`~repro.smt.incremental.SolverSession`.  The key is
-        picklable and stable across workers.
+        of Algorithm 6), so a query that keeps failing tends to fail for
+        the whole group.  The key is picklable and stable across workers.
         """
         return (self.checker, self.sink.function)
 

@@ -72,7 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=sorted(CHECKER_FACTORIES))
     bench.add_argument("--time-budget", type=float, default=120.0)
     _add_exec_arguments(bench)
-    _add_engine_arguments(bench)
 
     query = sub.add_parser(
         "query",
@@ -90,7 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "this line (default: any source)")
     query.add_argument("--engine", default="fusion",
                        choices=ENGINE_CHOICES)
-    _add_engine_arguments(query)
     _add_frontend_arguments(query)
     query.add_argument("--cache-dir", metavar="PATH", default=None,
                        help="artifact store shared with full analyses: "
@@ -107,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser(
         "analyze",
         help="analyse a registry subject or source file with the "
-             "query-execution layer (parallel jobs, slice memo, telemetry)")
+             "query-execution layer (parallel jobs, telemetry)")
     analyze.add_argument("--subject", required=True,
                          help="registry subject id/name, or a path to a "
                               "small-language source file")
@@ -119,13 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="machine-readable findings on stdout")
     _add_frontend_arguments(analyze)
     _add_exec_arguments(analyze)
-    _add_engine_arguments(analyze)
 
     serve = sub.add_parser(
         "serve",
         help="run the hot analysis daemon: engine state (artifact store, "
-             "slice cache, solver sessions) stays warm across requests "
-             "(see docs/serving.md)")
+             "sparse views, condition templates) stays warm across "
+             "requests (see docs/serving.md)")
     serve.add_argument("--stdio", action="store_true",
                        help="speak line-delimited JSON-RPC on "
                             "stdin/stdout instead of HTTP")
@@ -151,7 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="SECONDS",
                        help="per-request deadline when the request "
                             "carries none (overruns report UNKNOWN)")
-    _add_engine_arguments(serve)
     serve.add_argument("--fault-plan", metavar="SPEC", default=None,
                        help="inject deterministic faults into every "
                             "request (testing/CI only)")
@@ -237,20 +233,6 @@ def _add_frontend_arguments(parser: argparse.ArgumentParser) -> None:
                              "unrolling (default 64)")
 
 
-def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
-    """The engine switches, declared once for every subcommand that
-    builds a path-sensitive engine (query/analyze/bench/serve).  Each
-    has an on and an off spelling; the infer baseline has no SMT stage
-    and ignores ``--incremental``."""
-    parser.add_argument("--incremental",
-                        action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="route grouped queries through persistent "
-                             "assumption-based solver sessions with "
-                             "cross-query clause reuse (default on; see "
-                             "docs/solver.md)")
-
-
 def _lowering_config(args: argparse.Namespace) -> LoweringConfig:
     """The front-end config described by the shared frontend flags."""
     return LoweringConfig(loop_unroll=args.unroll, width=args.width,
@@ -261,7 +243,6 @@ def _lowering_config(args: argparse.Namespace) -> LoweringConfig:
 def _engine_settings(args: argparse.Namespace) -> EngineSettings:
     """The session settings described by the engine and frontend flags."""
     return EngineSettings(engine=args.engine,
-                          incremental=args.incremental,
                           loop_unroll=args.unroll,
                           width=args.width,
                           loop_strategy=args.loop_strategy,
@@ -274,6 +255,14 @@ def _record_loop_telemetry(telemetry, program) -> None:
     stats = getattr(program, "loop_stats", None)
     if telemetry is not None and stats is not None:
         telemetry.record_loops(**stats.as_dict())
+
+
+def _positive_seconds(text: str) -> float:
+    """``--query-timeout``'s type: a positive number of seconds."""
+    seconds = float(text)
+    if not seconds > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return seconds
 
 
 def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
@@ -289,7 +278,8 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                         help="queries per worker batch; 0 = auto")
     parser.add_argument("--telemetry", metavar="FILE",
                         help="write structured run telemetry as JSON")
-    parser.add_argument("--query-timeout", type=float, default=None,
+    parser.add_argument("--query-timeout", type=_positive_seconds,
+                        default=None,
                         metavar="SECONDS",
                         help="per-query wall-clock cap covering slicing "
                              "through the SAT search (default: the engine "
@@ -324,8 +314,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     else:
         with open(args.file) as handle:
             source = handle.read()
-    program = compile_source(source, _lowering_config(args))
-    pdg = prepare_pdg(program)
+    try:
+        pdg = prepare_pdg(compile_source(source, _lowering_config(args)))
+    except ValueError as error:  # bad width, arity mismatch, recursion
+        print(f"repro scan: {error}", file=sys.stderr)
+        return 2
 
     if args.dot:
         with open(args.dot, "w") as handle:
@@ -475,8 +468,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                          max_retries=args.max_retries,
                          on_error=args.on_error,
                          fault_plan=exec_config.fault_plan,
-                         store=_make_store(args),
-                         incremental=args.incremental)
+                         store=_make_store(args))
     print(json.dumps(outcome.row(), indent=2))
     if not _write_telemetry(args, telemetry, collections):
         return 2
@@ -589,12 +581,15 @@ def _resolve_subject_program(name: str,
 def cmd_analyze(args: argparse.Namespace) -> int:
     collections = _collections()
     exec_config, telemetry = _exec_options(args)
-    program = _resolve_subject_program(args.subject, args)
+    try:
+        program = _resolve_subject_program(args.subject, args)
+        pdg = prepare_pdg(program)
+    except ValueError as error:  # bad width, arity mismatch, recursion
+        print(f"repro analyze: {error}", file=sys.stderr)
+        return 2
     _record_loop_telemetry(telemetry, program)
-    pdg = prepare_pdg(program)
     engine = build_engine(args.engine, pdg, want_model=True,
-                          query_timeout=args.query_timeout,
-                          incremental=args.incremental)
+                          query_timeout=args.query_timeout)
     checker = CHECKER_FACTORIES[args.checker]()
     store = _make_store(args)
     kwargs = {"store": store} if store is not None else {}
@@ -663,8 +658,12 @@ def cmd_pdg(args: argparse.Namespace) -> int:
     """Per-checker sparsified-view inspection (docs/sparsification.md)."""
     from repro.pdg import build_view, view_to_dot
 
-    program = _resolve_subject_program(args.subject, args)
-    pdg = prepare_pdg(program)
+    try:
+        program = _resolve_subject_program(args.subject, args)
+        pdg = prepare_pdg(program)
+    except ValueError as error:  # bad width, arity mismatch, recursion
+        print(f"repro pdg: {error}", file=sys.stderr)
+        return 2
     checker_names = args.checker or sorted(CHECKER_FACTORIES)
     if args.dot and len(checker_names) != 1:
         print("repro pdg: --dot needs exactly one --checker",

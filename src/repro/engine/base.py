@@ -5,19 +5,16 @@ collection of dependence paths and differ only in *how* the feasibility
 of a collected path is decided (see :mod:`repro.sparse.driver`).
 :class:`PathSensitiveEngine` owns everything else: the per-checker
 sparse views, the execution plan every run hands the query scheduler
-(whose inline rung solves on this engine and records its session
-deltas), store binding and the store-fingerprint keys both engines
-share.  An engine supplies only
+(whose inline rung solves on this engine), store binding and the
+store-fingerprint keys both engines share.  An engine supplies only
 
 * :meth:`~PathSensitiveEngine.solve_one` — decide one candidate
   against its already-computed slice;
 * :meth:`~PathSensitiveEngine._memory_snapshot` — its memory model;
-* ``session_stats`` — its SMT solver's session counters;
 * :meth:`~PathSensitiveEngine._fingerprint_extras` — its own
   verdict-affecting knobs;
 * ``solver_config`` — where its config keeps the SMT solver settings
-  (the per-query ``time_limit`` and the ``incremental`` sessions switch
-  among them).
+  (the per-query ``time_limit`` among them).
 """
 
 from __future__ import annotations
@@ -32,7 +29,6 @@ from repro.limits import Deadline
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.reduce import ViewRegistry
 from repro.pdg.slicing import Slice
-from repro.smt.incremental import SessionStats
 from repro.smt.solver import SmtResult, SolverConfig
 from repro.sparse.driver import QueryRecord, run_analysis
 
@@ -43,8 +39,6 @@ class PathSensitiveEngine:
     ``budget``."""
 
     name: str
-    #: Counters of this engine's incremental solver sessions.
-    session_stats: SessionStats
 
     def __init__(self, pdg: ProgramDependenceGraph, config) -> None:
         self.pdg = pdg
@@ -66,12 +60,9 @@ class PathSensitiveEngine:
         raise NotImplementedError
 
     def solve_one(self, candidate: BugCandidate, the_slice: Slice,
-                  deadline: Optional[Deadline],
-                  group: Optional[object] = None) -> SmtResult:
+                  deadline: Optional[Deadline]) -> SmtResult:
         """Decide one candidate against its already-computed slice.
-        Overrunning ``deadline`` yields UNKNOWN, never an exception.
-        ``group`` is handed to :meth:`~repro.smt.solver.SmtSolver.check`
-        (it picks a solver session under ``solver_config.incremental``)."""
+        Overrunning ``deadline`` yields UNKNOWN, never an exception."""
         raise NotImplementedError
 
     def _memory_snapshot(self) -> tuple[int, int]:
@@ -108,7 +99,7 @@ class PathSensitiveEngine:
         unchanged are replayed instead of re-solved.
 
         The engine object may be reused across calls (the serve daemon
-        keeps it hot so per-group solver sessions survive between
+        keeps it hot so its views and condition templates survive between
         requests); all per-run state — query records, telemetry deltas,
         the result's counters — is rebuilt here, so one request never
         observes a previous request's numbers."""
@@ -123,11 +114,6 @@ class PathSensitiveEngine:
                             self._memory_snapshot, self.config.budget,
                             self.config.sparse, self.query_records,
                             store=binding, view=view)
-
-    @property
-    def incremental(self) -> bool:
-        """Whether grouped queries share per-group solver sessions."""
-        return self.solver_config.incremental
 
     def _store_fingerprint(self, checker: Checker) -> dict:
         """Every knob that can change a cacheable verdict (or the report
@@ -149,9 +135,6 @@ class PathSensitiveEngine:
             "enabled_passes": None if solver.enabled_passes is None
             else list(solver.enabled_passes),
             "use_preprocess": solver.use_preprocess,
-            # Incremental sessions can produce different (equally valid)
-            # SAT models, and witnesses are persisted with verdicts.
-            "incremental": self.incremental,
             "sparse": [sparse.max_paths_per_pair, sparse.max_path_len,
                        sparse.max_candidates, sparse.revisit_cap],
             # Views are byte-identical to the full walk by contract, but
@@ -175,8 +158,7 @@ class PathSensitiveEngine:
         recipe = (type(self), replace(self.config, budget=None))
         spec = WorkerSpec(self.pdg, checker, self.config.sparse,
                           QueryRunner, recipe,
-                          query_timeout=self.solver_config.time_limit,
-                          grouped=self.incremental)
+                          query_timeout=self.solver_config.time_limit)
         return ExecutionPlan(
             exec_config if exec_config is not None else ExecConfig(),
             spec, telemetry,
@@ -190,17 +172,10 @@ class QueryRunner:
     carries the class (pickled by reference) and ``(engine class, engine
     config)`` as the factory config.
 
-    In a pool worker, a query without a ``group`` runs on a *fresh*
-    engine (fresh term manager; for Pinpoint also no cross-query summary
-    cache), so its outcome is a function of ``(pdg, candidate, config)``
-    alone — the determinism contract of :mod:`repro.exec.scheduler`.
-    Grouped queries (incremental mode) share one engine for the runner's
-    lifetime: the scheduler builds one runner per *batch*, and batches
-    contain whole groups, so every candidate of a group is decided inside
-    one per-group :class:`~repro.smt.incremental.SolverSession`.
-    Determinism holds because a group's queries always arrive in
-    candidate-index order and SAT variable numbering depends only on
-    encoding order.
+    In a pool worker, each query runs on a *fresh* engine (fresh term
+    manager; for Pinpoint also no cross-query summary cache), so its
+    outcome is a function of ``(pdg, candidate, config)`` alone — the
+    determinism contract of :mod:`repro.exec.scheduler`.
 
     A runner bound to an ``engine`` (the inline rung's) solves every
     query on it, so its caches and memory model accumulate across the
@@ -211,23 +186,12 @@ class QueryRunner:
                  engine: Optional[PathSensitiveEngine] = None) -> None:
         self._pdg = pdg
         self._engine_cls, self._config = recipe
-        self._shared = engine
-        self._bound = engine is not None
+        self._engine = engine
 
     def __call__(self, candidate: BugCandidate, the_slice: Slice,
-                 deadline: Optional[Deadline] = None,
-                 group: Optional[object] = None) \
+                 deadline: Optional[Deadline] = None) \
             -> tuple[SmtResult, tuple[int, int]]:
-        if group is None and not self._bound:
-            engine = self._engine_cls(self._pdg, self._config)
-        else:
-            if self._shared is None:
-                self._shared = self._engine_cls(self._pdg, self._config)
-            engine = self._shared
-        result = engine.solve_one(candidate, the_slice, deadline, group)
+        engine = self._engine if self._engine is not None \
+            else self._engine_cls(self._pdg, self._config)
+        result = engine.solve_one(candidate, the_slice, deadline)
         return result, engine._memory_snapshot()
-
-    def session_stats(self) -> SessionStats:
-        if self._shared is None:
-            return SessionStats()
-        return self._shared.session_stats.snapshot()

@@ -12,8 +12,8 @@ Three layers live here:
   makes "daemon responses are byte-identical to one-shot ``repro
   analyze``" a testable property (``tests/test_serve_differential.py``).
 * **Hot state** — :class:`AnalysisSession`, one program's resident
-  analysis state: source text, PDG, a single engine object whose
-  per-group solver sessions stay alive across ``analyze()`` calls, and
+  analysis state: source text, PDG, a single engine object whose views
+  and condition templates stay alive across ``analyze()`` calls, and
   an optional persistent :class:`~repro.exec.store.ArtifactStore` so a
   re-analysis of an unchanged program replays every verdict instead of
   re-solving (``docs/caching.md``).  ``update_source`` recompiles only
@@ -47,16 +47,13 @@ ENGINE_CHOICES = ("fusion", "fusion-unopt", "pinpoint", "pinpoint+lfs",
 
 def build_engine(name: str, pdg, *, want_model: bool = False,
                  query_timeout: Optional[float] = None,
-                 incremental: bool = False,
                  budget: Optional[Budget] = None):
     """One configured engine object from an engine name.
 
     ``query_timeout`` overrides the solver's default 10 s per-query cap
     (the deadline it induces covers slicing through the SAT search, see
-    docs/robustness.md); ``incremental`` routes grouped queries through
-    persistent assumption-based solver sessions (docs/solver.md; the
-    infer baseline has no SMT stage and ignores it); ``budget`` bounds
-    the whole run (bench's Memory-Out/timeout protocol).
+    docs/robustness.md); ``budget`` bounds the whole run (bench's
+    Memory-Out/timeout protocol).
     """
     from repro.baselines.infer import InferConfig, InferEngine
     from repro.baselines.pinpoint import make_pinpoint
@@ -64,7 +61,7 @@ def build_engine(name: str, pdg, *, want_model: bool = False,
                               GraphSolverConfig)
     from repro.smt.solver import SolverConfig
 
-    smt = SolverConfig(incremental=incremental)
+    smt = SolverConfig()
     if query_timeout is not None:
         smt.time_limit = query_timeout
     if name in ("fusion", "fusion-unopt"):
@@ -113,11 +110,13 @@ def analysis_payload(result: AnalysisResult, *, engine: str, checker: str,
     }
 
 
-#: Settings fields earlier versions journaled, each with the one value
-#: this version still implements (the triage pass was deleted and
-#: sparsified views became unconditional).  A recovered journal may carry
-#: them at that value; any other value declines recovery.
-RETIRED_SETTINGS = {"triage": False, "sparsify": True}
+#: Settings fields earlier versions journaled, each with the values this
+#: version still implements: the triage pass was deleted, sparsified
+#: views became unconditional, and solver sessions were deleted (they
+#: gave the verdicts a fresh solver gives).  A recovered journal may
+#: carry them at those values; any other value declines recovery.
+RETIRED_SETTINGS = {"triage": (False,), "sparsify": (True,),
+                    "incremental": (True, False)}
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,6 @@ class EngineSettings:
 
     engine: str = "fusion"
     want_model: bool = True
-    incremental: bool = True
     query_timeout: Optional[float] = None
     loop_unroll: int = 2
     width: int = 8
@@ -160,13 +158,13 @@ class EngineSettings:
         """Inverse of :meth:`to_payload`; raises ``ValueError`` on
         unknown fields or an unknown engine, so a journal written by an
         incompatible version refuses to rehydrate instead of silently
-        changing behavior.  :data:`RETIRED_SETTINGS` at their surviving
+        changing behavior.  :data:`RETIRED_SETTINGS` at a surviving
         value are dropped first."""
         from dataclasses import fields
 
         payload = {name: value for name, value in payload.items()
-                   if name not in RETIRED_SETTINGS
-                   or value is not RETIRED_SETTINGS[name]}
+                   if not any(value is kept for kept
+                              in RETIRED_SETTINGS.get(name, ()))}
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -197,8 +195,7 @@ class AnalysisSession:
 
     ``store`` (an :class:`~repro.exec.store.ArtifactStore` or None) is
     the cross-request/cross-edit warm path; the engine object itself is
-    the intra-program warm path (live per-group solver sessions, slice
-    and template caches).
+    the intra-program warm path (views and condition templates).
     """
 
     def __init__(self, source: Optional[str] = None, *,
@@ -262,8 +259,7 @@ class AnalysisSession:
             pdg = prepare_pdg(program)
             engine = build_engine(self.settings.engine, pdg,
                                   want_model=self.settings.want_model,
-                                  query_timeout=self.settings.query_timeout,
-                                  incremental=self.settings.incremental)
+                                  query_timeout=self.settings.query_timeout)
             old_engine = self.engine
             if getattr(old_engine, "views", None) is not None \
                     and getattr(engine, "views", None) is not None:

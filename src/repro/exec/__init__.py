@@ -1,9 +1,8 @@
-"""Query-execution layer: parallel batched solving, slice memoization,
-fault tolerance, and analysis telemetry (see ``docs/parallelism.md``
+"""Query-execution layer: parallel batched solving, fault tolerance,
+and analysis telemetry (see ``docs/parallelism.md``
 and ``docs/robustness.md``)."""
 
 from repro.exec.breaker import CircuitBreaker
-from repro.exec.cache import CacheStats, SliceCache, path_fingerprint
 from repro.exec.faults import (FaultPlan, FaultPolicy, InjectedFault,
                                InjectedQueryError, WorkerCrash,
                                backoff_delay)
@@ -15,7 +14,6 @@ from repro.exec.telemetry import SCHEMA as TELEMETRY_SCHEMA
 from repro.exec.telemetry import Telemetry
 
 __all__ = [
-    "CacheStats", "SliceCache", "path_fingerprint",
     "CircuitBreaker",
     "FaultPlan", "FaultPolicy", "InjectedFault", "InjectedQueryError",
     "WorkerCrash", "backoff_delay",

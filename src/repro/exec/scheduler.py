@@ -42,16 +42,18 @@ Worker model:
   (``inline_query``), so cross-query caches and the modelled memory
   accumulate on that engine.  ``auto`` starts here at one job; it is
   also the ladder's last rung.
-* **thread** — workers share the parent's PDG, candidate list and one
-  lock-protected :class:`~repro.exec.cache.SliceCache`.
+* **thread** — workers share the parent's PDG and candidate list.
   Useful for differential testing and on platforms without ``fork``; the
   GIL limits CPU parallelism.
 * **process** — each worker process receives the pickled
   :class:`WorkerSpec` once (pool initializer), rebuilds the PDG and
   re-collects the candidate list (collection is deterministic, so indices
-  agree with the parent), and keeps a private slice cache.  Batches move
-  only candidate *indices* and compact :class:`QueryOutcome` records
-  across the process boundary.
+  agree with the parent).  Batches move only candidate *indices* and
+  compact :class:`QueryOutcome` records across the process boundary.
+
+Every rung computes each query's slice with
+:func:`~repro.pdg.slicing.compute_slice`; nothing is memoized across
+queries (docs/parallelism.md).
 
 Budgets are enforced after every query on the inline rung (each outcome
 is absorbed as soon as it exists, so a memory-out or time-out stops at
@@ -65,7 +67,6 @@ from __future__ import annotations
 
 import multiprocessing
 import pickle
-import threading
 import time
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
@@ -76,14 +77,12 @@ from typing import Callable, Optional, Sequence
 
 from repro.checkers.base import BugCandidate, Checker
 from repro.exec.breaker import CircuitBreaker
-from repro.exec.cache import SliceCache
 from repro.exec.faults import FaultPlan, FaultPolicy, backoff_delay
 from repro.exec.telemetry import Telemetry
 from repro.limits import (Budget, Deadline, QueryDeadlineExceeded,
                           ResourceExceeded)
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.pdg.slicing import Slice
-from repro.smt.incremental import SessionStats
+from repro.pdg.slicing import Slice, compute_slice
 from repro.smt.solver import SmtResult, SmtStatus
 from repro.sparse.driver import public_witness
 from repro.sparse.engine import SparseConfig, collect_candidates
@@ -115,7 +114,6 @@ class ExecConfig:
     jobs: int = 1
     backend: str = "auto"       # auto | serial | thread | process
     batch_size: int = 0         # 0 = derive from jobs and candidate count
-    slice_cache_capacity: Optional[int] = 256
     #: Failure handling: error policy, per-query timeout, retry budget.
     faults: FaultPolicy = field(default_factory=FaultPolicy)
     #: Deterministic fault injection (tests/CI only; None = no faults).
@@ -163,14 +161,6 @@ class WorkerSpec:
     #: bounds slicing as well as solving.  ``FaultPolicy.query_timeout``
     #: overrides it when set.
     query_timeout: Optional[float] = None
-    #: Incremental solving: partition batches along candidate
-    #: ``group_key()`` boundaries so a whole group lands on one worker,
-    #: and build a fresh query runner per *batch* (the runner keeps
-    #: per-group :class:`~repro.smt.incremental.SolverSession`s alive
-    #: across the batch's queries).  Re-executing a batch after a fault
-    #: rebuilds the runner from scratch, so the degradation ladder's
-    #: retry/requeue logic needs no special casing.
-    grouped: bool = False
 
 
 @dataclass
@@ -241,24 +231,22 @@ class _Batch:
 
 
 class _WorkerState:
-    """Per-worker solving state: candidates, slice cache, query function.
+    """Per-worker solving state: candidates and the query function.
 
     The inline and thread rungs build one instance from the parent's
-    candidates (thread workers share it: candidates and cache shared,
-    fresh engine per query; the inline rung passes its run-long
-    ``query``); the process backend builds one per worker process from
-    the pickled spec, re-collecting the candidates.
+    candidates (thread workers share it, with a fresh engine per query;
+    the inline rung passes its run-long ``query``); the process backend
+    builds one per worker process from the pickled spec, re-collecting
+    the candidates.
     """
 
     def __init__(self, spec: WorkerSpec,
-                 cache_capacity: Optional[int],
                  candidates: Optional[list[BugCandidate]] = None,
                  policy: Optional[FaultPolicy] = None,
                  plan: Optional[FaultPlan] = None,
                  process_worker: bool = False,
                  query: Optional[QueryFn] = None) -> None:
         self.pdg = spec.pdg
-        self.spec = spec
         if candidates is None:
             # Process workers re-collect the candidate list over the
             # same pruned view the parent walked.
@@ -268,17 +256,8 @@ class _WorkerState:
                 spec.pdg, spec.checker, spec.sparse,
                 view=build_view(spec.pdg, spec.checker))
         self.candidates = candidates
-        self.cache = SliceCache(cache_capacity)
-        self.grouped = spec.grouped
-        # Without a caller's query, grouped (incremental) mode builds a
-        # fresh runner per batch in solve_batch instead — a shared runner
-        # would make concurrent thread-backend batches race on one solver
-        # session.
-        if query is None and not self.grouped:
-            query = spec.query_factory(spec.pdg, spec.factory_config)
-        self.query = query
-        self.session_totals = SessionStats()
-        self._session_lock = threading.Lock()
+        self.query = query if query is not None \
+            else spec.query_factory(spec.pdg, spec.factory_config)
         self.policy = policy if policy is not None else FaultPolicy()
         self.plan = plan
         self.process_worker = process_worker
@@ -297,50 +276,29 @@ class _WorkerState:
             # May SIGKILL this process (process backend) or raise
             # WorkerCrash for the whole batch (thread/inline backends).
             self.plan.crash_worker(ordinal, attempt, self.process_worker)
-        query = self.query
-        per_batch = query is None
-        if per_batch:
-            # One runner per batch: group-affinity partitioning put each
-            # group's candidates in one batch, so this runner's sessions
-            # see the whole group, in index order.
-            query = self.spec.query_factory(self.spec.pdg,
-                                            self.spec.factory_config)
         outcomes: list[QueryOutcome] = []
         if emit is None:
             emit = outcomes.append
-        try:
-            for index in indices:
-                if run_deadline is not None and run_deadline.expired:
-                    # The run clock is gone: return the partial batch
-                    # instead of solving past the limit; the parent's
-                    # budget check turns this into the run's "time"
-                    # failure with all results solved so far preserved.
-                    break
-                emit(self._solve_one(index, query))
-        finally:
-            if per_batch:
-                stats_fn = getattr(query, "session_stats", None)
-                if stats_fn is not None:
-                    with self._session_lock:
-                        self.session_totals.merge(stats_fn())
+        for index in indices:
+            if run_deadline is not None and run_deadline.expired:
+                # The run clock is gone: return the partial batch instead
+                # of solving past the limit; the parent's budget check
+                # turns this into the run's "time" failure with all
+                # results solved so far preserved.
+                break
+            emit(self._solve_one(index))
         return outcomes
 
-    def _solve_one(self, index: int, query) -> QueryOutcome:
+    def _solve_one(self, index: int) -> QueryOutcome:
         candidate = self.candidates[index]
         start = time.perf_counter()
         deadline = Deadline.after(self.query_timeout)
         try:
             if self.plan is not None:
                 self.plan.apply_query(index, deadline)
-            the_slice = self.cache.get(self.pdg, [candidate.path],
-                                       deadline=deadline)
-            if self.grouped:
-                smt_result, (memory, condition_memory) = \
-                    query(candidate, the_slice, deadline,
-                          group=candidate.group_key())
-            else:
-                smt_result, (memory, condition_memory) = \
-                    query(candidate, the_slice, deadline)
+            the_slice = compute_slice(self.pdg, [candidate.path], deadline)
+            smt_result, (memory, condition_memory) = \
+                self.query(candidate, the_slice, deadline)
         except QueryDeadlineExceeded as error:
             return QueryOutcome(
                 index, SmtStatus.UNKNOWN, False,
@@ -360,10 +318,6 @@ class _WorkerState:
             public_witness(smt_result.model), memory,
             condition_memory, sat_clauses=smt_result.sat_clauses)
 
-    def session_snapshot(self) -> SessionStats:
-        with self._session_lock:
-            return self.session_totals.snapshot()
-
 
 def _describe(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
@@ -376,32 +330,19 @@ def _describe(error: BaseException) -> str:
 _PROCESS_STATE: Optional[_WorkerState] = None
 
 
-def _process_init(spec_bytes: bytes, cache_capacity: Optional[int],
-                  policy: FaultPolicy,
+def _process_init(spec_bytes: bytes, policy: FaultPolicy,
                   plan: Optional[FaultPlan]) -> None:
     global _PROCESS_STATE
-    _PROCESS_STATE = _WorkerState(pickle.loads(spec_bytes), cache_capacity,
-                                  policy=policy, plan=plan,
-                                  process_worker=True)
+    _PROCESS_STATE = _WorkerState(pickle.loads(spec_bytes), policy=policy,
+                                  plan=plan, process_worker=True)
 
 
 def _process_batch(indices: Sequence[int], ordinal: int, attempt: int,
-                   run_deadline: Optional[Deadline]
-                   ) -> tuple[list[QueryOutcome], tuple[int, int, int],
-                              tuple[int, ...]]:
-    """Solve one batch in a worker process; returns outcomes plus the
-    cache-counter and session-stats deltas for this batch (workers are
-    single-threaded, so before/after snapshots are exact)."""
+                   run_deadline: Optional[Deadline]) -> list[QueryOutcome]:
+    """Solve one batch in a worker process."""
     state = _PROCESS_STATE
     assert state is not None, "worker pool initializer did not run"
-    before = state.cache.counters()
-    sessions_before = state.session_totals.as_tuple()
-    outcomes = state.solve_batch(indices, ordinal, attempt, run_deadline)
-    after = state.cache.counters()
-    sessions_after = state.session_totals.as_tuple()
-    return (outcomes,
-            tuple(a - b for a, b in zip(after, before)),
-            tuple(a - b for a, b in zip(sessions_after, sessions_before)))
+    return state.solve_batch(indices, ordinal, attempt, run_deadline)
 
 
 # --------------------------------------------------------------------- #
@@ -423,7 +364,7 @@ class QueryScheduler:
             else Telemetry()
         self.budget = budget
         #: The inline rung's query, kept for the whole run (default: one
-        #: runner from the spec, so grouped sessions span the run).
+        #: runner from the spec).
         self.inline_query = inline_query if inline_query is not None \
             else spec.query_factory(spec.pdg, spec.factory_config)
         #: index -> group_key, populated per run when a breaker is set;
@@ -457,15 +398,8 @@ class QueryScheduler:
             return outcomes
         jobs = min(self.config.effective_jobs, len(index_list))
         ladder = self._ladder(self.config.resolved_backend(), jobs)
-        # Group affinity only matters to per-batch pool runners; the
-        # inline query keeps every group's session, so it solves in index
-        # order.
-        if self.spec.grouped and ladder[0] != "inline":
-            chunks = self._partition_grouped(index_list, candidates, jobs)
-        else:
-            chunks = self._partition(index_list, jobs)
-        batches = [_Batch(ordinal, chunk)
-                   for ordinal, chunk in enumerate(chunks)]
+        batches = [_Batch(ordinal, chunk) for ordinal, chunk
+                   in enumerate(self._partition(index_list, jobs))]
         # The rung that runs, not the configured name: a one-job
         # ``auto``/``serial``/``thread`` run reports ``inline``.
         self.telemetry.annotate(jobs=jobs, backend=ladder[0],
@@ -553,36 +487,6 @@ class QueryScheduler:
         return [index_list[low:low + size]
                 for low in range(0, count, size)]
 
-    def _partition_grouped(self, index_list: list[int],
-                           candidates: list[BugCandidate],
-                           jobs: int) -> list[list[int]]:
-        """Group-affinity batching: whole ``group_key()`` groups per batch.
-
-        Queries are reordered group-contiguously (groups in order of
-        first appearance, indices ascending within a group — the same
-        per-group solve order the inline rung produces), and batch
-        boundaries never split a group, so each group's candidates share
-        one worker-side solver session.  Outcomes are index-keyed, so
-        the reordering never shows in the report.
-        """
-        groups: dict[tuple, list[int]] = {}
-        for index in index_list:
-            groups.setdefault(candidates[index].group_key(),
-                              []).append(index)
-        size = self.config.batch_size
-        if size <= 0:
-            size = max(1, -(-len(index_list) // (jobs * 4)))
-        batches: list[list[int]] = []
-        current: list[int] = []
-        for members in groups.values():
-            if current and len(current) + len(members) > size:
-                batches.append(current)
-                current = []
-            current.extend(members)
-        if current:
-            batches.append(current)
-        return batches
-
     def _ladder(self, backend: str, jobs: int) -> list[str]:
         """The degradation ladder, starting at the configured backend.
         Only an explicit ``process`` backend forks at one job."""
@@ -599,8 +503,7 @@ class QueryScheduler:
                           ) -> _WorkerState:
         """Worker state for the inline and thread rungs: the parent's
         candidates, nothing re-collected."""
-        return _WorkerState(self.spec, self.config.slice_cache_capacity,
-                            candidates=candidates,
+        return _WorkerState(self.spec, candidates=candidates,
                             policy=self.config.faults,
                             plan=self.config.fault_plan, query=query)
 
@@ -629,34 +532,22 @@ class QueryScheduler:
         injected crash) or fatally (abort policy, budget), so a retry
         never re-absorbs."""
         state = self._in_process_state(candidates, self.inline_query)
-        # A bound inline query solves on the caller's engine, whose
-        # sessions outlive the run: record only this run's delta.
-        engine_stats = getattr(self.inline_query, "session_stats", None)
-        engine_before = engine_stats() if engine_stats is not None \
-            else None
 
         def absorb(outcome: QueryOutcome) -> None:
             self._absorb([outcome], outcomes)
 
         queue = deque(work)
-        try:
-            while queue:
-                batch = queue.popleft()
-                try:
-                    state.solve_batch(batch.indices, batch.ordinal,
-                                      batch.attempt, emit=absorb)
-                except Exception as error:
-                    retry = self._batch_failed(batch, error)
-                    if retry is not None:
-                        queue.append(retry)
-                    else:
-                        self._synthesize(batch, error, outcomes)
-        finally:
-            self._record_cache(state.cache)
-            sessions = state.session_snapshot()
-            if engine_before is not None:
-                sessions.merge(engine_stats().since(engine_before))
-            self._record_sessions(sessions)
+        while queue:
+            batch = queue.popleft()
+            try:
+                state.solve_batch(batch.indices, batch.ordinal,
+                                  batch.attempt, emit=absorb)
+            except Exception as error:
+                retry = self._batch_failed(batch, error)
+                if retry is not None:
+                    queue.append(retry)
+                else:
+                    self._synthesize(batch, error, outcomes)
 
     def _run_thread(self, candidates: list[BugCandidate],
                     work: list[_Batch], outcomes: list[QueryOutcome],
@@ -672,12 +563,9 @@ class QueryScheduler:
                                    run_deadline)
 
         try:
-            return self._drain(executor, submit, work, outcomes,
-                               merge_cache_deltas=False)
+            return self._drain(executor, submit, work, outcomes)
         finally:
             executor.shutdown(wait=True, cancel_futures=True)
-            self._record_cache(state.cache)
-            self._record_sessions(state.session_snapshot())
 
     def _run_process(self, work: list[_Batch],
                      outcomes: list[QueryOutcome], jobs: int,
@@ -691,8 +579,7 @@ class QueryScheduler:
             executor = ProcessPoolExecutor(
                 max_workers=jobs, mp_context=context,
                 initializer=_process_init,
-                initargs=(spec_bytes, self.config.slice_cache_capacity,
-                          policy, self.config.fault_plan))
+                initargs=(spec_bytes, policy, self.config.fault_plan))
 
             def submit(batch: _Batch):
                 return executor.submit(_process_batch, batch.indices,
@@ -700,8 +587,7 @@ class QueryScheduler:
                                        run_deadline)
 
             try:
-                lost = self._drain(executor, submit, todo, outcomes,
-                                   merge_cache_deltas=True)
+                lost = self._drain(executor, submit, todo, outcomes)
             finally:
                 # wait=True: a pool abandoned mid-shutdown races
                 # interpreter exit (its management thread writes to
@@ -729,8 +615,7 @@ class QueryScheduler:
     # -- completion loop ------------------------------------------------- #
 
     def _drain(self, executor, submit, work: list[_Batch],
-               outcomes: list[QueryOutcome],
-               merge_cache_deltas: bool) -> list[_Batch]:
+               outcomes: list[QueryOutcome]) -> list[_Batch]:
         """Submit ``work`` and absorb completions until done.
 
         Returns the batches lost to worker death (broken pool); batches
@@ -751,7 +636,7 @@ class QueryScheduler:
             for future in done:
                 batch = futures.pop(future)
                 try:
-                    result = future.result()
+                    batch_outcomes = future.result()
                 except BrokenExecutor:
                     broken = True
                     lost.append(batch)
@@ -759,15 +644,6 @@ class QueryScheduler:
                 except Exception as error:
                     failures.append((batch, error))
                     continue
-                if merge_cache_deltas:
-                    batch_outcomes, (hits, misses, evictions), sessions \
-                        = result
-                    self.telemetry.record_cache(
-                        "slice", hits, misses, evictions,
-                        capacity=self.config.slice_cache_capacity)
-                    self._record_sessions(SessionStats.from_tuple(sessions))
-                else:
-                    batch_outcomes = result
                 try:
                     self._absorb(batch_outcomes, outcomes)
                 except ResourceExceeded as error:
@@ -854,19 +730,3 @@ class QueryScheduler:
             for outcome in batch:
                 self.budget.check_memory(outcome.memory_units)
             self.budget.check_time()
-
-    def _record_cache(self, cache: SliceCache) -> None:
-        stats = cache.stats()
-        self.telemetry.record_cache(
-            "slice", stats.hits, stats.misses, stats.evictions,
-            capacity=self.config.slice_cache_capacity)
-
-    def _record_sessions(self, stats: SessionStats) -> None:
-        if not self.spec.grouped:
-            return
-        self.telemetry.record_incremental(
-            sessions=stats.sessions,
-            assumption_solves=stats.assumption_solves,
-            reused_clauses=stats.reused_clauses,
-            encoder_hits=stats.encoder_hits,
-            learned_kept=stats.learned_kept)

@@ -2,14 +2,14 @@
 
 One :class:`Telemetry` instance accompanies one analysis run.  The driver
 and the query scheduler feed it per-stage wall times, per-query solver
-outcomes, cache hit/miss counters and peak modeled-memory readings; the
+outcomes, store and view counters and peak modeled-memory readings; the
 CLI serialises the result as JSON (``repro analyze --telemetry out.json``)
 so benchmark sweeps and regressions can be diffed mechanically.
 
 The object is thread-safe: the scheduler's worker threads and the
-completion loop record into it concurrently.  Worker *processes* record
-into their own private counters, which the scheduler merges batch by
-batch (see :mod:`repro.exec.scheduler`).
+completion loop record into it concurrently.  Worker *processes* ship
+only their query outcomes, which the scheduler records in the parent
+(see :mod:`repro.exec.scheduler`).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import json
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.smt.solver import SmtStatus
 
@@ -56,7 +56,9 @@ from repro.smt.solver import SmtStatus
 #: /12 dropped "views_remapped", "scc_count" and "bypass_edges" from the
 #: "reduce" section (views are rebuilt after an edit, never condensed).
 #: /13 added the "gc" section (cyclic-collector runs per generation).
-SCHEMA = "repro-exec-telemetry/13"
+#: /14 dropped the "incremental" and "caches" sections (solver sessions
+#: and the slice cache were deleted).
+SCHEMA = "repro-exec-telemetry/14"
 
 #: Request-latency samples kept for the percentile estimates; the serve
 #: soak keeps a daemon alive indefinitely, so the window is bounded
@@ -77,7 +79,6 @@ class Telemetry:
             "decided_in_preprocess": 0, "solve_seconds": 0.0,
             "max_condition_nodes": 0,
         }
-        self.caches: dict[str, dict[str, int]] = {}
         self.memory: dict[str, int] = {
             "peak_units": 0, "peak_condition_units": 0,
         }
@@ -90,13 +91,6 @@ class Telemetry:
             "corrupt_entries": 0,      # payloads failing checksum/parse
             "quarantined": 0,          # corrupt files moved to quarantine/
             "io_errors": 0,            # OSError on store read or write
-        }
-        self.incremental: dict[str, int] = {
-            "sessions": 0,           # solver sessions opened
-            "assumption_solves": 0,  # queries decided under assumptions
-            "reused_clauses": 0,     # clauses already present at a solve
-            "encoder_hits": 0,       # term ids served from the CNF cache
-            "learned_kept": 0,       # learned clauses kept across solves
         }
         self.serve: dict[str, float] = {
             "requests": 0,           # requests answered (success or error)
@@ -213,31 +207,11 @@ class Telemetry:
             q["max_condition_nodes"] = max(q["max_condition_nodes"],
                                            condition_nodes)
 
-    def record_cache(self, name: str, hits: int, misses: int,
-                     evictions: int = 0,
-                     capacity: Optional[int] = None) -> None:
-        """Accumulate hit/miss counters for one named cache."""
-        with self._lock:
-            entry = self.caches.setdefault(
-                name, {"hits": 0, "misses": 0, "evictions": 0})
-            entry["hits"] += hits
-            entry["misses"] += misses
-            entry["evictions"] += evictions
-            if capacity is not None:
-                entry["capacity"] = capacity
-
     def record_store(self, **counts: int) -> None:
         """One artifact-store run's counters (see the ``store`` keys)."""
         with self._lock:
             for key, amount in counts.items():
                 self.store[key] = self.store.get(key, 0) + amount
-
-    def record_incremental(self, **counts: int) -> None:
-        """One engine's or worker batch's incremental-solving counters
-        (see the ``incremental`` section keys)."""
-        with self._lock:
-            for key, amount in counts.items():
-                self.incremental[key] = self.incremental.get(key, 0) + amount
 
     def record_reduce(self, **counts: float) -> None:
         """One registry flush's sparsification counters (see the
@@ -327,18 +301,9 @@ class Telemetry:
                     self.queries[key] = max(self.queries[key], value)
                 else:
                     self.queries[key] += value
-            for name, entry in snapshot["caches"].items():
-                mine = self.caches.setdefault(
-                    name, {"hits": 0, "misses": 0, "evictions": 0})
-                for key, value in entry.items():
-                    if key == "capacity":
-                        mine[key] = value
-                    else:
-                        mine[key] = mine.get(key, 0) + value
             for key, value in snapshot["memory"].items():
                 self.memory[key] = max(self.memory[key], value)
             for section, mine in (("store", self.store),
-                                  ("incremental", self.incremental),
                                   ("reduce", self.reduce),
                                   ("query", self.query),
                                   ("loops", self.loops),
@@ -393,11 +358,8 @@ class Telemetry:
                            for name, entry in sorted(self.stages.items())},
                 "counters": dict(sorted(self.counters.items())),
                 "solver": dict(self.queries),
-                "caches": {name: dict(entry)
-                           for name, entry in sorted(self.caches.items())},
                 "memory": dict(self.memory),
                 "store": dict(self.store),
-                "incremental": dict(self.incremental),
                 "reduce": dict(self.reduce),
                 "query": dict(self.query),
                 "loops": dict(self.loops),

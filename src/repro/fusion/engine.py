@@ -22,7 +22,6 @@ from repro.limits import Budget, Deadline
 from repro.pdg.builder import build_pdg
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice, compute_slice
-from repro.smt.incremental import SessionStats
 from repro.smt.solver import SmtResult, SolverConfig
 from repro.sparse.engine import SparseConfig
 
@@ -60,15 +59,10 @@ class FusionEngine(PathSensitiveEngine):
     def solver_config(self) -> SolverConfig:
         return self.config.solver.solver
 
-    @property
-    def session_stats(self) -> SessionStats:
-        return self.solver.smt.session_stats
-
     def solve_one(self, candidate: BugCandidate, the_slice: Slice,
-                  deadline: Optional[Deadline],
-                  group: Optional[object] = None) -> SmtResult:
+                  deadline: Optional[Deadline]) -> SmtResult:
         return self.solver.solve([candidate.path], the_slice,
-                                 deadline=deadline, group=group)
+                                 deadline=deadline)
 
     def _fingerprint_extras(self) -> dict:
         solver = self.config.solver

@@ -79,16 +79,12 @@ class IrBasedSmtSolver:
 
     def solve(self, paths: Sequence[DependencePath],
               the_slice: Slice,
-              deadline: Optional[Deadline] = None,
-              group: Optional[object] = None) -> SmtResult:
+              deadline: Optional[Deadline] = None) -> SmtResult:
         """Decide Π's feasibility, bounded by the per-query deadline.
 
         ``deadline`` defaults to a fresh one from the solver config's
         ``time_limit``; overrunning it anywhere (condition assembly,
         preprocessing, SAT search) yields UNKNOWN, never an exception.
-
-        ``group`` names the candidate's shared-prefix group (typically
-        ``(checker, function)``), handed to :meth:`SmtSolver.check`.
         """
         self.stats.queries += 1
         if deadline is None:
@@ -100,7 +96,7 @@ class IrBasedSmtSolver:
             return SmtResult(SmtStatus.UNKNOWN)
         return self.smt.check(constraints,
                               want_model=self.config.want_model,
-                              deadline=deadline, group=group)
+                              deadline=deadline)
 
     def condition_of(self, paths: Sequence[DependencePath],
                      the_slice: Slice,

@@ -113,7 +113,12 @@ class QuickPathTable:
             memo[name] = self._resolve_def(defs.get(name), params, resolve)
             return memo[name]
 
-        return resolve(ret.source)
+        try:
+            return resolve(ret.source)
+        finally:
+            # ``resolve`` refers to itself; left alone, that cycle keeps
+            # this table and its PDG alive until a full collection.
+            del resolve
 
     def _resolve_def(self, stmt, params: dict[str, int], resolve
                      ) -> ValueSummary:

@@ -73,6 +73,11 @@ class LoweringConfig:
     loop_paths: int = 64
     summary_cache: Optional[object] = None
 
+    def __post_init__(self) -> None:
+        if self.width <= 0:
+            raise ValueError(
+                f"bit-vector width must be positive, got {self.width}")
+
 
 def lower_module(module: ast.Module,
                  config: Optional[LoweringConfig] = None) -> Program:

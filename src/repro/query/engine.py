@@ -15,8 +15,7 @@ the pair:
 3. **Per-pair SMT** — surviving candidates are solved through the same
    query scheduler and report assembly as a full ``analyze``
    (:func:`~repro.sparse.driver.solve_pending`, inline on the hot
-   engine): the same slicing, deadline and group-keyed incremental
-   :class:`~repro.smt.incremental.SolverSession`.
+   engine): the same slicing, deadline and fresh solver per query.
 4. **Verdict caching** — with an artifact store attached, pair
    verdicts replay from (and commit to) the *same* content-addressed
    entries a full ``analyze`` uses, so a query after an analysis is

@@ -1,8 +1,8 @@
 """``repro serve``: the hot analysis daemon (see ``docs/serving.md``).
 
 The engine is constructed once per tenant and kept resident — PDG,
-per-group incremental solver sessions, slice caches and the persistent
-artifact store all stay warm across requests, so re-analysing an
+sparse views, condition templates and the persistent artifact store
+all stay warm across requests, so re-analysing an
 unchanged program dispatches zero SMT queries and an edited program
 re-decides only the verdicts the edit invalidated.
 """

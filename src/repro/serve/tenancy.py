@@ -1,7 +1,7 @@
 """Per-tenant session state and cache namespacing.
 
 Each tenant owns one :class:`~repro.engine.AnalysisSession` (hot PDG,
-engine with live solver sessions) plus a *namespaced* artifact store:
+engine with its views and templates) plus a *namespaced* artifact store:
 tenant ``t``'s store lives under ``<cache_root>/tenants/<digest(t)>``
 and is labelled with the tenant name.  Nothing any tenant pushes can
 reach another tenant's store directory — isolation holds at the

@@ -15,7 +15,6 @@ from repro.smt.sat import SatResult, SatSolver, SatStatus, solve_clauses
 from repro.smt.bitblast import BitBlaster
 from repro.smt.solver import (SmtResult, SmtSolver, SmtStatus, SolverConfig,
                               smt_solve)
-from repro.smt.incremental import SessionStats, SolverSession
 from repro.smt.tactics import (eliminate_quantifier, hfs_simplify,
                                lfs_simplify)
 from repro.smt.dimacs import (formula_to_dimacs, parse_dimacs, solve_dimacs,
@@ -33,7 +32,6 @@ __all__ = [
     "SatResult", "SatSolver", "SatStatus", "solve_clauses",
     "BitBlaster",
     "SmtResult", "SmtSolver", "SmtStatus", "SolverConfig", "smt_solve",
-    "SessionStats", "SolverSession",
     "eliminate_quantifier", "hfs_simplify", "lfs_simplify",
     "formula_to_dimacs", "parse_dimacs", "solve_dimacs", "write_dimacs",
     "model_to_smtlib", "term_to_smtlib", "to_smtlib_script",

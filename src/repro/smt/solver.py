@@ -18,7 +18,7 @@ from repro.limits import Deadline, QueryDeadlineExceeded
 from repro.smt.bitblast import BitBlaster
 from repro.smt.preprocess import (Preprocessor, PreprocessStats, Verdict,
                                   constraint_set_size)
-from repro.smt.sat import SatResult, SatStatus
+from repro.smt.sat import SatStatus
 from repro.smt.terms import Term, TermManager
 
 
@@ -41,8 +41,8 @@ class SmtResult:
     #: the path condition this query decided; feeds Figure 11's scatter).
     condition_nodes: int = 0
     #: Clauses in the SAT database when the search for this query ran
-    #: (0 when preprocessing decided the query).  For session-backed
-    #: queries this includes clauses retained from earlier queries.
+    #: (0 when preprocessing decided the query).  Every query bit-blasts
+    #: into a fresh database, so this counts only its own clauses.
     sat_clauses: int = 0
 
     @property
@@ -65,56 +65,6 @@ class SolverConfig:
     #: slicing, condition transformation, preprocessing and the SAT
     #: search share one :class:`~repro.limits.Deadline` derived from it.
     time_limit: Optional[float] = 10.0
-    #: Decide grouped queries (``check(..., group=...)``) inside that
-    #: group's persistent :class:`~repro.smt.incremental.SolverSession`.
-    #: Verdicts are identical either way; SAT *models* may legitimately
-    #: differ from the fresh-solver ones, so this stays opt-in at the
-    #: engine level (the CLI turns it on per run).
-    incremental: bool = False
-
-
-@dataclass
-class SessionStats:
-    """Counters aggregated over the solver sessions of one solver.
-
-    All fields are additive, so stats can be merged across workers and
-    shipped between processes as plain tuples.
-    """
-
-    sessions: int = 0
-    assumption_solves: int = 0
-    #: Clauses already present in a session's database when a follow-up
-    #: query's search started (the reuse the session paid for once).
-    reused_clauses: int = 0
-    #: Encoder-cache hits: term ids that resolved to already-emitted
-    #: Tseitin literals instead of being re-bit-blasted.
-    encoder_hits: int = 0
-    #: Learned clauses retained across a solve boundary.
-    learned_kept: int = 0
-
-    def merge(self, other: "SessionStats") -> None:
-        self.sessions += other.sessions
-        self.assumption_solves += other.assumption_solves
-        self.reused_clauses += other.reused_clauses
-        self.encoder_hits += other.encoder_hits
-        self.learned_kept += other.learned_kept
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (self.sessions, self.assumption_solves, self.reused_clauses,
-                self.encoder_hits, self.learned_kept)
-
-    @classmethod
-    def from_tuple(cls, values: tuple[int, int, int, int, int]
-                   ) -> "SessionStats":
-        return cls(*values)
-
-    def snapshot(self) -> "SessionStats":
-        return SessionStats(*self.as_tuple())
-
-    def since(self, before: "SessionStats") -> "SessionStats":
-        """The counts added after the ``before`` snapshot."""
-        return SessionStats(*(now - then for now, then in
-                              zip(self.as_tuple(), before.as_tuple())))
 
 
 class SmtSolver:
@@ -122,14 +72,9 @@ class SmtSolver:
 
     This plays the role of "the default solver of Z3" in the paper's
     Figure 11 comparison: it sees only the final formula, with all program
-    structure lost.
-
-    :meth:`check` is the one implementation of Algorithm 3; only its
-    search step (:meth:`_search`) differs in a
-    :class:`~repro.smt.incremental.SolverSession`.  With
-    ``config.incremental``, grouped queries are routed to that group's
-    session, opened on first use; ``session_stats`` counts over all of
-    them.
+    structure lost.  Each :meth:`check` bit-blasts into a fresh SAT
+    solver, so no query carries state into the next (docs/solver.md,
+    "Why there are no solver sessions").
     """
 
     def __init__(self, manager: TermManager,
@@ -138,25 +83,17 @@ class SmtSolver:
         self.config = config if config is not None else SolverConfig()
         self.queries = 0
         self.decided_in_preprocess = 0
-        self.session_stats = SessionStats()
-        self._sessions: dict[object, SmtSolver] = {}
 
     def check(self, constraints: Iterable[Term],
               want_model: bool = False,
-              deadline: Optional[Deadline] = None,
-              group: Optional[object] = None) -> SmtResult:
+              deadline: Optional[Deadline] = None) -> SmtResult:
         """Decide satisfiability of the conjunction of ``constraints``.
 
         ``deadline`` is the query's shared wall clock (already covering
         its slicing/transform stages); when absent, a fresh deadline is
         derived from ``config.time_limit``.  A tripped deadline anywhere
         in the pipeline yields an UNKNOWN result, never an exception.
-        ``group`` names the query's shared-prefix group; it only matters
-        under ``config.incremental``.
         """
-        if group is not None and self.config.incremental:
-            return self._session(group).check(constraints, want_model,
-                                              deadline)
         start = time.perf_counter()
         self.queries += 1
         constraints = list(constraints)
@@ -189,12 +126,18 @@ class SmtSolver:
                                   pre.complete_model({}) if want_model
                                   else None, decided=True)
                 residual = pre.constraints
-            sat_result, blaster, conflicts = self._search(residual,
-                                                          deadline)
+            blaster = BitBlaster()
+            for constraint in residual:
+                deadline.check("bit-blasting")
+                blaster.assert_true(constraint)
+            sat_result = blaster.solve(
+                conflict_limit=self.config.conflict_limit,
+                time_limit=self.config.time_limit, deadline=deadline)
         except QueryDeadlineExceeded:
             return result(SmtStatus.UNKNOWN)
 
         pre_stats = pre.stats if pre is not None else None
+        conflicts = sat_result.conflicts
         sat_clauses = blaster.solver.num_clauses
         if sat_result.status is not SatStatus.SAT:
             status = SmtStatus.UNSAT \
@@ -213,31 +156,6 @@ class SmtSolver:
             answer.model = pre.complete_model(model) \
                 if pre is not None else model
         return answer
-
-    def _search(self, residual: list[Term], deadline: Deadline
-                ) -> tuple[SatResult, BitBlaster, int]:
-        """Bit-blast the residual constraints and run the SAT search:
-        the search's result, the blaster holding its encoding, and the
-        conflicts it took."""
-        blaster = BitBlaster()
-        for constraint in residual:
-            deadline.check("bit-blasting")
-            blaster.assert_true(constraint)
-        sat_result = blaster.solve(conflict_limit=self.config.conflict_limit,
-                                   time_limit=self.config.time_limit,
-                                   deadline=deadline)
-        return sat_result, blaster, sat_result.conflicts
-
-    def _session(self, group: object) -> "SmtSolver":
-        session = self._sessions.get(group)
-        if session is None:
-            # Imported here: the session module subclasses SmtSolver.
-            from repro.smt.incremental import SolverSession
-
-            session = SolverSession(self.manager, self.config,
-                                    stats=self.session_stats)
-            self._sessions[group] = session
-        return session
 
 
 def smt_solve(manager: TermManager, constraints: Iterable[Term],

@@ -2,13 +2,11 @@
 
 Timing is bounded by ``perf/run.py`` in reference seconds; what this
 gate pins are the counts that catch regressions on any machine — the
-verdicts, query and clause counts, solver-session counters, graph and
-region sizes — against the committed expectations in
-``tests/bench_gate.json``:
+verdicts, query and clause counts, graph and region sizes — against the
+committed expectations in ``tests/bench_gate.json``:
 
-* **mcf × fusion × null-deref**, incremental (as ``repro bench`` runs
-  it): the bench row, every query's SAT clause count, and the
-  solver-session counters, which must stay above zero;
+* **mcf × fusion × null-deref** (as ``repro bench`` runs it): the bench
+  row and every query's SAT clause count;
 * **ffmpeg × fusion × cwe-23** (the smallest registry subject with
   taint injections): the bench row, the full PDG's size and the cwe-23
   view's kept size, at least ``TAINT_EDGE_REDUCTION_FLOOR`` times fewer
@@ -16,9 +14,7 @@ region sizes — against the committed expectations in
 * **demand** on the same cell: every reported (source, sink) pair
   re-decided by ``run_demand_query``, its findings equal to the full
   run's, its region at most ``DEMAND_REGION_CEILING`` of the PDG
-  (docs/queries.md); ``demand_sessions`` holds those queries'
-  solver-session counters, whose reused clauses must stay above zero
-  (the queries re-decide groups the full run opened sessions for);
+  (docs/queries.md);
 * **loops**: the loop-heavy family under both loop strategies, with
   equal verdicts and at least ``LOOP_NODE_REDUCTION_FLOOR`` times fewer
   PDG nodes under summaries (docs/loops.md).
@@ -39,7 +35,6 @@ import pytest
 from repro.bench import pdg_for, run_engine
 from repro.bench.generator import LOOP_HEAVY_FAMILY, loop_heavy_source
 from repro.engine import CHECKER_FACTORIES, build_engine, findings_payload
-from repro.exec import Telemetry
 from repro.fusion import prepare_pdg
 from repro.lang import LoweringConfig, compile_source
 from repro.pdg import build_view
@@ -65,28 +60,15 @@ ROW_FIELDS = ("bugs", "reports", "tp", "fp", "memory_units",
               "condition_units", "queries", "unknown", "errors",
               "replayed", "failure")
 
-#: Solver-session counters that must stay above zero on mcf.
-SESSION_COUNTERS = ("sessions", "assumption_solves", "encoder_hits")
-
 LOOP_CHECKERS = ("null-deref", "div-zero")
 
 
-def _row_cell(subject: str, checker: str, telemetry=None) -> dict:
-    outcome = run_engine(subject, "fusion", checker, telemetry=telemetry,
-                         incremental=True)
+def _row_cell(subject: str, checker: str) -> dict:
+    outcome = run_engine(subject, "fusion", checker)
     row = outcome.row()
     cell = {name: row[name] for name in ROW_FIELDS}
     cell["sat_clauses"] = [record.sat_clauses
                            for record in outcome.query_records]
-    return cell
-
-
-def mcf_cell() -> dict:
-    telemetry = Telemetry()
-    cell = _row_cell("mcf", "null-deref", telemetry)
-    counters = telemetry.as_dict()["incremental"]
-    cell["incremental"] = {name: counters[name]
-                           for name in SESSION_COUNTERS}
     return cell
 
 
@@ -101,13 +83,11 @@ def ffmpeg_cell() -> dict:
     return cell
 
 
-def demand_cell(telemetry: Telemetry) -> list[dict]:
+def demand_cell() -> list[dict]:
     """Every (source, sink) pair the full ffmpeg × cwe-23 run reports,
-    re-decided on demand on the same hot engine; ``telemetry`` collects
-    the queries' counters."""
+    re-decided on demand on the same hot engine."""
     checker = CHECKER_FACTORIES["cwe-23"]()
-    engine = build_engine("fusion", pdg_for("ffmpeg"), want_model=True,
-                          incremental=True)
+    engine = build_engine("fusion", pdg_for("ffmpeg"), want_model=True)
     result = engine.analyze(checker)
     by_pair: dict[tuple[int, int], tuple] = {}
     for finding, report in zip(findings_payload(result), result.reports):
@@ -115,8 +95,7 @@ def demand_cell(telemetry: Telemetry) -> list[dict]:
         by_pair.setdefault(key, (report, []))[1].append(finding)
     pairs = []
     for (source, sink), (sample, findings) in by_pair.items():
-        verdict = run_demand_query(engine, checker, {sink}, {source},
-                                   telemetry=telemetry)
+        verdict = run_demand_query(engine, checker, {sink}, {source})
         pairs.append({
             "source": f"{sample.source.function}: {sample.source.stmt!r}",
             "sink": f"{sample.sink.function}: {sample.sink.stmt!r}",
@@ -152,8 +131,7 @@ def loops_cell() -> dict:
             stats = pdg.stats()
             verdicts = {}
             for checker in LOOP_CHECKERS:
-                engine = build_engine("fusion", pdg, want_model=True,
-                                      incremental=True)
+                engine = build_engine("fusion", pdg, want_model=True)
                 result = engine.analyze(CHECKER_FACTORIES[checker]())
                 verdicts[checker] = _loop_verdicts(findings_payload(result))
             cells[name][strategy] = {
@@ -167,11 +145,8 @@ def loops_cell() -> dict:
 
 
 def fresh_cells() -> dict:
-    demand_telemetry = Telemetry()
-    return {"mcf": mcf_cell(), "ffmpeg": ffmpeg_cell(),
-            "demand": demand_cell(demand_telemetry),
-            "demand_sessions": demand_telemetry.as_dict()["incremental"],
-            "loops": loops_cell()}
+    return {"mcf": _row_cell("mcf", "null-deref"), "ffmpeg": ffmpeg_cell(),
+            "demand": demand_cell(), "loops": loops_cell()}
 
 
 def _flatten(tree, path: str = "") -> dict:
@@ -216,16 +191,6 @@ def test_cells_match_expectations(fresh):
     assert not drifted, (
         "bench cells drifted from tests/bench_gate.json (regenerate it "
         "only if the change is intended):\n  " + "\n  ".join(drifted))
-
-
-def test_solver_sessions_stay_on(fresh):
-    counters = fresh["mcf"]["incremental"]
-    assert all(counters[name] > 0 for name in SESSION_COUNTERS), counters
-
-
-def test_demand_queries_reuse_the_full_runs_sessions(fresh):
-    counters = fresh["demand_sessions"]
-    assert counters["reused_clauses"] > 0, counters
 
 
 def test_taint_view_keeps_edge_reduction(fresh):

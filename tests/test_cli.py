@@ -122,20 +122,21 @@ class TestOtherCommands:
         assert excinfo.value.code == 2
 
     def test_bench_no_json_flag(self, tmp_path, monkeypatch, capsys):
-        """``--no-incremental`` opens no solver session, and no bench
-        record is written on that side either."""
+        """A bench cell with ``--telemetry`` writes only the telemetry
+        file, and it solves (there are no solver sessions to count)."""
         cwd = tmp_path / "cwd"
         cwd.mkdir()
         monkeypatch.chdir(cwd)
         telemetry = tmp_path / "t.json"
         code = main(["bench", "--subject", "mcf", "--engine", "fusion",
-                     "--no-incremental", "--telemetry", str(telemetry)])
+                     "--telemetry", str(telemetry)])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert payload["failure"] is None
         assert list(cwd.iterdir()) == []
-        counters = json.loads(telemetry.read_text())["incremental"]
-        assert counters and set(counters.values()) == {0}, counters
+        document = json.loads(telemetry.read_text())
+        assert "incremental" not in document
+        assert document["solver"]["total"] >= 1
 
     def test_serve_rejects_unknown_backend(self, capsys):
         """A typo fails at startup with argparse's usage error, not as an
@@ -323,6 +324,79 @@ class TestTriageFlag:
         assert "triage" not in payload
 
 
+class TestIncrementalFlag:
+    """Solver sessions are gone: both spellings of their switch are
+    refused by argparse on every subcommand that had it, and telemetry
+    has neither the sessions section nor the slice-cache section."""
+
+    @pytest.mark.parametrize("flag", ["--incremental", "--no-incremental"])
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--subject", "{}"],
+        ["query", "{}", "--checker", "null-deref", "--sink", "11"],
+        ["bench", "--subject", "mcf"],
+        ["serve", "--stdio"],
+    ], ids=lambda argv: argv[0])
+    def test_switch_is_refused(self, argv, flag, source_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([source_file if arg == "{}" else arg for arg in argv]
+                 + [flag])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--subject", "{}"],
+        ["query", "{}", "--checker", "null-deref", "--sink", "11"],
+    ], ids=lambda argv: argv[0])
+    def test_telemetry_has_no_session_or_cache_section(
+            self, argv, source_file, tmp_path, capsys):
+        out = tmp_path / "telemetry.json"
+        main([source_file if arg == "{}" else arg for arg in argv]
+             + ["--telemetry", str(out)])
+        capsys.readouterr()
+        payload = json.loads(out.read_text())
+        assert payload["schema"] == SCHEMA
+        assert "incremental" not in payload
+        assert "caches" not in payload
+        assert payload["solver"]["total"] >= 1
+
+
+class TestBadNumbers:
+    """Out-of-range numeric flags exit 2 with a one-line message instead
+    of a traceback or a silently degraded run."""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--subject", "mcf"],
+        ["pdg", "--subject", "mcf"],
+        ["analyze", "--subject", "{}"],
+        ["pdg", "--subject", "{}"],
+        ["scan", "{}"],
+        ["query", "{}", "--checker", "null-deref", "--sink", "11"],
+    ], ids=["analyze-mcf", "pdg-mcf", "analyze-file", "pdg-file", "scan",
+            "query"])
+    def test_zero_width_exits_two(self, argv, source_file, capsys):
+        code = main([source_file if arg == "{}" else arg for arg in argv]
+                    + ["--width", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"repro {argv[0]}: bit-vector width " \
+            "must be positive, got 0\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("command", ["analyze", "bench"])
+    def test_non_positive_query_timeout_exits_two(self, command, value,
+                                                  capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--subject", "mcf", "--query-timeout", value])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert f"argument --query-timeout: must be positive, got " \
+            f"{value}" in captured.err
+        assert captured.out == ""
+
+
 class TestDivZeroChecker:
     def test_finds_constant_zero_divisors(self, tmp_path, capsys):
         path = tmp_path / "div.fl"
@@ -351,7 +425,7 @@ class TestDivZeroChecker:
         assert excinfo.value.code == 2
         capsys.readouterr()
         code = main(["analyze", "--subject", str(path),
-                     "--checker", "div-zero", "--no-incremental", "--json"])
+                     "--checker", "div-zero", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0
         assert len([f for f in payload["findings"] if f["feasible"]]) == 2

@@ -1,12 +1,15 @@
-"""Differential suite: incremental sessions never change a report.
+"""Differential suite: state kept across queries never changes a report.
 
-The acceptance contract of incremental assumption-based solving
-(docs/solver.md) is that `--incremental` and `--no-incremental` runs
-produce identical reports — same order, same verdicts, same preprocess
-split — across job counts, pool backends, and both path-sensitive
-engines.  Models under assumptions may legitimately differ, so this
-suite runs with `want_model=False` (the bench default) and compares
-every remaining program-visible field.
+There are no solver sessions: every query is decided by a fresh SAT
+search (docs/solver.md).  What a run still keeps across queries is the
+engine on the inline rung — its term manager, Fusion's preprocessed
+templates, Pinpoint's summary cache — while pool workers build a fresh
+engine per query.  So a hot engine (one that already analysed the
+program) and every pool backend must report exactly what a fresh
+engine reports: same order, same verdicts, same preprocess split,
+across job counts and both path-sensitive engines.  Models may differ
+between those solve orders, so this suite runs with `want_model=False`
+(the bench default) and compares every remaining program-visible field.
 """
 
 import pytest
@@ -16,9 +19,7 @@ from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
 from repro.engine import AnalysisSession, EngineSettings
 from repro.exec import ExecConfig, Telemetry
-from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
-                          prepare_pdg)
-from repro.smt import SolverConfig
+from repro.fusion import FusionEngine, prepare_pdg
 
 FUZZ_SEEDS = list(range(50))
 
@@ -33,10 +34,10 @@ def fuzz_pdg(seed: int):
     return prepare_pdg(generate_subject(spec).program)
 
 
-def fusion(pdg, incremental: bool):
-    return FusionEngine(pdg, FusionConfig(
-        solver=GraphSolverConfig(
-            solver=SolverConfig(incremental=incremental))))
+def hot(engine, checker):
+    """``engine`` after a first full run: its cross-query state filled."""
+    engine.analyze(checker)
+    return engine
 
 
 def canonical(result):
@@ -58,11 +59,11 @@ def run_stats(result):
 def test_fusion_incremental_matches_one_shot(seed):
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
-    baseline = fusion(pdg, incremental=False).analyze(checker)
+    baseline = FusionEngine(pdg).analyze(checker)
     assert baseline.candidates > 0, "fuzz spec generated no candidates"
-    incremental = fusion(pdg, incremental=True).analyze(checker)
-    assert canonical(incremental) == canonical(baseline)
-    assert run_stats(incremental) == run_stats(baseline)
+    again = hot(FusionEngine(pdg), checker).analyze(checker)
+    assert canonical(again) == canonical(baseline)
+    assert run_stats(again) == run_stats(baseline)
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS)
@@ -70,8 +71,8 @@ def test_fusion_incremental_matches_one_shot(seed):
 def test_fusion_incremental_thread_pool_matches(seed, jobs):
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
-    baseline = fusion(pdg, incremental=False).analyze(checker)
-    parallel = fusion(pdg, incremental=True).analyze(
+    baseline = FusionEngine(pdg).analyze(checker)
+    parallel = FusionEngine(pdg).analyze(
         checker, exec_config=ExecConfig(jobs=jobs, backend="thread"))
     assert canonical(parallel) == canonical(baseline)
     assert run_stats(parallel) == run_stats(baseline)
@@ -79,13 +80,13 @@ def test_fusion_incremental_thread_pool_matches(seed, jobs):
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS[:3])
 def test_fusion_incremental_process_pool_matches(seed):
-    """Grouped batches cross the process boundary: workers rebuild the
-    per-batch group runner from the pickled spec and ship session-stat
-    deltas back; verdicts must still match the one-shot sequential run."""
+    """Batches cross the process boundary: workers rebuild the engine
+    recipe from the pickled spec and ship outcomes back; verdicts must
+    match the inline run on one engine."""
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
-    baseline = fusion(pdg, incremental=False).analyze(checker)
-    parallel = fusion(pdg, incremental=True).analyze(
+    baseline = FusionEngine(pdg).analyze(checker)
+    parallel = FusionEngine(pdg).analyze(
         checker, exec_config=ExecConfig(jobs=2, backend="process"))
     assert canonical(parallel) == canonical(baseline)
     assert run_stats(parallel) == run_stats(baseline)
@@ -96,52 +97,18 @@ def test_pinpoint_incremental_matches(seed):
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     baseline = make_pinpoint(pdg, "").analyze(checker)
-    incremental = make_pinpoint(
-        pdg, "", solver=SolverConfig(incremental=True)).analyze(checker)
-    assert canonical(incremental) == canonical(baseline)
-    assert run_stats(incremental) == run_stats(baseline)
+    again = hot(make_pinpoint(pdg, ""), checker).analyze(checker)
+    assert canonical(again) == canonical(baseline)
+    assert run_stats(again) == run_stats(baseline)
 
 
 def test_pinpoint_incremental_thread_pool_matches():
     pdg = fuzz_pdg(11)
     checker = NullDereferenceChecker()
     baseline = make_pinpoint(pdg, "").analyze(checker)
-    parallel = make_pinpoint(
-        pdg, "", solver=SolverConfig(incremental=True)).analyze(
+    parallel = make_pinpoint(pdg, "").analyze(
         checker, exec_config=ExecConfig(jobs=4, backend="thread"))
     assert canonical(parallel) == canonical(baseline)
-
-
-def test_telemetry_reports_session_reuse():
-    """On a multi-candidate subject the incremental run must actually
-    go through sessions: assumption solves and encoder hits > 0 (the
-    acceptance criterion of the reuse gate, in-process flavor)."""
-    spec = SubjectSpec("inc-telemetry", seed=5, num_functions=10, layers=3,
-                       avg_stmts=7, call_fanout=2, null_bugs=(2, 2, 2))
-    pdg = prepare_pdg(generate_subject(spec).program)
-    checker = NullDereferenceChecker()
-    telemetry = Telemetry()
-    fusion(pdg, incremental=True).analyze(checker, telemetry=telemetry)
-    counters = telemetry.as_dict()["incremental"]
-    assert counters["sessions"] > 0, counters
-    assert counters["assumption_solves"] > 0, counters
-    assert counters["encoder_hits"] > 0, counters
-
-
-def test_telemetry_session_reuse_via_thread_pool():
-    """Worker-side sessions feed the same counters through the
-    scheduler's merge path."""
-    spec = SubjectSpec("inc-telemetry", seed=5, num_functions=10, layers=3,
-                       avg_stmts=7, call_fanout=2, null_bugs=(2, 2, 2))
-    pdg = prepare_pdg(generate_subject(spec).program)
-    checker = NullDereferenceChecker()
-    telemetry = Telemetry()
-    fusion(pdg, incremental=True).analyze(
-        checker, exec_config=ExecConfig(jobs=2, backend="thread"),
-        telemetry=telemetry)
-    counters = telemetry.as_dict()["incremental"]
-    assert counters["sessions"] > 0, counters
-    assert counters["assumption_solves"] > 0, counters
 
 
 TWO_GUARDS = """\
@@ -160,16 +127,15 @@ fun main(a, b) {
 @pytest.mark.parametrize("engine", ["fusion", "pinpoint"])
 def test_demand_query_records_its_sessions(engine):
     """A demand query solves inline on the session's hot engine; its
-    telemetry must count exactly the sessions that query opened (the
-    scheduler records the engine's before/after delta)."""
+    telemetry counts exactly the query it solved, with no session
+    section, and a later run on the same engine counts only its own."""
     session = AnalysisSession(TWO_GUARDS,
                               settings=EngineSettings(engine=engine))
     telemetry = Telemetry()
     session.query("null-deref", sink=5, telemetry=telemetry)
-    counters = telemetry.as_dict()["incremental"]
-    assert counters["sessions"] == 1, counters
-    assert session.engine.session_stats.sessions == 1
-    # A later run on the same engine reports only its own delta.
+    document = telemetry.as_dict()
+    assert "incremental" not in document
+    assert document["solver"]["total"] == 1, document["solver"]
     again = Telemetry()
-    session.analyze("null-deref", telemetry=again)
-    assert again.as_dict()["incremental"]["sessions"] == 0
+    result = session.analyze("null-deref", telemetry=again)
+    assert again.as_dict()["solver"]["total"] == result.smt_queries == 1

@@ -70,7 +70,7 @@ def make_driver_run(solve_fn, **kwargs):
     pdg = prepare_pdg(compile_source(SRC))
     checker = NullDereferenceChecker()
 
-    def query(candidate, the_slice, deadline=None, group=None):
+    def query(candidate, the_slice, deadline=None):
         return solve_fn(candidate), (123, 45)
 
     spec = WorkerSpec(pdg, checker, None, lambda pdg, config: query, None)

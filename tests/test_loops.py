@@ -507,22 +507,14 @@ class TestConfigurationSurface:
             assert args.width == 8, command
         assert not hasattr(parser.parse_args(["bench"] + required["bench"]),
                            "loop_strategy")
-        # The one engine switch: same default and both spellings on every
-        # subcommand that builds a path-sensitive engine; the retired
-        # switches are gone.
-        defaults = {"incremental": True}
+        # No engine switch is left on any subcommand that builds a
+        # path-sensitive engine; the retired switches are refused.
         for command in ("query", "analyze", "bench", "serve"):
             argv = [command] + required[command]
-            args = parser.parse_args(argv)
-            assert {name: getattr(args, name) for name in defaults} \
-                == defaults, command
-            for name in defaults:
-                for value, flag in ((True, f"--{name}"),
-                                    (False, f"--no-{name}")):
-                    args = parser.parse_args(argv + [flag])
-                    assert getattr(args, name) is value, (command, flag)
+            assert not hasattr(parser.parse_args(argv), "incremental")
             for retired in ("--triage", "--no-triage", "--sparsify",
-                            "--no-sparsify"):
+                            "--no-sparsify", "--incremental",
+                            "--no-incremental"):
                 with pytest.raises(SystemExit):
                     parser.parse_args(argv + [retired])
 

@@ -1,5 +1,8 @@
 """Tests for quick-path summaries (Section 3.2.3)."""
 
+import weakref
+
+from repro.collector import paused
 from repro.fusion import QuickPathTable, Shape
 from repro.lang import compile_source
 from repro.pdg import build_pdg
@@ -169,3 +172,14 @@ class TestComposition:
         table = table_of("fun f(a) { b = a << 8; return b; }")
         summary = table.summary("f")
         assert summary.shape is Shape.CONST and summary.offset == 0
+
+    def test_summaries_leave_no_reference_cycle(self):
+        """A dropped table (and the PDG it holds) is freed at once, not
+        at the next full collection: computing a summary ties nothing
+        into a reference cycle."""
+        table = table_of("fun f(a) { b = a * 2; return b; }")
+        assert table.summary("f").shape is Shape.AFFINE
+        alive = weakref.ref(table.pdg)
+        with paused:
+            del table
+            assert alive() is None

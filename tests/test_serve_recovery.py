@@ -316,8 +316,9 @@ class TestCrashRecovery:
 # Journals written by the previous version
 # --------------------------------------------------------------------- #
 
-#: ``EngineSettings.to_payload()`` as the version with the triage pass
-#: and the ``--[no-]sparsify`` switch journaled it, at its defaults.
+#: ``EngineSettings.to_payload()`` as the version with the triage pass,
+#: the ``--[no-]sparsify`` switch and solver sessions journaled it, at
+#: its defaults.
 PARENT_SETTINGS = {"engine": "fusion", "want_model": True,
                    "incremental": True, "triage": False, "sparsify": True,
                    "query_timeout": None, "loop_unroll": 2, "width": 8,
@@ -345,8 +346,16 @@ class TestParentJournals:
         return cold
 
     def test_parent_defaults_recover(self, tmp_path):
-        tmp = str(tmp_path)
-        cold = self.crash_with_journal(tmp, PARENT_SETTINGS)
+        self.assert_recovers(str(tmp_path), PARENT_SETTINGS)
+
+    def test_parent_sessions_off_recovers(self, tmp_path):
+        """A journal from a ``--no-incremental`` daemon recovers too:
+        this version always runs what that setting ran."""
+        self.assert_recovers(str(tmp_path),
+                             {**PARENT_SETTINGS, "incremental": False})
+
+    def assert_recovers(self, tmp, settings):
+        cold = self.crash_with_journal(tmp, settings)
 
         async def main():
             app = make_app(tmp)
@@ -364,7 +373,8 @@ class TestParentJournals:
         run(main())
 
     def test_retired_switch_flipped_declines(self, tmp_path):
-        for flipped in ({"triage": True}, {"sparsify": False}):
+        for flipped in ({"triage": True}, {"sparsify": False},
+                        {"incremental": "false"}):
             tmp = str(tmp_path / next(iter(flipped)))
             self.crash_with_journal(tmp, {**PARENT_SETTINGS, **flipped})
 

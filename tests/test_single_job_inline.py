@@ -113,17 +113,14 @@ def test_serve_single_job_matches_process_pool(engine, monkeypatch):
 
 
 @pytest.mark.parametrize("engine", ["fusion", "pinpoint"])
-@pytest.mark.parametrize("incremental", [False, True])
 def test_query_timeout_runs_inline_with_sequential_verdicts(
-        engine, incremental, no_process_pool):
+        engine, no_process_pool):
     pdg = prepare_pdg(subject().program)
     checker = NullDereferenceChecker()
-    sequential = build_engine(engine, pdg, want_model=True,
-                              incremental=incremental).analyze(checker)
+    sequential = build_engine(engine, pdg, want_model=True).analyze(checker)
     assert sequential.smt_queries > 0
     telemetry = Telemetry()
-    inline = build_engine(engine, pdg, want_model=True,
-                          incremental=incremental).analyze(
+    inline = build_engine(engine, pdg, want_model=True).analyze(
         checker, exec_config=ExecConfig(
             jobs=1, faults=FaultPolicy(query_timeout=5)),
         telemetry=telemetry)

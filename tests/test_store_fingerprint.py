@@ -28,7 +28,6 @@ SHARED = {
     "loop_paths": 64,
     "enabled_passes": None,
     "use_preprocess": True,
-    "incremental": False,
     "sparse": [2, 80, 50000, 2],
     "footprint": FOOTPRINT,
 }
@@ -78,10 +77,11 @@ def test_fingerprint_without_triage(pdg, name):
 
 @pytest.mark.parametrize("name", PATH_SENSITIVE)
 def test_fingerprint_incremental_unsparsified(pdg, name):
-    """Sessions change the fingerprint; sparsification, now
-    unconditional, no longer does (no ``sparsify`` key)."""
-    engine = build_engine(name, pdg, incremental=True, want_model=True)
-    expected = {**GOLDEN[name], "incremental": True}
+    """Witness extraction changes the fingerprint; solver sessions and
+    sparsification, both gone, no longer do (no ``incremental`` or
+    ``sparsify`` key)."""
+    engine = build_engine(name, pdg, want_model=True)
+    expected = dict(GOLDEN[name])
     if "want_model" in expected:
         expected["want_model"] = True
     assert engine._store_fingerprint(NullDereferenceChecker()) \
