@@ -94,7 +94,7 @@ class InferEngine:
         result = AnalysisResult(self.name, checker.name)
         if telemetry is not None:
             telemetry.annotate(engine=self.name, checker=checker.name,
-                               jobs=1, backend="serial")
+                               jobs=1, backend="inline")
 
         source_ids = {v.index for v in checker.sources(self.pdg)}
         sink_names = self._sink_names(checker)

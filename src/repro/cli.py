@@ -33,8 +33,7 @@ from repro.pdg import pdg_to_dot
 FRONTEND_ERRORS = (LexError, ParseError, LoweringError)
 
 #: What ``--backend auto`` means, on every subcommand that takes it.
-AUTO_BACKEND_HELP = ("auto: in-process at one job, process pool above "
-                     "(thread without fork)")
+AUTO_BACKEND_HELP = "auto: in-process at one job, process pool above"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -136,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission-control bound on queued+running "
                             "requests; excess requests are rejected with "
                             "a 429-style error (default 32)")
-    serve.add_argument("--jobs", type=int, default=1,
+    serve.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="per-request worker pool size (default 1)")
     serve.add_argument("--backend", default="auto", choices=BACKENDS,
                        help="per-request query executor (default "
@@ -265,17 +264,29 @@ def _positive_seconds(text: str) -> float:
     return seconds
 
 
+def _int_at_least(minimum: int):
+    """An integer flag's type that refuses values below ``minimum``
+    (``--jobs`` 1, ``--max-retries`` 0)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {text}")
+        return value
+
+    parse.__name__ = "int"  # argparse's "invalid int value" message
+    return parse
+
+
 def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags for the repro.exec query-execution layer (shared by the
     ``analyze`` and ``bench`` subcommands)."""
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker pool size; 1 = solve in-process on "
                              "one engine (default 1)")
     parser.add_argument("--backend", default="auto", choices=BACKENDS,
                         help="query executor (default "
                              + AUTO_BACKEND_HELP + ")")
-    parser.add_argument("--batch-size", type=int, default=0,
-                        help="queries per worker batch; 0 = auto")
     parser.add_argument("--telemetry", metavar="FILE",
                         help="write structured run telemetry as JSON")
     parser.add_argument("--query-timeout", type=_positive_seconds,
@@ -285,7 +296,8 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                              "through the SAT search (default: the engine "
                              "solver's 10 s limit; overruns report "
                              "UNKNOWN, never abort the run)")
-    parser.add_argument("--max-retries", type=int, default=None,
+    parser.add_argument("--max-retries", type=_int_at_least(0),
+                        default=None,
                         metavar="N",
                         help="batch re-executions / pool rebuilds before "
                              "degrading (default 2)")
@@ -408,7 +420,6 @@ def _exec_options(args: argparse.Namespace):
         except ValueError as error:
             raise SystemExit(f"repro: bad --fault-plan: {error}")
     return ExecConfig(jobs=args.jobs, backend=args.backend,
-                      batch_size=args.batch_size,
                       faults=FaultPolicy(**policy_kwargs),
                       fault_plan=fault_plan), telemetry
 

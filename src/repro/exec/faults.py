@@ -17,8 +17,8 @@ Fault kinds (see ``docs/robustness.md``):
   sleeping in small deadline-checked ticks, so a configured per-query
   deadline aborts it (UNKNOWN) and an unlimited one merely runs late.
 * **crash worker on batch N** — a *process* worker SIGKILLs itself (a
-  real worker death, surfacing as ``BrokenProcessPool`` in the parent); a
-  thread/inline worker raises :class:`WorkerCrash` for the whole batch.
+  real worker death, surfacing as ``BrokenProcessPool`` in the parent);
+  the inline rung raises :class:`WorkerCrash` for the whole batch.
   ``crash_times`` bounds how many attempts of batch ``N`` die, so requeue
   tests can prove recovery while ``crash_times`` larger than the retry
   budget exercises the full degradation ladder.
@@ -60,7 +60,7 @@ class InjectedQueryError(InjectedFault):
 
 
 class WorkerCrash(InjectedFault):
-    """An injected whole-batch worker death (thread/inline backends)."""
+    """An injected whole-batch worker death (the inline rung)."""
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,8 @@ class FaultPolicy:
     #: Per-query wall-clock cap covering slicing through the SAT search;
     #: ``None`` defers to the engine solver's own ``time_limit``.
     query_timeout: Optional[float] = None
-    #: Bounded retries, used at two granularities: pool rebuilds per
-    #: ladder level after worker death, and re-executions of a batch
+    #: Bounded retries, used at two granularities: rebuilds of a
+    #: process pool after worker death, and re-executions of a batch
     #: that raised, before its queries are synthesized as UNKNOWN.
     max_retries: int = 2
     #: Base backoff before the first retry; doubled per attempt (capped
@@ -103,7 +103,7 @@ def backoff_delay(policy: FaultPolicy, attempt: int, token: int = 0) -> float:
     up to ``retry_backoff_cap``.  The jitter factor (uniform in
     [0.5, 1.0]) is drawn from a PRNG seeded by ``(backoff_seed, token,
     attempt)`` — so concurrent retriers with distinct tokens (batch
-    ordinals, ladder levels) de-synchronize instead of thundering-herd
+    ordinals, pool rebuilds) de-synchronize instead of thundering-herd
     onto the pool, while the same run replays the same schedule.
     """
     base = policy.retry_backoff * (2 ** max(0, attempt))

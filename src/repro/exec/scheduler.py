@@ -2,10 +2,9 @@
 
 Every analysis and demand query decides its candidates here.
 Candidates are partitioned into index batches and solved in the calling
-process (the *inline* rung) or dispatched over a ``concurrent.futures``
-pool, thread- or process-backed.  Results are keyed by candidate index,
-so the assembled report list is **deterministic regardless of
-completion order**.
+process (the *inline* rung) or dispatched over a forked process pool.
+Results are keyed by candidate index, so the assembled report list is
+**deterministic regardless of completion order**.
 
 Determinism of the *verdicts* across rungs rests on a stronger property
 that the differential test suite (`tests/test_parallel_driver.py`)
@@ -31,8 +30,8 @@ death is survivable by requeueing.  Failure handling has three tiers:
   synthesized as UNKNOWN;
 * **backend degradation** — worker death (``BrokenProcessPool``)
   requeues the lost batches on a rebuilt pool; after ``max_retries``
-  rebuilds the remaining work falls down the ladder process → thread →
-  inline, so the run always completes with at-worst-UNKNOWN verdicts.
+  rebuilds the remaining work falls down the ladder process → inline,
+  so the run always completes with at-worst-UNKNOWN verdicts.
 
 Worker model:
 
@@ -40,16 +39,16 @@ Worker model:
   process, on the parent's PDG and candidate list, in index order,
   through one query for the whole run — the caller's engine
   (``inline_query``), so cross-query caches and the modelled memory
-  accumulate on that engine.  ``auto`` starts here at one job; it is
-  also the ladder's last rung.
-* **thread** — workers share the parent's PDG and candidate list.
-  Useful for differential testing and on platforms without ``fork``; the
-  GIL limits CPU parallelism.
+  accumulate on that engine.  ``auto`` starts here at one job and on
+  platforms without ``fork``; it is also the ladder's last rung.
 * **process** — each worker process receives the pickled
   :class:`WorkerSpec` once (pool initializer), rebuilds the PDG and
   re-collects the candidate list (collection is deterministic, so indices
   agree with the parent).  Batches move only candidate *indices* and
   compact :class:`QueryOutcome` records across the process boundary.
+
+There is no thread rung: pure-Python solving holds the GIL, so threads
+never beat inline (docs/parallelism.md).
 
 Every rung computes each query's slice with
 :func:`~repro.pdg.slicing.compute_slice`; nothing is memoized across
@@ -57,8 +56,8 @@ queries (docs/parallelism.md).
 
 Budgets are enforced after every query on the inline rung (each outcome
 is absorbed as soon as it exists, so a memory-out or time-out stops at
-the query that caused it); pool rungs check per absorbed batch, and
-their workers receive the run clock as an absolute
+the query that caused it); the process rung checks per absorbed batch,
+and its workers receive the run clock as an absolute
 :class:`~repro.limits.Deadline` so they stop *between queries* once it
 expires and return the partial batch.
 """
@@ -70,8 +69,7 @@ import pickle
 import time
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
-                                ProcessPoolExecutor, ThreadPoolExecutor,
-                                wait)
+                                ProcessPoolExecutor, wait)
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
@@ -102,7 +100,7 @@ QueryFn = Callable[[BugCandidate, Slice, Optional[Deadline]],
 #: use :class:`repro.engine.base.QueryRunner`).
 QueryFactory = Callable[[ProgramDependenceGraph, object], QueryFn]
 
-BACKENDS = ("auto", "serial", "thread", "process")
+BACKENDS = ("auto", "process")
 
 _HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -112,8 +110,7 @@ class ExecConfig:
     """Query-execution knobs (``repro analyze --jobs N --backend B``)."""
 
     jobs: int = 1
-    backend: str = "auto"       # auto | serial | thread | process
-    batch_size: int = 0         # 0 = derive from jobs and candidate count
+    backend: str = "auto"       # auto | process
     #: Failure handling: error policy, per-query timeout, retry budget.
     faults: FaultPolicy = field(default_factory=FaultPolicy)
     #: Deterministic fault injection (tests/CI only; None = no faults).
@@ -125,23 +122,15 @@ class ExecConfig:
 
     def resolved_backend(self) -> str:
         """``auto`` solves in the calling process (the ``inline`` rung)
-        at one job: a one-worker pool would only add a fork, a pickled
-        PDG and a rebuilt candidate list.  Above one job it picks a
-        process pool where ``fork`` exists, else a thread pool."""
+        at one job, or where there is no ``fork``: a one-worker pool
+        would only add a fork, a pickled PDG and a rebuilt candidate
+        list.  Otherwise it picks a process pool.  An explicit
+        ``process`` forks even at one job (crash isolation)."""
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown exec backend {self.backend!r}")
-        if self.backend != "auto":
-            return self.backend
-        if self.effective_jobs == 1:
-            return "inline"
-        return "process" if _HAS_FORK else "thread"
-
-    @property
-    def effective_jobs(self) -> int:
-        """Worker count after the ``serial`` override."""
-        if self.backend == "serial":
-            return 1
-        return max(1, self.jobs)
+        if self.backend == "process" or (self.jobs > 1 and _HAS_FORK):
+            return "process"
+        return "inline"
 
 
 @dataclass
@@ -207,8 +196,7 @@ class ExecutionPlan:
     spec: WorkerSpec
     telemetry: Optional[Telemetry] = None
     #: The inline rung's query function, bound to the caller's engine.
-    #: Never pickled: thread and process rungs build fresh engines from
-    #: the spec.
+    #: Never pickled: process workers build fresh engines from the spec.
     inline_query: Optional[QueryFn] = None
 
     def make_scheduler(self, budget: Optional[Budget]) -> "QueryScheduler":
@@ -233,34 +221,31 @@ class _Batch:
 class _WorkerState:
     """Per-worker solving state: candidates and the query function.
 
-    The inline and thread rungs build one instance from the parent's
-    candidates (thread workers share it, with a fresh engine per query;
-    the inline rung passes its run-long ``query``); the process backend
-    builds one per worker process from the pickled spec, re-collecting
-    the candidates.
+    Built two ways.  The inline rung passes the parent's ``candidates``
+    and its run-long ``query``.  A process worker passes neither: it
+    re-collects the candidates from the pickled spec and builds its
+    query from the spec's factory (a fresh engine per query).
     """
 
-    def __init__(self, spec: WorkerSpec,
-                 candidates: Optional[list[BugCandidate]] = None,
-                 policy: Optional[FaultPolicy] = None,
+    def __init__(self, spec: WorkerSpec, policy: FaultPolicy,
                  plan: Optional[FaultPlan] = None,
-                 process_worker: bool = False,
+                 candidates: Optional[list[BugCandidate]] = None,
                  query: Optional[QueryFn] = None) -> None:
         self.pdg = spec.pdg
+        self.process_worker = candidates is None
         if candidates is None:
-            # Process workers re-collect the candidate list over the
-            # same pruned view the parent walked.
+            # Re-collect over the same pruned view the parent walked.
             from repro.pdg.reduce import build_view
 
             candidates = collect_candidates(
                 spec.pdg, spec.checker, spec.sparse,
                 view=build_view(spec.pdg, spec.checker))
+            query = spec.query_factory(spec.pdg, spec.factory_config)
+        assert query is not None, "the inline rung passes its query"
         self.candidates = candidates
-        self.query = query if query is not None \
-            else spec.query_factory(spec.pdg, spec.factory_config)
-        self.policy = policy if policy is not None else FaultPolicy()
+        self.query = query
+        self.policy = policy
         self.plan = plan
-        self.process_worker = process_worker
         self.query_timeout = self.policy.query_timeout \
             if self.policy.query_timeout is not None else spec.query_timeout
 
@@ -273,8 +258,8 @@ class _WorkerState:
         to ``emit`` one by one as they are produced (the inline rung
         absorbs, and checks the budget, after every query)."""
         if self.plan is not None:
-            # May SIGKILL this process (process backend) or raise
-            # WorkerCrash for the whole batch (thread/inline backends).
+            # May SIGKILL this process (process worker) or raise
+            # WorkerCrash for the whole batch (inline rung).
             self.plan.crash_worker(ordinal, attempt, self.process_worker)
         outcomes: list[QueryOutcome] = []
         if emit is None:
@@ -333,8 +318,7 @@ _PROCESS_STATE: Optional[_WorkerState] = None
 def _process_init(spec_bytes: bytes, policy: FaultPolicy,
                   plan: Optional[FaultPlan]) -> None:
     global _PROCESS_STATE
-    _PROCESS_STATE = _WorkerState(pickle.loads(spec_bytes), policy=policy,
-                                  plan=plan, process_worker=True)
+    _PROCESS_STATE = _WorkerState(pickle.loads(spec_bytes), policy, plan)
 
 
 def _process_batch(indices: Sequence[int], ordinal: int, attempt: int,
@@ -351,8 +335,9 @@ def _process_batch(indices: Sequence[int], ordinal: int, attempt: int,
 
 
 class QueryScheduler:
-    """Batches candidate indices and dispatches them over a worker pool,
-    surviving query errors, deadline overruns and worker death."""
+    """Batches candidate indices and solves them inline or over a
+    process pool, surviving query errors, deadline overruns and worker
+    death."""
 
     def __init__(self, spec: WorkerSpec, config: ExecConfig,
                  telemetry: Optional[Telemetry] = None,
@@ -396,13 +381,11 @@ class QueryScheduler:
         if not index_list:
             outcomes.sort(key=lambda outcome: outcome.index)
             return outcomes
-        jobs = min(self.config.effective_jobs, len(index_list))
-        ladder = self._ladder(self.config.resolved_backend(), jobs)
+        jobs = min(max(1, self.config.jobs), len(index_list))
+        backend = self.config.resolved_backend()
         batches = [_Batch(ordinal, chunk) for ordinal, chunk
                    in enumerate(self._partition(index_list, jobs))]
-        # The rung that runs, not the configured name: a one-job
-        # ``auto``/``serial``/``thread`` run reports ``inline``.
-        self.telemetry.annotate(jobs=jobs, backend=ladder[0],
+        self.telemetry.annotate(jobs=jobs, backend=backend,
                                 batches=len(batches))
         self.telemetry.count("batches", len(batches))
         run_deadline = None
@@ -410,15 +393,15 @@ class QueryScheduler:
             run_deadline = self.budget.deadline()
 
         remaining = batches
-        for step, level in enumerate(ladder):
-            if not remaining:
-                break
-            if step > 0:
+        if backend == "process":
+            remaining = self._run_process(batches, outcomes, jobs,
+                                          run_deadline)
+            if remaining:
+                # The degradation ladder's last rung.
                 self.telemetry.record_fault("degradations")
-                self.telemetry.annotate(degraded_to=level)
-            remaining = self._run_level(level, candidates, remaining,
-                                        outcomes, jobs, run_deadline)
-        assert not remaining, "inline execution left batches behind"
+                self.telemetry.annotate(degraded_to="inline")
+        if remaining:
+            self._run_inline(candidates, remaining, outcomes)
         if self.config.breaker is not None:
             self.telemetry.record_breaker(
                 open_groups=self.config.breaker.open_count())
@@ -476,50 +459,16 @@ class QueryScheduler:
 
     # -- partitioning --------------------------------------------------- #
 
-    def _partition(self, index_list: list[int],
-                   jobs: int) -> list[list[int]]:
+    @staticmethod
+    def _partition(index_list: list[int], jobs: int) -> list[list[int]]:
+        # ~4 batches per worker balances load without drowning the pool
+        # in per-batch dispatch overhead.
         count = len(index_list)
-        size = self.config.batch_size
-        if size <= 0:
-            # ~4 batches per worker balances load without drowning the
-            # pool in per-batch dispatch overhead.
-            size = max(1, -(-count // (jobs * 4)))
+        size = max(1, -(-count // (jobs * 4)))
         return [index_list[low:low + size]
                 for low in range(0, count, size)]
 
-    def _ladder(self, backend: str, jobs: int) -> list[str]:
-        """The degradation ladder, starting at the configured backend.
-        Only an explicit ``process`` backend forks at one job."""
-        if jobs == 1 and backend != "process":
-            return ["inline"]
-        if backend == "thread":
-            return ["thread", "inline"]
-        return ["process", "thread", "inline"]
-
-    # -- ladder levels --------------------------------------------------- #
-
-    def _in_process_state(self, candidates: list[BugCandidate],
-                          query: Optional[QueryFn] = None
-                          ) -> _WorkerState:
-        """Worker state for the inline and thread rungs: the parent's
-        candidates, nothing re-collected."""
-        return _WorkerState(self.spec, candidates=candidates,
-                            policy=self.config.faults,
-                            plan=self.config.fault_plan, query=query)
-
-    def _run_level(self, level: str, candidates: list[BugCandidate],
-                   work: list[_Batch], outcomes: list[QueryOutcome],
-                   jobs: int, run_deadline: Optional[Deadline]
-                   ) -> list[_Batch]:
-        """Run ``work`` at one ladder level; returns the batches this
-        level could not execute (they degrade to the next level)."""
-        if level == "inline":
-            self._run_inline(candidates, work, outcomes)
-            return []
-        if level == "thread":
-            return self._run_thread(candidates, work, outcomes, jobs,
-                                    run_deadline)
-        return self._run_process(work, outcomes, jobs, run_deadline)
+    # -- ladder rungs ---------------------------------------------------- #
 
     def _run_inline(self, candidates: list[BugCandidate],
                     work: list[_Batch], outcomes: list[QueryOutcome]
@@ -531,7 +480,9 @@ class QueryScheduler:
         deadline needed).  A batch only fails before its first query (an
         injected crash) or fatally (abort policy, budget), so a retry
         never re-absorbs."""
-        state = self._in_process_state(candidates, self.inline_query)
+        state = _WorkerState(self.spec, self.config.faults,
+                             self.config.fault_plan, candidates=candidates,
+                             query=self.inline_query)
 
         def absorb(outcome: QueryOutcome) -> None:
             self._absorb([outcome], outcomes)
@@ -549,24 +500,6 @@ class QueryScheduler:
                 else:
                     self._synthesize(batch, error, outcomes)
 
-    def _run_thread(self, candidates: list[BugCandidate],
-                    work: list[_Batch], outcomes: list[QueryOutcome],
-                    jobs: int, run_deadline: Optional[Deadline]
-                    ) -> list[_Batch]:
-        state = self._in_process_state(candidates)
-        executor = ThreadPoolExecutor(max_workers=jobs,
-                                      thread_name_prefix="repro-query")
-
-        def submit(batch: _Batch):
-            return executor.submit(state.solve_batch, batch.indices,
-                                   batch.ordinal, batch.attempt,
-                                   run_deadline)
-
-        try:
-            return self._drain(executor, submit, work, outcomes)
-        finally:
-            executor.shutdown(wait=True, cancel_futures=True)
-
     def _run_process(self, work: list[_Batch],
                      outcomes: list[QueryOutcome], jobs: int,
                      run_deadline: Optional[Deadline]) -> list[_Batch]:
@@ -580,14 +513,8 @@ class QueryScheduler:
                 max_workers=jobs, mp_context=context,
                 initializer=_process_init,
                 initargs=(spec_bytes, policy, self.config.fault_plan))
-
-            def submit(batch: _Batch):
-                return executor.submit(_process_batch, batch.indices,
-                                       batch.ordinal, batch.attempt,
-                                       run_deadline)
-
             try:
-                lost = self._drain(executor, submit, todo, outcomes)
+                lost = self._drain(executor, todo, outcomes, run_deadline)
             finally:
                 # wait=True: a pool abandoned mid-shutdown races
                 # interpreter exit (its management thread writes to
@@ -598,7 +525,7 @@ class QueryScheduler:
             # Worker death broke the pool.  Requeue the lost batches on a
             # rebuilt pool (queries are pure, so re-execution is safe and
             # deterministic) until the rebuild budget runs out, then hand
-            # the rest to the next ladder level.
+            # the rest to the inline rung.
             rebuilds += 1
             self.telemetry.record_fault("pool_rebuilds")
             self.telemetry.record_fault("requeued_batches", len(lost))
@@ -614,9 +541,10 @@ class QueryScheduler:
 
     # -- completion loop ------------------------------------------------- #
 
-    def _drain(self, executor, submit, work: list[_Batch],
-               outcomes: list[QueryOutcome]) -> list[_Batch]:
-        """Submit ``work`` and absorb completions until done.
+    def _drain(self, executor: ProcessPoolExecutor, work: list[_Batch],
+               outcomes: list[QueryOutcome],
+               run_deadline: Optional[Deadline]) -> list[_Batch]:
+        """Submit ``work`` to the pool and absorb completions until done.
 
         Returns the batches lost to worker death (broken pool); batches
         that merely *raised* are retried in place and synthesized as
@@ -625,6 +553,11 @@ class QueryScheduler:
         propagated, so a budget abort or an ``on_error=abort`` run still
         reports everything solved so far.
         """
+        def submit(batch: _Batch):
+            return executor.submit(_process_batch, batch.indices,
+                                   batch.ordinal, batch.attempt,
+                                   run_deadline)
+
         futures = {submit(batch): batch for batch in work}
         pending = set(futures)
         lost: list[_Batch] = []

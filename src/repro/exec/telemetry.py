@@ -6,10 +6,10 @@ outcomes, store and view counters and peak modeled-memory readings; the
 CLI serialises the result as JSON (``repro analyze --telemetry out.json``)
 so benchmark sweeps and regressions can be diffed mechanically.
 
-The object is thread-safe: the scheduler's worker threads and the
-completion loop record into it concurrently.  Worker *processes* ship
-only their query outcomes, which the scheduler records in the parent
-(see :mod:`repro.exec.scheduler`).
+The object is thread-safe: the serve daemon's worker threads merge their
+runs into one daemon-wide instance concurrently.  Scheduler worker
+*processes* ship only their query outcomes, which the scheduler records
+in the parent (see :mod:`repro.exec.scheduler`).
 """
 
 from __future__ import annotations
@@ -150,7 +150,7 @@ class Telemetry:
             "batch_retries": 0,       # batch re-executions after a raise
             "requeued_batches": 0,    # batches resubmitted after pool death
             "pool_rebuilds": 0,       # process pools rebuilt after death
-            "degradations": 0,        # ladder steps (process→thread→inline)
+            "degradations": 0,        # ladder steps (process→inline)
             "synthesized_unknown": 0, # outcomes fabricated after retry
                                       # exhaustion
         }

@@ -396,6 +396,50 @@ class TestBadNumbers:
             f"{value}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    @pytest.mark.parametrize("command", ["analyze", "bench", "serve"])
+    def test_jobs_below_one_exits_two(self, command, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *SUBJECT_ARGS[command], "--jobs", value])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert f"argument --jobs: must be at least 1, got {value}" \
+            in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "bench"])
+    def test_negative_max_retries_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--subject", "mcf", "--max-retries", "-1"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "argument --max-retries: must be at least 0, got -1" \
+            in captured.err
+        assert captured.out == ""
+
+
+#: What each exec-flag subcommand needs besides the flag under test.
+SUBJECT_ARGS = {"analyze": ["--subject", "mcf"],
+                "bench": ["--subject", "mcf"], "serve": ["--stdio"]}
+
+
+class TestRetiredExecFlags:
+    """The thread and serial backends and ``--batch-size`` are gone: a
+    solve runs inline or in a process pool, and the flags are refused."""
+
+    @pytest.mark.parametrize("flags", [["--backend", "thread"],
+                                       ["--backend", "serial"],
+                                       ["--batch-size", "4"]],
+                             ids=["thread", "serial", "batch-size"])
+    @pytest.mark.parametrize("command", ["analyze", "bench", "serve"])
+    def test_retired_flag_exits_two(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *SUBJECT_ARGS[command], *flags])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert flags[0] in captured.err
+        assert captured.out == ""
+
 
 class TestDivZeroChecker:
     def test_finds_constant_zero_divisors(self, tmp_path, capsys):

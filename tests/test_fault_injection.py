@@ -4,11 +4,11 @@ The fault-tolerance contract under test: with a deterministic
 :class:`FaultPlan` injected, the analysis still completes, only the
 *faulted* queries' statuses may change (to UNKNOWN, reported feasible by
 the soundy convention), and every surviving verdict, witness and report
-position is identical to the fault-free sequential run — on the thread
-and process backends, at jobs 1 and 4.  Worker death (a real SIGKILL in
-process workers) must never surface as an unhandled
+position is identical to the fault-free sequential run — on the inline
+rung and on process pools at jobs 1 and 4.  Worker death (a real SIGKILL
+in process workers) must never surface as an unhandled
 ``BrokenProcessPool``: the scheduler requeues the lost batches, rebuilds
-the pool, and degrades process → thread → inline when crashes persist.
+the pool, and degrades process → inline when crashes persist.
 """
 
 import json
@@ -73,7 +73,7 @@ def assert_only_faulted_changed(sequential, faulted_run, faulted_indices):
 
 
 class TestRaiseFaults:
-    @pytest.mark.parametrize("backend,jobs", [("thread", 1), ("thread", 4),
+    @pytest.mark.parametrize("backend,jobs", [("auto", 1), ("auto", 4),
                                               ("process", 1),
                                               ("process", 4)])
     def test_differential_across_backends(self, backend, jobs):
@@ -103,7 +103,7 @@ class TestRaiseFaults:
         count = len(sequential.reports)
         plan = FaultPlan.seeded(seed, num_queries=count, num_batches=2)
         faulted = engine(pdg).analyze(
-            checker, exec_config=ExecConfig(jobs=4, backend="thread",
+            checker, exec_config=ExecConfig(jobs=4, backend="process",
                                             fault_plan=plan))
         assert faulted.failure is None
         assert_only_faulted_changed(sequential, faulted,
@@ -117,7 +117,7 @@ class TestRaiseFaults:
         with pytest.raises(InjectedQueryError):
             engine(pdg).analyze(
                 NullDereferenceChecker(),
-                exec_config=ExecConfig(jobs=2, backend="thread",
+                exec_config=ExecConfig(jobs=2, backend="process",
                                        fault_plan=plan,
                                        faults=FaultPolicy(
                                            on_error="abort")))
@@ -143,25 +143,28 @@ class TestWorkerCrashes:
         assert faults["pool_rebuilds"] >= 1
         assert faults["requeued_batches"] >= 1
 
-    def test_thread_worker_crash_is_retried(self):
+    def test_inline_worker_crash_is_retried(self):
+        """On the inline rung a crash is a WorkerCrash raised for the
+        whole batch; the batch is retried in place."""
         pdg = fuzz_pdg(FAULT_SEEDS[0])
         checker = NullDereferenceChecker()
         sequential = engine(pdg).analyze(checker)
         telemetry = Telemetry()
         crashed = engine(pdg).analyze(
             checker, exec_config=ExecConfig(
-                jobs=2, backend="thread",
                 fault_plan=FaultPlan.parse("crash=0")),
             telemetry=telemetry)
         assert crashed.failure is None
         assert canonical(crashed) == canonical(sequential)
-        assert telemetry.as_dict()["faults"]["batch_retries"] >= 1
+        snapshot = telemetry.as_dict()
+        assert snapshot["context"]["backend"] == "inline"
+        assert snapshot["faults"]["batch_retries"] >= 1
 
     def test_persistent_crashes_degrade_down_the_ladder(self):
         """crash_times past the retry budget exhausts process-pool
-        rebuilds; the lost batches must fall to the thread rung and the
-        run must still complete — at worst with synthesized UNKNOWNs,
-        never an unhandled BrokenProcessPool."""
+        rebuilds; the lost batches must fall to the inline rung and the
+        run must still complete — with synthesized UNKNOWNs, never an
+        unhandled BrokenProcessPool."""
         pdg = fuzz_pdg(FAULT_SEEDS[0])
         checker = NullDereferenceChecker()
         telemetry = Telemetry()
@@ -173,10 +176,15 @@ class TestWorkerCrashes:
             telemetry=telemetry)
         assert result.failure is None
         assert len(result.reports) == result.candidates  # nothing dropped
-        faults = telemetry.as_dict()["faults"]
-        assert faults["degradations"] >= 1
+        snapshot = telemetry.as_dict()
+        assert snapshot["context"]["degraded_to"] == "inline"
+        faults = snapshot["faults"]
+        assert faults["degradations"] == 1
         assert faults["pool_rebuilds"] >= 1
-        # The synthesized queries stay reported (soundy convention).
+        # The crashing batch keeps crashing inline and is synthesized
+        # UNKNOWN; those queries stay reported (soundy convention).
+        assert faults["synthesized_unknown"] >= 1
+        assert result.unknown_queries >= faults["synthesized_unknown"]
         assert len(result.bugs) >= result.unknown_queries
 
 
@@ -193,7 +201,7 @@ class TestDeadlines:
         assert sequential.unknown_queries == sequential.smt_queries
         assert all(r.feasible for r in sequential.reports)
         parallel = engine(pdg, time_limit=0.0).analyze(
-            checker, exec_config=ExecConfig(jobs=4, backend="thread"))
+            checker, exec_config=ExecConfig(jobs=4, backend="process"))
         assert parallel.unknown_queries == sequential.unknown_queries
         assert canonical(parallel) == canonical(sequential)
 
@@ -203,7 +211,7 @@ class TestDeadlines:
         out = tmp_path / "telemetry.json"
         start = time.perf_counter()
         rc = main(["analyze", "--subject", "mcf", "--jobs", "2",
-                   "--backend", "thread", "--fault-plan", "delay=0:30",
+                   "--fault-plan", "delay=0:30",
                    "--query-timeout", "0.3", "--telemetry", str(out)])
         elapsed = time.perf_counter() - start
         assert rc == 0
@@ -217,7 +225,7 @@ class TestDeadlines:
         sequential = engine(pdg).analyze(checker)
         delayed = engine(pdg).analyze(
             checker, exec_config=ExecConfig(
-                jobs=2, backend="thread",
+                jobs=2, backend="process",
                 fault_plan=FaultPlan.parse("delay=0:0.05")))
         assert delayed.failure is None
         assert canonical(delayed) == canonical(sequential)

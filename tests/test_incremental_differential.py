@@ -5,7 +5,7 @@ search (docs/solver.md).  What a run still keeps across queries is the
 engine on the inline rung — its term manager, Fusion's preprocessed
 templates, Pinpoint's summary cache — while pool workers build a fresh
 engine per query.  So a hot engine (one that already analysed the
-program) and every pool backend must report exactly what a fresh
+program) and the process pool must report exactly what a fresh
 engine reports: same order, same verdicts, same preprocess split,
 across job counts and both path-sensitive engines.  Models may differ
 between those solve orders, so this suite runs with `want_model=False`
@@ -67,13 +67,15 @@ def test_fusion_incremental_matches_one_shot(seed):
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS)
-@pytest.mark.parametrize("jobs", [1, 2, 4])
-def test_fusion_incremental_thread_pool_matches(seed, jobs):
+@pytest.mark.parametrize("jobs,backend",
+                         [(1, "auto"), (2, "process"), (4, "process")])
+def test_fusion_incremental_rungs_match(seed, jobs, backend):
+    """The inline rung (one job) and two- and four-worker process pools."""
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     baseline = FusionEngine(pdg).analyze(checker)
     parallel = FusionEngine(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=jobs, backend="thread"))
+        checker, exec_config=ExecConfig(jobs=jobs, backend=backend))
     assert canonical(parallel) == canonical(baseline)
     assert run_stats(parallel) == run_stats(baseline)
 
@@ -102,12 +104,12 @@ def test_pinpoint_incremental_matches(seed):
     assert run_stats(again) == run_stats(baseline)
 
 
-def test_pinpoint_incremental_thread_pool_matches():
+def test_pinpoint_incremental_process_pool_matches():
     pdg = fuzz_pdg(11)
     checker = NullDereferenceChecker()
     baseline = make_pinpoint(pdg, "").analyze(checker)
     parallel = make_pinpoint(pdg, "").analyze(
-        checker, exec_config=ExecConfig(jobs=4, backend="thread"))
+        checker, exec_config=ExecConfig(jobs=4, backend="process"))
     assert canonical(parallel) == canonical(baseline)
 
 

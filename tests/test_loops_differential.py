@@ -10,7 +10,7 @@ loop-heavy corpus the ``summaries`` strategy must
 * never report a bug the concrete interpreter refutes when its witness
   is replayed;
 * agree for both path-sensitive engines (Fusion and the Pinpoint
-  baseline), under pooled execution (thread and process backends), and
+  baseline), on the inline rung and a process pool, and
   across a cold-then-warm artifact store, including a loop-body edit in
   between (warm replay stays byte-identical to a cold run under either
   strategy).
@@ -142,14 +142,15 @@ def test_pinpoint_baseline_agrees(seed):
             verdicts(results["unroll"]), name
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_pooled_execution_matches_sequential(backend):
     source = corpus_source(0)
     pdg = prepare_pdg(lower(source, "summaries"))
     checker = NullDereferenceChecker
     sequential = fusion(pdg).analyze(checker())
-    pooled = fusion(pdg).analyze(
-        checker(), exec_config=ExecConfig(jobs=2, backend=backend))
+    exec_config = ExecConfig() if backend == "inline" \
+        else ExecConfig(jobs=2, backend=backend)
+    pooled = fusion(pdg).analyze(checker(), exec_config=exec_config)
     assert json.dumps(findings_payload(pooled)) == \
         json.dumps(findings_payload(sequential))
 

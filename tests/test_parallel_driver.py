@@ -3,22 +3,26 @@ one-job run (the scheduler's inline rung, on the caller's engine).
 
 The query scheduler's contract (`repro.exec.scheduler`) is that every
 feasibility query is a pure function of ``(PDG, candidate, engine
-config)`` and that outcomes are assembled by candidate index.  These
-tests pin that contract across fifty fuzzed programs: for each one, the
-BugReport list produced with ``jobs=2`` and ``jobs=4`` must equal the
-one-job run in *every* program-visible field — order,
-feasibility, preprocess decision, and witness — for both Fusion and
-Pinpoint, on both pool backends.
+config)`` and that outcomes are assembled by candidate index.  The
+purity half is pinned across fifty fuzzed programs without forking: each
+program's candidates are solved through the worker state a pool worker
+builds (re-collected candidates, a fresh engine per query), in reversed
+and in shuffled order, and every outcome must equal the inline rung's in
+*every* program-visible field — status, preprocess decision and witness
+— for both Fusion and Pinpoint.  The process-pool passes then check the
+assembled report lists end to end.
 """
 
 import os
+import random
 
 import pytest
 
 from repro.baselines import PinpointEngine
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
-from repro.exec import ExecConfig
+from repro.exec import ExecConfig, FaultPolicy
+from repro.exec.scheduler import _WorkerState
 from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
                           prepare_pdg)
 
@@ -63,29 +67,42 @@ def run_stats(result):
             result.decided_in_preprocess, result.unknown_queries)
 
 
+def visible(outcome):
+    """Every program-visible field of one query outcome."""
+    return (outcome.index, outcome.status, outcome.decided_in_preprocess,
+            tuple(sorted(outcome.witness.items())), outcome.error)
+
+
+def assert_order_independent(engine, checker, seed):
+    """Solve the run's candidates as a pool worker does, in reversed and
+    in seeded-shuffle order: each outcome must equal the inline rung's
+    (the caller's engine, index order) at the same index."""
+    plan = engine._execution_plan(checker, None, None)
+    worker = _WorkerState(plan.spec, FaultPolicy())
+    candidates = worker.candidates
+    assert candidates, "fuzz spec generated no candidates"
+    expected = [visible(outcome)
+                for outcome in plan.make_scheduler(None).run(candidates)]
+    shuffled = list(range(len(candidates)))
+    random.Random(seed).shuffle(shuffled)
+    for order in (list(reversed(range(len(candidates)))), shuffled):
+        outcomes = sorted(worker.solve_batch(order),
+                          key=lambda outcome: outcome.index)
+        assert [visible(outcome) for outcome in outcomes] == expected
+
+
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_fusion_thread_pool_matches_sequential(seed):
+def test_fusion_worker_queries_are_order_independent(seed):
     pdg = fuzz_pdg(seed)
-    checker = NullDereferenceChecker()
-    sequential = fusion_with_witness(pdg).analyze(checker)
-    assert sequential.candidates > 0, "fuzz spec generated no candidates"
-    expected = canonical(sequential)
-    for jobs in (2, 4):
-        parallel = fusion_with_witness(pdg).analyze(
-            checker, exec_config=ExecConfig(jobs=jobs, backend="thread"))
-        assert canonical(parallel) == expected
-        assert run_stats(parallel) == run_stats(sequential)
+    assert_order_independent(fusion_with_witness(pdg),
+                             NullDereferenceChecker(), seed)
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS)
-def test_pinpoint_thread_pool_matches_sequential(seed):
+def test_pinpoint_worker_queries_are_order_independent(seed):
     pdg = fuzz_pdg(seed)
-    checker = NullDereferenceChecker()
-    sequential = PinpointEngine(pdg).analyze(checker)
-    parallel = PinpointEngine(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=4, backend="thread"))
-    assert canonical(parallel) == canonical(sequential)
-    assert run_stats(parallel) == run_stats(sequential)
+    assert_order_independent(PinpointEngine(pdg),
+                             NullDereferenceChecker(), seed)
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS[:3])
@@ -108,33 +125,6 @@ def test_pinpoint_process_pool_matches_sequential():
     parallel = PinpointEngine(pdg).analyze(
         checker, exec_config=ExecConfig(jobs=2, backend="process"))
     assert canonical(parallel) == canonical(sequential)
-
-
-def test_single_query_batches_are_deterministic():
-    """batch_size=1 with jobs=4 maximizes completion-order shuffle; two
-    runs must still be identical to each other and to the seed loop."""
-    pdg = fuzz_pdg(29)
-    checker = NullDereferenceChecker()
-    sequential = fusion_with_witness(pdg).analyze(checker)
-    runs = [fusion_with_witness(pdg).analyze(
-                checker, exec_config=ExecConfig(jobs=4, backend="thread",
-                                                batch_size=1))
-            for _ in range(2)]
-    assert canonical(runs[0]) == canonical(runs[1]) == canonical(sequential)
-
-
-def test_serial_backend_is_the_degenerate_case():
-    """``--jobs 1`` (and backend=serial at any job count) is the inline
-    rung on the caller's engine, the same run as passing no exec config
-    at all; Table-3/Figure-11 semantics are untouched."""
-    pdg = fuzz_pdg(3)
-    checker = NullDereferenceChecker()
-    sequential = fusion_with_witness(pdg).analyze(checker)
-    jobs1 = fusion_with_witness(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=1))
-    serial = fusion_with_witness(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=8, backend="serial"))
-    assert canonical(jobs1) == canonical(serial) == canonical(sequential)
 
 
 @pytest.mark.skipif(_cpu_count() < 2,

@@ -14,8 +14,8 @@ For a 25-seed corpus of generated programs, the demand API must be
 * with a shared artifact store, a query after a full analysis replays
   every verdict without a single solve and still returns identical
   bytes;
-* full analyses executed on the parallel thread/process backends agree
-  with the (sequential) demand verdicts byte-for-byte.
+* full analyses executed inline and on a process pool agree with the
+  (sequential) demand verdicts byte-for-byte.
 """
 
 import json
@@ -139,14 +139,15 @@ def test_warm_store_query_replays_without_solving(seed, engine,
         assert verdict.smt_queries == 0
 
 
-@pytest.mark.parametrize("backend", ("thread", "process"))
+@pytest.mark.parametrize("backend", ("inline", "process"))
 @pytest.mark.parametrize("seed", SEEDS[:5])
 def test_query_matches_parallel_backends(seed, backend):
     source = fuzz_source(seed)
     settings = EngineSettings(engine="fusion")
     full_session = AnalysisSession(source, settings=settings)
-    full = full_session.analyze(
-        CHECKER, exec_config=ExecConfig(jobs=2, backend=backend))
+    exec_config = ExecConfig() if backend == "inline" \
+        else ExecConfig(jobs=2, backend=backend)
+    full = full_session.analyze(CHECKER, exec_config=exec_config)
     query_session = AnalysisSession(source, settings=settings)
     assert_queries_match_full(source, full, query_session)
 

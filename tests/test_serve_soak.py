@@ -21,7 +21,6 @@ import pytest
 
 from repro.engine import AnalysisSession, findings_payload
 from repro.exec import FaultPlan
-from repro.exec.scheduler import _HAS_FORK
 from repro.serve import OVERLOADED, ServeApp, ServeConfig
 
 CLIENTS = 8
@@ -161,18 +160,17 @@ def test_soak_two_tenants_eight_clients():
 
 def test_soak_with_injected_worker_sigkill():
     """Same storm, but every scheduler run's first batch crashes its
-    worker once — a real SIGKILL under the process backend, an injected
-    WorkerCrash under thread — and the retry ladder must still deliver
-    every response with correct verdicts."""
+    worker once — a real SIGKILL in a process pool, an injected
+    WorkerCrash on the inline rung where there is no fork — and the
+    retry ladder must still deliver every response with correct
+    verdicts."""
     expected = {t: expected_findings(t) for t in TENANTS}
-    backend = "process" if _HAS_FORK else "thread"
     plan = FaultPlan(crash_on_batch=frozenset({0}), crash_times=1)
 
     async def main():
         with tempfile.TemporaryDirectory() as root:
             app = ServeApp(ServeConfig(cache_root=root, workers=4,
                                        max_queue=8, jobs=2,
-                                       backend=backend,
                                        fault_plan=plan))
             try:
                 snapshot = await soak(app, expected)

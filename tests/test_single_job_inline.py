@@ -182,12 +182,19 @@ def test_explicit_process_backend_still_forks_at_one_job(monkeypatch):
     assert telemetry.as_dict()["context"]["backend"] == "process"
 
 
-def test_auto_resolves_by_job_count():
+def test_auto_resolves_by_job_count(monkeypatch):
     assert ExecConfig(jobs=1).resolved_backend() == "inline"
-    assert ExecConfig(jobs=4).resolved_backend() == \
-        ("process" if scheduler._HAS_FORK else "thread")
     assert ExecConfig(jobs=1, backend="process").resolved_backend() \
         == "process"
-    with pytest.raises(ValueError):
-        ExecConfig(backend="bogus").resolved_backend()
+    monkeypatch.setattr(scheduler, "_HAS_FORK", True)
+    assert ExecConfig(jobs=4).resolved_backend() == "process"
+    # Without fork, auto stays inline at any job count; an explicit
+    # process backend still builds a pool.
+    monkeypatch.setattr(scheduler, "_HAS_FORK", False)
+    assert ExecConfig(jobs=4).resolved_backend() == "inline"
+    assert ExecConfig(jobs=4, backend="process").resolved_backend() \
+        == "process"
+    for retired in ("bogus", "thread", "serial"):
+        with pytest.raises(ValueError):
+            ExecConfig(backend=retired).resolved_backend()
 

@@ -5,8 +5,8 @@ The sparsification contract (`repro.pdg.reduce`, docs/sparsification.md)
 is that per-checker pruned views change *nothing* the program can see:
 candidates, verdicts, witnesses, and the rendered findings payload are
 equal to the full walk, bit for bit.  These tests pin that across 25
-fuzzed programs for both path-sensitive engines, sequential and pooled
-(thread and process backends), against the full-walk engines of
+fuzzed programs for both path-sensitive engines, sequential and on a
+process pool, against the full-walk engines of
 ``tests/full_walk_oracle.py``.
 """
 
@@ -102,11 +102,10 @@ def test_every_checker_sparsifies_identically(checker_name):
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS)
-@pytest.mark.parametrize("jobs,backend", [(4, "thread"), (4, "process")])
+@pytest.mark.parametrize("jobs,backend", [(4, "process")])
 def test_fusion_pooled_sparsified_matches_full(seed, jobs, backend):
-    """jobs=4 on both pool flavors: thread workers share the parent's
-    candidate list; process workers rebuild the pruned view from the
-    pickled PDG — both must render the full pipeline's bytes."""
+    """jobs=4 on a process pool: workers rebuild the pruned view from the
+    pickled PDG and must render the full pipeline's bytes."""
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     full = fusion(pdg, sparsify=False).analyze(checker)
@@ -121,10 +120,9 @@ def test_pinpoint_pooled_sparsified_matches_full(seed):
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     full = pinpoint(pdg, sparsify=False).analyze(checker)
-    for backend in ("thread", "process"):
-        pooled = pinpoint(pdg, sparsify=True).analyze(
-            checker, exec_config=ExecConfig(jobs=4, backend=backend))
-        assert rendered(pooled) == rendered(full), backend
+    pooled = pinpoint(pdg, sparsify=True).analyze(
+        checker, exec_config=ExecConfig(jobs=4, backend="process"))
+    assert rendered(pooled) == rendered(full)
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS[:2])
