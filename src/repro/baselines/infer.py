@@ -21,21 +21,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Optional
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
-
-if TYPE_CHECKING:
-    from repro.exec.scheduler import ExecConfig
-    from repro.exec.telemetry import Telemetry
+from repro.exec.telemetry import Telemetry
 from repro.lang.ir import (Assign, Binary, Call, Identity, IfThenElse,
                            Return, Var)
 from repro.limits import Budget, MemoryBudgetExceeded, TimeBudgetExceeded
 from repro.pdg.graph import ProgramDependenceGraph, Vertex
 from repro.sparse.paths import DependencePath, FrameTable, PathStep
+
+if TYPE_CHECKING:
+    from repro.exec.scheduler import ExecConfig
 
 #: A fact is ("param", i, hops) or ("src", vertex_index, hops).
 Fact = tuple
@@ -79,7 +77,7 @@ class InferEngine:
 
     def analyze(self, checker: Checker,
                 exec_config: Optional["ExecConfig"] = None,
-                telemetry: Optional["Telemetry"] = None) -> AnalysisResult:
+                telemetry: Optional[Telemetry] = None) -> AnalysisResult:
         """``exec_config`` is accepted for interface parity with the
         path-sensitive engines but ignored: the summary computation is a
         bottom-up fixpoint over the call DAG, not a bag of independent
@@ -92,9 +90,9 @@ class InferEngine:
         budget.restart_clock()
         start = time.perf_counter()
         result = AnalysisResult(self.name, checker.name)
-        if telemetry is not None:
-            telemetry.annotate(engine=self.name, checker=checker.name,
-                               jobs=1, backend="inline")
+        telemetry = telemetry if telemetry is not None else Telemetry()
+        telemetry.annotate(engine=self.name, checker=checker.name,
+                           jobs=1, backend="inline")
 
         source_ids = {v.index for v in checker.sources(self.pdg)}
         sink_names = self._sink_names(checker)
@@ -124,10 +122,9 @@ class InferEngine:
         result.candidates = len(result.reports)
         result.memory_units = self._memory_units()
         result.wall_time = time.perf_counter() - start
-        if telemetry is not None:
-            telemetry.record_memory(result.memory_units,
-                                    result.condition_memory_units)
-            telemetry.set_wall_seconds(result.wall_time)
+        telemetry.record_memory(result.memory_units,
+                                result.condition_memory_units)
+        telemetry.set_wall_seconds(result.wall_time)
         return result
 
     # ------------------------------------------------------------------ #

@@ -6,8 +6,7 @@ from repro.bench.generator import (LOOP_HEAVY_FAMILY, GeneratedSubject,
 from repro.bench.subjects import (SUBJECTS, Subject, industrial_subjects,
                                   materialize, subject_by_name)
 from repro.bench.metrics import PrecisionRecall, evaluate_reports
-from repro.bench.runner import (CHECKERS, ENGINES, RunOutcome, make_engine,
-                                pdg_for, run_engine)
+from repro.bench.runner import RunOutcome, pdg_for, run_engine
 from repro.bench.reporting import (fmt_failure, render_memory_breakdown,
                                    render_scatter_summary, render_table,
                                    speedup)
@@ -18,8 +17,7 @@ __all__ = [
     "SUBJECTS", "Subject", "industrial_subjects", "materialize",
     "subject_by_name",
     "PrecisionRecall", "evaluate_reports",
-    "CHECKERS", "ENGINES", "RunOutcome", "make_engine", "pdg_for",
-    "run_engine",
+    "RunOutcome", "pdg_for", "run_engine",
     "fmt_failure", "render_memory_breakdown", "render_scatter_summary",
     "render_table", "speedup",
 ]

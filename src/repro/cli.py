@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from repro.engine import (CHECKER_FACTORIES, ENGINE_CHOICES,
                           EngineSettings, analysis_payload, build_engine)
-from repro.exec import BACKENDS
+from repro.exec import BACKENDS, FaultPlan
 from repro.fusion import prepare_pdg
 from repro.lang import (LexError, LoweringConfig, LoweringError,
                         ParseError, compile_source)
@@ -148,6 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-request deadline when the request "
                             "carries none (overruns report UNKNOWN)")
     serve.add_argument("--fault-plan", metavar="SPEC", default=None,
+                       type=_fault_plan,
                        help="inject deterministic faults into every "
                             "request (testing/CI only)")
     serve.add_argument("--journal",
@@ -249,10 +250,10 @@ def _engine_settings(args: argparse.Namespace) -> EngineSettings:
 
 
 def _record_loop_telemetry(telemetry, program) -> None:
-    """Fold a compiled program's loop-lowering counters into a
-    telemetry instance (no-op when either side is absent)."""
+    """Fold a compiled program's loop-lowering counters into
+    ``telemetry`` (no-op for a program that records none)."""
     stats = getattr(program, "loop_stats", None)
-    if telemetry is not None and stats is not None:
+    if stats is not None:
         telemetry.record_loops(**stats.as_dict())
 
 
@@ -262,6 +263,17 @@ def _positive_seconds(text: str) -> float:
     if not seconds > 0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return seconds
+
+
+def _fault_plan(text: str) -> Optional[FaultPlan]:
+    """``--fault-plan``'s type (``analyze``, ``bench``, ``serve``): the
+    parsed plan, None for an empty spec."""
+    if not text:
+        return None
+    try:
+        return FaultPlan.parse(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error))
 
 
 def _int_at_least(minimum: int):
@@ -306,6 +318,7 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
                         help="failed query handling: isolate as UNKNOWN "
                              "(default) or abort the run")
     parser.add_argument("--fault-plan", metavar="SPEC", default=None,
+                        type=_fault_plan,
                         help="inject deterministic faults, e.g. "
                              "'raise=3,7;delay=0:0.5;crash=1' "
                              "(testing/CI only)")
@@ -404,24 +417,18 @@ def cmd_subjects(_args: argparse.Namespace) -> int:
 
 
 def _exec_options(args: argparse.Namespace):
-    """(ExecConfig, Telemetry | None) from the shared exec flags."""
-    from repro.exec import ExecConfig, FaultPlan, FaultPolicy, Telemetry
+    """(ExecConfig, Telemetry) from the shared exec flags.  The
+    telemetry is written only under ``--telemetry``."""
+    from repro.exec import ExecConfig, FaultPolicy, Telemetry
 
-    telemetry = Telemetry() if args.telemetry else None
     policy_kwargs = {"on_error": args.on_error}
     if args.query_timeout is not None:
         policy_kwargs["query_timeout"] = args.query_timeout
     if args.max_retries is not None:
         policy_kwargs["max_retries"] = args.max_retries
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as error:
-            raise SystemExit(f"repro: bad --fault-plan: {error}")
     return ExecConfig(jobs=args.jobs, backend=args.backend,
                       faults=FaultPolicy(**policy_kwargs),
-                      fault_plan=fault_plan), telemetry
+                      fault_plan=args.fault_plan), Telemetry()
 
 
 def _make_store(args: argparse.Namespace):
@@ -430,16 +437,10 @@ def _make_store(args: argparse.Namespace):
     cache, so the store silently stays off there."""
     if args.cache_dir is None or args.no_store or args.engine == "infer":
         return None
-    from repro.exec import ArtifactStore, FaultPlan
+    from repro.exec import ArtifactStore
 
-    fault_plan = None
-    if getattr(args, "fault_plan", None):
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError:
-            fault_plan = None  # _exec_options already reported it
     return ArtifactStore(args.cache_dir, label=args.subject,
-                         fault_plan=fault_plan)
+                         fault_plan=args.fault_plan)
 
 
 def _collections() -> list[int]:
@@ -451,7 +452,7 @@ def _write_telemetry(args: argparse.Namespace, telemetry,
                      collections: list[int]) -> bool:
     """Write the run's telemetry, with the collector runs since the
     ``collections`` snapshot taken when the command started."""
-    if telemetry is None or not args.telemetry:
+    if not args.telemetry:
         return True
     telemetry.record_gc(**{
         f"collections_gen{generation}": now - then
@@ -473,12 +474,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     exec_config, telemetry = _exec_options(args)
     outcome = run_engine(args.subject, args.engine, args.checker,
                          time_budget=args.time_budget,
-                         jobs=args.jobs, backend=args.backend,
-                         telemetry=telemetry,
-                         query_timeout=args.query_timeout,
-                         max_retries=args.max_retries,
-                         on_error=args.on_error,
-                         fault_plan=exec_config.fault_plan,
+                         exec_config=exec_config, telemetry=telemetry,
                          store=_make_store(args))
     print(json.dumps(outcome.row(), indent=2))
     if not _write_telemetry(args, telemetry, collections):
@@ -512,7 +508,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     if args.cache_dir is not None:
         from repro.exec import ArtifactStore
         store = ArtifactStore(args.cache_dir, label=args.file)
-    telemetry = Telemetry() if args.telemetry else None
+    telemetry = Telemetry()
     try:
         session = AnalysisSession(source, settings=_engine_settings(args),
                                   store=store)
@@ -632,22 +628,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.exec import FaultPlan
     from repro.serve import ServeConfig, run_http, run_stdio
 
-    fault_plan = None
-    if args.fault_plan:
-        try:
-            fault_plan = FaultPlan.parse(args.fault_plan)
-        except ValueError as error:
-            raise SystemExit(f"repro serve: bad --fault-plan: {error}")
     config = ServeConfig(
         settings=_engine_settings(args),
         workers=args.workers, max_queue=args.max_queue,
         jobs=args.jobs, backend=args.backend,
         cache_root=args.cache_root,
         default_deadline=args.default_deadline,
-        fault_plan=fault_plan,
+        fault_plan=args.fault_plan,
         journal=args.journal,
         breaker_threshold=args.breaker_threshold,
         breaker_cooldown=args.breaker_cooldown,

@@ -2,10 +2,11 @@
 
 Pinpoint (Algorithm 2) and Fusion (Algorithm 5) run the same sparse
 collection of dependence paths and differ only in *how* the feasibility
-of a collected path is decided (see :mod:`repro.sparse.driver`).
-:class:`PathSensitiveEngine` owns everything else: the per-checker
-sparse views, the execution plan every run hands the query scheduler
-(whose inline rung solves on this engine), store binding and the
+of a collected path is decided.  :class:`PathSensitiveEngine` owns
+everything else: the per-checker sparse views, the one analysis loop
+(collect candidates, replay stored verdicts, solve the rest through the
+:class:`~repro.exec.scheduler.QueryScheduler`, whose inline rung solves
+on this engine, commit, assemble), the run budget and the
 store-fingerprint keys both engines share.  An engine supplies only
 
 * :meth:`~PathSensitiveEngine.solve_one` — decide one candidate
@@ -19,24 +20,27 @@ store-fingerprint keys both engines share.  An engine supplies only
 
 from __future__ import annotations
 
-from dataclasses import replace
+import time
 from typing import Optional
 
-from repro.checkers.base import AnalysisResult, BugCandidate, Checker
-from repro.exec.scheduler import ExecConfig, ExecutionPlan, WorkerSpec
+from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
+                                 Checker)
+from repro.exec.scheduler import ExecConfig, QueryOutcome, QueryScheduler
 from repro.exec.telemetry import Telemetry
-from repro.limits import Deadline
+from repro.limits import (Budget, Deadline, MemoryBudgetExceeded,
+                          ResourceExceeded, TimeBudgetExceeded)
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.reduce import ViewRegistry
 from repro.pdg.slicing import Slice
 from repro.smt.solver import SmtResult, SolverConfig
-from repro.sparse.driver import QueryRecord, run_analysis
+from repro.sparse.engine import collect_candidates
 
 
 class PathSensitiveEngine:
     """Base of the engines that decide each candidate with an SMT query
-    (module docstring).  ``config`` must carry ``sparse`` and
-    ``budget``."""
+    (module docstring).  ``config`` must be a dataclass carrying
+    ``sparse`` and ``budget`` (pool workers get a copy without the
+    budget)."""
 
     name: str
 
@@ -47,7 +51,9 @@ class PathSensitiveEngine:
         #: serve daemon keeps the engine hot, so views survive between
         #: requests until an edit invalidates them).
         self.views = ViewRegistry(pdg)
-        self.query_records: list[QueryRecord] = []
+        #: The last run's query outcomes, in candidate-index order (feed
+        #: the Figure 11 comparison and the bench per-query columns).
+        self.query_records: list[QueryOutcome] = []
 
     # ------------------------------------------------------------------ #
     # Supplied by each engine
@@ -78,8 +84,7 @@ class PathSensitiveEngine:
     # The shared skeleton
     # ------------------------------------------------------------------ #
 
-    def checker_view(self, checker: Checker,
-                     telemetry: Optional[Telemetry] = None):
+    def checker_view(self, checker: Checker, telemetry: Telemetry):
         """The checker's sparse view; flushes view-registry counters into
         ``telemetry``."""
         view = self.views.view_for(checker)
@@ -90,10 +95,14 @@ class PathSensitiveEngine:
                 exec_config: Optional[ExecConfig] = None,
                 telemetry: Optional[Telemetry] = None,
                 store=None) -> AnalysisResult:
-        """Run the checker through the query scheduler.  ``exec_config``
-        tunes it (default ``ExecConfig()``: one job, solved inline on
-        this engine); ``telemetry`` receives the run's counters.
-        ``store`` (an
+        """The one analysis loop: collect the checker's candidates over
+        its sparse view, replay stored verdicts, solve the rest through
+        the query scheduler, commit, and assemble the reports in index
+        order, under the run budget (an overrun becomes the result's
+        ``failure`` and keeps everything decided so far).
+        ``exec_config`` tunes the scheduler (default ``ExecConfig()``:
+        one job, solved inline on this engine); ``telemetry`` receives
+        the run's counters.  ``store`` (an
         :class:`~repro.exec.store.ArtifactStore`) opts into warm
         incremental re-analysis: cached verdicts whose dependencies are
         unchanged are replayed instead of re-solved.
@@ -106,14 +115,66 @@ class PathSensitiveEngine:
         telemetry = telemetry if telemetry is not None else Telemetry()
         self.query_records = []
         view = self.checker_view(checker, telemetry)
-        execution = self._execution_plan(checker, exec_config, telemetry)
         binding = store.bind(self.pdg, self._store_fingerprint(checker),
                              checker.name, telemetry) \
             if store is not None else None
-        return run_analysis(self.pdg, checker, self.name, execution,
-                            self._memory_snapshot, self.config.budget,
-                            self.config.sparse, self.query_records,
-                            store=binding, view=view)
+        budget = self.config.budget if self.config.budget is not None \
+            else Budget()
+        budget.restart_clock()
+        result = AnalysisResult(self.name, checker.name)
+        scheduler = QueryScheduler(
+            self, checker,
+            exec_config if exec_config is not None else ExecConfig(),
+            telemetry, budget)
+        telemetry.annotate(engine=self.name, checker=checker.name)
+        start = time.perf_counter()
+        # index -> report, filled by store replay and the scheduler;
+        # merged into ``result.reports`` in index order even on budget
+        # aborts.
+        reports: dict[int, BugReport] = {}
+        pending: Optional[list[int]] = None
+        candidates: list[BugCandidate] = []
+        try:
+            with telemetry.stage("collect"):
+                candidates = collect_candidates(self.pdg, checker,
+                                                self.config.sparse,
+                                                view=view)
+            telemetry.count("candidates", len(candidates))
+            result.candidates = len(candidates)
+            if binding is not None:
+                # Warm-run replay: verdicts whose recorded dependencies
+                # are unchanged come straight from the persistent store;
+                # only the rest flow into the solve loop.
+                with telemetry.stage("store_replay"):
+                    pending = binding.replay(candidates, reports)
+                result.replayed_verdicts = len(candidates) - len(pending)
+            scheduler.solve_pending(candidates, pending, result, reports,
+                                    binding, sink=self.query_records)
+        except MemoryBudgetExceeded:
+            result.failure = "memory"
+        except TimeBudgetExceeded:
+            result.failure = "time"
+        except ResourceExceeded:
+            result.failure = "resource"
+        if binding is not None:
+            # Persist this run's verdicts (partial results included on
+            # budget aborts) and the function records the next diff
+            # starts from.
+            with telemetry.stage("store_commit"):
+                binding.commit(candidates, reports)
+        result.reports = [reports[index] for index in sorted(reports)]
+
+        total, condition = self._memory_snapshot()
+        result.memory_units = max(result.memory_units, total)
+        result.condition_memory_units = max(result.condition_memory_units,
+                                            condition)
+        result.wall_time = time.perf_counter() - start
+        telemetry.record_memory(result.memory_units,
+                                result.condition_memory_units)
+        telemetry.set_wall_seconds(result.wall_time)
+        if result.failure is not None:
+            telemetry.annotate(failure=result.failure)
+        return result
 
     def _store_fingerprint(self, checker: Checker) -> dict:
         """Every knob that can change a cacheable verdict (or the report
@@ -146,52 +207,3 @@ class PathSensitiveEngine:
         }
         fingerprint.update(self._fingerprint_extras())
         return fingerprint
-
-    def _execution_plan(self, checker: Checker,
-                        exec_config: Optional[ExecConfig],
-                        telemetry: Optional[Telemetry]) -> ExecutionPlan:
-        """The scheduler recipe for one run: the picklable ``WorkerSpec``
-        pool workers rebuild fresh engines from, and the inline rung's
-        query bound to this engine (never pickled)."""
-        # Workers cannot observe the whole run's clock; the completion
-        # loop enforces the budget.
-        recipe = (type(self), replace(self.config, budget=None))
-        spec = WorkerSpec(self.pdg, checker, self.config.sparse,
-                          QueryRunner, recipe,
-                          query_timeout=self.solver_config.time_limit)
-        return ExecutionPlan(
-            exec_config if exec_config is not None else ExecConfig(),
-            spec, telemetry,
-            inline_query=QueryRunner(self.pdg, recipe, engine=self))
-
-
-class QueryRunner:
-    """The scheduler's query function for every path-sensitive engine.
-
-    It is its own query factory: :class:`~repro.exec.scheduler.WorkerSpec`
-    carries the class (pickled by reference) and ``(engine class, engine
-    config)`` as the factory config.
-
-    In a pool worker, each query runs on a *fresh* engine (fresh term
-    manager; for Pinpoint also no cross-query summary cache), so its
-    outcome is a function of ``(pdg, candidate, config)`` alone — the
-    determinism contract of :mod:`repro.exec.scheduler`.
-
-    A runner bound to an ``engine`` (the inline rung's) solves every
-    query on it, so its caches and memory model accumulate across the
-    run exactly as the caller's engine dictates.
-    """
-
-    def __init__(self, pdg: ProgramDependenceGraph, recipe,
-                 engine: Optional[PathSensitiveEngine] = None) -> None:
-        self._pdg = pdg
-        self._engine_cls, self._config = recipe
-        self._engine = engine
-
-    def __call__(self, candidate: BugCandidate, the_slice: Slice,
-                 deadline: Optional[Deadline] = None) \
-            -> tuple[SmtResult, tuple[int, int]]:
-        engine = self._engine if self._engine is not None \
-            else self._engine_cls(self._pdg, self._config)
-        result = engine.solve_one(candidate, the_slice, deadline)
-        return result, engine._memory_snapshot()

@@ -31,6 +31,7 @@ from typing import Optional
 from repro.checkers import DivByZeroChecker, NullDereferenceChecker
 from repro.checkers.base import AnalysisResult
 from repro.checkers.taint import cwe23_checker, cwe402_checker
+from repro.exec.telemetry import Telemetry
 from repro.lang import LoweringConfig
 from repro.limits import Budget
 
@@ -348,23 +349,22 @@ class AnalysisSession:
                                  f"{def_line}")
             def_indices = frozenset(v.index for v in def_sites)
 
+        telemetry = telemetry if telemetry is not None else Telemetry()
         key = (checker, sink_indices, def_indices, deadline_s)
         cached = self._query_cache.get(key)
         if cached is not None:
             verdict = cached_verdict(cached)
-            if telemetry is not None:
-                telemetry.record_demand(
-                    demand_queries=1, region_cache_hits=1,
-                    region_nodes=verdict.region_nodes,
-                    region_edges=verdict.region_edges,
-                    pdg_nodes=verdict.pdg_nodes,
-                    pdg_edges=verdict.pdg_edges,
-                    verdicts_replayed=verdict.replayed_verdicts)
+            telemetry.record_demand(
+                demand_queries=1, region_cache_hits=1,
+                region_nodes=verdict.region_nodes,
+                region_edges=verdict.region_edges,
+                pdg_nodes=verdict.pdg_nodes,
+                pdg_edges=verdict.pdg_edges,
+                verdicts_replayed=verdict.replayed_verdicts)
             return verdict
         verdict = run_demand_query(self.engine, checker_obj,
                                    sink_indices, def_indices,
-                                   store=self.store,
-                                   telemetry=telemetry,
+                                   telemetry=telemetry, store=self.store,
                                    deadline_s=deadline_s)
         self._query_cache[key] = verdict
         return verdict

@@ -6,8 +6,8 @@ from repro.exec.breaker import CircuitBreaker
 from repro.exec.faults import (FaultPlan, FaultPolicy, InjectedFault,
                                InjectedQueryError, WorkerCrash,
                                backoff_delay)
-from repro.exec.scheduler import (BACKENDS, ExecConfig, ExecutionPlan,
-                                  QueryOutcome, QueryScheduler, WorkerSpec)
+from repro.exec.scheduler import (BACKENDS, ExecConfig, QueryOutcome,
+                                  QueryScheduler, WorkerSpec)
 from repro.exec.store import (STORE_SCHEMA, ArtifactStore, StoreBinding,
                               StoreRunStats)
 from repro.exec.telemetry import SCHEMA as TELEMETRY_SCHEMA
@@ -17,8 +17,8 @@ __all__ = [
     "CircuitBreaker",
     "FaultPlan", "FaultPolicy", "InjectedFault", "InjectedQueryError",
     "WorkerCrash", "backoff_delay",
-    "BACKENDS", "ExecConfig", "ExecutionPlan", "QueryOutcome",
-    "QueryScheduler", "WorkerSpec",
+    "BACKENDS", "ExecConfig", "QueryOutcome", "QueryScheduler",
+    "WorkerSpec",
     "ArtifactStore", "StoreBinding", "StoreRunStats", "STORE_SCHEMA",
     "Telemetry", "TELEMETRY_SCHEMA",
 ]

@@ -3,8 +3,9 @@
 Every analysis and demand query decides its candidates here.
 Candidates are partitioned into index batches and solved in the calling
 process (the *inline* rung) or dispatched over a forked process pool.
-Results are keyed by candidate index, so the assembled report list is
-**deterministic regardless of completion order**.
+Results are keyed by candidate index, so the report list
+:meth:`QueryScheduler.solve_pending` assembles is **deterministic
+regardless of completion order**.
 
 Determinism of the *verdicts* across rungs rests on a stronger property
 that the differential test suite (`tests/test_parallel_driver.py`)
@@ -36,16 +37,17 @@ death is survivable by requeueing.  Failure handling has three tiers:
 Worker model:
 
 * **inline** — no pool: batches run one after another in the calling
-  process, on the parent's PDG and candidate list, in index order,
-  through one query for the whole run — the caller's engine
-  (``inline_query``), so cross-query caches and the modelled memory
-  accumulate on that engine.  ``auto`` starts here at one job and on
-  platforms without ``fork``; it is also the ladder's last rung.
+  process, on the parent's PDG and candidate list, in index order, and
+  every query is solved on the caller's engine (the scheduler's
+  ``engine``), so cross-query caches and the modelled memory accumulate
+  on that engine.  ``auto`` starts here at one job and on platforms
+  without ``fork``; it is also the ladder's last rung.
 * **process** — each worker process receives the pickled
-  :class:`WorkerSpec` once (pool initializer), rebuilds the PDG and
+  :class:`WorkerSpec` once (pool initializer), rebuilds the PDG,
   re-collects the candidate list (collection is deterministic, so indices
-  agree with the parent).  Batches move only candidate *indices* and
-  compact :class:`QueryOutcome` records across the process boundary.
+  agree with the parent) and solves each query on a fresh engine built
+  from the spec.  Batches move only candidate *indices* and compact
+  :class:`QueryOutcome` records across the process boundary.
 
 There is no thread rung: pure-Python solving holds the GIL, so threads
 never beat inline (docs/parallelism.md).
@@ -73,32 +75,18 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
-from repro.checkers.base import BugCandidate, Checker
+from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
+                                 Checker)
 from repro.exec.breaker import CircuitBreaker
 from repro.exec.faults import FaultPlan, FaultPolicy, backoff_delay
 from repro.exec.telemetry import Telemetry
 from repro.limits import (Budget, Deadline, QueryDeadlineExceeded,
                           ResourceExceeded)
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.pdg.slicing import Slice, compute_slice
-from repro.smt.solver import SmtResult, SmtStatus
-from repro.sparse.driver import public_witness
-from repro.sparse.engine import SparseConfig, collect_candidates
-
-#: A per-query solver: ``(candidate, slice, deadline) -> (result,
-#: (total memory units, condition memory units))``.  Factories return
-#: one for pool workers; the contract is that every call builds fresh
-#: solver state, so the outcome is independent of call order (the
-#: determinism guarantee), and that overrunning ``deadline`` yields an
-#: UNKNOWN result.  The inline rung's query may instead solve on the
-#: caller's engine (:attr:`ExecutionPlan.inline_query`).
-QueryFn = Callable[[BugCandidate, Slice, Optional[Deadline]],
-                   tuple[SmtResult, tuple[int, int]]]
-
-#: ``(pdg, factory_config) -> QueryFn`` — must be a module-level function
-#: or class so the process backend can pickle it by reference (the engines
-#: use :class:`repro.engine.base.QueryRunner`).
-QueryFactory = Callable[[ProgramDependenceGraph, object], QueryFn]
+from repro.pdg.slicing import compute_slice
+from repro.smt.solver import SmtStatus
+from repro.smt.terms import Term
+from repro.sparse.engine import collect_candidates
 
 BACKENDS = ("auto", "process")
 
@@ -135,21 +123,30 @@ class ExecConfig:
 
 @dataclass
 class WorkerSpec:
-    """Everything a worker needs to rebuild per-query solver state.
+    """Everything a pool worker needs to rebuild its solving state.
 
-    Must be picklable for the process backend: the PDG, checker and
-    configs round-trip by value, ``query_factory`` by module reference.
+    Pickled once per worker: the PDG, checker and engine config round-trip
+    by value, the engine class by module reference.
     """
 
     pdg: ProgramDependenceGraph
     checker: Checker
-    sparse: Optional[SparseConfig]
-    query_factory: QueryFactory
-    factory_config: object
+    engine_cls: type
+    #: The engine's config without its budget: workers cannot observe the
+    #: whole run's clock, so the parent's completion loop enforces it.
+    config: object
     #: The engine's per-query wall-clock cap (its solver ``time_limit``);
     #: bounds slicing as well as solving.  ``FaultPolicy.query_timeout``
     #: overrides it when set.
     query_timeout: Optional[float] = None
+
+    @classmethod
+    def of(cls, engine, checker: Checker) -> "WorkerSpec":
+        """The spec that rebuilds ``engine`` (a
+        :class:`~repro.engine.base.PathSensitiveEngine`) in a worker."""
+        return cls(engine.pdg, checker, type(engine),
+                   replace(engine.config, budget=None),
+                   engine.solver_config.time_limit)
 
 
 @dataclass
@@ -182,26 +179,9 @@ class QueryOutcome:
 
     @property
     def feasible(self) -> bool:
-        # Soundy convention (matches the sequential driver): only a
-        # proven-UNSAT path condition suppresses the report.
+        # Soundy convention: only a proven-UNSAT path condition
+        # suppresses the report.
         return self.status is not SmtStatus.UNSAT
-
-
-@dataclass
-class ExecutionPlan:
-    """Bundle handed to ``run_analysis``: config + worker recipe +
-    telemetry sink."""
-
-    config: ExecConfig
-    spec: WorkerSpec
-    telemetry: Optional[Telemetry] = None
-    #: The inline rung's query function, bound to the caller's engine.
-    #: Never pickled: process workers build fresh engines from the spec.
-    inline_query: Optional[QueryFn] = None
-
-    def make_scheduler(self, budget: Optional[Budget]) -> "QueryScheduler":
-        return QueryScheduler(self.spec, self.config, self.telemetry,
-                              budget, inline_query=self.inline_query)
 
 
 @dataclass
@@ -219,31 +199,31 @@ class _Batch:
 
 
 class _WorkerState:
-    """Per-worker solving state: candidates and the query function.
+    """Per-worker solving state: the candidates and who solves them.
 
     Built two ways.  The inline rung passes the parent's ``candidates``
-    and its run-long ``query``.  A process worker passes neither: it
-    re-collects the candidates from the pickled spec and builds its
-    query from the spec's factory (a fresh engine per query).
+    and the caller's ``engine``, which solves every query of the run.  A
+    process worker passes neither: it re-collects the candidates from
+    the pickled spec and solves each query on a fresh engine, so a
+    query's outcome is a function of ``(pdg, candidate, config)`` alone
+    (the determinism contract in the module docstring).
     """
 
     def __init__(self, spec: WorkerSpec, policy: FaultPolicy,
                  plan: Optional[FaultPlan] = None,
                  candidates: Optional[list[BugCandidate]] = None,
-                 query: Optional[QueryFn] = None) -> None:
-        self.pdg = spec.pdg
+                 engine=None) -> None:
+        self.spec = spec
         self.process_worker = candidates is None
         if candidates is None:
             # Re-collect over the same pruned view the parent walked.
             from repro.pdg.reduce import build_view
 
             candidates = collect_candidates(
-                spec.pdg, spec.checker, spec.sparse,
+                spec.pdg, spec.checker, spec.config.sparse,
                 view=build_view(spec.pdg, spec.checker))
-            query = spec.query_factory(spec.pdg, spec.factory_config)
-        assert query is not None, "the inline rung passes its query"
         self.candidates = candidates
-        self.query = query
+        self.engine = engine
         self.policy = policy
         self.plan = plan
         self.query_timeout = self.policy.query_timeout \
@@ -281,9 +261,12 @@ class _WorkerState:
         try:
             if self.plan is not None:
                 self.plan.apply_query(index, deadline)
-            the_slice = compute_slice(self.pdg, [candidate.path], deadline)
-            smt_result, (memory, condition_memory) = \
-                self.query(candidate, the_slice, deadline)
+            the_slice = compute_slice(self.spec.pdg, [candidate.path],
+                                      deadline)
+            engine = self.engine if self.engine is not None \
+                else self.spec.engine_cls(self.spec.pdg, self.spec.config)
+            smt_result = engine.solve_one(candidate, the_slice, deadline)
+            memory, condition_memory = engine._memory_snapshot()
         except QueryDeadlineExceeded as error:
             return QueryOutcome(
                 index, SmtStatus.UNKNOWN, False,
@@ -306,6 +289,20 @@ class _WorkerState:
 
 def _describe(error: BaseException) -> str:
     return f"{type(error).__name__}: {error}"
+
+
+def public_witness(model: dict[Term, int]) -> dict[str, int]:
+    """A report-ready witness: program variables only, sorted by name.
+
+    Solver-internal choice variables (``!k*``, from ``fresh_var``) are
+    dropped — their numbering depends on term-manager history, so they
+    are the one model component that is not a pure function of the query.
+    Every rendering path (CLI, report formatter) already excluded them.
+    """
+    return {var.name: value
+            for var, value in sorted(model.items(),
+                                     key=lambda item: item[0].name)
+            if not var.name.startswith("!")}
 
 
 # --------------------------------------------------------------------- #
@@ -335,23 +332,20 @@ def _process_batch(indices: Sequence[int], ordinal: int, attempt: int,
 
 
 class QueryScheduler:
-    """Batches candidate indices and solves them inline or over a
-    process pool, surviving query errors, deadline overruns and worker
-    death."""
+    """Batches one checker's candidate indices and solves them inline on
+    ``engine`` or over a process pool, surviving query errors, deadline
+    overruns and worker death."""
 
-    def __init__(self, spec: WorkerSpec, config: ExecConfig,
-                 telemetry: Optional[Telemetry] = None,
-                 budget: Optional[Budget] = None,
-                 inline_query: Optional[QueryFn] = None) -> None:
-        self.spec = spec
+    def __init__(self, engine, checker: Checker, config: ExecConfig,
+                 telemetry: Telemetry,
+                 budget: Optional[Budget] = None) -> None:
+        #: The caller's engine: the inline rung solves on it.
+        self.engine = engine
+        #: The recipe pool workers rebuild fresh engines from.
+        self.spec = WorkerSpec.of(engine, checker)
         self.config = config
-        self.telemetry = telemetry if telemetry is not None \
-            else Telemetry()
+        self.telemetry = telemetry
         self.budget = budget
-        #: The inline rung's query, kept for the whole run (default: one
-        #: runner from the spec).
-        self.inline_query = inline_query if inline_query is not None \
-            else spec.query_factory(spec.pdg, spec.factory_config)
         #: index -> group_key, populated per run when a breaker is set;
         #: failure/success events are attributed to groups through it.
         self._breaker_groups: Optional[dict[int, tuple]] = None
@@ -407,6 +401,44 @@ class QueryScheduler:
                 open_groups=self.config.breaker.open_count())
         outcomes.sort(key=lambda outcome: outcome.index)
         return outcomes
+
+    def solve_pending(self, candidates: list[BugCandidate],
+                      pending: Optional[list[int]], result: AnalysisResult,
+                      reports: dict[int, BugReport], store=None,
+                      sink: Optional[list[QueryOutcome]] = None) -> None:
+        """Solve the ``pending`` candidates (all when None) and assemble
+        their outcomes into ``reports`` and the ``result`` counters;
+        ``sink`` (when given) keeps the outcomes, in index order.
+        ``store`` is the run's :class:`~repro.exec.store.StoreBinding`.
+
+        Outcomes are assembled even when a budget violation or an abort
+        policy ends the run mid-way (the ``finally`` clause), so partial
+        results survive.
+        """
+        outcomes = sink if sink is not None else []
+        try:
+            self.run(candidates, sink=outcomes, indices=pending)
+        finally:
+            outcomes.sort(key=lambda outcome: outcome.index)
+            for outcome in outcomes:
+                result.smt_queries += 1
+                if outcome.decided_in_preprocess:
+                    result.decided_in_preprocess += 1
+                if outcome.status is SmtStatus.UNKNOWN:
+                    result.unknown_queries += 1
+                if outcome.error is not None:
+                    result.error_queries += 1
+                if store is not None:
+                    store.observe(outcome.index, outcome.status)
+                reports[outcome.index] = BugReport(
+                    candidates[outcome.index], outcome.feasible,
+                    outcome.decided_in_preprocess, outcome.seconds,
+                    dict(outcome.witness))
+                result.memory_units = max(result.memory_units,
+                                          outcome.memory_units)
+                result.condition_memory_units = max(
+                    result.condition_memory_units,
+                    outcome.condition_memory_units)
 
     # -- circuit breaker ------------------------------------------------- #
 
@@ -482,7 +514,7 @@ class QueryScheduler:
         never re-absorbs."""
         state = _WorkerState(self.spec, self.config.faults,
                              self.config.fault_plan, candidates=candidates,
-                             query=self.inline_query)
+                             engine=self.engine)
 
         def absorb(outcome: QueryOutcome) -> None:
             self._absorb([outcome], outcomes)

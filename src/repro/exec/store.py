@@ -77,11 +77,11 @@ from repro.lang.fingerprint import FINGERPRINT_VERSION, program_keys
 from repro.lang.ir import Call
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import compute_slice
+from repro.exec.telemetry import Telemetry
 from repro.smt.solver import SmtStatus
 
 if TYPE_CHECKING:
     from repro.exec.faults import FaultPlan
-    from repro.exec.telemetry import Telemetry
 
 #: Store layout version; embedded in every entry and in the config
 #: fingerprint, so a layout change orphans (never misreads) old entries.
@@ -356,12 +356,14 @@ class ArtifactStore:
     # -- run binding ----------------------------------------------------- #
 
     def bind(self, pdg: ProgramDependenceGraph, fingerprint: dict,
-             checker: str, telemetry: Optional["Telemetry"] = None
+             checker: str, telemetry: Optional[Telemetry] = None
              ) -> "StoreBinding":
         """Prepare one run: look up the program version's keys (derived
         once per PDG, see :class:`ProgramIndex`), diff them against the
         persisted records, and hand back the replay/commit hooks the
-        driver calls."""
+        analysis loop calls.  ``telemetry`` receives the run's store
+        counters at commit."""
+        telemetry = telemetry if telemetry is not None else Telemetry()
         binding = StoreBinding(self, pdg, fingerprint, checker, telemetry)
         self.last_run = binding.stats
         return binding
@@ -372,7 +374,7 @@ class StoreBinding:
 
     def __init__(self, store: ArtifactStore, pdg: ProgramDependenceGraph,
                  fingerprint: dict, checker: str,
-                 telemetry: Optional["Telemetry"]) -> None:
+                 telemetry: Telemetry) -> None:
         self.store = store
         self.pdg = pdg
         self.checker = checker
@@ -487,7 +489,7 @@ class StoreBinding:
         self.stats.changed_functions = changed
         self.stats.dirty_functions = dirty
 
-    # -- driver hooks ----------------------------------------------------- #
+    # -- analysis-loop hooks --------------------------------------------- #
 
     def replay(self, candidates: list[BugCandidate],
                reports: dict[int, BugReport]) -> list[int]:
@@ -597,13 +599,12 @@ class StoreBinding:
         self.stats.io_errors = (
             (current["read_errors"] - base["read_errors"])
             + (current["write_errors"] - base["write_errors"]))
-        if self.telemetry is not None:
-            self.telemetry.record_store(
-                store_hits=self.stats.hits,
-                store_misses=self.stats.misses,
-                store_invalidations=self.stats.invalidations,
-                dirty_functions=len(self.stats.dirty_functions),
-                replayed_verdicts=self.stats.replayed_verdicts,
-                corrupt_entries=self.stats.corrupt_entries,
-                quarantined=self.stats.quarantined,
-                io_errors=self.stats.io_errors)
+        self.telemetry.record_store(
+            store_hits=self.stats.hits,
+            store_misses=self.stats.misses,
+            store_invalidations=self.stats.invalidations,
+            dirty_functions=len(self.stats.dirty_functions),
+            replayed_verdicts=self.stats.replayed_verdicts,
+            corrupt_entries=self.stats.corrupt_entries,
+            quarantined=self.stats.quarantined,
+            io_errors=self.stats.io_errors)

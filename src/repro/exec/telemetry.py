@@ -1,10 +1,11 @@
 """Structured analysis telemetry: stage timings, counters, solver stats.
 
-One :class:`Telemetry` instance accompanies one analysis run.  The driver
-and the query scheduler feed it per-stage wall times, per-query solver
-outcomes, store and view counters and peak modeled-memory readings; the
-CLI serialises the result as JSON (``repro analyze --telemetry out.json``)
-so benchmark sweeps and regressions can be diffed mechanically.
+One :class:`Telemetry` instance accompanies one analysis run.  The
+engine's analysis loop and the query scheduler feed it per-stage wall
+times, per-query solver outcomes, store and view counters and peak
+modeled-memory readings; the CLI serialises the result as JSON (``repro
+analyze --telemetry out.json``) so benchmark sweeps and regressions can
+be diffed mechanically.
 
 The object is thread-safe: the serve daemon's worker threads merge their
 runs into one daemon-wide instance concurrently.  Scheduler worker

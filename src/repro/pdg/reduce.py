@@ -303,7 +303,7 @@ class ViewRegistry:
 
     def flush_telemetry(self, telemetry) -> None:
         """Move accumulated counters into ``telemetry`` (at most once)."""
-        if telemetry is not None and self._pending:
+        if self._pending:
             telemetry.record_reduce(**self._pending)
             self._pending = {}
 

@@ -14,8 +14,9 @@ the pair:
    candidates found for the pair are byte-identical to the full run's.
 3. **Per-pair SMT** — surviving candidates are solved through the same
    query scheduler and report assembly as a full ``analyze``
-   (:func:`~repro.sparse.driver.solve_pending`, inline on the hot
-   engine): the same slicing, deadline and fresh solver per query.
+   (:meth:`~repro.exec.scheduler.QueryScheduler.solve_pending`, inline
+   on the hot engine): the same slicing, deadline and fresh solver per
+   query.
 4. **Verdict caching** — with an artifact store attached, pair
    verdicts replay from (and commit to) the *same* content-addressed
    entries a full ``analyze`` uses, so a query after an analysis is
@@ -35,10 +36,9 @@ from typing import Optional
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
 from repro.exec.faults import FaultPolicy
-from repro.exec.scheduler import ExecConfig
+from repro.exec.scheduler import ExecConfig, QueryScheduler
 from repro.exec.telemetry import Telemetry
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.sparse.driver import solve_pending
 from repro.sparse.engine import collect_candidates
 
 
@@ -142,7 +142,7 @@ def _region_edge_count(pdg: ProgramDependenceGraph,
 
 
 def run_demand_query(engine, checker: Checker, sink_indices,
-                     def_indices=None, *, store=None, telemetry=None,
+                     def_indices=None, *, telemetry: Telemetry, store=None,
                      deadline_s: Optional[float] = None) -> Verdict:
     """Resolve one (def sites, sink sites) pair against a hot engine.
 
@@ -155,7 +155,6 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     """
     from repro.engine.core import findings_payload
 
-    telemetry = telemetry if telemetry is not None else Telemetry()
     pdg: ProgramDependenceGraph = engine.pdg
     sinks = frozenset(sink_indices)
     defs = frozenset(def_indices) if def_indices is not None else None
@@ -187,10 +186,9 @@ def run_demand_query(engine, checker: Checker, sink_indices,
         # on this engine (pool workers would re-collect the full
         # candidate list, not ``matched``).
         faults = FaultPolicy(on_error="abort", query_timeout=deadline_s)
-        plan = engine._execution_plan(checker, ExecConfig(faults=faults),
-                                      telemetry)
-        solve_pending(plan.make_scheduler(None), matched, pending, tally,
-                      reports, binding)
+        scheduler = QueryScheduler(engine, checker,
+                                   ExecConfig(faults=faults), telemetry)
+        scheduler.solve_pending(matched, pending, tally, reports, binding)
 
     if binding is not None:
         binding.commit(matched, reports)

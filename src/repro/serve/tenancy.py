@@ -103,7 +103,7 @@ class TenantRegistry:
 
     def __init__(self, cache_root: Optional[str],
                  settings: EngineSettings, *,
-                 telemetry: Optional[Telemetry] = None,
+                 telemetry: Telemetry,
                  journal: bool = True,
                  fault_plan: Optional[FaultPlan] = None,
                  breaker_threshold: int = 3,
@@ -150,11 +150,9 @@ class TenantRegistry:
         compactions_before = journal.compactions
         journal.record_source(session.generation, session.source,
                               session.settings.to_payload())
-        if self.telemetry is not None:
-            self.telemetry.serve_add(
-                journal_records=1,
-                journal_compactions=(journal.compactions
-                                     - compactions_before))
+        self.telemetry.serve_add(
+            journal_records=1,
+            journal_compactions=journal.compactions - compactions_before)
 
     def create(self, tenant: str, source: str) -> TenantSession:
         """Create (or re-initialize) a tenant from full source text.
@@ -214,17 +212,16 @@ class TenantRegistry:
         entry = TenantSession(tenant, session, root, journal=journal,
                               breaker=self._make_breaker())
         self._tenants[tenant] = entry
-        if self.telemetry is not None:
-            self.telemetry.serve_add(
-                sessions_recovered=1,
-                recoveries_clean=1 if state.clean else 0,
-                recoveries_crash=0 if state.clean else 1)
-            # The rehydrate compile summarizes loops like any other
-            # accepted version; fold its counters in so recovered
-            # tenants aren't invisible in the telemetry loops section.
-            stats = getattr(session.pdg.program, "loop_stats", None)
-            if stats is not None:
-                self.telemetry.record_loops(**stats.as_dict())
+        self.telemetry.serve_add(
+            sessions_recovered=1,
+            recoveries_clean=1 if state.clean else 0,
+            recoveries_crash=0 if state.clean else 1)
+        # The rehydrate compile summarizes loops like any other accepted
+        # version; fold its counters in so recovered tenants aren't
+        # invisible in the telemetry loops section.
+        stats = getattr(session.pdg.program, "loop_stats", None)
+        if stats is not None:
+            self.telemetry.record_loops(**stats.as_dict())
         return entry
 
     def recoverable(self) -> list[str]:

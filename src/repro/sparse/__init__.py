@@ -1,12 +1,10 @@
-"""Sparse analysis framework: paths, propagation, analysis driver."""
+"""Sparse analysis framework: dependence paths and candidate collection."""
 
 from repro.sparse.paths import (DependencePath, Frame, FrameTable, PathStep,
                                 extend_path)
 from repro.sparse.engine import SparseConfig, collect_candidates
-from repro.sparse.driver import QueryRecord, run_analysis
 
 __all__ = [
     "DependencePath", "Frame", "FrameTable", "PathStep", "extend_path",
     "SparseConfig", "collect_candidates",
-    "QueryRecord", "run_analysis",
 ]

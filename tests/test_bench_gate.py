@@ -35,6 +35,7 @@ import pytest
 from repro.bench import pdg_for, run_engine
 from repro.bench.generator import LOOP_HEAVY_FAMILY, loop_heavy_source
 from repro.engine import CHECKER_FACTORIES, build_engine, findings_payload
+from repro.exec import Telemetry
 from repro.fusion import prepare_pdg
 from repro.lang import LoweringConfig, compile_source
 from repro.pdg import build_view
@@ -95,7 +96,8 @@ def demand_cell() -> list[dict]:
         by_pair.setdefault(key, (report, []))[1].append(finding)
     pairs = []
     for (source, sink), (sample, findings) in by_pair.items():
-        verdict = run_demand_query(engine, checker, {sink}, {source})
+        verdict = run_demand_query(engine, checker, {sink}, {source},
+                                   telemetry=Telemetry())
         pairs.append({
             "source": f"{sample.source.function}: {sample.source.stmt!r}",
             "sink": f"{sample.sink.function}: {sample.sink.stmt!r}",

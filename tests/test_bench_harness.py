@@ -105,18 +105,35 @@ class TestRunner:
         assert pdg_for("mcf") is pdg_for("mcf")
 
     def test_unknown_engine_rejected(self):
-        from repro.bench import make_engine, pdg_for
+        from repro.bench import pdg_for
+        from repro.engine import build_engine
         with pytest.raises(ValueError):
-            make_engine("nonsense", pdg_for("mcf"), None)
+            build_engine("nonsense", pdg_for("mcf"), want_model=False,
+                         budget=None)
 
     def test_variant_engine_construction(self):
-        from repro.bench import make_engine, pdg_for
-        engine = make_engine("pinpoint+lfs", pdg_for("mcf"), None)
+        from repro.bench import pdg_for
+        from repro.engine import build_engine
+        engine = build_engine("pinpoint+lfs", pdg_for("mcf"),
+                              want_model=False, budget=None)
         assert engine.name == "pinpoint+LFS"
 
     def test_query_records_captured(self):
         outcome = run_engine("mcf", "fusion", "null-deref")
         assert len(outcome.query_records) == outcome.result.smt_queries
+
+    def test_exec_config_reaches_the_scheduler(self):
+        from repro.exec import ExecConfig, FaultPlan, Telemetry
+        telemetry = Telemetry()
+        outcome = run_engine(
+            "mcf", "fusion", "null-deref", telemetry=telemetry,
+            exec_config=ExecConfig(
+                fault_plan=FaultPlan(raise_on_query=frozenset({0}))))
+        assert outcome.row()["errors"] == 1
+        assert [record.error is not None
+                for record in outcome.query_records] == [True, False]
+        assert telemetry.as_dict()["faults"]["query_errors"] == 1
+        assert telemetry.as_dict()["context"]["subject"] == "mcf"
 
 
 class TestReporting:

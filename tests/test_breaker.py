@@ -19,7 +19,7 @@ import time
 
 from repro.engine import findings_payload
 from repro.exec import (CircuitBreaker, ExecConfig, FaultPlan, FaultPolicy,
-                        Telemetry)
+                        QueryScheduler, Telemetry)
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.checkers import NullDereferenceChecker
 from repro.lang import LoweringConfig, compile_source
@@ -242,11 +242,11 @@ class TestSchedulerIntegration:
         engine = make_engine()
         breaker = CircuitBreaker(threshold=1)
         config = ExecConfig(jobs=2, backend="process", breaker=breaker)
-        plan = engine._execution_plan(NullDereferenceChecker(), config,
-                                      None)
-        assert plan is not None and plan.spec is not None
-        pickle.dumps(plan.spec)  # must not drag the breaker along
-        assert not hasattr(plan.spec, "breaker")
+        scheduler = QueryScheduler(engine, NullDereferenceChecker(), config,
+                                   Telemetry())
+        assert scheduler.spec is not None
+        pickle.dumps(scheduler.spec)  # must not drag the breaker along
+        assert not hasattr(scheduler.spec, "breaker")
 
     def test_disabled_breaker_is_the_identity(self):
         engine = make_engine()

@@ -423,6 +423,23 @@ SUBJECT_ARGS = {"analyze": ["--subject", "mcf"],
                 "bench": ["--subject", "mcf"], "serve": ["--stdio"]}
 
 
+class TestFaultPlanFlag:
+    """``--fault-plan`` is parsed once, by argparse: a malformed plan is
+    a bad argument like any other (exit 2, ``FaultPlan.parse``'s
+    message), on every subcommand that takes one."""
+
+    @pytest.mark.parametrize("command", ["analyze", "bench", "serve"])
+    def test_malformed_fault_plan_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *SUBJECT_ARGS[command], "--fault-plan",
+                  "bogus"])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "argument --fault-plan: malformed fault clause 'bogus'" \
+            in captured.err
+        assert captured.out == ""
+
+
 class TestRetiredExecFlags:
     """The thread and serial backends and ``--batch-size`` are gone: a
     solve runs inline or in a process pool, and the flags are refused."""

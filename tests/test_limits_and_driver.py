@@ -1,17 +1,20 @@
-"""Tests for resource budgets and the shared analysis driver."""
+"""Tests for resource budgets and the analysis loop every
+path-sensitive engine shares."""
 
 import time
+from dataclasses import dataclass, field
+from typing import Optional
 
 import pytest
 
 from repro.limits import (Budget, MemoryBudgetExceeded, TimeBudgetExceeded,
                           unlimited)
 from repro.checkers import NullDereferenceChecker
-from repro.exec.scheduler import ExecConfig, ExecutionPlan, WorkerSpec
+from repro.engine.base import PathSensitiveEngine
 from repro.fusion import prepare_pdg
 from repro.lang import compile_source
-from repro.smt.solver import SmtResult, SmtStatus
-from repro.sparse.driver import run_analysis
+from repro.smt.solver import SmtResult, SmtStatus, SolverConfig
+from repro.sparse.engine import SparseConfig
 
 
 class TestBudget:
@@ -64,19 +67,40 @@ fun f(a) {
 """
 
 
-def make_driver_run(solve_fn, **kwargs):
-    """``run_analysis`` with a bare per-candidate solve function as the
-    scheduler's query."""
-    pdg = prepare_pdg(compile_source(SRC))
-    checker = NullDereferenceChecker()
+@dataclass
+class StubConfig:
+    sparse: SparseConfig = field(default_factory=SparseConfig)
+    budget: Optional[Budget] = None
 
-    def query(candidate, the_slice, deadline=None):
-        return solve_fn(candidate), (123, 45)
 
-    spec = WorkerSpec(pdg, checker, None, lambda pdg, config: query, None)
-    plan = ExecutionPlan(ExecConfig(), spec)
-    return run_analysis(pdg, checker, "test-engine", plan,
-                        lambda: (123, 45), **kwargs)
+class StubEngine(PathSensitiveEngine):
+    """The shared loop around a bare per-candidate solve function."""
+
+    name = "test-engine"
+
+    def __init__(self, pdg, config, solve_fn):
+        super().__init__(pdg, config)
+        self.solve_fn = solve_fn
+
+    @property
+    def solver_config(self):
+        return SolverConfig()
+
+    def solve_one(self, candidate, the_slice, deadline):
+        return self.solve_fn(candidate)
+
+    def _memory_snapshot(self):
+        return 123, 45
+
+
+def make_engine(solve_fn, budget=None):
+    return StubEngine(prepare_pdg(compile_source(SRC)),
+                      StubConfig(budget=budget), solve_fn)
+
+
+def make_driver_run(solve_fn, budget=None):
+    """One ``analyze`` run of the stub engine."""
+    return make_engine(solve_fn, budget).analyze(NullDereferenceChecker())
 
 
 class TestDriver:
@@ -125,10 +149,10 @@ class TestDriver:
         assert result.decided_in_preprocess == 2
 
     def test_query_records_collected(self):
-        records = []
-        make_driver_run(lambda c: SmtResult(SmtStatus.SAT),
-                        query_records=records)
-        assert len(records) == 2
+        engine = make_engine(lambda c: SmtResult(SmtStatus.SAT))
+        engine.analyze(NullDereferenceChecker())
+        records = engine.query_records
+        assert [r.index for r in records] == [0, 1]
         assert all(r.status is SmtStatus.SAT for r in records)
 
     def test_unknown_queries_counted(self):
@@ -169,7 +193,7 @@ class TestQueryMetrics:
         return engine.analyze(NullDereferenceChecker()), engine.query_records
 
     def test_condition_nodes_populated(self):
-        # Regression: QueryRecord.condition_nodes used to stay 0 because
+        # Regression: a record's condition_nodes used to stay 0 because
         # SmtResult never carried the queried constraint-set size.
         result, records = self._run(conflict_limit=200_000)
         assert records, "no queries issued"

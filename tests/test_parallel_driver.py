@@ -21,7 +21,8 @@ import pytest
 from repro.baselines import PinpointEngine
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
-from repro.exec import ExecConfig, FaultPolicy
+from repro.exec import (ExecConfig, FaultPolicy, QueryScheduler, Telemetry,
+                        WorkerSpec)
 from repro.exec.scheduler import _WorkerState
 from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
                           prepare_pdg)
@@ -77,12 +78,11 @@ def assert_order_independent(engine, checker, seed):
     """Solve the run's candidates as a pool worker does, in reversed and
     in seeded-shuffle order: each outcome must equal the inline rung's
     (the caller's engine, index order) at the same index."""
-    plan = engine._execution_plan(checker, None, None)
-    worker = _WorkerState(plan.spec, FaultPolicy())
+    worker = _WorkerState(WorkerSpec.of(engine, checker), FaultPolicy())
     candidates = worker.candidates
     assert candidates, "fuzz spec generated no candidates"
-    expected = [visible(outcome)
-                for outcome in plan.make_scheduler(None).run(candidates)]
+    scheduler = QueryScheduler(engine, checker, ExecConfig(), Telemetry())
+    expected = [visible(outcome) for outcome in scheduler.run(candidates)]
     shuffled = list(range(len(candidates)))
     random.Random(seed).shuffle(shuffled)
     for order in (list(reversed(range(len(candidates)))), shuffled):
@@ -116,6 +116,30 @@ def test_process_pool_matches_sequential(seed):
         checker, exec_config=ExecConfig(jobs=2, backend="process"))
     assert canonical(parallel) == canonical(sequential)
     assert run_stats(parallel) == run_stats(sequential)
+
+
+def query_record_fields(engine):
+    return [(record.index, record.status, record.decided_in_preprocess,
+             record.condition_nodes, record.sat_clauses)
+            for record in engine.query_records]
+
+
+def test_process_pool_query_records_match_inline():
+    """``engine.query_records`` holds the run's outcomes in index order,
+    whichever rung solved them: a two-job process pool records the
+    inline run's status, preprocess decision, condition size and clause
+    count at every index."""
+    pdg = fuzz_pdg(SMALL_SEEDS[1])
+    checker = NullDereferenceChecker()
+    inline = fusion_with_witness(pdg)
+    inline.analyze(checker)
+    pooled = fusion_with_witness(pdg)
+    pooled.analyze(checker,
+                   exec_config=ExecConfig(jobs=2, backend="process"))
+    expected = query_record_fields(inline)
+    assert [fields[0] for fields in expected] == list(range(len(expected)))
+    assert any(fields[4] for fields in expected), "no query reached SAT"
+    assert query_record_fields(pooled) == expected
 
 
 def test_pinpoint_process_pool_matches_sequential():

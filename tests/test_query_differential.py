@@ -189,7 +189,7 @@ def test_prefilter_skips_exactly_the_sources_that_cannot_reach():
         source = fuzz_source(seed)
         session = AnalysisSession(source)
         pdg = session.pdg
-        view = session.engine.checker_view(checker)
+        view = session.engine.views.view_for(checker)
         sources = view.live_sources
 
         def successors(index):
