@@ -32,6 +32,34 @@ from repro.pdg import pdg_to_dot
 #: ``repro <cmd>: LINE:COL: message`` and exits 2.
 FRONTEND_ERRORS = (LexError, ParseError, LoweringError)
 
+
+class InputError(Exception):
+    """An input a command cannot read: a missing file or an unknown
+    registry subject.  Reported like a malformed source: ``repro <cmd>:
+    message``, exit 2."""
+
+
+def _read_file(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as error:
+        raise InputError(error) from None
+
+
+def _registry_subject(name: str, or_file: bool = False):
+    """The registry subject called ``name``; ``or_file`` says the
+    command would also have taken a path."""
+    from repro.bench.subjects import subject_by_name
+
+    try:
+        return subject_by_name(name)
+    except KeyError:
+        raise InputError(
+            f"unknown subject {name!r} — not a registry subject (see "
+            f"`repro subjects`)" + (" and no such file" if or_file else "")
+        ) from None
+
 #: What ``--backend auto`` means, on every subcommand that takes it.
 AUTO_BACKEND_HELP = "auto: in-process at one job, process pool above"
 
@@ -334,11 +362,7 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    if args.file == "-":
-        source = sys.stdin.read()
-    else:
-        with open(args.file) as handle:
-            source = handle.read()
+    source = sys.stdin.read() if args.file == "-" else _read_file(args.file)
     try:
         pdg = prepare_pdg(compile_source(source, _lowering_config(args)))
     except ValueError as error:  # bad width, arity mismatch, recursion
@@ -439,8 +463,7 @@ def _make_store(args: argparse.Namespace):
         return None
     from repro.exec import ArtifactStore
 
-    return ArtifactStore(args.cache_dir, label=args.subject,
-                         fault_plan=args.fault_plan)
+    return ArtifactStore(args.cache_dir, fault_plan=args.fault_plan)
 
 
 def _collections() -> list[int]:
@@ -472,6 +495,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     collections = _collections()
     exec_config, telemetry = _exec_options(args)
+    _registry_subject(args.subject)  # an unknown name exits 2 here
     outcome = run_engine(args.subject, args.engine, args.checker,
                          time_budget=args.time_budget,
                          exec_config=exec_config, telemetry=telemetry,
@@ -487,15 +511,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro.exec import Telemetry
 
     collections = _collections()
-    if args.file == "-":
-        source = sys.stdin.read()
-    else:
-        try:
-            with open(args.file) as handle:
-                source = handle.read()
-        except OSError as error:
-            print(f"repro query: {error}", file=sys.stderr)
-            return 2
+    source = sys.stdin.read() if args.file == "-" else _read_file(args.file)
     sink_text, _, col_text = args.sink.partition(":")
     try:
         sink_line = int(sink_text)
@@ -507,7 +523,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     store = None
     if args.cache_dir is not None:
         from repro.exec import ArtifactStore
-        store = ArtifactStore(args.cache_dir, label=args.file)
+        store = ArtifactStore(args.cache_dir)
     telemetry = Telemetry()
     try:
         session = AnalysisSession(source, settings=_engine_settings(args),
@@ -563,26 +579,21 @@ def _resolve_subject_program(name: str,
     config = _lowering_config(args) if args is not None \
         else LoweringConfig()
     if os.path.exists(name):
-        with open(name) as handle:
-            return compile_source(handle.read(), config)
+        return compile_source(_read_file(name), config)
     from dataclasses import replace
 
     from repro.bench.generator import generate_subject
-    from repro.bench.subjects import materialize, subject_by_name
+    from repro.bench.subjects import materialize
 
-    try:
-        if args is None:
-            return materialize(name).program
-        spec = replace(subject_by_name(name).spec,
-                       loop_unroll=config.loop_unroll,
-                       width=config.width,
-                       loop_strategy=config.loop_strategy,
-                       loop_paths=config.loop_paths)
-        return generate_subject(spec).program
-    except KeyError:
-        raise SystemExit(
-            f"repro analyze: unknown subject {name!r} — not a registry "
-            f"subject (see `repro subjects`) and no such file")
+    subject = _registry_subject(name, or_file=True)
+    if args is None:
+        return materialize(name).program
+    spec = replace(subject.spec,
+                   loop_unroll=config.loop_unroll,
+                   width=config.width,
+                   loop_strategy=config.loop_strategy,
+                   loop_paths=config.loop_paths)
+    return generate_subject(spec).program
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -727,7 +738,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 "pdg": cmd_pdg, "lint": cmd_lint}
     try:
         return handlers[args.command](args)
-    except FRONTEND_ERRORS as error:
+    except (*FRONTEND_ERRORS, InputError) as error:
         print(f"repro {args.command}: {error}", file=sys.stderr)
         return 2
 

@@ -158,8 +158,7 @@ class PathSensitiveEngine:
             result.failure = "resource"
         if binding is not None:
             # Persist this run's verdicts (partial results included on
-            # budget aborts) and the function records the next diff
-            # starts from.
+            # budget aborts).
             with telemetry.stage("store_commit"):
                 binding.commit(candidates, reports)
         result.reports = [reports[index] for index in sorted(reports)]

@@ -35,21 +35,9 @@ sha256(config || checker || candidate fingerprint)``, and carries its
 dependency sets: content keys for the functions the slice actually
 touched, interface keys for every other function transitively callable
 from them.  An entry replays iff every recorded dependency matches the
-current program.
-
-Invalidation and the dirty set
-------------------------------
-
-On a warm run the binding diffs the persisted per-function records
-against the current program and derives the **dirty set**: functions
-whose content key changed (edited, added, deleted), functions whose
-interface key changed (their summary shifted, possibly without a body
-edit), and the direct callers of interface-changed functions (they read
-the stale summary).  The dirty set is reported through telemetry
-(``store.dirty_functions``); replay decisions themselves always re-check
-the per-entry dependency records, so correctness never rests on the
-call-graph propagation.  The keys are derived once per program version
-(:class:`ProgramIndex`); the diff and the record read run on every bind.
+current program.  The keys are derived once per program version
+(:class:`ProgramIndex`), so binding a run does no disk I/O; the store
+holds verdict entries and nothing else.
 
 Corruption policy: every persisted payload carries a sha256 checksum
 verified on read.  A file that is torn, truncated, bit-flipped, or
@@ -69,7 +57,7 @@ import hashlib
 import json
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.checkers.base import BugCandidate, BugReport
@@ -148,11 +136,6 @@ class ProgramIndex:
             self.callees[name] = tuple(sorted(
                 {s.callee for s in fn.statements()
                  if isinstance(s, Call)}))
-        #: The per-function records a commit persists.
-        self.records: dict[str, dict] = {
-            name: {"content": self.content[name],
-                   "interface": self.interface[name]}
-            for name in sorted(self.content)}
         # Stable coordinates: a vertex is (its function, its position
         # in that function); one list slot per vertex index keeps the
         # index small enough to live as long as the PDG.
@@ -179,34 +162,26 @@ class StoreRunStats:
     """One run's store activity (mirrored into telemetry's ``store``
     section and exposed for tests via ``ArtifactStore.last_run``)."""
 
-    cold: bool = True                 # no prior function records existed
     hits: int = 0                     # entries replayed
     misses: int = 0                   # candidates with no entry
     invalidations: int = 0            # entries present but stale deps
-    replayed_verdicts: int = 0        # == hits (kept for schema clarity)
     committed: int = 0                # entries written this run
     corrupt_entries: int = 0          # checksum/parse failures this run
     quarantined: int = 0              # files moved to quarantine/ this run
     io_errors: int = 0                # OSErrors on read/write this run
-    changed_functions: set[str] = field(default_factory=set)
-    dirty_functions: set[str] = field(default_factory=set)
 
 
 class ArtifactStore:
-    """A cache directory holding verdict entries and function records.
+    """A cache directory holding verdict entries.
 
     One instance may serve many runs (and many subjects — entries are
     content-addressed, so runs can never observe each other's artifacts
-    except by agreeing on every key component).  ``label`` scopes the
-    per-function record file used for dirty-set reporting; runs on
-    different programs should use different labels (the CLI passes the
-    subject name).
+    except by agreeing on every key component).
     """
 
-    def __init__(self, root: str, label: str = "default",
+    def __init__(self, root: str,
                  fault_plan: Optional["FaultPlan"] = None) -> None:
         self.root = root
-        self.label = label
         #: Optional fault plan driving the store-I/O injection sites;
         #: read/write ordinals count per store instance, in op order.
         self.fault_plan = fault_plan
@@ -225,10 +200,6 @@ class ArtifactStore:
 
     def _object_path(self, key: str) -> str:
         return os.path.join(self.root, "objects", key[:2], f"{key}.json")
-
-    def _state_path(self, config_key: str) -> str:
-        name = _sha(f"{self.label}\n{config_key}")[:32]
-        return os.path.join(self.root, "state", f"{name}.json")
 
     def _count(self, key: str, amount: int = 1) -> None:
         with self._io_lock:
@@ -336,34 +307,14 @@ class ArtifactStore:
         self._write_json(self._object_path(key), dict(entry,
                                                       schema=STORE_SCHEMA))
 
-    def read_function_records(self, config_key: str
-                              ) -> Optional[dict[str, dict]]:
-        state = self._read_json(self._state_path(config_key))
-        if state is None or state.get("schema") != STORE_SCHEMA:
-            return None
-        records = state.get("functions")
-        return records if isinstance(records, dict) else None
-
-    def write_function_records(self, config_key: str,
-                               records: dict[str, dict]) -> None:
-        self._write_json(self._state_path(config_key),
-                         {"schema": STORE_SCHEMA, "label": self.label,
-                          "functions": records})
-        self._write_json(os.path.join(self.root, "meta.json"),
-                         {"schema": STORE_SCHEMA,
-                          "fingerprint_version": FINGERPRINT_VERSION})
-
     # -- run binding ----------------------------------------------------- #
 
     def bind(self, pdg: ProgramDependenceGraph, fingerprint: dict,
-             checker: str, telemetry: Optional[Telemetry] = None
-             ) -> "StoreBinding":
+             checker: str, telemetry: Telemetry) -> "StoreBinding":
         """Prepare one run: look up the program version's keys (derived
-        once per PDG, see :class:`ProgramIndex`), diff them against the
-        persisted records, and hand back the replay/commit hooks the
-        analysis loop calls.  ``telemetry`` receives the run's store
-        counters at commit."""
-        telemetry = telemetry if telemetry is not None else Telemetry()
+        once per PDG, see :class:`ProgramIndex`) and hand back the
+        replay/commit hooks the analysis loop calls.  ``telemetry``
+        receives the run's store counters at commit."""
         binding = StoreBinding(self, pdg, fingerprint, checker, telemetry)
         self.last_run = binding.stats
         return binding
@@ -385,10 +336,6 @@ class StoreBinding:
             fingerprint, store_schema=STORE_SCHEMA,
             fingerprint_version=FINGERPRINT_VERSION)))
         self.index = ProgramIndex.of(pdg)
-        #: The verified records this bind read (None when cold or
-        #: unreadable); ``commit`` rewrites them only when they differ.
-        self._previous = store.read_function_records(self.config_key)
-        self._compute_dirty()
         self._replayed: set[int] = set()
         self._uncacheable: set[int] = set()
 
@@ -457,38 +404,6 @@ class StoreBinding:
                           for fn in sorted(weak)},
         }
 
-    # -- dirty set -------------------------------------------------------- #
-
-    def _compute_dirty(self) -> None:
-        previous = self._previous
-        if previous is None:
-            return  # cold: nothing recorded, nothing to invalidate
-        self.stats.cold = False
-        content, interface = self.index.content, self.index.interface
-        names = set(previous) | set(content)
-        changed: set[str] = set()
-        interface_changed: set[str] = set()
-        for name in names:
-            old = previous.get(name, {})
-            if old.get("content") != content.get(name):
-                changed.add(name)
-            old_iface = old.get("interface")
-            new_iface = interface.get(name)
-            if name not in previous or name not in content \
-                    or old_iface != new_iface:
-                interface_changed.add(name)
-        dirty = set(changed)
-        for name, callees in self.index.callees.items():
-            if any(callee in interface_changed for callee in callees):
-                dirty.add(name)
-        # Deleted functions' callers read a new "extern" interface.
-        deleted = set(previous) - set(content)
-        for name, callees in self.index.callees.items():
-            if any(callee in deleted for callee in callees):
-                dirty.add(name)
-        self.stats.changed_functions = changed
-        self.stats.dirty_functions = dirty
-
     # -- analysis-loop hooks --------------------------------------------- #
 
     def replay(self, candidates: list[BugCandidate],
@@ -513,7 +428,6 @@ class StoreBinding:
                 pending.append(index)
                 continue
             self.stats.hits += 1
-            self.stats.replayed_verdicts += 1
             self._replayed.add(index)
             reports[index] = report
         return pending
@@ -566,9 +480,7 @@ class StoreBinding:
 
     def commit(self, candidates: list[BugCandidate],
                reports: dict[int, BugReport]) -> None:
-        """Persist every verdict solved this run plus the per-function
-        records the next run's dirty-set diff needs (rewritten only when
-        they differ from the verified records this bind read)."""
+        """Persist every verdict solved this run."""
         for index, report in reports.items():
             if index in self._replayed or index in self._uncacheable:
                 continue
@@ -588,9 +500,6 @@ class StoreBinding:
                 },
             })
             self.stats.committed += 1
-        if self._previous != self.index.records:
-            self.store.write_function_records(self.config_key,
-                                              self.index.records)
         current = self.store.integrity_snapshot()
         base = self._integrity_base
         self.stats.corrupt_entries = (current["corrupt_entries"]
@@ -603,8 +512,7 @@ class StoreBinding:
             store_hits=self.stats.hits,
             store_misses=self.stats.misses,
             store_invalidations=self.stats.invalidations,
-            dirty_functions=len(self.stats.dirty_functions),
-            replayed_verdicts=self.stats.replayed_verdicts,
+            replayed_verdicts=self.stats.hits,
             corrupt_entries=self.stats.corrupt_entries,
             quarantined=self.stats.quarantined,
             io_errors=self.stats.io_errors)

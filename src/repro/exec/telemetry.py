@@ -59,7 +59,9 @@ from repro.smt.solver import SmtStatus
 #: /13 added the "gc" section (cyclic-collector runs per generation).
 #: /14 dropped the "incremental" and "caches" sections (solver sessions
 #: and the slice cache were deleted).
-SCHEMA = "repro-exec-telemetry/14"
+#: /15 dropped the dirty-set size from the "store" section (the store
+#: keeps only verdict entries).
+SCHEMA = "repro-exec-telemetry/15"
 
 #: Request-latency samples kept for the percentile estimates; the serve
 #: soak keeps a daemon alive indefinitely, so the window is bounded
@@ -87,7 +89,6 @@ class Telemetry:
             "store_hits": 0,           # verdicts found valid in the store
             "store_misses": 0,         # candidates never seen before
             "store_invalidations": 0,  # entries present but stale
-            "dirty_functions": 0,      # size of this run's dirty set
             "replayed_verdicts": 0,    # reports served without any solve
             "corrupt_entries": 0,      # payloads failing checksum/parse
             "quarantined": 0,          # corrupt files moved to quarantine/

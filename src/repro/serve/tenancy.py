@@ -125,8 +125,7 @@ class TenantRegistry:
             return None, None
         digest = hashlib.sha256(tenant.encode()).hexdigest()[:24]
         root = os.path.join(self.cache_root, "tenants", digest)
-        return ArtifactStore(root, label=tenant,
-                             fault_plan=self.fault_plan), root
+        return ArtifactStore(root, fault_plan=self.fault_plan), root
 
     def _make_breaker(self) -> Optional[CircuitBreaker]:
         if self.breaker_threshold <= 0:

@@ -278,6 +278,40 @@ class TestMalformedSource:
         assert captured.out == ""
 
 
+class TestUnreadableInput:
+    """A missing file or an unknown registry subject is a bad argument:
+    one ``repro <cmd>: message`` line, exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "{}"],
+        ["query", "{}", "--checker", "null-deref", "--sink", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_missing_file_exits_two(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "missing.fl")
+        code = main([missing if arg == "{}" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (f"repro {argv[0]}: [Errno 2] No such "
+                                f"file or directory: {missing!r}\n")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--subject", "nosuch"],
+        ["analyze", "--subject", "nosuch"],
+        ["pdg", "--subject", "nosuch"],
+        ["lint", "nosuch"],
+    ], ids=lambda argv: argv[0])
+    def test_unknown_subject_exits_two(self, argv, capsys):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(
+            f"repro {argv[0]}: unknown subject 'nosuch' — not a registry "
+            f"subject (see `repro subjects`)")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
 class TestTriageFlag:
     """The triage pre-pass is gone: both spellings of its switch are
     refused by argparse, and the default run reports what the run

@@ -565,7 +565,7 @@ class TestStoreFingerprintInteraction:
         edited = self.SRC.replace("acc + m", "acc + m + 1")
         settings = EngineSettings(loop_strategy=strategy)
         with tempfile.TemporaryDirectory() as root:
-            store = ArtifactStore(root, label="loops")
+            store = ArtifactStore(root)
             session = AnalysisSession(self.SRC, settings=settings,
                                       store=store)
             session.analyze("null-deref")

@@ -170,7 +170,7 @@ def test_store_cold_warm_and_loop_edit(seed, strategy):
     assert edited != source
     settings = EngineSettings(loop_strategy=strategy)
     with tempfile.TemporaryDirectory() as root:
-        store = ArtifactStore(root, label="loops-diff")
+        store = ArtifactStore(root)
         session = AnalysisSession(source, settings=settings, store=store)
         cold = session.analyze("null-deref")
         warm = session.analyze("null-deref")

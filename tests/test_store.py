@@ -97,26 +97,25 @@ class TestFingerprints:
 class TestWarmReplay:
     def test_unchanged_program_replays_everything(self, tmp_path):
         src = fuzz_source(11)
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         cold = analyze(src, store=store)
         assert cold.candidates > 0
-        assert store.last_run.cold
+        assert store.last_run.hits == 0
         assert store.last_run.committed == cold.candidates
 
         warm = analyze(src, store=store)
         stats = store.last_run
-        assert not stats.cold
         assert warm.smt_queries == 0
         assert warm.replayed_verdicts == warm.candidates
         assert stats.hits == cold.candidates
         assert stats.misses == 0 and stats.invalidations == 0
-        assert stats.dirty_functions == set()
+        assert stats.committed == 0
         assert report_key(warm) == report_key(cold)
         assert all(r.replayed for r in warm.reports)
 
     def test_replay_counts_flow_into_telemetry(self, tmp_path):
         src = fuzz_source(12)
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         analyze(src, store=store)
         telemetry = Telemetry()
         warm = analyze(src, store=store, telemetry=telemetry)
@@ -124,11 +123,14 @@ class TestWarmReplay:
         assert section["store_hits"] == warm.candidates
         assert section["replayed_verdicts"] == warm.candidates
         assert section["store_misses"] == 0
-        assert section["dirty_functions"] == 0
+        assert set(section) == {
+            "store_hits", "store_misses", "store_invalidations",
+            "replayed_verdicts", "corrupt_entries", "quarantined",
+            "io_errors"}
 
     def test_different_config_never_shares_entries(self, tmp_path):
         src = fuzz_source(13)
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         analyze(src, store=store)
         from repro.fusion import FusionConfig, GraphSolverConfig
 
@@ -138,7 +140,7 @@ class TestWarmReplay:
         engine.analyze(NullDereferenceChecker(), store=store)
         stats = store.last_run
         assert stats.hits == 0  # distinct config fingerprint, distinct keys
-        assert stats.cold      # and distinct per-function state records
+        assert stats.misses == stats.committed > 0
 
 
 # --------------------------------------------------------------------- #
@@ -149,7 +151,7 @@ class TestWarmReplay:
 class TestInvalidation:
     def test_edit_invalidates_only_dependents(self, tmp_path):
         src = fuzz_source(21)
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         cold = analyze(src, store=store)
         edited = edit_one_constant(src)
         warm = analyze(edited, store=store)
@@ -164,13 +166,13 @@ class TestInvalidation:
 
     def test_added_function_keeps_existing_verdicts(self, tmp_path):
         src = fuzz_source(22)
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         cold = analyze(src, store=store)
         grown = src + ("\nfun zzz_new(a, b) {\n  v1 = a + 1;\n"
                        "  return v1 * 2 + 1;\n}\n")
         warm = analyze(grown, store=store)
         stats = store.last_run
-        assert stats.dirty_functions == {"zzz_new"}
+        assert report_key(warm) == report_key(cold)
         assert stats.hits == cold.candidates
         assert warm.smt_queries == 0
 
@@ -178,11 +180,12 @@ class TestInvalidation:
         extra = ("\nfun zzz_new(a, b) {\n  v1 = a + 1;\n"
                  "  return v1 * 2 + 1;\n}\n")
         src = fuzz_source(23)
-        store = ArtifactStore(str(tmp_path), label="t")
-        analyze(src + extra, store=store)
+        store = ArtifactStore(str(tmp_path))
+        cold = analyze(src + extra, store=store)
         warm = analyze(src, store=store)
         stats = store.last_run
-        assert "zzz_new" in stats.changed_functions
+        # Nothing called the deleted function, so no entry read it.
+        assert stats.hits == warm.candidates == cold.candidates
         assert report_key(warm) == report_key(analyze(src))
 
 
@@ -194,9 +197,10 @@ class TestInvalidation:
 class TestUncacheable:
     def test_unknown_is_never_persisted(self, tmp_path):
         src = fuzz_source(31)
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         pdg = prepare_pdg(program_of(src))
-        binding = store.bind(pdg, {"engine": "fusion"}, "null-deref")
+        binding = store.bind(pdg, {"engine": "fusion"}, "null-deref",
+                             Telemetry())
         from repro.checkers.base import BugReport
         from repro.sparse.engine import collect_candidates
 
@@ -211,7 +215,8 @@ class TestUncacheable:
         binding.commit(candidates, reports)
         assert store.last_run.committed == 0
         # And the next run misses on everything.
-        binding2 = store.bind(pdg, {"engine": "fusion"}, "null-deref")
+        binding2 = store.bind(pdg, {"engine": "fusion"}, "null-deref",
+                              Telemetry())
         assert binding2.replay(candidates, {}) \
             == list(range(len(candidates)))
         assert binding2.stats.misses == len(candidates)
@@ -230,7 +235,7 @@ class TestCorruption:
     ])
     def test_corrupt_entries_degrade_to_miss(self, tmp_path, garbage):
         src = fuzz_source(41)
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         cold = analyze(src, store=store)
         for path in self._object_files(str(tmp_path)):
             with open(path, "w") as handle:
@@ -243,25 +248,52 @@ class TestCorruption:
         assert again.smt_queries == 0
 
     def test_corrupt_state_file_means_cold_diff(self, tmp_path):
+        """A store written by an older layout, with its per-function
+        ``state/`` records (here garbage) and ``meta.json``, replays
+        every verdict and leaves both files alone."""
         src = fuzz_source(42)
-        store = ArtifactStore(str(tmp_path), label="t")
-        analyze(src, store=store)
-        state_dir = os.path.join(str(tmp_path), "state")
-        for name in os.listdir(state_dir):
-            with open(os.path.join(state_dir, name), "w") as handle:
-                handle.write("{broken")
-        warm = analyze(src, store=store)
-        # Entries themselves are intact, so verdicts still replay; only
-        # the dirty-set diff loses its baseline.
-        assert store.last_run.cold
+        store = ArtifactStore(str(tmp_path))
+        cold = analyze(src, store=store)
+        leftovers = {
+            os.path.join(str(tmp_path), "state", "0" * 32 + ".json"):
+                b"{broken",
+            os.path.join(str(tmp_path), "meta.json"):
+                b'{"fingerprint_version":1,"schema":"repro-exec-store/2"}',
+        }
+        for path, body in leftovers.items():
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(path, "wb") as handle:
+                handle.write(body)
+        warm = analyze(src, store=ArtifactStore(str(tmp_path)))
         assert warm.smt_queries == 0
+        assert warm.replayed_verdicts == cold.candidates
+        for path, body in leftovers.items():
+            with open(path, "rb") as handle:
+                assert handle.read() == body
+
+    def test_warm_run_reads_only_its_entries(self, tmp_path, monkeypatch):
+        src = fuzz_source(44)
+        store = ArtifactStore(str(tmp_path))
+        cold = analyze(src, store=store)
+        reads = []
+        read = ArtifactStore._read_json
+
+        def counting_read(self, path):
+            reads.append(path)
+            return read(self, path)
+
+        monkeypatch.setattr(ArtifactStore, "_read_json", counting_read)
+        warm = analyze(src, store=store)
+        assert warm.smt_queries == 0
+        assert len(reads) == warm.candidates == cold.candidates
+        assert len(set(reads)) == len(reads)
 
     def test_store_dir_never_required(self, tmp_path):
         """A store rooted at an unwritable path degrades to no caching."""
         blocked = os.path.join(str(tmp_path), "flat")
         with open(blocked, "w") as handle:
             handle.write("a plain file where the store dir should be")
-        store = ArtifactStore(blocked, label="t")
+        store = ArtifactStore(blocked)
         src = fuzz_source(43)
         result = analyze(src, store=store)
         assert result.failure is None
@@ -272,7 +304,7 @@ class TestCorruption:
 class TestEntryLayout:
     def test_entries_are_schema_tagged_checksummed_json(self, tmp_path):
         src = fuzz_source(51)
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         analyze(src, store=store)
         files = TestCorruption()._object_files(str(tmp_path))
         assert files

@@ -4,12 +4,15 @@ For 25 seeded generator programs, a cold ``--cache-dir`` run is followed
 by warm runs against four mutation kinds — no-op whitespace, a
 single-function body edit, a function added, a function deleted — and
 each warm result must equal a from-scratch cold run on the mutated
-program.  The no-op and single-edit cases additionally pin the dirty
-set exactly: empty for the no-op, exactly the edited function for a
-body edit that leaves the function's interface (quick-path summary,
-parameters, return variable) unchanged.
+program.  The no-op and single-edit cases additionally pin replay per
+entry: the no-op replays everything, and a body edit that leaves the
+function's interface (quick-path summary, parameters, return variable)
+unchanged replays exactly the candidates whose cold entry did not read
+the edited function's body.
 """
 
+import json
+import os
 import re
 import tempfile
 
@@ -17,7 +20,7 @@ import pytest
 
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
-from repro.exec import ArtifactStore
+from repro.exec import ArtifactStore, Telemetry
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.lang import LoweringConfig, compile_source
 
@@ -35,8 +38,23 @@ def fuzz_source(seed: int) -> str:
 
 
 def analyze(source: str, store=None):
+    return analyze_with_engine(source, store)[0]
+
+
+def analyze_with_engine(source: str, store=None):
     pdg = prepare_pdg(compile_source(source, LoweringConfig()))
-    return FusionEngine(pdg).analyze(NullDereferenceChecker(), store=store)
+    engine = FusionEngine(pdg)
+    return engine.analyze(NullDereferenceChecker(), store=store), engine
+
+
+def stored_entries(root: str) -> dict[str, dict]:
+    """Every entry in the store, by key."""
+    entries = {}
+    for dirpath, _dirs, files in os.walk(os.path.join(root, "objects")):
+        for name in files:
+            with open(os.path.join(dirpath, name)) as handle:
+                entries[name[:-len(".json")]] = json.load(handle)
+    return entries
 
 
 def report_key(result):
@@ -74,14 +92,13 @@ def delete_function(source: str) -> tuple[str, str]:
 def test_noop_whitespace_replays_everything(seed):
     src = fuzz_source(seed)
     with tempfile.TemporaryDirectory() as root:
-        store = ArtifactStore(root, label="diff")
+        store = ArtifactStore(root)
         cold = analyze(src, store=store)
         assert cold.candidates > 0, "fuzz spec generated no candidates"
         mutated, _ = whitespace_noop(src)
         warm = analyze(mutated, store=store)
         stats = store.last_run
-        assert stats.dirty_functions == set()
-        assert stats.changed_functions == set()
+        assert stats.hits == warm.candidates
         assert warm.smt_queries == 0
         assert warm.replayed_verdicts == warm.candidates
         assert report_key(warm) == report_key(cold)
@@ -91,18 +108,26 @@ def test_noop_whitespace_replays_everything(seed):
 def test_single_function_edit_dirties_exactly_that_function(seed):
     src = fuzz_source(seed)
     with tempfile.TemporaryDirectory() as root:
-        store = ArtifactStore(root, label="diff")
+        store = ArtifactStore(root)
         analyze(src, store=store)
+        cold_entries = stored_entries(root)
         mutated, edited_fn = body_edit(src)
-        warm = analyze(mutated, store=store)
+        warm, engine = analyze_with_engine(mutated, store=store)
         stats = store.last_run
-        assert stats.changed_functions == {edited_fn}
-        assert stats.dirty_functions == {edited_fn}
         assert report_key(warm) == report_key(analyze(mutated))
-        # Only candidates whose recorded deps include the edited
-        # function may re-solve; everything else replays.
         assert stats.hits + stats.invalidations + stats.misses \
             == warm.candidates
+        # A candidate replays exactly when its cold entry exists and
+        # did not read the edited function's body.
+        checker = NullDereferenceChecker()
+        binding = store.bind(engine.pdg, engine._store_fingerprint(checker),
+                             checker.name, Telemetry())
+        assert len(warm.reports) == warm.candidates
+        for report in warm.reports:
+            entry = cold_entries.get(binding.candidate_key(report.candidate))
+            assert report.replayed == (
+                entry is not None
+                and edited_fn not in entry["deps"]["content"])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -113,19 +138,18 @@ def test_mutated_warm_equals_mutated_cold(seed):
     src = fuzz_source(seed)
     mutate = (body_edit, add_function, delete_function)[seed % 3]
     with tempfile.TemporaryDirectory() as root:
-        store = ArtifactStore(root, label="diff")
+        store = ArtifactStore(root)
         cold_src = src + EXTRA_FUNCTION if mutate is delete_function \
             else src
         analyze(cold_src, store=store)
-        mutated, touched = mutate(src)
+        mutated, _ = mutate(src)
         warm = analyze(mutated, store=store)
         stats = store.last_run
-        assert not stats.cold
-        if mutate is add_function:
-            assert stats.dirty_functions == {touched}
-            assert warm.smt_queries == 0  # nothing calls the new function
-        if mutate is delete_function:
-            assert touched in stats.changed_functions
+        if mutate in (add_function, delete_function):
+            # Nothing calls the added or deleted function, so no entry
+            # read it.
+            assert stats.hits == warm.candidates
+            assert warm.smt_queries == 0
         fresh = analyze(mutated)
         assert report_key(warm) == report_key(fresh)
         assert warm.candidates == fresh.candidates

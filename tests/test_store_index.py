@@ -1,6 +1,6 @@
 """The artifact store's per-version key index (`repro.exec.store`).
 
-Contract under test (docs/caching.md, "A warm run proceeds in three
+Contract under test (docs/caching.md, "A warm run proceeds in two
 steps"):
 
 * a program version's store keys are derived once: every ``analyze``
@@ -11,7 +11,8 @@ steps"):
   per-function interface recomputation give;
 * entry keys and dependency records are unchanged by the index (a
   store written before it replays in full);
-* a commit rewrites the per-function records only when they changed;
+* a commit writes only the entries it solved: a warm run writes
+  nothing;
 * the index lives and dies with its PDG: it never keeps an old program
   version alive and is never pickled into process workers.
 """
@@ -30,7 +31,7 @@ from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
 from repro.engine import AnalysisSession
 from repro.engine.core import CHECKER_FACTORIES
-from repro.exec import ArtifactStore
+from repro.exec import ArtifactStore, Telemetry
 from repro.exec.store import ABSENT_INTERFACE, ProgramIndex
 from repro.fusion import prepare_pdg
 from repro.fusion.quickpath import QuickPathTable
@@ -126,10 +127,6 @@ def test_index_keys_match_fresh_derivation(tmp_path):
         # A fresh quick-path table per function: no shared memo.
         assert index.interface[name] == store_module._interface_key(
             pdg, QuickPathTable(pdg), name)
-    assert index.records == {
-        name: {"content": index.content[name],
-               "interface": index.interface[name]}
-        for name in pdg.program.functions}
     assert [index.position[vertex.index] for vertex in pdg.vertices] == [
         pdg.function_vertices(vertex.function).index(vertex)
         for vertex in pdg.vertices]
@@ -175,7 +172,7 @@ def test_entry_keys_and_deps_are_pinned(tmp_path):
     assert any(step.frame.callsite is not None
                for step in candidate.path.steps)
     binding = ArtifactStore(str(tmp_path)).bind(
-        pdg, {"engine": "golden"}, checker.name)
+        pdg, {"engine": "golden"}, checker.name, Telemetry())
     assert binding.candidate_key(candidate) == (
         "55373884d9fb5ffcd31dd9deaacd06c6f920dc48c6bc5de4aec7c2f6d81aa708")
     assert binding.dependencies(candidate) == {
@@ -193,25 +190,26 @@ def test_entry_keys_and_deps_are_pinned(tmp_path):
 
 def test_unchanged_records_are_not_rewritten(tmp_path, monkeypatch):
     writes = []
-    write = ArtifactStore.write_function_records
+    write = ArtifactStore._write_json
 
-    def counting_write(self, config_key, records):
-        writes.append(config_key)
-        write(self, config_key, records)
+    def counting_write(self, path, payload):
+        writes.append(path)
+        write(self, path, payload)
 
-    monkeypatch.setattr(ArtifactStore, "write_function_records",
-                        counting_write)
+    monkeypatch.setattr(ArtifactStore, "_write_json", counting_write)
     source = fuzz_source(5)
     store = ArtifactStore(str(tmp_path))
     session = AnalysisSession(source, store=store)
     session.analyze("null-deref")
-    assert len(writes) == 1 and store.last_run.cold
+    cold = store.last_run
+    assert len(writes) == cold.committed == cold.misses > 0
     session.analyze("null-deref")
     AnalysisSession(source, store=store).analyze("null-deref")
-    assert len(writes) == 1 and not store.last_run.cold
+    assert len(writes) == cold.committed and store.last_run.committed == 0
     session.update_source(edit_one_constant(source))
     session.analyze("null-deref")
-    assert len(writes) == 2
+    edited = store.last_run
+    assert len(writes) == cold.committed + edited.committed
 
 
 def test_old_version_is_released_after_an_edit(tmp_path):
@@ -233,7 +231,7 @@ def test_index_is_never_pickled(tmp_path):
     assert pdg.store_index is None
     before = len(pickle.dumps(pdg))
     ArtifactStore(str(tmp_path)).bind(pdg, {"engine": "fusion"},
-                                      "null-deref")
+                                      "null-deref", Telemetry())
     assert pdg.store_index is not None
     assert len(pickle.dumps(pdg)) == before
     assert pickle.loads(pickle.dumps(pdg)).store_index is None

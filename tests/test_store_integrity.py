@@ -64,7 +64,7 @@ class TestCorruptionProperty:
     def test_any_corruption_degrades_to_counted_quarantine(
             self, tmp_path_factory, data):
         tmp = str(tmp_path_factory.mktemp("store"))
-        store = ArtifactStore(tmp, label="t")
+        store = ArtifactStore(tmp)
         cold = analyze(SOURCE, store=store)
         assert cold.candidates > 0
         cold_findings = json.dumps(findings_payload(cold))
@@ -118,11 +118,11 @@ class TestCorruptionProperty:
 
 class TestInjectedStoreFaults:
     def test_read_eio_is_a_counted_miss(self, tmp_path):
-        store = ArtifactStore(str(tmp_path), label="t")
+        store = ArtifactStore(str(tmp_path))
         cold = analyze(SOURCE, store=store)
         faulted = ArtifactStore(
-            str(tmp_path), label="t",
-            fault_plan=FaultPlan(store_read_eio=frozenset({0, 2})))
+            str(tmp_path),
+            fault_plan=FaultPlan(store_read_eio=frozenset({0, 1})))
         telemetry = Telemetry()
         warm = analyze(SOURCE, store=faulted, telemetry=telemetry)
         assert findings_payload(warm) == findings_payload(cold)
@@ -133,7 +133,7 @@ class TestInjectedStoreFaults:
 
     def test_write_eio_degrades_to_uncached(self, tmp_path):
         store = ArtifactStore(
-            str(tmp_path), label="t",
+            str(tmp_path),
             fault_plan=FaultPlan(store_write_eio=frozenset({0})))
         cold = analyze(SOURCE, store=store)
         assert cold.failure is None
@@ -144,11 +144,11 @@ class TestInjectedStoreFaults:
 
     def test_torn_and_flipped_writes_quarantine_on_read(self, tmp_path):
         store = ArtifactStore(
-            str(tmp_path), label="t",
+            str(tmp_path),
             fault_plan=FaultPlan(torn_write_on=frozenset({0}),
                                  bit_flip_on=frozenset({1})))
         cold = analyze(SOURCE, store=store)
-        clean = ArtifactStore(str(tmp_path), label="t")
+        clean = ArtifactStore(str(tmp_path))
         warm = analyze(SOURCE, store=clean)
         assert findings_payload(warm) == findings_payload(cold)
         assert clean.integrity["corrupt_entries"] >= 1
