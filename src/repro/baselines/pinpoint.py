@@ -62,7 +62,7 @@ class PinpointEngine(PathSensitiveEngine):
                          else PinpointConfig())
         self.transformer = ConditionTransformer(pdg)
         self.smt = SmtSolver(self.transformer.manager, self.config.solver)
-        self._summary_cache: dict[tuple, list[Term]] = {}
+        self._expanded_summaries: dict[tuple, list[Term]] = {}
         self.cached_condition_nodes = 0
         self.peak_condition_nodes = 0
         #: The in-flight query's deadline; set by :meth:`solve_one` so
@@ -84,14 +84,14 @@ class PinpointEngine(PathSensitiveEngine):
     def expanded_summary(self, fn: str, needed_of) -> list[Term]:
         """The fully expanded path-condition summary of ``fn`` (cached)."""
         key = (fn, needed_of(fn))
-        cached = self._summary_cache.get(key)
+        cached = self._expanded_summaries.get(key)
         if cached is not None:
             return cached
         constraints = self._expand(fn, needed_of, frozenset())
         tactic = self.config.summary_tactic
         if tactic is not None:
             constraints = tactic(self, fn, constraints)
-        self._summary_cache[key] = constraints
+        self._expanded_summaries[key] = constraints
         self.cached_condition_nodes += constraint_set_size(constraints)
         self._check_memory()
         return constraints

@@ -50,10 +50,6 @@ class SubjectSpec:
     taint402_bugs: tuple[int, int, int] = (0, 0, 0)
     width: int = 8
     loop_unroll: int = 2
-    #: Loop lowering strategy ("summaries" or "unroll") and the path
-    #: budget per summarized loop (see docs/loops.md).
-    loop_strategy: str = "summaries"
-    loop_paths: int = 64
 
 
 @dataclass(frozen=True)
@@ -134,9 +130,7 @@ class SubjectGenerator:
 
         source = "\n".join(self.lines)
         program = compile_source(source, LoweringConfig(
-            loop_unroll=spec.loop_unroll, width=spec.width,
-            loop_strategy=spec.loop_strategy,
-            loop_paths=spec.loop_paths))
+            loop_unroll=spec.loop_unroll, width=spec.width))
         return GeneratedSubject(spec.name, spec, source, program,
                                 self.ground_truth)
 
@@ -371,8 +365,8 @@ def generate_subject(spec: SubjectSpec) -> GeneratedSubject:
 
 
 #: The loop-heavy subject family: (name, seed) pairs fed to
-#: :func:`loop_heavy_source`.  The bench gate's loop cells pin both loop
-#: strategies on this family (``tests/test_bench_gate.py``).
+#: :func:`loop_heavy_source`.  The bench gate's loop cells pin graph
+#: sizes and verdicts on this family (``tests/test_bench_gate.py``).
 LOOP_HEAVY_FAMILY: tuple[tuple[str, int], ...] = (
     ("loops-a", 7002),
     ("loops-b", 7003),
@@ -383,19 +377,17 @@ LOOP_HEAVY_FAMILY: tuple[tuple[str, int], ...] = (
 def loop_heavy_source(seed: int, *, functions: int = 4) -> str:
     """A seeded loop-heavy program (surface source text).
 
-    The family that makes the loop-summary payoff measurable: every
-    function is dominated by ``while`` loops with *concrete* trip counts
-    exceeding the default unroll bound, mixed with free-bound loops and
-    a fully-constant accumulation that the summarizer folds to a single
-    assignment.  Each function also carries an infeasible guarded
-    division arm (solver-prunable), one feasible null dereference, and
-    one ground-truth division by zero, so the null-deref and div-zero
-    checkers both have real work whose verdicts must agree between the
-    ``summaries`` and ``unroll`` strategies.
+    Every function is dominated by ``while`` loops with *concrete* trip
+    counts exceeding the default unroll bound, mixed with free-bound
+    loops and fully-constant accumulations.  Each function also carries
+    an infeasible guarded division arm (solver-prunable), one feasible
+    null dereference, and one ground-truth division by zero, so the
+    null-deref and div-zero checkers both have real work on unrolled
+    loops.
 
     Returns source text rather than a compiled program so callers
     (tests/test_bench_gate.py, tests/test_loops_differential.py) can
-    compile the same subject under several lowering configs.
+    compile the same subject under several unroll bounds.
     """
     rng = random.Random(seed)
     lines: list[str] = []
@@ -410,8 +402,7 @@ def loop_heavy_source(seed: int, *, functions: int = 4) -> str:
             lines.append(f"  {iv} = 0;")
             kind = rng.random()
             if kind < 0.3:
-                # Fully-constant accumulation: the summarizer folds the
-                # whole loop to constant bindings.
+                # Fully-constant accumulation.
                 cv = f"c{loop}"
                 lines.append(f"  {cv} = 0;")
                 lines.append(f"  while ({iv} < {trip}) {{")
@@ -420,9 +411,8 @@ def loop_heavy_source(seed: int, *, functions: int = 4) -> str:
                 lines.append("  }")
                 lines.append(f"  acc = acc + {cv};")
             elif kind < 0.6:
-                # Idempotent body (the accumulator is re-seeded at the
-                # loop head): every iteration computes the same terms,
-                # so hash-consing collapses the summary to one body.
+                # Idempotent body: the accumulator is re-seeded at the
+                # loop head, so every iteration computes the same terms.
                 wv = f"w{loop}"
                 lines.append(f"  while ({iv} < {trip}) {{")
                 lines.append(f"    {wv} = k;")
@@ -434,8 +424,7 @@ def loop_heavy_source(seed: int, *, functions: int = 4) -> str:
                 lines.append(f"  acc = acc + {iv};")
             elif kind < 0.85:
                 # Concrete trip count, loop-carried symbolic
-                # accumulation: the trip arithmetic folds, the body
-                # stays symbolic and is re-emitted per level.
+                # accumulation.
                 lines.append(f"  while ({iv} < {trip}) {{")
                 lines.append("    acc = acc + m;")
                 lines.append(f"    acc = acc + {rng.randint(1, 9)};")
@@ -443,8 +432,7 @@ def loop_heavy_source(seed: int, *, functions: int = 4) -> str:
                 lines.append(f"    {iv} = {iv} + {step};")
                 lines.append("  }")
             else:
-                # Free bound: exit guards stay symbolic, the summary
-                # carries the per-level exit ite chain.
+                # Free bound: every unrolled level's guard is symbolic.
                 lines.append(f"  while ({iv} < m) {{")
                 lines.append("    acc = acc + 1;")
                 lines.append(f"    {iv} = {iv} + {step};")

@@ -241,48 +241,23 @@ def _add_frontend_arguments(parser: argparse.ArgumentParser) -> None:
     compiles source (scan/query/analyze/serve/pdg).  These used
     to be copy-pasted per subparser; keep them here so a new knob shows
     up everywhere at once."""
-    from repro.loops import LOOP_STRATEGIES
-
     parser.add_argument("--unroll", type=int, default=2,
-                        help="loop depth bound: unroll factor under "
-                             "--loop-strategy unroll, summary path depth "
-                             "under summaries (default 2)")
+                        help="loop unroll bound; 0 drops every loop "
+                             "(default 2, see docs/loops.md)")
     parser.add_argument("--width", type=int, default=8,
                         help="bit width of integers (default 8)")
-    parser.add_argument("--loop-strategy", dest="loop_strategy",
-                        default="summaries", choices=LOOP_STRATEGIES,
-                        help="loop lowering: solver-driven per-loop "
-                             "summaries (default) or bounded unrolling "
-                             "(see docs/loops.md)")
-    parser.add_argument("--loop-paths", dest="loop_paths", type=int,
-                        default=64, metavar="N",
-                        help="feasible-path budget per summarized loop; "
-                             "loops that exceed it fall back to "
-                             "unrolling (default 64)")
 
 
 def _lowering_config(args: argparse.Namespace) -> LoweringConfig:
     """The front-end config described by the shared frontend flags."""
-    return LoweringConfig(loop_unroll=args.unroll, width=args.width,
-                          loop_strategy=args.loop_strategy,
-                          loop_paths=args.loop_paths)
+    return LoweringConfig(loop_unroll=args.unroll, width=args.width)
 
 
 def _engine_settings(args: argparse.Namespace) -> EngineSettings:
     """The session settings described by the engine and frontend flags."""
     return EngineSettings(engine=args.engine,
                           loop_unroll=args.unroll,
-                          width=args.width,
-                          loop_strategy=args.loop_strategy,
-                          loop_paths=args.loop_paths)
-
-
-def _record_loop_telemetry(telemetry, program) -> None:
-    """Fold a compiled program's loop-lowering counters into
-    ``telemetry`` (no-op for a program that records none)."""
-    stats = getattr(program, "loop_stats", None)
-    if stats is not None:
-        telemetry.record_loops(**stats.as_dict())
+                          width=args.width)
 
 
 def _positive_seconds(text: str) -> float:
@@ -365,7 +340,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     source = sys.stdin.read() if args.file == "-" else _read_file(args.file)
     try:
         pdg = prepare_pdg(compile_source(source, _lowering_config(args)))
-    except ValueError as error:  # bad width, arity mismatch, recursion
+    except ValueError as error:  # bad width or unroll, arity, recursion
         print(f"repro scan: {error}", file=sys.stderr)
         return 2
 
@@ -528,10 +503,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     try:
         session = AnalysisSession(source, settings=_engine_settings(args),
                                   store=store)
-    except ValueError as error:  # arity mismatch, recursion
+    except ValueError as error:  # bad width or unroll, arity, recursion
         print(f"repro query: {error}", file=sys.stderr)
         return 2
-    _record_loop_telemetry(telemetry, session.pdg.program)
     try:
         verdict = session.query(args.checker, sink=(sink_line, sink_col),
                                 def_line=args.def_line,
@@ -572,7 +546,7 @@ def _resolve_subject_program(name: str,
 
     When ``args`` carries the shared frontend flags, file subjects
     compile under them and registry subjects are re-generated with their
-    spec's loop knobs replaced — so ``--loop-strategy unroll`` means the
+    spec's unroll bound and width replaced — so ``--unroll`` means the
     same thing for both subject kinds."""
     import os
 
@@ -590,9 +564,7 @@ def _resolve_subject_program(name: str,
         return materialize(name).program
     spec = replace(subject.spec,
                    loop_unroll=config.loop_unroll,
-                   width=config.width,
-                   loop_strategy=config.loop_strategy,
-                   loop_paths=config.loop_paths)
+                   width=config.width)
     return generate_subject(spec).program
 
 
@@ -602,10 +574,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     try:
         program = _resolve_subject_program(args.subject, args)
         pdg = prepare_pdg(program)
-    except ValueError as error:  # bad width, arity mismatch, recursion
+    except ValueError as error:  # bad width or unroll, arity, recursion
         print(f"repro analyze: {error}", file=sys.stderr)
         return 2
-    _record_loop_telemetry(telemetry, program)
     engine = build_engine(args.engine, pdg, want_model=True,
                           query_timeout=args.query_timeout)
     checker = CHECKER_FACTORIES[args.checker]()
@@ -641,8 +612,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeConfig, run_http, run_stdio
 
+    settings = _engine_settings(args)
+    try:
+        settings.lowering()
+    except ValueError as error:  # bad width or unroll bound
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
     config = ServeConfig(
-        settings=_engine_settings(args),
+        settings=settings,
         workers=args.workers, max_queue=args.max_queue,
         jobs=args.jobs, backend=args.backend,
         cache_root=args.cache_root,
@@ -672,7 +649,7 @@ def cmd_pdg(args: argparse.Namespace) -> int:
     try:
         program = _resolve_subject_program(args.subject, args)
         pdg = prepare_pdg(program)
-    except ValueError as error:  # bad width, arity mismatch, recursion
+    except ValueError as error:  # bad width or unroll, arity, recursion
         print(f"repro pdg: {error}", file=sys.stderr)
         return 2
     checker_names = args.checker or sorted(CHECKER_FACTORIES)
@@ -693,9 +670,6 @@ def cmd_pdg(args: argparse.Namespace) -> int:
                     handle.write(rendered)
     if args.stats or not args.dot:
         document = {"subject": args.subject, "views": stats}
-        loop_stats = getattr(program, "loop_stats", None)
-        if loop_stats is not None:
-            document["loops"] = loop_stats.as_dict()
         print(json.dumps(document, indent=2))
     return 0
 

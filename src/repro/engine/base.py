@@ -179,19 +179,15 @@ class PathSensitiveEngine:
         """Every knob that can change a cacheable verdict (or the report
         built from it).  Time/conflict limits are deliberately excluded:
         exceeding either yields UNKNOWN, which is never persisted, so
-        decided verdicts are limit-independent.  Loop lowering (unroll
-        bound, summarization) happens before the PDG exists, so it is
-        already covered by the per-function content keys; the strategy
-        and path budget are keyed anyway as cheap insurance against a
-        content-key bug replaying verdicts across lowering modes."""
+        decided verdicts are limit-independent.  Loop unrolling happens
+        before the PDG exists, so its bound is already covered by the
+        per-function content keys."""
         program = self.pdg.program
         solver = self.solver_config
         sparse = self.config.sparse
         fingerprint = {
             "engine": self.name,
             "width": program.width,
-            "loop_strategy": getattr(program, "loop_strategy", None),
-            "loop_paths": getattr(program, "loop_paths", None),
             "enabled_passes": None if solver.enabled_passes is None
             else list(solver.enabled_passes),
             "use_preprocess": solver.use_preprocess,

@@ -113,11 +113,24 @@ def analysis_payload(result: AnalysisResult, *, engine: str, checker: str,
 
 #: Settings fields earlier versions journaled, each with the values this
 #: version still implements: the triage pass was deleted, sparsified
-#: views became unconditional, and solver sessions were deleted (they
-#: gave the verdicts a fresh solver gives).  A recovered journal may
-#: carry them at those values; any other value declines recovery.
+#: views became unconditional, solver sessions were deleted (they gave
+#: the verdicts a fresh solver gives), and loops are always unrolled
+#: (loop summaries gave the verdicts unrolling gives, at any int path
+#: budget).  A recovered journal may carry them at those values; any
+#: other value declines recovery.
 RETIRED_SETTINGS = {"triage": (False,), "sparsify": (True,),
-                    "incremental": (True, False)}
+                    "incremental": (True, False),
+                    "loop_strategy": ("summaries", "unroll"),
+                    "loop_paths": (int,)}
+
+
+def _retired(name: str, value) -> bool:
+    """Whether ``value`` is a value :data:`RETIRED_SETTINGS` keeps for
+    ``name``: equal and of the same type (a JSON ``1`` is not ``True``),
+    or of a kept type."""
+    return any(type(value) is kept if isinstance(kept, type)
+               else type(value) is type(kept) and value == kept
+               for kept in RETIRED_SETTINGS.get(name, ()))
 
 
 @dataclass(frozen=True)
@@ -135,16 +148,12 @@ class EngineSettings:
     query_timeout: Optional[float] = None
     loop_unroll: int = 2
     width: int = 8
-    loop_strategy: str = "summaries"
-    loop_paths: int = 64
 
     def lowering(self) -> LoweringConfig:
-        """The front-end config (a session's frontend cache adds the
-        summary cache it shares across versions)."""
+        """The front-end config; raises ``ValueError`` on a bad width or
+        a negative unroll bound."""
         return LoweringConfig(loop_unroll=self.loop_unroll,
-                              width=self.width,
-                              loop_strategy=self.loop_strategy,
-                              loop_paths=self.loop_paths)
+                              width=self.width)
 
     def to_payload(self) -> dict:
         """JSON-safe field dict (the serve session journal persists it,
@@ -157,15 +166,15 @@ class EngineSettings:
     @classmethod
     def from_payload(cls, payload: dict) -> "EngineSettings":
         """Inverse of :meth:`to_payload`; raises ``ValueError`` on
-        unknown fields or an unknown engine, so a journal written by an
+        unknown fields, an unknown engine or a lowering config
+        :meth:`lowering` refuses, so a journal written by an
         incompatible version refuses to rehydrate instead of silently
         changing behavior.  :data:`RETIRED_SETTINGS` at a surviving
         value are dropped first."""
         from dataclasses import fields
 
         payload = {name: value for name, value in payload.items()
-                   if not any(value is kept for kept
-                              in RETIRED_SETTINGS.get(name, ()))}
+                   if not _retired(name, value)}
         known = {f.name for f in fields(cls)}
         unknown = set(payload) - known
         if unknown:
@@ -174,11 +183,7 @@ class EngineSettings:
         settings = cls(**payload)
         if settings.engine not in ENGINE_CHOICES:
             raise ValueError(f"unknown engine {settings.engine!r}")
-        from repro.loops import LOOP_STRATEGIES
-
-        if settings.loop_strategy not in LOOP_STRATEGIES:
-            raise ValueError(
-                f"unknown loop strategy {settings.loop_strategy!r}")
+        settings.lowering()
         return settings
 
 
@@ -222,10 +227,8 @@ class AnalysisSession:
         self._line_index = None
         #: Compiled functions of the current version
         #: (:class:`repro.lang.frontend.FrontendCache`): an edit parses
-        #: and lowers only the functions it changed.  Its loop-summary
-        #: cache survives edits too: keys canonicalize the loop body +
-        #: seed kinds, so only loops an edit actually touches
-        #: re-summarize.  Created by the first compile.
+        #: and lowers only the functions it changed.  Created by the
+        #: first compile.
         self.frontend = None
         if source is not None:
             self.update_source(source)
@@ -252,11 +255,7 @@ class AnalysisSession:
         if self.frontend is None:
             self.frontend = FrontendCache(self.settings.lowering())
         program, frontend = self.frontend.compile(source)
-        if _same_program(self.program, program):
-            # The kept PDG reads its program's loop counters; this
-            # version's are those of a compile that re-used every loop.
-            self.program.loop_stats = program.loop_stats
-        else:
+        if not _same_program(self.program, program):
             pdg = prepare_pdg(program)
             engine = build_engine(self.settings.engine, pdg,
                                   want_model=self.settings.want_model,

@@ -61,7 +61,8 @@ from repro.smt.solver import SmtStatus
 #: and the slice cache were deleted).
 #: /15 dropped the dirty-set size from the "store" section (the store
 #: keeps only verdict entries).
-SCHEMA = "repro-exec-telemetry/15"
+#: /16 dropped the "loops" section (loop summaries were deleted).
+SCHEMA = "repro-exec-telemetry/16"
 
 #: Request-latency samples kept for the percentile estimates; the serve
 #: soak keeps a daemon alive indefinitely, so the window is bounded
@@ -137,13 +138,6 @@ class Telemetry:
             "pdg_edges": 0,          # full-PDG data edges at query time
             "region_cache_hits": 0,  # queries served from the pair memo
             "verdicts_replayed": 0,  # reports replayed from the store
-        }
-        self.loops: dict[str, int] = {
-            "loops_summarized": 0,    # loops lowered as summary regions
-            "paths_enumerated": 0,    # feasible paths across summaries
-            "fallback_unrolls": 0,    # loops that fell back to unrolling
-            "summary_cache_hits": 0,  # recipes reused from the cache
-            "sat_checks": 0,          # lowering-time feasibility solves
         }
         self._latencies: list[float] = []
         self.faults: dict[str, int] = {
@@ -239,13 +233,6 @@ class Telemetry:
             for key, amount in counts.items():
                 self.query[key] = self.query.get(key, 0) + amount
 
-    def record_loops(self, **counts: int) -> None:
-        """One compilation's loop-summarization counters (see the
-        ``loops`` section keys)."""
-        with self._lock:
-            for key, amount in counts.items():
-                self.loops[key] = self.loops.get(key, 0) + amount
-
     def record_gc(self, **counts: int) -> None:
         """Collector runs per generation (see the ``gc`` section keys)."""
         with self._lock:
@@ -308,7 +295,6 @@ class Telemetry:
             for section, mine in (("store", self.store),
                                   ("reduce", self.reduce),
                                   ("query", self.query),
-                                  ("loops", self.loops),
                                   ("faults", self.faults),
                                   ("gc", self.gc)):
                 for key, value in snapshot[section].items():
@@ -364,7 +350,6 @@ class Telemetry:
                 "store": dict(self.store),
                 "reduce": dict(self.reduce),
                 "query": dict(self.query),
-                "loops": dict(self.loops),
                 "serve": serve,
                 "breaker": dict(self.breaker),
                 "faults": dict(self.faults),

@@ -10,10 +10,10 @@ and its key leaves the position out.
 
 An entry holds what compiling its function produced: the name, the
 :class:`~repro.lang.lowering.ReturnSummary` that return-type inference
-reads, the lowered :class:`~repro.lang.ir.Function`, the externs the
-lowering added, and its loop counters.  It also records each callee the
-lowering read, with the return type and arity it used (None for a callee
-that was not defined, i.e. an extern).  A version then compiles as follows:
+reads, the lowered :class:`~repro.lang.ir.Function` and the externs the
+lowering added.  It also records each callee the lowering read, with
+the return type and arity it used (None for a callee that was not
+defined, i.e. an extern).  A version then compiles as follows:
 
 1. Functions whose key misses are parsed, alone, at their real line.
 2. Return types are inferred over the summaries of every function, hit
@@ -38,7 +38,6 @@ uses, and a caller that rejects the version drops it.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NamedTuple, Optional
 
 from repro.collector import paused
@@ -61,27 +60,15 @@ class _Entry(NamedTuple):
     callees: tuple[tuple[str, Optional[tuple[VarType, int]]], ...]
     #: Callees the lowering added to ``Program.externs``, in call order.
     externs: tuple[str, ...]
-    #: ``repro.loops.LoopStats`` that lowering the function again would
-    #: count: every summarized loop is then a summary-cache hit.
-    loop_stats: object
 
 
 class FrontendCache:
     """Compiled functions of one program version, by key (see module
-    docstring).  ``config`` is fixed for the cache's lifetime; under the
-    ``summaries`` loop strategy its summary cache is shared by every
-    version."""
+    docstring).  ``config`` is fixed for the cache's lifetime."""
 
     def __init__(self, config: Optional[LoweringConfig] = None,
                  entries: Optional[dict[str, _Entry]] = None) -> None:
-        config = config if config is not None else LoweringConfig()
-        if config.summary_cache is None \
-                and config.loop_strategy == "summaries":
-            from repro.loops import SummaryCache
-
-            config = dataclasses.replace(config,
-                                         summary_cache=SummaryCache())
-        self.config = config
+        self.config = config if config is not None else LoweringConfig()
         self._entries = entries if entries is not None else {}
         #: Functions the compile that made this cache parsed / lowered.
         self.parsed: tuple[str, ...] = ()
@@ -104,12 +91,7 @@ class FrontendCache:
                     FrontendCache(self.config))
 
     def _compile(self, source: str) -> tuple[Program, "FrontendCache"]:
-        from repro.loops import LOOP_STRATEGIES, LoopStats
-
         config = self.config
-        if config.loop_strategy not in LOOP_STRATEGIES:
-            raise ValueError(f"unknown loop strategy "
-                             f"{config.loop_strategy!r}")
         program = Program(width=config.width)
         # (item, name, return summary, cached entry, parsed declaration)
         pending: list[tuple[TopLevelItem, str, ReturnSummary,
@@ -136,48 +118,34 @@ class FrontendCache:
                                  else decl.params))
                       for _, name, _, entry, decl in pending}
 
-        loop_stats = LoopStats()
         entries: dict[str, _Entry] = {}
         lowered: list[str] = []
         for item, name, returns, entry, decl in pending:
             if entry is not None and all(signatures.get(callee) == used
                                          for callee, used in entry.callees):
                 program.externs.update(entry.externs)
-                loop_stats.add(entry.loop_stats)
             else:
                 if decl is None:
                     decl = _parse_function(source, item)
                     parsed.append(name)
                 entry = self._lower(decl, returns, signatures,
-                                    program.externs, loop_stats)
+                                    program.externs)
                 lowered.append(name)
             program.add(entry.function)
             entries[item.key] = entry
-        program.loop_stats = loop_stats
-        program.loop_strategy = config.loop_strategy
-        program.loop_paths = config.loop_paths
         successor = FrontendCache(config, entries)
         successor.parsed, successor.lowered = tuple(parsed), tuple(lowered)
         return program, successor
 
     def _lower(self, decl: FunctionDecl, returns: ReturnSummary,
                signatures: dict[str, tuple[VarType, int]],
-               externs: set[str], loop_stats) -> _Entry:
-        from repro.loops import LoopStats
-
-        stats = LoopStats()
-        lowering = _FunctionLowering(decl, self.config, signatures, externs,
-                                     summary_cache=self.config.summary_cache,
-                                     loop_stats=stats)
+               externs: set[str]) -> _Entry:
+        lowering = _FunctionLowering(decl, self.config, signatures, externs)
         function = lowering.run()
-        loop_stats.add(stats)
         callees = tuple(lowering.callees.items())
         return _Entry(
             decl.name, returns, function, callees,
-            tuple(callee for callee, used in callees if used is None),
-            LoopStats(loops_summarized=stats.loops_summarized,
-                      fallback_unrolls=stats.fallback_unrolls,
-                      summary_cache_hits=lowering.summary_lookups))
+            tuple(callee for callee, used in callees if used is None))
 
 
 def _parse(source: str, item: TopLevelItem):

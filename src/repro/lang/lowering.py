@@ -5,7 +5,8 @@ The pipeline applies, in one pass over the structured AST:
 * **Bounded loop unrolling** — ``while`` loops become ``k`` nested ``if``
   statements ("we often unroll loops for a fixed number of times in
   practice", Section 3.1).  Iterations beyond the bound are dropped, the
-  usual bounded-model-checking soundiness trade-off.
+  usual bounded-model-checking soundiness trade-off; at ``k = 0`` every
+  loop is dropped.  This is the only loop lowering (docs/loops.md).
 * **Expression flattening** — expression trees become three-address
   ``Binary``/``Call``/``Assign`` statements over fresh SSA temporaries.
 * **Gated SSA construction** — every variable assigned under an ``if`` is
@@ -48,35 +49,22 @@ class LoweringError(Exception):
 class LoweringConfig:
     """Front-end knobs.
 
-    ``loop_unroll`` is the fixed iteration bound; ``width`` the bit width
-    of integer variables (kept small by default so pure-Python
-    bit-blasting stays tractable — the paper uses the native 32).
-
-    ``loop_strategy`` picks how ``while`` loops reach the IR:
-
-    * ``"summaries"`` (default) — solver-driven path focusing: each
-      loop becomes one compact summary region covering exactly the
-      feasible iteration sequences up to ``loop_unroll``, bounded by
-      ``loop_paths`` feasible paths per loop (see ``repro.loops``).
-      Loops the summarizer cannot handle exactly fall back to
-      unrolling, per loop.
-    * ``"unroll"`` — classic bounded unrolling into nested ``if``s.
-
-    ``summary_cache`` optionally shares a ``repro.loops.SummaryCache``
-    across compilations (hot daemon sessions); when ``None`` a
-    per-module cache is used so unroll copies of inner loops still hit.
+    ``loop_unroll`` is the fixed iteration bound (0 drops every loop);
+    ``width`` the bit width of integer variables (kept small by default
+    so pure-Python bit-blasting stays tractable — the paper uses the
+    native 32).
     """
 
     loop_unroll: int = 2
     width: int = 8
-    loop_strategy: str = "summaries"
-    loop_paths: int = 64
-    summary_cache: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.width <= 0:
             raise ValueError(
                 f"bit-vector width must be positive, got {self.width}")
+        if self.loop_unroll < 0:
+            raise ValueError(
+                f"unroll bound must not be negative, got {self.loop_unroll}")
 
 
 def lower_module(module: ast.Module,
@@ -84,13 +72,6 @@ def lower_module(module: ast.Module,
     """Lower a parsed module to an IR :class:`Program` (building its PDG
     validates it)."""
     config = config if config is not None else LoweringConfig()
-    from repro.loops import LOOP_STRATEGIES, LoopStats, SummaryCache
-    if config.loop_strategy not in LOOP_STRATEGIES:
-        raise ValueError(f"unknown loop strategy {config.loop_strategy!r}")
-    loop_stats = LoopStats()
-    summary_cache = config.summary_cache
-    if summary_cache is None and config.loop_strategy == "summaries":
-        summary_cache = SummaryCache()
     return_types = infer_return_types(
         [(decl.name, return_summary(decl)) for decl in module.functions])
     signatures = {decl.name: (return_types[decl.name], len(decl.params))
@@ -100,13 +81,8 @@ def lower_module(module: ast.Module,
 
     for decl in module.functions:
         lowering = _FunctionLowering(decl, config, signatures,
-                                     program.externs,
-                                     summary_cache=summary_cache,
-                                     loop_stats=loop_stats)
+                                     program.externs)
         program.add(lowering.run())
-    program.loop_stats = loop_stats
-    program.loop_strategy = config.loop_strategy
-    program.loop_paths = config.loop_paths
     return program
 
 
@@ -175,27 +151,18 @@ def infer_return_types(summaries: list[tuple[str, ReturnSummary]]
 class _FunctionLowering:
     def __init__(self, decl: ast.FunctionDecl, config: LoweringConfig,
                  signatures: dict[str, tuple[VarType, int]],
-                 externs: set[str], summary_cache: Optional[object] = None,
-                 loop_stats: Optional[object] = None) -> None:
+                 externs: set[str]) -> None:
         self.decl = decl
         self.config = config
         #: Each defined function's (return type, arity).
         self.signatures = signatures
         self.externs = externs
-        self.summary_cache = summary_cache
-        self.loop_stats = loop_stats
         self._versions: dict[str, int] = {}
         self._env: dict[str, Operand] = {}
         self._out: list[Stmt] = []
-        # SSA names provably bound to literal constants; lets the loop
-        # summarizer seed induction variables with their values so trip
-        # counts fold and PDG size stays independent of the unroll bound.
-        self._const_defs: dict[str, Const] = {}
         #: Every callee the lowering read, in first-call order, with the
         #: signature it used (None: not defined here, so an extern).
         self.callees: dict[str, Optional[tuple[VarType, int]]] = {}
-        #: Loops looked up in the summary cache.
-        self.summary_lookups = 0
 
     # ------------------------------------------------------------------ #
     # Naming
@@ -238,11 +205,8 @@ class _FunctionLowering:
                 self._lower_return(stmt, out)
                 return  # following statements are dead
             if isinstance(stmt, ast.WhileStmt):
-                if self.config.loop_unroll <= 0:
-                    continue  # bound 0 drops loops under either strategy
-                if (self.config.loop_strategy == "summaries"
-                        and self._try_summarize_while(stmt, out)):
-                    continue
+                if self.config.loop_unroll == 0:
+                    continue  # bound 0 drops every loop
                 if not _block_has_return(stmt.body):
                     # Fully iterative lowering: no recursion per unroll
                     # level, so large bounds cannot blow the stack.
@@ -288,49 +252,6 @@ class _FunctionLowering:
             inner = ast.IfStmt(stmt.cond, body, [], stmt.loc)
         return inner
 
-    def _try_summarize_while(self, stmt: ast.WhileStmt,
-                             out: list[Stmt]) -> bool:
-        """Lower ``stmt`` as a solver-driven summary; False = fall back."""
-        from repro import loops
-
-        stats = self.loop_stats
-        shape = loops.loop_shape(stmt)
-        if shape is None:
-            if stats is not None:
-                stats.fallback_unrolls += 1
-            return False
-        kinds = tuple(self._seed_kind(name) for name in shape.names)
-        cache = self.summary_cache
-        if cache is None:
-            from repro.loops import SummaryCache
-            cache = self.summary_cache = SummaryCache()
-        recipe = cache.summarize(shape, kinds,
-                                 width=self.config.width,
-                                 depth=self.config.loop_unroll,
-                                 loop_paths=self.config.loop_paths,
-                                 stats=stats)
-        self.summary_lookups += 1
-        if recipe is None:
-            if stats is not None:
-                stats.fallback_unrolls += 1
-            return False
-        bindings = loops.emit_summary(recipe, self._env, self._fresh, out)
-        self._env.update(bindings)
-        if stats is not None:
-            stats.loops_summarized += 1
-        return True
-
-    def _seed_kind(self, name: str) -> Optional[tuple]:
-        """How the loop summarizer seeds ``name`` (a ``SeedKind``)."""
-        operand = self._env.get(name)
-        if operand is None:
-            return None  # loop-local; reads-before-def fail over to unroll
-        const = operand if isinstance(operand, Const) else \
-            self._const_defs.get(operand.name)
-        if const is not None and not const.is_null:
-            return ("cb" if const.type is VarType.BOOL else "ci", const.value)
-        return ("v", "bool" if _op_type(operand) is VarType.BOOL else "int")
-
     def _lower_unrolled_while(self, stmt: ast.WhileStmt,
                               out: list[Stmt]) -> None:
         """Iteratively lower a return-free ``while`` as nested ``if``s.
@@ -370,10 +291,6 @@ class _FunctionLowering:
             return
         target = self._fresh(stmt.target, _op_type(operand))
         out.append(Assign(target, operand))
-        if isinstance(operand, Const):
-            # SSA: `target` has exactly this one definition, so the loop
-            # summarizer may seed it with the literal value.
-            self._const_defs[target.name] = operand
         self._env[stmt.target] = target
 
     def _lower_return(self, stmt: ast.ReturnStmt, out: list[Stmt]) -> None:

@@ -249,7 +249,6 @@ class ServeApp:
             raise
         except Exception as error:
             raise _compile_error(error)
-        self._record_loop_stats(entry)
         return self._session_status(entry)
 
     async def _rpc_update(self, params: dict) -> dict:
@@ -276,18 +275,7 @@ class ServeApp:
             # Journal only *accepted* versions: a compile error above
             # must not clobber the last recoverable program.
             self.tenants.journal_source(entry)
-        self._record_loop_stats(entry)
         return self._session_status(entry)
-
-    def _record_loop_stats(self, entry) -> None:
-        """Fold the latest compile's loop-lowering counters into the
-        server-lifetime telemetry.  Per accepted program version:
-        ``compile_source`` stamps a fresh stats object each time, so
-        the counters are additive across edits (the summary-cache hit
-        counter is what shows hot sessions re-using loop summaries)."""
-        stats = getattr(entry.session.pdg.program, "loop_stats", None)
-        if stats is not None:
-            self.telemetry.record_loops(**stats.as_dict())
 
     def _session_status(self, entry) -> dict:
         return {

@@ -215,12 +215,6 @@ class TenantRegistry:
             sessions_recovered=1,
             recoveries_clean=1 if state.clean else 0,
             recoveries_crash=0 if state.clean else 1)
-        # The rehydrate compile summarizes loops like any other accepted
-        # version; fold its counters in so recovered tenants aren't
-        # invisible in the telemetry loops section.
-        stats = getattr(session.pdg.program, "loop_stats", None)
-        if stats is not None:
-            self.telemetry.record_loops(**stats.as_dict())
         return entry
 
     def recoverable(self) -> list[str]:

@@ -37,7 +37,7 @@ class TestSummaryCaching:
         engine = PinpointEngine(pdg)
         engine.analyze(NullDereferenceChecker())
         # bar's summary is cached once and reused by both foo and foo2.
-        cached_functions = {key[0] for key in engine._summary_cache}
+        cached_functions = {key[0] for key in engine._expanded_summaries}
         assert "bar" in cached_functions
 
     def test_cached_nodes_accounted(self):
@@ -57,7 +57,7 @@ class TestSummaryCaching:
         engine.analyze(NullDereferenceChecker())
         manager = engine.transformer.manager
         names = {v.payload for key, constraints in
-                 engine._summary_cache.items()
+                 engine._expanded_summaries.items()
                  for c in constraints for v in c.free_vars()}
         clones = {n for n in names if isinstance(n, str) and "@" in n}
         assert clones, "expected @site-renamed callee variables"

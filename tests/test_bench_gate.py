@@ -15,9 +15,8 @@ committed expectations in ``tests/bench_gate.json``:
   re-decided by ``run_demand_query``, its findings equal to the full
   run's, its region at most ``DEMAND_REGION_CEILING`` of the PDG
   (docs/queries.md);
-* **loops**: the loop-heavy family under both loop strategies, with
-  equal verdicts and at least ``LOOP_NODE_REDUCTION_FLOOR`` times fewer
-  PDG nodes under summaries (docs/loops.md).
+* **loops**: the loop-heavy family, unrolled to the default bound: its
+  program and PDG sizes and verdicts (docs/loops.md).
 
 A drifted cell fails with its path, the expected and the fresh value.
 If the drift is intended, regenerate the expectations with::
@@ -37,7 +36,7 @@ from repro.bench.generator import LOOP_HEAVY_FAMILY, loop_heavy_source
 from repro.engine import CHECKER_FACTORIES, build_engine, findings_payload
 from repro.exec import Telemetry
 from repro.fusion import prepare_pdg
-from repro.lang import LoweringConfig, compile_source
+from repro.lang import compile_source
 from repro.pdg import build_view
 from repro.query.engine import run_demand_query
 
@@ -51,10 +50,6 @@ TAINT_EDGE_REDUCTION_FLOOR = 2.0
 #: Every demand pair's region stays at most this share of the PDG's
 #: vertices: a query touches a small corner of the graph.
 DEMAND_REGION_CEILING = 0.25
-
-#: Loop summaries keep at least this many times fewer PDG nodes than
-#: bounded unrolling at the same depth bound.
-LOOP_NODE_REDUCTION_FLOOR = 2.0
 
 #: Bench-row fields that are a function of the analysis, not the clock.
 ROW_FIELDS = ("bugs", "reports", "tp", "fp", "memory_units",
@@ -114,9 +109,7 @@ def demand_cell() -> list[dict]:
 
 
 def _loop_verdicts(findings: list[dict]) -> list[list]:
-    """The strategy-independent verdict key: SSA spelling (statement
-    text, witnesses) differs between lowerings; which (source function,
-    sink function) pairs are feasible must not."""
+    """Which (source function, sink function) pairs are feasible."""
     return sorted([f["feasible"], f["source_function"],
                    f["sink_function"]] for f in findings)
 
@@ -125,24 +118,20 @@ def loops_cell() -> dict:
     cells = {}
     for name, seed in LOOP_HEAVY_FAMILY:
         source = loop_heavy_source(seed)
-        cells[name] = {}
-        for strategy in ("summaries", "unroll"):
-            program = compile_source(
-                source, LoweringConfig(loop_strategy=strategy))
-            pdg = prepare_pdg(program)
-            stats = pdg.stats()
-            verdicts = {}
-            for checker in LOOP_CHECKERS:
-                engine = build_engine("fusion", pdg, want_model=True)
-                result = engine.analyze(CHECKER_FACTORIES[checker]())
-                verdicts[checker] = _loop_verdicts(findings_payload(result))
-            cells[name][strategy] = {
-                "program_size": program.size(),
-                "pdg_nodes": stats["vertices"],
-                "pdg_edges": stats["data_edges"] + stats["control_edges"],
-                "loops": program.loop_stats.as_dict(),
-                "verdicts": verdicts,
-            }
+        program = compile_source(source)
+        pdg = prepare_pdg(program)
+        stats = pdg.stats()
+        verdicts = {}
+        for checker in LOOP_CHECKERS:
+            engine = build_engine("fusion", pdg, want_model=True)
+            result = engine.analyze(CHECKER_FACTORIES[checker]())
+            verdicts[checker] = _loop_verdicts(findings_payload(result))
+        cells[name] = {"unroll": {
+            "program_size": program.size(),
+            "pdg_nodes": stats["vertices"],
+            "pdg_edges": stats["data_edges"] + stats["control_edges"],
+            "verdicts": verdicts,
+        }}
     return cells
 
 
@@ -207,14 +196,6 @@ def test_demand_matches_full_run_in_small_regions(fresh):
     for pair in fresh["demand"]:
         assert pair["matches_full"], pair
         assert pair["region_nodes"] <= ceiling, pair
-
-
-def test_loop_summaries_keep_verdicts_and_node_reduction(fresh):
-    for name, cell in fresh["loops"].items():
-        summaries, unroll = cell["summaries"], cell["unroll"]
-        assert summaries["verdicts"] == unroll["verdicts"], name
-        assert unroll["pdg_nodes"] >= \
-            LOOP_NODE_REDUCTION_FLOOR * summaries["pdg_nodes"], name
 
 
 if __name__ == "__main__":

@@ -35,6 +35,24 @@ def source_file(tmp_path):
     return str(path)
 
 
+#: A counter that may skip its loop, then divides (docs/loops.md).
+LOOP_SOURCE = """
+fun f(a) {
+  x = 0;
+  while (x < a) { x = x + 1; }
+  y = 10 / x;
+  return y;
+}
+"""
+
+
+@pytest.fixture
+def loop_file(tmp_path):
+    path = tmp_path / "loop.fl"
+    path.write_text(LOOP_SOURCE)
+    return str(path)
+
+
 class TestScan:
     def test_finds_bug_and_exits_nonzero(self, source_file, capsys):
         code = main(["scan", source_file, "--checker", "null-deref"])
@@ -417,6 +435,34 @@ class TestBadNumbers:
         assert captured.err == f"repro {argv[0]}: bit-vector width " \
             "must be positive, got 0\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--subject", "mcf"],
+        ["pdg", "--subject", "mcf"],
+        ["analyze", "--subject", "{}"],
+        ["pdg", "--subject", "{}"],
+        ["scan", "{}"],
+        ["query", "{}", "--checker", "null-deref", "--sink", "11"],
+        ["serve", "--stdio"],
+    ], ids=["analyze-mcf", "pdg-mcf", "analyze-file", "pdg-file", "scan",
+            "query", "serve"])
+    def test_negative_unroll_exits_two(self, argv, loop_file, capsys):
+        """A negative bound is refused, not lowered as bound 0."""
+        code = main([loop_file if arg == "{}" else arg for arg in argv]
+                    + ["--unroll", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == f"repro {argv[0]}: unroll bound must not " \
+            "be negative, got -1\n"
+        assert captured.out == ""
+
+    def test_unroll_zero_drops_loops(self, loop_file, capsys):
+        """Bound 0 keeps its documented meaning: the loop is dropped, so
+        the divisor is the counter's seed on every path."""
+        assert main(["scan", loop_file, "--checker", "div-zero",
+                     "--unroll", "0"]) == 1
+        assert "[BUG] div-zero: f: x = 0\n" \
+            "      -> f: y = 10 / x\n" == capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["-1", "0", "nan"])
     @pytest.mark.parametrize("command", ["analyze", "bench"])

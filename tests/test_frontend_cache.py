@@ -18,11 +18,10 @@ from hypothesis import strategies as st
 
 from repro.engine import AnalysisSession, findings_payload
 from repro.exec import ArtifactStore
-from repro.lang import (LoweringConfig, LoweringError, compile_source,
-                        format_program, tokenize)
+from repro.lang import (LoweringError, compile_source, format_program,
+                        tokenize)
 from repro.lang.frontend import FrontendCache
 from repro.lang.scan import block_end, mask_comments, top_level_items
-from repro.loops import SummaryCache
 from test_serve_differential import SEEDS, fuzz_source
 
 #: Appended to every corpus program: ``zq_user`` calls ``zq_flag`` only
@@ -267,30 +266,6 @@ class TestReuse:
             cold_verdict = cold.query("null-deref", sink=line + 3)
             assert json.dumps(hot_verdict.to_payload()) \
                 == json.dumps(cold_verdict.to_payload())
-
-
-class TestLoopStats:
-    """A reused function counts its loops as summary-cache hits, so the
-    loop counters of every version equal those of recompiling the whole
-    program against one shared summary cache."""
-
-    def test_counters_match_whole_program_recompiles(self):
-        from repro.bench.generator import loop_heavy_source
-
-        source = loop_heavy_source(7002)
-        shared = SummaryCache()
-        session = AnalysisSession(source)
-        versions = [source]
-        for n in range(6):
-            kind = ("comment", "bump", "comment_line")[n % 3]
-            versions.append(apply_edit(versions[-1], kind, 31 * n + 5))
-        for n, version in enumerate(versions):
-            if n:
-                session.update_source(version)
-            whole = compile_source(version,
-                                   LoweringConfig(summary_cache=shared))
-            assert session.pdg.program.loop_stats.as_dict() \
-                == whole.loop_stats.as_dict()
 
 
 class TestScan:

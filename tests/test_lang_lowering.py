@@ -2,6 +2,9 @@
 
 import pytest
 
+from repro.checkers import DivByZeroChecker
+from repro.engine import build_engine, findings_payload
+from repro.fusion import prepare_pdg
 from repro.lang import (Assign, Binary, BinOp, Branch, Call, Const,
                         IfThenElse, Identity, LoweringConfig, LoweringError,
                         Return, Var, VarType, compile_source, format_function)
@@ -150,7 +153,7 @@ class TestLoopUnrolling:
           while (i < n) { i = i + 1; }
           return i;
         }
-        """, LoweringConfig(loop_unroll=3, loop_strategy="unroll"))
+        """, LoweringConfig(loop_unroll=3))
         branches = [s for s in stmts_of(prog, "f") if isinstance(s, Branch)]
         assert len(branches) == 3
         # Each unrolled iteration re-evaluates the condition.
@@ -175,11 +178,29 @@ class TestLoopUnrolling:
           while (i < n) { i = i + 1; }
           return i;
         }
-        """, LoweringConfig(loop_unroll=2, loop_strategy="unroll"))
+        """, LoweringConfig(loop_unroll=2))
         prog.validate()
         # i is incremented twice along the all-taken path: i, i.1, i.2 exist.
         names = {s.result.name for s in stmts_of(prog, "f")}
         assert {"i", "i.1", "i.2"} <= names
+
+    @pytest.mark.parametrize("engine", ["fusion", "pinpoint"])
+    def test_zero_trip_counter_keeps_its_div_zero_source(self, engine):
+        """A counter that leaves a loop which may run zero times keeps
+        the data edge from its ``x = 0`` seed to the divisor (``a = 0``
+        divides by zero; docs/loops.md)."""
+        pdg = prepare_pdg(compile_source("""
+        fun f(a) {
+          x = 0;
+          while (x < a) { x = x + 1; }
+          y = 10 / x;
+          return y;
+        }
+        """))
+        result = build_engine(engine, pdg).analyze(DivByZeroChecker())
+        feasible = [(f["source_function"], f["source"], f["sink_function"])
+                    for f in findings_payload(result) if f["feasible"]]
+        assert feasible == [("f", "x = 0", "f")]
 
 
 class TestReturnPredication:

@@ -1,22 +1,23 @@
-"""Differential suite: loop summaries vs unrolling vs the interpreter.
+"""Differential suite for unrolled loops on the 25-seed loop-heavy corpus.
 
-The loop-summary contract (docs/loops.md) is relational, not byte-level:
-SSA spelling differs between the two lowerings, but on the 25-seed
-loop-heavy corpus the ``summaries`` strategy must
+Loops are lowered one way, by bounded unrolling (docs/loops.md).  On
+every corpus program, at the default bound 2 and at 8,
 
-* decide every (source function, sink function) pair exactly as the
-  ``unroll`` strategy decides it at the same depth bound — shallow
-  (the default 2) and deep (8);
-* never report a bug the concrete interpreter refutes when its witness
-  is replayed;
-* agree for both path-sensitive engines (Fusion and the Pinpoint
-  baseline), on the inline rung and a process pool, and
-  across a cold-then-warm artifact store, including a loop-body edit in
-  between (warm replay stays byte-identical to a cold run under either
-  strategy).
+* Fusion and the Pinpoint baseline decide every (source, sink) pair
+  alike, with no UNKNOWN verdict;
+* every feasible null dereference carries a witness that drives null
+  into the sink when the concrete interpreter replays it;
+* a zero-initialised counter that leaves a loop which may run zero
+  times, and is then used as a divisor, is a feasible div-zero finding
+  from its ``= 0`` seed (each corpus program ends with one such
+  function);
+* a process pool gives the inline rung's findings, and a warm artifact
+  store replays a cold run byte for byte, across a loop-body edit too.
 """
 
 import json
+import random
+import re
 import tempfile
 
 import pytest
@@ -34,23 +35,35 @@ from repro.lang.interp import Interpreter
 
 FUZZ_SEEDS = list(range(25))
 
-#: Seeds for the slower passes (process pool, Pinpoint, store), same
-#: convention as the other differential suites.
+#: Seeds for the slower passes (process pool, store), same convention
+#: as the other differential suites.
 SMALL_SEEDS = [0, 7, 17, 23]
 
 CHECKERS = {"null-deref": NullDereferenceChecker,
             "div-zero": DivByZeroChecker}
 
-GRID = [(0, 0), (1, 3), (7, 2), (60, 9), (100, 1), (200, 4)]
+
+def zero_trip_source(seed: int) -> str:
+    """A counter seeded with 0 that may skip its loop, then divides."""
+    rng = random.Random(seed)
+    counter = rng.choice(["x", "n", "cnt"])
+    return f"""
+fun zerotrip(a) {{
+  {counter} = 0;
+  while ({counter} < a) {{ {counter} = {counter} + {rng.randint(1, 3)}; }}
+  y = {rng.randint(1, 99)} / {counter};
+  return y;
+}}
+"""
 
 
 def corpus_source(seed: int) -> str:
-    return loop_heavy_source(9000 + seed, functions=3)
+    return loop_heavy_source(9000 + seed, functions=3) \
+        + zero_trip_source(seed)
 
 
-def lower(source: str, strategy: str, depth: int = 2):
-    return compile_source(source, LoweringConfig(
-        loop_unroll=depth, loop_strategy=strategy))
+def lower(source: str, depth: int = 2):
+    return compile_source(source, LoweringConfig(loop_unroll=depth))
 
 
 def fusion(pdg) -> FusionEngine:
@@ -59,93 +72,70 @@ def fusion(pdg) -> FusionEngine:
 
 
 def verdicts(result):
-    """Strategy-independent verdict identity: which (source function,
-    sink function) pairs are feasible.  Sorted so report order and SSA
-    spelling are both free."""
-    return sorted((r.feasible, r.source.function, r.sink.function)
+    """Which (source, sink) pairs are feasible, sorted so report order
+    is free."""
+    return sorted((r.feasible, r.source.function, repr(r.source.stmt),
+                   r.sink.function, repr(r.sink.stmt))
                   for r in result.reports)
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_summaries_decide_every_pair_unroll_decides(seed):
+def test_pinpoint_baseline_agrees(seed):
     source = corpus_source(seed)
     for depth in (2, 8):
-        summarized = prepare_pdg(lower(source, "summaries", depth))
-        unrolled = prepare_pdg(lower(source, "unroll", depth))
+        pdg = prepare_pdg(lower(source, depth))
         for name, factory in CHECKERS.items():
-            summary_result = fusion(summarized).analyze(factory())
-            unroll_result = fusion(unrolled).analyze(factory())
-            assert summary_result.candidates > 0, \
-                "corpus generated no candidates"
-            assert verdicts(summary_result) == verdicts(unroll_result), \
+            ours = fusion(pdg).analyze(factory())
+            theirs = PinpointEngine(pdg, PinpointConfig()).analyze(factory())
+            assert ours.candidates > 0, "corpus generated no candidates"
+            assert verdicts(ours) == verdicts(theirs), (name, depth)
+            assert ours.unknown_queries == theirs.unknown_queries == 0, \
                 (name, depth)
-            # No new UNKNOWNs: every pair unroll decides, summaries
-            # decides.
-            assert summary_result.unknown_queries == \
-                unroll_result.unknown_queries, (name, depth)
 
 
 @pytest.mark.parametrize("seed", FUZZ_SEEDS)
-def test_interpreter_parity_across_strategies(seed):
+def test_zero_trip_divisor_is_reported(seed):
+    source = corpus_source(seed)
+    counter = re.search(r"fun zerotrip\(a\) \{\n  (\w+) = 0;",
+                        source).group(1)
+    for depth in (0, 2, 8):
+        result = fusion(prepare_pdg(lower(source, depth))) \
+            .analyze(DivByZeroChecker())
+        reported = {(r.source.function, repr(r.source.stmt))
+                    for r in result.reports if r.feasible}
+        assert ("zerotrip", f"{counter} = 0") in reported, depth
+
+
+@pytest.mark.parametrize("seed", FUZZ_SEEDS)
+def test_witnesses_survive_replay(seed):
+    """No interpreter-refuted reports: every feasible null-deref carries
+    a witness whose replay drives null into the sink."""
     source = corpus_source(seed)
     for depth in (2, 8):
-        summarized = lower(source, "summaries", depth)
-        unrolled = lower(source, "unroll", depth)
-        for fn in sorted(summarized.functions):
-            params = summarized.functions[fn].params
-            for args in GRID:
-                inputs = list(args)[:len(params)]
-                inputs += [0] * (len(params) - len(inputs))
-                left = Interpreter(summarized).run(fn, inputs)
-                right = Interpreter(unrolled).run(fn, inputs)
-                assert left.return_value == right.return_value, \
-                    (fn, args, depth)
-                assert left.sink_events == right.sink_events, \
-                    (fn, args, depth)
-
-
-@pytest.mark.parametrize("seed", SMALL_SEEDS)
-def test_summarized_witnesses_survive_replay(seed):
-    """No interpreter-refuted reports: every feasible null-deref under
-    summaries carries a witness whose replay drives null into the
-    sink."""
-    source = corpus_source(seed)
-    program = lower(source, "summaries")
-    result = fusion(prepare_pdg(program)).analyze(
-        NullDereferenceChecker())
-    replayed = 0
-    for report in result.reports:
-        if not report.feasible:
-            continue
-        assert report.witness, "feasible report without a witness"
-        entry = report.sink.function
-        fn = program.functions[entry]
-        args = [report.witness.get(f"{entry}::{p.name}#f0", 0)
-                for p in fn.params]
-        execution = Interpreter(program).run(entry, args)
-        assert any(e.passed_null for e in execution.events_for("deref")), \
-            (entry, args)
-        replayed += 1
-    assert replayed > 0, "corpus seed produced no feasible null bug"
-
-
-@pytest.mark.parametrize("seed", SMALL_SEEDS)
-def test_pinpoint_baseline_agrees(seed):
-    source = corpus_source(seed)
-    for name, factory in CHECKERS.items():
-        results = {}
-        for strategy in ("summaries", "unroll"):
-            pdg = prepare_pdg(lower(source, strategy))
-            results[strategy] = PinpointEngine(
-                pdg, PinpointConfig()).analyze(factory())
-        assert verdicts(results["summaries"]) == \
-            verdicts(results["unroll"]), name
+        program = lower(source, depth)
+        result = fusion(prepare_pdg(program)).analyze(
+            NullDereferenceChecker())
+        replayed = 0
+        for report in result.reports:
+            if not report.feasible:
+                continue
+            assert report.witness, "feasible report without a witness"
+            entry = report.sink.function
+            fn = program.functions[entry]
+            args = [report.witness.get(f"{entry}::{p.name}#f0", 0)
+                    for p in fn.params]
+            execution = Interpreter(program).run(entry, args)
+            assert any(e.passed_null
+                       for e in execution.events_for("deref")), \
+                (entry, args, depth)
+            replayed += 1
+        assert replayed > 0, "corpus seed produced no feasible null bug"
 
 
 @pytest.mark.parametrize("backend", ["inline", "process"])
 def test_pooled_execution_matches_sequential(backend):
     source = corpus_source(0)
-    pdg = prepare_pdg(lower(source, "summaries"))
+    pdg = prepare_pdg(lower(source))
     checker = NullDereferenceChecker
     sequential = fusion(pdg).analyze(checker())
     exec_config = ExecConfig() if backend == "inline" \
@@ -156,19 +146,16 @@ def test_pooled_execution_matches_sequential(backend):
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS)
-@pytest.mark.parametrize("strategy", ["summaries", "unroll"])
-def test_store_cold_warm_and_loop_edit(seed, strategy):
+def test_store_cold_warm_and_loop_edit(seed):
     """Cold run, warm no-op replay, then a loop-body edit: the warm
     session's findings stay byte-identical to a cold session on the
-    same source under the same strategy."""
-    import re
-
+    same source."""
     source = corpus_source(seed)
     # Bump the first loop counter's increment: every loop body has one.
     edited = re.sub(r"(\n    i\d+ = i\d+ \+ )\d;", r"\g<1>3;", source,
                     count=1)
     assert edited != source
-    settings = EngineSettings(loop_strategy=strategy)
+    settings = EngineSettings()
     with tempfile.TemporaryDirectory() as root:
         store = ArtifactStore(root)
         session = AnalysisSession(source, settings=settings, store=store)

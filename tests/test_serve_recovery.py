@@ -194,38 +194,6 @@ class TestCrashRecovery:
                 app2.close()
         run(main())
 
-    def test_recovery_records_loop_stats(self, tmp_path):
-        """The rehydrate compile summarizes loops like any accepted
-        version; recovered tenants must show up in the telemetry
-        ``loops`` section, not just the serve counters."""
-        loopy = """fun main(a) {
-  p = null;
-  i = 0;
-  acc = a;
-  while (i < 4) { acc = acc + 2; i = i + 1; }
-  if (acc > 60) { deref(p); }
-  return acc;
-}"""
-
-        async def main():
-            tmp = str(tmp_path)
-            app1 = make_app(tmp)
-            try:
-                await rpc(app1, "initialize", tenant="t", source=loopy)
-                await rpc(app1, "analyze", tenant="t")
-            finally:
-                app1.close()
-
-            app2 = make_app(tmp)
-            try:
-                await rpc(app2, "analyze", tenant="t")
-                tel = (await rpc(app2, "telemetry"))["result"]
-                assert tel["serve"]["sessions_recovered"] == 1
-                assert tel["loops"]["loops_summarized"] >= 1
-            finally:
-                app2.close()
-        run(main())
-
     def test_clean_shutdown_is_counted_as_clean(self, tmp_path):
         async def main():
             tmp = str(tmp_path)
@@ -317,8 +285,8 @@ class TestCrashRecovery:
 # --------------------------------------------------------------------- #
 
 #: ``EngineSettings.to_payload()`` as the version with the triage pass,
-#: the ``--[no-]sparsify`` switch and solver sessions journaled it, at
-#: its defaults.
+#: the ``--[no-]sparsify`` switch, solver sessions and loop summaries
+#: journaled it, at its defaults.
 PARENT_SETTINGS = {"engine": "fusion", "want_model": True,
                    "incremental": True, "triage": False, "sparsify": True,
                    "query_timeout": None, "loop_unroll": 2, "width": 8,
@@ -354,6 +322,14 @@ class TestParentJournals:
         self.assert_recovers(str(tmp_path),
                              {**PARENT_SETTINGS, "incremental": False})
 
+    def test_parent_unrolled_loops_recover(self, tmp_path):
+        """A journal from a daemon that unrolled loops recovers, at any
+        path budget: decoded from JSON, neither value is the literal
+        ``RETIRED_SETTINGS`` holds."""
+        self.assert_recovers(str(tmp_path),
+                             {**PARENT_SETTINGS, "loop_strategy": "unroll",
+                              "loop_paths": 200})
+
     def assert_recovers(self, tmp, settings):
         cold = self.crash_with_journal(tmp, settings)
 
@@ -374,7 +350,9 @@ class TestParentJournals:
 
     def test_retired_switch_flipped_declines(self, tmp_path):
         for flipped in ({"triage": True}, {"sparsify": False},
-                        {"incremental": "false"}):
+                        {"incremental": "false"},
+                        {"loop_strategy": "bogus"}, {"loop_paths": "64"},
+                        {"loop_unroll": -1}):
             tmp = str(tmp_path / next(iter(flipped)))
             self.crash_with_journal(tmp, {**PARENT_SETTINGS, **flipped})
 

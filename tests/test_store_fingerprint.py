@@ -24,8 +24,6 @@ FOOTPRINT = ["null-deref", 1, [],
 #: Keys every path-sensitive engine writes, at ``build_engine`` defaults.
 SHARED = {
     "width": 8,
-    "loop_strategy": "summaries",
-    "loop_paths": 64,
     "enabled_passes": None,
     "use_preprocess": True,
     "sparse": [2, 80, 50000, 2],
@@ -69,7 +67,8 @@ def test_every_path_sensitive_engine_is_pinned():
 
 @pytest.mark.parametrize("name", PATH_SENSITIVE)
 def test_fingerprint_without_triage(pdg, name):
-    """The default fingerprint; the triage pass and its key are gone."""
+    """The default fingerprint; the triage pass, loop summaries and
+    their keys are gone."""
     engine = build_engine(name, pdg)
     assert engine._store_fingerprint(NullDereferenceChecker()) \
         == GOLDEN[name]
