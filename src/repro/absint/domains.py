@@ -61,9 +61,6 @@ class Interval:
     def contains(self, value: int) -> bool:
         return self.lo <= value <= self.hi
 
-    def subset_of(self, other: "Interval") -> bool:
-        return other.lo <= self.lo and self.hi <= other.hi
-
     @property
     def definitely_true(self) -> bool:
         """Every value is truthy (0 excluded)."""
@@ -114,10 +111,6 @@ class Nullness(enum.Enum):
         if self is Nullness.BOTTOM:
             return other
         return Nullness.TOP
-
-    @property
-    def may_be_null(self) -> bool:
-        return self in (Nullness.NULL, Nullness.TOP)
 
 
 #: Taint element: a frozenset of source names (join = union, bottom = {}).

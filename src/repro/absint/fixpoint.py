@@ -39,7 +39,7 @@ from typing import Iterable, Optional
 
 from repro.absint.domains import AbsValue, FixpointStats, Interval, Nullness
 from repro.absint.transfer import binary_interval
-from repro.lang.interp import TAINT_SOURCES
+from repro.checkers.taint import CWE23_SOURCES, CWE402_SOURCES
 from repro.lang.ir import (Assign, Binary, Branch, Call, Const, Identity,
                            IfThenElse, Operand, Return)
 from repro.pdg.graph import EdgeKind, ProgramDependenceGraph, Vertex
@@ -48,6 +48,9 @@ from repro.smt.semantics import to_signed
 
 #: Joins tolerated at one vertex before widening kicks in.
 WIDEN_AFTER = 12
+
+#: Calls whose results carry taint: every taint checker's sources.
+TAINT_SOURCES = CWE23_SOURCES | CWE402_SOURCES
 
 
 @dataclass
@@ -58,17 +61,6 @@ class AbstractState:
     width: int
     values: list[AbsValue]
     stats: FixpointStats = field(default_factory=FixpointStats)
-
-    def value_of(self, vertex: Vertex) -> AbsValue:
-        return self.values[vertex.index]
-
-    def var_value(self, function: str, name: str) -> AbsValue:
-        """Abstract value of ``function``'s SSA variable ``name``."""
-        try:
-            vertex = self.pdg.def_of(function, name)
-        except KeyError:
-            return AbsValue.top(self.width)
-        return self.values[vertex.index]
 
 
 def analyze_pdg(pdg: ProgramDependenceGraph,
@@ -210,7 +202,8 @@ def _binary_transfer(pdg: ProgramDependenceGraph, vertex: Vertex,
     interval = binary_interval(stmt.op, lhs.interval, rhs.interval,
                                state.width)
     # Arithmetic produces a fresh non-null value; comparisons and logical
-    # connectives drop provenance (mirrors Interpreter._binary).
+    # connectives drop provenance (as in the reference interpreter,
+    # tests/interp_oracle.py).
     if stmt.op.is_comparison or stmt.op.is_logical:
         taints: frozenset = frozenset()
     else:

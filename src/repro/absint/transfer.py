@@ -1,10 +1,10 @@
 """Interval transfer functions for the IR's binary operators.
 
-Ground truth is ``repro.smt.semantics`` / ``repro.lang.interp``: all
-arithmetic wraps modulo ``2**width``, division and remainder are
-*unsigned* (division by zero yields all ones, remainder by zero the
-dividend), comparisons are *signed*, and shifting by ``width`` or more
-yields zero.  Every function here returns an interval that contains every
+Ground truth is ``repro.smt.semantics`` and the reference interpreter
+(``tests/interp_oracle.py``): all arithmetic wraps modulo ``2**width``,
+division and remainder are *unsigned* (division by zero yields all ones,
+remainder by zero the dividend), comparisons are *signed*, and shifting
+by ``width`` or more yields zero.  Every function here returns an interval that contains every
 value the concrete operator can produce from operands in the argument
 intervals — over-approximation is always legal, so the awkward cases
 (wrap-around straddles, mixed-sign bit operations) simply widen to top.

@@ -1,8 +1,7 @@
 """Benchmark substrate: subject generation, registry, metrics, harness."""
 
-from repro.bench.generator import (LOOP_HEAVY_FAMILY, GeneratedSubject,
-                                   GroundTruthBug, SubjectSpec,
-                                   generate_subject, loop_heavy_source)
+from repro.bench.generator import (GeneratedSubject, GroundTruthBug,
+                                   SubjectSpec, generate_subject)
 from repro.bench.subjects import (SUBJECTS, Subject, industrial_subjects,
                                   materialize, subject_by_name)
 from repro.bench.metrics import PrecisionRecall, evaluate_reports
@@ -12,7 +11,6 @@ from repro.bench.reporting import (fmt_failure, render_memory_breakdown,
                                    speedup)
 
 __all__ = [
-    "LOOP_HEAVY_FAMILY", "loop_heavy_source",
     "GeneratedSubject", "GroundTruthBug", "SubjectSpec", "generate_subject",
     "SUBJECTS", "Subject", "industrial_subjects", "materialize",
     "subject_by_name",

@@ -34,8 +34,9 @@ FRONTEND_ERRORS = (LexError, ParseError, LoweringError)
 
 
 class InputError(Exception):
-    """An input a command cannot read: a missing file or an unknown
-    registry subject.  Reported like a malformed source: ``repro <cmd>:
+    """An input a command cannot read, or an output path it cannot
+    write: a missing file, an unknown registry subject, an unwritable
+    ``--dot`` path.  Reported like a malformed source: ``repro <cmd>:
     message``, exit 2."""
 
 
@@ -45,6 +46,15 @@ def _read_file(path: str) -> str:
             return handle.read()
     except OSError as error:
         raise InputError(error) from None
+
+
+def _write_dot(path: str, rendered: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(rendered)
+    except OSError as error:
+        raise InputError(f"cannot write --dot to {path!r}: {error}") \
+            from None
 
 
 def _registry_subject(name: str, or_file: bool = False):
@@ -345,8 +355,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         return 2
 
     if args.dot:
-        with open(args.dot, "w") as handle:
-            handle.write(pdg_to_dot(pdg))
+        _write_dot(args.dot, pdg_to_dot(pdg))
 
     checker_names = args.checker or sorted(CHECKER_FACTORIES)
     findings = []
@@ -666,8 +675,7 @@ def cmd_pdg(args: argparse.Namespace) -> int:
             if args.dot == "-":
                 print(rendered)
             else:
-                with open(args.dot, "w") as handle:
-                    handle.write(rendered)
+                _write_dot(args.dot, rendered)
     if args.stats or not args.dot:
         document = {"subject": args.subject, "views": stats}
         print(json.dumps(document, indent=2))

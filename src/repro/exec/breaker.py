@@ -147,11 +147,6 @@ class CircuitBreaker:
             return sum(1 for entry in self._groups.values()
                        if entry.state != CLOSED)
 
-    def open_groups(self) -> list[Hashable]:
-        with self._lock:
-            return sorted(group for group, entry in self._groups.items()
-                          if entry.state != CLOSED)
-
     def describe(self, group: Hashable) -> str:
         """Breaker metadata carried by short-circuited outcomes."""
         with self._lock:

@@ -4,9 +4,9 @@ The scheduler's fault-tolerance contract ("any injected fault changes at
 most the faulted queries' statuses, never the surviving verdicts or their
 order") is only trustworthy if faults can be reproduced on demand.  This
 module provides the injectable :class:`FaultPlan` — index-keyed (faults
-name candidate indices and batch ordinals, both deterministic) and
-seedable (:meth:`FaultPlan.seeded`) — plus the :class:`FaultPolicy` knobs
-that govern how the scheduler reacts to faults, injected or real.
+name candidate indices and batch ordinals, both deterministic) — plus
+the :class:`FaultPolicy` knobs that govern how the scheduler reacts to
+faults, injected or real.
 
 Fault kinds (see ``docs/robustness.md``):
 
@@ -141,13 +141,6 @@ class FaultPlan:
     #: truncated and dropped mid-send.
     client_disconnect_on: frozenset[int] = frozenset()
 
-    @property
-    def is_empty(self) -> bool:
-        return not (self.raise_on_query or self.delay_on_query
-                    or self.crash_on_batch or self.store_read_eio
-                    or self.store_write_eio or self.torn_write_on
-                    or self.bit_flip_on or self.client_disconnect_on)
-
     # ------------------------------------------------------------------ #
     # Injection hooks (called from worker code)
     # ------------------------------------------------------------------ #
@@ -268,38 +261,6 @@ class FaultPlan:
                    torn_write_on=frozenset(sets["torn-write"]),
                    bit_flip_on=frozenset(sets["bit-flip"]),
                    client_disconnect_on=frozenset(sets["disconnect"]))
-
-    @classmethod
-    def seeded(cls, seed: int, num_queries: int, num_batches: int = 0,
-               raise_fraction: float = 0.25,
-               crash_batches: int = 1,
-               store_ops: int = 0) -> "FaultPlan":
-        """A reproducible plan over a run of known size.
-
-        The same ``(seed, num_queries, num_batches, store_ops)`` always
-        yields the same plan, so a CI matrix entry can name its faults
-        by seed.  ``store_ops`` > 0 additionally samples store-I/O
-        faults (one read EIO, one torn write, one bit flip) over that
-        many store operations.
-        """
-        rng = random.Random(seed)
-        count = max(1, int(num_queries * raise_fraction))
-        raises = frozenset(rng.sample(range(num_queries),
-                                      min(count, num_queries)))
-        crashes: frozenset[int] = frozenset()
-        if num_batches > 0 and crash_batches > 0:
-            crashes = frozenset(rng.sample(range(num_batches),
-                                           min(crash_batches, num_batches)))
-        read_eio: frozenset[int] = frozenset()
-        torn: frozenset[int] = frozenset()
-        flips: frozenset[int] = frozenset()
-        if store_ops > 0:
-            read_eio = frozenset({rng.randrange(store_ops)})
-            torn = frozenset({rng.randrange(store_ops)})
-            flips = frozenset({rng.randrange(store_ops)}) - torn
-        return cls(raise_on_query=raises, crash_on_batch=crashes,
-                   store_read_eio=read_eio, torn_write_on=torn,
-                   bit_flip_on=flips)
 
     def describe(self) -> str:
         parts = []

@@ -217,11 +217,8 @@ class _WorkerState:
         self.process_worker = candidates is None
         if candidates is None:
             # Re-collect over the same pruned view the parent walked.
-            from repro.pdg.reduce import build_view
-
-            candidates = collect_candidates(
-                spec.pdg, spec.checker, spec.config.sparse,
-                view=build_view(spec.pdg, spec.checker))
+            candidates = collect_candidates(spec.pdg, spec.checker,
+                                            spec.config.sparse)
         self.candidates = candidates
         self.engine = engine
         self.policy = policy

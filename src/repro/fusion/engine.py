@@ -21,7 +21,7 @@ from repro.lang.ir import Program
 from repro.limits import Budget, Deadline
 from repro.pdg.builder import build_pdg
 from repro.pdg.graph import ProgramDependenceGraph
-from repro.pdg.slicing import Slice, compute_slice
+from repro.pdg.slicing import Slice
 from repro.smt.solver import SmtResult, SolverConfig
 from repro.sparse.engine import SparseConfig
 
@@ -73,16 +73,6 @@ class FusionEngine(PathSensitiveEngine):
             else list(solver.local_passes),
             "want_model": solver.want_model,
         }
-
-    def check_simultaneous(self, paths) -> "SmtResult":
-        """Decide whether several dependence paths are *simultaneously*
-        feasible (Example 3.2: both taint paths into ``send(c, d)`` must
-        hold at once).  The paths must come from one shared
-        :class:`~repro.sparse.paths.FrameTable` so frame ids are unique;
-        collect them via ``collect_candidates(..., frames=table)``.
-        """
-        the_slice = compute_slice(self.pdg, paths)
-        return self.solver.solve(list(paths), the_slice)
 
     def _memory_snapshot(self) -> tuple[int, int]:
         """(total units, condition-cache units).

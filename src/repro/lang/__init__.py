@@ -4,22 +4,17 @@ from repro.lang.ast_nodes import Module, SourceLoc
 from repro.lang.ir import (Assign, Binary, BinOp, Branch, Call, Const,
                            Function, Identity, IfThenElse, Operand, Program,
                            Return, Stmt, Var, VarType)
-from repro.lang.interp import (ExecutionResult, InterpError, Interpreter,
-                               SinkEvent, Value)
 from repro.lang.lexer import LexError, tokenize
 from repro.lang.lowering import (LoweringConfig, LoweringError,
                                  compile_source, lower_module)
 from repro.lang.parser import ParseError, parse
-from repro.lang.pretty import format_function, format_program, format_stmt
 
 __all__ = [
     "Module", "SourceLoc",
     "Assign", "Binary", "BinOp", "Branch", "Call", "Const", "Function",
     "Identity", "IfThenElse", "Operand", "Program", "Return", "Stmt", "Var",
     "VarType",
-    "ExecutionResult", "InterpError", "Interpreter", "SinkEvent", "Value",
     "LexError", "tokenize",
     "LoweringConfig", "LoweringError", "compile_source", "lower_module",
     "ParseError", "parse",
-    "format_function", "format_program", "format_stmt",
 ]

@@ -59,10 +59,6 @@ class Deadline:
             return cls(None)
         return cls(time.monotonic() + seconds)
 
-    @classmethod
-    def never(cls) -> "Deadline":
-        return cls(None)
-
     @property
     def expired(self) -> bool:
         return self.expires_at is not None \
@@ -77,14 +73,6 @@ class Deadline:
     def check(self, what: str = "query") -> None:
         if self.expired:
             raise QueryDeadlineExceeded(f"{what} exceeded its deadline")
-
-    def earlier(self, other: Optional["Deadline"]) -> "Deadline":
-        """The tighter of two deadlines."""
-        if other is None or other.expires_at is None:
-            return self
-        if self.expires_at is None:
-            return other
-        return self if self.expires_at <= other.expires_at else other
 
 
 @dataclass
@@ -132,12 +120,3 @@ class Budget:
                 f"modeled memory {units} exceeded budget "
                 f"{self.max_memory_units}")
 
-
-def unlimited() -> Budget:
-    """A fresh no-limit budget with its own clock.
-
-    Replaces the old module-level ``UNLIMITED`` singleton, whose ``_start``
-    was stamped at import time and shared mutably across runs — making
-    ``elapsed``/``restart_clock`` on it meaningless for any caller.
-    """
-    return Budget()

@@ -32,9 +32,6 @@ class CallGraph:
     def callees(self, name: str) -> set[str]:
         return self.edges.get(name, set())
 
-    def callers(self, name: str) -> set[str]:
-        return {f for f, callees in self.edges.items() if name in callees}
-
     # ------------------------------------------------------------------ #
     # SCCs (Tarjan, iterative)
     # ------------------------------------------------------------------ #

@@ -149,9 +149,6 @@ class ProgramDependenceGraph:
         self._succs[edge.src.index].append(edge)
         self._data_edges += 1
 
-    def set_control_parent(self, vertex: Vertex, branch: Vertex) -> None:
-        self._control_parent[vertex.index] = branch
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #

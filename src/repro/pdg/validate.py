@@ -35,10 +35,6 @@ class ValidationReport:
     def add(self, message: str) -> None:
         self.errors.append(message)
 
-    def raise_if_invalid(self) -> None:
-        if self.errors:
-            raise ValueError("invalid PDG:\n  " + "\n  ".join(self.errors))
-
 
 def validate_pdg(pdg: ProgramDependenceGraph) -> ValidationReport:
     report = ValidationReport()

@@ -255,9 +255,6 @@ class TenantRegistry:
                    for entry in self._tenants.values()
                    if entry.breaker is not None)
 
-    def drop(self, tenant: str) -> bool:
-        return self._tenants.pop(tenant, None) is not None
-
     @property
     def alive(self) -> int:
         return len(self._tenants)

@@ -11,16 +11,11 @@ from repro.smt.rewriter import simplify
 from repro.smt.preprocess import (Preprocessor, PreprocessResult,
                                   PreprocessStats, Verdict,
                                   constraint_set_size, flatten_conjunction)
-from repro.smt.sat import SatResult, SatSolver, SatStatus, solve_clauses
+from repro.smt.sat import SatResult, SatSolver, SatStatus
 from repro.smt.bitblast import BitBlaster
-from repro.smt.solver import (SmtResult, SmtSolver, SmtStatus, SolverConfig,
-                              smt_solve)
+from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, SolverConfig
 from repro.smt.tactics import (eliminate_quantifier, hfs_simplify,
                                lfs_simplify)
-from repro.smt.dimacs import (formula_to_dimacs, parse_dimacs, solve_dimacs,
-                              write_dimacs)
-from repro.smt.smtlib import (model_to_smtlib, term_to_smtlib,
-                              to_smtlib_script)
 
 __all__ = [
     "BOOL", "DEFAULT_WIDTH", "Sort", "bitvec",
@@ -29,10 +24,8 @@ __all__ = [
     "simplify",
     "Preprocessor", "PreprocessResult", "PreprocessStats", "Verdict",
     "constraint_set_size", "flatten_conjunction",
-    "SatResult", "SatSolver", "SatStatus", "solve_clauses",
+    "SatResult", "SatSolver", "SatStatus",
     "BitBlaster",
-    "SmtResult", "SmtSolver", "SmtStatus", "SolverConfig", "smt_solve",
+    "SmtResult", "SmtSolver", "SmtStatus", "SolverConfig",
     "eliminate_quantifier", "hfs_simplify", "lfs_simplify",
-    "formula_to_dimacs", "parse_dimacs", "solve_dimacs", "write_dimacs",
-    "model_to_smtlib", "term_to_smtlib", "to_smtlib_script",
 ]

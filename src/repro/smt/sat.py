@@ -203,11 +203,6 @@ class SatSolver:
             # retained level-0 trail; force a full rescan next solve.
             self._needs_rescan = True
 
-    def add_clauses(self, clauses: Iterable[Iterable[int]]) -> None:
-        """Add a batch of clauses between solves (incremental interface)."""
-        for clause in clauses:
-            self.add_clause(clause)
-
     def _watch(self, lit: int, clause_idx: int) -> None:
         self._watches.setdefault(lit, []).append(clause_idx)
 
@@ -531,11 +526,3 @@ class SatSolver:
         return SatResult(status, model, self.conflicts, self.decisions,
                          self.propagations)
 
-
-def solve_clauses(clauses: Sequence[Sequence[int]],
-                  conflict_limit: Optional[int] = None) -> SatResult:
-    """One-shot convenience wrapper used by tests."""
-    solver = SatSolver()
-    for clause in clauses:
-        solver.add_clause(clause)
-    return solver.solve(conflict_limit=conflict_limit)

@@ -1,8 +1,8 @@
 """The conventional SMT solution (Algorithm 3 of the paper).
 
-``smt_solve`` first runs the equisatisfiable preprocessing pipeline; if
-that decides the formula (the paper reports this settles 21% of instances)
-it returns immediately, otherwise the residual constraints are bit-blasted
+``SmtSolver.check`` is the paper's ``smt_solve``.  It first runs the
+equisatisfiable preprocessing pipeline; if that decides the formula (the
+paper reports this settles 21% of instances) it returns immediately, otherwise the residual constraints are bit-blasted
 and handed to the CDCL SAT back end — exactly the structure of Algorithm 3
 ("preprocess; if true return sat; if false return unsat; specific_solve").
 """
@@ -157,8 +157,3 @@ class SmtSolver:
                 if pre is not None else model
         return answer
 
-
-def smt_solve(manager: TermManager, constraints: Iterable[Term],
-              **kwargs) -> SmtResult:
-    """One-shot convenience wrapper (the paper's ``smt_solve`` procedure)."""
-    return SmtSolver(manager).check(constraints, **kwargs)

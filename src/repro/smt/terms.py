@@ -275,9 +275,6 @@ class TermManager:
             raise TypeError(f"eq on mismatched sorts: {a.sort} vs {b.sort}")
         return self._intern(Op.EQ, (a, b), BOOL, None)
 
-    def distinct(self, a: Term, b: Term) -> Term:
-        return self.not_(self.eq(a, b))
-
     def ite(self, cond: Term, then: Term, other: Term) -> Term:
         self._check_bool(cond)
         if then.sort != other.sort:

@@ -16,6 +16,7 @@ from typing import Optional
 
 from repro.checkers.base import BugCandidate, Checker
 from repro.pdg.graph import ProgramDependenceGraph
+from repro.pdg.reduce import build_view
 from repro.sparse.paths import (DependencePath, FrameTable, PathStep,
                                 extend_path)
 
@@ -41,22 +42,22 @@ def collect_candidates(pdg: ProgramDependenceGraph, checker: Checker,
                        view=None, sources=None) -> list[BugCandidate]:
     """Run the sparse propagation and return all bug candidates.
 
+    The walk follows ``view``, the checker's pruned
+    :class:`~repro.pdg.reduce.SparsePDGView` (built here when None):
+    its live sources, and per vertex its kept edges, each already
+    classified as a sink edge or a propagating one.  Elided sources and
+    edges are exactly those that cannot contribute a candidate *or
+    perturb frame interning* (the pruning contract in
+    ``repro.pdg.reduce``), so the returned list — candidate order, dedup
+    decisions, and every frame id inside the paths — is byte-identical
+    to a walk of the whole graph.
+
     Pass a shared ``frames`` table when the caller intends to check
     several paths *simultaneously* (the paper's Example 3.2): frame ids
-    are then unique across sources, so paths can be conjoined in a single
-    ``ir_based_smt_solve`` query.
+    are then unique across the walked sources, so paths can be
+    conjoined in a single ``ir_based_smt_solve`` query.
 
-    Pass a checker-specific ``view``
-    (:class:`repro.pdg.reduce.SparsePDGView`) to walk the pruned
-    adjacency instead of the full graph: elided sources and edges are
-    exactly those that cannot contribute a candidate *or perturb frame
-    interning* (see the pruning contract in ``repro.pdg.reduce``), so
-    the returned list — candidate order, dedup decisions, and every
-    frame id inside the paths — is byte-identical to the full walk.
-    The view is ignored under a shared ``frames`` table, whose ids must
-    stay unique across *all* sources including elided ones.
-
-    Pass ``sources`` (a subsequence of the default source order) to walk
+    Pass ``sources`` (a subsequence of the view's source order) to walk
     only those sources.  Each source's walk is independent — it interns
     its own :class:`FrameTable` and keeps its own visit counts — so the
     candidates produced for a selected source are byte-identical to the
@@ -66,18 +67,14 @@ def collect_candidates(pdg: ProgramDependenceGraph, checker: Checker,
     full one.
     """
     config = config if config is not None else SparseConfig()
+    if view is None:
+        view = build_view(pdg, checker)
+    if sources is None:
+        sources = view.live_sources
+    kept = view.kept_entries
     candidates: list[BugCandidate] = []
     per_pair: dict[tuple, int] = {}
     shared_frames = frames
-
-    if view is not None and shared_frames is None:
-        if sources is None:
-            sources = view.live_sources
-        kept = view.kept_entries
-    else:
-        if sources is None:
-            sources = checker.sources(pdg)
-        kept = None
 
     for source in sources:
         frames = shared_frames if shared_frames is not None \
@@ -88,18 +85,8 @@ def collect_candidates(pdg: ProgramDependenceGraph, checker: Checker,
 
         while stack and len(candidates) < config.max_candidates:
             path = stack.pop()
-            step = path.steps[-1]
-            if kept is not None:
-                entries = kept(step.vertex)
-            else:
-                entries = [(edge, None)
-                           for edge in pdg.data_succs(step.vertex)]
-            for edge, flagged in entries:
-                # ``flagged`` is the view's precomputed classification;
-                # None means full mode — ask the checker, in the same
-                # order the view's classification pass did.
-                if flagged if flagged is not None \
-                        else checker.is_sink_edge(edge):
+            for edge, is_sink in kept(path.steps[-1].vertex):
+                if is_sink:
                     finished = extend_path(path, edge, frames)
                     if finished is None:
                         continue
@@ -108,8 +95,6 @@ def collect_candidates(pdg: ProgramDependenceGraph, checker: Checker,
                     if count < config.max_paths_per_pair:
                         per_pair[candidate.key()] = count + 1
                         candidates.append(candidate)
-                    continue
-                if flagged is None and not checker.propagates(edge):
                     continue
                 extended = extend_path(path, edge, frames)
                 if extended is None or len(extended) > config.max_path_len:

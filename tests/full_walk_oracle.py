@@ -1,13 +1,14 @@
-"""Test oracle: engines that walk the whole PDG instead of a sparse view.
+"""Test oracle: the walk of the whole PDG, without a sparse view.
 
-Every path-sensitive engine collects candidates over its checker's
-pruned view (``repro.pdg.reduce``).  The engines here override
-``checker_view`` to return None, so ``collect_candidates`` walks every
-data edge and asks the checker about each one — the full walk the
-pruning contract promises to reproduce bit for bit
-(``tests/test_sparsify_differential.py``).
+``collect_candidates`` walks a checker's pruned view
+(``repro.pdg.reduce``).  :class:`FullView` stands in for that view with
+no pruning: every source of the checker, and at each vertex every data
+edge the checker calls a sink edge (asked first) or a propagating one.
+That is the full walk the pruning contract promises to reproduce bit for
+bit (``tests/test_sparsify_differential.py``, ``tests/test_reduce.py``).
 
-Run them at one job: process workers re-collect candidates over a view
+The engines here hand :class:`FullView` to the analysis loop.  Run them
+at one job: process workers re-collect candidates over the sparse view
 whatever the engine class.
 """
 
@@ -17,9 +18,27 @@ from repro.baselines import PinpointEngine
 from repro.fusion import FusionEngine
 
 
+class FullView:
+    """Every source and every sink or propagating edge of ``pdg``."""
+
+    def __init__(self, pdg, checker) -> None:
+        self.pdg = pdg
+        self.checker = checker
+        self.live_sources = checker.sources(pdg)
+
+    def kept_entries(self, vertex) -> list:
+        entries = []
+        for edge in self.pdg.data_succs(vertex):
+            if self.checker.is_sink_edge(edge):
+                entries.append((edge, True))
+            elif self.checker.propagates(edge):
+                entries.append((edge, False))
+        return entries
+
+
 class _FullWalk:
     def checker_view(self, checker, telemetry=None):
-        return None
+        return FullView(self.pdg, checker)
 
 
 class FullWalkFusion(_FullWalk, FusionEngine):

@@ -92,8 +92,8 @@ def oracle_pdg(program: Program) -> ProgramDependenceGraph:
                                           stmt.result.name)] = vertex
         for stmt in function.statements():
             for branch_id in control[id(stmt)]:
-                pdg.set_control_parent(vertex_of[id(stmt)],
-                                       vertex_of[branch_id])
+                pdg._control_parent[vertex_of[id(stmt)].index] = \
+                    vertex_of[branch_id]
         pdg._param_vertices[function.name] = [
             vertex_of[id(s)] for s in function.body[:len(function.params)]]
         ret = function.return_stmt

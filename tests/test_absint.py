@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 from repro.absint import Interval, Nullness, analyze_pdg, binary_interval
 from repro.absint.transfer import wrap_range
 from repro.fusion import prepare_pdg
-from repro.lang import BinOp, Interpreter, Return, compile_source
+from repro.lang import BinOp, Return, compile_source
 from repro.smt import to_signed
+from interp_oracle import Interpreter
 
 WIDTH = 4
 MASK = (1 << WIDTH) - 1
@@ -107,10 +108,15 @@ def test_interval_lattice_basics():
     assert five.join(Interval.const(9)) == Interval(5, 9)
     assert five.meet(Interval(0, 4)) is None
     assert five.meet(Interval(5, 9)) == five
-    assert five.subset_of(top) and not top.subset_of(five)
+    assert five.meet(top) == five and top.meet(five) != top
     assert Interval.const(1).definitely_true
     assert Interval.const(0).definitely_false
     assert not Interval(0, 1).definitely_true
+
+
+def var_value(state, name, function="main"):
+    """The abstract value of ``function``'s SSA variable ``name``."""
+    return state.values[state.pdg.def_of(function, name).index]
 
 
 FIXPOINT_SRC = """
@@ -131,13 +137,13 @@ fun main(a) {
 def test_fixpoint_constants_and_joins():
     pdg = prepare_pdg(compile_source(FIXPOINT_SRC))
     state = analyze_pdg(pdg)
-    assert state.var_value("main", "y").interval == Interval.const(7)
+    assert var_value(state, "y").interval == Interval.const(7)
     # The ite merge of z joins both arms.
-    joined = [state.value_of(v).interval for v in pdg.vertices
+    joined = [state.values[v.index].interval for v in pdg.vertices
               if v.function == "main" and v.var.name.startswith("z")]
     assert Interval(1, 2) in joined, joined
     # Parameters stay top: w = a + 1 cannot be narrowed.
-    assert state.var_value("main", "w").interval == Interval.top(
+    assert var_value(state, "w").interval == Interval.top(
         pdg.program.width)
 
 
@@ -175,10 +181,10 @@ def test_fixpoint_nullness():
     """
     pdg = prepare_pdg(compile_source(src))
     state = analyze_pdg(pdg)
-    assert state.var_value("main", "p").nullness is Nullness.NULL
+    assert var_value(state, "p").nullness is Nullness.NULL
     # Null reduces the interval to the zero constant.
-    assert state.var_value("main", "p").interval == Interval.const(0)
-    assert state.var_value("main", "q").nullness is Nullness.NOT_NULL
+    assert var_value(state, "p").interval == Interval.const(0)
+    assert var_value(state, "q").nullness is Nullness.NOT_NULL
 
 
 class ExprFuzzer:
@@ -244,10 +250,10 @@ def test_concrete_return_value_inside_abstract_interval(seed, a, b):
     for vertex in pdg.vertices:
         if vertex.function != "f" or not isinstance(vertex.stmt, Return):
             continue
-        abstract = state.value_of(vertex)
+        abstract = state.values[vertex.index]
         assert not abstract.is_bottom, src
         assert abstract.interval.contains(signed), \
             (src, a, b, signed, abstract)
         assert concrete_value.taints <= frozenset(abstract.taints), src
-        if not abstract.nullness.may_be_null:
+        if abstract.nullness not in (Nullness.NULL, Nullness.TOP):
             assert not concrete_value.is_null, src

@@ -32,13 +32,13 @@ import os
 import pytest
 
 from repro.bench import pdg_for, run_engine
-from repro.bench.generator import LOOP_HEAVY_FAMILY, loop_heavy_source
 from repro.engine import CHECKER_FACTORIES, build_engine, findings_payload
 from repro.exec import Telemetry
 from repro.fusion import prepare_pdg
 from repro.lang import compile_source
 from repro.pdg import build_view
 from repro.query.engine import run_demand_query
+from loop_corpus import LOOP_HEAVY_FAMILY, loop_heavy_source
 
 EXPECTATIONS = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                             "bench_gate.json")

@@ -70,7 +70,6 @@ class TestStateMachine:
         assert breaker.state(group) == "open"
         assert breaker.admit(group) == (False, False)
         assert breaker.open_count() == 1
-        assert breaker.open_groups() == [group]
 
     def test_success_resets_the_consecutive_counter(self):
         breaker = CircuitBreaker(threshold=2, clock=FakeClock())

@@ -297,8 +297,9 @@ class TestMalformedSource:
 
 
 class TestUnreadableInput:
-    """A missing file or an unknown registry subject is a bad argument:
-    one ``repro <cmd>: message`` line, exit 2, no traceback."""
+    """A missing file, an unknown registry subject or an unwritable
+    ``--dot`` path is a bad argument: one ``repro <cmd>: message`` line,
+    exit 2, no traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["scan", "{}"],
@@ -328,6 +329,21 @@ class TestUnreadableInput:
             f"subject (see `repro subjects`)")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "{src}"],
+        ["pdg", "--subject", "{src}", "--checker", "null-deref"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_dot_exits_two(self, argv, source_file, tmp_path,
+                                      capsys):
+        target = str(tmp_path / "no-such-dir" / "graph.dot")
+        code = main([source_file if arg == "{src}" else arg for arg in argv]
+                    + ["--dot", target])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == (
+            f"repro {argv[0]}: cannot write --dot to {target!r}: "
+            f"[Errno 2] No such file or directory: {target!r}\n")
 
 
 class TestTriageFlag:

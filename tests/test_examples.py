@@ -46,15 +46,6 @@ class TestExamples:
         assert "Whole-program scan summary" in proc.stdout
         assert "Findings:" in proc.stdout
 
-    def test_export_smt_artifacts(self, tmp_path):
-        proc = run_example("export_smt_artifacts.py", str(tmp_path))
-        assert proc.returncode == 0, proc.stderr
-        smt2 = (tmp_path / "figure1_condition.smt2").read_text()
-        assert "(check-sat)" in smt2
-        cnf = (tmp_path / "figure1_condition.cnf").read_text()
-        assert cnf.startswith("c ") or cnf.startswith("p ") or \
-            "p cnf" in cnf
-
     def test_custom_checker(self):
         proc = run_example("custom_checker.py")
         assert proc.returncode == 0, proc.stderr

@@ -25,6 +25,7 @@ from repro.exec.faults import InjectedQueryError
 from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
                           prepare_pdg)
 from repro.smt.solver import SolverConfig
+from fault_plans import seeded_plan
 
 #: CI matrix entries pin the seeds via REPRO_FAULT_SEEDS; locally a fixed
 #: default keeps the suite deterministic and always-on.
@@ -101,7 +102,7 @@ class TestRaiseFaults:
         checker = NullDereferenceChecker()
         sequential = engine(pdg).analyze(checker)
         count = len(sequential.reports)
-        plan = FaultPlan.seeded(seed, num_queries=count, num_batches=2)
+        plan = seeded_plan(seed, num_queries=count, num_batches=2)
         faulted = engine(pdg).analyze(
             checker, exec_config=ExecConfig(jobs=4, backend="process",
                                             fault_plan=plan))

@@ -8,11 +8,12 @@ import pytest
 from repro.exec.faults import (DELAY_TICK_SECONDS, FaultPlan, FaultPolicy,
                                InjectedQueryError, WorkerCrash)
 from repro.limits import Deadline, QueryDeadlineExceeded
+from fault_plans import seeded_plan
 
 
 class TestDeadline:
     def test_never_expires_without_limit(self):
-        deadline = Deadline.never()
+        deadline = Deadline()
         assert not deadline.expired
         assert deadline.remaining() is None
         deadline.check()  # no raise
@@ -35,15 +36,6 @@ class TestDeadline:
         remaining = deadline.remaining()
         assert 0 < remaining <= 60.0
         assert not deadline.expired
-
-    def test_earlier_picks_the_tighter(self):
-        soon = Deadline.after(1.0)
-        late = Deadline.after(100.0)
-        assert soon.earlier(late) is soon
-        assert late.earlier(soon) is soon
-        assert soon.earlier(None) is soon
-        assert Deadline.never().earlier(soon) is soon
-        assert soon.earlier(Deadline.never()) is soon
 
     def test_picklable(self):
         deadline = Deadline.after(5.0)
@@ -71,7 +63,7 @@ class TestFaultPolicy:
 class TestFaultPlan:
     def test_empty_plan_is_inert(self):
         plan = FaultPlan()
-        assert plan.is_empty
+        assert plan.describe() == "<empty>"
         plan.apply_query(0)          # no raise
         plan.crash_worker(0, 0, process_worker=False)  # no raise
 
@@ -113,12 +105,12 @@ class TestFaultPlan:
         plan.crash_worker(1, 2, process_worker=False)  # survives
 
     def test_seeded_is_reproducible_and_bounded(self):
-        a = FaultPlan.seeded(7, num_queries=20, num_batches=4)
-        b = FaultPlan.seeded(7, num_queries=20, num_batches=4)
+        a = seeded_plan(7, num_queries=20, num_batches=4)
+        b = seeded_plan(7, num_queries=20, num_batches=4)
         assert a == b
         assert a.raise_on_query and a.raise_on_query <= set(range(20))
         assert a.crash_on_batch <= set(range(4))
-        assert FaultPlan.seeded(8, num_queries=20, num_batches=4) != a
+        assert seeded_plan(8, num_queries=20, num_batches=4) != a
 
     def test_picklable(self):
         plan = FaultPlan.parse("raise=1;delay=2:0.1;crash=0")

@@ -18,10 +18,10 @@ from hypothesis import strategies as st
 
 from repro.engine import AnalysisSession, findings_payload
 from repro.exec import ArtifactStore
-from repro.lang import (LoweringError, compile_source, format_program,
-                        tokenize)
+from repro.lang import LoweringError, compile_source, tokenize
 from repro.lang.frontend import FrontendCache
 from repro.lang.scan import block_end, mask_comments, top_level_items
+from ir_pretty import format_program
 from test_serve_differential import SEEDS, fuzz_source
 
 #: Appended to every corpus program: ``zq_user`` calls ``zq_flag`` only

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fusion import ConditionTransformer, prepare_pdg
-from repro.lang import Interpreter, LoweringConfig, compile_source
+from repro.lang import LoweringConfig, compile_source
 from repro.pdg import validate_pdg
 from repro.smt import SmtSolver, SmtStatus
+from interp_oracle import Interpreter
 
 
 class ProgramFuzzer:

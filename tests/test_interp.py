@@ -8,11 +8,14 @@ from hypothesis import strategies as st
 from repro.baselines import PinpointEngine
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker, cwe402_checker
+from repro.checkers.taint import (CWE23_SANITIZERS, CWE23_SOURCES,
+                                  CWE402_SANITIZERS, CWE402_SOURCES)
 from repro.fusion import (ConditionTransformer, FusionConfig, FusionEngine,
                           GraphSolverConfig, prepare_pdg)
 from repro.lang import LoweringConfig, compile_source
-from repro.lang.interp import InterpError, Interpreter, Value
 from repro.smt import SmtSolver, SmtStatus
+from interp_oracle import (SANITIZERS, TAINT_SOURCES, InterpError,
+                           Interpreter, Value)
 
 
 def interp(src, fn="f", args=(), **kwargs):
@@ -54,6 +57,13 @@ def replays_into_sink(program, report) -> bool:
         .run(root.function, args)
     return any(event.passed_null for event in
                execution.events_for(report.sink.stmt.callee))
+
+
+def test_taint_tables_equal_the_checkers():
+    """The oracle spells its taint model out; it must be the union of
+    the taint checkers' tables."""
+    assert TAINT_SOURCES == CWE23_SOURCES | CWE402_SOURCES
+    assert SANITIZERS == CWE23_SANITIZERS | CWE402_SANITIZERS
 
 
 class TestBasicExecution:

@@ -7,7 +7,8 @@ from repro.engine import build_engine, findings_payload
 from repro.fusion import prepare_pdg
 from repro.lang import (Assign, Binary, BinOp, Branch, Call, Const,
                         IfThenElse, Identity, LoweringConfig, LoweringError,
-                        Return, Var, VarType, compile_source, format_function)
+                        Return, Var, VarType, compile_source)
+from ir_pretty import format_function
 
 FIGURE1 = """
 fun bar(x) {

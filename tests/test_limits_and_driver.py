@@ -7,8 +7,7 @@ from typing import Optional
 
 import pytest
 
-from repro.limits import (Budget, MemoryBudgetExceeded, TimeBudgetExceeded,
-                          unlimited)
+from repro.limits import Budget, MemoryBudgetExceeded, TimeBudgetExceeded
 from repro.checkers import NullDereferenceChecker
 from repro.engine.base import PathSensitiveEngine
 from repro.fusion import prepare_pdg
@@ -41,19 +40,6 @@ class TestBudget:
         before = budget.elapsed
         budget.restart_clock()
         assert budget.elapsed < before
-
-    def test_unlimited_factory_returns_fresh_budgets(self):
-        """unlimited() replaced the old module-level UNLIMITED singleton:
-        each call owns a fresh clock, so one caller's restart_clock or
-        elapsed reading cannot leak into another's."""
-        a, b = unlimited(), unlimited()
-        assert a is not b
-        assert a.max_seconds is None and a.max_memory_units is None
-        a.check_time()
-        a.check_memory(10**12)
-        time.sleep(0.01)
-        b.restart_clock()
-        assert a.elapsed > b.elapsed
 
 
 SRC = """

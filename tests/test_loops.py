@@ -22,7 +22,7 @@ from repro.engine import (AnalysisSession, EngineSettings,
                           findings_payload)
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.lang import LoweringConfig, compile_source
-from repro.lang.interp import Interpreter
+from interp_oracle import Interpreter
 
 WIDTH = 8
 MASK = (1 << WIDTH) - 1

@@ -23,7 +23,6 @@ import tempfile
 import pytest
 
 from repro.baselines import PinpointConfig, PinpointEngine
-from repro.bench.generator import loop_heavy_source
 from repro.checkers import DivByZeroChecker, NullDereferenceChecker
 from repro.engine import (AnalysisSession, EngineSettings,
                           findings_payload)
@@ -31,7 +30,8 @@ from repro.exec import ArtifactStore, ExecConfig
 from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
                           prepare_pdg)
 from repro.lang import LoweringConfig, compile_source
-from repro.lang.interp import Interpreter
+from interp_oracle import Interpreter
+from loop_corpus import loop_heavy_source
 
 FUZZ_SEEDS = list(range(25))
 

@@ -7,7 +7,8 @@ comparing the lowered IR's execution against hand-computed semantics.
 
 import pytest
 
-from repro.lang import Interpreter, LoweringConfig, compile_source
+from repro.lang import LoweringConfig, compile_source
+from interp_oracle import Interpreter
 
 
 def run(src, args=(), fn="f", **cfg):

@@ -1,7 +1,6 @@
 """Tests for the PDG validator, including fuzzing over generated
 subjects."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,10 +42,6 @@ class TestValidPdgs:
         fun main(k) { r = f(k); return r; }
         """))
         assert validate_pdg(pdg).ok
-
-    def test_raise_if_invalid_noop_when_ok(self):
-        report = validate_pdg(build_pdg(compile_source(FIGURE1)))
-        report.raise_if_invalid()  # must not raise
 
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -93,13 +88,6 @@ class TestBrokenPdgsDetected:
         branch = next(v for v in pdg.vertices
                       if isinstance(v.stmt, Branch))
         alien = pdg.def_of("bar", "y")
-        pdg.set_control_parent(alien, branch)
+        pdg._control_parent[alien.index] = branch
         report = validate_pdg(pdg)
         assert any("crosses functions" in e for e in report.errors)
-
-    def test_raise_if_invalid_raises(self):
-        pdg = build_pdg(compile_source(FIGURE1))
-        z = pdg.def_of("bar", "z")
-        pdg._preds[z.index].clear()
-        with pytest.raises(ValueError):
-            validate_pdg(pdg).raise_if_invalid()

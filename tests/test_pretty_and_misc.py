@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.lang import (BinOp, Branch, Const, Var, VarType, compile_source,
-                        format_function, format_program, format_stmt)
+from repro.lang import BinOp, Branch, Const, Var, VarType, compile_source
 from repro.lang.ir import Assign, Binary, Function, Identity, IfThenElse
 from repro.pdg import build_pdg, compute_slice, pdg_to_dot
 from repro.sparse import collect_candidates
 from repro.checkers import NullDereferenceChecker
+from ir_pretty import format_function, format_program, format_stmt
 
 SRC = """
 fun helper(x) {

@@ -29,6 +29,7 @@ from repro.pdg import compute_slice
 from repro.pdg.reduce import build_view
 from repro.query.engine import _select_sources
 from repro.sparse.engine import collect_candidates
+from full_walk_oracle import FullView
 from view_oracle import full_view
 
 
@@ -203,7 +204,7 @@ def test_view_collection_identity(seed):
     walk's — same paths, same interned frame ids."""
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
-    full = collect_candidates(pdg, checker)
+    full = collect_candidates(pdg, checker, view=FullView(pdg, checker))
     view = build_view(pdg, checker)
     sparse = collect_candidates(pdg, checker, view=view)
     assert canonical_candidates(sparse) == canonical_candidates(full)
@@ -351,7 +352,8 @@ def test_divzero_view_identity():
     for seed in range(8):
         pdg = fuzz_pdg(seed)
         checker = DivByZeroChecker()
-        full = collect_candidates(pdg, checker)
+        full = collect_candidates(pdg, checker,
+                                  view=FullView(pdg, checker))
         view = build_view(pdg, checker)
         sparse = collect_candidates(pdg, checker, view=view)
         assert canonical_candidates(sparse) == canonical_candidates(full)

@@ -133,10 +133,11 @@ def test_sigkill_restart_differential(daemon_factory):
 
 @pytest.mark.parametrize("seed", FAULT_SEEDS)
 def test_store_fault_matrix_never_kills_the_daemon(daemon_factory, seed):
+    from fault_plans import seeded_plan
     from repro.exec import FaultPlan
 
-    plan = FaultPlan.seeded(seed, num_queries=0, store_ops=6)
-    assert not plan.is_empty
+    plan = seeded_plan(seed, num_queries=0, store_ops=6)
+    assert plan != FaultPlan()
     daemon = daemon_factory("--fault-plan", plan.describe())
     daemon.rpc("initialize", tenant="t", source=SOURCE)
     cold = daemon.rpc("analyze", tenant="t")["result"]

@@ -22,6 +22,7 @@ import pytest
 from repro.engine import AnalysisSession, findings_payload
 from repro.exec import FaultPlan
 from repro.serve import OVERLOADED, ServeApp, ServeConfig
+from fault_plans import seeded_plan
 
 CLIENTS = 8
 OPS_PER_CLIENT = 5
@@ -263,8 +264,8 @@ def test_soak_with_seeded_store_faults(seed):
     bit flips): faulted store I/O may cost re-solves or quarantines,
     never a wrong verdict, a lost response, or a dead daemon."""
     expected = {t: expected_findings(t) for t in TENANTS}
-    plan = FaultPlan.seeded(seed, num_queries=0, store_ops=6)
-    assert not plan.is_empty
+    plan = seeded_plan(seed, num_queries=0, store_ops=6)
+    assert plan != FaultPlan()
 
     async def main():
         with tempfile.TemporaryDirectory() as root:

@@ -6,8 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import SatSolver, SatStatus, solve_clauses
+from repro.smt import SatSolver, SatStatus
 from repro.smt.sat import luby
+
+
+def add_clauses(solver, clauses):
+    for clause in clauses:
+        solver.add_clause(clause)
+
+
+def solve_clauses(clauses, conflict_limit=None):
+    solver = SatSolver()
+    add_clauses(solver, clauses)
+    return solver.solve(conflict_limit=conflict_limit)
 
 
 def brute_force_sat(clauses, num_vars):
@@ -177,7 +188,7 @@ class TestAssumptions:
         solver.add_clause([1, 2])
         solver.add_clause([-2])
         assert solver.solve().is_sat
-        solver.add_clauses([[-1, 3], [-3, 2]])
+        add_clauses(solver, [[-1, 3], [-3, 2]])
         assert solver.solve().is_unsat
 
     def test_learned_clauses_survive_across_solves(self):
@@ -186,7 +197,7 @@ class TestAssumptions:
         # (the conjoined-formula property test below covers this at
         # scale, this is the focused case).
         solver = SatSolver()
-        solver.add_clauses(TestPigeonhole.pigeonhole(3))
+        add_clauses(solver, TestPigeonhole.pigeonhole(3))
         assert solver.solve().is_unsat
         assert solver.learned_clauses > 0
         assert solver.solve().is_unsat
@@ -207,12 +218,12 @@ class TestIncrementalAgainstOneShot:
         clause = st.lists(literal, min_size=1, max_size=4)
         base = data.draw(st.lists(clause, min_size=1, max_size=12))
         solver = SatSolver()
-        solver.add_clauses(base)
+        add_clauses(solver, base)
         added = [list(c) for c in base]
         rounds = data.draw(st.integers(1, 4))
         for _ in range(rounds):
             extra = data.draw(st.lists(clause, min_size=0, max_size=5))
-            solver.add_clauses(extra)
+            add_clauses(solver, extra)
             added.extend(list(c) for c in extra)
             assumptions = data.draw(st.lists(literal, min_size=0,
                                              max_size=3))
@@ -260,7 +271,7 @@ class TestHeapMicrobench:
             ([[1, 2], [-1, 3], [-2, -3], [2, 3]], SatStatus.SAT),
         ]:
             solver = LinearScanSolver()
-            solver.add_clauses(clauses)
+            add_clauses(solver, clauses)
             result = solver.solve()
             assert result.status is expected
             if result.is_sat:
@@ -269,9 +280,9 @@ class TestHeapMicrobench:
     def test_heap_verdicts_match_linear_scan(self):
         clauses = TestPigeonhole.pigeonhole(5)
         heap = SatSolver()
-        heap.add_clauses(clauses)
+        add_clauses(heap, clauses)
         linear = LinearScanSolver()
-        linear.add_clauses(clauses)
+        add_clauses(linear, clauses)
         assert heap.solve().status is linear.solve().status is \
             SatStatus.UNSAT
 
@@ -286,13 +297,13 @@ class TestHeapMicrobench:
 
         t0 = _time.perf_counter()
         heap = SatSolver()
-        heap.add_clauses(clauses)
+        add_clauses(heap, clauses)
         heap_result = heap.solve()
         t_heap = _time.perf_counter() - t0
 
         t0 = _time.perf_counter()
         linear = LinearScanSolver()
-        linear.add_clauses(clauses)
+        add_clauses(linear, clauses)
         linear_result = linear.solve()
         t_linear = _time.perf_counter() - t0
 

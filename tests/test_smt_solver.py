@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import (SmtSolver, SmtStatus, SolverConfig, TermManager,
-                       evaluate, smt_solve)
+                       evaluate)
 from strategies import all_assignments, bool_terms, make_manager
 
 
@@ -16,13 +16,13 @@ def mgr():
 
 class TestBasics:
     def test_trivially_sat(self, mgr):
-        assert smt_solve(mgr, [mgr.true]).is_sat
+        assert SmtSolver(mgr).check([mgr.true]).is_sat
 
     def test_trivially_unsat(self, mgr):
-        assert smt_solve(mgr, [mgr.false]).is_unsat
+        assert SmtSolver(mgr).check([mgr.false]).is_unsat
 
     def test_empty_is_sat(self, mgr):
-        assert smt_solve(mgr, []).is_sat
+        assert SmtSolver(mgr).check([]).is_sat
 
     def test_preprocess_decides_paper_example(self, mgr):
         """Figure 1(b): the whole path condition of foo falls to the
@@ -44,7 +44,7 @@ class TestBasics:
             e,
             mgr.eq(e, mgr.slt(v["c"], v["d"])),
         ]
-        result = smt_solve(mgr, constraints, want_model=True)
+        result = SmtSolver(mgr).check(constraints, want_model=True)
         assert result.is_sat
         assert result.decided_in_preprocess
         for c in constraints:
@@ -53,7 +53,7 @@ class TestBasics:
     def test_needs_sat_search(self, mgr):
         x = mgr.bv_var("x", 8)
         # x*x == 49 needs bit-level reasoning after preprocessing.
-        result = smt_solve(mgr, [mgr.eq(mgr.bvmul(x, x),
+        result = SmtSolver(mgr).check([mgr.eq(mgr.bvmul(x, x),
                                         mgr.bv_const(49, 8))],
                            want_model=True)
         assert result.is_sat
@@ -67,13 +67,13 @@ class TestBasics:
             mgr.eq(mgr.bvand(x, mgr.bv_const(1, 4)), mgr.bv_const(0, 4)),
             mgr.eq(mgr.bvand(x, mgr.bv_const(1, 4)), mgr.bv_const(1, 4)),
         ]
-        assert smt_solve(mgr, constraints).is_unsat
+        assert SmtSolver(mgr).check(constraints).is_unsat
 
     def test_model_covers_original_variables(self, mgr):
         x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)
         constraints = [mgr.eq(y, mgr.bvadd(x, mgr.bv_const(1, 8))),
                        mgr.eq(mgr.bvand(x, x), mgr.bv_const(5, 8))]
-        result = smt_solve(mgr, constraints, want_model=True)
+        result = SmtSolver(mgr).check(constraints, want_model=True)
         assert result.is_sat
         assert result.model[x] == 5 and result.model[y] == 6
 
@@ -108,7 +108,7 @@ class TestAgainstBruteForce:
         term = data.draw(bool_terms(mgr, bv_vars, bool_vars))
         expected_sat = any(evaluate(term, env) == 1
                            for env in all_assignments(bv_vars, bool_vars))
-        result = smt_solve(mgr, [term], want_model=True)
+        result = SmtSolver(mgr).check([term], want_model=True)
         assert result.status is not SmtStatus.UNKNOWN
         assert result.is_sat == expected_sat
         if result.is_sat:

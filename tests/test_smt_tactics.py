@@ -3,8 +3,8 @@
 import pytest
 
 from repro.limits import MemoryBudgetExceeded
-from repro.smt import (TermManager, eliminate_quantifier, evaluate,
-                       hfs_simplify, lfs_simplify, smt_solve)
+from repro.smt import (SmtSolver, TermManager, eliminate_quantifier,
+                       evaluate, hfs_simplify, lfs_simplify)
 
 
 @pytest.fixture
@@ -28,7 +28,7 @@ class TestHfs:
         assert queries >= 1
         assert simplified.dag_size() <= mgr.and_(eq, redundant).dag_size()
         # The surviving formula must still pin x to 5.
-        result = smt_solve(mgr, [simplified], want_model=True)
+        result = SmtSolver(mgr).check([simplified], want_model=True)
         assert result.is_sat
 
     def test_detects_contextual_contradiction(self, mgr):

@@ -1,0 +1,84 @@
+"""``src/repro`` holds only what the program runs.
+
+Every top-level function and class defined under ``src/repro`` must be
+named from code that is not a test: ``src/repro`` itself, ``perf/``,
+``benchmarks/`` or ``examples/``.  A definition only tests reach is an
+oracle or a test helper, and belongs in ``tests/``.
+
+A name counts when it appears as an identifier, an attribute, an import
+alias or a string constant; the string case covers the entry points
+``perf/tracing.py`` patches by name.  A package ``__init__`` re-export
+(its ``from ... import`` lines and ``__all__``) does not count, and the
+``def``/``class`` statement itself does not name its definition.
+"""
+
+from __future__ import annotations
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "repro"
+NON_TEST_DIRS = ("perf", "benchmarks", "examples")
+
+
+def _top_level_definitions() -> dict[str, list[str]]:
+    definitions: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                definitions.setdefault(node.name, []).append(
+                    str(path.relative_to(ROOT)))
+    return definitions
+
+
+def _is_reexport(node: ast.stmt) -> bool:
+    if isinstance(node, ast.ImportFrom):
+        return True
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__"
+        for target in node.targets)
+
+
+def _names(tree: ast.Module, package_init: bool) -> set[str]:
+    roots = [node for node in tree.body
+             if not (package_init and _is_reexport(node))]
+    names: set[str] = set()
+    for root in roots:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+                if node.asname is not None:
+                    names.add(node.asname)
+            elif isinstance(node, ast.Constant) \
+                    and isinstance(node.value, str):
+                names.add(node.value)
+    return names
+
+
+def _non_test_names() -> set[str]:
+    names: set[str] = set()
+    for path in PACKAGE.rglob("*.py"):
+        names |= _names(ast.parse(path.read_text()),
+                        package_init=path.name == "__init__.py")
+    for directory in NON_TEST_DIRS:
+        for path in (ROOT / directory).rglob("*.py"):
+            names |= _names(ast.parse(path.read_text()), package_init=False)
+    return names
+
+
+def test_every_src_definition_is_named_from_non_test_code():
+    used = _non_test_names()
+    test_only = {name: paths
+                 for name, paths in _top_level_definitions().items()
+                 if name not in used}
+    assert not test_only, (
+        "top-level definitions in src/repro that only tests name; move "
+        "them into tests/ or delete them: "
+        + ", ".join(f"{name} ({', '.join(paths)})"
+                    for name, paths in sorted(test_only.items())))

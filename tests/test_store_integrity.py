@@ -20,6 +20,7 @@ from repro.engine import findings_payload
 from repro.exec import ArtifactStore, FaultPlan, Telemetry
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.lang import LoweringConfig, compile_source
+from fault_plans import seeded_plan
 
 
 def fuzz_source(seed: int) -> str:
@@ -155,7 +156,7 @@ class TestInjectedStoreFaults:
         assert quarantine_files(str(tmp_path))
 
     def test_seeded_plans_cover_store_sites(self):
-        plan = FaultPlan.seeded(9, num_queries=0, store_ops=8)
+        plan = seeded_plan(9, num_queries=0, store_ops=8)
         assert plan.store_read_eio and plan.torn_write_on
         assert not (plan.torn_write_on & plan.bit_flip_on)
         spec = plan.describe()
