@@ -173,8 +173,9 @@ class QueryOutcome:
     #: dispatching it (the ``error`` carries the breaker metadata); such
     #: outcomes cost no worker time and are excluded from solver stats.
     short_circuited: bool = False
-    #: SAT clause-database size when this query's search ran (0 when
-    #: preprocessing decided it); feeds the bench per-query columns.
+    #: SAT clause-database size after this query's search, learned
+    #: clauses included (0 when preprocessing decided it); feeds the
+    #: bench per-query columns.
     sat_clauses: int = 0
 
     @property

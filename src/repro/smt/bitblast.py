@@ -25,8 +25,7 @@ class BitBlaster:
         self._bool_cache: dict[int, int] = {}
         self._bv_cache: dict[int, list[int]] = {}
         # Encoder-cache traffic: a hit means a term id resolved to an
-        # already-emitted Tseitin literal (no new clauses); sessions use
-        # the counters to prove cross-query reuse actually happened.
+        # already-emitted Tseitin literal (no new clauses).
         self.encoder_hits = 0
         self.encoder_misses = 0
         # A literal constrained to be true; constants reuse it.
@@ -88,6 +87,9 @@ class BitBlaster:
     # ------------------------------------------------------------------ #
     # Gate primitives
     # ------------------------------------------------------------------ #
+    # A gate that does not fold to a constant or an input gets a fresh
+    # output variable, and its clauses hold distinct, non-complementary
+    # literals over existing variables: what ``add_gate_clause`` asks.
 
     @property
     def true_lit(self) -> int:
@@ -101,56 +103,68 @@ class BitBlaster:
         return self.solver.new_var()
 
     def _gate_and(self, a: int, b: int) -> int:
-        if a == self.false_lit or b == self.false_lit or a == -b:
-            return self.false_lit
-        if a == self.true_lit or a == b:
+        true = self._true
+        if a == -true or b == -true or a == -b:
+            return -true
+        if a == true or a == b:
             return b
-        if b == self.true_lit:
+        if b == true:
             return a
-        out = self._fresh()
-        self.solver.add_clause([-out, a])
-        self.solver.add_clause([-out, b])
-        self.solver.add_clause([out, -a, -b])
+        solver = self.solver
+        out = solver.new_var()
+        add = solver.add_gate_clause
+        add([-out, a])
+        add([-out, b])
+        add([out, -a, -b])
         return out
 
     def _gate_or(self, a: int, b: int) -> int:
         return -self._gate_and(-a, -b)
 
     def _gate_xor(self, a: int, b: int) -> int:
-        if a == self.false_lit:
+        true = self._true
+        if a == -true:
             return b
-        if b == self.false_lit:
+        if b == -true:
             return a
-        if a == self.true_lit:
+        if a == true:
             return -b
-        if b == self.true_lit:
+        if b == true:
             return -a
         if a == b:
-            return self.false_lit
+            return -true
         if a == -b:
-            return self.true_lit
-        out = self._fresh()
-        self.solver.add_clause([-out, a, b])
-        self.solver.add_clause([-out, -a, -b])
-        self.solver.add_clause([out, -a, b])
-        self.solver.add_clause([out, a, -b])
+            return true
+        solver = self.solver
+        out = solver.new_var()
+        add = solver.add_gate_clause
+        add([-out, a, b])
+        add([-out, -a, -b])
+        add([out, -a, b])
+        add([out, a, -b])
         return out
 
     def _gate_iff(self, a: int, b: int) -> int:
         return -self._gate_xor(a, b)
 
     def _gate_ite(self, c: int, t: int, e: int) -> int:
-        if c == self.true_lit:
+        true = self._true
+        if c == true:
             return t
-        if c == self.false_lit:
+        if c == -true:
             return e
         if t == e:
             return t
-        out = self._fresh()
-        self.solver.add_clause([-c, -t, out])
-        self.solver.add_clause([-c, t, -out])
-        self.solver.add_clause([c, -e, out])
-        self.solver.add_clause([c, e, -out])
+        solver = self.solver
+        out = solver.new_var()
+        # With c == ±t or c == ±e a clause below holds a duplicate literal
+        # or is a tautology, which only add_clause dedupes or drops.
+        add = solver.add_clause if c in (t, -t, e, -e) \
+            else solver.add_gate_clause
+        add([-c, -t, out])
+        add([-c, t, -out])
+        add([c, -e, out])
+        add([c, e, -out])
         return out
 
     def _full_adder(self, a: int, b: int, cin: int) -> tuple[int, int]:
@@ -230,10 +244,6 @@ class BitBlaster:
         overflow = self.false_lit
         for i in range(amount_bits, len(ys)):
             overflow = self._gate_or(overflow, ys[i])
-        if (1 << amount_bits) > width:
-            # The top stage may already overshoot for non-power-of-two widths;
-            # the barrel handles it because out-of-range sources are zero.
-            pass
         return [self._gate_ite(overflow, self.false_lit, bit)
                 for bit in current]
 

@@ -54,7 +54,20 @@ def luby(i: int) -> int:
 
 
 class SatSolver:
-    """Incremental clause database with a CDCL search loop."""
+    """A clause database and the CDCL search over it.
+
+    The program builds one instance per query, lets the bit-blaster fill
+    it and solves it once (docs/solver.md).  ``solve`` also runs again
+    on the same instance, under ``assumptions`` and with clauses added
+    in between; only tests do that.
+
+    The hot paths (``_propagate``, ``_analyze``, ``_backjump`` and the
+    search loop in ``solve``) bind the solver's arrays to locals and
+    read and assign literal values inline.  Witnesses and
+    ``sat_clauses`` depend on the exact search, down to the order of
+    every watch list and of the trail, so
+    ``tests/test_sat_pinned_search.py`` pins its counters and models.
+    """
 
     def __init__(self) -> None:
         self._num_vars = 0
@@ -90,15 +103,16 @@ class SatSolver:
     # ------------------------------------------------------------------ #
 
     def new_var(self) -> int:
-        self._num_vars += 1
+        var = self._num_vars + 1
+        self._num_vars = var
         self._assign.append(0)
         self._level.append(0)
         self._reason.append(None)
         self._activity.append(0.0)
         self._phase.append(False)
         self._heap_pos.append(-1)
-        self._heap_insert(self._num_vars)
-        return self._num_vars
+        self._heap_insert(var)
+        return var
 
     # ------------------------------------------------------------------ #
     # VSIDS order heap (indexed max-heap on activity)
@@ -148,25 +162,30 @@ class SatSolver:
         pos[var] = i
 
     def _heap_insert(self, var: int) -> None:
-        if self._heap_pos[var] >= 0:
+        pos = self._heap_pos
+        if pos[var] >= 0:
             return
-        self._heap.append(var)
-        self._heap_pos[var] = len(self._heap) - 1
-        self._heap_sift_up(len(self._heap) - 1)
+        heap = self._heap
+        pos[var] = len(heap)
+        heap.append(var)
+        # Activities are never negative, so a variable whose activity is
+        # still 0 (every new one) already sits where sifting would leave it.
+        if self._activity[var]:
+            self._heap_sift_up(pos[var])
 
     def _heap_pop_max(self) -> Optional[int]:
-        while self._heap:
-            top = self._heap[0]
-            last = self._heap.pop()
-            self._heap_pos[top] = -1
-            if self._heap:
-                self._heap[0] = last
-                self._heap_pos[last] = 0
+        heap = self._heap
+        pos = self._heap_pos
+        assign = self._assign
+        while heap:
+            top = heap[0]
+            last = heap.pop()
+            pos[top] = -1
+            if heap:
+                heap[0] = last
+                pos[last] = 0
                 self._heap_sift_down(0)
-            elif last != top:
-                # Heap had one element which we already returned.
-                pass
-            if self._assign[top] == 0:
+            if assign[top] == 0:
                 return top
         return None
 
@@ -194,10 +213,30 @@ class SatSolver:
         if len(lits) == 1:
             self._pending_units.append(lits[0])
             return
-        idx = len(self._clauses)
-        self._clauses.append(lits)
-        self._watch(lits[0], idx)
-        self._watch(lits[1], idx)
+        self.add_gate_clause(lits)
+
+    def add_gate_clause(self, lits: list[int]) -> None:
+        """Append a clause of two or more distinct, non-complementary
+        literals over existing variables, as ``add_clause`` would.
+
+        The bit-blaster's Tseitin gates guarantee what ``add_clause``
+        checks, so they skip it.  The solver keeps ``lits`` itself (its
+        watched literals are swapped in place): pass a fresh list.
+        """
+        clauses = self._clauses
+        idx = len(clauses)
+        clauses.append(lits)
+        watches = self._watches
+        watching = watches.get(lits[0])
+        if watching is None:
+            watches[lits[0]] = [idx]
+        else:
+            watching.append(idx)
+        watching = watches.get(lits[1])
+        if watching is None:
+            watches[lits[1]] = [idx]
+        else:
+            watching.append(idx)
         if self._trail:
             # A literal watched here may already be false on the
             # retained level-0 trail; force a full rescan next solve.
@@ -214,22 +253,13 @@ class SatSolver:
     def num_clauses(self) -> int:
         return len(self._clauses)
 
-    # ------------------------------------------------------------------ #
-    # Assignment helpers
-    # ------------------------------------------------------------------ #
-
-    def _value(self, lit: int) -> int:
-        """+1 if lit is true, -1 if false, 0 if unassigned."""
-        v = self._assign[abs(lit)]
-        return v if lit > 0 else -v
-
     def _enqueue(self, lit: int, reason: Optional[int]) -> bool:
+        """Assign ``lit`` true at the current level, unless it already
+        has a value; False when that value is false."""
         var = abs(lit)
-        current = self._value(lit)
-        if current == 1:
-            return True
-        if current == -1:
-            return False
+        value = self._assign[var] if lit > 0 else -self._assign[var]
+        if value:
+            return value == 1
         self._assign[var] = 1 if lit > 0 else -1
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
@@ -237,103 +267,131 @@ class SatSolver:
         self._trail.append(lit)
         return True
 
-    def _decision_level(self) -> int:
-        return len(self._trail_lim)
-
     # ------------------------------------------------------------------ #
     # Unit propagation (two-watched literals)
     # ------------------------------------------------------------------ #
 
     def _propagate(self) -> Optional[int]:
         """Propagate until fixpoint; return a conflicting clause index or None."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            false_lit = -lit
-            watch_list = self._watches.get(false_lit)
+        trail = self._trail
+        watches = self._watches
+        clauses = self._clauses
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        current = len(self._trail_lim)
+        qhead = self._qhead
+        propagations = 0
+        conflict = None
+        while qhead < len(trail):
+            false_lit = -trail[qhead]
+            qhead += 1
+            watch_list = watches.get(false_lit)
             if not watch_list:
                 continue
             kept: list[int] = []
-            i = 0
-            n = len(watch_list)
-            while i < n:
-                cidx = watch_list[i]
-                i += 1
-                clause = self._clauses[cidx]
-                # Normalise: watched literals are clause[0] and clause[1].
-                if clause[0] == false_lit:
-                    clause[0], clause[1] = clause[1], clause[0]
+            for i, cidx in enumerate(watch_list):
+                clause = clauses[cidx]
+                # Normalise: watched literals are clause[0] and clause[1],
+                # with the falsified one second.
                 first = clause[0]
-                if self._value(first) == 1:
+                if first == false_lit:
+                    first = clause[1]
+                    clause[0] = first
+                    clause[1] = false_lit
+                value = assign[first] if first > 0 else -assign[-first]
+                if value == 1:
                     kept.append(cidx)
                     continue
                 # Find a replacement watch.
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != -1:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watch(clause[1], cidx)
-                        moved = True
+                    other = clause[k]
+                    if (assign[other] if other > 0 else -assign[-other]) != -1:
+                        clause[1] = other
+                        clause[k] = false_lit
+                        watching = watches.get(other)
+                        if watching is None:
+                            watches[other] = [cidx]
+                        else:
+                            watching.append(cidx)
                         break
-                if moved:
-                    continue
-                kept.append(cidx)
-                if self._value(first) == -1:
-                    # Conflict: keep remaining watches intact.
-                    kept.extend(watch_list[i:n])
-                    self._watches[false_lit] = kept
-                    return cidx
-                self.propagations += 1
-                self._enqueue(first, cidx)
-            self._watches[false_lit] = kept
-        return None
+                else:
+                    kept.append(cidx)
+                    if value == -1:
+                        # Conflict: keep the remaining watches intact.
+                        kept.extend(watch_list[i + 1:])
+                        conflict = cidx
+                        break
+                    propagations += 1
+                    var = first if first > 0 else -first
+                    assign[var] = 1 if first > 0 else -1
+                    level[var] = current
+                    reason[var] = cidx
+                    phase[var] = first > 0
+                    trail.append(first)
+            watches[false_lit] = kept
+            if conflict is not None:
+                break
+        self._qhead = qhead
+        self.propagations += propagations
+        return conflict
 
     # ------------------------------------------------------------------ #
     # Conflict analysis (first UIP)
     # ------------------------------------------------------------------ #
 
-    def _bump(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
-            for v in range(1, self._num_vars + 1):
-                self._activity[v] *= 1e-100
-            self._var_inc *= 1e-100
-        if self._heap_pos[var] >= 0:
-            self._heap_sift_up(self._heap_pos[var])
-
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """Return (learned clause, backjump level)."""
+        clauses = self._clauses
+        level = self._level
+        trail = self._trail
+        activity = self._activity
+        heap_pos = self._heap_pos
+        sift_up = self._heap_sift_up
+        var_inc = self._var_inc
         learned: list[int] = [0]  # placeholder for the asserting literal
         seen = [False] * (self._num_vars + 1)
         counter = 0
         pivot = 0  # literal whose reason clause is being resolved
-        clause = self._clauses[conflict]
-        index = len(self._trail)
-        level = self._decision_level()
+        clause = clauses[conflict]
+        index = len(trail)
+        current = len(self._trail_lim)
 
         while True:
             for q in clause:
                 if q == pivot:
                     continue
-                var = abs(q)
-                if not seen[var] and self._level[var] > 0:
-                    seen[var] = True
-                    self._bump(var)
-                    if self._level[var] >= level:
-                        counter += 1
-                    else:
-                        learned.append(q)
+                var = q if q > 0 else -q
+                if seen[var] or not level[var]:
+                    continue
+                seen[var] = True
+                # VSIDS bump, rescaling every activity near overflow.
+                bumped = activity[var] + var_inc
+                activity[var] = bumped
+                if bumped > 1e100:
+                    for v in range(1, self._num_vars + 1):
+                        activity[v] *= 1e-100
+                    var_inc *= 1e-100
+                    self._var_inc = var_inc
+                if heap_pos[var] >= 0:
+                    sift_up(heap_pos[var])
+                if level[var] >= current:
+                    counter += 1
+                else:
+                    learned.append(q)
             # Pick the next trail literal to resolve on.
             while True:
                 index -= 1
-                pivot = self._trail[index]
-                if seen[abs(pivot)]:
+                pivot = trail[index]
+                var = pivot if pivot > 0 else -pivot
+                if seen[var]:
                     break
-            seen[abs(pivot)] = False
+            seen[var] = False
             counter -= 1
             if counter == 0:
                 break
-            clause = self._clauses[self._reason[abs(pivot)]]  # type: ignore[index]
+            clause = clauses[self._reason[var]]  # type: ignore[index]
         learned[0] = -pivot
         learned = self._minimize(learned)
 
@@ -341,11 +399,13 @@ class SatSolver:
             return learned, 0
         # Backjump to the second-highest level in the learned clause.
         max_i = 1
+        max_level = level[abs(learned[1])]
         for i in range(2, len(learned)):
-            if self._level[abs(learned[i])] > self._level[abs(learned[max_i])]:
-                max_i = i
+            lit_level = level[abs(learned[i])]
+            if lit_level > max_level:
+                max_i, max_level = i, lit_level
         learned[1], learned[max_i] = learned[max_i], learned[1]
-        return learned, self._level[abs(learned[1])]
+        return learned, max_level
 
     def _minimize(self, learned: list[int]) -> list[int]:
         """Self-subsumption minimization of the learned clause.
@@ -357,41 +417,45 @@ class SatSolver:
         which matters for the watched-literal traffic on the bit-blasted
         circuits this solver spends its time in.
         """
+        clauses = self._clauses
+        reason = self._reason
+        level = self._level
         keep = {abs(lit) for lit in learned}
         minimized = [learned[0]]
         for lit in learned[1:]:
-            reason_idx = self._reason[abs(lit)]
-            if reason_idx is None:
-                minimized.append(lit)
-                continue
-            reason = self._clauses[reason_idx]
-            if all(abs(other) in keep or self._level[abs(other)] == 0
-                   for other in reason if abs(other) != abs(lit)):
-                self.minimized_literals += 1
-                continue
+            var = abs(lit)
+            reason_idx = reason[var]
+            if reason_idx is not None:
+                for other in clauses[reason_idx]:
+                    other_var = abs(other)
+                    if other_var != var and other_var not in keep \
+                            and level[other_var]:
+                        break
+                else:
+                    self.minimized_literals += 1
+                    continue
             minimized.append(lit)
         return minimized
 
     def _backjump(self, level: int) -> None:
-        if self._decision_level() <= level:
+        trail_lim = self._trail_lim
+        if len(trail_lim) <= level:
             return
-        limit = self._trail_lim[level]
-        for lit in reversed(self._trail[limit:]):
-            var = abs(lit)
-            self._assign[var] = 0
-            self._reason[var] = None
-            self._heap_insert(var)
-        del self._trail[limit:]
-        del self._trail_lim[level:]
-        self._qhead = len(self._trail)
-
-    # ------------------------------------------------------------------ #
-    # Decisions
-    # ------------------------------------------------------------------ #
-
-    def _pick_branch_var(self) -> int:
-        var = self._heap_pop_max()
-        return var if var is not None else 0
+        trail = self._trail
+        assign = self._assign
+        reason = self._reason
+        heap_pos = self._heap_pos
+        heap_insert = self._heap_insert
+        limit = trail_lim[level]
+        for lit in reversed(trail[limit:]):
+            var = lit if lit > 0 else -lit
+            assign[var] = 0
+            reason[var] = None
+            if heap_pos[var] < 0:
+                heap_insert(var)
+        del trail[limit:]
+        del trail_lim[level:]
+        self._qhead = len(trail)
 
     # ------------------------------------------------------------------ #
     # Main loop
@@ -445,27 +509,45 @@ class SatSolver:
             self._needs_rescan = False
             self._qhead = 0
 
+        propagate = self._propagate
+        analyze = self._analyze
+        backjump = self._backjump
+        pop_max = self._heap_pop_max
+        clauses = self._clauses
+        assign = self._assign
+        level = self._level
+        reason = self._reason
+        phase = self._phase
+        trail = self._trail
+        trail_lim = self._trail_lim
         restart_count = 0
         restart_budget = luby(restart_count + 1) * 64
 
         while True:
-            conflict = self._propagate()
+            conflict = propagate()
             if conflict is not None:
                 self.conflicts += 1
-                if self._decision_level() == 0:
+                if not trail_lim:
                     self._unsat = True
                     return self._finish(SatStatus.UNSAT)
-                learned, back_level = self._analyze(conflict)
-                self._backjump(back_level)
-                if len(learned) == 1:
-                    self._enqueue(learned[0], None)
-                else:
-                    idx = len(self._clauses)
-                    self._clauses.append(learned)
+                learned, back_level = analyze(conflict)
+                backjump(back_level)
+                lit = learned[0]
+                cause = None
+                if len(learned) > 1:
+                    cause = len(clauses)
+                    clauses.append(learned)
                     self.learned_clauses += 1
-                    self._watch(learned[0], idx)
-                    self._watch(learned[1], idx)
-                    self._enqueue(learned[0], idx)
+                    self._watch(lit, cause)
+                    self._watch(learned[1], cause)
+                # The asserting literal was assigned above the backjump
+                # level, so it is unassigned now.
+                var = lit if lit > 0 else -lit
+                assign[var] = 1 if lit > 0 else -1
+                level[var] = len(trail_lim)
+                reason[var] = cause
+                phase[var] = lit > 0
+                trail.append(lit)
                 self._var_inc /= self._var_decay
                 restart_budget -= 1
                 if conflict_limit is not None and self.conflicts >= conflict_limit:
@@ -475,7 +557,7 @@ class SatSolver:
                 if restart_budget <= 0:
                     restart_count += 1
                     restart_budget = luby(restart_count + 1) * 64
-                    self._backjump(0)
+                    backjump(0)
             else:
                 # Conflict-free searches must observe the clock too (a
                 # huge propagation-bound instance never takes the branch
@@ -483,27 +565,31 @@ class SatSolver:
                 if stop_at is not None and self.decisions & 0x3F == 0 \
                         and time.monotonic() > stop_at:
                     return self._finish(SatStatus.UNKNOWN)
-                level = self._decision_level()
-                if level < len(assumptions):
+                depth = len(trail_lim)
+                if depth < len(assumptions):
                     # Assert the next assumption as a pseudo-decision.
-                    lit = assumptions[level]
-                    value = self._value(lit)
+                    lit = assumptions[depth]
+                    value = assign[lit] if lit > 0 else -assign[-lit]
                     if value == -1:
                         # Falsified by the database plus the prior
                         # assumptions: UNSAT under this assumption set
                         # only — leave self._unsat clear.
                         return self._finish(SatStatus.UNSAT)
-                    self._trail_lim.append(len(self._trail))
+                    trail_lim.append(len(trail))
                     if value == 0:
                         self._enqueue(lit, None)
                     continue
-                var = self._pick_branch_var()
-                if var == 0:
+                var = pop_max()
+                if not var:
                     return self._finish(SatStatus.SAT)
                 self.decisions += 1
-                self._trail_lim.append(len(self._trail))
-                lit = var if self._phase[var] else -var
-                self._enqueue(lit, None)
+                trail_lim.append(len(trail))
+                # Decide the saved phase.
+                positive = phase[var]
+                assign[var] = 1 if positive else -1
+                level[var] = len(trail_lim)
+                reason[var] = None
+                trail.append(var if positive else -var)
 
     def _finish(self, status: SatStatus) -> SatResult:
         """Build the result, then backtrack to level 0 (trail-safe exit).
@@ -525,4 +611,3 @@ class SatSolver:
                      for v in range(1, self._num_vars + 1)}
         return SatResult(status, model, self.conflicts, self.decisions,
                          self.propagations)
-

@@ -40,9 +40,10 @@ class SmtResult:
     #: Distinct term-DAG nodes in the queried constraint set (the size of
     #: the path condition this query decided; feeds Figure 11's scatter).
     condition_nodes: int = 0
-    #: Clauses in the SAT database when the search for this query ran
-    #: (0 when preprocessing decided the query).  Every query bit-blasts
-    #: into a fresh database, so this counts only its own clauses.
+    #: Clauses in the SAT database after this query's search (0 when
+    #: preprocessing decided the query): the bit-blasted problem clauses
+    #: plus the clauses the search learned.  Every query bit-blasts into
+    #: a fresh database, so no other query's clauses count.
     sat_clauses: int = 0
 
     @property

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.smt import (SmtSolver, SmtStatus, SolverConfig, TermManager,
-                       evaluate)
+from repro.smt import (SatSolver, SmtSolver, SmtStatus, SolverConfig,
+                       TermManager, evaluate)
 from strategies import all_assignments, bool_terms, make_manager
 
 
@@ -76,6 +76,29 @@ class TestBasics:
         result = SmtSolver(mgr).check(constraints, want_model=True)
         assert result.is_sat
         assert result.model[x] == 5 and result.model[y] == 6
+
+    def test_sat_clauses_counts_learned_clauses(self, mgr, monkeypatch):
+        """``sat_clauses`` is read after the search: the bit-blasted
+        problem clauses plus every clause the search learned."""
+        seen = {}
+        solve = SatSolver.solve
+
+        def recording_solve(solver, *args, **kwargs):
+            seen["problem"] = solver.num_clauses
+            result = solve(solver, *args, **kwargs)
+            seen["learned"] = solver.learned_clauses
+            return result
+
+        monkeypatch.setattr(SatSolver, "solve", recording_solve)
+        a, d = mgr.bv_var("a", 4), mgr.bv_var("d", 4)
+        rebuilt = mgr.bvadd(mgr.bvmul(mgr.bvudiv(a, d), d),
+                            mgr.bvurem(a, d))
+        result = SmtSolver(mgr).check([
+            mgr.not_(mgr.eq(d, mgr.bv_const(0, 4))),
+            mgr.not_(mgr.eq(a, rebuilt))])
+        assert result.is_unsat and not result.decided_in_preprocess
+        assert seen["learned"] > 0
+        assert result.sat_clauses == seen["problem"] + seen["learned"]
 
 
 class TestConfig:
