@@ -53,11 +53,6 @@ class LocalTemplate:
     constraints: list[Term] = field(default_factory=list)
     calls: list[CallBinding] = field(default_factory=list)
 
-    def size(self) -> int:
-        from repro.smt.preprocess import constraint_set_size
-
-        return constraint_set_size(self.constraints)
-
 
 class ConditionTransformer:
     """Rules (4)-(8) over a fixed PDG and term manager."""

@@ -103,13 +103,13 @@ def _eval_with_defaults(term: Term, model: dict[Term, int]) -> int:
 def constraint_set_size(constraints: Sequence[Term]) -> int:
     """Total distinct DAG nodes across the constraint set."""
     seen: set[int] = set()
-    total = 0
-    for c in constraints:
-        for node in c.iter_dag():
-            if node.tid not in seen:
-                seen.add(node.tid)
-                total += 1
-    return total
+    stack = list(constraints)
+    while stack:
+        term = stack.pop()
+        if term.tid not in seen:
+            seen.add(term.tid)
+            stack.extend(term.args)
+    return len(seen)
 
 
 def flatten_conjunction(constraints: Iterable[Term]) -> list[Term]:
@@ -275,17 +275,20 @@ class Preprocessor:
 
         A key can occur in a constraint only if all of the key's variables
         do, so a constraint lacking them is returned as is: work items are
-        already simplified, and ``simplify`` is idempotent.
+        already simplified, and ``simplify`` is idempotent.  A lone
+        variable key needs only a membership test.
         """
         mgr = self.manager
-        key_vars = [run.free_vars(key) for key in mapping]
-        out: list[Term] = []
-        for c in work:
-            support = run.free_vars(c)
-            if any(kv <= support for kv in key_vars):
-                c = run.simplify(mgr.substitute(c, mapping))
-            out.append(c)
-        return out
+        keys = list(mapping)
+        if len(keys) == 1 and keys[0].op is Op.VAR:
+            var = keys[0]
+            hits = [var in run.free_vars(c) for c in work]
+        else:
+            key_vars = [run.free_vars(key) for key in keys]
+            hits = [any(kv <= run.free_vars(c) for kv in key_vars)
+                    for c in work]
+        return [run.simplify(mgr.substitute(c, mapping)) if hit else c
+                for c, hit in zip(work, hits)]
 
     # ------------------------------------------------------------------ #
     # Constant propagation (forward and backward)
@@ -653,7 +656,7 @@ class Preprocessor:
         """
         counts: dict[int, int] = {}
         for c in work:
-            order = list(c.iter_dag())  # children before parents
+            order = c.iter_dag()  # children before parents
             local: dict[int, int] = {c.tid: 1}
             for node in reversed(order):
                 n = local.get(node.tid, 0)
@@ -682,7 +685,8 @@ class Preprocessor:
             replacement: Optional[tuple[Term, Term, CompletionStep]] = None
             for c in work:
                 for node in c.iter_dag():
-                    step = self._unconstrained_step(node, unconstrained)
+                    step = self._unconstrained_step(node, unconstrained,
+                                                    run)
                     if step is not None:
                         replacement = step
                         break
@@ -765,7 +769,7 @@ class Preprocessor:
 
     def _unconstrained_step(
             self, node: Term,
-            unconstrained: Callable[[Term], bool]
+            unconstrained: Callable[[Term], bool], run: _RunState
     ) -> Optional[tuple[Term, Term, CompletionStep]]:
         """If ``node`` is unconstrained because of an operand, build the
         replacement (node, fresh var, model-completion step)."""
@@ -794,7 +798,7 @@ class Preprocessor:
             for i in (0, 1):
                 var = node.args[i]
                 other = node.args[1 - i]
-                if unconstrained(var) and var not in other.free_vars():
+                if unconstrained(var) and var not in run.free_vars(other):
                     fresh = mgr.fresh_var(node.sort)
 
                     def assign_binary(model: dict[Term, int], v: Term = var,
@@ -843,7 +847,7 @@ class Preprocessor:
             for i in (0, 1):
                 var = node.args[i]
                 other = node.args[1 - i]
-                if unconstrained(var) and var not in other.free_vars():
+                if unconstrained(var) and var not in run.free_vars(other):
                     fresh = mgr.fresh_var(node.sort)
 
                     def assign_eq(model: dict[Term, int], v: Term = var,

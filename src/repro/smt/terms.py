@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from repro.smt.sorts import BOOL, Sort, bitvec
 
@@ -130,22 +130,39 @@ class Term:
     def __repr__(self) -> str:
         return to_sexpr(self, max_depth=4)
 
-    def iter_dag(self) -> Iterator["Term"]:
-        """Yield every distinct sub-term once, children before parents."""
+    def iter_dag(self) -> list["Term"]:
+        """Every distinct sub-term once, children before parents.
+
+        The last argument's sub-DAG comes first: arguments are pushed in
+        order and popped last-first.  Term operations intern in this
+        order, so it fixes term ids and must not change (docs/solver.md,
+        "Terms").  A ``None`` on the stack marks that the term under it
+        has all its arguments emitted.
+        """
+        order: list[Term] = []
         seen: set[int] = set()
-        stack: list[tuple[Term, bool]] = [(self, False)]
+        stack: list[Optional[Term]] = [self]
+        pop, push = stack.pop, stack.append
+        emit, mark = order.append, seen.add
         while stack:
-            term, expanded = stack.pop()
+            term = pop()
+            if term is None:
+                term = pop()
+                mark(term.tid)
+                emit(term)
+                continue
             if term.tid in seen:
                 continue
-            if expanded:
-                seen.add(term.tid)
-                yield term
-            else:
-                stack.append((term, True))
-                for arg in term.args:
-                    if arg.tid not in seen:
-                        stack.append((arg, False))
+            if not term.args:
+                mark(term.tid)
+                emit(term)
+                continue
+            push(term)
+            push(None)
+            for arg in term.args:
+                if arg.tid not in seen:
+                    push(arg)
+        return order
 
     def dag_size(self) -> int:
         """Number of distinct nodes in the term DAG.
@@ -153,10 +170,10 @@ class Term:
         This is the paper's ``sizeof(phi)``: the memory cost of holding the
         condition, which condition cloning multiplies.
         """
-        return sum(1 for _ in self.iter_dag())
+        return len(self.iter_dag())
 
     def free_vars(self) -> set["Term"]:
-        return {t for t in self.iter_dag() if t.is_var}
+        return {t for t in self.iter_dag() if t.op is Op.VAR}
 
 
 class TermManager:
@@ -383,19 +400,23 @@ class TermManager:
     def substitute(self, term: Term,
                    mapping: dict[Term, Term]) -> Term:
         """Simultaneously substitute variables (or arbitrary sub-terms)."""
-        cache: dict[int, Term] = {}
+        return self._substitute(term.iter_dag(), mapping)
 
-        for node in term.iter_dag():
+    def _substitute(self, order: list[Term],
+                    mapping: dict[Term, Term]) -> Term:
+        """``substitute`` over ``order``, a term's ``iter_dag``."""
+        cache: dict[int, Term] = {}
+        rebuild = self.rebuild
+        for node in order:
             replacement = mapping.get(node)
             if replacement is not None:
                 cache[node.tid] = replacement
-                continue
-            if not node.args:
+            elif not node.args:
                 cache[node.tid] = node
-                continue
-            new_args = tuple(cache[a.tid] for a in node.args)
-            cache[node.tid] = self.rebuild(node, new_args)
-        return cache[term.tid]
+            else:
+                cache[node.tid] = rebuild(
+                    node, tuple([cache[a.tid] for a in node.args]))
+        return cache[order[-1].tid]
 
     def rename(self, term: Term, suffix: str) -> Term:
         """Clone ``term``, renaming every free variable with ``suffix``.
@@ -403,11 +424,15 @@ class TermManager:
         This is the *condition cloning* operation the conventional design
         performs at every call site (Line 12 of Algorithm 2); its cost is
         linear in the DAG size of ``term``, which is what makes eager
-        cloning exponential over deep call chains.
+        cloning exponential over deep call chains.  One walk serves both
+        steps: the variables are collected in walk order, as
+        ``free_vars`` does, so the renamed ones are interned in the same
+        order.
         """
-        mapping = {v: self.var(v.name + suffix, v.sort)
-                   for v in term.free_vars()}
-        return self.substitute(term, mapping)
+        order = term.iter_dag()
+        mapping = {v: self.var(v.payload + suffix, v.sort)
+                   for v in {t for t in order if t.op is Op.VAR}}
+        return self._substitute(order, mapping)
 
 
 def to_sexpr(term: Term, max_depth: Optional[int] = None) -> str:

@@ -1,0 +1,97 @@
+"""Preprocessing and condition cloning are pinned term for term.
+
+Terms are interned in the order the term operations visit them, and a
+term's id decides commutative argument order in the rewriter, variable
+numbering in the bit-blaster and therefore the SAT search
+(docs/solver.md, "Terms").  Witness output cannot catch a drift in that
+order: the same bugs are usually found with other ids.  So this test
+pins what the order produces on real path conditions, as recorded
+before the term walks were rewritten for speed:
+
+* a digest over every ``Preprocessor.run`` (verdict, the residual DAG as
+  (tid, op, arg tids, payload, sort) and the pass statistics) and every
+  ``SatSolver.solve`` (status, conflicts, clauses, variables, model);
+* the number of terms each session's manager holds after all four
+  checkers ran.
+
+A drift here is a behaviour change, never noise.  To print fresh values
+(only if the change of ids is intended), run::
+
+    PYTHONPATH=src python tests/test_preprocess_pinned.py
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+from unittest import mock
+
+import pytest
+
+from repro.bench.subjects import materialize
+from repro.engine import AnalysisSession
+from repro.smt.preprocess import Preprocessor
+from repro.smt.sat import SatSolver
+
+CHECKERS = ("null-deref", "cwe-23", "cwe-402", "div-zero")
+
+
+def residual_dag(constraints) -> tuple[list, list]:
+    """(root tids, every reachable node as (tid, op, arg tids, payload,
+    sort) in tid order) of a residual constraint set."""
+    nodes = {}
+    stack = list(constraints)
+    while stack:
+        term = stack.pop()
+        if term.tid not in nodes:
+            nodes[term.tid] = (term.tid, term.op.value,
+                               tuple(arg.tid for arg in term.args),
+                               term.payload, repr(term.sort))
+            stack.extend(term.args)
+    return [c.tid for c in constraints], [nodes[t] for t in sorted(nodes)]
+
+
+def session_record(source: str, checkers=CHECKERS) -> tuple[str, int]:
+    """(digest, final manager size) of one session running ``checkers``
+    in order, as ``repro analyze`` does with its defaults."""
+    digest = hashlib.sha256()
+    run, solve = Preprocessor.run, SatSolver.solve
+
+    def recorded_run(self, constraints, deadline=None):
+        result = run(self, constraints, deadline)
+        digest.update(repr((result.verdict.value,
+                            residual_dag(result.constraints),
+                            dataclasses.astuple(result.stats))).encode())
+        return result
+
+    def recorded_solve(self, *args, **kwargs):
+        result = solve(self, *args, **kwargs)
+        digest.update(repr((result.status.value, result.conflicts,
+                            self.num_clauses, self.num_vars,
+                            sorted(result.model.items()))).encode())
+        return result
+
+    with mock.patch.object(Preprocessor, "run", recorded_run), \
+            mock.patch.object(SatSolver, "solve", recorded_solve):
+        session = AnalysisSession(source)
+        for checker in checkers:
+            session.analyze(checker)
+    return digest.hexdigest()[:16], len(session.engine.transformer.manager)
+
+
+PINNED = {
+    "vortex": ("90ff5b791b7caaa1", 7132),
+    "twolf": ("b05b61f27f2bd996", 4290),
+    "ffmpeg": ("263cf4d7839a5080", 13469),
+    "v8": ("a91695512ff436ec", 7088),
+}
+
+
+@pytest.mark.parametrize("subject", sorted(PINNED))
+def test_preprocessing_and_cloning_are_pinned(subject):
+    assert session_record(materialize(subject).source) == PINNED[subject]
+
+
+if __name__ == "__main__":
+    for name in ("vortex", "twolf", "ffmpeg", "v8"):
+        print(f"    {name!r}: {session_record(materialize(name).source)!r},")
