@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from repro.bench import render_scatter_summary, render_table, run_engine
 from repro.smt import SmtStatus
+from repro.smt.solver import DecidedBy
 
 SUBJECTS_USED = ("parser", "vpr", "gap", "gcc", "ffmpeg", "v8", "mysql",
                  "wine")
@@ -31,7 +32,7 @@ def collect():
                                 standalone.query_records):
             assert ours.status == theirs.status, name
             total += 1
-            if ours.decided_in_preprocess:
+            if ours.decided_by is DecidedBy.PREPROCESS:
                 preprocess_hits += 1
             pairs.append((ours.seconds, theirs.seconds,
                           ours.status.value))

@@ -29,7 +29,7 @@ from repro.checkers.base import BugCandidate
 from repro.engine.base import PathSensitiveEngine
 from repro.fusion.instantiate import assemble_condition
 from repro.fusion.transform import ConditionTransformer
-from repro.limits import Budget, Deadline, QueryDeadlineExceeded
+from repro.limits import Budget, Deadline
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice
 from repro.smt.preprocess import constraint_set_size
@@ -140,8 +140,6 @@ class PinpointEngine(PathSensitiveEngine):
 
     def solve_one(self, candidate: BugCandidate, the_slice: Slice,
                   deadline: Optional[Deadline]) -> SmtResult:
-        """Overrunning ``deadline`` during summary expansion yields
-        UNKNOWN, never an exception."""
         self._deadline = deadline
         try:
             if self.config.abstraction_refinement:
@@ -149,8 +147,6 @@ class PinpointEngine(PathSensitiveEngine):
                                                    deadline=deadline)
             constraints = self._full_condition(candidate, the_slice)
             return self.smt.check(constraints, deadline=deadline)
-        except QueryDeadlineExceeded:
-            return SmtResult(SmtStatus.UNKNOWN)
         finally:
             self._deadline = None
 

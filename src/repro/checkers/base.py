@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 
 from repro.pdg.graph import (DataEdge, EdgeKind, ProgramDependenceGraph,
                              Vertex)
+from repro.smt.solver import DecidedBy
 
 if TYPE_CHECKING:  # avoid a package-level import cycle with repro.sparse
     from repro.sparse.paths import DependencePath
@@ -143,15 +144,14 @@ class BugReport:
 
     candidate: BugCandidate
     feasible: bool
-    decided_in_preprocess: bool = False
+    #: The stage that settled the verdict in this run (``store`` when it
+    #: was replayed from a persistent artifact store); None when the
+    #: engine decides no candidate on its own (the Infer baseline).
+    decided_by: Optional[DecidedBy] = None
     solve_time: float = 0.0
     #: A concrete satisfying assignment for the path condition
     #: (variable name -> value), when the engine was asked to extract one.
     witness: dict[str, int] = field(default_factory=dict)
-    #: True when the verdict was replayed from a persistent artifact
-    #: store (warm run) instead of being solved in this run; the
-    #: ``decided_*`` flags then describe the original cold-run decision.
-    replayed: bool = False
 
     @property
     def checker(self) -> str:
@@ -178,19 +178,10 @@ class AnalysisResult:
     checker: str
     reports: list[BugReport] = field(default_factory=list)
     candidates: int = 0
-    smt_queries: int = 0
-    decided_in_preprocess: int = 0
-    #: Queries the solver gave up on (resource limit).  Soundy bug-finding
-    #: still reports them as feasible, but they are tracked separately so
-    #: budget-sensitivity sweeps can tell "proven" from "assumed" bugs.
+    #: Queries that ended UNKNOWN.  Soundy bug-finding still reports them
+    #: as feasible, but they are tracked separately so budget-sensitivity
+    #: sweeps can tell "proven" from "assumed" bugs.
     unknown_queries: int = 0
-    #: Queries that failed (exception or deadline overrun) and were
-    #: isolated to an UNKNOWN verdict instead of aborting the run (see
-    #: docs/robustness.md).  A subset of ``unknown_queries``.
-    error_queries: int = 0
-    #: Verdicts replayed from the persistent artifact store (warm run);
-    #: these bypass the SMT stage entirely.
-    replayed_verdicts: int = 0
     wall_time: float = 0.0
     #: Deterministic memory model: live term-DAG nodes, cached summary
     #: nodes, and graph size (see repro.limits.Budget for rationale).
@@ -201,6 +192,30 @@ class AnalysisResult:
     @property
     def bugs(self) -> list[BugReport]:
         return [r for r in self.reports if r.feasible]
+
+    def _decided_by(self, *values: Optional[DecidedBy]) -> int:
+        return sum(report.decided_by in values for report in self.reports)
+
+    @property
+    def smt_queries(self) -> int:
+        """Verdicts decided, not replayed, in this run."""
+        return len(self.reports) - self._decided_by(DecidedBy.STORE, None)
+
+    @property
+    def decided_in_preprocess(self) -> int:
+        return self._decided_by(DecidedBy.PREPROCESS)
+
+    @property
+    def error_queries(self) -> int:
+        """Queries isolated to UNKNOWN (exception, deadline overrun, open
+        breaker) instead of aborting the run; see docs/robustness.md."""
+        return self._decided_by(DecidedBy.TIMEOUT, DecidedBy.ERROR,
+                                DecidedBy.BREAKER)
+
+    @property
+    def replayed_verdicts(self) -> int:
+        """Verdicts replayed from the artifact store (warm run)."""
+        return self._decided_by(DecidedBy.STORE)
 
     def summary(self) -> str:
         status = self.failure if self.failure else "ok"

@@ -68,7 +68,8 @@ class PathSensitiveEngine:
     def solve_one(self, candidate: BugCandidate, the_slice: Slice,
                   deadline: Optional[Deadline]) -> SmtResult:
         """Decide one candidate against its already-computed slice.
-        Overrunning ``deadline`` yields UNKNOWN, never an exception."""
+        An overrun of ``deadline`` before ``SmtSolver.check`` raises
+        :class:`~repro.limits.QueryDeadlineExceeded`."""
         raise NotImplementedError
 
     def _memory_snapshot(self) -> tuple[int, int]:
@@ -147,7 +148,6 @@ class PathSensitiveEngine:
                 # only the rest flow into the solve loop.
                 with telemetry.stage("store_replay"):
                     pending = binding.replay(candidates, reports)
-                result.replayed_verdicts = len(candidates) - len(pending)
             scheduler.solve_pending(candidates, pending, result, reports,
                                     binding, sink=self.query_records)
         except MemoryBudgetExceeded:

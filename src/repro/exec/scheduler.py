@@ -23,9 +23,10 @@ Purity is also what makes the layer *fault-tolerant* (see
 ``docs/robustness.md``): re-executing a lost batch is safe, so worker
 death is survivable by requeueing.  Failure handling has three tiers:
 
-* **per-query isolation** — an exception inside one query becomes an
-  UNKNOWN :class:`QueryOutcome` carrying the error text, instead of
-  unwinding the batch (soundy convention: unproven paths stay reported);
+* **per-query isolation** — an exception or a deadline overrun inside
+  one query becomes an UNKNOWN :class:`QueryOutcome` decided by
+  ``error`` or ``timeout``, instead of unwinding the batch (soundy
+  convention: unproven paths stay reported);
 * **per-batch retry** — a batch-level failure is re-executed up to
   ``FaultPolicy.max_retries`` times with backoff, then its queries are
   synthesized as UNKNOWN;
@@ -84,7 +85,7 @@ from repro.limits import (Budget, Deadline, QueryDeadlineExceeded,
                           ResourceExceeded)
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import compute_slice
-from repro.smt.solver import SmtStatus
+from repro.smt.solver import DecidedBy, SmtStatus
 from repro.smt.terms import Term
 from repro.sparse.engine import collect_candidates
 
@@ -155,24 +156,16 @@ class QueryOutcome:
 
     index: int
     status: SmtStatus
-    decided_in_preprocess: bool
+    decided_by: DecidedBy
     seconds: float
     condition_nodes: int
     #: Program-variable witness (solver-internal ``!`` names excluded).
     witness: dict[str, int]
     memory_units: int
     condition_memory_units: int
-    #: ``"ExcType: message"`` when the query failed and was degraded to
-    #: UNKNOWN (per-query isolation), or when its whole batch had to be
-    #: synthesized after retry exhaustion.  None for clean queries.
+    #: The message behind an ``error``, ``timeout`` or ``breaker``
+    #: outcome: ``"ExcType: message"``, or the breaker metadata.
     error: Optional[str] = None
-    #: True when the per-query deadline expired outside the SAT search
-    #: (slicing/transform/injected delay) and the query was cut short.
-    timed_out: bool = False
-    #: True when the circuit breaker short-circuited this query without
-    #: dispatching it (the ``error`` carries the breaker metadata); such
-    #: outcomes cost no worker time and are excluded from solver stats.
-    short_circuited: bool = False
     #: SAT clause-database size after this query's search, learned
     #: clauses included (0 when preprocessing decided it); feeds the
     #: bench per-query columns.
@@ -265,21 +258,20 @@ class _WorkerState:
                 else self.spec.engine_cls(self.spec.pdg, self.spec.config)
             smt_result = engine.solve_one(candidate, the_slice, deadline)
             memory, condition_memory = engine._memory_snapshot()
-        except QueryDeadlineExceeded as error:
-            return QueryOutcome(
-                index, SmtStatus.UNKNOWN, False,
-                time.perf_counter() - start, 0, {}, 0, 0,
-                error=_describe(error), timed_out=True)
         except Exception as error:
-            if self.policy.on_error == "abort" \
-                    or isinstance(error, ResourceExceeded):
+            # The one place an overrun outside SmtSolver.check (slicing,
+            # condition assembly, an injected delay) becomes ``timeout``.
+            timeout = isinstance(error, QueryDeadlineExceeded)
+            if not timeout and (self.policy.on_error == "abort"
+                                or isinstance(error, ResourceExceeded)):
                 raise
             return QueryOutcome(
-                index, SmtStatus.UNKNOWN, False,
+                index, SmtStatus.UNKNOWN,
+                DecidedBy.TIMEOUT if timeout else DecidedBy.ERROR,
                 time.perf_counter() - start, 0, {}, 0, 0,
                 error=_describe(error))
         return QueryOutcome(
-            index, smt_result.status, smt_result.decided_in_preprocess,
+            index, smt_result.status, smt_result.decided_by,
             time.perf_counter() - start, smt_result.condition_nodes,
             public_witness(smt_result.model), memory,
             condition_memory, sat_clauses=smt_result.sat_clauses)
@@ -405,7 +397,7 @@ class QueryScheduler:
                       reports: dict[int, BugReport], store=None,
                       sink: Optional[list[QueryOutcome]] = None) -> None:
         """Solve the ``pending`` candidates (all when None) and assemble
-        their outcomes into ``reports`` and the ``result`` counters;
+        their outcomes into ``reports`` and ``result.unknown_queries``;
         ``sink`` (when given) keeps the outcomes, in index order.
         ``store`` is the run's :class:`~repro.exec.store.StoreBinding`.
 
@@ -419,18 +411,13 @@ class QueryScheduler:
         finally:
             outcomes.sort(key=lambda outcome: outcome.index)
             for outcome in outcomes:
-                result.smt_queries += 1
-                if outcome.decided_in_preprocess:
-                    result.decided_in_preprocess += 1
                 if outcome.status is SmtStatus.UNKNOWN:
                     result.unknown_queries += 1
-                if outcome.error is not None:
-                    result.error_queries += 1
                 if store is not None:
                     store.observe(outcome.index, outcome.status)
                 reports[outcome.index] = BugReport(
                     candidates[outcome.index], outcome.feasible,
-                    outcome.decided_in_preprocess, outcome.seconds,
+                    outcome.decided_by, outcome.seconds,
                     dict(outcome.witness))
                 result.memory_units = max(result.memory_units,
                                           outcome.memory_units)
@@ -467,10 +454,9 @@ class QueryScheduler:
         if blocked:
             self.telemetry.record_breaker(short_circuits=len(blocked))
             self._absorb(
-                [QueryOutcome(index, SmtStatus.UNKNOWN, False, 0.0, 0,
-                              {}, 0, 0,
-                              error=breaker.describe(group_of[index]),
-                              short_circuited=True)
+                [QueryOutcome(index, SmtStatus.UNKNOWN, DecidedBy.BREAKER,
+                              0.0, 0, {}, 0, 0,
+                              error=breaker.describe(group_of[index]))
                  for index in blocked],
                 outcomes)
         return allowed
@@ -654,41 +640,28 @@ class QueryScheduler:
         self.telemetry.record_fault("synthesized_unknown",
                                     len(batch.indices))
         self._absorb(
-            [QueryOutcome(index, SmtStatus.UNKNOWN, False, 0.0, 0, {},
-                          0, 0, error=_describe(error))
+            [QueryOutcome(index, SmtStatus.UNKNOWN, DecidedBy.ERROR, 0.0,
+                          0, {}, 0, 0, error=_describe(error))
              for index in batch.indices],
             outcomes)
 
     def _absorb(self, batch: list[QueryOutcome],
                 outcomes: list[QueryOutcome]) -> None:
         outcomes.extend(batch)
+        breaker = self.config.breaker
+        groups = self._breaker_groups if breaker is not None else None
         for outcome in batch:
-            if outcome.short_circuited:
-                # Never dispatched: no solver work, no fault — the
-                # breaker section already counted the short-circuit.
-                continue
-            self.telemetry.record_query(
-                outcome.status, outcome.seconds,
-                outcome.decided_in_preprocess, outcome.condition_nodes)
+            self.telemetry.record_query(outcome)
             self.telemetry.record_memory(outcome.memory_units,
                                          outcome.condition_memory_units)
-            if outcome.timed_out:
-                self.telemetry.record_fault("query_timeouts")
-            elif outcome.error is not None:
-                self.telemetry.record_fault("query_errors")
-        breaker = self.config.breaker
-        if breaker is not None and self._breaker_groups is not None:
-            for outcome in batch:
-                if outcome.short_circuited:
-                    continue
-                group = self._breaker_groups.get(outcome.index)
-                if group is None:
-                    continue
-                if outcome.timed_out or outcome.error is not None:
-                    if breaker.record_failure(group):
-                        self.telemetry.record_breaker(trips=1)
-                elif breaker.record_success(group):
-                    self.telemetry.record_breaker(recoveries=1)
+            group = groups.get(outcome.index) if groups else None
+            if group is None or outcome.decided_by is DecidedBy.BREAKER:
+                continue
+            if outcome.decided_by in (DecidedBy.TIMEOUT, DecidedBy.ERROR):
+                if breaker.record_failure(group):
+                    self.telemetry.record_breaker(trips=1)
+            elif breaker.record_success(group):
+                self.telemetry.record_breaker(recoveries=1)
         if self.budget is not None:
             for outcome in batch:
                 self.budget.check_memory(outcome.memory_units)

@@ -66,7 +66,7 @@ from repro.lang.ir import Call
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import compute_slice
 from repro.exec.telemetry import Telemetry
-from repro.smt.solver import SmtStatus
+from repro.smt.solver import DecidedBy, SmtStatus
 
 if TYPE_CHECKING:
     from repro.exec.faults import FaultPlan
@@ -336,7 +336,6 @@ class StoreBinding:
             fingerprint, store_schema=STORE_SCHEMA,
             fingerprint_version=FINGERPRINT_VERSION)))
         self.index = ProgramIndex.of(pdg)
-        self._replayed: set[int] = set()
         self._uncacheable: set[int] = set()
 
     # -- key derivation -------------------------------------------------- #
@@ -428,7 +427,6 @@ class StoreBinding:
                 pending.append(index)
                 continue
             self.stats.hits += 1
-            self._replayed.add(index)
             reports[index] = report
         return pending
 
@@ -464,11 +462,8 @@ class StoreBinding:
                        for name, value in witness.items()}
         except (TypeError, ValueError):
             return None
-        return BugReport(
-            candidate, payload["feasible"],
-            decided_in_preprocess=bool(payload.get("decided_in_preprocess",
-                                                   False)),
-            solve_time=0.0, witness=witness, replayed=True)
+        return BugReport(candidate, payload["feasible"], DecidedBy.STORE,
+                         witness=witness)
 
     def observe(self, index: int, status: SmtStatus) -> None:
         """Record one solved query's status.  UNKNOWN verdicts (solver
@@ -481,8 +476,12 @@ class StoreBinding:
     def commit(self, candidates: list[BugCandidate],
                reports: dict[int, BugReport]) -> None:
         """Persist every verdict solved this run."""
+        replayed = 0
         for index, report in reports.items():
-            if index in self._replayed or index in self._uncacheable:
+            if report.decided_by is DecidedBy.STORE:
+                replayed += 1
+                continue
+            if index in self._uncacheable:
                 continue
             candidate = candidates[index]
             key = self.candidate_key(candidate)
@@ -495,7 +494,8 @@ class StoreBinding:
                 "deps": deps,
                 "report": {
                     "feasible": report.feasible,
-                    "decided_in_preprocess": report.decided_in_preprocess,
+                    "decided_in_preprocess":
+                        report.decided_by is DecidedBy.PREPROCESS,
                     "witness": dict(report.witness),
                 },
             })
@@ -512,7 +512,7 @@ class StoreBinding:
             store_hits=self.stats.hits,
             store_misses=self.stats.misses,
             store_invalidations=self.stats.invalidations,
-            replayed_verdicts=self.stats.hits,
             corrupt_entries=self.stats.corrupt_entries,
             quarantined=self.stats.quarantined,
             io_errors=self.stats.io_errors)
+        self.telemetry.record_replayed(replayed)

@@ -21,7 +21,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator
 
-from repro.smt.solver import SmtStatus
+from repro.smt.solver import DecidedBy
 
 #: Schema identifier embedded in every export, bumped on layout changes.
 #: /2 added the "triage" section (abstract-interpretation pre-pass).
@@ -62,7 +62,9 @@ from repro.smt.solver import SmtStatus
 #: /15 dropped the dirty-set size from the "store" section (the store
 #: keeps only verdict entries).
 #: /16 dropped the "loops" section (loop summaries were deleted).
-SCHEMA = "repro-exec-telemetry/16"
+#: /17 added the "decided_by" section (verdicts per deciding stage) in
+#: place of the four solver/faults/store counters that repeated it.
+SCHEMA = "repro-exec-telemetry/17"
 
 #: Request-latency samples kept for the percentile estimates; the serve
 #: soak keeps a daemon alive indefinitely, so the window is bounded
@@ -80,9 +82,10 @@ class Telemetry:
         self.counters: dict[str, int] = {}
         self.queries: dict[str, float] = {
             "total": 0, "sat": 0, "unsat": 0, "unknown": 0,
-            "decided_in_preprocess": 0, "solve_seconds": 0.0,
-            "max_condition_nodes": 0,
+            "solve_seconds": 0.0, "max_condition_nodes": 0,
         }
+        #: Verdicts per deciding stage (:class:`DecidedBy` values).
+        self.decided_by = {value.value: 0 for value in DecidedBy}
         self.memory: dict[str, int] = {
             "peak_units": 0, "peak_condition_units": 0,
         }
@@ -90,7 +93,6 @@ class Telemetry:
             "store_hits": 0,           # verdicts found valid in the store
             "store_misses": 0,         # candidates never seen before
             "store_invalidations": 0,  # entries present but stale
-            "replayed_verdicts": 0,    # reports served without any solve
             "corrupt_entries": 0,      # payloads failing checksum/parse
             "quarantined": 0,          # corrupt files moved to quarantine/
             "io_errors": 0,            # OSError on store read or write
@@ -141,8 +143,6 @@ class Telemetry:
         }
         self._latencies: list[float] = []
         self.faults: dict[str, int] = {
-            "query_errors": 0,        # isolated per-query exceptions
-            "query_timeouts": 0,      # per-query deadline overruns
             "batch_retries": 0,       # batch re-executions after a raise
             "requeued_batches": 0,    # batches resubmitted after pool death
             "pool_rebuilds": 0,       # process pools rebuilt after death
@@ -186,35 +186,39 @@ class Telemetry:
             entry["count"] += count
 
     def count(self, name: str, amount: int = 1) -> None:
-        with self._lock:
-            self.counters[name] = self.counters.get(name, 0) + amount
+        self._add(self.counters, {name: amount})
 
-    def record_query(self, status: SmtStatus, seconds: float,
-                     decided_in_preprocess: bool,
-                     condition_nodes: int) -> None:
-        """One feasibility query's outcome."""
+    def _add(self, section: dict, counts: dict) -> None:
         with self._lock:
+            for key, amount in counts.items():
+                section[key] = section.get(key, 0) + amount
+
+    def record_query(self, outcome) -> None:
+        """One scheduler ``QueryOutcome``; a breaker short-circuit was
+        never dispatched, so it skips the solver stats."""
+        with self._lock:
+            self.decided_by[outcome.decided_by.value] += 1
+            if outcome.decided_by is DecidedBy.BREAKER:
+                return
             q = self.queries
             q["total"] += 1
-            q[status.value] += 1
-            if decided_in_preprocess:
-                q["decided_in_preprocess"] += 1
-            q["solve_seconds"] += seconds
+            q[outcome.status.value] += 1
+            q["solve_seconds"] += outcome.seconds
             q["max_condition_nodes"] = max(q["max_condition_nodes"],
-                                           condition_nodes)
+                                           outcome.condition_nodes)
+
+    def record_replayed(self, count: int) -> None:
+        """Verdicts a store binding replayed instead of solving."""
+        self._add(self.decided_by, {DecidedBy.STORE.value: count})
 
     def record_store(self, **counts: int) -> None:
         """One artifact-store run's counters (see the ``store`` keys)."""
-        with self._lock:
-            for key, amount in counts.items():
-                self.store[key] = self.store.get(key, 0) + amount
+        self._add(self.store, counts)
 
     def record_reduce(self, **counts: float) -> None:
         """One registry flush's sparsification counters (see the
         ``reduce`` section keys)."""
-        with self._lock:
-            for key, amount in counts.items():
-                self.reduce[key] = self.reduce.get(key, 0) + amount
+        self._add(self.reduce, counts)
 
     def record_breaker(self, **counts: int) -> None:
         """Accumulate circuit-breaker counters (see the ``breaker`` keys);
@@ -229,26 +233,19 @@ class Telemetry:
     def record_demand(self, **counts: int) -> None:
         """One demand query's region and cache counters (see the
         ``query`` section keys)."""
-        with self._lock:
-            for key, amount in counts.items():
-                self.query[key] = self.query.get(key, 0) + amount
+        self._add(self.query, counts)
 
     def record_gc(self, **counts: int) -> None:
         """Collector runs per generation (see the ``gc`` section keys)."""
-        with self._lock:
-            for key, amount in counts.items():
-                self.gc[key] = self.gc.get(key, 0) + amount
+        self._add(self.gc, counts)
 
     def record_fault(self, kind: str, amount: int = 1) -> None:
         """One fault-tolerance event (see the ``faults`` section keys)."""
-        with self._lock:
-            self.faults[kind] = self.faults.get(kind, 0) + amount
+        self._add(self.faults, {kind: amount})
 
     def serve_add(self, **counts: int) -> None:
         """Accumulate serve-daemon counters (see the ``serve`` keys)."""
-        with self._lock:
-            for key, amount in counts.items():
-                self.serve[key] = self.serve.get(key, 0) + amount
+        self._add(self.serve, counts)
 
     def serve_gauge(self, **values: int) -> None:
         """Set serve-daemon gauges (current values, not accumulations);
@@ -283,8 +280,6 @@ class Telemetry:
                                               {"seconds": 0.0, "count": 0})
                 mine["seconds"] += entry["seconds"]
                 mine["count"] += entry["count"]
-            for name, amount in snapshot["counters"].items():
-                self.counters[name] = self.counters.get(name, 0) + amount
             for key, value in snapshot["solver"].items():
                 if key == "max_condition_nodes":
                     self.queries[key] = max(self.queries[key], value)
@@ -292,7 +287,9 @@ class Telemetry:
                     self.queries[key] += value
             for key, value in snapshot["memory"].items():
                 self.memory[key] = max(self.memory[key], value)
-            for section, mine in (("store", self.store),
+            for section, mine in (("counters", self.counters),
+                                  ("decided_by", self.decided_by),
+                                  ("store", self.store),
                                   ("reduce", self.reduce),
                                   ("query", self.query),
                                   ("faults", self.faults),
@@ -346,6 +343,7 @@ class Telemetry:
                            for name, entry in sorted(self.stages.items())},
                 "counters": dict(sorted(self.counters.items())),
                 "solver": dict(self.queries),
+                "decided_by": dict(self.decided_by),
                 "memory": dict(self.memory),
                 "store": dict(self.store),
                 "reduce": dict(self.reduce),

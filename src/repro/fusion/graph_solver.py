@@ -25,11 +25,11 @@ from typing import Optional, Sequence
 from repro.fusion.instantiate import assemble_condition
 from repro.fusion.quickpath import QuickPathTable, Shape
 from repro.fusion.transform import CallBinding, ConditionTransformer
-from repro.limits import Deadline, QueryDeadlineExceeded
+from repro.limits import Deadline
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice
 from repro.smt.preprocess import Preprocessor, Verdict, constraint_set_size
-from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, SolverConfig
+from repro.smt.solver import SmtResult, SmtSolver, SolverConfig
 from repro.smt.terms import Term
 from repro.sparse.paths import DependencePath
 
@@ -83,17 +83,13 @@ class IrBasedSmtSolver:
         """Decide Π's feasibility, bounded by the per-query deadline.
 
         ``deadline`` defaults to a fresh one from the solver config's
-        ``time_limit``; overrunning it anywhere (condition assembly,
-        preprocessing, SAT search) yields UNKNOWN, never an exception.
+        ``time_limit``.  An overrun raises while the condition is
+        assembled, and yields a ``timeout`` UNKNOWN in ``smt.check``.
         """
         self.stats.queries += 1
         if deadline is None:
             deadline = Deadline.after(self.config.solver.time_limit)
-        try:
-            constraints = self.condition_of(paths, the_slice,
-                                            deadline=deadline)
-        except QueryDeadlineExceeded:
-            return SmtResult(SmtStatus.UNKNOWN)
+        constraints = self.condition_of(paths, the_slice, deadline=deadline)
         return self.smt.check(constraints,
                               want_model=self.config.want_model,
                               deadline=deadline)

@@ -202,8 +202,7 @@ def run_demand_query(engine, checker: Checker, sink_indices,
         candidates=len(matched),
         sources_scanned=len(selected),
         sources_skipped=skipped,
-        replayed_verdicts=sum(1 for report in tally.reports
-                              if report.replayed),
+        replayed_verdicts=tally.replayed_verdicts,
         smt_queries=tally.smt_queries,
         unknown_queries=tally.unknown_queries,
         region_nodes=len(region),

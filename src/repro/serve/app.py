@@ -69,6 +69,7 @@ from repro.serve.protocol import (COMPILE_ERROR, INTERNAL_ERROR,
                                   parse_request, require_str,
                                   result_envelope)
 from repro.serve.tenancy import TenantRegistry, splice_function
+from repro.smt.solver import DecidedBy
 
 #: Methods that go through admission + the worker pool.  Everything else
 #: (ping/telemetry/tenants/shutdown) is answered on the event loop and
@@ -318,7 +319,7 @@ class ServeApp:
             # LSP shape: only the verdicts this program version actually
             # re-decided; replayed ones are unchanged by construction.
             findings = [f for f, report in zip(findings, result.reports)
-                        if not report.replayed]
+                        if report.decided_by is not DecidedBy.STORE]
         response = {
             "tenant": tenant,
             "checker": checker,

@@ -29,11 +29,22 @@ class SmtStatus(enum.Enum):
     UNKNOWN = "unknown"   # resource limit hit (the paper's 10 s budget)
 
 
+class DecidedBy(enum.Enum):
+    """Which stage settled a verdict: Figure 11's preprocess/solver split,
+    plus how a run replays or gives up on a query (docs/analysis.md)."""
+    STORE = "store"            # replayed from the artifact store
+    PREPROCESS = "preprocess"  # Algorithm 3's preprocessing decided it
+    SAT = "sat"                # the SAT search (conflict-limit UNKNOWN too)
+    TIMEOUT = "timeout"        # the query's deadline or time limit ran out
+    BREAKER = "breaker"        # an open circuit breaker short-circuited it
+    ERROR = "error"            # the query raised, or its batch was lost
+
+
 @dataclass
 class SmtResult:
     status: SmtStatus
     model: dict[Term, int] = field(default_factory=dict)
-    decided_in_preprocess: bool = False
+    decided_by: DecidedBy = DecidedBy.SAT
     preprocess_stats: Optional[PreprocessStats] = None
     solve_time: float = 0.0
     sat_conflicts: int = 0
@@ -45,6 +56,10 @@ class SmtResult:
     #: plus the clauses the search learned.  Every query bit-blasts into
     #: a fresh database, so no other query's clauses count.
     sat_clauses: int = 0
+
+    @property
+    def decided_in_preprocess(self) -> bool:
+        return self.decided_by is DecidedBy.PREPROCESS
 
     @property
     def is_sat(self) -> bool:
@@ -83,7 +98,6 @@ class SmtSolver:
         self.manager = manager
         self.config = config if config is not None else SolverConfig()
         self.queries = 0
-        self.decided_in_preprocess = 0
 
     def check(self, constraints: Iterable[Term],
               want_model: bool = False,
@@ -93,7 +107,7 @@ class SmtSolver:
         ``deadline`` is the query's shared wall clock (already covering
         its slicing/transform stages); when absent, a fresh deadline is
         derived from ``config.time_limit``.  A tripped deadline anywhere
-        in the pipeline yields an UNKNOWN result, never an exception.
+        in the pipeline yields a ``timeout`` UNKNOWN, never an exception.
         """
         start = time.perf_counter()
         self.queries += 1
@@ -103,9 +117,9 @@ class SmtSolver:
             deadline = Deadline.after(self.config.time_limit)
 
         def result(status: SmtStatus, pre_stats=None, model=None,
-                   decided: bool = False, conflicts: int = 0,
+                   decided_by: DecidedBy = DecidedBy.SAT, conflicts: int = 0,
                    sat_clauses: int = 0) -> SmtResult:
-            return SmtResult(status, model or {}, decided, pre_stats,
+            return SmtResult(status, model or {}, decided_by, pre_stats,
                              time.perf_counter() - start, conflicts,
                              condition_nodes=condition_nodes,
                              sat_clauses=sat_clauses)
@@ -119,13 +133,12 @@ class SmtSolver:
                                    enabled=self.config.enabled_passes
                                    ).run(constraints, deadline=deadline)
                 if pre.verdict is not Verdict.UNKNOWN:
-                    self.decided_in_preprocess += 1
                     if pre.verdict is Verdict.UNSAT:
                         return result(SmtStatus.UNSAT, pre.stats,
-                                      decided=True)
+                                      decided_by=DecidedBy.PREPROCESS)
                     return result(SmtStatus.SAT, pre.stats,
                                   pre.complete_model({}) if want_model
-                                  else None, decided=True)
+                                  else None, DecidedBy.PREPROCESS)
                 residual = pre.constraints
             blaster = BitBlaster()
             for constraint in residual:
@@ -135,17 +148,19 @@ class SmtSolver:
                 conflict_limit=self.config.conflict_limit,
                 time_limit=self.config.time_limit, deadline=deadline)
         except QueryDeadlineExceeded:
-            return result(SmtStatus.UNKNOWN)
+            return result(SmtStatus.UNKNOWN, decided_by=DecidedBy.TIMEOUT)
 
         pre_stats = pre.stats if pre is not None else None
         conflicts = sat_result.conflicts
         sat_clauses = blaster.solver.num_clauses
         if sat_result.status is not SatStatus.SAT:
-            status = SmtStatus.UNSAT \
-                if sat_result.status is SatStatus.UNSAT \
-                else SmtStatus.UNKNOWN
-            return result(status, pre_stats, conflicts=conflicts,
-                          sat_clauses=sat_clauses)
+            # An UNKNOWN search stopped on its conflict limit or a clock.
+            limit = self.config.conflict_limit
+            clock = sat_result.status is SatStatus.UNKNOWN \
+                and (limit is None or conflicts < limit)
+            return result(SmtStatus(sat_result.status.value), pre_stats,
+                          None, DecidedBy.TIMEOUT if clock else DecidedBy.SAT,
+                          conflicts=conflicts, sat_clauses=sat_clauses)
         answer = result(SmtStatus.SAT, pre_stats, conflicts=conflicts,
                         sat_clauses=sat_clauses)
         if want_model:

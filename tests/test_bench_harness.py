@@ -132,7 +132,7 @@ class TestRunner:
         assert outcome.row()["errors"] == 1
         assert [record.error is not None
                 for record in outcome.query_records] == [True, False]
-        assert telemetry.as_dict()["faults"]["query_errors"] == 1
+        assert telemetry.as_dict()["decided_by"]["error"] == 1
         assert telemetry.as_dict()["context"]["subject"] == "mcf"
 
 

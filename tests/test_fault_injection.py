@@ -53,7 +53,7 @@ def canonical(result):
              tuple((step.vertex.index, step.frame.fid)
                    for step in report.candidate.path.steps),
              report.feasible,
-             report.decided_in_preprocess,
+             report.decided_by,
              tuple(sorted(report.witness.items())))
             for report in result.reports]
 
@@ -91,7 +91,7 @@ class TestRaiseFaults:
         assert faulted.failure is None
         assert_only_faulted_changed(sequential, faulted, {0})
         assert faulted.error_queries == 1
-        assert telemetry.as_dict()["faults"]["query_errors"] == 1
+        assert telemetry.as_dict()["decided_by"]["error"] == 1
 
     @pytest.mark.parametrize("seed", FAULT_SEEDS)
     def test_seeded_plans_are_differential(self, seed):
@@ -218,7 +218,7 @@ class TestDeadlines:
         assert rc == 0
         assert elapsed < 10.0, elapsed
         payload = json.loads(out.read_text())
-        assert payload["faults"]["query_timeouts"] >= 1
+        assert payload["decided_by"]["timeout"] >= 1
 
     def test_injected_delay_without_timeout_merely_runs_late(self):
         pdg = fuzz_pdg(FAULT_SEEDS[0])

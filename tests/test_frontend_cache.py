@@ -21,6 +21,7 @@ from repro.exec import ArtifactStore
 from repro.lang import LoweringError, compile_source, tokenize
 from repro.lang.frontend import FrontendCache
 from repro.lang.scan import block_end, mask_comments, top_level_items
+from repro.smt.solver import DecidedBy
 from ir_pretty import format_program
 from test_serve_differential import SEEDS, fuzz_source
 
@@ -257,7 +258,8 @@ class TestReuse:
             result = session.analyze("null-deref")
             full = findings_payload(result)
             delta = [finding for finding, report
-                     in zip(full, result.reports) if not report.replayed]
+                     in zip(full, result.reports)
+                     if report.decided_by is not DecidedBy.STORE]
             return json.dumps([full, delta, result.smt_queries])
 
         assert findings(hot) == findings(cold)

@@ -12,7 +12,7 @@ from repro.checkers import NullDereferenceChecker
 from repro.engine.base import PathSensitiveEngine
 from repro.fusion import prepare_pdg
 from repro.lang import compile_source
-from repro.smt.solver import SmtResult, SmtStatus, SolverConfig
+from repro.smt.solver import DecidedBy, SmtResult, SmtStatus, SolverConfig
 from repro.sparse.engine import SparseConfig
 
 
@@ -131,7 +131,8 @@ class TestDriver:
 
     def test_preprocess_decisions_counted(self):
         result = make_driver_run(
-            lambda c: SmtResult(SmtStatus.SAT, decided_in_preprocess=True))
+            lambda c: SmtResult(SmtStatus.SAT,
+                                decided_by=DecidedBy.PREPROCESS))
         assert result.decided_in_preprocess == 2
 
     def test_query_records_collected(self):

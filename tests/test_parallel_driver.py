@@ -58,7 +58,7 @@ def canonical(result):
              tuple((step.vertex.index, step.frame.fid)
                    for step in report.candidate.path.steps),
              report.feasible,
-             report.decided_in_preprocess,
+             report.decided_by,
              tuple(sorted(report.witness.items())))
             for report in result.reports]
 
@@ -70,7 +70,7 @@ def run_stats(result):
 
 def visible(outcome):
     """Every program-visible field of one query outcome."""
-    return (outcome.index, outcome.status, outcome.decided_in_preprocess,
+    return (outcome.index, outcome.status, outcome.decided_by,
             tuple(sorted(outcome.witness.items())), outcome.error)
 
 
@@ -119,7 +119,7 @@ def test_process_pool_matches_sequential(seed):
 
 
 def query_record_fields(engine):
-    return [(record.index, record.status, record.decided_in_preprocess,
+    return [(record.index, record.status, record.decided_by,
              record.condition_nodes, record.sat_clauses)
             for record in engine.query_records]
 

@@ -346,7 +346,8 @@ def test_telemetry_merge_folds_counters():
     first, second = Telemetry(), Telemetry()
     first.count("scheduled_queries", 3)
     second.count("scheduled_queries", 2)
-    second.record_store(store_hits=4, replayed_verdicts=4)
+    second.record_store(store_hits=4)
+    second.record_replayed(4)
     first.record_store(store_misses=1)
     second.record_memory(100, 10)
     first.record_memory(70, 30)
@@ -357,7 +358,7 @@ def test_telemetry_merge_folds_counters():
     assert merged["counters"]["scheduled_queries"] == 5
     assert merged["store"]["store_hits"] == 4
     assert merged["store"]["store_misses"] == 1
-    assert merged["store"]["replayed_verdicts"] == 4
+    assert merged["decided_by"]["store"] == 4
     # Memory peaks fold as maxima, not sums.
     assert merged["memory"]["peak_units"] == 100
     assert merged["memory"]["peak_condition_units"] == 30

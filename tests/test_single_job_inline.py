@@ -46,7 +46,7 @@ def canonical(result):
              tuple((step.vertex.index, step.frame.fid)
                    for step in report.candidate.path.steps),
              report.feasible,
-             report.decided_in_preprocess,
+             report.decided_by,
              tuple(sorted(report.witness.items())))
             for report in result.reports]
 
@@ -159,7 +159,7 @@ def test_cli_single_job_deadline_runs_inline(tmp_path, no_process_pool,
     payload = json.loads(out.read_text())
     assert payload["context"]["backend"] == "inline"
     assert payload["faults"]["pool_rebuilds"] == 0
-    assert payload["faults"]["query_errors"] == 1
+    assert payload["decided_by"]["error"] == 1
 
 
 def test_explicit_process_backend_still_forks_at_one_job(monkeypatch):

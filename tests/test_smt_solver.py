@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.smt import (SatSolver, SmtSolver, SmtStatus, SolverConfig,
                        TermManager, evaluate)
+from repro.smt.solver import DecidedBy
 from strategies import all_assignments, bool_terms, make_manager
 
 
@@ -111,10 +112,11 @@ class TestConfig:
 
     def test_solver_counts_preprocess_decisions(self, mgr):
         solver = SmtSolver(mgr)
-        solver.check([mgr.true])
-        solver.check([mgr.eq(mgr.bv_var("x", 4), mgr.bv_var("x", 4))])
+        results = [solver.check([mgr.true]),
+                   solver.check([mgr.eq(mgr.bv_var("x", 4),
+                                        mgr.bv_var("x", 4))])]
         assert solver.queries == 2
-        assert solver.decided_in_preprocess == 2
+        assert [r.decided_by for r in results] == [DecidedBy.PREPROCESS] * 2
 
     def test_selected_passes_forwarded(self, mgr):
         x, y = mgr.bv_var("x", 8), mgr.bv_var("y", 8)

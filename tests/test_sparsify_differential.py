@@ -60,7 +60,7 @@ def canonical(result):
              tuple((step.vertex.index, step.frame.fid)
                    for step in report.candidate.path.steps),
              report.feasible,
-             report.decided_in_preprocess,
+             report.decided_by,
              tuple(sorted(report.witness.items())))
             for report in result.reports]
 

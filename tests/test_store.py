@@ -24,7 +24,7 @@ from repro.exec import ArtifactStore, Telemetry
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.lang import LoweringConfig, compile_source
 from repro.lang.fingerprint import function_key, program_keys
-from repro.smt.solver import SmtStatus
+from repro.smt.solver import DecidedBy, SmtStatus
 
 
 def fuzz_source(seed: int) -> str:
@@ -111,7 +111,7 @@ class TestWarmReplay:
         assert stats.misses == 0 and stats.invalidations == 0
         assert stats.committed == 0
         assert report_key(warm) == report_key(cold)
-        assert all(r.replayed for r in warm.reports)
+        assert all(r.decided_by is DecidedBy.STORE for r in warm.reports)
 
     def test_replay_counts_flow_into_telemetry(self, tmp_path):
         src = fuzz_source(12)
@@ -121,12 +121,11 @@ class TestWarmReplay:
         warm = analyze(src, store=store, telemetry=telemetry)
         section = telemetry.as_dict()["store"]
         assert section["store_hits"] == warm.candidates
-        assert section["replayed_verdicts"] == warm.candidates
+        assert telemetry.as_dict()["decided_by"]["store"] == warm.candidates
         assert section["store_misses"] == 0
         assert set(section) == {
             "store_hits", "store_misses", "store_invalidations",
-            "replayed_verdicts", "corrupt_entries", "quarantined",
-            "io_errors"}
+            "corrupt_entries", "quarantined", "io_errors"}
 
     def test_different_config_never_shares_entries(self, tmp_path):
         src = fuzz_source(13)

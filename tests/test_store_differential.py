@@ -23,6 +23,7 @@ from repro.checkers import NullDereferenceChecker
 from repro.exec import ArtifactStore, Telemetry
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.lang import LoweringConfig, compile_source
+from repro.smt.solver import DecidedBy
 
 SEEDS = list(range(25))
 
@@ -125,7 +126,7 @@ def test_single_function_edit_dirties_exactly_that_function(seed):
         assert len(warm.reports) == warm.candidates
         for report in warm.reports:
             entry = cold_entries.get(binding.candidate_key(report.candidate))
-            assert report.replayed == (
+            assert (report.decided_by is DecidedBy.STORE) == (
                 entry is not None
                 and edited_fn not in entry["deps"]["content"])
 
