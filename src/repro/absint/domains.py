@@ -190,5 +190,4 @@ class FixpointStats:
 
     iterations: int = 0
     widenings: int = 0
-    seconds: float = 0.0
     vertices: int = 0

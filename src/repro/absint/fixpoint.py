@@ -32,7 +32,6 @@ extremes.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -78,8 +77,6 @@ def analyze_pdg(pdg: ProgramDependenceGraph,
     """
     state = AbstractState(pdg, pdg.program.width,
                           [AbsValue.bottom()] * pdg.num_vertices)
-    start = time.perf_counter()
-
     update_counts = [0] * pdg.num_vertices
     if restrict is None:
         allowed = None
@@ -119,7 +116,6 @@ def analyze_pdg(pdg: ProgramDependenceGraph,
                 queued[succ] = True
                 worklist.append(succ)
 
-    state.stats.seconds = time.perf_counter() - start
     return state
 
 

@@ -82,13 +82,13 @@ class InferEngine:
         path-sensitive engines but ignored: the summary computation is a
         bottom-up fixpoint over the call DAG, not a bag of independent
         feasibility queries, so there is nothing to batch.  Telemetry
-        still records wall time and memory."""
+        still records the ``engine.analyze`` span and memory."""
         from repro.pdg.callgraph import CallGraph
 
+        start = time.perf_counter()
         budget = self.config.budget if self.config.budget is not None \
             else Budget()
         budget.restart_clock()
-        start = time.perf_counter()
         result = AnalysisResult(self.name, checker.name)
         telemetry = telemetry if telemetry is not None else Telemetry()
         telemetry.annotate(engine=self.name, checker=checker.name,
@@ -121,10 +121,10 @@ class InferEngine:
             result.reports.append(BugReport(candidate, feasible=True))
         result.candidates = len(result.reports)
         result.memory_units = self._memory_units()
+        telemetry.peak("memory", peak_units=result.memory_units,
+                       peak_condition_units=result.condition_memory_units)
         result.wall_time = time.perf_counter() - start
-        telemetry.record_memory(result.memory_units,
-                                result.condition_memory_units)
-        telemetry.set_wall_seconds(result.wall_time)
+        telemetry.add_span("engine.analyze", result.wall_time)
         return result
 
     # ------------------------------------------------------------------ #

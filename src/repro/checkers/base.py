@@ -148,7 +148,6 @@ class BugReport:
     #: was replayed from a persistent artifact store); None when the
     #: engine decides no candidate on its own (the Infer baseline).
     decided_by: Optional[DecidedBy] = None
-    solve_time: float = 0.0
     #: A concrete satisfying assignment for the path condition
     #: (variable name -> value), when the engine was asked to extract one.
     witness: dict[str, int] = field(default_factory=dict)

@@ -461,7 +461,7 @@ def _write_telemetry(args: argparse.Namespace, telemetry,
     ``collections`` snapshot taken when the command started."""
     if not args.telemetry:
         return True
-    telemetry.record_gc(**{
+    telemetry.add("gc", **{
         f"collections_gen{generation}": now - then
         for generation, (then, now) in enumerate(zip(collections,
                                                      _collections()))})

@@ -113,6 +113,7 @@ class PathSensitiveEngine:
         requests); all per-run state — query records, telemetry deltas,
         the result's counters — is rebuilt here, so one request never
         observes a previous request's numbers."""
+        start = time.perf_counter()
         telemetry = telemetry if telemetry is not None else Telemetry()
         self.query_records = []
         view = self.checker_view(checker, telemetry)
@@ -128,7 +129,6 @@ class PathSensitiveEngine:
             exec_config if exec_config is not None else ExecConfig(),
             telemetry, budget)
         telemetry.annotate(engine=self.name, checker=checker.name)
-        start = time.perf_counter()
         # index -> report, filled by store replay and the scheduler;
         # merged into ``result.reports`` in index order even on budget
         # aborts.
@@ -136,17 +136,17 @@ class PathSensitiveEngine:
         pending: Optional[list[int]] = None
         candidates: list[BugCandidate] = []
         try:
-            with telemetry.stage("collect"):
+            with telemetry.span("sparse.collect"):
                 candidates = collect_candidates(self.pdg, checker,
                                                 self.config.sparse,
                                                 view=view)
-            telemetry.count("candidates", len(candidates))
+            telemetry.add("counters", candidates=len(candidates))
             result.candidates = len(candidates)
             if binding is not None:
                 # Warm-run replay: verdicts whose recorded dependencies
                 # are unchanged come straight from the persistent store;
                 # only the rest flow into the solve loop.
-                with telemetry.stage("store_replay"):
+                with telemetry.span("exec.store.replay"):
                     pending = binding.replay(candidates, reports)
             scheduler.solve_pending(candidates, pending, result, reports,
                                     binding, sink=self.query_records)
@@ -159,7 +159,7 @@ class PathSensitiveEngine:
         if binding is not None:
             # Persist this run's verdicts (partial results included on
             # budget aborts).
-            with telemetry.stage("store_commit"):
+            with telemetry.span("exec.store.commit"):
                 binding.commit(candidates, reports)
         result.reports = [reports[index] for index in sorted(reports)]
 
@@ -167,12 +167,12 @@ class PathSensitiveEngine:
         result.memory_units = max(result.memory_units, total)
         result.condition_memory_units = max(result.condition_memory_units,
                                             condition)
-        result.wall_time = time.perf_counter() - start
-        telemetry.record_memory(result.memory_units,
-                                result.condition_memory_units)
-        telemetry.set_wall_seconds(result.wall_time)
+        telemetry.peak("memory", peak_units=result.memory_units,
+                       peak_condition_units=result.condition_memory_units)
         if result.failure is not None:
             telemetry.annotate(failure=result.failure)
+        result.wall_time = time.perf_counter() - start
+        telemetry.add_span("engine.analyze", result.wall_time)
         return result
 
     def _store_fingerprint(self, checker: Checker) -> dict:

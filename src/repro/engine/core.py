@@ -353,13 +353,12 @@ class AnalysisSession:
         cached = self._query_cache.get(key)
         if cached is not None:
             verdict = cached_verdict(cached)
-            telemetry.record_demand(
-                demand_queries=1, region_cache_hits=1,
+            telemetry.add(
+                "query", demand_queries=1, region_cache_hits=1,
                 region_nodes=verdict.region_nodes,
                 region_edges=verdict.region_edges,
                 pdg_nodes=verdict.pdg_nodes,
-                pdg_edges=verdict.pdg_edges,
-                verdicts_replayed=verdict.replayed_verdicts)
+                pdg_edges=verdict.pdg_edges)
             return verdict
         verdict = run_demand_query(self.engine, checker_obj,
                                    sink_indices, def_indices,

@@ -371,7 +371,7 @@ class QueryScheduler:
                    in enumerate(self._partition(index_list, jobs))]
         self.telemetry.annotate(jobs=jobs, backend=backend,
                                 batches=len(batches))
-        self.telemetry.count("batches", len(batches))
+        self.telemetry.add("counters", batches=len(batches))
         run_deadline = None
         if self.budget is not None and self.budget.max_seconds is not None:
             run_deadline = self.budget.deadline()
@@ -382,13 +382,13 @@ class QueryScheduler:
                                           run_deadline)
             if remaining:
                 # The degradation ladder's last rung.
-                self.telemetry.record_fault("degradations")
+                self.telemetry.add("faults", degradations=1)
                 self.telemetry.annotate(degraded_to="inline")
         if remaining:
             self._run_inline(candidates, remaining, outcomes)
         if self.config.breaker is not None:
-            self.telemetry.record_breaker(
-                open_groups=self.config.breaker.open_count())
+            self.telemetry.gauge(
+                "breaker", open_groups=self.config.breaker.open_count())
         outcomes.sort(key=lambda outcome: outcome.index)
         return outcomes
 
@@ -417,8 +417,7 @@ class QueryScheduler:
                     store.observe(outcome.index, outcome.status)
                 reports[outcome.index] = BugReport(
                     candidates[outcome.index], outcome.feasible,
-                    outcome.decided_by, outcome.seconds,
-                    dict(outcome.witness))
+                    outcome.decided_by, dict(outcome.witness))
                 result.memory_units = max(result.memory_units,
                                           outcome.memory_units)
                 result.condition_memory_units = max(
@@ -449,10 +448,10 @@ class QueryScheduler:
                 admitted, probe = breaker.admit(group)
                 decisions[group] = admitted
                 if probe:
-                    self.telemetry.record_breaker(probes=1)
+                    self.telemetry.add("breaker", probes=1)
             (allowed if decisions[group] else blocked).append(index)
         if blocked:
-            self.telemetry.record_breaker(short_circuits=len(blocked))
+            self.telemetry.add("breaker", short_circuits=len(blocked))
             self._absorb(
                 [QueryOutcome(index, SmtStatus.UNKNOWN, DecidedBy.BREAKER,
                               0.0, 0, {}, 0, 0,
@@ -471,7 +470,7 @@ class QueryScheduler:
                   if index in self._breaker_groups}
         for group in sorted(groups):
             if breaker.record_failure(group):
-                self.telemetry.record_breaker(trips=1)
+                self.telemetry.add("breaker", trips=1)
 
     # -- partitioning --------------------------------------------------- #
 
@@ -543,8 +542,8 @@ class QueryScheduler:
             # deterministic) until the rebuild budget runs out, then hand
             # the rest to the inline rung.
             rebuilds += 1
-            self.telemetry.record_fault("pool_rebuilds")
-            self.telemetry.record_fault("requeued_batches", len(lost))
+            self.telemetry.add("faults", pool_rebuilds=1,
+                               requeued_batches=len(lost))
             for batch in lost:
                 self._breaker_batch_failure(batch)
             if rebuilds > policy.max_retries:
@@ -628,7 +627,7 @@ class QueryScheduler:
             raise error
         if batch.attempt >= self.config.faults.max_retries:
             return None
-        self.telemetry.record_fault("batch_retries")
+        self.telemetry.add("faults", batch_retries=1)
         time.sleep(backoff_delay(self.config.faults, batch.attempt,
                                  token=batch.ordinal))
         return batch.bumped()
@@ -637,8 +636,8 @@ class QueryScheduler:
                     outcomes: list[QueryOutcome]) -> None:
         """Give every query of an unrecoverable batch an UNKNOWN outcome
         (soundy: the reports survive, flagged with the error)."""
-        self.telemetry.record_fault("synthesized_unknown",
-                                    len(batch.indices))
+        self.telemetry.add("faults",
+                           synthesized_unknown=len(batch.indices))
         self._absorb(
             [QueryOutcome(index, SmtStatus.UNKNOWN, DecidedBy.ERROR, 0.0,
                           0, {}, 0, 0, error=_describe(error))
@@ -652,16 +651,17 @@ class QueryScheduler:
         groups = self._breaker_groups if breaker is not None else None
         for outcome in batch:
             self.telemetry.record_query(outcome)
-            self.telemetry.record_memory(outcome.memory_units,
-                                         outcome.condition_memory_units)
+            self.telemetry.peak(
+                "memory", peak_units=outcome.memory_units,
+                peak_condition_units=outcome.condition_memory_units)
             group = groups.get(outcome.index) if groups else None
             if group is None or outcome.decided_by is DecidedBy.BREAKER:
                 continue
             if outcome.decided_by in (DecidedBy.TIMEOUT, DecidedBy.ERROR):
                 if breaker.record_failure(group):
-                    self.telemetry.record_breaker(trips=1)
+                    self.telemetry.add("breaker", trips=1)
             elif breaker.record_success(group):
-                self.telemetry.record_breaker(recoveries=1)
+                self.telemetry.add("breaker", recoveries=1)
         if self.budget is not None:
             for outcome in batch:
                 self.budget.check_memory(outcome.memory_units)

@@ -508,11 +508,12 @@ class StoreBinding:
         self.stats.io_errors = (
             (current["read_errors"] - base["read_errors"])
             + (current["write_errors"] - base["write_errors"]))
-        self.telemetry.record_store(
+        self.telemetry.add(
+            "store",
             store_hits=self.stats.hits,
             store_misses=self.stats.misses,
             store_invalidations=self.stats.invalidations,
             corrupt_entries=self.stats.corrupt_entries,
             quarantined=self.stats.quarantined,
             io_errors=self.stats.io_errors)
-        self.telemetry.record_replayed(replayed)
+        self.telemetry.add("decided_by", store=replayed)

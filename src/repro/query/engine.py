@@ -210,13 +210,12 @@ def run_demand_query(engine, checker: Checker, sink_indices,
         pdg_nodes=pdg.num_vertices,
         pdg_edges=pdg.num_data_edges,
         region_indices=frozenset(region))
-    telemetry.record_demand(
-        demand_queries=1,
+    telemetry.add(
+        "query", demand_queries=1,
         region_nodes=verdict.region_nodes,
         region_edges=verdict.region_edges,
         pdg_nodes=verdict.pdg_nodes,
-        pdg_edges=verdict.pdg_edges,
-        verdicts_replayed=verdict.replayed_verdicts)
+        pdg_edges=verdict.pdg_edges)
     return verdict
 
 

@@ -200,7 +200,7 @@ class ServeApp:
             envelope = ServeError(
                 INTERNAL_ERROR,
                 f"{type(error).__name__}: {error}").envelope(request_id)
-        self.telemetry.serve_add(requests=1, errors=1 if errored else 0)
+        self.telemetry.add("serve", requests=1, errors=1 if errored else 0)
         self._sync_gauges()
         return envelope
 
@@ -220,13 +220,13 @@ class ServeApp:
             self.telemetry.record_latency(time.monotonic() - start)
 
     def _sync_gauges(self) -> None:
-        self.telemetry.serve_gauge(
-            sessions_alive=self.tenants.alive,
+        self.telemetry.gauge(
+            "serve", sessions_alive=self.tenants.alive,
             queue_depth=self.admission.depth,
             queue_peak=self.admission.peak,
             rejected=self.admission.rejected)
-        self.telemetry.record_breaker(
-            open_groups=self.tenants.open_breaker_groups())
+        self.telemetry.gauge(
+            "breaker", open_groups=self.tenants.open_breaker_groups())
 
     async def _in_pool(self, fn, *args):
         loop = asyncio.get_running_loop()
@@ -312,8 +312,6 @@ class ServeApp:
                     checker, exec_config=exec_config,
                     telemetry=run_telemetry))
         self.telemetry.merge(run_telemetry)
-        self.telemetry.serve_add(
-            replayed_verdicts=result.replayed_verdicts)
         findings = findings_payload(result)
         if delta_only:
             # LSP shape: only the verdicts this program version actually
@@ -379,8 +377,6 @@ class ServeApp:
                 # are the caller's coordinates being wrong, not ours.
                 raise ServeError(INVALID_PARAMS, str(error))
         self.telemetry.merge(run_telemetry)
-        self.telemetry.serve_add(
-            replayed_verdicts=verdict.replayed_verdicts)
         response = {"tenant": tenant, "generation": generation}
         response.update(verdict.to_payload())
         return response
@@ -455,7 +451,7 @@ class ServeApp:
                 max_workers=max(1, self.config.workers),
                 thread_name_prefix="repro-serve")
             old.shutdown(wait=False, cancel_futures=True)
-            self.telemetry.serve_add(watchdog_rebuilds=1)
+            self.telemetry.add("serve", watchdog_rebuilds=1)
         finally:
             self._rebuilding = False
 
@@ -472,7 +468,7 @@ class ServeApp:
         self._response_ops += 1
         if not plan.drops_response(ordinal):
             return False
-        self.telemetry.serve_add(client_disconnects=1)
+        self.telemetry.add("serve", client_disconnects=1)
         return True
 
     # ------------------------------------------------------------------

@@ -149,8 +149,8 @@ class TenantRegistry:
         compactions_before = journal.compactions
         journal.record_source(session.generation, session.source,
                               session.settings.to_payload())
-        self.telemetry.serve_add(
-            journal_records=1,
+        self.telemetry.add(
+            "serve", journal_records=1,
             journal_compactions=journal.compactions - compactions_before)
 
     def create(self, tenant: str, source: str) -> TenantSession:
@@ -211,8 +211,8 @@ class TenantRegistry:
         entry = TenantSession(tenant, session, root, journal=journal,
                               breaker=self._make_breaker())
         self._tenants[tenant] = entry
-        self.telemetry.serve_add(
-            sessions_recovered=1,
+        self.telemetry.add(
+            "serve", sessions_recovered=1,
             recoveries_clean=1 if state.clean else 0,
             recoveries_crash=0 if state.clean else 1)
         return entry

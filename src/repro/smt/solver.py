@@ -10,7 +10,6 @@ and handed to the CDCL SAT back end — exactly the structure of Algorithm 3
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -46,7 +45,6 @@ class SmtResult:
     model: dict[Term, int] = field(default_factory=dict)
     decided_by: DecidedBy = DecidedBy.SAT
     preprocess_stats: Optional[PreprocessStats] = None
-    solve_time: float = 0.0
     sat_conflicts: int = 0
     #: Distinct term-DAG nodes in the queried constraint set (the size of
     #: the path condition this query decided; feeds Figure 11's scatter).
@@ -109,7 +107,6 @@ class SmtSolver:
         derived from ``config.time_limit``.  A tripped deadline anywhere
         in the pipeline yields a ``timeout`` UNKNOWN, never an exception.
         """
-        start = time.perf_counter()
         self.queries += 1
         constraints = list(constraints)
         condition_nodes = constraint_set_size(constraints)
@@ -120,7 +117,7 @@ class SmtSolver:
                    decided_by: DecidedBy = DecidedBy.SAT, conflicts: int = 0,
                    sat_clauses: int = 0) -> SmtResult:
             return SmtResult(status, model or {}, decided_by, pre_stats,
-                             time.perf_counter() - start, conflicts,
+                             conflicts,
                              condition_nodes=condition_nodes,
                              sat_clauses=sat_clauses)
 

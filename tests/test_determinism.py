@@ -132,6 +132,28 @@ class TestTelemetryKeyOrder:
         first, second = outs
         assert first["schema"] == SCHEMA
         assert list(first) == list(second)
-        for section in ("solver", "store", "faults", "memory"):
+        for section in ("spans", "solver", "store", "faults", "memory"):
             assert list(first[section]) == list(second[section])
         assert first["counters"] == second["counters"]
+
+
+def test_spans_section_covers_the_run(tmp_path, capsys):
+    """Every duration sits under ``spans``: one ``engine.analyze`` per
+    run, one ``exec.query`` per solved query and one
+    ``pdg.reduce.view`` per view built, with the inner layers inside the
+    whole run."""
+    path = tmp_path / "t.json"
+    run_analyze(capsys, "--subject", "mcf", "--telemetry", str(path),
+                "--cache-dir", str(tmp_path / "store"))
+    document = json.loads(path.read_text())
+    spans = document["spans"]
+    assert spans["engine.analyze"]["count"] == 1
+    assert spans["exec.query"]["count"] == document["solver"]["total"] > 0
+    assert spans["pdg.reduce.view"]["count"] \
+        == document["reduce"]["views_built"] == 1
+    whole = spans["engine.analyze"]["seconds"]
+    for name in ("sparse.collect", "exec.store.replay",
+                 "exec.store.commit"):
+        assert spans[name]["count"] == 1, name
+        assert spans[name]["seconds"] <= whole, name
+    assert "wall_seconds" not in document

@@ -25,7 +25,7 @@ import pytest
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
 from repro.engine import AnalysisSession, EngineSettings, findings_payload
-from repro.exec import ArtifactStore, ExecConfig
+from repro.exec import ArtifactStore, ExecConfig, Telemetry
 from repro.query import resolve_def_sites, resolve_sink_sites
 
 SEEDS = list(range(25))
@@ -137,6 +137,30 @@ def test_warm_store_query_replays_without_solving(seed, engine,
         assert json.dumps(verdict.findings) == json.dumps(expected)
         assert verdict.replayed_verdicts == verdict.candidates
         assert verdict.smt_queries == 0
+
+
+@pytest.mark.parametrize("seed", SEEDS[:3])
+def test_memo_hits_do_not_recount_store_replays(seed, tmp_path):
+    """A repeated query is answered from the per-pair memo and replays
+    nothing: ``decided_by.store`` counts only the verdicts a store
+    binding replayed, and no other key of the export counts replays."""
+    source = fuzz_source(seed)
+    store = ArtifactStore(str(tmp_path / "store"))
+    AnalysisSession(source, store=store).analyze(CHECKER)
+    session = AnalysisSession(source, store=store)
+    telemetry = Telemetry()
+    verdicts = [session.query(CHECKER, sink=(line, None),
+                              telemetry=telemetry)
+                for line, _ in sink_lines(session, source)
+                for _ in range(3)]
+    snapshot = telemetry.as_dict()
+    assert snapshot["query"]["region_cache_hits"] == len(verdicts) * 2 // 3
+    replayed = sum(verdict.replayed_verdicts for verdict in verdicts
+                   if not verdict.from_cache)
+    assert snapshot["decided_by"]["store"] == replayed > 0
+    assert [(section, key) for section, values in snapshot.items()
+            if section != "spans" and isinstance(values, dict)
+            for key in values if "replay" in key] == []
 
 
 @pytest.mark.parametrize("backend", ("inline", "process"))

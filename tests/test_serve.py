@@ -281,10 +281,13 @@ def test_telemetry_serve_section_schema():
                 assert snapshot["schema"] == SCHEMA
                 serve = snapshot["serve"]
                 for key in ("requests", "errors", "rejected",
-                            "sessions_alive", "replayed_verdicts",
+                            "sessions_alive",
                             "queue_depth", "queue_peak",
                             "p50_latency_s", "p95_latency_s"):
                     assert key in serve, key
+                # Replays are counted once, by decided_by.store.
+                assert "replayed_verdicts" not in serve
+                assert "store" in snapshot["decided_by"]
                 assert serve["requests"] >= 2
                 assert serve["sessions_alive"] == 1
                 assert serve["queue_depth"] == 0
@@ -344,17 +347,38 @@ def test_update_rebuilds_every_view():
 
 def test_telemetry_merge_folds_counters():
     first, second = Telemetry(), Telemetry()
-    first.count("scheduled_queries", 3)
-    second.count("scheduled_queries", 2)
-    second.record_store(store_hits=4)
-    second.record_replayed(4)
-    first.record_store(store_misses=1)
-    second.record_memory(100, 10)
-    first.record_memory(70, 30)
-    first.record_gc(collections_gen0=2)
-    second.record_gc(collections_gen0=3, collections_gen2=1)
+    first.add("counters", scheduled_queries=3)
+    second.add("counters", scheduled_queries=2)
+    second.add("store", store_hits=4)
+    second.add("decided_by", store=4)
+    first.add("store", store_misses=1)
+    second.peak("memory", peak_units=100, peak_condition_units=10)
+    first.peak("memory", peak_units=70, peak_condition_units=30)
+    first.add("gc", collections_gen0=2)
+    second.add("gc", collections_gen0=3, collections_gen2=1)
+    first.add_span("engine.analyze", 0.25)
+    second.add_span("engine.analyze", 0.5, count=2)
+    second.add_span("sparse.collect", 0.125)
+    first.peak("solver", max_condition_nodes=7)
+    second.peak("solver", max_condition_nodes=5)
+    first.gauge("breaker", open_groups=1)
+    second.gauge("breaker", open_groups=3)
+    second.add("breaker", trips=2)
+    second.gauge("serve", sessions_alive=4)
+    with pytest.raises(ValueError):
+        first.add("no_such_section", x=1)
     first.merge(second)
     merged = first.as_dict()
+    # Spans sum seconds and counts.
+    assert merged["spans"] == {
+        "engine.analyze": {"seconds": 0.75, "count": 3},
+        "sparse.collect": {"seconds": 0.125, "count": 1}}
+    # Peaks take the maximum; gauges (and the daemon-owned serve
+    # section) are not merged.
+    assert merged["solver"]["max_condition_nodes"] == 7
+    assert merged["breaker"]["open_groups"] == 1
+    assert merged["breaker"]["trips"] == 2
+    assert merged["serve"]["sessions_alive"] == 0
     assert merged["counters"]["scheduled_queries"] == 5
     assert merged["store"]["store_hits"] == 4
     assert merged["store"]["store_misses"] == 1

@@ -152,7 +152,7 @@ def test_soak_two_tenants_eight_clients():
                 # The warm path did real work: verdicts were replayed
                 # across requests, and overload (if any) was absorbed by
                 # client retries, never by dropping requests.
-                assert snapshot["serve"]["replayed_verdicts"] > 0
+                assert snapshot["decided_by"]["store"] > 0
             finally:
                 app.close()
 
