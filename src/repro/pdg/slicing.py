@@ -9,7 +9,10 @@ Given Π, the slice is the sub-graph the paths' feasibility depends on:
   is logically equivalent to the pruned translation of Figure 8.
 * **Rule (2)** — every branch in the transitive control-dependence chain
   of a path vertex must evaluate to true; these become requirements too,
-  and their condition definitions seed the data closure.
+  and their condition definitions seed the data closure.  Where the path
+  enters a callee through a call edge, the chain of that call statement
+  counts too, in the caller's frame: the callee runs only if the call
+  does.
 * **Rule (3)** — the data-dependence closure of those seeds, per function.
   The closure crosses return edges into callees (pulling in return-value
   conditions, e.g. ``z = y /\ y = 2x`` of the paper's ``bar``) and crosses
@@ -104,6 +107,15 @@ def compute_slice(pdg: ProgramDependenceGraph,
             # Rule (2): the transitive control-dependence chain.
             for branch in pdg.control_chain(step.vertex):
                 add_requirement(step.frame, branch, True)
+            # A call edge enters the callee only if the call statement
+            # runs: its chain binds in the caller's frame.  (The call
+            # vertex is on the path only when a return edge comes back
+            # to it.)
+            if i > 0 and not step.frame.via_return \
+                    and step.frame.parent == path.steps[i - 1].frame:
+                call = pdg.callsites[step.frame.callsite].call_vertex
+                for branch in pdg.control_chain(call):
+                    add_requirement(step.frame.parent, branch, True)
 
     _data_closure(pdg, seeds, result, deadline)
     return result
