@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
+from repro.collector import paused
 from repro.exec.telemetry import Telemetry
 from repro.lang.ir import (Assign, Binary, Call, Identity, IfThenElse,
                            Return, Var)
@@ -75,6 +76,7 @@ class InferEngine:
     # Analysis
     # ------------------------------------------------------------------ #
 
+    @paused
     def analyze(self, checker: Checker,
                 exec_config: Optional["ExecConfig"] = None,
                 telemetry: Optional[Telemetry] = None) -> AnalysisResult:

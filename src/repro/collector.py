@@ -1,26 +1,39 @@
 """Scoped pauses of Python's cyclic garbage collector.
 
-The frontend and the PDG builder allocate many small, mostly acyclic
-objects (tokens, AST nodes, IR statements, vertices and edges).  Each
-allocation burst trips the collector's young-generation threshold, and
-every collection walks those objects again: on a cold compile of an
-8k-line program the collector ran about 260 times and took a quarter of
-the op.  :data:`paused` switches it off for the length of a scope::
+Analysis allocates many small objects (tokens, AST nodes, IR
+statements, vertices and edges, terms, clauses).  Each allocation burst
+trips the collector's young-generation threshold, and every collection
+walks those objects again: on a cold compile of an 8k-line program the
+collector ran about 260 times and took a quarter of the op, and a
+``oneshot`` pass spent about 9% of its time in about 450 collections.
+:data:`paused` switches it off for the length of a scope::
 
     @paused
-    def build_pdg(program): ...
+    def analyze(self, checker, ...): ...
 
     with paused:
         ...
+
+The scopes sit on each unit of analysis work: an engine's ``analyze``,
+a session's ``update_source`` and solving ``query``, a process
+worker's batch, and ``compile_source`` and ``build_pdg`` for callers
+outside a session (docs/caching.md, "Collector pauses").
+
+A long pause is safe because the analysis path makes no reference
+cycles: reference counting frees everything it allocates, so there is
+nothing for the collector to find (``tests/test_collector.py`` runs the
+analysis with the collector off and asserts ``gc.collect() == 0``).
 
 The collector state is process-wide, so the scope is too: one depth
 count under a lock.  The first scope to enter records whether the
 collector was enabled and disables it; the last scope to leave restores
 exactly that, on every exit, so nested scopes and overlapping threads
-are safe and a collector the caller had disabled stays disabled.  A
-child forked while some thread was inside a scope starts at depth 0 with
-the collector re-enabled (if a scope disabled it): the threads that
-held the scope do not exist in the child, and would never leave it.
+are safe and a collector the caller had disabled stays disabled.
+Overlapping serve requests can therefore keep the collector off across
+requests.  A child forked while some thread was inside a scope starts
+at depth 0 with the collector re-enabled (if a scope disabled it): the
+threads that held the scope do not exist in the child, and would never
+leave it.
 
 Garbage made inside a scope is not lost: the young generation's
 allocation count keeps growing, so the first allocations after the scope

@@ -25,6 +25,7 @@ from typing import Optional
 
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
+from repro.collector import paused
 from repro.exec.scheduler import ExecConfig, QueryOutcome, QueryScheduler
 from repro.exec.telemetry import Telemetry
 from repro.limits import (Budget, Deadline, MemoryBudgetExceeded,
@@ -92,6 +93,7 @@ class PathSensitiveEngine:
         self.views.flush_telemetry(telemetry)
         return view
 
+    @paused
     def analyze(self, checker: Checker,
                 exec_config: Optional[ExecConfig] = None,
                 telemetry: Optional[Telemetry] = None,

@@ -31,6 +31,7 @@ from typing import Optional
 from repro.checkers import DivByZeroChecker, NullDereferenceChecker
 from repro.checkers.base import AnalysisResult
 from repro.checkers.taint import cwe23_checker, cwe402_checker
+from repro.collector import paused
 from repro.exec.telemetry import Telemetry
 from repro.lang import LoweringConfig
 from repro.limits import Budget
@@ -233,6 +234,7 @@ class AnalysisSession:
         if source is not None:
             self.update_source(source)
 
+    @paused
     def update_source(self, source: str) -> None:
         """Swap in a new program version.
 
@@ -360,10 +362,14 @@ class AnalysisSession:
                 pdg_nodes=verdict.pdg_nodes,
                 pdg_edges=verdict.pdg_edges)
             return verdict
-        verdict = run_demand_query(self.engine, checker_obj,
-                                   sink_indices, def_indices,
-                                   telemetry=telemetry, store=self.store,
-                                   deadline_s=deadline_s)
+        # A memo hit above allocates next to nothing: only a solving
+        # query enters the collector pause.
+        with paused:
+            verdict = run_demand_query(self.engine, checker_obj,
+                                       sink_indices, def_indices,
+                                       telemetry=telemetry,
+                                       store=self.store,
+                                       deadline_s=deadline_s)
         self._query_cache[key] = verdict
         return verdict
 

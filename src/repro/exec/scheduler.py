@@ -78,6 +78,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
                                  Checker)
+from repro.collector import paused
 from repro.exec.breaker import CircuitBreaker
 from repro.exec.faults import FaultPlan, FaultPolicy, backoff_delay
 from repro.exec.telemetry import Telemetry
@@ -308,6 +309,7 @@ def _process_init(spec_bytes: bytes, policy: FaultPolicy,
     _PROCESS_STATE = _WorkerState(pickle.loads(spec_bytes), policy, plan)
 
 
+@paused
 def _process_batch(indices: Sequence[int], ordinal: int, attempt: int,
                    run_deadline: Optional[Deadline]) -> list[QueryOutcome]:
     """Solve one batch in a worker process."""

@@ -346,36 +346,45 @@ class StoreBinding:
         collected over this PDG, but corrupted inputs must miss)."""
         frames: dict[int, int] = {}
         signatures: list[list] = []
-        sites, positions = self.index.site, self.index.position
-
-        def visit(frame) -> int:
-            known = frames.get(frame.fid)
-            if known is not None:
-                return known
-            parent = visit(frame.parent) if frame.parent is not None else -1
-            site = None
-            if frame.callsite is not None:
-                site = sites.get(frame.callsite)
-                if site is None:
-                    return -2
-            canonical = len(signatures)
-            frames[frame.fid] = canonical
-            signatures.append([frame.function, site, frame.via_return,
-                               parent])
-            return canonical
-
+        positions = self.index.position
         steps = []
         for step in candidate.path.steps:
             vertex = step.vertex
             position = positions[vertex.index] \
                 if vertex.index < len(positions) else None
-            canonical = visit(step.frame)
+            canonical = self._canonical_frame(step.frame, frames, signatures)
             if position is None or canonical < 0:
                 return None
             steps.append([[vertex.function, position], canonical])
         payload = _canonical({"checker": candidate.checker,
                               "steps": steps, "frames": signatures})
         return _sha(f"{self.config_key}\n{self.checker}\n{payload}")
+
+    def _canonical_frame(self, frame, frames: dict[int, int],
+                         signatures: list[list]) -> int:
+        """The canonical number of ``frame``, numbering it and its
+        unnumbered ancestors outermost first; -2 when its call site is
+        not in the index.  A frame under such an ancestor is numbered
+        with parent -2 (a loop, not a recursive closure: that would be a
+        reference cycle the collector has to find)."""
+        chain = []
+        while frame is not None and frame.fid not in frames:
+            chain.append(frame)
+            frame = frame.parent
+        canonical = frames[frame.fid] if frame is not None else -1
+        sites = self.index.site
+        for frame in reversed(chain):
+            site = None
+            if frame.callsite is not None:
+                site = sites.get(frame.callsite)
+                if site is None:
+                    canonical = -2
+                    continue
+            parent, canonical = canonical, len(signatures)
+            frames[frame.fid] = canonical
+            signatures.append([frame.function, site, frame.via_return,
+                               parent])
+        return canonical
 
     def dependencies(self, candidate: BugCandidate) -> Optional[dict]:
         """The functions a query for ``candidate`` reads, split into

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from repro.collector import paused
 from repro.lang.ast_nodes import FunctionDecl
 from repro.lang.ir import Function, Program, VarType
 from repro.lang.lexer import LexError
@@ -77,7 +76,6 @@ class FrontendCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    @paused
     def compile(self, source: str) -> tuple[Program, "FrontendCache"]:
         """``source`` compiled, and the cache for the next version.
 

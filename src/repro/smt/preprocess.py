@@ -431,61 +431,63 @@ class Preprocessor:
     def _linearize(self, term: Term) -> Optional[tuple[dict[Term, int], int]]:
         """Decompose a bit-vector term into sum(coeff*var) + const, or None."""
         width = term.sort.width
-        modulus = 1 << width
+        return self._linear(term, width, 1 << width)
 
-        def go(t: Term) -> Optional[tuple[dict[Term, int], int]]:
-            if t.op is Op.VAR:
-                return {t: 1}, 0
-            if t.op is Op.CONST:
-                return {}, t.value
-            if t.op is Op.BVNEG:
-                inner = go(t.args[0])
-                if inner is None:
-                    return None
-                coeffs, const = inner
-                return ({v: (-c) % modulus for v, c in coeffs.items()},
-                        (-const) % modulus)
-            if t.op in (Op.BVADD, Op.BVSUB):
-                left = go(t.args[0])
-                right = go(t.args[1])
-                if left is None or right is None:
-                    return None
-                sign = 1 if t.op is Op.BVADD else -1
-                coeffs = dict(left[0])
-                for v, c in right[0].items():
-                    coeffs[v] = (coeffs.get(v, 0) + sign * c) % modulus
-                return ({v: c for v, c in coeffs.items() if c},
-                        (left[1] + sign * right[1]) % modulus)
-            if t.op is Op.BVMUL:
-                a, b = t.args
-                if a.op is Op.CONST:
-                    scale, operand = a.value, b
-                elif b.op is Op.CONST:
-                    scale, operand = b.value, a
-                else:
-                    return None
-                inner = go(operand)
-                if inner is None:
-                    return None
-                coeffs, const = inner
-                return ({v: (c * scale) % modulus
-                         for v, c in coeffs.items() if (c * scale) % modulus},
-                        (const * scale) % modulus)
-            if t.op is Op.BVSHL and t.args[1].op is Op.CONST:
-                shift = t.args[1].value
-                if shift >= width:
-                    return {}, 0
-                inner = go(t.args[0])
-                if inner is None:
-                    return None
-                coeffs, const = inner
-                scale = 1 << shift
-                return ({v: (c * scale) % modulus
-                         for v, c in coeffs.items() if (c * scale) % modulus},
-                        (const * scale) % modulus)
-            return None
-
-        return go(term)
+    def _linear(self, t: Term, width: int, modulus: int
+                ) -> Optional[tuple[dict[Term, int], int]]:
+        """:meth:`_linearize` of ``t`` (a method, not a nested function:
+        a recursive closure is a reference cycle, left for the collector
+        on every call)."""
+        if t.op is Op.VAR:
+            return {t: 1}, 0
+        if t.op is Op.CONST:
+            return {}, t.value
+        if t.op is Op.BVNEG:
+            inner = self._linear(t.args[0], width, modulus)
+            if inner is None:
+                return None
+            coeffs, const = inner
+            return ({v: (-c) % modulus for v, c in coeffs.items()},
+                    (-const) % modulus)
+        if t.op in (Op.BVADD, Op.BVSUB):
+            left = self._linear(t.args[0], width, modulus)
+            right = self._linear(t.args[1], width, modulus)
+            if left is None or right is None:
+                return None
+            sign = 1 if t.op is Op.BVADD else -1
+            coeffs = dict(left[0])
+            for v, c in right[0].items():
+                coeffs[v] = (coeffs.get(v, 0) + sign * c) % modulus
+            return ({v: c for v, c in coeffs.items() if c},
+                    (left[1] + sign * right[1]) % modulus)
+        if t.op is Op.BVMUL:
+            a, b = t.args
+            if a.op is Op.CONST:
+                scale, operand = a.value, b
+            elif b.op is Op.CONST:
+                scale, operand = b.value, a
+            else:
+                return None
+            inner = self._linear(operand, width, modulus)
+            if inner is None:
+                return None
+            coeffs, const = inner
+            return ({v: (c * scale) % modulus
+                     for v, c in coeffs.items() if (c * scale) % modulus},
+                    (const * scale) % modulus)
+        if t.op is Op.BVSHL and t.args[1].op is Op.CONST:
+            shift = t.args[1].value
+            if shift >= width:
+                return {}, 0
+            inner = self._linear(t.args[0], width, modulus)
+            if inner is None:
+                return None
+            coeffs, const = inner
+            scale = 1 << shift
+            return ({v: (c * scale) % modulus
+                     for v, c in coeffs.items() if (c * scale) % modulus},
+                    (const * scale) % modulus)
+        return None
 
     def _linear_to_term(self, coeffs: dict[Term, int], const: int,
                         width: int) -> Term:
