@@ -15,10 +15,11 @@ Two uses:
   for the IR; property tests compare it against the SMT translation of
   the same function (see tests/test_interp.py).
 * **Ground truth** — given the checkers' fact models (:class:`FactModel`),
-  every value also carries the source statements its null or taint was
-  born at, and every extern call records its own site, so a run yields
-  the exact (source, sink) pairs it drives a fact through
-  (:meth:`ExecutionResult.pairs`, tests/test_pipeline_ground_truth.py).
+  every value also carries the source statements its null, taint or
+  zero was born at, and every extern call and every division by a
+  variable records its own site, so a run yields the exact (source,
+  sink) pairs it drives a fact through (:meth:`ExecutionResult.pairs`,
+  tests/test_pipeline_ground_truth.py).
 
 Loops were already unrolled by the front end, so the IR the interpreter
 sees is exactly what the analysis saw; replaying a witness therefore
@@ -74,9 +75,22 @@ class SinkEvent:
 
 
 @dataclass
+class DivisionEvent:
+    """One executed ``/`` or ``%`` whose divisor is a variable."""
+
+    #: (function, result variable) of the division statement.
+    site: tuple[str, str]
+    divisor: Value
+
+
+@dataclass
 class ExecutionResult:
     return_value: Value
     sink_events: list[SinkEvent] = field(default_factory=list)
+    division_events: list[DivisionEvent] = field(default_factory=list)
+    #: (origin, bits) for each executed definition that starts a fact
+    #: of a model with ``defs``: the value that definition produced.
+    births: list[tuple[tuple, int]] = field(default_factory=list)
     steps: int = 0
 
     def events_for(self, callee: str) -> list[SinkEvent]:
@@ -84,10 +98,18 @@ class ExecutionResult:
 
     def pairs(self, model: "FactModel") -> set[tuple]:
         """The (source site, sink site) pairs this run drove one of
-        ``model``'s facts through: each site is (function, variable)."""
-        return {((function, var), event.site)
-                for event in self.sink_events if event.callee in model.sinks
-                for arg in event.args
+        ``model``'s facts through: each site is (function, variable).
+        A model with ``defs`` sinks at divisions by zero, the others at
+        calls to their ``sinks``."""
+        if model.defs:
+            hits = [(event.site, (event.divisor,))
+                    for event in self.division_events
+                    if event.divisor.bits == 0]
+        else:
+            hits = [(event.site, event.args) for event in self.sink_events
+                    if event.callee in model.sinks]
+        return {((function, var), sink)
+                for sink, args in hits for arg in args
                 for checker, function, var in arg.origins
                 if checker == model.name}
 
@@ -114,13 +136,17 @@ class FactModel:
     drop it.  A taint fact is born at a call to one of ``sources`` and
     also survives arithmetic and extern calls, except the result of a
     call to one of ``stoppers`` (the checker's sanitizers and sinks).
-    Both die in branch conditions, which carry no value."""
+    A zero fact is born at each (function, variable) definition in
+    ``defs`` (div-zero's sources), survives like a null, and sinks at
+    the divisor of a ``/`` or ``%``.  All die in branch conditions,
+    which carry no value."""
 
     name: str
     sinks: frozenset
     null: bool = False
     sources: frozenset = frozenset()
     stoppers: frozenset = frozenset()
+    defs: frozenset = frozenset()
 
 
 class Interpreter:
@@ -136,7 +162,8 @@ class Interpreter:
         self.extern_model = extern_model
         self.max_steps = max_steps
         self._null_facts = tuple(m.name for m in facts if m.null)
-        self._taint_facts = {m.name: m for m in facts if not m.null}
+        self._taint_facts = {m.name: m for m in facts if m.sources}
+        self._def_facts = tuple((m.name, m.defs) for m in facts if m.defs)
 
     # ------------------------------------------------------------------ #
     # Entry
@@ -179,7 +206,8 @@ class Interpreter:
             if isinstance(stmt, Identity):
                 continue  # parameter already bound
             if isinstance(stmt, Return):
-                return self._operand(stmt.source, env)
+                return self._born(stmt, self._operand(stmt.source, env),
+                                  function, result)
             if isinstance(stmt, Branch):
                 if self._operand(stmt.cond, env).as_bool():
                     returned = self._exec_block(stmt.body, env, function,
@@ -187,9 +215,25 @@ class Interpreter:
                     if returned is not None:
                         return returned
                 continue
-            env[stmt.result.name] = self._eval_stmt(stmt, env, function,
-                                                    result)
+            env[stmt.result.name] = self._born(
+                stmt, self._eval_stmt(stmt, env, function, result),
+                function, result)
         return None
+
+    def _born(self, stmt: Stmt, value: Value, function: str,
+              result: ExecutionResult) -> Value:
+        """``value`` plus the origin of every ``defs`` fact that
+        ``stmt`` starts, each recorded in ``result.births``."""
+        if not self._def_facts:
+            return value
+        site = (function, stmt.result.name)
+        born = [(name, *site) for name, defs in self._def_facts
+                if site in defs]
+        if not born:
+            return value
+        result.births.extend((origin, value.bits) for origin in born)
+        return Value(value.bits, value.is_null, value.taints,
+                     value.origins | frozenset(born))
 
     def _eval_stmt(self, stmt: Stmt, env: dict[str, Value], function: str,
                    result: ExecutionResult) -> Value:
@@ -206,6 +250,11 @@ class Interpreter:
                 return self._operand(stmt.then_value, env)
             return self._operand(stmt.else_value, env)
         if isinstance(stmt, Binary):
+            if stmt.op in (BinOp.DIV, BinOp.REM) \
+                    and not isinstance(stmt.rhs, Const):
+                result.division_events.append(DivisionEvent(
+                    (function, stmt.result.name),
+                    self._operand(stmt.rhs, env)))
             return self._binary(stmt, env)
         if isinstance(stmt, Call):
             return self._eval_call(stmt, env, function, result)
