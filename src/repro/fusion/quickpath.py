@@ -94,46 +94,42 @@ class QuickPathTable:
         ret = fn.return_stmt
         if ret is None:
             return havoc(frozenset())
-        defs = fn.defined_vars()
-        params = {p.name: i for i, p in enumerate(fn.params)}
-        memo: dict[str, ValueSummary] = {}
+        # The walk's scope: definitions, parameter positions, and the
+        # summaries resolved so far, by variable name.
+        scope = (fn.defined_vars(),
+                 {p.name: i for i, p in enumerate(fn.params)}, {})
+        return self._resolve(ret.source, scope)
 
-        def resolve(operand: Operand) -> ValueSummary:
-            if isinstance(operand, Const):
-                if operand.type is VarType.BOOL:
-                    return OPAQUE
-                return ValueSummary(Shape.CONST,
-                                    offset=operand.value % self.modulus)
+    def _resolve(self, operand: Operand, scope: tuple) -> ValueSummary:
+        if isinstance(operand, Const):
             if operand.type is VarType.BOOL:
                 return OPAQUE
-            name = operand.name
-            if name in memo:
-                return memo[name]
-            memo[name] = OPAQUE  # cycle guard (SSA is acyclic, but be safe)
-            memo[name] = self._resolve_def(defs.get(name), params, resolve)
+            return ValueSummary(Shape.CONST,
+                                offset=operand.value % self.modulus)
+        if operand.type is VarType.BOOL:
+            return OPAQUE
+        defs, _, memo = scope
+        name = operand.name
+        if name in memo:
             return memo[name]
+        memo[name] = OPAQUE  # cycle guard (SSA is acyclic, but be safe)
+        memo[name] = self._resolve_def(defs.get(name), scope)
+        return memo[name]
 
-        try:
-            return resolve(ret.source)
-        finally:
-            # ``resolve`` refers to itself; left alone, that cycle keeps
-            # this table and its PDG alive until a full collection.
-            del resolve
-
-    def _resolve_def(self, stmt, params: dict[str, int], resolve
-                     ) -> ValueSummary:
+    def _resolve_def(self, stmt, scope: tuple) -> ValueSummary:
         if stmt is None:
             return OPAQUE
         if isinstance(stmt, Identity):
+            _, params, _ = scope
             index = params.get(stmt.result.name, -1)
             if index < 0:
                 return OPAQUE
             return ValueSummary(Shape.AFFINE, 1, index, 0)
         if isinstance(stmt, Assign):
-            return resolve(stmt.source)
+            return self._resolve(stmt.source, scope)
         if isinstance(stmt, IfThenElse):
-            left = resolve(stmt.then_value)
-            right = resolve(stmt.else_value)
+            left = self._resolve(stmt.then_value, scope)
+            right = self._resolve(stmt.else_value, scope)
             if left == right:
                 return left
             if left.shape is Shape.HAVOC and right.shape is Shape.HAVOC:
@@ -141,8 +137,8 @@ class QuickPathTable:
                 return havoc(left.havoc_ids | right.havoc_ids)
             return OPAQUE
         if isinstance(stmt, Binary):
-            return self._combine(stmt.op, resolve(stmt.lhs),
-                                 resolve(stmt.rhs))
+            return self._combine(stmt.op, self._resolve(stmt.lhs, scope),
+                                 self._resolve(stmt.rhs, scope))
         if isinstance(stmt, Call):
             callee_summary = self.summary(stmt.callee)
             if callee_summary.shape is Shape.CONST:
@@ -153,7 +149,8 @@ class QuickPathTable:
             if callee_summary.shape is Shape.AFFINE:
                 if callee_summary.param_index >= len(stmt.args):
                     return OPAQUE
-                inner = resolve(stmt.args[callee_summary.param_index])
+                inner = self._resolve(
+                    stmt.args[callee_summary.param_index], scope)
                 return self._scale_add(inner, callee_summary.scale,
                                        callee_summary.offset)
             return OPAQUE
