@@ -47,8 +47,9 @@ class CheckerFootprint:
     edge_kinds: frozenset = frozenset(EdgeKind)
     #: The checker treats ``null`` literal assignments as sources.
     null_literal_sources: bool = False
-    #: Sources are value-dependent (read off the abstract fixpoint), so
-    #: the view finds them by walking backward from the sink sites.
+    #: Sources are value-dependent (div-zero's come from a constant
+    #: fold), so the view finds them by walking backward from the sink
+    #: sites.
     volatile_sources: bool = False
 
     def key(self) -> tuple:

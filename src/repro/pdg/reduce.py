@@ -61,11 +61,9 @@ class SparsePDGView:
         self.footprint = footprint
         #: Observable vertex indices: a sink edge is reachable over
         #: propagating edges.  Sources outside this set are elided.
-        #: Like ``_sink_dsts`` (destinations of sink edges), exact on
-        #: every vertex the view's walk reaches, which includes the
-        #: region; a vertex no walk reaches may be left out.
+        #: Exact on every vertex the view's walk reaches, which includes
+        #: the region; a vertex no walk reaches may be left out.
         self.observable_indices: set[int] = set()
-        self._sink_dsts: set[int] = set()
         #: region vertex index -> ((edge, is_sink), ...) — the kept
         #: adjacency, in original succ order.
         self._kept: dict[int, tuple[tuple[DataEdge, bool], ...]] = {}
@@ -76,9 +74,6 @@ class SparsePDGView:
         self.edges_before = pdg.num_data_edges
         self.nodes_kept = 0
         self.edges_kept = 0
-        # Lazy caches.
-        self._covered: Optional[list[int]] = None
-        self._fixpoint = None
 
     # -- walk API -------------------------------------------------------- #
 
@@ -104,44 +99,6 @@ class SparsePDGView:
             for edge, _ in entries:
                 preds.setdefault(edge.dst.index, []).append(index)
         return _closure(sinks, preds)
-
-    # -- fixpoint API ---------------------------------------------------- #
-
-    def covered(self) -> list[int]:
-        """Ascending vertex indices the restricted fixpoint must visit.
-
-        Candidate paths only contain observable vertices and sink-edge
-        destinations, so a reader of abstract values needs those
-        vertices, their governing branches, their functions'
-        parameters, and everything backward-data-reachable from them.
-        The set is pred-closed, which makes the restricted fixpoint
-        byte-identical to the full one on it.
-        """
-        if self._covered is None:
-            seeds = set(self.observable_indices) | set(self._sink_dsts)
-            vertices = self.pdg.vertices
-            functions = {vertices[i].function for i in seeds}
-            for index in list(seeds):
-                for branch in self.pdg.control_chain(vertices[index]):
-                    seeds.add(branch.index)
-            for function in functions:
-                for param in self.pdg.param_vertices(function):
-                    seeds.add(param.index)
-            self._covered = sorted(self.pdg.backward_closure(seeds))
-        return self._covered
-
-    def fixpoint_state(self):
-        """Memoized restricted fixpoint over :meth:`covered`.
-
-        Values at covered vertices are byte-identical to a full
-        :func:`~repro.absint.fixpoint.analyze_pdg` run; everything
-        outside stays bottom and must not be read.
-        """
-        if self._fixpoint is None:
-            from repro.absint.fixpoint import analyze_pdg
-
-            self._fixpoint = analyze_pdg(self.pdg, restrict=self.covered())
-        return self._fixpoint
 
     # -- reporting ------------------------------------------------------- #
 
@@ -183,7 +140,6 @@ def _observe_backward(pdg: ProgramDependenceGraph, checker: "Checker",
     for site in checker.sink_sites(pdg):
         for edge in pdg.data_preds(site):
             if edge.kind in edge_kinds and checker.is_sink_edge(edge):
-                view._sink_dsts.add(site.index)
                 observable.add(edge.src.index)
     work = list(observable)
     while work:
@@ -206,9 +162,10 @@ def build_view(pdg: ProgramDependenceGraph,
     once.  Every pruning decision about a vertex depends only on what
     is forward-reachable from it, so deciding inside that closure gives
     the whole-graph answer.  Volatile sources are known only once
-    observability is (div-zero reads them off the restricted fixpoint),
-    so those views first walk backward from :meth:`Checker.sink_sites`
-    and seed the forward walk with the live sources.
+    observability is (div-zero folds only the functions holding
+    observable vertices), so those views first walk backward from
+    :meth:`Checker.sink_sites` and seed the forward walk with the live
+    sources.
     """
     footprint = checker.footprint()
     view = SparsePDGView(pdg, checker.name, footprint)
@@ -227,7 +184,6 @@ def build_view(pdg: ProgramDependenceGraph,
     local_prop_preds: dict[int, list[int]] = {}
     sink_sources: set[int] = set()
     interprocedural: set[int] = set()
-    sink_dsts: set[int] = set()
     work = [seed.index for seed in seeds]
     while work:
         index = work.pop()
@@ -240,7 +196,6 @@ def build_view(pdg: ProgramDependenceGraph,
             if checker.is_sink_edge(edge):
                 entries.append((edge, True))
                 sink_sources.add(index)
-                sink_dsts.add(edge.dst.index)
             elif checker.propagates(edge):
                 entries.append((edge, False))
                 work.append(edge.dst.index)
@@ -257,7 +212,6 @@ def build_view(pdg: ProgramDependenceGraph,
         view.sources_total = len(sources)
     else:
         view.observable_indices = _closure(sink_sources, prop_preds)
-        view._sink_dsts = sink_dsts
         sources = checker.sources_for(pdg, view)
         view.sources_total = len(seeds)
     view.live_sources = sources

@@ -571,9 +571,10 @@ class TestDivZeroChecker:
         assert any("%" in s for s in sinks)
 
     def test_triage_composes_with_divzero(self, tmp_path, capsys):
-        """div-zero's sources read the abstract-interpretation fixpoint
-        that the triage pass used to share; the retired switch is refused
-        for this checker too, and the plain run still flags both."""
+        """The triage pass once shared an abstract-interpretation
+        fixpoint with div-zero's sources, which now come from a constant
+        fold; the retired switch is refused for this checker too, and
+        the plain run still flags both."""
         path = tmp_path / "div.fl"
         path.write_text(DIVZERO_SOURCE)
         with pytest.raises(SystemExit) as excinfo:

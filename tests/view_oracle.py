@@ -41,7 +41,6 @@ def full_view(pdg: ProgramDependenceGraph, checker) -> SparsePDGView:
             if is_sink:
                 sink_sources.add(source_index)
                 useful_seeds.add(source_index)
-                view._sink_dsts.add(edge.dst.index)
             else:
                 prop_preds[edge.dst.index].append(source_index)
                 if edge.kind in _INTERPROCEDURAL:
