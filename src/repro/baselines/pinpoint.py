@@ -159,10 +159,14 @@ class PinpointEngine(PathSensitiveEngine):
         def needed_of(fn: str) -> frozenset[int]:
             return needed.get(fn, frozenset())
 
-        def instance(fn: str, skip: frozenset[int]) -> list[Term]:
+        def instance(fn: str, skip: frozenset[int],
+                     suffix: str) -> list[Term]:
             if not skip and max_depth is None:
-                return self.expanded_summary(fn, needed_of)
-            return self._expand(fn, needed_of, skip, max_depth)
+                summary = self.expanded_summary(fn, needed_of)
+            else:
+                summary = self._expand(fn, needed_of, skip, max_depth)
+            rename = self.transformer.manager.rename
+            return [rename(c, suffix) for c in summary]
 
         constraints = assemble_condition(
             self.transformer, [candidate.path], the_slice, instance)

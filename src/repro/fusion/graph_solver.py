@@ -15,6 +15,11 @@ from the program dependence graph:
   affine in a parameter, or unconstrained, and only *opaque* callees are
   cloned.  Cloning is thereby delayed until after preprocessing, the
   paper's key optimization.
+
+Both build each instance directly at its final name: the frame suffix
+``#f<fid>`` is threaded down the call tree, a callee is cloned at
+``@<site>`` + its caller's suffix, and every template constraint is
+renamed exactly once.  No term is renamed twice.
 """
 
 from __future__ import annotations
@@ -90,18 +95,18 @@ class IrBasedSmtSolver:
         if deadline is None:
             deadline = Deadline.after(self.config.solver.time_limit)
         constraints = self.condition_of(paths, the_slice, deadline=deadline)
-        return self.smt.check(constraints,
-                              want_model=self.config.want_model,
-                              deadline=deadline)
+        result = self.smt.check(constraints,
+                                want_model=self.config.want_model,
+                                deadline=deadline)
+        self.stats.peak_condition_nodes = max(
+            self.stats.peak_condition_nodes, result.condition_nodes)
+        return result
 
     def condition_of(self, paths: Sequence[DependencePath],
                      the_slice: Slice,
                      deadline: Optional[Deadline] = None) -> list[Term]:
-        """The assembled path condition of Π, as a constraint set.
-
-        This is the formula ``solve`` would hand to ``smt_solve`` — also
-        useful for exporting conditions (SMT-LIB/DIMACS) or inspection.
-        """
+        """The assembled path condition of Π, as a constraint set: the
+        formula ``solve`` hands to ``smt.check``."""
         self._deadline = deadline
         needed = {fn: self.transformer.needed_key(the_slice, fn)
                   for fn in the_slice.needed}
@@ -109,19 +114,43 @@ class IrBasedSmtSolver:
         def needed_of(fn: str) -> frozenset[int]:
             return needed.get(fn, frozenset())
 
-        if self.config.optimized:
-            def instance(fn: str, skip: frozenset[int]) -> list[Term]:
-                return self._optimized_instance(fn, needed_of, skip)
-        else:
-            def instance(fn: str, skip: frozenset[int]) -> list[Term]:
-                return self._expanded_instance(fn, needed_of, skip)
+        def instance(fn: str, skip: frozenset[int],
+                     suffix: str) -> list[Term]:
+            return self._instance(fn, needed_of, skip, suffix)
 
-        constraints = assemble_condition(self.transformer, paths, the_slice,
-                                         instance)
-        self.stats.peak_condition_nodes = max(
-            self.stats.peak_condition_nodes,
-            constraint_set_size(constraints))
-        return constraints
+        return assemble_condition(self.transformer, paths, the_slice,
+                                  instance)
+
+    def _instance(self, fn: str, needed_of, skip: frozenset[int],
+                  suffix: str) -> list[Term]:
+        """``fn``'s instance named by ``suffix``, call sites in ``skip``
+        left out.  Algorithm 6 starts from the preprocessed template and
+        binds a callee through its quick path where it can; Algorithm 4
+        starts from the raw template.  Any other callee is cloned by
+        Rules (7)/(8), as its own instance at ``@<site>`` + ``suffix``."""
+        rename = self.transformer.manager.rename
+        template = self.transformer.template(fn, needed_of(fn))
+        local = self._local_template(fn, needed_of(fn)) \
+            if self.config.optimized else template.constraints
+        out = [rename(c, suffix) for c in local]
+        for binding in template.calls:
+            if binding.callsite in skip:
+                continue
+            if self.config.optimized:
+                resolved = self._resolve_quickpath(fn, binding, suffix)
+                if resolved is not None:
+                    self.stats.quickpath_resolutions += 1
+                    out.extend(resolved)
+                    continue
+            self.stats.clones += 1
+            if self._deadline is not None:
+                self._deadline.check("condition cloning")
+            child_suffix = f"@{binding.callsite}{suffix}"
+            out.extend(self._instance(binding.callee, needed_of,
+                                      frozenset(), child_suffix))
+            out.extend(self.transformer.binding_constraints(
+                fn, suffix, binding, child_suffix))
+        return out
 
     # ------------------------------------------------------------------ #
     # Algorithm 6: locally preprocessed templates + quick paths
@@ -147,31 +176,16 @@ class IrBasedSmtSolver:
         self.stats.template_nodes += constraint_set_size(constraints)
         return constraints
 
-    def _optimized_instance(self, fn: str, needed_of,
-                            skip: frozenset[int]) -> list[Term]:
-        out = list(self._local_template(fn, needed_of(fn)))
-        template = self.transformer.template(fn, needed_of(fn))
-        for binding in template.calls:
-            if binding.callsite in skip:
-                continue
-            resolved = self._resolve_quickpath(fn, binding)
-            if resolved is not None:
-                self.stats.quickpath_resolutions += 1
-                out.extend(resolved)
-                continue
-            out.extend(self._clone_callee(fn, binding, needed_of,
-                                          optimized=True))
-        return out
-
-    def _resolve_quickpath(self, caller: str,
-                           binding: CallBinding) -> Optional[list[Term]]:
-        """Bind the receiver through the callee's quick-path summary;
-        None means the callee is opaque and must be cloned."""
+    def _resolve_quickpath(self, caller: str, binding: CallBinding,
+                           suffix: str) -> Optional[list[Term]]:
+        """Bind the receiver through the callee's quick-path summary, in
+        the caller's instance ``suffix``; None means the callee is
+        opaque and must be cloned."""
         if not self.config.use_quickpaths:
             return None
         mgr = self.transformer.manager
         summary = self.quickpaths.summary(binding.callee)
-        receiver = self._receiver_term(caller, binding)
+        receiver = self._receiver_term(caller, binding, suffix)
         if receiver is None:
             return None
         if summary.shape is Shape.CONST:
@@ -184,7 +198,7 @@ class IrBasedSmtSolver:
             if summary.param_index >= len(binding.args):
                 return None
             actual = self.transformer.operand_term(
-                caller, binding.args[summary.param_index])
+                caller, binding.args[summary.param_index], suffix)
             if not actual.sort.is_bv:
                 return None
             value = actual
@@ -199,8 +213,8 @@ class IrBasedSmtSolver:
             return [mgr.eq(receiver, value)]
         return None
 
-    def _receiver_term(self, caller: str,
-                       binding: CallBinding) -> Optional[Term]:
+    def _receiver_term(self, caller: str, binding: CallBinding,
+                       suffix: str) -> Optional[Term]:
         callee_ret = self.pdg.return_vertex(binding.callee)
         if callee_ret is None:
             return None
@@ -209,33 +223,4 @@ class IrBasedSmtSolver:
         receiver = Var(binding.receiver, callee_ret.var.type)
         if receiver.type.value != "int":
             return None  # quick paths summarise integer returns only
-        return self.transformer.var_term(caller, receiver)
-
-    # ------------------------------------------------------------------ #
-    # Algorithm 4: eager cloning (no caching, no local preprocessing)
-    # ------------------------------------------------------------------ #
-
-    def _expanded_instance(self, fn: str, needed_of,
-                           skip: frozenset[int]) -> list[Term]:
-        template = self.transformer.template(fn, needed_of(fn))
-        out = list(template.constraints)
-        for binding in template.calls:
-            if binding.callsite in skip:
-                continue
-            out.extend(self._clone_callee(fn, binding, needed_of,
-                                          optimized=False))
-        return out
-
-    def _clone_callee(self, caller: str, binding: CallBinding, needed_of,
-                      optimized: bool) -> list[Term]:
-        """Rules (7)/(8): clone the callee at this call site."""
-        self.stats.clones += 1
-        if self._deadline is not None:
-            self._deadline.check("condition cloning")
-        if optimized:
-            child = self._optimized_instance(binding.callee, needed_of,
-                                             frozenset())
-        else:
-            child = self._expanded_instance(binding.callee, needed_of,
-                                            frozenset())
-        return self.transformer.clone_at(caller, binding, child)
+        return self.transformer.var_term(caller, receiver, suffix)

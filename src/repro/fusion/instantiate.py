@@ -6,14 +6,19 @@ template, identified by the suffix ``#f<fid>``.  Call-boundary bindings
 frame are *skipped* inside the parent's own expansion so no instance is
 materialised twice.
 
-The ``instance_fn`` callback is where the engines differ:
+The ``instance_fn`` callback returns a frame's instance already named
+with the frame suffix; it is where the engines differ:
 
-* the conventional engine (Pinpoint) returns a **fully expanded** summary —
-  every callee recursively cloned with ``@site`` suffixes — cached across
-  queries (condition caching + cloning);
-* Fusion's graph solver returns the locally-preprocessed template with
-  call bindings resolved through quick-path summaries, cloning only opaque
-  callees (Algorithm 6).
+* the conventional engine (Pinpoint) renames a **fully expanded**
+  summary — every callee recursively cloned with ``@site`` suffixes —
+  cached across queries (condition caching + cloning);
+* Fusion's graph solver builds the instance at its final names, passing
+  the suffix down the call tree: the locally-preprocessed template with
+  call bindings resolved through quick-path summaries, cloning only
+  opaque callees (Algorithm 6).
+
+Names compose innermost site first: ``x@63@90#f0`` is ``x`` in the clone
+at site 63 inside the clone at site 90 of frame 0.
 """
 
 from __future__ import annotations
@@ -26,9 +31,10 @@ from repro.pdg.slicing import Slice
 from repro.smt.terms import Term
 from repro.sparse.paths import DependencePath, Frame
 
-#: ``instance_fn(function, skip_sites)`` -> constraints over unsuffixed
-#: ``function::var`` (and ``@site``-suffixed clone) names.
-InstanceFn = Callable[[str, frozenset[int]], list[Term]]
+#: ``instance_fn(function, skip_sites, suffix)`` -> constraints over
+#: ``function::var`` names ending in ``suffix`` (clones: ``@site`` +
+#: ``suffix``).
+InstanceFn = Callable[[str, frozenset[int], str], list[Term]]
 
 
 @dataclass
@@ -83,13 +89,12 @@ def assemble_condition(transformer: ConditionTransformer,
                        the_slice: Slice,
                        instance_fn: InstanceFn) -> list[Term]:
     """Build the complete path condition of Π as a constraint set."""
-    mgr = transformer.manager
     plan = build_frame_plan(paths)
     constraints: list[Term] = []
     for frame in plan.frames:
         skip = plan.skip_sites.get(frame.fid, frozenset())
-        for constraint in instance_fn(frame.function, skip):
-            constraints.append(mgr.rename(constraint, frame_suffix(frame)))
+        constraints.extend(instance_fn(frame.function, skip,
+                                       frame_suffix(frame)))
         constraints.extend(frame_boundary_constraints(transformer, frame))
     for requirement in the_slice.requirements:
         constraints.append(transformer.requirement_term(

@@ -14,9 +14,12 @@ constraints over bit-vector/Boolean terms:
 
 Variables are qualified ``function::ssa_name`` and instantiated per
 context by appending suffixes: ``@<site>`` for a clone made inside a
-summary expansion, ``#f<id>`` for a path frame.  The same transformer is
-shared by the conventional engine (which expands and caches eagerly) and
-by Fusion's graph solver (which does not) — the paper's point that the two
+summary expansion, ``#f<id>`` for a path frame; names compose innermost
+site first (``x@63@90#f0``).  The same transformer is shared by the
+conventional engine, which expands and caches summaries eagerly and
+renames them into each call site with :meth:`~ConditionTransformer.clone_at`,
+and by Fusion's graph solver, which caches nothing and names each cloned
+term once, at its final suffix — the paper's point that the two
 representations are allotropes of the same information.
 """
 

@@ -112,9 +112,10 @@ class TestAssembly:
         needed = {fn: transformer.needed_key(the_slice, fn)
                   for fn in the_slice.needed}
 
-        def instance(fn, skip):
-            return transformer.template(
-                fn, needed.get(fn, frozenset())).constraints
+        def instance(fn, skip, suffix):
+            return [transformer.manager.rename(c, suffix)
+                    for c in transformer.template(
+                        fn, needed.get(fn, frozenset())).constraints]
 
         constraints = assemble_condition(transformer, [candidate.path],
                                          the_slice, instance)

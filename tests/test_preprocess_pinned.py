@@ -14,6 +14,14 @@ before the term walks were rewritten for speed:
 * the number of terms each session's manager holds after all four
   checkers ran.
 
+The values were re-recorded once since, on purpose: when Fusion began
+to build each cloned instance at its final name instead of renaming it
+once per call level and again per frame, the intermediate terms stopped
+being interned, so ids after them and the managers' sizes moved (ffmpeg
+13,469 -> 7,811 terms).  The assembled conditions are the same terms in
+the same order (``tests/test_clone_oracle.py``), and the findings,
+witnesses included, stayed byte-identical on every registry subject.
+
 A drift here is a behaviour change, never noise.  To print fresh values
 (only if the change of ids is intended), run::
 
@@ -80,10 +88,10 @@ def session_record(source: str, checkers=CHECKERS) -> tuple[str, int]:
 
 
 PINNED = {
-    "vortex": ("90ff5b791b7caaa1", 7132),
-    "twolf": ("b05b61f27f2bd996", 4290),
-    "ffmpeg": ("263cf4d7839a5080", 13469),
-    "v8": ("a91695512ff436ec", 7088),
+    "vortex": ("35bb3a2dfa75442f", 4464),
+    "twolf": ("b8dd4c5c9b884b3b", 2884),
+    "ffmpeg": ("56f6bcdf02d34a14", 7811),
+    "v8": ("85544441866cb04e", 4767),
 }
 
 

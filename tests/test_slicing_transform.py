@@ -122,8 +122,9 @@ class TestTransformation:
         t = ConditionTransformer(pdg)
         needed = {fn: t.needed_key(the_slice, fn) for fn in the_slice.needed}
 
-        def instance(fn, skip):
-            return t.template(fn, needed.get(fn, frozenset())).constraints
+        def instance(fn, skip, suffix):
+            return [t.manager.rename(c, suffix) for c in
+                    t.template(fn, needed.get(fn, frozenset())).constraints]
 
         constraints = assemble_condition(t, [candidate.path], the_slice,
                                          instance)
@@ -143,8 +144,9 @@ class TestTransformation:
         t = ConditionTransformer(pdg)
         needed = {fn: t.needed_key(the_slice, fn) for fn in the_slice.needed}
 
-        def instance(fn, skip):
-            return t.template(fn, needed.get(fn, frozenset())).constraints
+        def instance(fn, skip, suffix):
+            return [t.manager.rename(c, suffix) for c in
+                    t.template(fn, needed.get(fn, frozenset())).constraints]
 
         constraints = assemble_condition(t, [candidate.path], the_slice,
                                          instance)
