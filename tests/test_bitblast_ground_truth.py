@@ -1,25 +1,24 @@
 """Every bit-blaster operator against the concrete semantics, exhaustively.
 
-At width 4 each operator's circuit is blasted once into one SAT solver,
-then solved under assumptions for every operand combination: all 256
-pairs of a binary operator, all 16 values of a unary one and every
-``(c, t, e)`` triple of an if-then-else.  With the operands pinned:
+At width 4 each operator's circuit is blasted once; every operand
+combination then solves a fresh SAT solver holding a copy of the
+circuit's clauses plus one unit clause per pinned bit: all 256 pairs of
+a binary operator, all 16 values of a unary one and every ``(c, t, e)``
+triple of an if-then-else.  With the operands pinned:
 
 * the circuit is satisfiable and the model's ``z`` equals
   ``semantics.evaluate`` of the operator on those operands, and
 * ``z != expected`` is UNSAT, so no other output is reachable.
 
 The second check is what a random witness cannot give: it pins each
-"infeasible" answer of the circuit, not just one feasible one.  Solving
-every combination on one solver also exercises learned clauses kept
-across solves under changing assumptions.
+"infeasible" answer of the circuit, not just one feasible one.
 """
 
 import itertools
 
 import pytest
 
-from repro.smt import BitBlaster, SatStatus, TermManager, evaluate
+from repro.smt import BitBlaster, SatSolver, SatStatus, TermManager, evaluate
 
 WIDTH = 4
 VALUES = range(1 << WIDTH)
@@ -31,7 +30,7 @@ COMPARISONS = ["eq", "ult", "ule", "slt", "sle"]
 
 
 def pin(lits, value):
-    """Assumptions forcing little-endian ``lits`` to spell ``value``."""
+    """Literals forcing little-endian ``lits`` to spell ``value``."""
     return [lit if (value >> i) & 1 else -lit for i, lit in enumerate(lits)]
 
 
@@ -51,6 +50,21 @@ class Circuit:
             expect = mgr.bv_var("expect", WIDTH)
             self.expect_lits = self.blaster.bits(expect)
         self.differs = self.blaster.literal(mgr.not_(mgr.eq(z, expect)))
+        solver = self.blaster.solver
+        self.num_vars = solver.num_vars
+        self.clauses = [list(clause) for clause in solver._clauses]
+        self.units = list(solver._pending_units)
+
+    def solve(self, units):
+        """A fresh solver over the circuit's clauses plus ``units``."""
+        solver = SatSolver()
+        for _ in range(self.num_vars):
+            solver.new_var()
+        for clause in self.clauses:
+            solver.add_gate_clause(list(clause))
+        for lit in self.units + units:
+            solver.add_clause([lit])
+        return solver.solve()
 
     def check(self, values):
         assignment = dict(zip(self.operands, values))
@@ -63,14 +77,13 @@ class Circuit:
             else:
                 pinned += pin(self.blaster.bits(operand), value)
 
-        result = self.blaster.solve(assumptions=pinned)
+        result = self.solve(pinned)
         assert result.status is SatStatus.SAT, values
         assert self.blaster.model_value(self.z, result.model) == expected, \
             (values, expected)
 
-        other = self.blaster.solve(
-            assumptions=pinned + pin(self.expect_lits, expected)
-            + [self.differs])
+        other = self.solve(pinned + pin(self.expect_lits, expected)
+                           + [self.differs])
         assert other.status is SatStatus.UNSAT, (values, expected)
 
 

@@ -139,102 +139,6 @@ class TestRandomInstances:
             assert check_model(clauses, result.model)
 
 
-class TestAssumptions:
-    def test_assumption_restricts_models(self):
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        result = solver.solve(assumptions=[-1])
-        assert result.is_sat
-        assert result.model[1] is False and result.model[2] is True
-
-    def test_unsat_under_assumptions_is_not_permanent(self):
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        solver.add_clause([1, -2])
-        assert solver.solve(assumptions=[-1]).is_unsat
-        # The database itself stays satisfiable afterwards...
-        assert solver.solve().is_sat
-        # ...and the same assumption set is still answerable.
-        assert solver.solve(assumptions=[-1]).is_unsat
-        assert solver.solve(assumptions=[1]).is_sat
-
-    def test_contradictory_assumption_pair(self):
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        assert solver.solve(assumptions=[3, -3]).is_unsat
-        assert solver.solve().is_sat
-
-    def test_assumption_on_fresh_variable(self):
-        solver = SatSolver()
-        result = solver.solve(assumptions=[5])
-        assert result.is_sat and result.model[5] is True
-
-    def test_zero_assumption_rejected(self):
-        with pytest.raises(ValueError):
-            SatSolver().solve(assumptions=[0])
-
-    def test_level0_conflict_is_permanent(self):
-        solver = SatSolver()
-        solver.add_clause([1])
-        solver.add_clause([-1])
-        assert solver.solve(assumptions=[2]).is_unsat
-        assert solver.solve().is_unsat
-
-    def test_clauses_added_between_solves_propagate(self):
-        # After the first solve the level-0 trail holds -2 and 1; the
-        # clauses added afterwards watch literals already false there and
-        # must still be replayed (the dirty-rescan path).
-        solver = SatSolver()
-        solver.add_clause([1, 2])
-        solver.add_clause([-2])
-        assert solver.solve().is_sat
-        add_clauses(solver, [[-1, 3], [-3, 2]])
-        assert solver.solve().is_unsat
-
-    def test_learned_clauses_survive_across_solves(self):
-        # PHP(4,3) forces real search; the learned clauses it leaves
-        # behind must be retained and must not change later verdicts
-        # (the conjoined-formula property test below covers this at
-        # scale, this is the focused case).
-        solver = SatSolver()
-        add_clauses(solver, TestPigeonhole.pigeonhole(3))
-        assert solver.solve().is_unsat
-        assert solver.learned_clauses > 0
-        assert solver.solve().is_unsat
-
-
-class TestIncrementalAgainstOneShot:
-    """A session's ``solve(assumptions=A)`` must agree with a *fresh*
-    ``solve_clauses`` of the conjoined formula (database + one unit per
-    assumption), across interleaved clause additions and UNSAT/SAT
-    flips — the learned-clause soundness property of docs/solver.md."""
-
-    @settings(max_examples=80, deadline=None)
-    @given(st.data())
-    def test_interleaved_assumption_solves_agree_with_fresh(self, data):
-        num_vars = data.draw(st.integers(2, 8))
-        literal = st.integers(1, num_vars).flatmap(
-            lambda v: st.sampled_from([v, -v]))
-        clause = st.lists(literal, min_size=1, max_size=4)
-        base = data.draw(st.lists(clause, min_size=1, max_size=12))
-        solver = SatSolver()
-        add_clauses(solver, base)
-        added = [list(c) for c in base]
-        rounds = data.draw(st.integers(1, 4))
-        for _ in range(rounds):
-            extra = data.draw(st.lists(clause, min_size=0, max_size=5))
-            add_clauses(solver, extra)
-            added.extend(list(c) for c in extra)
-            assumptions = data.draw(st.lists(literal, min_size=0,
-                                             max_size=3))
-            result = solver.solve(assumptions=assumptions)
-            conjoined = added + [[lit] for lit in assumptions]
-            oracle = solve_clauses(conjoined)
-            assert result.status is oracle.status
-            if result.is_sat:
-                assert check_model(conjoined, result.model)
-
-
 class LinearScanSolver(SatSolver):
     """VSIDS picker downgraded to an O(num_vars) scan per decision.
 
