@@ -74,7 +74,8 @@ if TYPE_CHECKING:
 #: Store layout version; embedded in every entry and in the config
 #: fingerprint, so a layout change orphans (never misreads) old entries.
 #: /2 added the per-payload ``sha256`` checksum verified on read.
-STORE_SCHEMA = "repro-exec-store/2"
+#: /3: the SAT search seeds input bits first, so /2 witnesses are stale.
+STORE_SCHEMA = "repro-exec-store/3"
 
 
 def _sha(payload: str) -> str:

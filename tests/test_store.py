@@ -127,6 +127,37 @@ class TestWarmReplay:
             "store_hits", "store_misses", "store_invalidations",
             "corrupt_entries", "quarantined", "io_errors"}
 
+    def test_entries_of_an_older_schema_miss_and_resolve(self, tmp_path,
+                                                         monkeypatch):
+        """A store written under ``repro-exec-store/2``, before the SAT
+        search seeded input bits first, holds witnesses a cold run no
+        longer gives: every entry is an orphan, never replayed and never
+        quarantined."""
+        import repro.exec.store as store_module
+
+        src = fuzz_source(14)
+        with monkeypatch.context() as patch:
+            patch.setattr(store_module, "STORE_SCHEMA", "repro-exec-store/2")
+            old = analyze(src, store=ArtifactStore(str(tmp_path)))
+        written = TestCorruption()._object_files(str(tmp_path))
+        assert len(written) == old.candidates > 0
+        for path in written:
+            with open(path) as handle:
+                assert json.load(handle)["schema"] == "repro-exec-store/2"
+
+        store = ArtifactStore(str(tmp_path))
+        telemetry = Telemetry()
+        warm = analyze(src, store=store, telemetry=telemetry)
+        stats = store.last_run
+        assert stats.hits == 0
+        assert stats.misses == stats.committed == warm.candidates
+        assert warm.smt_queries == warm.candidates
+        assert telemetry.as_dict()["store"]["quarantined"] == 0
+        assert [key[:5] for key in report_key(warm)] \
+            == [key[:5] for key in report_key(old)]
+        assert set(written) < set(TestCorruption()._object_files(
+            str(tmp_path)))
+
     def test_different_config_never_shares_entries(self, tmp_path):
         src = fuzz_source(13)
         store = ArtifactStore(str(tmp_path))
@@ -311,7 +342,7 @@ class TestEntryLayout:
             with open(path) as handle:
                 text = handle.read()
             payload = json.loads(text)
-            assert payload["schema"] == "repro-exec-store/2"
+            assert payload["schema"] == "repro-exec-store/3"
             assert set(payload) >= {"deps", "report", "sha256"}
             assert text == json.dumps(payload, sort_keys=True,
                                       separators=(",", ":"))

@@ -163,7 +163,8 @@ def test_entry_keys_and_deps_are_pinned(tmp_path):
     """Entry keys and dependency records are part of the on-disk
     format: a store written before the index existed must replay, so
     these literals change only with STORE_SCHEMA or
-    FINGERPRINT_VERSION."""
+    FINGERPRINT_VERSION.  The key was re-pinned when STORE_SCHEMA went
+    from /2 to /3 (it was ``55373884...2f6d81aa708``)."""
     pdg = prepare_pdg(compile_source(GOLDEN_SOURCE))
     checker = NullDereferenceChecker()
     candidates = collect_candidates(pdg, checker, SparseConfig())
@@ -174,7 +175,7 @@ def test_entry_keys_and_deps_are_pinned(tmp_path):
     binding = ArtifactStore(str(tmp_path)).bind(
         pdg, {"engine": "golden"}, checker.name, Telemetry())
     assert binding.candidate_key(candidate) == (
-        "55373884d9fb5ffcd31dd9deaacd06c6f920dc48c6bc5de4aec7c2f6d81aa708")
+        "88125625c7c7590db4435f3cd7185c3db7a5caec07c5bf8ad2b00b86956703c9")
     assert binding.dependencies(candidate) == {
         "content": {
             "bar": "f43b245fb8e1ec67f3409f32256779e4"
