@@ -52,8 +52,7 @@ def format_guards(pdg: ProgramDependenceGraph, report: BugReport) -> str:
 def format_witness(report: BugReport, max_entries: int = 8) -> str:
     if not report.witness:
         return ""
-    shown = [(k, v) for k, v in sorted(report.witness.items())
-             if not k.startswith("!")][:max_entries]
+    shown = sorted(report.witness.items())[:max_entries]
     pairs = ", ".join(f"{k} = {v}" for k, v in shown)
     suffix = ", ..." if len(report.witness) > max_entries else ""
     return f"  witness: {pairs}{suffix}"

@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from repro.engine import (CHECKER_FACTORIES, ENGINE_CHOICES,
                           EngineSettings, analysis_payload, build_engine)
-from repro.exec import BACKENDS, FaultPlan
+from repro.exec import FaultPlan
 from repro.fusion import prepare_pdg
 from repro.lang import (LexError, LoweringConfig, LoweringError,
                         ParseError, compile_source)
@@ -69,9 +69,6 @@ def _registry_subject(name: str, or_file: bool = False):
             f"unknown subject {name!r} — not a registry subject (see "
             f"`repro subjects`)" + (" and no such file" if or_file else "")
         ) from None
-
-#: What ``--backend auto`` means, on every subcommand that takes it.
-AUTO_BACKEND_HELP = "auto: in-process at one job, process pool above"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -175,9 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "a 429-style error (default 32)")
     serve.add_argument("--jobs", type=_int_at_least(1), default=1,
                        help="per-request worker pool size (default 1)")
-    serve.add_argument("--backend", default="auto", choices=BACKENDS,
-                       help="per-request query executor (default "
-                            + AUTO_BACKEND_HELP + ")")
     serve.add_argument("--cache-root", metavar="DIR", default=None,
                        help="root directory for per-tenant artifact "
                             "stores (default: a private temp dir)")
@@ -309,9 +303,6 @@ def _add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_int_at_least(1), default=1,
                         help="worker pool size; 1 = solve in-process on "
                              "one engine (default 1)")
-    parser.add_argument("--backend", default="auto", choices=BACKENDS,
-                        help="query executor (default "
-                             + AUTO_BACKEND_HELP + ")")
     parser.add_argument("--telemetry", metavar="FILE",
                         help="write structured run telemetry as JSON")
     parser.add_argument("--query-timeout", type=_positive_seconds,
@@ -384,9 +375,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
                          for step in report.candidate.path.steps],
             }
             if args.witness and report.witness:
-                entry["witness"] = {
-                    k: v for k, v in sorted(report.witness.items())
-                    if not k.startswith("!")}
+                entry["witness"] = dict(sorted(report.witness.items()))
             findings.append(entry)
             if report.feasible:
                 exit_code = 1
@@ -434,8 +423,7 @@ def _exec_options(args: argparse.Namespace):
         policy_kwargs["query_timeout"] = args.query_timeout
     if args.max_retries is not None:
         policy_kwargs["max_retries"] = args.max_retries
-    return ExecConfig(jobs=args.jobs, backend=args.backend,
-                      faults=FaultPolicy(**policy_kwargs),
+    return ExecConfig(jobs=args.jobs, faults=FaultPolicy(**policy_kwargs),
                       fault_plan=args.fault_plan), Telemetry()
 
 
@@ -630,8 +618,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         settings=settings,
         workers=args.workers, max_queue=args.max_queue,
-        jobs=args.jobs, backend=args.backend,
-        cache_root=args.cache_root,
+        jobs=args.jobs, cache_root=args.cache_root,
         default_deadline=args.default_deadline,
         fault_plan=args.fault_plan,
         journal=args.journal,

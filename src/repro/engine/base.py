@@ -127,7 +127,7 @@ class PathSensitiveEngine:
         budget.restart_clock()
         result = AnalysisResult(self.name, checker.name)
         scheduler = QueryScheduler(
-            self, checker,
+            self,
             exec_config if exec_config is not None else ExecConfig(),
             telemetry, budget)
         telemetry.annotate(engine=self.name, checker=checker.name)

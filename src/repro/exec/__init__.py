@@ -6,8 +6,7 @@ from repro.exec.breaker import CircuitBreaker
 from repro.exec.faults import (FaultPlan, FaultPolicy, InjectedFault,
                                InjectedQueryError, WorkerCrash,
                                backoff_delay)
-from repro.exec.scheduler import (BACKENDS, ExecConfig, QueryOutcome,
-                                  QueryScheduler, WorkerSpec)
+from repro.exec.scheduler import ExecConfig, QueryOutcome, QueryScheduler
 from repro.exec.store import (STORE_SCHEMA, ArtifactStore, StoreBinding,
                               StoreRunStats)
 from repro.exec.telemetry import SCHEMA as TELEMETRY_SCHEMA
@@ -17,8 +16,7 @@ __all__ = [
     "CircuitBreaker",
     "FaultPlan", "FaultPolicy", "InjectedFault", "InjectedQueryError",
     "WorkerCrash", "backoff_delay",
-    "BACKENDS", "ExecConfig", "QueryOutcome", "QueryScheduler",
-    "WorkerSpec",
+    "ExecConfig", "QueryOutcome", "QueryScheduler",
     "ArtifactStore", "StoreBinding", "StoreRunStats", "STORE_SCHEMA",
     "Telemetry", "TELEMETRY_SCHEMA",
 ]

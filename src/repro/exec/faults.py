@@ -116,8 +116,8 @@ def backoff_delay(policy: FaultPolicy, attempt: int, token: int = 0) -> float:
 class FaultPlan:
     """A deterministic, index-keyed set of faults to inject into one run.
 
-    Picklable by value: the process backend ships the plan to workers in
-    the pool initializer.  An empty plan injects nothing.
+    Forked pool workers inherit it with the rest of their state.  An
+    empty plan injects nothing.
     """
 
     #: Candidate indices whose query raises :class:`InjectedQueryError`.

@@ -30,24 +30,25 @@ death is survivable by requeueing.  Failure handling has three tiers:
 * **per-batch retry** — a batch-level failure is re-executed up to
   ``FaultPolicy.max_retries`` times with backoff, then its queries are
   synthesized as UNKNOWN;
-* **backend degradation** — worker death (``BrokenProcessPool``)
+* **rung degradation** — worker death (``BrokenProcessPool``)
   requeues the lost batches on a rebuilt pool; after ``max_retries``
   rebuilds the remaining work falls down the ladder process → inline,
   so the run always completes with at-worst-UNKNOWN verdicts.
 
-Worker model:
+Worker model (``jobs`` alone picks the rung):
 
 * **inline** — no pool: batches run one after another in the calling
   process, on the parent's PDG and candidate list, in index order, and
   every query is solved on the caller's engine (the scheduler's
   ``engine``), so cross-query caches and the modelled memory accumulate
-  on that engine.  ``auto`` starts here at one job and on platforms
-  without ``fork``; it is also the ladder's last rung.
-* **process** — each worker process receives the pickled
-  :class:`WorkerSpec` once (pool initializer), rebuilds the PDG,
-  re-collects the candidate list (collection is deterministic, so indices
-  agree with the parent) and solves each query on a fresh engine built
-  from the spec.  Batches move only candidate *indices* and compact
+  on that engine.  Runs start here at one job and on platforms without
+  ``fork``; it is also the ladder's last rung.
+* **process** — a forked pool.  The parent builds the workers' state
+  (the caller's engine and candidate list) and hands it to the pool
+  initializer; a ``fork`` context does not pickle initializer arguments,
+  so every worker inherits the state, solves the caller's own list and
+  builds a fresh engine per query over the parent's PDG and config.
+  Batches move only candidate *indices* and compact
   :class:`QueryOutcome` records across the process boundary.
 
 There is no thread rung: pure-Python solving holds the GIL, so threads
@@ -68,7 +69,6 @@ expires and return the partial batch.
 from __future__ import annotations
 
 import multiprocessing
-import pickle
 import time
 from collections import deque
 from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
@@ -76,79 +76,43 @@ from concurrent.futures import (FIRST_COMPLETED, BrokenExecutor,
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
-from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
-                                 Checker)
+from repro.checkers.base import AnalysisResult, BugCandidate, BugReport
 from repro.collector import paused
 from repro.exec.breaker import CircuitBreaker
 from repro.exec.faults import FaultPlan, FaultPolicy, backoff_delay
 from repro.exec.telemetry import Telemetry
 from repro.limits import (Budget, Deadline, QueryDeadlineExceeded,
                           ResourceExceeded)
-from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import compute_slice
 from repro.smt.solver import DecidedBy, SmtStatus
 from repro.smt.terms import Term
-from repro.sparse.engine import collect_candidates
 
-BACKENDS = ("auto", "process")
-
-_HAS_FORK = "fork" in multiprocessing.get_all_start_methods()
+#: The pool's start context; None where the platform has no ``fork``, and
+#: every run then solves inline.
+_FORK = multiprocessing.get_context("fork") \
+    if "fork" in multiprocessing.get_all_start_methods() else None
 
 
 @dataclass
 class ExecConfig:
-    """Query-execution knobs (``repro analyze --jobs N --backend B``)."""
+    """Query-execution knobs (``repro analyze --jobs N``)."""
 
     jobs: int = 1
-    backend: str = "auto"       # auto | process
     #: Failure handling: error policy, per-query timeout, retry budget.
     faults: FaultPolicy = field(default_factory=FaultPolicy)
     #: Deterministic fault injection (tests/CI only; None = no faults).
     fault_plan: Optional[FaultPlan] = None
     #: Poison-group circuit breaker, owned by the session lifetime (the
-    #: serve daemon keeps one per tenant).  Never pickled: the scheduler
-    #: consults it only in the parent process.
+    #: serve daemon keeps one per tenant).  The scheduler consults it
+    #: only in the parent process.
     breaker: Optional[CircuitBreaker] = None
 
-    def resolved_backend(self) -> str:
-        """``auto`` solves in the calling process (the ``inline`` rung)
-        at one job, or where there is no ``fork``: a one-worker pool
-        would only add a fork, a pickled PDG and a rebuilt candidate
-        list.  Otherwise it picks a process pool.  An explicit
-        ``process`` forks even at one job (crash isolation)."""
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown exec backend {self.backend!r}")
-        if self.backend == "process" or (self.jobs > 1 and _HAS_FORK):
-            return "process"
-        return "inline"
-
-
-@dataclass
-class WorkerSpec:
-    """Everything a pool worker needs to rebuild its solving state.
-
-    Pickled once per worker: the PDG, checker and engine config round-trip
-    by value, the engine class by module reference.
-    """
-
-    pdg: ProgramDependenceGraph
-    checker: Checker
-    engine_cls: type
-    #: The engine's config without its budget: workers cannot observe the
-    #: whole run's clock, so the parent's completion loop enforces it.
-    config: object
-    #: The engine's per-query wall-clock cap (its solver ``time_limit``);
-    #: bounds slicing as well as solving.  ``FaultPolicy.query_timeout``
-    #: overrides it when set.
-    query_timeout: Optional[float] = None
-
-    @classmethod
-    def of(cls, engine, checker: Checker) -> "WorkerSpec":
-        """The spec that rebuilds ``engine`` (a
-        :class:`~repro.engine.base.PathSensitiveEngine`) in a worker."""
-        return cls(engine.pdg, checker, type(engine),
-                   replace(engine.config, budget=None),
-                   engine.solver_config.time_limit)
+    def rung(self) -> str:
+        """The rung a run starts on: ``inline`` (the calling process) at
+        one job or where there is no ``fork``, a forked ``process`` pool
+        above."""
+        return "process" if self.jobs > 1 and _FORK is not None \
+            else "inline"
 
 
 @dataclass
@@ -193,33 +157,32 @@ class _Batch:
         return replace(self, attempt=self.attempt + 1)
 
 
+@dataclass
 class _WorkerState:
-    """Per-worker solving state: the candidates and who solves them.
+    """Per-worker solving state: the caller's candidates and engine.
 
-    Built two ways.  The inline rung passes the parent's ``candidates``
-    and the caller's ``engine``, which solves every query of the run.  A
-    process worker passes neither: it re-collects the candidates from
-    the pickled spec and solves each query on a fresh engine, so a
-    query's outcome is a function of ``(pdg, candidate, config)`` alone
-    (the determinism contract in the module docstring).
+    The scheduler builds it in the parent.  The inline rung solves every
+    query on ``engine``.  A process worker inherits the state across
+    ``fork`` (``process_worker``) and solves each query on a fresh engine
+    over ``engine``'s PDG and config, so a query's outcome is a function
+    of ``(pdg, candidate, config)`` alone (the determinism contract in
+    the module docstring).
     """
 
-    def __init__(self, spec: WorkerSpec, policy: FaultPolicy,
-                 plan: Optional[FaultPlan] = None,
-                 candidates: Optional[list[BugCandidate]] = None,
-                 engine=None) -> None:
-        self.spec = spec
-        self.process_worker = candidates is None
-        if candidates is None:
-            # Re-collect over the same pruned view the parent walked.
-            candidates = collect_candidates(spec.pdg, spec.checker,
-                                            spec.config.sparse)
-        self.candidates = candidates
-        self.engine = engine
-        self.policy = policy
-        self.plan = plan
-        self.query_timeout = self.policy.query_timeout \
-            if self.policy.query_timeout is not None else spec.query_timeout
+    engine: object
+    candidates: list[BugCandidate]
+    policy: FaultPolicy
+    plan: Optional[FaultPlan] = None
+    process_worker: bool = False
+
+    @property
+    def query_timeout(self) -> Optional[float]:
+        """The per-query wall-clock cap, covering slicing as well as
+        solving: ``FaultPolicy.query_timeout`` when set, else the
+        engine's solver ``time_limit``."""
+        if self.policy.query_timeout is not None:
+            return self.policy.query_timeout
+        return self.engine.solver_config.time_limit
 
     def solve_batch(self, indices: Sequence[int],
                     ordinal: Optional[int] = None, attempt: int = 0,
@@ -253,10 +216,15 @@ class _WorkerState:
         try:
             if self.plan is not None:
                 self.plan.apply_query(index, deadline)
-            the_slice = compute_slice(self.spec.pdg, [candidate.path],
+            engine = self.engine
+            the_slice = compute_slice(engine.pdg, [candidate.path],
                                       deadline)
-            engine = self.engine if self.engine is not None \
-                else self.spec.engine_cls(self.spec.pdg, self.spec.config)
+            if self.process_worker:
+                # Without the run budget: a worker cannot observe the
+                # whole run's clock, so the parent's completion loop
+                # enforces it.
+                engine = type(engine)(engine.pdg,
+                                      replace(engine.config, budget=None))
             smt_result = engine.solve_one(candidate, the_slice, deadline)
             memory, condition_memory = engine._memory_snapshot()
         except Exception as error:
@@ -288,7 +256,7 @@ def public_witness(model: dict[Term, int]) -> dict[str, int]:
     Solver-internal choice variables (``!k*``, from ``fresh_var``) are
     dropped — their numbering depends on term-manager history, so they
     are the one model component that is not a pure function of the query.
-    Every rendering path (CLI, report formatter) already excluded them.
+    This is the only filter: renderers print the witness as given.
     """
     return {var.name: value
             for var, value in sorted(model.items(),
@@ -297,16 +265,17 @@ def public_witness(model: dict[Term, int]) -> dict[str, int]:
 
 
 # --------------------------------------------------------------------- #
-# Process-backend plumbing (module-level for picklability)
+# Process-rung plumbing (module-level: batches name it by reference)
 # --------------------------------------------------------------------- #
 
 _PROCESS_STATE: Optional[_WorkerState] = None
 
 
-def _process_init(spec_bytes: bytes, policy: FaultPolicy,
-                  plan: Optional[FaultPlan]) -> None:
+def _process_init(state: _WorkerState) -> None:
+    """Pool initializer: keep the state the worker inherited across
+    ``fork``."""
     global _PROCESS_STATE
-    _PROCESS_STATE = _WorkerState(pickle.loads(spec_bytes), policy, plan)
+    _PROCESS_STATE = state
 
 
 @paused
@@ -328,13 +297,11 @@ class QueryScheduler:
     ``engine`` or over a process pool, surviving query errors, deadline
     overruns and worker death."""
 
-    def __init__(self, engine, checker: Checker, config: ExecConfig,
-                 telemetry: Telemetry,
+    def __init__(self, engine, config: ExecConfig, telemetry: Telemetry,
                  budget: Optional[Budget] = None) -> None:
-        #: The caller's engine: the inline rung solves on it.
+        #: The caller's engine: the inline rung solves on it, and pool
+        #: workers build their fresh engines from its PDG and config.
         self.engine = engine
-        #: The recipe pool workers rebuild fresh engines from.
-        self.spec = WorkerSpec.of(engine, checker)
         self.config = config
         self.telemetry = telemetry
         self.budget = budget
@@ -353,10 +320,8 @@ class QueryScheduler:
         results gathered before the violation.
 
         ``indices`` (when given) restricts solving to those positions of
-        ``candidates`` — still *full-list* indices, because the process
-        backend's workers re-collect the complete candidate list and index
-        into it.  Store replay uses this to route only the candidates it
-        could not replay through the pool.
+        ``candidates``.  Store replay uses this to route only the
+        candidates it could not replay through the pool.
         """
         outcomes = sink if sink is not None else []
         index_list = (list(range(len(candidates))) if indices is None
@@ -368,10 +333,10 @@ class QueryScheduler:
             outcomes.sort(key=lambda outcome: outcome.index)
             return outcomes
         jobs = min(max(1, self.config.jobs), len(index_list))
-        backend = self.config.resolved_backend()
+        rung = self.config.rung()
         batches = [_Batch(ordinal, chunk) for ordinal, chunk
                    in enumerate(self._partition(index_list, jobs))]
-        self.telemetry.annotate(jobs=jobs, backend=backend,
+        self.telemetry.annotate(jobs=jobs, backend=rung,
                                 batches=len(batches))
         self.telemetry.add("counters", batches=len(batches))
         run_deadline = None
@@ -379,9 +344,9 @@ class QueryScheduler:
             run_deadline = self.budget.deadline()
 
         remaining = batches
-        if backend == "process":
-            remaining = self._run_process(batches, outcomes, jobs,
-                                          run_deadline)
+        if rung == "process":
+            remaining = self._run_process(candidates, batches, outcomes,
+                                          jobs, run_deadline)
             if remaining:
                 # The degradation ladder's last rung.
                 self.telemetry.add("faults", degradations=1)
@@ -497,9 +462,8 @@ class QueryScheduler:
         deadline needed).  A batch only fails before its first query (an
         injected crash) or fatally (abort policy, budget), so a retry
         never re-absorbs."""
-        state = _WorkerState(self.spec, self.config.faults,
-                             self.config.fault_plan, candidates=candidates,
-                             engine=self.engine)
+        state = _WorkerState(self.engine, candidates, self.config.faults,
+                             self.config.fault_plan)
 
         def absorb(outcome: QueryOutcome) -> None:
             self._absorb([outcome], outcomes)
@@ -517,19 +481,19 @@ class QueryScheduler:
                 else:
                     self._synthesize(batch, error, outcomes)
 
-    def _run_process(self, work: list[_Batch],
-                     outcomes: list[QueryOutcome], jobs: int,
-                     run_deadline: Optional[Deadline]) -> list[_Batch]:
-        spec_bytes = pickle.dumps(self.spec)
-        context = multiprocessing.get_context("fork") if _HAS_FORK else None
+    def _run_process(self, candidates: list[BugCandidate],
+                     work: list[_Batch], outcomes: list[QueryOutcome],
+                     jobs: int, run_deadline: Optional[Deadline]
+                     ) -> list[_Batch]:
         policy = self.config.faults
+        state = _WorkerState(self.engine, candidates, policy,
+                             self.config.fault_plan, process_worker=True)
         todo = list(work)
         rebuilds = 0
         while todo:
             executor = ProcessPoolExecutor(
-                max_workers=jobs, mp_context=context,
-                initializer=_process_init,
-                initargs=(spec_bytes, policy, self.config.fault_plan))
+                max_workers=jobs, mp_context=_FORK,
+                initializer=_process_init, initargs=(state,))
             try:
                 lost = self._drain(executor, todo, outcomes, run_deadline)
             finally:

@@ -182,12 +182,11 @@ def run_demand_query(engine, checker: Checker, sink_indices,
 
     if pending:
         # The demand-query contract: a deadline overrun is UNKNOWN,
-        # any other error propagates.  One job, so the inline rung runs
-        # on this engine (pool workers would re-collect the full
-        # candidate list, not ``matched``).
+        # any other error propagates.  One job: the inline rung runs on
+        # this engine.
         faults = FaultPolicy(on_error="abort", query_timeout=deadline_s)
-        scheduler = QueryScheduler(engine, checker,
-                                   ExecConfig(faults=faults), telemetry)
+        scheduler = QueryScheduler(engine, ExecConfig(faults=faults),
+                                   telemetry)
         scheduler.solve_pending(matched, pending, tally, reports, binding)
 
     if binding is not None:

@@ -89,7 +89,6 @@ class ServeConfig:
     max_queue: int = 32
     #: Per-analysis scheduler fan-out (ExecConfig.jobs).
     jobs: int = 1
-    backend: str = "auto"
     #: Root for per-tenant artifact stores; None = private tempdir that
     #: lives exactly as long as the daemon.
     cache_root: Optional[str] = None
@@ -300,7 +299,7 @@ class ServeApp:
         delta_only = optional_bool(params, "delta", False)
         entry = self.tenants.get(tenant)
         exec_config = ExecConfig(
-            jobs=self.config.jobs, backend=self.config.backend,
+            jobs=self.config.jobs,
             faults=FaultPolicy(query_timeout=deadline),
             fault_plan=self.config.fault_plan,
             breaker=entry.breaker)

@@ -10,16 +10,15 @@ Contract (docs/robustness.md):
 * after the cooldown one half-open probe runs: success closes the
   breaker (and the next run is byte-identical to an unbroken one),
   failure re-opens it;
-* breaker state is owned by the session lifetime — it never rides into
-  pickled worker specs.
+* breaker state is owned by the session lifetime, and the scheduler
+  consults it only in the parent process.
 """
 
-import pickle
 import time
 
 from repro.engine import findings_payload
 from repro.exec import (CircuitBreaker, ExecConfig, FaultPlan, FaultPolicy,
-                        QueryScheduler, Telemetry)
+                        Telemetry)
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.checkers import NullDereferenceChecker
 from repro.lang import LoweringConfig, compile_source
@@ -238,16 +237,6 @@ class TestSchedulerIntegration:
         assert snap2["breaker"]["probes"] == 1
         assert snap2["breaker"]["recoveries"] == 0
         assert breaker.open_count() == 1
-
-    def test_breaker_never_rides_into_worker_specs(self):
-        engine = make_engine()
-        breaker = CircuitBreaker(threshold=1)
-        config = ExecConfig(jobs=2, backend="process", breaker=breaker)
-        scheduler = QueryScheduler(engine, NullDereferenceChecker(), config,
-                                   Telemetry())
-        assert scheduler.spec is not None
-        pickle.dumps(scheduler.spec)  # must not drag the breaker along
-        assert not hasattr(scheduler.spec, "breaker")
 
     def test_disabled_breaker_is_the_identity(self):
         engine = make_engine()

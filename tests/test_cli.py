@@ -156,13 +156,6 @@ class TestOtherCommands:
         assert "incremental" not in document
         assert document["solver"]["total"] >= 1
 
-    def test_serve_rejects_unknown_backend(self, capsys):
-        """A typo fails at startup with argparse's usage error, not as an
-        internal error on the first analyze that has queries to solve."""
-        with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--stdio", "--backend", "bogus"])
-        assert excinfo.value.code == 2
-        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestObservabilityKeepsVerdicts:
@@ -537,13 +530,16 @@ class TestFaultPlanFlag:
 
 
 class TestRetiredExecFlags:
-    """The thread and serial backends and ``--batch-size`` are gone: a
-    solve runs inline or in a process pool, and the flags are refused."""
+    """``--backend`` and ``--batch-size`` are gone: ``--jobs`` alone
+    picks inline or a process pool, and the flags are refused."""
 
     @pytest.mark.parametrize("flags", [["--backend", "thread"],
                                        ["--backend", "serial"],
+                                       ["--backend", "process"],
+                                       ["--backend", "auto"],
                                        ["--batch-size", "4"]],
-                             ids=["thread", "serial", "batch-size"])
+                             ids=["thread", "serial", "process", "auto",
+                                  "batch-size"])
     @pytest.mark.parametrize("command", ["analyze", "bench", "serve"])
     def test_retired_flag_exits_two(self, command, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:

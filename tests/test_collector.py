@@ -19,7 +19,6 @@ import gc
 import inspect
 import json
 import os
-import pickle
 import random
 import re
 import sys
@@ -46,6 +45,7 @@ from repro.pdg import build_pdg
 from repro.pdg import builder
 from repro.serve import ServeApp, ServeConfig
 from repro.smt.solver import SmtSolver
+from repro.sparse import collect_candidates
 
 LEX_ERROR = "fun main(a) {\nx = $;\nreturn 0;\n}\n"
 PARSE_ERROR = "fun main(a) {\nx = ;\nreturn 0;\n}\n"
@@ -520,11 +520,13 @@ def test_serve_requests_check_paused(check_seen):
 def test_process_batch_checks_paused(check_seen, monkeypatch):
     """A forked worker starts with the collector on (the fork hook), so
     the batch needs its own scope; called here in-process."""
-    session = AnalysisSession(materialize("vortex").source)
-    spec = scheduler.WorkerSpec.of(session.engine, NullDereferenceChecker())
+    engine = AnalysisSession(materialize("vortex").source).engine
+    candidates = collect_candidates(engine.pdg, NullDereferenceChecker(),
+                                    engine.config.sparse)
     monkeypatch.setattr(scheduler, "_PROCESS_STATE", None)
-    scheduler._process_init(pickle.dumps(spec), FaultPolicy(), None)
-    count = len(scheduler._PROCESS_STATE.candidates)
+    scheduler._process_init(scheduler._WorkerState(
+        engine, candidates, FaultPolicy(), process_worker=True))
+    count = len(candidates)
     outcomes = scheduler._process_batch(range(count), 0, 0, None)
     assert len(outcomes) == count
     assert_checked_paused(check_seen)

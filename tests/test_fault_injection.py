@@ -74,10 +74,8 @@ def assert_only_faulted_changed(sequential, faulted_run, faulted_indices):
 
 
 class TestRaiseFaults:
-    @pytest.mark.parametrize("backend,jobs", [("auto", 1), ("auto", 4),
-                                              ("process", 1),
-                                              ("process", 4)])
-    def test_differential_across_backends(self, backend, jobs):
+    @pytest.mark.parametrize("jobs", [1, 4], ids=["auto-1", "auto-4"])
+    def test_differential_across_backends(self, jobs):
         pdg = fuzz_pdg(FAULT_SEEDS[0])
         checker = NullDereferenceChecker()
         sequential = engine(pdg).analyze(checker)
@@ -85,8 +83,7 @@ class TestRaiseFaults:
         plan = FaultPlan(raise_on_query=frozenset({0}))
         telemetry = Telemetry()
         faulted = engine(pdg).analyze(
-            checker, exec_config=ExecConfig(jobs=jobs, backend=backend,
-                                            fault_plan=plan),
+            checker, exec_config=ExecConfig(jobs=jobs, fault_plan=plan),
             telemetry=telemetry)
         assert faulted.failure is None
         assert_only_faulted_changed(sequential, faulted, {0})
@@ -104,7 +101,7 @@ class TestRaiseFaults:
         count = len(sequential.reports)
         plan = seeded_plan(seed, num_queries=count, num_batches=2)
         faulted = engine(pdg).analyze(
-            checker, exec_config=ExecConfig(jobs=4, backend="process",
+            checker, exec_config=ExecConfig(jobs=4,
                                             fault_plan=plan))
         assert faulted.failure is None
         assert_only_faulted_changed(sequential, faulted,
@@ -118,7 +115,7 @@ class TestRaiseFaults:
         with pytest.raises(InjectedQueryError):
             engine(pdg).analyze(
                 NullDereferenceChecker(),
-                exec_config=ExecConfig(jobs=2, backend="process",
+                exec_config=ExecConfig(jobs=2,
                                        fault_plan=plan,
                                        faults=FaultPolicy(
                                            on_error="abort")))
@@ -135,7 +132,7 @@ class TestWorkerCrashes:
         telemetry = Telemetry()
         crashed = engine(pdg).analyze(
             checker, exec_config=ExecConfig(
-                jobs=2, backend="process",
+                jobs=2,
                 fault_plan=FaultPlan.parse("crash=0")),
             telemetry=telemetry)
         assert crashed.failure is None
@@ -171,7 +168,7 @@ class TestWorkerCrashes:
         telemetry = Telemetry()
         result = engine(pdg).analyze(
             checker, exec_config=ExecConfig(
-                jobs=2, backend="process",
+                jobs=2,
                 fault_plan=FaultPlan.parse("crash=0;crash-times=99"),
                 faults=FaultPolicy(max_retries=1, retry_backoff=0.01)),
             telemetry=telemetry)
@@ -202,7 +199,7 @@ class TestDeadlines:
         assert sequential.unknown_queries == sequential.smt_queries
         assert all(r.feasible for r in sequential.reports)
         parallel = engine(pdg, time_limit=0.0).analyze(
-            checker, exec_config=ExecConfig(jobs=4, backend="process"))
+            checker, exec_config=ExecConfig(jobs=4))
         assert parallel.unknown_queries == sequential.unknown_queries
         assert canonical(parallel) == canonical(sequential)
 
@@ -226,7 +223,7 @@ class TestDeadlines:
         sequential = engine(pdg).analyze(checker)
         delayed = engine(pdg).analyze(
             checker, exec_config=ExecConfig(
-                jobs=2, backend="process",
+                jobs=2,
                 fault_plan=FaultPlan.parse("delay=0:0.05")))
         assert delayed.failure is None
         assert canonical(delayed) == canonical(sequential)

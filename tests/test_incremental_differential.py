@@ -67,29 +67,29 @@ def test_fusion_incremental_matches_one_shot(seed):
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS)
-@pytest.mark.parametrize("jobs,backend",
-                         [(1, "auto"), (2, "process"), (4, "process")])
-def test_fusion_incremental_rungs_match(seed, jobs, backend):
+@pytest.mark.parametrize("jobs", [1, 2, 4],
+                         ids=["1-auto", "2-process", "4-process"])
+def test_fusion_incremental_rungs_match(seed, jobs):
     """The inline rung (one job) and two- and four-worker process pools."""
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     baseline = FusionEngine(pdg).analyze(checker)
     parallel = FusionEngine(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=jobs, backend=backend))
+        checker, exec_config=ExecConfig(jobs=jobs))
     assert canonical(parallel) == canonical(baseline)
     assert run_stats(parallel) == run_stats(baseline)
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS[:3])
 def test_fusion_incremental_process_pool_matches(seed):
-    """Batches cross the process boundary: workers rebuild the engine
-    recipe from the pickled spec and ship outcomes back; verdicts must
-    match the inline run on one engine."""
+    """Batches cross the process boundary: forked workers solve on
+    fresh engines and ship outcomes back; verdicts must match the inline
+    run on one engine."""
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     baseline = FusionEngine(pdg).analyze(checker)
     parallel = FusionEngine(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=2, backend="process"))
+        checker, exec_config=ExecConfig(jobs=2))
     assert canonical(parallel) == canonical(baseline)
     assert run_stats(parallel) == run_stats(baseline)
 
@@ -109,7 +109,7 @@ def test_pinpoint_incremental_process_pool_matches():
     checker = NullDereferenceChecker()
     baseline = make_pinpoint(pdg, "").analyze(checker)
     parallel = make_pinpoint(pdg, "").analyze(
-        checker, exec_config=ExecConfig(jobs=4, backend="process"))
+        checker, exec_config=ExecConfig(jobs=4))
     assert canonical(parallel) == canonical(baseline)
 
 

@@ -132,14 +132,13 @@ def test_witnesses_survive_replay(seed):
         assert replayed > 0, "corpus seed produced no feasible null bug"
 
 
-@pytest.mark.parametrize("backend", ["inline", "process"])
-def test_pooled_execution_matches_sequential(backend):
+@pytest.mark.parametrize("rung", ["inline", "process"])
+def test_pooled_execution_matches_sequential(rung):
     source = corpus_source(0)
     pdg = prepare_pdg(lower(source))
     checker = NullDereferenceChecker
     sequential = fusion(pdg).analyze(checker())
-    exec_config = ExecConfig() if backend == "inline" \
-        else ExecConfig(jobs=2, backend=backend)
+    exec_config = ExecConfig(jobs=1 if rung == "inline" else 2)
     pooled = fusion(pdg).analyze(checker(), exec_config=exec_config)
     assert json.dumps(findings_payload(pooled)) == \
         json.dumps(findings_payload(sequential))

@@ -6,10 +6,10 @@ feasibility query is a pure function of ``(PDG, candidate, engine
 config)`` and that outcomes are assembled by candidate index.  The
 purity half is pinned across fifty fuzzed programs without forking: each
 program's candidates are solved through the worker state a pool worker
-builds (re-collected candidates, a fresh engine per query), in reversed
-and in shuffled order, and every outcome must equal the inline rung's in
-*every* program-visible field — status, preprocess decision and witness
-— for both Fusion and Pinpoint.  The process-pool passes then check the
+inherits (the parent's candidates, a fresh engine per query), in
+reversed and in shuffled order, and every outcome must equal the inline
+rung's in *every* program-visible field — status, preprocess decision
+and witness — for both Fusion and Pinpoint.  The process-pool passes then check the
 assembled report lists end to end.
 """
 
@@ -21,11 +21,11 @@ import pytest
 from repro.baselines import PinpointEngine
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
-from repro.exec import (ExecConfig, FaultPolicy, QueryScheduler, Telemetry,
-                        WorkerSpec)
+from repro.exec import ExecConfig, FaultPolicy, QueryScheduler, Telemetry
 from repro.exec.scheduler import _WorkerState
 from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
                           prepare_pdg)
+from repro.sparse import collect_candidates
 
 FUZZ_SEEDS = list(range(50))
 
@@ -78,10 +78,12 @@ def assert_order_independent(engine, checker, seed):
     """Solve the run's candidates as a pool worker does, in reversed and
     in seeded-shuffle order: each outcome must equal the inline rung's
     (the caller's engine, index order) at the same index."""
-    worker = _WorkerState(WorkerSpec.of(engine, checker), FaultPolicy())
-    candidates = worker.candidates
+    candidates = collect_candidates(engine.pdg, checker,
+                                    engine.config.sparse)
     assert candidates, "fuzz spec generated no candidates"
-    scheduler = QueryScheduler(engine, checker, ExecConfig(), Telemetry())
+    worker = _WorkerState(engine, candidates, FaultPolicy(),
+                          process_worker=True)
+    scheduler = QueryScheduler(engine, ExecConfig(), Telemetry())
     expected = [visible(outcome) for outcome in scheduler.run(candidates)]
     shuffled = list(range(len(candidates)))
     random.Random(seed).shuffle(shuffled)
@@ -107,15 +109,35 @@ def test_pinpoint_worker_queries_are_order_independent(seed):
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS[:3])
 def test_process_pool_matches_sequential(seed):
-    """Workers re-collect candidates from the pickled PDG; indices and
-    verdicts must still line up with the parent's sequential run."""
+    """Forked workers solve the parent's candidate list; indices and
+    verdicts must line up with the parent's sequential run."""
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     sequential = fusion_with_witness(pdg).analyze(checker)
     parallel = fusion_with_witness(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=2, backend="process"))
+        checker, exec_config=ExecConfig(jobs=2))
     assert canonical(parallel) == canonical(sequential)
     assert run_stats(parallel) == run_stats(sequential)
+
+
+def test_pool_solves_the_callers_candidate_list():
+    """A pool solves the list it is handed, not a re-collection: on the
+    reversed candidate list, two jobs must give the inline rung's
+    outcome at every index."""
+    pdg = fuzz_pdg(SMALL_SEEDS[1])
+    checker = NullDereferenceChecker()
+    engine = fusion_with_witness(pdg)
+    candidates = collect_candidates(pdg, checker,
+                                    engine.config.sparse)[::-1]
+    assert len(candidates) > 1
+    inline = QueryScheduler(engine, ExecConfig(), Telemetry()) \
+        .run(candidates)
+    telemetry = Telemetry()
+    pooled = QueryScheduler(fusion_with_witness(pdg), ExecConfig(jobs=2),
+                            telemetry).run(candidates)
+    assert telemetry.as_dict()["context"]["backend"] == "process"
+    assert [visible(outcome) for outcome in pooled] \
+        == [visible(outcome) for outcome in inline]
 
 
 def query_record_fields(engine):
@@ -135,7 +157,7 @@ def test_process_pool_query_records_match_inline():
     inline.analyze(checker)
     pooled = fusion_with_witness(pdg)
     pooled.analyze(checker,
-                   exec_config=ExecConfig(jobs=2, backend="process"))
+                   exec_config=ExecConfig(jobs=2))
     expected = query_record_fields(inline)
     assert [fields[0] for fields in expected] == list(range(len(expected)))
     assert any(fields[4] for fields in expected), "no query reached SAT"
@@ -147,7 +169,7 @@ def test_pinpoint_process_pool_matches_sequential():
     checker = NullDereferenceChecker()
     sequential = PinpointEngine(pdg).analyze(checker)
     parallel = PinpointEngine(pdg).analyze(
-        checker, exec_config=ExecConfig(jobs=2, backend="process"))
+        checker, exec_config=ExecConfig(jobs=2))
     assert canonical(parallel) == canonical(sequential)
 
 
@@ -165,7 +187,7 @@ def test_process_pool_speedup_on_multicore():
                        avg_stmts=8, call_fanout=2, null_bugs=(8, 6, 6))
     pdg = prepare_pdg(generate_subject(spec).program)
     checker = NullDereferenceChecker()
-    pooled = ExecConfig(jobs=min(4, _cpu_count()), backend="process")
+    pooled = ExecConfig(jobs=min(4, _cpu_count()))
 
     def best_of_two(exec_config):
         times = []

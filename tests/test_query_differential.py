@@ -163,14 +163,13 @@ def test_memo_hits_do_not_recount_store_replays(seed, tmp_path):
             for key in values if "replay" in key] == []
 
 
-@pytest.mark.parametrize("backend", ("inline", "process"))
+@pytest.mark.parametrize("rung", ("inline", "process"))
 @pytest.mark.parametrize("seed", SEEDS[:5])
-def test_query_matches_parallel_backends(seed, backend):
+def test_query_matches_parallel_backends(seed, rung):
     source = fuzz_source(seed)
     settings = EngineSettings(engine="fusion")
     full_session = AnalysisSession(source, settings=settings)
-    exec_config = ExecConfig() if backend == "inline" \
-        else ExecConfig(jobs=2, backend=backend)
+    exec_config = ExecConfig(jobs=1 if rung == "inline" else 2)
     full = full_session.analyze(CHECKER, exec_config=exec_config)
     query_session = AnalysisSession(source, settings=settings)
     assert_queries_match_full(source, full, query_session)

@@ -1,11 +1,10 @@
 """One job means no pool: single-job runs solve in the calling process.
 
-With ``jobs=1`` and the default ``auto`` backend, every run that needs
-the query scheduler — a per-request deadline, a circuit breaker, a fault
-plan — executes on the scheduler's *inline* rung.  No process pool is
-ever constructed (``ProcessPoolExecutor`` is patched to fail), and the
-findings are byte-identical to the same run on an explicit one-worker
-process pool, which still forks.
+With ``jobs=1``, every run that needs the query scheduler — a
+per-request deadline, a circuit breaker, a fault plan — executes on the
+scheduler's *inline* rung.  No process pool is ever constructed
+(``ProcessPoolExecutor`` is patched to fail), and the findings are
+byte-identical to the same run on a two-job process pool.
 """
 
 import asyncio
@@ -52,7 +51,7 @@ def canonical(result):
 
 
 def _forbidden_pool(*args, **kwargs):
-    raise AssertionError("a one-job auto run built a process pool")
+    raise AssertionError("a one-job run built a process pool")
 
 
 @pytest.fixture
@@ -61,7 +60,7 @@ def no_process_pool(monkeypatch):
     monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _forbidden_pool)
 
 
-def serve_findings(engine: str, backend: str, source: str) -> list[str]:
+def serve_findings(engine: str, jobs: int, source: str) -> list[str]:
     """Cold analyze, edit, warm analyze — for every checker, with the
     breaker on and a per-request deadline; returns each response's
     findings as canonical bytes."""
@@ -70,8 +69,8 @@ def serve_findings(engine: str, backend: str, source: str) -> list[str]:
     async def drive() -> list[str]:
         with tempfile.TemporaryDirectory() as root:
             app = ServeApp(ServeConfig(
-                settings=EngineSettings(engine=engine), jobs=1,
-                backend=backend, cache_root=root))
+                settings=EngineSettings(engine=engine), jobs=jobs,
+                cache_root=root))
             try:
                 async def rpc(method, **params):
                     response = await app.handle({
@@ -107,9 +106,9 @@ def serve_findings(engine: str, backend: str, source: str) -> list[str]:
 @pytest.mark.parametrize("engine", ["fusion", "pinpoint"])
 def test_serve_single_job_matches_process_pool(engine, monkeypatch):
     source = subject().source
-    expected = serve_findings(engine, "process", source)
+    expected = serve_findings(engine, 2, source)
     monkeypatch.setattr(scheduler, "ProcessPoolExecutor", _forbidden_pool)
-    assert serve_findings(engine, "auto", source) == expected
+    assert serve_findings(engine, 1, source) == expected
 
 
 @pytest.mark.parametrize("engine", ["fusion", "pinpoint"])
@@ -162,39 +161,12 @@ def test_cli_single_job_deadline_runs_inline(tmp_path, no_process_pool,
     assert payload["decided_by"]["error"] == 1
 
 
-def test_explicit_process_backend_still_forks_at_one_job(monkeypatch):
-    built = []
-    real = scheduler.ProcessPoolExecutor
-
-    def counting(*args, **kwargs):
-        built.append(kwargs["max_workers"])
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(scheduler, "ProcessPoolExecutor", counting)
-    pdg = prepare_pdg(subject().program)
-    telemetry = Telemetry()
-    build_engine("fusion", pdg).analyze(
-        NullDereferenceChecker(),
-        exec_config=ExecConfig(jobs=1, backend="process",
-                               faults=FaultPolicy(query_timeout=5)),
-        telemetry=telemetry)
-    assert built == [1]
-    assert telemetry.as_dict()["context"]["backend"] == "process"
-
-
 def test_auto_resolves_by_job_count(monkeypatch):
-    assert ExecConfig(jobs=1).resolved_backend() == "inline"
-    assert ExecConfig(jobs=1, backend="process").resolved_backend() \
-        == "process"
-    monkeypatch.setattr(scheduler, "_HAS_FORK", True)
-    assert ExecConfig(jobs=4).resolved_backend() == "process"
-    # Without fork, auto stays inline at any job count; an explicit
-    # process backend still builds a pool.
-    monkeypatch.setattr(scheduler, "_HAS_FORK", False)
-    assert ExecConfig(jobs=4).resolved_backend() == "inline"
-    assert ExecConfig(jobs=4, backend="process").resolved_backend() \
-        == "process"
-    for retired in ("bogus", "thread", "serial"):
-        with pytest.raises(ValueError):
-            ExecConfig(backend=retired).resolved_backend()
+    monkeypatch.setattr(scheduler, "_FORK", object())
+    assert ExecConfig(jobs=1).rung() == "inline"
+    assert ExecConfig(jobs=4).rung() == "process"
+    # Without fork, every run is inline.
+    monkeypatch.setattr(scheduler, "_FORK", None)
+    assert ExecConfig(jobs=1).rung() == "inline"
+    assert ExecConfig(jobs=4).rung() == "inline"
 

@@ -18,7 +18,7 @@ from repro.baselines import PinpointConfig, PinpointEngine
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
 from repro.engine import findings_payload
-from repro.exec import ExecConfig
+from repro.exec import ExecConfig, Telemetry
 from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
                           prepare_pdg)
 
@@ -102,15 +102,18 @@ def test_every_checker_sparsifies_identically(checker_name):
 
 
 @pytest.mark.parametrize("seed", SMALL_SEEDS)
-@pytest.mark.parametrize("jobs,backend", [(4, "process")])
-def test_fusion_pooled_sparsified_matches_full(seed, jobs, backend):
-    """jobs=4 on a process pool: workers rebuild the pruned view from the
-    pickled PDG and must render the full pipeline's bytes."""
+@pytest.mark.parametrize("jobs,rung", [(4, "process")])
+def test_fusion_pooled_sparsified_matches_full(seed, jobs, rung):
+    """jobs=4 on a process pool: forked workers solve the candidates the
+    parent collected over its pruned view and must render the full
+    pipeline's bytes."""
     pdg = fuzz_pdg(seed)
     checker = NullDereferenceChecker()
     full = fusion(pdg, sparsify=False).analyze(checker)
+    telemetry = Telemetry()
     pooled = fusion(pdg, sparsify=True).analyze(
-        checker, exec_config=ExecConfig(jobs=jobs, backend=backend))
+        checker, exec_config=ExecConfig(jobs=jobs), telemetry=telemetry)
+    assert telemetry.as_dict()["context"]["backend"] == rung
     assert rendered(pooled) == rendered(full)
     assert canonical(pooled) == canonical(full)
 
@@ -121,7 +124,7 @@ def test_pinpoint_pooled_sparsified_matches_full(seed):
     checker = NullDereferenceChecker()
     full = pinpoint(pdg, sparsify=False).analyze(checker)
     pooled = pinpoint(pdg, sparsify=True).analyze(
-        checker, exec_config=ExecConfig(jobs=4, backend="process"))
+        checker, exec_config=ExecConfig(jobs=4))
     assert rendered(pooled) == rendered(full)
 
 
