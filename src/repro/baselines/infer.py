@@ -79,12 +79,14 @@ class InferEngine:
     @paused
     def analyze(self, checker: Checker,
                 exec_config: Optional["ExecConfig"] = None,
-                telemetry: Optional[Telemetry] = None) -> AnalysisResult:
-        """``exec_config`` is accepted for interface parity with the
-        path-sensitive engines but ignored: the summary computation is a
-        bottom-up fixpoint over the call DAG, not a bag of independent
-        feasibility queries, so there is nothing to batch.  Telemetry
-        still records the ``engine.analyze`` span and memory."""
+                telemetry: Optional[Telemetry] = None,
+                store=None) -> AnalysisResult:
+        """``exec_config`` and ``store`` are accepted for interface
+        parity with the path-sensitive engines but ignored: the summary
+        computation is a bottom-up fixpoint over the call DAG, not a bag
+        of independent feasibility queries, so there is nothing to batch
+        and no per-candidate verdict to cache.  Telemetry still records
+        the ``engine.analyze`` span and memory."""
         from repro.pdg.callgraph import CallGraph
 
         start = time.perf_counter()

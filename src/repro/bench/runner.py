@@ -81,34 +81,24 @@ def run_engine(subject_name: str, engine: str, checker_name: str,
     tuned by ``exec_config`` (default ``ExecConfig()``): one job solves
     inline on the engine, so Table 3 / Figure 11 memory and query
     numbers are those of one engine deciding every candidate in order;
-    more jobs fan out to a worker pool.  Its ``faults`` policy also
-    sets the engine's per-query timeout, and its ``fault_plan`` injects
-    deterministic faults (CI resilience matrix).  Bench engines run
+    more jobs fan out to a worker pool.  Its ``faults`` policy sets the
+    per-query timeout, and its ``fault_plan`` injects deterministic
+    faults (CI resilience matrix).  Bench engines run
     without witness extraction and under the run budget.  ``store`` (an
     :class:`~repro.exec.store.ArtifactStore`) opts the path-sensitive
     engines into warm incremental re-analysis; a warm run replays
     unchanged verdicts instead of re-solving them (the ``replayed``
     row column).
     """
-    exec_config = exec_config if exec_config is not None else ExecConfig()
     telemetry = telemetry if telemetry is not None else Telemetry()
     subject = materialize(subject_name)
     pdg = pdg_for(subject_name)
     budget = Budget(max_seconds=time_budget,
                     max_memory_units=memory_budget)
-    engine_obj = build_engine(
-        engine, pdg, want_model=False,
-        query_timeout=exec_config.faults.query_timeout, budget=budget)
+    engine_obj = build_engine(engine, pdg, want_model=False, budget=budget)
     checker: Checker = CHECKER_FACTORIES[checker_name]()
-    kwargs = {}
-    if store is not None:
-        if engine == "infer":
-            raise ValueError("the artifact store requires a "
-                             "path-sensitive engine; infer has no "
-                             "per-candidate verdicts to cache")
-        kwargs["store"] = store
     result = engine_obj.analyze(checker, exec_config=exec_config,
-                                telemetry=telemetry, **kwargs)
+                                telemetry=telemetry, store=store)
     telemetry.annotate(subject=subject_name)
     precision = evaluate_reports(subject, result)
     records = getattr(engine_obj, "query_records", [])

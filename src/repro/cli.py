@@ -429,9 +429,8 @@ def _exec_options(args: argparse.Namespace):
 
 def _make_store(args: argparse.Namespace):
     """ArtifactStore | None from the shared ``--cache-dir``/``--no-store``
-    flags.  The infer baseline has no per-candidate SMT verdicts to
-    cache, so the store silently stays off there."""
-    if args.cache_dir is None or args.no_store or args.engine == "infer":
+    flags."""
+    if args.cache_dir is None or args.no_store:
         return None
     from repro.exec import ArtifactStore
 
@@ -574,13 +573,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     except ValueError as error:  # bad width or unroll, arity, recursion
         print(f"repro analyze: {error}", file=sys.stderr)
         return 2
-    engine = build_engine(args.engine, pdg, want_model=True,
-                          query_timeout=args.query_timeout)
+    engine = build_engine(args.engine, pdg, want_model=True)
     checker = CHECKER_FACTORIES[args.checker]()
-    store = _make_store(args)
-    kwargs = {"store": store} if store is not None else {}
     result = engine.analyze(checker, exec_config=exec_config,
-                            telemetry=telemetry, **kwargs)
+                            telemetry=telemetry, store=_make_store(args))
 
     if args.as_json:
         payload = analysis_payload(result, engine=args.engine,

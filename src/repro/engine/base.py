@@ -4,7 +4,8 @@ Pinpoint (Algorithm 2) and Fusion (Algorithm 5) run the same sparse
 collection of dependence paths and differ only in *how* the feasibility
 of a collected path is decided.  :class:`PathSensitiveEngine` owns
 everything else: the per-checker sparse views, the one analysis loop
-(collect candidates, replay stored verdicts, solve the rest through the
+(collect candidates, then decide them), the one decision loop every
+front door shares (replay stored verdicts, solve the rest through the
 :class:`~repro.exec.scheduler.QueryScheduler`, whose inline rung solves
 on this engine, commit, assemble), the run budget and the
 store-fingerprint keys both engines share.  An engine supplies only
@@ -99,33 +100,57 @@ class PathSensitiveEngine:
                 telemetry: Optional[Telemetry] = None,
                 store=None) -> AnalysisResult:
         """The one analysis loop: collect the checker's candidates over
-        its sparse view, replay stored verdicts, solve the rest through
-        the query scheduler, commit, and assemble the reports in index
-        order, under the run budget (an overrun becomes the result's
-        ``failure`` and keeps everything decided so far).
-        ``exec_config`` tunes the scheduler (default ``ExecConfig()``:
-        one job, solved inline on this engine); ``telemetry`` receives
-        the run's counters.  ``store`` (an
-        :class:`~repro.exec.store.ArtifactStore`) opts into warm
-        incremental re-analysis: cached verdicts whose dependencies are
-        unchanged are replayed instead of re-solved.
+        its sparse view and :meth:`decide` them.  ``exec_config`` tunes
+        the scheduler (default ``ExecConfig()``: one job, solved inline
+        on this engine); ``telemetry`` receives the run's counters.
+        ``store`` (an :class:`~repro.exec.store.ArtifactStore`) opts into
+        warm incremental re-analysis: cached verdicts whose dependencies
+        are unchanged are replayed instead of re-solved.
 
         The engine object may be reused across calls (the serve daemon
         keeps it hot so its views and condition templates survive between
         requests); all per-run state — query records, telemetry deltas,
-        the result's counters — is rebuilt here, so one request never
+        the result's counters — is rebuilt per call, so one request never
         observes a previous request's numbers."""
         start = time.perf_counter()
         telemetry = telemetry if telemetry is not None else Telemetry()
-        self.query_records = []
         view = self.checker_view(checker, telemetry)
+        with telemetry.span("sparse.collect"):
+            candidates = collect_candidates(self.pdg, checker,
+                                            self.config.sparse, view=view)
+        telemetry.add("counters", candidates=len(candidates))
+        result = self.decide(checker, candidates, exec_config, telemetry,
+                             store)
+        total, condition = self._memory_snapshot()
+        result.memory_units = max(result.memory_units, total)
+        result.condition_memory_units = max(result.condition_memory_units,
+                                            condition)
+        telemetry.peak("memory", peak_units=result.memory_units,
+                       peak_condition_units=result.condition_memory_units)
+        result.wall_time = time.perf_counter() - start
+        telemetry.add_span("engine.analyze", result.wall_time)
+        return result
+
+    def decide(self, checker: Checker, candidates: list[BugCandidate],
+               exec_config: Optional[ExecConfig], telemetry: Telemetry,
+               store=None) -> AnalysisResult:
+        """Decide collected candidates: replay stored verdicts, solve the
+        rest through the query scheduler, commit, and assemble the
+        reports in index order, under the run budget, whose clock starts
+        here (an overrun becomes the result's ``failure`` and keeps
+        everything decided so far).
+        Every front door decides here: :meth:`analyze` after collection,
+        and a demand query for its pair's candidates.  The outcomes land
+        in :attr:`query_records`."""
+        self.query_records = []
         binding = store.bind(self.pdg, self._store_fingerprint(checker),
                              checker.name, telemetry) \
             if store is not None else None
         budget = self.config.budget if self.config.budget is not None \
             else Budget()
         budget.restart_clock()
-        result = AnalysisResult(self.name, checker.name)
+        result = AnalysisResult(self.name, checker.name,
+                                candidates=len(candidates))
         scheduler = QueryScheduler(
             self,
             exec_config if exec_config is not None else ExecConfig(),
@@ -136,14 +161,7 @@ class PathSensitiveEngine:
         # aborts.
         reports: dict[int, BugReport] = {}
         pending: Optional[list[int]] = None
-        candidates: list[BugCandidate] = []
         try:
-            with telemetry.span("sparse.collect"):
-                candidates = collect_candidates(self.pdg, checker,
-                                                self.config.sparse,
-                                                view=view)
-            telemetry.add("counters", candidates=len(candidates))
-            result.candidates = len(candidates)
             if binding is not None:
                 # Warm-run replay: verdicts whose recorded dependencies
                 # are unchanged come straight from the persistent store;
@@ -164,17 +182,8 @@ class PathSensitiveEngine:
             with telemetry.span("exec.store.commit"):
                 binding.commit(candidates, reports)
         result.reports = [reports[index] for index in sorted(reports)]
-
-        total, condition = self._memory_snapshot()
-        result.memory_units = max(result.memory_units, total)
-        result.condition_memory_units = max(result.condition_memory_units,
-                                            condition)
-        telemetry.peak("memory", peak_units=result.memory_units,
-                       peak_condition_units=result.condition_memory_units)
         if result.failure is not None:
             telemetry.annotate(failure=result.failure)
-        result.wall_time = time.perf_counter() - start
-        telemetry.add_span("engine.analyze", result.wall_time)
         return result
 
     def _store_fingerprint(self, checker: Checker) -> dict:

@@ -48,14 +48,13 @@ ENGINE_CHOICES = ("fusion", "fusion-unopt", "pinpoint", "pinpoint+lfs",
 
 
 def build_engine(name: str, pdg, *, want_model: bool = False,
-                 query_timeout: Optional[float] = None,
                  budget: Optional[Budget] = None):
     """One configured engine object from an engine name.
 
-    ``query_timeout`` overrides the solver's default 10 s per-query cap
-    (the deadline it induces covers slicing through the SAT search, see
-    docs/robustness.md); ``budget`` bounds the whole run (bench's
-    Memory-Out/timeout protocol).
+    ``budget`` bounds the whole run (bench's Memory-Out/timeout
+    protocol).  A per-query timeout is not an engine setting: the run's
+    ``FaultPolicy.query_timeout`` sets each query's one clock
+    (docs/robustness.md).
     """
     from repro.baselines.infer import InferConfig, InferEngine
     from repro.baselines.pinpoint import make_pinpoint
@@ -64,8 +63,6 @@ def build_engine(name: str, pdg, *, want_model: bool = False,
     from repro.smt.solver import SolverConfig
 
     smt = SolverConfig()
-    if query_timeout is not None:
-        smt.time_limit = query_timeout
     if name in ("fusion", "fusion-unopt"):
         return FusionEngine(pdg, FusionConfig(
             solver=GraphSolverConfig(optimized=(name == "fusion"),
@@ -115,14 +112,16 @@ def analysis_payload(result: AnalysisResult, *, engine: str, checker: str,
 #: Settings fields earlier versions journaled, each with the values this
 #: version still implements: the triage pass was deleted, sparsified
 #: views became unconditional, solver sessions were deleted (they gave
-#: the verdicts a fresh solver gives), and loops are always unrolled
-#: (loop summaries gave the verdicts unrolling gives, at any int path
-#: budget).  A recovered journal may carry them at those values; any
-#: other value declines recovery.
+#: the verdicts a fresh solver gives), loops are always unrolled (loop
+#: summaries gave the verdicts unrolling gives, at any int path budget),
+#: and a query's timeout comes from the run's ``FaultPolicy`` alone (no
+#: front door set the engine's, so journals carry it unset).  A
+#: recovered journal may carry them at those values; any other value
+#: declines recovery.
 RETIRED_SETTINGS = {"triage": (False,), "sparsify": (True,),
                     "incremental": (True, False),
                     "loop_strategy": ("summaries", "unroll"),
-                    "loop_paths": (int,)}
+                    "loop_paths": (int,), "query_timeout": (None,)}
 
 
 def _retired(name: str, value) -> bool:
@@ -146,7 +145,6 @@ class EngineSettings:
 
     engine: str = "fusion"
     want_model: bool = True
-    query_timeout: Optional[float] = None
     loop_unroll: int = 2
     width: int = 8
 
@@ -260,8 +258,7 @@ class AnalysisSession:
         if not _same_program(self.program, program):
             pdg = prepare_pdg(program)
             engine = build_engine(self.settings.engine, pdg,
-                                  want_model=self.settings.want_model,
-                                  query_timeout=self.settings.query_timeout)
+                                  want_model=self.settings.want_model)
             old_engine = self.engine
             if getattr(old_engine, "views", None) is not None \
                     and getattr(engine, "views", None) is not None:
@@ -286,13 +283,8 @@ class AnalysisSession:
         factory = CHECKER_FACTORIES.get(checker)
         if factory is None:
             raise ValueError(f"unknown checker {checker!r}")
-        kwargs = {}
-        # The infer baseline has no per-candidate SMT stage: no verdicts
-        # to cache (same gating as the CLI).
-        if self.settings.engine != "infer" and self.store is not None:
-            kwargs["store"] = self.store
         return self.engine.analyze(factory(), exec_config=exec_config,
-                                   telemetry=telemetry, **kwargs)
+                                   telemetry=telemetry, store=self.store)
 
     def query(self, checker: str, *, sink, def_line: Optional[int] = None,
               telemetry=None, deadline_s: Optional[float] = None):

@@ -9,9 +9,11 @@ two granularities:
   that exhausts its budget aborts with :class:`TimeBudgetExceeded` /
   :class:`MemoryBudgetExceeded`, and the benchmark harness reports it the
   way the paper reports "Memory Out" / "timeout" entries.
-* :class:`Deadline` — one query's wall-clock cap, threaded from
-  ``SolverConfig.time_limit`` through slicing, condition transformation,
-  preprocessing and the SAT search.  A tripped deadline raises
+* :class:`Deadline` — one query's wall-clock cap, built when the query
+  starts from ``FaultPolicy.query_timeout`` (else
+  ``SolverConfig.time_limit``) and threaded through slicing, condition
+  transformation, preprocessing and the SAT search, which keeps no
+  clock of its own.  A tripped deadline raises
   :class:`QueryDeadlineExceeded`, which every query loop converts to an
   UNKNOWN verdict for *that query only* — per-query timeouts never abort
   the run (see ``docs/robustness.md``).

@@ -130,15 +130,8 @@ class ProgramDependenceGraph:
         self._sites: Optional[SiteIndex] = None
         #: The artifact store's keys for this program version
         #: (:class:`repro.exec.store.ProgramIndex`), built by the first
-        #: store bind or view adoption; never pickled.
+        #: store bind or view adoption.
         self.store_index = None
-
-    def __getstate__(self) -> dict:
-        # Process workers never bind a store; the index is rebuilt on
-        # demand wherever it is needed.
-        state = dict(self.__dict__)
-        state["store_index"] = None
-        return state
 
     # ------------------------------------------------------------------ #
     # Construction API (used by the builder)

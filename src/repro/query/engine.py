@@ -12,15 +12,15 @@ the pair:
    per-source walk of :func:`~repro.sparse.engine.collect_candidates`
    (same view pruning, same frame interning, same dedup), so the
    candidates found for the pair are byte-identical to the full run's.
-3. **Per-pair SMT** — surviving candidates are solved through the same
-   query scheduler and report assembly as a full ``analyze``
-   (:meth:`~repro.exec.scheduler.QueryScheduler.solve_pending`, inline
-   on the hot engine): the same slicing, deadline and fresh solver per
-   query.
-4. **Verdict caching** — with an artifact store attached, pair
-   verdicts replay from (and commit to) the *same* content-addressed
-   entries a full ``analyze`` uses, so a query after an analysis is
-   warm and vice versa.
+3. **Decision** — the pair's candidates go through the engine's own
+   decision loop (:meth:`~repro.engine.base.PathSensitiveEngine.decide`,
+   the one a full ``analyze`` runs after collection, inline on the hot
+   engine): the same store replay, slicing, deadline, fresh solver per
+   query, commit and report assembly.
+4. **Verdict caching** — that loop replays pair verdicts from (and
+   commits them to) the *same* content-addressed entries a full
+   ``analyze`` uses, so a query after an analysis is warm and vice
+   versa.
 
 Byte-identity caveat: the sparse walk's global ``max_candidates`` cap
 is the one cross-source coupling — a full run that hits the cap may
@@ -33,10 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.checkers.base import (AnalysisResult, BugCandidate, BugReport,
-                                 Checker)
+from repro.checkers.base import BugCandidate, Checker
 from repro.exec.faults import FaultPolicy
-from repro.exec.scheduler import ExecConfig, QueryScheduler
+from repro.exec.scheduler import ExecConfig
 from repro.exec.telemetry import Telemetry
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.sparse.engine import collect_candidates
@@ -169,30 +168,13 @@ def run_demand_query(engine, checker: Checker, sink_indices,
 
     region = pair_region(pdg, matched)
 
-    # Counters and reports, in the shape ``findings_payload`` reads.
-    tally = AnalysisResult(engine.name, checker.name)
-    reports: dict[int, BugReport] = {}
-    pending = list(range(len(matched)))
-    binding = None
-
-    if matched and store is not None:
-        binding = store.bind(pdg, engine._store_fingerprint(checker),
-                             checker.name, telemetry)
-        pending = binding.replay(matched, reports)
-
-    if pending:
-        # The demand-query contract: a deadline overrun is UNKNOWN,
-        # any other error propagates.  One job: the inline rung runs on
-        # this engine.
-        faults = FaultPolicy(on_error="abort", query_timeout=deadline_s)
-        scheduler = QueryScheduler(engine, ExecConfig(faults=faults),
-                                   telemetry)
-        scheduler.solve_pending(matched, pending, tally, reports, binding)
-
-    if binding is not None:
-        binding.commit(matched, reports)
-
-    tally.reports = [reports[position] for position in sorted(reports)]
+    # The demand-query contract: a deadline overrun is UNKNOWN, any
+    # other error propagates.  One job: the inline rung runs on this
+    # engine.  An empty pair has nothing to replay or commit, so it
+    # binds no store.
+    faults = FaultPolicy(on_error="abort", query_timeout=deadline_s)
+    tally = engine.decide(checker, matched, ExecConfig(faults=faults),
+                          telemetry, store if matched else None)
     verdict = Verdict(
         checker=checker.name,
         reachable=bool(matched),

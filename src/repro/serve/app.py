@@ -286,14 +286,20 @@ class ServeApp:
             "store": entry.store_root is not None,
         }
 
-    async def _rpc_analyze(self, params: dict) -> dict:
-        tenant = require_str(params, "tenant")
+    def _checker_param(self, params: dict) -> str:
+        """The request's ``checker`` (the daemon's default when absent);
+        an unknown name is invalid params."""
         checker = optional_str(params, "checker", self.config.checker)
         if checker not in CHECKER_FACTORIES:
             raise ServeError(
                 INVALID_PARAMS,
                 f"unknown checker {checker!r}; one of "
                 f"{sorted(CHECKER_FACTORIES)}")
+        return checker
+
+    async def _rpc_analyze(self, params: dict) -> dict:
+        tenant = require_str(params, "tenant")
+        checker = self._checker_param(params)
         deadline = optional_number(params, "deadline_s",
                                    self.config.default_deadline)
         delta_only = optional_bool(params, "delta", False)
@@ -342,12 +348,7 @@ class ServeApp:
         tenant without a whole-program analyze.  Delta-free by
         construction — the response carries only the pair's verdict."""
         tenant = require_str(params, "tenant")
-        checker = optional_str(params, "checker", self.config.checker)
-        if checker not in CHECKER_FACTORIES:
-            raise ServeError(
-                INVALID_PARAMS,
-                f"unknown checker {checker!r}; one of "
-                f"{sorted(CHECKER_FACTORIES)}")
+        checker = self._checker_param(params)
         sink_line = optional_number(params, "sink")
         if sink_line is None:
             raise ServeError(INVALID_PARAMS,

@@ -50,14 +50,13 @@ class BitBlaster:
         self.solver.add_clause([self.literal(term)])
 
     def solve(self, conflict_limit: Optional[int] = None,
-              time_limit: Optional[float] = None,
               deadline: Optional[Deadline] = None) -> SatResult:
         """Seed the input bits' activity, in term-id order, and search."""
         self.solver.seed_activity(
             var for _, variables in sorted(self._inputs)
             for var in variables)
         return self.solver.solve(conflict_limit=conflict_limit,
-                                 time_limit=time_limit, deadline=deadline)
+                                 deadline=deadline)
 
     def literal(self, term: Term) -> int:
         """SAT literal equisatisfiable with a Boolean term."""

@@ -474,24 +474,18 @@ class SatSolver:
     # ------------------------------------------------------------------ #
 
     def solve(self, conflict_limit: Optional[int] = None,
-              time_limit: Optional[float] = None,
               deadline: Optional[Deadline] = None) -> SatResult:
         """Run the CDCL search over the clause database, once.
 
-        ``conflict_limit``/``time_limit`` bound the search and yield
-        ``UNKNOWN`` on exhaustion — the reproduction's analogue of the
-        paper's 10-second per-query solver budget.  ``deadline`` is an
-        absolute cap (the query's shared clock across slicing/preprocess/
-        search); the tighter of the two bounds applies.
+        ``conflict_limit`` and ``deadline`` bound the search and yield
+        ``UNKNOWN`` on exhaustion.  ``deadline`` is the query's one
+        clock, started before slicing (the paper's 10-second per-query
+        budget); the search keeps no clock of its own.
         """
         if self._unsat:
             return SatResult(SatStatus.UNSAT)
 
-        stop_at = time.monotonic() + time_limit \
-            if time_limit is not None else None
-        if deadline is not None and deadline.expires_at is not None:
-            stop_at = deadline.expires_at if stop_at is None \
-                else min(stop_at, deadline.expires_at)
+        stop_at = deadline.expires_at if deadline is not None else None
 
         # Install root-level units.
         for lit in self._pending_units:

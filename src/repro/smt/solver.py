@@ -77,7 +77,8 @@ class SolverConfig:
     conflict_limit: Optional[int] = 200_000
     #: The paper's per-query budget.  This bounds the *whole* query —
     #: slicing, condition transformation, preprocessing and the SAT
-    #: search share one :class:`~repro.limits.Deadline` derived from it.
+    #: search share one :class:`~repro.limits.Deadline` derived from it
+    #: (or from the run's ``FaultPolicy.query_timeout``, when set).
     time_limit: Optional[float] = 10.0
 
 
@@ -143,7 +144,7 @@ class SmtSolver:
                 blaster.assert_true(constraint)
             sat_result = blaster.solve(
                 conflict_limit=self.config.conflict_limit,
-                time_limit=self.config.time_limit, deadline=deadline)
+                deadline=deadline)
         except QueryDeadlineExceeded:
             return result(SmtStatus.UNKNOWN, decided_by=DecidedBy.TIMEOUT)
 

@@ -541,9 +541,9 @@ def test_a_raising_query_checks_paused(check_seen):
 
 
 def test_an_expired_query_timeout_leaves_the_collector_on(check_seen):
-    session = AnalysisSession(materialize("ffmpeg").source,
-                              settings=EngineSettings(query_timeout=0.002))
-    result = session.analyze("null-deref")
+    session = AnalysisSession(materialize("ffmpeg").source)
+    result = session.analyze("null-deref", exec_config=ExecConfig(
+        faults=FaultPolicy(query_timeout=0.002)))
     assert result.unknown_queries > 0
     assert_checked_paused(check_seen)
 

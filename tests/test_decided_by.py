@@ -5,6 +5,8 @@ telemetry ``decided_by`` section equals the tally over the run's reports
 (docs/analysis.md, "Why this verdict").  ``TestOverrunAfterSlicing``
 pins the deadline that fires after slicing: it is a ``timeout``, counted
 as errored and as a circuit-breaker failure, never a clean solve.
+``TestOneClock`` pins that the query's deadline is the search's only
+clock.
 """
 
 import json
@@ -14,14 +16,17 @@ import pytest
 
 from repro.baselines.pinpoint import PinpointEngine
 from repro.bench import run_engine
+from repro.bench.runner import pdg_for
 from repro.checkers import NullDereferenceChecker
 from repro.cli import main
+from repro.engine import build_engine
 from repro.exec import (ArtifactStore, CircuitBreaker, ExecConfig, FaultPlan,
                         FaultPolicy, Telemetry)
-from repro.fusion import FusionEngine, prepare_pdg
+from repro.fusion import (FusionConfig, FusionEngine, GraphSolverConfig,
+                          prepare_pdg)
 from repro.lang import LoweringConfig, compile_source
 from repro.limits import Deadline
-from repro.smt.solver import DecidedBy
+from repro.smt.solver import DecidedBy, SolverConfig
 from test_breaker import SOURCE, make_engine, run
 
 
@@ -124,3 +129,27 @@ class TestOverrunAfterSlicing:
         # breaker on each of the two groups.
         assert snapshot["breaker"]["trips"] == 2
         assert breaker.open_count() == 2
+
+
+class TestOneClock:
+    """A query's ``Deadline`` is its only clock: the SAT search keeps no
+    stopwatch of its own, so a run's ``FaultPolicy.query_timeout`` bounds
+    the search even where it outlasts the solver's ``time_limit``."""
+
+    @pytest.mark.parametrize("subject", ["vortex", "mysql"])
+    def test_query_timeout_alone_bounds_the_search(self, subject):
+        pdg = pdg_for(subject)
+        checker = NullDereferenceChecker()
+
+        def verdicts(engine, **kwargs):
+            result = engine.analyze(checker, **kwargs)
+            return [(record.status, report.decided_by, report.witness)
+                    for record, report in zip(engine.query_records,
+                                              result.reports)]
+
+        default = verdicts(build_engine("fusion", pdg, want_model=True))
+        assert DecidedBy.SAT in {decided_by for _, decided_by, _ in default}
+        no_limit = FusionEngine(pdg, FusionConfig(solver=GraphSolverConfig(
+            want_model=True, solver=SolverConfig(time_limit=0.0))))
+        assert verdicts(no_limit, exec_config=ExecConfig(
+            faults=FaultPolicy(query_timeout=5))) == default

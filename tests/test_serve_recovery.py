@@ -285,8 +285,8 @@ class TestCrashRecovery:
 # --------------------------------------------------------------------- #
 
 #: ``EngineSettings.to_payload()`` as the version with the triage pass,
-#: the ``--[no-]sparsify`` switch, solver sessions and loop summaries
-#: journaled it, at its defaults.
+#: the ``--[no-]sparsify`` switch, solver sessions, loop summaries and an
+#: engine-level query timeout journaled it, at its defaults.
 PARENT_SETTINGS = {"engine": "fusion", "want_model": True,
                    "incremental": True, "triage": False, "sparsify": True,
                    "query_timeout": None, "loop_unroll": 2, "width": 8,
@@ -352,7 +352,7 @@ class TestParentJournals:
         for flipped in ({"triage": True}, {"sparsify": False},
                         {"incremental": "false"},
                         {"loop_strategy": "bogus"}, {"loop_paths": "64"},
-                        {"loop_unroll": -1}):
+                        {"loop_unroll": -1}, {"query_timeout": 5.0}):
             tmp = str(tmp_path / next(iter(flipped)))
             self.crash_with_journal(tmp, {**PARENT_SETTINGS, **flipped})
 

@@ -14,13 +14,12 @@ steps"):
 * a commit writes only the entries it solved: a warm run writes
   nothing;
 * the index lives and dies with its PDG: it never keeps an old program
-  version alive and is never pickled into process workers.
+  version alive.
 """
 
 import gc
 import hashlib
 import json
-import pickle
 import re
 import weakref
 
@@ -224,15 +223,3 @@ def test_old_version_is_released_after_an_edit(tmp_path):
     session.update_source(edit_one_constant(source))
     gc.collect()
     assert old_pdg() is None
-
-
-def test_index_is_never_pickled(tmp_path):
-    session = AnalysisSession(fuzz_source(4))
-    pdg = session.pdg
-    assert pdg.store_index is None
-    before = len(pickle.dumps(pdg))
-    ArtifactStore(str(tmp_path)).bind(pdg, {"engine": "fusion"},
-                                      "null-deref", Telemetry())
-    assert pdg.store_index is not None
-    assert len(pickle.dumps(pdg)) == before
-    assert pickle.loads(pickle.dumps(pdg)).store_index is None
