@@ -220,10 +220,11 @@ class AnalysisSession:
         #: Per-pair demand-verdict memo for the current program version
         #: (cleared on every edit; see :meth:`query`).
         self._query_cache: dict = {}
-        #: Line index of the current source (see
-        #: :func:`repro.query.sites.line_index`), built by the version's
-        #: first query and shared by every site resolution after it.
-        self._line_index = None
+        #: Line index of the current source
+        #: (:class:`repro.query.sites.LineMap`): a query lexes only the
+        #: top-level item holding its line, and an item that kept its
+        #: text and position keeps its profiles across versions.
+        self.lines = None
         #: Compiled functions of the current version
         #: (:class:`repro.lang.frontend.FrontendCache`): an edit parses
         #: and lowers only the functions it changed.  Created by the
@@ -247,10 +248,12 @@ class AnalysisSession:
         engine and its views stay.  Otherwise the new engine rebuilds
         each per-checker sparse view on first use; it only takes over
         the old views' telemetry counters
-        (:meth:`repro.pdg.reduce.ViewRegistry.adopt`).
+        (:meth:`repro.pdg.reduce.ViewRegistry.adopt`).  The line index
+        keeps the profiles of every item whose text and position stayed.
         """
         from repro.fusion import prepare_pdg
         from repro.lang.frontend import FrontendCache
+        from repro.query.sites import LineMap
 
         if self.frontend is None:
             self.frontend = FrontendCache(self.settings.lowering())
@@ -264,9 +267,9 @@ class AnalysisSession:
                     and getattr(engine, "views", None) is not None:
                 engine.views.adopt(old_engine.views)
             self.program, self.pdg, self.engine = program, pdg, engine
+        self.lines = LineMap(source, frontend.items, self.lines)
         self.source, self.frontend = source, frontend
         self._query_cache.clear()
-        self._line_index = None
         self.generation += 1
 
     def analyze(self, checker: str, *, exec_config=None,
@@ -305,8 +308,7 @@ class AnalysisSession:
         per-candidate solve path to dispatch the pair through).
         """
         from repro.query.engine import cached_verdict, run_demand_query
-        from repro.query.sites import (line_index, resolve_def_sites,
-                                       resolve_sink_sites)
+        from repro.query.sites import resolve_def_sites, resolve_sink_sites
 
         if self.engine is None:
             raise RuntimeError("AnalysisSession has no program; call "
@@ -322,12 +324,9 @@ class AnalysisSession:
             line, col = sink
         else:
             line, col = sink, None
-        if self._line_index is None:
-            self._line_index = line_index(self.source)
-        index = self._line_index
         sink_sites = resolve_sink_sites(self.pdg, self.source,
                                         checker_obj, line, col,
-                                        index=index)
+                                        index=self.lines)
         if not sink_sites:
             raise ValueError(f"no {checker} sink at line {line}"
                              + (f" col {col}" if col is not None else ""))
@@ -336,7 +335,7 @@ class AnalysisSession:
         if def_line is not None:
             def_sites = resolve_def_sites(self.pdg, self.source,
                                           checker_obj, def_line,
-                                          index=index)
+                                          index=self.lines)
             if not def_sites:
                 raise ValueError(f"no {checker} source at line "
                                  f"{def_line}")

@@ -72,6 +72,10 @@ class FrontendCache:
         #: Functions the compile that made this cache parsed / lowered.
         self.parsed: tuple[str, ...] = ()
         self.lowered: tuple[str, ...] = ()
+        #: The compiled source's top-level items, None if the compile
+        #: that made this cache could not cut it (site resolution,
+        #: :class:`repro.query.sites.LineMap`, indexes them one by one).
+        self.items: Optional[list[TopLevelItem]] = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -95,7 +99,8 @@ class FrontendCache:
         pending: list[tuple[TopLevelItem, str, ReturnSummary,
                             Optional[_Entry], Optional[FunctionDecl]]] = []
         parsed: list[str] = []
-        for item in top_level_items(source):
+        items = top_level_items(source)
+        for item in items:
             if item.kind == "extern":
                 program.externs.update(
                     decl.name for decl in _parse(source, item).externs)
@@ -133,6 +138,7 @@ class FrontendCache:
             entries[item.key] = entry
         successor = FrontendCache(config, entries)
         successor.parsed, successor.lowered = tuple(parsed), tuple(lowered)
+        successor.items = items
         return program, successor
 
     def _lower(self, decl: FunctionDecl, returns: ReturnSummary,

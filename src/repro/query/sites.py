@@ -2,24 +2,29 @@
 
 IR statements carry no source locations — only tokens do — so a demand
 query's ``--sink LINE[:COL]`` / ``--def LINE`` coordinates are resolved
-through a line index built by one token pass over the held source: the
-enclosing function is tracked via ``fun`` headers and brace depth, and
-the names mentioned on the target line (callees and assignment targets)
-are matched against that function's vertices.  Loop unrolling and
-recursion cloning duplicate a source line into several vertices (``x``
-vs ``x.1``, ``f`` vs ``f%1``); a site deliberately resolves to *all* of
+through a line index built by a token pass: the enclosing function is
+tracked via ``fun`` headers and brace depth, and the names mentioned on
+the target line (callees and assignment targets) are matched against
+that function's vertices.  A hot session does not lex its whole source
+for that: :class:`LineMap` lexes only the top-level item that holds the
+line, and carries an item's profiles to the next program version while
+the item's text and position stay.  Loop unrolling and recursion
+cloning duplicate a source line into several vertices (``x`` vs
+``x.1``, ``f`` vs ``f%1``); a site deliberately resolves to *all* of
 them, so the demand walk sees exactly the candidates a full analysis
 would report for the line.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 from repro.checkers.base import Checker
 from repro.lang.ir import Call
 from repro.lang.lexer import Token, TokenKind, iter_tokens
+from repro.lang.scan import TopLevelItem
 from repro.pdg.graph import ProgramDependenceGraph, Vertex
 
 
@@ -39,13 +44,14 @@ class LineProfile:
     called_cols: list[int] = field(default_factory=list)
 
 
-def line_index(source: str) -> dict[int, LineProfile]:
+def line_index(source: str, first_line: int = 1) -> dict[int, LineProfile]:
     """Profile every line of ``source`` that holds a token, in one pass.
 
     A line missing from the index (blank or comment-only) mentions
     nothing; :func:`resolve_sink_sites` and :func:`resolve_def_sites`
-    read it as ``LineProfile(line)``.  A hot session builds the index
-    once per program version, so each site resolution costs one line.
+    read it as ``LineProfile(line)``.  ``first_line`` numbers the first
+    line of ``source`` (:class:`LineMap` indexes one item at its real
+    line).
     """
     index: dict[int, LineProfile] = {}
     current: Optional[str] = None
@@ -55,7 +61,7 @@ def line_index(source: str) -> dict[int, LineProfile]:
     # An identifier waiting for the next token to say whether it is
     # called or assigned, with the profile of its line.
     waiting: Optional[tuple[Token, LineProfile]] = None
-    for token in iter_tokens(source):
+    for token in iter_tokens(source, first_line):
         kind = token.kind
         if waiting is not None:
             name, profile = waiting
@@ -88,8 +94,86 @@ def line_index(source: str) -> dict[int, LineProfile]:
     return index
 
 
+class _Run(NamedTuple):
+    """Top-level items lexed together: each after the first starts on
+    the line where the one before it ends."""
+
+    first: int  # line of the first item
+    last: int  # line where the last item ends
+    start: int  # source offset of the first item
+    end: int  # source offset just past the last item
+    column: int  # column of the first item
+    #: (key, line, column) of each item: equal keys lex to equal tokens,
+    #: so equal runs have equal profiles.
+    key: tuple
+
+
+class LineMap:
+    """The line index of one program version, built one top-level item
+    at a time.
+
+    ``items`` are the source's top-level items
+    (:func:`repro.lang.scan.top_level_items`, which
+    :class:`repro.lang.frontend.FrontendCache` keeps), or None for a
+    source the scan could not cut: then the first lookup lexes the whole
+    source.  Otherwise a lookup lexes only the run of items that holds
+    its line (items sharing a source line are lexed together), at its
+    real line and column.  A run of ``previous`` (the map of the version
+    before) whose items kept their keys, lines and columns hands its
+    profiles over unbuilt.  :meth:`get` answers as
+    ``line_index(source).get`` does.
+    """
+
+    def __init__(self, source: str,
+                 items: Optional[Sequence[TopLevelItem]],
+                 previous: Optional["LineMap"] = None) -> None:
+        self._source = source
+        self._whole: Optional[dict[int, LineProfile]] = None
+        self._runs: Optional[list[_Run]] = None
+        self._firsts: list[int] = []
+        self._built: dict[tuple, dict[int, LineProfile]] = {}
+        if items is None:
+            return
+        runs: list[_Run] = []
+        for item in items:
+            last = item.line + source.count("\n", item.start, item.end)
+            ident = (item.key, item.line, item.column)
+            if runs and runs[-1].last == item.line:
+                run = runs[-1]
+                runs[-1] = run._replace(last=last, end=item.end,
+                                        key=run.key + (ident,))
+            else:
+                runs.append(_Run(item.line, last, item.start, item.end,
+                                 item.column, (ident,)))
+        self._runs = runs
+        self._firsts = [run.first for run in runs]
+        if previous is not None and previous._built:
+            built = previous._built
+            self._built = {run.key: built[run.key] for run in runs
+                           if run.key in built}
+
+    def get(self, line: int,
+            default: Optional[LineProfile] = None) -> Optional[LineProfile]:
+        """The profile of ``line``, or ``default`` for a line that holds
+        no token."""
+        if self._runs is None:
+            if self._whole is None:
+                self._whole = line_index(self._source)
+            return self._whole.get(line, default)
+        at = bisect_right(self._firsts, line) - 1
+        if at < 0 or line > self._runs[at].last:
+            return default
+        run = self._runs[at]
+        profiles = self._built.get(run.key)
+        if profiles is None:
+            text = " " * (run.column - 1) + self._source[run.start:run.end]
+            profiles = self._built[run.key] = line_index(text, run.first)
+        return profiles.get(line, default)
+
+
 def _profile(source: str, line: int,
-             index: Optional[dict[int, LineProfile]]) -> LineProfile:
+             index: Optional[dict[int, LineProfile] | LineMap]
+             ) -> LineProfile:
     if index is None:
         index = line_index(source)
     profile = index.get(line)
@@ -133,15 +217,15 @@ def _line_vertices(pdg: ProgramDependenceGraph,
 def resolve_sink_sites(pdg: ProgramDependenceGraph, source: str,
                        checker: Checker, line: int,
                        col: Optional[int] = None,
-                       index: Optional[dict[int, LineProfile]] = None
-                       ) -> list[Vertex]:
+                       index: Optional[dict[int, LineProfile] | LineMap]
+                       = None) -> list[Vertex]:
     """Vertices completing the checker's bug pattern at ``line``.
 
     A vertex qualifies when the line selects it *and* it receives at
     least one sink edge.  ``col`` narrows a line with several calls to
     the one whose callee token covers (or starts nearest after) the
-    column.  ``index`` is the source's :func:`line_index`; without it
-    the whole source is lexed.
+    column.  ``index`` is the source's :func:`line_index` or
+    :class:`LineMap`; without it the whole source is lexed.
     """
     profile = _profile(source, line, index)
     if col is not None and profile.called:
@@ -166,14 +250,15 @@ def resolve_sink_sites(pdg: ProgramDependenceGraph, source: str,
 
 def resolve_def_sites(pdg: ProgramDependenceGraph, source: str,
                       checker: Checker, line: int,
-                      index: Optional[dict[int, LineProfile]] = None
-                      ) -> list[Vertex]:
-    """Source vertices (checker facts) created at ``line``."""
+                      index: Optional[dict[int, LineProfile] | LineMap]
+                      = None) -> list[Vertex]:
+    """Source vertices (checker facts) created at ``line``; ``index``
+    as for :func:`resolve_sink_sites`."""
     profile = _profile(source, line, index)
     matched = {vertex.index for vertex in _line_vertices(pdg, profile)}
     return [vertex for vertex in checker.sources(pdg)
             if vertex.index in matched]
 
 
-__all__ = ["LineProfile", "line_index", "resolve_sink_sites",
+__all__ = ["LineProfile", "LineMap", "line_index", "resolve_sink_sites",
            "resolve_def_sites"]

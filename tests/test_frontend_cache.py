@@ -16,11 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.query.sites as sites
 from repro.engine import AnalysisSession, findings_payload
 from repro.exec import ArtifactStore
 from repro.lang import LoweringError, compile_source, tokenize
 from repro.lang.frontend import FrontendCache
 from repro.lang.scan import block_end, mask_comments, top_level_items
+from repro.query.sites import LineProfile, line_index
 from repro.smt.solver import DecidedBy
 from ir_pretty import format_program
 from test_serve_differential import SEEDS, fuzz_source
@@ -268,6 +270,70 @@ class TestReuse:
             cold_verdict = cold.query("null-deref", sink=line + 3)
             assert json.dumps(hot_verdict.to_payload()) \
                 == json.dumps(cold_verdict.to_payload())
+
+
+class TestLineMap:
+    """``AnalysisSession.lines`` lexes one item at a time and carries an
+    item's profiles while its key, line and column stay."""
+
+    @pytest.fixture
+    def lexed(self, monkeypatch):
+        """Tokens site resolution lexes, counted by a spy on
+        ``repro.query.sites.iter_tokens``."""
+        count = [0]
+        real = sites.iter_tokens
+
+        def counting(source, first_line=1):
+            for token in real(source, first_line):
+                count[0] += 1
+                yield token
+
+        monkeypatch.setattr(sites, "iter_tokens", counting)
+        return count
+
+    @staticmethod
+    def check_every_line(session, lexed) -> int:
+        """Every line's lookup equals a fresh whole-source index; returns
+        the tokens the lookups lexed."""
+        expected = line_index(session.source)
+        lexed[0] = 0
+        got = {line: session.lines.get(line, LineProfile(line))
+               for line in range(session.source.count("\n") + 3)}
+        assert got == {line: expected.get(line, LineProfile(line))
+                       for line in got}
+        return lexed[0]
+
+    def test_edits_rebuild_only_what_they_moved_or_changed(self, lexed):
+        session = AnalysisSession(corpus_source(7))
+        whole = len(list(sites.iter_tokens(session.source)))
+        # Each item is lexed once, with an EOF token of its own.
+        assert self.check_every_line(session, lexed) \
+            == whole + len(top_level_items(session.source)) - 1
+        counts = {}
+        for kind, n in (("bump", 3), ("comment", 5), ("comment_line", 2),
+                        ("remove_function", 1)):
+            session.update_source(apply_edit(session.source, kind, n))
+            counts[kind] = self.check_every_line(session, lexed)
+        assert counts["comment"] == 0
+        assert 0 < counts["bump"] < whole
+        assert counts["remove_function"] < whole
+
+    def test_the_first_query_lexes_only_its_item(self, lexed):
+        source = corpus_source(8)
+        session = AnalysisSession(source)
+        sink = next(n for n, line in enumerate(source.split("\n"), 1)
+                    if "deref(" in line)
+        lexed[0] = 0
+        session.query("null-deref", sink=sink)
+        (item,) = [item for item in top_level_items(source)
+                   if item.line <= sink <= item.line
+                   + source.count("\n", item.start, item.end)]
+        text = " " * (item.column - 1) + source[item.start:item.end]
+        assert lexed[0] == len(list(sites.iter_tokens(text)))
+        lexed[0] = 0
+        session.update_source(apply_edit(source, "comment", 3))
+        session.query("null-deref", sink=sink)
+        assert lexed[0] == 0
 
 
 class TestScan:

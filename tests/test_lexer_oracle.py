@@ -5,7 +5,8 @@ whole-token-list line walk.  Over arbitrary Unicode text and over
 grammar-shaped text, the fast lexer must yield the same tokens (kind,
 text, location, the ``EOF`` location included) or raise the same
 ``LexError``; over the 25-seed fuzz corpus, the line index must give
-the oracle's ``LineProfile`` for every line.
+the oracle's ``LineProfile`` for every line, and a session's per-item
+lookup (``AnalysisSession.lines``) must give the whole-source index's.
 """
 
 import pytest
@@ -13,10 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexer_oracle import oracle_profile, oracle_tokens
+import repro.lang.frontend as frontend
 from repro.bench import SubjectSpec, generate_subject
+from repro.engine import AnalysisSession
 from repro.lang import LexError, tokenize
 from repro.lang.lexer import KEYWORDS, OPERATORS
-from repro.query.sites import LineProfile, line_index
+from repro.lang.scan import top_level_items
+from repro.query.sites import LineMap, LineProfile, line_index
 
 
 def outcome(lex, source):
@@ -113,3 +117,45 @@ def test_line_index_matches_the_token_walk(seed):
     profiles_match(source)
     kinds = profiles_match(annotated(source))
     assert all(kinds.values()), kinds
+
+
+#: An ``extern`` before and after a ``fun`` on one line.
+SHARED_LINE = ("extern ext_a; fun three(d) { e = ext_a(d); return e; } "
+               "extern ext_b;")
+
+
+def lookups_match(lines, source):
+    """``lines.get`` equals the whole-source index on every line."""
+    index = line_index(source)
+    for line in range(source.count("\n") + 3):
+        expected = index.get(line, LineProfile(line))
+        got = lines.get(line, LineProfile(line))
+        assert got == expected, f"line {line}: {got} != {expected}"
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_per_item_lookup_matches_the_whole_source_index(seed):
+    raw = fuzz_source(seed)
+    shared = annotated(raw) + "\n" + SHARED_LINE
+    for source in (raw, annotated(raw), shared):
+        session = AnalysisSession(source)
+        assert session.frontend.items is not None
+        lookups_match(session.lines, source)
+
+
+def test_a_source_the_scan_cannot_cut_is_indexed_whole(monkeypatch):
+    stray = "x = 1;\n" + annotated(fuzz_source(0))
+    with pytest.raises(ValueError):
+        top_level_items(stray)
+    lookups_match(LineMap(stray, None), stray)
+
+    # A compiling source reaches the fallback only when the scan fails;
+    # the frontend cache then compiles whole and keeps no items.
+    def refuse(source):
+        raise ValueError("refused")
+
+    monkeypatch.setattr(frontend, "top_level_items", refuse)
+    source = annotated(fuzz_source(1)) + "\n" + SHARED_LINE
+    session = AnalysisSession(source)
+    assert session.frontend.items is None
+    lookups_match(session.lines, source)

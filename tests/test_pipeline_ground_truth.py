@@ -58,7 +58,7 @@ from repro.engine.core import CHECKER_FACTORIES
 from repro.exec import ArtifactStore
 from repro.fusion import prepare_pdg
 from repro.lang import LoweringConfig, compile_source
-from repro.query.sites import resolve_sink_sites
+from repro.query.sites import line_index, resolve_sink_sites
 from repro.serve import ServeApp, ServeConfig
 from full_walk_oracle import FullWalkFusion, FullWalkPinpoint
 from interp_oracle import FactModel, Interpreter
@@ -424,9 +424,11 @@ def demand_verdicts(source: str) -> tuple[dict[str, set], set]:
                 continue
             pairs |= finding_pairs(hot.pdg, verdict.findings)
         verdicts[checker] = pairs
+    index = line_index(source)
     divisions = {site(vertex) for line in sink_lines(source)
                  for vertex in resolve_sink_sites(
-                     hot.pdg, source, DivByZeroChecker(), line)}
+                     hot.pdg, source, DivByZeroChecker(), line,
+                     index=index)}
     return verdicts, divisions
 
 

@@ -26,7 +26,7 @@ from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
 from repro.engine import AnalysisSession, EngineSettings, findings_payload
 from repro.exec import ArtifactStore, ExecConfig, Telemetry
-from repro.query import resolve_def_sites, resolve_sink_sites
+from repro.query import line_index, resolve_def_sites, resolve_sink_sites
 
 SEEDS = list(range(25))
 ENGINES = ("fusion", "pinpoint")
@@ -43,9 +43,11 @@ def fuzz_source(seed: int) -> str:
 def sink_lines(session, source):
     """(line, resolved sink vertices) for every line carrying a sink."""
     checker = NullDereferenceChecker()
+    index = line_index(source)
     out = []
     for line in range(1, source.count("\n") + 2):
-        sinks = resolve_sink_sites(session.pdg, source, checker, line)
+        sinks = resolve_sink_sites(session.pdg, source, checker, line,
+                                   index=index)
         if sinks:
             out.append((line, sinks))
     return out
@@ -245,6 +247,7 @@ def test_def_restriction_narrows_to_the_pair():
                   in enumerate(source.splitlines(), 1)
                   if "null" in text]
     lines = sink_lines(query_session, source)
+    index = line_index(source)
     narrowed = 0
     for def_line in null_lines:
         for line, sinks in lines:
@@ -256,7 +259,7 @@ def test_def_restriction_narrows_to_the_pair():
                 continue  # no checker source on that line
             defs = {vertex.index for vertex in resolve_def_sites(
                 query_session.pdg, source, NullDereferenceChecker(),
-                def_line)}
+                def_line, index=index)}
             expected = [finding for finding, report
                         in zip(full_findings, full.reports)
                         if report.sink.index in sink_set

@@ -196,7 +196,7 @@ def test_query_latency_on_hot_tenant():
 
     from repro.bench import SubjectSpec, generate_subject
     from repro.checkers import NullDereferenceChecker
-    from repro.query import resolve_sink_sites
+    from repro.query import line_index, resolve_sink_sites
 
     spec = SubjectSpec("soak-query", seed=11, num_functions=80,
                        layers=4, avg_stmts=8, call_fanout=2,
@@ -205,8 +205,10 @@ def test_query_latency_on_hot_tenant():
     assert source.count("\n") >= 2000, "tenant shrank below 2k lines"
     probe = AnalysisSession(source)
     checker = NullDereferenceChecker()
+    index = line_index(source)
     lines = [number for number in range(1, source.count("\n") + 2)
-             if resolve_sink_sites(probe.pdg, source, checker, number)]
+             if resolve_sink_sites(probe.pdg, source, checker, number,
+                                   index=index)]
     assert lines, "soak tenant lost its sinks"
 
     async def main():

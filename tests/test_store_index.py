@@ -36,7 +36,7 @@ from repro.fusion import prepare_pdg
 from repro.fusion.quickpath import QuickPathTable
 from repro.lang import compile_source
 from repro.lang.fingerprint import program_keys
-from repro.query import resolve_sink_sites
+from repro.query import line_index, resolve_sink_sites
 from repro.sparse.engine import SparseConfig, collect_candidates
 
 
@@ -57,9 +57,10 @@ def edit_one_constant(source: str) -> str:
 
 def sink_lines(session) -> list[int]:
     checker = NullDereferenceChecker()
+    index = line_index(session.source)
     return [line for line in range(1, session.source.count("\n") + 2)
             if resolve_sink_sites(session.pdg, session.source, checker,
-                                  line)]
+                                  line, index=index)]
 
 
 @pytest.fixture
