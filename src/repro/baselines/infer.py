@@ -12,7 +12,7 @@ Models the analyzer the paper compares against in Section 5.2:
 * **Path-insensitive** — facts join at merge points with no branch
   conditions, so infeasible-path reports are emitted as-is (the 66.1%
   false-positive rate of Table 5);
-* **Depth-bounded** — flows spanning more than ``max_hops`` call levels
+* **Depth-bounded** — flows spanning more than :data:`MAX_HOPS` call levels
   are dropped, modelling the "limited capability of detecting cross-file
   bugs" that costs Infer recall.
 """
@@ -39,6 +39,9 @@ if TYPE_CHECKING:
 #: A fact is ("param", i, hops) or ("src", vertex_index, hops).
 Fact = tuple
 
+#: Call levels a flow may span before it is dropped (the depth bound).
+MAX_HOPS = 3
+
 
 @dataclass
 class FunctionSummary:
@@ -55,7 +58,6 @@ class FunctionSummary:
 
 @dataclass
 class InferConfig:
-    max_hops: int = 3
     budget: Optional[Budget] = None
 
 
@@ -180,7 +182,6 @@ class InferEngine:
     def _call_facts(self, stmt: Call, vertex: Vertex, facts_of,
                     sink_names: frozenset[str], sanitizers: frozenset[str],
                     reports: set[tuple[int, int]]) -> set[Fact]:
-        max_hops = self.config.max_hops
         if stmt.callee in sanitizers:
             return set()
         if stmt.callee in sink_names:
@@ -195,11 +196,9 @@ class InferEngine:
 
         out: set[Fact] = set()
         for fact in callee_summary.returns:
-            propagated = self._instantiate(fact, stmt, facts_of, max_hops)
-            out |= propagated
+            out |= self._instantiate(fact, stmt, facts_of)
         for fact, sink_index in callee_summary.sink_hits:
-            for instantiated in self._instantiate(fact, stmt, facts_of,
-                                                  max_hops):
+            for instantiated in self._instantiate(fact, stmt, facts_of):
                 if instantiated[0] == "src":
                     reports.add((instantiated[1], sink_index))
         # Record the callee's own source-to-sink hits unconditionally.
@@ -208,16 +207,15 @@ class InferEngine:
                 reports.add((fact[1], sink_index))
         return out
 
-    def _instantiate(self, fact: Fact, stmt: Call, facts_of,
-                     max_hops: int) -> set[Fact]:
+    def _instantiate(self, fact: Fact, stmt: Call, facts_of) -> set[Fact]:
         kind, payload, hops = fact
-        if hops + 1 > max_hops:
+        if hops + 1 > MAX_HOPS:
             return set()  # the depth bound: deep flows are lost
         if kind == "src":
             return {("src", payload, hops + 1)}
         if payload < len(stmt.args):
             return {(k, p, h + 1) for (k, p, h) in facts_of(
-                stmt.args[payload]) if h + 1 <= max_hops}
+                stmt.args[payload]) if h + 1 <= MAX_HOPS}
         return set()
 
     # ------------------------------------------------------------------ #

@@ -8,8 +8,8 @@ cloned term DAGs and the cache actually holds them — so the time/memory
 gap against Fusion in the benchmarks emerges from genuine work, not from
 hard-coded constants.
 
-The variants arm the same engine with the formula-level tactics the paper
-evaluates in Section 5.1:
+The variants, named by :attr:`PinpointConfig.variant`, arm the same
+engine with the formula-level tactics the paper evaluates in Section 5.1:
 
 * ``+QE``  — quantifier-eliminate callee-local variables from each cached
   summary (Z3's ``qe``); explodes and memory-outs on all but tiny inputs.
@@ -23,7 +23,7 @@ evaluates in Section 5.1:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.checkers.base import BugCandidate
 from repro.engine.base import PathSensitiveEngine
@@ -36,21 +36,20 @@ from repro.smt.preprocess import constraint_set_size
 from repro.smt.solver import SmtResult, SmtSolver, SmtStatus, SolverConfig
 from repro.smt.tactics import eliminate_quantifier, hfs_simplify, lfs_simplify
 from repro.smt.terms import Term
-from repro.sparse.engine import SparseConfig
-
-#: Applied to each freshly expanded summary before caching.
-SummaryTactic = Callable[["PinpointEngine", str, list[Term]], list[Term]]
 
 
 @dataclass
 class PinpointConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
-    sparse: SparseConfig = field(default_factory=SparseConfig)
     budget: Optional[Budget] = None
-    summary_tactic: Optional[SummaryTactic] = None
-    #: AR mode: solve by iterative condition extension instead of one shot.
-    abstraction_refinement: bool = False
-    variant_suffix: str = ""
+    #: ``""`` (plain), or one of the variants ``"qe"``, ``"lfs"``,
+    #: ``"hfs"`` (each a summary tactic in :data:`_TACTICS`) and ``"ar"``
+    #: (solve by iterative condition extension instead of one shot).
+    variant: str = ""
+
+    def __post_init__(self) -> None:
+        if self.variant not in _TACTICS:
+            raise ValueError(f"unknown Pinpoint variant {self.variant!r}")
 
 
 class PinpointEngine(PathSensitiveEngine):
@@ -71,7 +70,8 @@ class PinpointEngine(PathSensitiveEngine):
 
     @property
     def name(self) -> str:
-        return "pinpoint" + self.config.variant_suffix
+        variant = self.config.variant
+        return f"pinpoint+{variant.upper()}" if variant else "pinpoint"
 
     @property
     def solver_config(self) -> SolverConfig:
@@ -88,7 +88,7 @@ class PinpointEngine(PathSensitiveEngine):
         if cached is not None:
             return cached
         constraints = self._expand(fn, needed_of, frozenset())
-        tactic = self.config.summary_tactic
+        tactic = _TACTICS[self.config.variant]
         if tactic is not None:
             constraints = tactic(self, fn, constraints)
         self._expanded_summaries[key] = constraints
@@ -132,17 +132,17 @@ class PinpointEngine(PathSensitiveEngine):
     def _fingerprint_extras(self) -> dict:
         """The summary tactic is keyed by name: the tactics are pure
         formula transforms, so equal names mean equal verdicts."""
-        tactic = self.config.summary_tactic
+        tactic = _TACTICS[self.config.variant]
         return {
             "summary_tactic": None if tactic is None else tactic.__name__,
-            "abstraction_refinement": self.config.abstraction_refinement,
+            "abstraction_refinement": self.config.variant == "ar",
         }
 
     def solve_one(self, candidate: BugCandidate, the_slice: Slice,
                   deadline: Optional[Deadline]) -> SmtResult:
         self._deadline = deadline
         try:
-            if self.config.abstraction_refinement:
+            if self.config.variant == "ar":
                 return self._solve_with_refinement(candidate, the_slice,
                                                    deadline=deadline)
             constraints = self._full_condition(candidate, the_slice)
@@ -255,22 +255,16 @@ def _hfs_tactic(engine: PinpointEngine, fn: str,
     return [simplified]
 
 
+#: Per variant, the tactic applied to each freshly expanded summary before
+#: caching (None: the summary is cached as expanded).
+_TACTICS = {"": None, "qe": _qe_tactic, "lfs": _lfs_tactic,
+            "hfs": _hfs_tactic, "ar": None}
+
+
 def make_pinpoint(pdg: ProgramDependenceGraph, variant: str = "",
                   budget: Optional[Budget] = None,
-                  solver: Optional[SolverConfig] = None,
-                  sparse: Optional[SparseConfig] = None) -> PinpointEngine:
+                  solver: Optional[SolverConfig] = None) -> PinpointEngine:
     """Factory for ``""`` (plain), ``"qe"``, ``"lfs"``, ``"hfs"``, ``"ar"``."""
-    tactics: dict[str, Optional[SummaryTactic]] = {
-        "": None, "qe": _qe_tactic, "lfs": _lfs_tactic, "hfs": _hfs_tactic,
-        "ar": None,
-    }
-    if variant not in tactics:
-        raise ValueError(f"unknown Pinpoint variant {variant!r}")
-    config = PinpointConfig(
+    return PinpointEngine(pdg, PinpointConfig(
         solver=solver if solver is not None else SolverConfig(),
-        sparse=sparse if sparse is not None else SparseConfig(),
-        budget=budget,
-        summary_tactic=tactics[variant],
-        abstraction_refinement=(variant == "ar"),
-        variant_suffix=f"+{variant.upper()}" if variant else "")
-    return PinpointEngine(pdg, config)
+        budget=budget, variant=variant))

@@ -35,14 +35,15 @@ from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.reduce import ViewRegistry
 from repro.pdg.slicing import Slice
 from repro.smt.solver import SmtResult, SolverConfig
-from repro.sparse.engine import collect_candidates
+from repro.sparse.engine import (MAX_CANDIDATES, MAX_PATH_LEN,
+                                 MAX_PATHS_PER_PAIR, REVISIT_CAP,
+                                 collect_candidates)
 
 
 class PathSensitiveEngine:
     """Base of the engines that decide each candidate with an SMT query
     (module docstring).  ``config`` must be a dataclass carrying
-    ``sparse`` and ``budget`` (pool workers get a copy without the
-    budget)."""
+    ``budget`` (pool workers get a copy without the budget)."""
 
     name: str
 
@@ -116,8 +117,7 @@ class PathSensitiveEngine:
         telemetry = telemetry if telemetry is not None else Telemetry()
         view = self.checker_view(checker, telemetry)
         with telemetry.span("sparse.collect"):
-            candidates = collect_candidates(self.pdg, checker,
-                                            self.config.sparse, view=view)
+            candidates = collect_candidates(self.pdg, checker, view=view)
         telemetry.add("counters", candidates=len(candidates))
         result = self.decide(checker, candidates, exec_config, telemetry,
                              store)
@@ -195,15 +195,16 @@ class PathSensitiveEngine:
         per-function content keys."""
         program = self.pdg.program
         solver = self.solver_config
-        sparse = self.config.sparse
         fingerprint = {
             "engine": self.name,
             "width": program.width,
             "enabled_passes": None if solver.enabled_passes is None
             else list(solver.enabled_passes),
-            "use_preprocess": solver.use_preprocess,
-            "sparse": [sparse.max_paths_per_pair, sparse.max_path_len,
-                       sparse.max_candidates, sparse.revisit_cap],
+            # Preprocessing became unconditional; the key stays so stores
+            # written while it was a setting keep replaying.
+            "use_preprocess": True,
+            "sparse": [MAX_PATHS_PER_PAIR, MAX_PATH_LEN, MAX_CANDIDATES,
+                       REVISIT_CAP],
             # Views are byte-identical to the full walk by contract, but
             # a footprint bug would silently replay wrong verdicts, so the
             # checker's footprint keys the store defensively (changing it

@@ -114,14 +114,15 @@ def analysis_payload(result: AnalysisResult, *, engine: str, checker: str,
 #: views became unconditional, solver sessions were deleted (they gave
 #: the verdicts a fresh solver gives), loops are always unrolled (loop
 #: summaries gave the verdicts unrolling gives, at any int path budget),
-#: and a query's timeout comes from the run's ``FaultPolicy`` alone (no
-#: front door set the engine's, so journals carry it unset).  A
-#: recovered journal may carry them at those values; any other value
-#: declines recovery.
+#: a query's timeout comes from the run's ``FaultPolicy`` alone (no
+#: front door set the engine's, so journals carry it unset), and a
+#: session always extracts witnesses.  A recovered journal may carry them
+#: at those values; any other value declines recovery.
 RETIRED_SETTINGS = {"triage": (False,), "sparsify": (True,),
                     "incremental": (True, False),
                     "loop_strategy": ("summaries", "unroll"),
-                    "loop_paths": (int,), "query_timeout": (None,)}
+                    "loop_paths": (int,), "query_timeout": (None,),
+                    "want_model": (True,)}
 
 
 def _retired(name: str, value) -> bool:
@@ -144,7 +145,6 @@ class EngineSettings:
     """
 
     engine: str = "fusion"
-    want_model: bool = True
     loop_unroll: int = 2
     width: int = 8
 
@@ -260,8 +260,7 @@ class AnalysisSession:
         program, frontend = self.frontend.compile(source)
         if not _same_program(self.program, program):
             pdg = prepare_pdg(program)
-            engine = build_engine(self.settings.engine, pdg,
-                                  want_model=self.settings.want_model)
+            engine = build_engine(self.settings.engine, pdg, want_model=True)
             old_engine = self.engine
             if getattr(old_engine, "views", None) is not None \
                     and getattr(engine, "views", None) is not None:
@@ -324,18 +323,16 @@ class AnalysisSession:
             line, col = sink
         else:
             line, col = sink, None
-        sink_sites = resolve_sink_sites(self.pdg, self.source,
-                                        checker_obj, line, col,
-                                        index=self.lines)
+        sink_sites = resolve_sink_sites(self.pdg, self.lines, checker_obj,
+                                        line, col)
         if not sink_sites:
             raise ValueError(f"no {checker} sink at line {line}"
                              + (f" col {col}" if col is not None else ""))
         sink_indices = frozenset(v.index for v in sink_sites)
         def_indices = None
         if def_line is not None:
-            def_sites = resolve_def_sites(self.pdg, self.source,
-                                          checker_obj, def_line,
-                                          index=self.lines)
+            def_sites = resolve_def_sites(self.pdg, self.lines, checker_obj,
+                                          def_line)
             if not def_sites:
                 raise ValueError(f"no {checker} source at line "
                                  f"{def_line}")

@@ -50,6 +50,13 @@ from repro.limits import Deadline
 #: (slicing, preprocessing, SAT search) follows.
 DELAY_TICK_SECONDS = 0.01
 
+#: Backoff before the first retry, doubled per attempt up to
+#: :data:`RETRY_BACKOFF_CAP` (the ceiling on a single sleep, so deep
+#: retry ladders cannot stall a request for seconds); see
+#: :func:`backoff_delay`.
+RETRY_BACKOFF = 0.05
+RETRY_BACKOFF_CAP = 2.0
+
 
 class InjectedFault(Exception):
     """Base class for deliberately injected failures."""
@@ -78,16 +85,6 @@ class FaultPolicy:
     #: process pool after worker death, and re-executions of a batch
     #: that raised, before its queries are synthesized as UNKNOWN.
     max_retries: int = 2
-    #: Base backoff before the first retry; doubled per attempt (capped
-    #: at :attr:`retry_backoff_cap`) with deterministic seeded jitter —
-    #: see :func:`backoff_delay`.
-    retry_backoff: float = 0.05
-    #: Ceiling on a single backoff sleep, so deep retry ladders cannot
-    #: stall a request for seconds.
-    retry_backoff_cap: float = 2.0
-    #: Seed folded into the jitter hash; fixed by default so fault-
-    #: injection tests reproduce their exact sleep schedule.
-    backoff_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.on_error not in ("unknown", "abort"):
@@ -96,19 +93,20 @@ class FaultPolicy:
                 f"got {self.on_error!r}")
 
 
-def backoff_delay(policy: FaultPolicy, attempt: int, token: int = 0) -> float:
+def backoff_delay(attempt: int, token: int = 0) -> float:
     """Capped exponential backoff with deterministic seeded jitter.
 
-    ``attempt`` 0 sleeps around ``retry_backoff``, doubling per attempt
-    up to ``retry_backoff_cap``.  The jitter factor (uniform in
-    [0.5, 1.0]) is drawn from a PRNG seeded by ``(backoff_seed, token,
-    attempt)`` — so concurrent retriers with distinct tokens (batch
-    ordinals, pool rebuilds) de-synchronize instead of thundering-herd
-    onto the pool, while the same run replays the same schedule.
+    ``attempt`` 0 sleeps around :data:`RETRY_BACKOFF`, doubling per
+    attempt up to :data:`RETRY_BACKOFF_CAP`.  The jitter factor (uniform
+    in [0.5, 1.0]) is drawn from a PRNG seeded by ``(token, attempt)`` —
+    so concurrent retriers with distinct tokens (batch ordinals, pool
+    rebuilds) de-synchronize instead of thundering-herd onto the pool,
+    while every run replays the same schedule.
     """
-    base = policy.retry_backoff * (2 ** max(0, attempt))
-    capped = min(policy.retry_backoff_cap, base)
-    rng = random.Random(f"{policy.backoff_seed}:{token}:{attempt}")
+    base = RETRY_BACKOFF * (2 ** max(0, attempt))
+    capped = min(RETRY_BACKOFF_CAP, base)
+    # The leading 0 is the seed of a retired knob; it keeps the schedule.
+    rng = random.Random(f"0:{token}:{attempt}")
     return capped * (0.5 + 0.5 * rng.random())
 
 

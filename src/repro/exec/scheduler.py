@@ -516,7 +516,7 @@ class QueryScheduler:
                 return lost
             # Token -1 keys the rebuild jitter stream apart from the
             # per-batch retry streams.
-            time.sleep(backoff_delay(policy, rebuilds - 1, token=-1))
+            time.sleep(backoff_delay(rebuilds - 1, token=-1))
             todo = [batch.bumped() for batch in lost]
         return []
 
@@ -594,8 +594,7 @@ class QueryScheduler:
         if batch.attempt >= self.config.faults.max_retries:
             return None
         self.telemetry.add("faults", batch_retries=1)
-        time.sleep(backoff_delay(self.config.faults, batch.attempt,
-                                 token=batch.ordinal))
+        time.sleep(backoff_delay(batch.attempt, token=batch.ordinal))
         return batch.bumped()
 
     def _synthesize(self, batch: _Batch, error: BaseException,

@@ -86,6 +86,26 @@ def _canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def seal(record: dict) -> str:
+    """``record`` plus the ``sha256`` of its canonical JSON, as canonical
+    JSON: the on-disk form of a store entry and of a journal line."""
+    return _canonical(dict(record, sha256=_sha(_canonical(record))))
+
+
+def unseal(text: str) -> Optional[dict]:
+    """The record :func:`seal` wrote; None for text that is not a JSON
+    object or whose checksum does not match (torn, bit-flipped)."""
+    try:
+        record = json.loads(text)
+    except ValueError:
+        return None
+    if not isinstance(record, dict):
+        return None
+    if record.pop("sha256", None) != _sha(_canonical(record)):
+        return None
+    return record
+
+
 #: Interface key of a function the program does not define.
 ABSENT_INTERFACE = _sha(_canonical({"exists": False}))
 
@@ -263,26 +283,18 @@ class ArtifactStore:
             self._count("read_errors")
             return None
         try:
-            payload = json.loads(raw.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
+            payload = unseal(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            payload = None
+        if payload is None:
             self._quarantine(path)
-            return None
-        if not isinstance(payload, dict):
-            self._quarantine(path)
-            return None
-        recorded = payload.pop("sha256", None)
-        if recorded != _sha(_canonical(payload)):
-            self._quarantine(path)
-            return None
         return payload
 
     def _write_json(self, path: str, payload: dict) -> None:
         """Atomic, checksummed, fsynced write; failures degrade to a
         future miss (counted, never raised)."""
         ordinal = self._next_op("write")
-        body = _canonical(dict(payload,
-                               sha256=_sha(_canonical(payload))))
-        data = body.encode("utf-8")
+        data = seal(payload).encode("utf-8")
         if self.fault_plan is not None:
             data = self.fault_plan.mangle_store_write(ordinal, data)
         try:

@@ -23,13 +23,11 @@ from repro.pdg.builder import build_pdg
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import Slice
 from repro.smt.solver import SmtResult, SolverConfig
-from repro.sparse.engine import SparseConfig
 
 
 @dataclass
 class FusionConfig:
     solver: GraphSolverConfig = field(default_factory=GraphSolverConfig)
-    sparse: SparseConfig = field(default_factory=SparseConfig)
     budget: Optional[Budget] = None
 
 

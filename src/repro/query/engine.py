@@ -160,8 +160,7 @@ def run_demand_query(engine, checker: Checker, sink_indices,
     view = engine.checker_view(checker, telemetry)
 
     selected, skipped = _select_sources(view, sinks, defs)
-    walked = collect_candidates(pdg, checker, engine.config.sparse,
-                                view=view, sources=selected)
+    walked = collect_candidates(pdg, checker, view=view, sources=selected)
     matched = [candidate for candidate in walked
                if candidate.sink.index in sinks
                and (defs is None or candidate.source.index in defs)]

@@ -171,15 +171,6 @@ class LineMap:
         return profiles.get(line, default)
 
 
-def _profile(source: str, line: int,
-             index: Optional[dict[int, LineProfile] | LineMap]
-             ) -> LineProfile:
-    if index is None:
-        index = line_index(source)
-    profile = index.get(line)
-    return profile if profile is not None else LineProfile(line)
-
-
 def _same_function(vertex_function: str, source_name: str) -> bool:
     """Recursion unrolling clones ``f`` into ``f%1``, ``f%2``, ...; a
     source-level function name matches every clone."""
@@ -214,20 +205,19 @@ def _line_vertices(pdg: ProgramDependenceGraph,
     return matched
 
 
-def resolve_sink_sites(pdg: ProgramDependenceGraph, source: str,
+def resolve_sink_sites(pdg: ProgramDependenceGraph,
+                       index: dict[int, LineProfile] | LineMap,
                        checker: Checker, line: int,
-                       col: Optional[int] = None,
-                       index: Optional[dict[int, LineProfile] | LineMap]
-                       = None) -> list[Vertex]:
+                       col: Optional[int] = None) -> list[Vertex]:
     """Vertices completing the checker's bug pattern at ``line``.
 
     A vertex qualifies when the line selects it *and* it receives at
     least one sink edge.  ``col`` narrows a line with several calls to
     the one whose callee token covers (or starts nearest after) the
     column.  ``index`` is the source's :func:`line_index` or
-    :class:`LineMap`; without it the whole source is lexed.
+    :class:`LineMap`.
     """
-    profile = _profile(source, line, index)
+    profile = index.get(line) or LineProfile(line)
     if col is not None and profile.called:
         best = None
         for name, start in zip(profile.called, profile.called_cols):
@@ -248,13 +238,12 @@ def resolve_sink_sites(pdg: ProgramDependenceGraph, source: str,
     return sinks
 
 
-def resolve_def_sites(pdg: ProgramDependenceGraph, source: str,
-                      checker: Checker, line: int,
-                      index: Optional[dict[int, LineProfile] | LineMap]
-                      = None) -> list[Vertex]:
+def resolve_def_sites(pdg: ProgramDependenceGraph,
+                      index: dict[int, LineProfile] | LineMap,
+                      checker: Checker, line: int) -> list[Vertex]:
     """Source vertices (checker facts) created at ``line``; ``index``
     as for :func:`resolve_sink_sites`."""
-    profile = _profile(source, line, index)
+    profile = index.get(line) or LineProfile(line)
     matched = {vertex.index for vertex in _line_vertices(pdg, profile)}
     return [vertex for vertex in checker.sources(pdg)
             if vertex.index in matched]

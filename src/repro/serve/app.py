@@ -65,8 +65,8 @@ from repro.serve.protocol import (COMPILE_ERROR, INTERNAL_ERROR,
                                   INVALID_PARAMS, METHOD_NOT_FOUND,
                                   OVERLOADED, PARSE_ERROR, SHUTTING_DOWN,
                                   UNKNOWN_TENANT, ServeError, optional_bool,
-                                  optional_number, optional_str,
-                                  parse_request, require_str,
+                                  optional_number, optional_position,
+                                  optional_str, parse_request, require_str,
                                   result_envelope)
 from repro.serve.tenancy import TenantRegistry, splice_function
 from repro.smt.solver import DecidedBy
@@ -75,6 +75,9 @@ from repro.smt.solver import DecidedBy
 #: (ping/telemetry/tenants/shutdown) is answered on the event loop and
 #: must stay responsive even under full load.
 HEAVY_METHODS = frozenset({"initialize", "update", "analyze", "query"})
+
+#: The checker an analyze request runs when it names none.
+DEFAULT_CHECKER = "null-deref"
 
 
 @dataclass
@@ -99,8 +102,6 @@ class ServeConfig:
     #: docs/robustness.md); applied to every analyze request, to every
     #: tenant store's I/O, and to HTTP response writes.
     fault_plan: Optional[FaultPlan] = None
-    #: Default checker when an analyze request names none.
-    checker: str = "null-deref"
     #: Journal every accepted program version for crash recovery
     #: (needs a durable cache_root to matter; see repro.serve.journal).
     journal: bool = True
@@ -287,9 +288,9 @@ class ServeApp:
         }
 
     def _checker_param(self, params: dict) -> str:
-        """The request's ``checker`` (the daemon's default when absent);
+        """The request's ``checker`` (:data:`DEFAULT_CHECKER` when absent);
         an unknown name is invalid params."""
-        checker = optional_str(params, "checker", self.config.checker)
+        checker = optional_str(params, "checker", DEFAULT_CHECKER)
         if checker not in CHECKER_FACTORIES:
             raise ServeError(
                 INVALID_PARAMS,
@@ -349,12 +350,12 @@ class ServeApp:
         construction — the response carries only the pair's verdict."""
         tenant = require_str(params, "tenant")
         checker = self._checker_param(params)
-        sink_line = optional_number(params, "sink")
+        sink_line = optional_position(params, "sink")
         if sink_line is None:
             raise ServeError(INVALID_PARAMS,
                              "query needs 'sink' (a 1-based line)")
-        sink_col = optional_number(params, "col")
-        def_line = optional_number(params, "def")
+        sink_col = optional_position(params, "col")
+        def_line = optional_position(params, "def")
         deadline = optional_number(params, "deadline_s",
                                    self.config.default_deadline)
         entry = self.tenants.get(tenant)
@@ -364,13 +365,8 @@ class ServeApp:
             try:
                 verdict = await self._in_pool(
                     lambda: entry.session.query(
-                        checker,
-                        sink=(int(sink_line),
-                              int(sink_col) if sink_col is not None
-                              else None),
-                        def_line=int(def_line) if def_line is not None
-                        else None,
-                        telemetry=run_telemetry,
+                        checker, sink=(sink_line, sink_col),
+                        def_line=def_line, telemetry=run_telemetry,
                         deadline_s=deadline))
             except ValueError as error:
                 # Site resolution failures (no sink/source at the line)

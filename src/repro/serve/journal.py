@@ -38,11 +38,11 @@ full disk degrades recovery, never serving.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from typing import Optional
+
+from repro.exec.store import seal, unseal
 
 #: Journal layout version; a record with any other schema is skipped.
 JOURNAL_SCHEMA = "repro-serve-journal/1"
@@ -53,32 +53,11 @@ COMPACT_THRESHOLD = 16
 JOURNAL_BASENAME = "journal.jsonl"
 
 
-def _sha(payload: str) -> str:
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def _sealed(record: dict) -> str:
-    """One journal line: the record plus its self-checksum."""
-    return _canonical(dict(record, sha256=_sha(_canonical(record))))
-
-
 def _unseal(line: str) -> Optional[dict]:
     """Parse and verify one journal line; None for anything torn,
     truncated, bit-flipped, or from another schema."""
-    try:
-        record = json.loads(line)
-    except ValueError:
-        return None
-    if not isinstance(record, dict):
-        return None
-    recorded = record.pop("sha256", None)
-    if recorded != _sha(_canonical(record)):
-        return None
-    if record.get("schema") != JOURNAL_SCHEMA:
+    record = unseal(line)
+    if record is None or record.get("schema") != JOURNAL_SCHEMA:
         return None
     return record
 
@@ -136,7 +115,7 @@ class SessionJournal:
         })
 
     def _append(self, record: dict) -> None:
-        line = _sealed(record) + "\n"
+        line = seal(record) + "\n"
         try:
             os.makedirs(self.store_root, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
@@ -190,7 +169,7 @@ class SessionJournal:
         tmp = f"{self.path}.tmp.{os.getpid()}"
         try:
             with open(tmp, "w", encoding="utf-8") as handle:
-                handle.write(_sealed(record) + "\n")
+                handle.write(seal(record) + "\n")
                 handle.flush()
                 os.fsync(handle.fileno())
             os.replace(tmp, self.path)

@@ -138,6 +138,18 @@ def optional_number(params: dict, key: str,
     return float(value)
 
 
+def optional_position(params: dict, key: str) -> Optional[int]:
+    """A 1-based line or column: a JSON integer, never a fraction (which
+    would silently name another line) or a bool."""
+    value = params.get(key)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, int) or value <= 0:
+        raise ServeError(INVALID_PARAMS,
+                         f"param {key!r} must be a positive integer")
+    return value
+
+
 def optional_bool(params: dict, key: str, default: bool = False) -> bool:
     value = params.get(key, default)
     if not isinstance(value, bool):

@@ -73,7 +73,6 @@ class SolverConfig:
     """Knobs shared by the conventional and graph-based solvers."""
 
     enabled_passes: Optional[Sequence[str]] = None  # None = all passes
-    use_preprocess: bool = True
     conflict_limit: Optional[int] = 200_000
     #: The paper's per-query budget.  This bounds the *whole* query —
     #: slicing, condition transformation, preprocessing and the SAT
@@ -124,22 +123,18 @@ class SmtSolver:
 
         try:
             deadline.check()
-            pre = None
-            residual = constraints
-            if self.config.use_preprocess:
-                pre = Preprocessor(self.manager,
-                                   enabled=self.config.enabled_passes
-                                   ).run(constraints, deadline=deadline)
-                if pre.verdict is not Verdict.UNKNOWN:
-                    if pre.verdict is Verdict.UNSAT:
-                        return result(SmtStatus.UNSAT, pre.stats,
-                                      decided_by=DecidedBy.PREPROCESS)
-                    return result(SmtStatus.SAT, pre.stats,
-                                  pre.complete_model({}) if want_model
-                                  else None, DecidedBy.PREPROCESS)
-                residual = pre.constraints
+            pre = Preprocessor(self.manager,
+                               enabled=self.config.enabled_passes
+                               ).run(constraints, deadline=deadline)
+            if pre.verdict is Verdict.UNSAT:
+                return result(SmtStatus.UNSAT, pre.stats,
+                              decided_by=DecidedBy.PREPROCESS)
+            if pre.verdict is Verdict.SAT:
+                return result(SmtStatus.SAT, pre.stats,
+                              pre.complete_model({}) if want_model
+                              else None, DecidedBy.PREPROCESS)
             blaster = BitBlaster()
-            for constraint in residual:
+            for constraint in pre.constraints:
                 deadline.check("bit-blasting")
                 blaster.assert_true(constraint)
             sat_result = blaster.solve(
@@ -148,7 +143,6 @@ class SmtSolver:
         except QueryDeadlineExceeded:
             return result(SmtStatus.UNKNOWN, decided_by=DecidedBy.TIMEOUT)
 
-        pre_stats = pre.stats if pre is not None else None
         conflicts = sat_result.conflicts
         sat_clauses = blaster.solver.num_clauses
         if sat_result.status is not SatStatus.SAT:
@@ -156,18 +150,17 @@ class SmtSolver:
             limit = self.config.conflict_limit
             clock = sat_result.status is SatStatus.UNKNOWN \
                 and (limit is None or conflicts < limit)
-            return result(SmtStatus(sat_result.status.value), pre_stats,
+            return result(SmtStatus(sat_result.status.value), pre.stats,
                           None, DecidedBy.TIMEOUT if clock else DecidedBy.SAT,
                           conflicts=conflicts, sat_clauses=sat_clauses)
-        answer = result(SmtStatus.SAT, pre_stats, conflicts=conflicts,
+        answer = result(SmtStatus.SAT, pre.stats, conflicts=conflicts,
                         sat_clauses=sat_clauses)
         if want_model:
             seen_vars: set[Term] = set()
-            for constraint in residual:
+            for constraint in pre.constraints:
                 seen_vars.update(constraint.free_vars())
-            model = {var: blaster.model_value(var, sat_result.model)
-                     for var in seen_vars}
-            answer.model = pre.complete_model(model) \
-                if pre is not None else model
+            answer.model = pre.complete_model(
+                {var: blaster.model_value(var, sat_result.model)
+                 for var in seen_vars})
         return answer
 

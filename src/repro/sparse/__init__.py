@@ -2,9 +2,9 @@
 
 from repro.sparse.paths import (DependencePath, Frame, FrameTable, PathStep,
                                 extend_path)
-from repro.sparse.engine import SparseConfig, collect_candidates
+from repro.sparse.engine import collect_candidates
 
 __all__ = [
     "DependencePath", "Frame", "FrameTable", "PathStep", "extend_path",
-    "SparseConfig", "collect_candidates",
+    "collect_candidates",
 ]

@@ -11,7 +11,6 @@ locates the cost difference (Figure 1(c)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.checkers.base import BugCandidate, Checker
@@ -21,23 +20,17 @@ from repro.sparse.paths import (DependencePath, FrameTable, PathStep,
                                 extend_path)
 
 
-@dataclass
-class SparseConfig:
-    """Exploration bounds.
-
-    Real analyzers cap witness enumeration the same way: one or two
-    concrete paths per (source, sink) report are enough, and revisit caps
-    keep diamond-shaped value flow from exploding the search.
-    """
-
-    max_paths_per_pair: int = 2
-    max_path_len: int = 80
-    max_candidates: int = 50_000
-    revisit_cap: int = 2
+# Exploration bounds.  Real analyzers cap witness enumeration the same
+# way: one or two concrete paths per (source, sink) report are enough, and
+# revisit caps keep diamond-shaped value flow from exploding the search.
+# The store fingerprint keys all four (``PathSensitiveEngine``).
+MAX_PATHS_PER_PAIR = 2
+MAX_PATH_LEN = 80
+MAX_CANDIDATES = 50_000
+REVISIT_CAP = 2
 
 
 def collect_candidates(pdg: ProgramDependenceGraph, checker: Checker,
-                       config: Optional[SparseConfig] = None,
                        frames: Optional[FrameTable] = None,
                        view=None, sources=None) -> list[BugCandidate]:
     """Run the sparse propagation and return all bug candidates.
@@ -63,10 +56,9 @@ def collect_candidates(pdg: ProgramDependenceGraph, checker: Checker,
     candidates produced for a selected source are byte-identical to the
     ones the full walk produces for it.  This is the demand-query entry
     point (``repro.query``); the one caveat is the global
-    ``max_candidates`` cap, which a restricted walk reaches later than a
-    full one.
+    :data:`MAX_CANDIDATES` cap, which a restricted walk reaches later
+    than a full one.
     """
-    config = config if config is not None else SparseConfig()
     if view is None:
         view = build_view(pdg, checker)
     if sources is None:
@@ -83,7 +75,7 @@ def collect_candidates(pdg: ProgramDependenceGraph, checker: Checker,
         stack = [DependencePath([PathStep(source, root)])]
         visits: dict[tuple[int, int], int] = {}
 
-        while stack and len(candidates) < config.max_candidates:
+        while stack and len(candidates) < MAX_CANDIDATES:
             path = stack.pop()
             for edge, is_sink in kept(path.steps[-1].vertex):
                 if is_sink:
@@ -92,15 +84,15 @@ def collect_candidates(pdg: ProgramDependenceGraph, checker: Checker,
                         continue
                     candidate = BugCandidate(checker.name, finished)
                     count = per_pair.get(candidate.key(), 0)
-                    if count < config.max_paths_per_pair:
+                    if count < MAX_PATHS_PER_PAIR:
                         per_pair[candidate.key()] = count + 1
                         candidates.append(candidate)
                     continue
                 extended = extend_path(path, edge, frames)
-                if extended is None or len(extended) > config.max_path_len:
+                if extended is None or len(extended) > MAX_PATH_LEN:
                     continue
                 state = (edge.dst.index, extended.steps[-1].frame.fid)
-                if visits.get(state, 0) >= config.revisit_cap:
+                if visits.get(state, 0) >= REVISIT_CAP:
                     continue
                 visits[state] = visits.get(state, 0) + 1
                 stack.append(extended)

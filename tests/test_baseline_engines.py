@@ -1,6 +1,9 @@
 """Focused tests for the baseline engines' internals."""
 
-from repro.baselines import InferConfig, InferEngine, PinpointEngine
+import pytest
+
+from repro.baselines import InferEngine, PinpointEngine
+from repro.baselines.infer import MAX_HOPS
 from repro.baselines.pinpoint import make_pinpoint
 from repro.checkers import NullDereferenceChecker, cwe23_checker
 from repro.fusion import prepare_pdg
@@ -140,16 +143,19 @@ class TestInferInternals:
         engine_big.analyze(NullDereferenceChecker())
         assert engine_small.state_units == engine_big.state_units > 0
 
-    def test_hop_bound_configurable(self):
+    @pytest.mark.parametrize("levels,bugs", [(MAX_HOPS - 1, 1),
+                                             (MAX_HOPS + 1, 0)])
+    def test_hop_bound(self, levels, bugs):
+        """A null returned through ``levels`` call levels is reported
+        only within the :data:`MAX_HOPS` depth bound."""
         src = ["fun l0() { p = null; return p; }"]
-        for i in range(1, 4):
+        for i in range(1, levels):
             src.append(f"fun l{i}() {{ q = l{i-1}(); return q; }}")
-        src.append("fun top() { r = l3(); deref(r); return 0; }")
+        src.append(f"fun top() {{ r = l{levels - 1}(); deref(r); "
+                   "return 0; }")
         pdg = prepare_pdg(compile_source("\n".join(src)))
-        shallow = InferEngine(pdg, InferConfig(max_hops=2))
-        assert len(shallow.analyze(NullDereferenceChecker()).bugs) == 0
-        deep = InferEngine(pdg, InferConfig(max_hops=10))
-        assert len(deep.analyze(NullDereferenceChecker()).bugs) == 1
+        engine = InferEngine(pdg)
+        assert len(engine.analyze(NullDereferenceChecker()).bugs) == bugs
 
     def test_taint_propagates_through_binary_for_cwe(self):
         pdg = prepare_pdg(compile_source("""

@@ -17,8 +17,7 @@ Contract (docs/robustness.md):
 import time
 
 from repro.engine import findings_payload
-from repro.exec import (CircuitBreaker, ExecConfig, FaultPlan, FaultPolicy,
-                        Telemetry)
+from repro.exec import CircuitBreaker, ExecConfig, FaultPlan, Telemetry
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.checkers import NullDereferenceChecker
 from repro.lang import LoweringConfig, compile_source
@@ -162,8 +161,7 @@ def run(engine, breaker, fault_plan=None):
     result = engine.analyze(
         NullDereferenceChecker(),
         exec_config=ExecConfig(jobs=1, breaker=breaker,
-                               fault_plan=fault_plan,
-                               faults=FaultPolicy(retry_backoff=0.0)),
+                               fault_plan=fault_plan),
         telemetry=telemetry)
     return result, telemetry.as_dict()
 

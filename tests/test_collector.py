@@ -521,8 +521,7 @@ def test_process_batch_checks_paused(check_seen, monkeypatch):
     """A forked worker starts with the collector on (the fork hook), so
     the batch needs its own scope; called here in-process."""
     engine = AnalysisSession(materialize("vortex").source).engine
-    candidates = collect_candidates(engine.pdg, NullDereferenceChecker(),
-                                    engine.config.sparse)
+    candidates = collect_candidates(engine.pdg, NullDereferenceChecker())
     monkeypatch.setattr(scheduler, "_PROCESS_STATE", None)
     scheduler._process_init(scheduler._WorkerState(
         engine, candidates, FaultPolicy(), process_worker=True))

@@ -170,7 +170,7 @@ class TestWorkerCrashes:
             checker, exec_config=ExecConfig(
                 jobs=2,
                 fault_plan=FaultPlan.parse("crash=0;crash-times=99"),
-                faults=FaultPolicy(max_retries=1, retry_backoff=0.01)),
+                faults=FaultPolicy(max_retries=1)),
             telemetry=telemetry)
         assert result.failure is None
         assert len(result.reports) == result.candidates  # nothing dropped

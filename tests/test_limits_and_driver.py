@@ -2,7 +2,7 @@
 path-sensitive engine shares."""
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import pytest
@@ -13,7 +13,6 @@ from repro.engine.base import PathSensitiveEngine
 from repro.fusion import prepare_pdg
 from repro.lang import compile_source
 from repro.smt.solver import DecidedBy, SmtResult, SmtStatus, SolverConfig
-from repro.sparse.engine import SparseConfig
 
 
 class TestBudget:
@@ -55,7 +54,6 @@ fun f(a) {
 
 @dataclass
 class StubConfig:
-    sparse: SparseConfig = field(default_factory=SparseConfig)
     budget: Optional[Budget] = None
 
 

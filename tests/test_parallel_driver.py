@@ -78,8 +78,7 @@ def assert_order_independent(engine, checker, seed):
     """Solve the run's candidates as a pool worker does, in reversed and
     in seeded-shuffle order: each outcome must equal the inline rung's
     (the caller's engine, index order) at the same index."""
-    candidates = collect_candidates(engine.pdg, checker,
-                                    engine.config.sparse)
+    candidates = collect_candidates(engine.pdg, checker)
     assert candidates, "fuzz spec generated no candidates"
     worker = _WorkerState(engine, candidates, FaultPolicy(),
                           process_worker=True)
@@ -127,8 +126,7 @@ def test_pool_solves_the_callers_candidate_list():
     pdg = fuzz_pdg(SMALL_SEEDS[1])
     checker = NullDereferenceChecker()
     engine = fusion_with_witness(pdg)
-    candidates = collect_candidates(pdg, checker,
-                                    engine.config.sparse)[::-1]
+    candidates = collect_candidates(pdg, checker)[::-1]
     assert len(candidates) > 1
     inline = QueryScheduler(engine, ExecConfig(), Telemetry()) \
         .run(candidates)

@@ -427,8 +427,7 @@ def demand_verdicts(source: str) -> tuple[dict[str, set], set]:
     index = line_index(source)
     divisions = {site(vertex) for line in sink_lines(source)
                  for vertex in resolve_sink_sites(
-                     hot.pdg, source, DivByZeroChecker(), line,
-                     index=index)}
+                     hot.pdg, index, DivByZeroChecker(), line)}
     return verdicts, divisions
 
 

@@ -46,8 +46,7 @@ def sink_lines(session, source):
     index = line_index(source)
     out = []
     for line in range(1, source.count("\n") + 2):
-        sinks = resolve_sink_sites(session.pdg, source, checker, line,
-                                   index=index)
+        sinks = resolve_sink_sites(session.pdg, index, checker, line)
         if sinks:
             out.append((line, sinks))
     return out
@@ -258,8 +257,8 @@ def test_def_restriction_narrows_to_the_pair():
             except ValueError:
                 continue  # no checker source on that line
             defs = {vertex.index for vertex in resolve_def_sites(
-                query_session.pdg, source, NullDereferenceChecker(),
-                def_line, index=index)}
+                query_session.pdg, index, NullDereferenceChecker(),
+                def_line)}
             expected = [finding for finding, report
                         in zip(full_findings, full.reports)
                         if report.sink.index in sink_set

@@ -126,6 +126,33 @@ def test_unknown_method_and_bad_params():
     run(main())
 
 
+@pytest.mark.parametrize("params", [
+    '"sink": 10.5', '"sink": 10.0', '"sink": Infinity', '"sink": true',
+    '"sink": 0', '"sink": -10', '"sink": "10"',
+    '"sink": 10, "col": 1.5', '"sink": 10, "def": 7.5',
+    '"sink": 10, "def": false',
+])
+def test_query_positions_must_be_positive_integers(params):
+    """A fractional line would name another line (``10.5`` was answered
+    as line 10) and ``Infinity`` crashed the conversion; both are
+    invalid params, like every non-integer position."""
+    async def main():
+        with tempfile.TemporaryDirectory() as tmp:
+            app = await make_app(tmp)
+            try:
+                await rpc(app, "initialize", tenant="t", source=SOURCE)
+                ok = await rpc(app, "query", tenant="t", sink=10)
+                assert "result" in ok, ok
+                envelope = await app.handle(
+                    '{"jsonrpc": "2.0", "id": 1, "method": "query", '
+                    '"params": {"tenant": "t", ' + params + '}}')
+                assert envelope["error"]["code"] == INVALID_PARAMS, envelope
+                assert "positive integer" in envelope["error"]["message"]
+            finally:
+                app.close()
+    run(main())
+
+
 def test_unknown_tenant_and_compile_error():
     async def main():
         with tempfile.TemporaryDirectory() as tmp:

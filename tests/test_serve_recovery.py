@@ -352,7 +352,8 @@ class TestParentJournals:
         for flipped in ({"triage": True}, {"sparsify": False},
                         {"incremental": "false"},
                         {"loop_strategy": "bogus"}, {"loop_paths": "64"},
-                        {"loop_unroll": -1}, {"query_timeout": 5.0}):
+                        {"loop_unroll": -1}, {"query_timeout": 5.0},
+                        {"want_model": False}):
             tmp = str(tmp_path / next(iter(flipped)))
             self.crash_with_journal(tmp, {**PARENT_SETTINGS, **flipped})
 

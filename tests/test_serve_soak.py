@@ -207,8 +207,7 @@ def test_query_latency_on_hot_tenant():
     checker = NullDereferenceChecker()
     index = line_index(source)
     lines = [number for number in range(1, source.count("\n") + 2)
-             if resolve_sink_sites(probe.pdg, source, checker, number,
-                                   index=index)]
+             if resolve_sink_sites(probe.pdg, index, checker, number)]
     assert lines, "soak tenant lost its sinks"
 
     async def main():

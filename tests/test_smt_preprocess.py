@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.limits import Deadline, QueryDeadlineExceeded
-from repro.smt import (Op, Preprocessor, SmtSolver, SmtStatus, SolverConfig,
-                       TermManager, Verdict, evaluate, constraint_set_size,
-                       flatten_conjunction, to_sexpr)
+from repro.smt import (BitBlaster, Op, Preprocessor, SatStatus, SmtSolver,
+                       SmtStatus, TermManager, Verdict, evaluate,
+                       constraint_set_size, flatten_conjunction, to_sexpr)
 from repro.smt import preprocess
 from repro.smt.rewriter import _simplify_node
 from strategies import WIDTH, all_assignments, bool_terms, make_manager
@@ -227,8 +227,10 @@ class TestGaussianElimination:
         assert not any(
             all(evaluate(c, {x: xv, v: vv}) == 1 for c in constraints)
             for xv in range(16) for vv in range(16))
-        assert SmtSolver(mgr, SolverConfig(use_preprocess=False)).check(
-            constraints).status is SmtStatus.UNSAT
+        blaster = BitBlaster()
+        for constraint in constraints:
+            blaster.assert_true(constraint)
+        assert blaster.solve().status is SatStatus.UNSAT
         assert run(mgr, constraints).verdict is not Verdict.SAT
         assert SmtSolver(mgr).check(constraints).status is SmtStatus.UNSAT
 

@@ -103,13 +103,6 @@ class TestBasics:
 
 
 class TestConfig:
-    def test_preprocess_can_be_disabled(self, mgr):
-        x = mgr.bv_var("x", 8)
-        config = SolverConfig(use_preprocess=False)
-        result = SmtSolver(mgr, config).check([mgr.eq(x, x)])
-        assert result.is_sat
-        assert not result.decided_in_preprocess
-
     def test_solver_counts_preprocess_decisions(self, mgr):
         solver = SmtSolver(mgr)
         results = [solver.check([mgr.true]),

@@ -3,8 +3,10 @@
 from repro.checkers import NullDereferenceChecker, cwe23_checker
 from repro.lang import compile_source
 from repro.pdg import EdgeKind, build_pdg
-from repro.sparse import (DependencePath, FrameTable, PathStep, SparseConfig,
+from repro.sparse import (DependencePath, FrameTable, PathStep,
                           collect_candidates, extend_path)
+from repro.sparse import engine as sparse_engine
+from repro.sparse.engine import MAX_PATHS_PER_PAIR
 
 
 def pdg_of(src):
@@ -208,19 +210,26 @@ class TestCollectCandidates:
         """)
         assert collect_candidates(pdg, cwe23_checker()) == []
 
-    def test_paths_per_pair_cap(self):
+    def test_paths_per_pair_cap(self, monkeypatch):
+        # Three call sites give three paths (one per callee frame) from
+        # the one null to the one deref.
         pdg = pdg_of("""
+        fun g(x) { deref(x); return 0; }
         fun f(a) {
           p = null;
-          if (a < 1) { q = p; } else { q = p; }
-          deref(q);
+          g(p);
+          g(p);
+          g(p);
           return 0;
         }
         """)
-        config = SparseConfig(max_paths_per_pair=1)
-        candidates = collect_candidates(pdg, NullDereferenceChecker(),
-                                        config)
-        assert len(candidates) == 1
+        checker = NullDereferenceChecker()
+        candidates = collect_candidates(pdg, checker)
+        assert MAX_PATHS_PER_PAIR == 2
+        assert len(candidates) == MAX_PATHS_PER_PAIR
+        assert len({c.key() for c in candidates}) == 1
+        monkeypatch.setattr(sparse_engine, "MAX_PATHS_PER_PAIR", 10)
+        assert len(collect_candidates(pdg, checker)) == 3
 
     def test_null_does_not_flow_through_condition(self):
         pdg = pdg_of("""

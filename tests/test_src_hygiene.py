@@ -10,6 +10,11 @@ alias or a string constant; the string case covers the entry points
 ``perf/tracing.py`` patches by name.  A package ``__init__`` re-export
 (its ``from ... import`` lines and ``__all__``) does not count, and the
 ``def``/``class`` statement itself does not name its definition.
+
+An option only one value of which is ever used is a constant: every field
+of a config dataclass must be set by that same non-test code, by keyword
+or position in a constructor call, or as a string subscript key (the CLI
+collects ``FaultPolicy`` arguments in a dict).
 """
 
 from __future__ import annotations
@@ -82,3 +87,79 @@ def test_every_src_definition_is_named_from_non_test_code():
         "them into tests/ or delete them: "
         + ", ".join(f"{name} ({', '.join(paths)})"
                     for name, paths in sorted(test_only.items())))
+
+
+#: Config classes the option rule covers besides the ``*Config`` ones.
+CONFIG_CLASSES = ("EngineSettings", "FaultPolicy")
+
+
+def _config_fields() -> dict[str, list[str]]:
+    """Field names of every dataclass under ``src/repro`` whose name ends
+    in ``Config``, plus :data:`CONFIG_CLASSES`, in declaration order."""
+    fields: dict[str, list[str]] = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if not isinstance(node, ast.ClassDef) or not (
+                    node.name.endswith("Config")
+                    or node.name in CONFIG_CLASSES):
+                continue
+            if not any("dataclass" in ast.unparse(decorator)
+                       for decorator in node.decorator_list):
+                continue
+            fields[node.name] = [
+                statement.target.id for statement in node.body
+                if isinstance(statement, ast.AnnAssign)
+                and isinstance(statement.target, ast.Name)]
+    return fields
+
+
+def _callee_name(node: ast.Call) -> str:
+    if isinstance(node.func, ast.Name):
+        return node.func.id
+    if isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return ""
+
+
+def _set_fields(config_fields: dict[str, list[str]]) -> set[tuple[str, str]]:
+    """``(class, field)`` pairs that non-test code sets: by keyword or
+    position in a constructor call, or as a string subscript key."""
+    paths = list(PACKAGE.rglob("*.py"))
+    for directory in NON_TEST_DIRS:
+        paths.extend((ROOT / directory).rglob("*.py"))
+    set_pairs: set[tuple[str, str]] = set()
+    subscript_keys: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) \
+                    and isinstance(node.slice, ast.Constant) \
+                    and isinstance(node.slice.value, str):
+                subscript_keys.add(node.slice.value)
+            if not isinstance(node, ast.Call):
+                continue
+            cls = _callee_name(node)
+            if cls not in config_fields:
+                continue
+            positional = [arg for arg in node.args
+                          if not isinstance(arg, ast.Starred)]
+            for name in config_fields[cls][:len(positional)]:
+                set_pairs.add((cls, name))
+            for keyword in node.keywords:
+                if keyword.arg is not None:
+                    set_pairs.add((cls, keyword.arg))
+    for cls, names in config_fields.items():
+        set_pairs.update((cls, name) for name in names
+                         if name in subscript_keys)
+    return set_pairs
+
+
+def test_every_config_field_is_set_from_non_test_code():
+    """An option only one value of which is ever used is a constant: every
+    config field must be set somewhere outside the tests."""
+    config_fields = _config_fields()
+    set_pairs = _set_fields(config_fields)
+    unset = [f"{cls}.{name}" for cls, names in sorted(config_fields.items())
+             for name in names if (cls, name) not in set_pairs]
+    assert not unset, (
+        "config fields that no non-test code sets; make them module "
+        "constants: " + ", ".join(unset))

@@ -37,7 +37,7 @@ from repro.fusion.quickpath import QuickPathTable
 from repro.lang import compile_source
 from repro.lang.fingerprint import program_keys
 from repro.query import line_index, resolve_sink_sites
-from repro.sparse.engine import SparseConfig, collect_candidates
+from repro.sparse.engine import collect_candidates
 
 
 def fuzz_source(seed: int) -> str:
@@ -59,8 +59,7 @@ def sink_lines(session) -> list[int]:
     checker = NullDereferenceChecker()
     index = line_index(session.source)
     return [line for line in range(1, session.source.count("\n") + 2)
-            if resolve_sink_sites(session.pdg, session.source, checker,
-                                  line, index=index)]
+            if resolve_sink_sites(session.pdg, index, checker, line)]
 
 
 @pytest.fixture
@@ -167,7 +166,7 @@ def test_entry_keys_and_deps_are_pinned(tmp_path):
     from /2 to /3 (it was ``55373884...2f6d81aa708``)."""
     pdg = prepare_pdg(compile_source(GOLDEN_SOURCE))
     checker = NullDereferenceChecker()
-    candidates = collect_candidates(pdg, checker, SparseConfig())
+    candidates = collect_candidates(pdg, checker)
     assert len(candidates) == 1
     [candidate] = candidates
     assert any(step.frame.callsite is not None
