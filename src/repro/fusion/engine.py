@@ -67,8 +67,9 @@ class FusionEngine(PathSensitiveEngine):
         return {
             "optimized": solver.optimized,
             "use_quickpaths": solver.use_quickpaths,
-            "local_passes": None if solver.local_passes is None
-            else list(solver.local_passes),
+            # Resolved, so that a store written while ``None`` meant
+            # every pass (Gaussian elimination included) cannot replay.
+            "local_passes": list(solver.template_passes),
             "want_model": solver.want_model,
         }
 

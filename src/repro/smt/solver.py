@@ -80,6 +80,9 @@ class SolverConfig:
     #: (or from the run's ``FaultPolicy.query_timeout``, when set).
     time_limit: Optional[float] = 10.0
 
+    def __post_init__(self) -> None:
+        Preprocessor.check_names(self.enabled_passes)
+
 
 class SmtSolver:
     """A standalone, general-purpose solver over a :class:`TermManager`.

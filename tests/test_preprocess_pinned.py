@@ -31,6 +31,17 @@ twolf ``b8dd4c5c9b884b3b`` -> ``5bda789f7cf5fe70``, v8
 ``56f6bcdf02d34a14``.  Verdicts stayed identical; only witness values
 moved.
 
+They were re-recorded a third time when Algorithm 6 stopped running
+Gaussian elimination on templates (docs/solver.md, "Template passes").
+Templates keep their linear rows, so different terms are interned and
+more queries are decided in preprocessing: vortex
+``3c3465103e5b17cd``/4,464 -> ``416db1550d97c27a``/5,527, twolf
+``5bda789f7cf5fe70``/2,884 -> ``e3ac9f03ec78799e``/3,268, ffmpeg
+``56f6bcdf02d34a14``/7,811 -> ``7e151d905500c442``/6,607, v8
+``8d4777708d73280c``/4,767 -> ``a0b94ba1788e757b``/4,486 (digest/manager
+size).  Verdicts stayed identical; witness values and ``decided_by``
+moved.
+
 A drift here is a behaviour change, never noise.  To print fresh values
 (only if the change of ids is intended), run::
 
@@ -97,10 +108,10 @@ def session_record(source: str, checkers=CHECKERS) -> tuple[str, int]:
 
 
 PINNED = {
-    "vortex": ("3c3465103e5b17cd", 4464),
-    "twolf": ("5bda789f7cf5fe70", 2884),
-    "ffmpeg": ("56f6bcdf02d34a14", 7811),
-    "v8": ("8d4777708d73280c", 4767),
+    "vortex": ("416db1550d97c27a", 5527),
+    "twolf": ("e3ac9f03ec78799e", 3268),
+    "ffmpeg": ("7e151d905500c442", 6607),
+    "v8": ("a0b94ba1788e757b", 4486),
 }
 
 

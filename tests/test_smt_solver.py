@@ -117,6 +117,10 @@ class TestConfig:
         result = SmtSolver(mgr, config).check([mgr.eq(y, x)])
         assert result.is_sat  # still solved, just via the SAT back end
 
+    def test_unknown_pass_rejected(self):
+        with pytest.raises(ValueError, match="gausian"):
+            SolverConfig(enabled_passes=("gausian",))
+
 
 class TestAgainstBruteForce:
     @settings(max_examples=40, deadline=None)

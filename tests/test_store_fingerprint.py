@@ -30,7 +30,11 @@ SHARED = {
     "footprint": FOOTPRINT,
 }
 
-FUSION = {"optimized": True, "use_quickpaths": True, "local_passes": None,
+#: ``local_passes`` is recorded resolved: a store written while ``None``
+#: meant every pass, Gaussian elimination included, cannot replay here.
+FUSION = {"optimized": True, "use_quickpaths": True,
+          "local_passes": ["constants", "equalities", "strength",
+                           "unconstrained", "probing"],
           "want_model": False}
 
 GOLDEN = {
