@@ -17,7 +17,8 @@ hold:
 
 The inputs are read by a direct integer evaluation of each system, which
 is cross-checked against :func:`repro.smt.evaluate` on a few points per
-system.  Only ``gaussian`` is covered so far (ROADMAP item 3).
+system.  ``gaussian`` runs on linear systems; ``constants`` and
+``equalities`` run on shuffled binding chains (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -97,11 +98,16 @@ class System:
         return variables, constraints
 
 
-def check_pass(name: str, system: System) -> None:
+def domain(var) -> range:
+    """Every value of ``var``: 0/1 for a Boolean, else width 4."""
+    return range(2) if var.sort.is_bool else range(MODULUS)
+
+
+def check_pass(name: str, system) -> None:
     """Both properties of the module docstring for pass ``name``."""
     mgr = TermManager()
     variables, constraints = system.terms(mgr)
-    points = list(itertools.product(range(MODULUS), repeat=system.nvars))
+    points = list(itertools.product(*map(domain, variables)))
     inputs = [values for values in points if system.holds(values)]
     for values in inputs[:3] + random.Random(repr(system)).sample(points, 3):
         env = dict(zip(variables, values))
@@ -121,7 +127,7 @@ def check_pass(name: str, system: System) -> None:
     scope = sorted(scope, key=lambda var: var.tid)
 
     reached = set()
-    for point in itertools.product(range(MODULUS), repeat=len(scope)):
+    for point in itertools.product(*map(domain, scope)):
         model = dict(zip(scope, point))
         if not all(evaluate(c, model) for c in result.constraints):
             continue
@@ -188,3 +194,136 @@ class TestGaussian:
         rng = random.Random(seed)
         for _ in range(40):
             check_pass("gaussian", random_system(rng))
+
+
+@dataclass(frozen=True)
+class Chain:
+    """Bindings and definitions over x, y, z and a Boolean p (variable
+    index 3), for ``constants`` and ``equalities``.  Each atom is
+
+    * ``("const", i, k)``: ``v_i = k``;
+    * ``("affine", i, j, a, b)``: ``v_i = a * v_j + b``;
+    * ``("bool", positive)``: ``p``, or ``not p``;
+    * ``("guard", positive, i, k, j, l)``: the literal of ``p`` implies
+      ``v_i = k and v_j = l``, so binding ``p`` yields a conjunction of
+      two new bindings.
+
+    ``flips`` writes the matching equations right to left."""
+
+    atoms: tuple[tuple, ...]
+    flips: tuple[bool, ...]
+    protected: frozenset[int] = frozenset()
+    nvars = 4
+
+    def holds(self, values: tuple[int, ...]) -> bool:
+        p = values[3]
+        for atom in self.atoms:
+            kind = atom[0]
+            if kind == "const":
+                ok = values[atom[1]] == atom[2]
+            elif kind == "affine":
+                _, i, j, a, b = atom
+                ok = values[i] == (a * values[j] + b) % MODULUS
+            elif kind == "bool":
+                ok = p == atom[1]
+            else:
+                _, positive, i, k, j, l = atom
+                ok = p != positive or (values[i] == k and values[j] == l)
+            if not ok:
+                return False
+        return True
+
+    def terms(self, mgr: TermManager):
+        variables = [mgr.bv_var(name, WIDTH) for name in NAMES]
+        variables.append(mgr.bool_var("p"))
+        p = variables[3]
+
+        def const(value: int):
+            return mgr.bv_const(value % MODULUS, WIDTH)
+
+        def equation(var, value, flip: bool):
+            return mgr.eq(value, var) if flip else mgr.eq(var, value)
+
+        constraints = []
+        for atom, flip in zip(self.atoms, self.flips):
+            kind = atom[0]
+            if kind == "const":
+                constraints.append(
+                    equation(variables[atom[1]], const(atom[2]), flip))
+            elif kind == "affine":
+                _, i, j, a, b = atom
+                value = variables[j] if a == 1 \
+                    else mgr.bvmul(const(a), variables[j])
+                if b:
+                    value = mgr.bvadd(value, const(b))
+                constraints.append(equation(variables[i], value, flip))
+            elif kind == "bool":
+                constraints.append(p if atom[1] else mgr.not_(p))
+            else:
+                _, positive, i, k, j, l = atom
+                literal = p if positive else mgr.not_(p)
+                constraints.append(mgr.or_(
+                    mgr.not_(literal),
+                    mgr.and_(equation(variables[i], const(k), flip),
+                             equation(variables[j], const(l), flip))))
+        return variables, constraints
+
+
+def random_chain(rng: random.Random, protected: frozenset[int]) -> Chain:
+    """``x = k``, ``y = x + c``, ``z = a*y + b`` over a random order of
+    x, y and z, plus some of: a duplicate atom, a second (usually
+    conflicting) constant, ``p`` asserted and maybe negated, a guarded
+    pair of bindings and a stray definition that may close a cycle.
+    The atoms are shuffled, so a binding can come after its use."""
+    order = rng.sample(range(3), 3)
+    atoms = [("const", order[0], rng.randrange(MODULUS))]
+    for previous, var in zip(order, order[1:]):
+        atoms.append(("affine", var, previous, rng.choice((1, 1, 2, 3, 15)),
+                      rng.randrange(MODULUS)))
+    if rng.random() < 0.4:
+        atoms.append(rng.choice(atoms))
+    if rng.random() < 0.3:
+        atoms.append(("const", rng.randrange(3), rng.randrange(MODULUS)))
+    if rng.random() < 0.5:
+        positive = rng.random() < 0.5
+        atoms.append(("bool", positive))
+        if rng.random() < 0.3:
+            atoms.append(("bool", not positive))
+    if rng.random() < 0.4:
+        i, j = rng.sample(range(3), 2)
+        atoms.append(("guard", rng.random() < 0.5, i, rng.randrange(MODULUS),
+                      j, rng.randrange(MODULUS)))
+    if rng.random() < 0.3:
+        i, j = rng.sample(range(3), 2)
+        atoms.append(("affine", i, j, rng.choice((1, 3, 4)),
+                      rng.randrange(MODULUS)))
+    rng.shuffle(atoms)
+    return Chain(tuple(atoms), tuple(rng.random() < 0.3 for _ in atoms),
+                 protected)
+
+
+#: Protected sets for the chain families: none, the chain variables,
+#: the Boolean, and a mix.
+CHAIN_PROTECTED = {"none": (), "x": (0,), "z": (2,), "p": (3,),
+                   "xp": (0, 3)}
+
+
+@pytest.mark.parametrize("name", ["constants", "equalities"])
+class TestChains:
+    @pytest.mark.parametrize("protected", sorted(CHAIN_PROTECTED))
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_chains(self, name, protected, seed):
+        rng = random.Random(f"{seed}-{protected}")
+        for _ in range(30):
+            check_pass(name, random_chain(
+                rng, frozenset(CHAIN_PROTECTED[protected])))
+
+    @pytest.mark.parametrize("protected", ["none", "z", "p"])
+    def test_every_order_of_one_chain(self, name, protected):
+        """``x = 5``, ``y = x + 3``, ``z = 3*y + 1`` and ``p``, with
+        ``x = 5`` twice, in every order."""
+        atoms = (("const", 0, 5), ("affine", 1, 0, 1, 3),
+                 ("affine", 2, 1, 3, 1), ("bool", True))
+        for order in sorted(set(itertools.permutations(atoms + atoms[:1]))):
+            check_pass(name, Chain(order, (False,) * 5,
+                                   frozenset(CHAIN_PROTECTED[protected])))

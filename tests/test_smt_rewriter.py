@@ -143,6 +143,18 @@ class TestIdempotence:
             once = simplify(mgr, expr)
             assert simplify(mgr, once) is once
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=__import__("hypothesis").strategies.data())
+    def test_simplify_is_idempotent(self, data):
+        """Preprocessing keeps a constraint that no substitution touched
+        as is, which is sound only if simplifying it again would give
+        the same term and intern nothing."""
+        mgr, bv_vars, bool_vars = make_manager()
+        once = simplify(mgr, data.draw(bool_terms(mgr, bv_vars, bool_vars)))
+        size = len(mgr)
+        assert simplify(mgr, once) is once
+        assert len(mgr) == size
+
 
 class TestSharedMemo:
     def test_second_call_reuses_memo_and_interns_nothing(self, mgr):
