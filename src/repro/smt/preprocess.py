@@ -22,6 +22,7 @@ verdict whenever the constraint set collapses to true/false.
 from __future__ import annotations
 
 import enum
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
@@ -36,6 +37,10 @@ from repro.smt.terms import Op, Term, TermManager
 _INVERTIBLE_BINARY = frozenset({Op.BVADD, Op.BVSUB, Op.BVXOR, Op.XOR})
 _INVERTIBLE_UNARY = frozenset({Op.BVNOT, Op.BVNEG, Op.NOT})
 _COMPARISONS = frozenset({Op.ULT, Op.ULE, Op.SLT, Op.SLE})
+
+#: Most rounds of all enabled passes one :meth:`Preprocessor.run` makes
+#: before it gives up on a fixpoint.
+MAX_ROUNDS = 8
 
 
 class Verdict(enum.Enum):
@@ -132,10 +137,11 @@ class _RunState:
 
     Terms are hash-consed and immutable, so a term's simplified form and
     its free variables depend on the term alone: ``simplified`` maps a term
-    id to its ``simplify`` result, ``free`` to its variables.  Eliminating
-    one variable then costs work only in the constraints that mention it,
-    not a fresh rewrite of every constraint.  The tables die with the run;
-    nothing is kept on the preprocessor or the term manager.
+    id to its ``simplify`` result, ``free`` to its variables.  The
+    constant and equality passes index constraints by these variables
+    (:class:`_Occurrences`), so eliminating one variable visits and
+    rewrites only the constraints that mention it.  The tables die with
+    the run; nothing is kept on the preprocessor or the term manager.
     """
 
     __slots__ = ("manager", "deadline", "simplified", "free")
@@ -161,6 +167,45 @@ class _RunState:
             self.deadline.check("preprocessing")
 
 
+class _Occurrences:
+    """For each free variable, the keys of the constraints that mention
+    it, kept up to date as a pass rewrites constraints.
+
+    A pass keys its constraints by list position, so :meth:`of` returns
+    hits in list order.  This is the occurrence list of SAT preprocessors
+    such as SatELite: a substitution visits the occurrences of the
+    variables it replaces instead of testing every constraint.
+    """
+
+    __slots__ = ("run", "keys")
+
+    def __init__(self, run: _RunState, items: Iterable[tuple]) -> None:
+        self.run = run
+        self.keys: dict[Term, set] = {}
+        for key, constraint in items:
+            self.add(key, constraint)
+
+    def add(self, key, constraint: Term) -> None:
+        for var in self.run.free_vars(constraint):
+            found = self.keys.get(var)
+            if found is None:
+                self.keys[var] = {key}
+            else:
+                found.add(key)
+
+    def remove(self, key, constraint: Term) -> None:
+        for var in self.run.free_vars(constraint):
+            self.keys[var].discard(key)
+
+    def of(self, variables: Iterable[Term]) -> list:
+        """Keys of the constraints that mention any of ``variables``, in
+        order."""
+        hits: set = set()
+        for var in variables:
+            hits.update(self.keys.get(var, ()))
+        return sorted(hits)
+
+
 class Preprocessor:
     """The configurable preprocessing pipeline.
 
@@ -173,12 +218,10 @@ class Preprocessor:
 
     def __init__(self, manager: TermManager,
                  enabled: Optional[Sequence[str]] = None,
-                 max_rounds: int = 8,
                  protected: Optional[Iterable[Term]] = None) -> None:
         self.manager = manager
         self.enabled = tuple(enabled) if enabled is not None else self.ALL_PASSES
         self.check_names(self.enabled)
-        self.max_rounds = max_rounds
         # Interface variables that outer contexts may reference (Algorithm 6
         # preprocesses per-function templates, whose params/returns/receivers
         # are bound externally): never eliminate or fix these.
@@ -202,10 +245,12 @@ class Preprocessor:
 
     def run(self, constraints: Iterable[Term],
             deadline: Optional[Deadline] = None) -> PreprocessResult:
-        """Run the enabled passes to a fixpoint (at most ``max_rounds``).
+        """Run the enabled passes to a fixpoint (at most
+        :data:`MAX_ROUNDS`).
 
-        ``deadline`` is checked once per round and once per eliminated
-        variable, so no single round can overrun it by much.
+        ``deadline`` is checked once per round, once per batch of constant
+        bindings and once per other eliminated variable, so no single
+        round can overrun it by much.
         """
         run = _RunState(self.manager, deadline)
         stats = PreprocessStats()
@@ -213,7 +258,7 @@ class Preprocessor:
         work = [run.simplify(c) for c in flatten_conjunction(constraints)]
         stats.initial_size = constraint_set_size(work)
 
-        for _ in range(self.max_rounds):
+        for _ in range(MAX_ROUNDS):
             run.check_deadline()
             stats.rounds += 1
             before = (len(work), constraint_set_size(work))
@@ -281,16 +326,15 @@ class Preprocessor:
 
         A key can occur in a constraint only if all of the key's variables
         do, so a constraint lacking them is returned as is: work items are
-        already simplified, and ``simplify`` is idempotent.  A lone
-        variable key needs only a membership test.
+        already simplified, and ``simplify`` is idempotent.  Variable keys
+        need only one disjointness test per constraint.
         """
         mgr = self.manager
-        keys = list(mapping)
-        if len(keys) == 1 and keys[0].op is Op.VAR:
-            var = keys[0]
-            hits = [var in run.free_vars(c) for c in work]
+        if all(key.op is Op.VAR for key in mapping):
+            keyset = frozenset(mapping)
+            hits = [not keyset.isdisjoint(run.free_vars(c)) for c in work]
         else:
-            key_vars = [run.free_vars(key) for key in keys]
+            key_vars = [run.free_vars(key) for key in mapping]
             hits = [any(kv <= run.free_vars(c) for kv in key_vars)
                     for c in work]
         return [run.simplify(mgr.substitute(c, mapping)) if hit else c
@@ -300,97 +344,186 @@ class Preprocessor:
     # Constant propagation (forward and backward)
     # ------------------------------------------------------------------ #
 
+    def _binding(self, c: Term) -> Optional[tuple[Term, Term]]:
+        """``(var, const)`` if ``c`` fixes an unprotected variable."""
+        # Forward: v = const appearing as a constraint.
+        if c.op is Op.EQ:
+            lhs, rhs = c.args
+            if lhs.is_var and rhs.is_const and not self._is_protected(lhs):
+                return lhs, rhs
+            if rhs.is_var and lhs.is_const and not self._is_protected(rhs):
+                return rhs, lhs
+        # Backward: an asserted Boolean variable (or its negation) is
+        # forced to a truth value.
+        elif c.is_var and c.sort.is_bool and not self._is_protected(c):
+            return c, self.manager.true
+        elif c.op is Op.NOT and c.args[0].is_var and \
+                not self._is_protected(c.args[0]):
+            return c.args[0], self.manager.false
+        return None
+
     def _propagate_constants(self, work: list[Term],
                              completions: list[CompletionStep],
                              stats: PreprocessStats,
                              run: _RunState) -> Optional[list[Term]]:
+        """Substitute constant bindings in batches until none is left.
+
+        A batch takes the first binding per variable in list order and
+        substitutes them all into the constraints that mention them, then
+        normalizes what it rewrote as :meth:`_normalize` would.  Every
+        binding present before a batch has its variable bound by it, so
+        the batch removes it; the next batch therefore looks for bindings
+        only among what this one rewrote.  A binding is not substituted
+        into: it is dropped if it agrees with its variable's constant and
+        is a conflict (UNSAT) if not.
+
+        Constraints are keyed by tuples: a rewrite into a conjunction
+        gives each conjunct its key extended by the conjunct's index, so
+        sorted keys are list order.  ``first`` maps each constraint to
+        its key, so a duplicate keeps only its earliest copy.  Neither it
+        nor the occurrence lists are built before the first binding.
+        """
         mgr = self.manager
-        changed = True
-        while changed:
-            changed = False
+        at: dict[tuple, Term] = {(i,): c for i, c in enumerate(work)}
+        candidates = list(at)
+        occurrences: Optional[_Occurrences] = None
+        while True:
+            run.check_deadline()
             bindings: dict[Term, Term] = {}
-            for c in work:
-                # Forward: v = const appearing as a constraint.
-                if c.op is Op.EQ:
-                    lhs, rhs = c.args
-                    if lhs.is_var and rhs.is_const and \
-                            not self._is_protected(lhs):
-                        bindings.setdefault(lhs, rhs)
-                    elif rhs.is_var and lhs.is_const and \
-                            not self._is_protected(rhs):
-                        bindings.setdefault(rhs, lhs)
-                # Backward: an asserted Boolean variable (or its negation)
-                # is forced to a truth value.
-                elif c.is_var and c.sort.is_bool and \
-                        not self._is_protected(c):
-                    bindings.setdefault(c, mgr.true)
-                elif c.op is Op.NOT and c.args[0].is_var and \
-                        not self._is_protected(c.args[0]):
-                    bindings.setdefault(c.args[0], mgr.false)
+            for key in candidates:
+                found = self._binding(at[key])
+                if found is not None:
+                    bindings.setdefault(*found)
             if not bindings:
-                break
+                return work if occurrences is None \
+                    else [at[key] for key in sorted(at)]
+            if occurrences is None:
+                first = {c.tid: key for key, c in at.items()}
+                occurrences = _Occurrences(run, at.items())
             stats.constants_propagated += len(bindings)
-            snapshot = dict(bindings)
 
             def assign(model: dict[Term, int],
-                       fixed: dict[Term, Term] = snapshot) -> None:
+                       fixed: dict[Term, Term] = bindings) -> None:
                 for var, const in fixed.items():
                     model[var] = const.value
 
             completions.append(
                 CompletionStep("constant bindings", assign))
-            work = self._substitute_all(work, bindings, run)
-            # Re-assert the bindings are consistent (conflicting constants
-            # for the same variable show up as false after simplify).
-            normalized = self._normalize(work, run)
-            if normalized is None:
+            rewrites: list[tuple[tuple, list[Term]]] = []
+            conflict = False
+            for key in occurrences.of(bindings):
+                c = at[key]
+                found = self._binding(c)
+                if found is not None:
+                    var, const = found
+                    conflict = conflict or bindings[var] is not const
+                    rewrites.append((key, []))
+                    continue
+                c = run.simplify(mgr.substitute(c, bindings))
+                rewrites.append((key, [c] if c.op is not Op.AND else
+                                 [run.simplify(part) for part in
+                                  flatten_conjunction([c])]))
+            # A conflict is reported only after the whole batch: its
+            # rewrites intern terms that later queries on the same manager
+            # may reuse, and ids must follow the rescanning loop's order.
+            if conflict:
                 return None
-            if len(normalized) != len(work) or any(
-                    a.tid != b.tid for a, b in zip(normalized, work)):
-                changed = True
-            work = normalized
-        return work
+            for key, _ in rewrites:
+                c = at.pop(key)
+                occurrences.remove(key, c)
+                del first[c.tid]
+            candidates = []
+            for key, parts in rewrites:
+                for j, c in enumerate(parts):
+                    if c.op is Op.FALSE:
+                        return None
+                    if c.op is Op.TRUE:
+                        continue
+                    place = key if len(parts) == 1 else key + (j,)
+                    other = first.get(c.tid)
+                    if other is not None:
+                        if other < place:
+                            continue
+                        del at[other]
+                        occurrences.remove(other, c)
+                    at[place] = c
+                    first[c.tid] = place
+                    occurrences.add(place, c)
+                    candidates.append(place)
 
     # ------------------------------------------------------------------ #
     # Equality propagation (solve-eqs)
     # ------------------------------------------------------------------ #
 
+    def _solved_form(self, c: Optional[Term],
+                     run: _RunState) -> Optional[tuple[Term, Term]]:
+        """``(var, definition)`` if ``c`` is ``var = definition`` with
+        ``var`` unprotected and not free in ``definition``."""
+        if c is None or c.op is not Op.EQ:
+            return None
+        lhs, rhs = c.args
+        if lhs.is_var and not self._is_protected(lhs) \
+                and lhs not in run.free_vars(rhs):
+            return lhs, rhs
+        if rhs.is_var and not self._is_protected(rhs) \
+                and rhs not in run.free_vars(lhs):
+            return rhs, lhs
+        return None
+
     def _propagate_equalities(self, work: list[Term],
                               completions: list[CompletionStep],
                               stats: PreprocessStats,
                               run: _RunState) -> list[Term]:
-        progress = True
-        while progress:
+        """Eliminate ``var = definition`` equations one at a time, always
+        the first in list order, substituting each definition into the
+        occurrences of its variable.
+
+        Whether a constraint is such an equation depends on the constraint
+        alone, so a position before ``cursor`` needs another look only
+        after a substitution rewrote it (``revisit``, a heap).  The
+        occurrence lists are built at the first elimination.
+        """
+        mgr = self.manager
+        slots: list[Optional[Term]] = list(work)
+        occurrences: Optional[_Occurrences] = None
+        revisit: list[int] = []
+        cursor = 0
+        while True:
             run.check_deadline()
-            progress = False
-            for i, c in enumerate(work):
-                if c.op is not Op.EQ:
-                    continue
-                lhs, rhs = c.args
-                var, definition = None, None
-                if lhs.is_var and not self._is_protected(lhs) \
-                        and lhs not in run.free_vars(rhs):
-                    var, definition = lhs, rhs
-                elif rhs.is_var and not self._is_protected(rhs) \
-                        and rhs not in run.free_vars(lhs):
-                    var, definition = rhs, lhs
-                if var is None:
-                    continue
-                stats.equalities_propagated += 1
-                rest = work[:i] + work[i + 1:]
-                mapping = {var: definition}
-                the_var, the_def = var, definition
+            found = None
+            while revisit and found is None:
+                i = heapq.heappop(revisit)
+                found = self._solved_form(slots[i], run)
+            while cursor < len(slots) and found is None:
+                i = cursor
+                cursor += 1
+                found = self._solved_form(slots[i], run)
+            if found is None:
+                return work if occurrences is None \
+                    else [c for c in slots if c is not None]
+            if occurrences is None:
+                occurrences = _Occurrences(run, enumerate(slots))
+            var, definition = found
+            occurrences.remove(i, slots[i])
+            slots[i] = None
+            stats.equalities_propagated += 1
 
-                def assign(model: dict[Term, int],
-                           v: Term = the_var, d: Term = the_def) -> None:
-                    model[v] = _eval_with_defaults(d, model)
+            def assign(model: dict[Term, int],
+                       v: Term = var, d: Term = definition) -> None:
+                model[v] = _eval_with_defaults(d, model)
 
-                completions.append(
-                    CompletionStep(f"equality {var.name}", assign))
-                work = self._substitute_all(rest, mapping, run)
-                progress = True
-                break
-        return work
+            completions.append(
+                CompletionStep(f"equality {var.name}", assign))
+            mapping = {var: definition}
+            for p in occurrences.of(mapping):
+                old = slots[p]
+                new = run.simplify(mgr.substitute(old, mapping))
+                if new is not old:
+                    occurrences.remove(p, old)
+                    occurrences.add(p, new)
+                    slots[p] = new
+                    if p < cursor:
+                        heapq.heappush(revisit, p)
 
     # ------------------------------------------------------------------ #
     # Strength reduction

@@ -42,6 +42,18 @@ more queries are decided in preprocessing: vortex
 size).  Verdicts stayed identical; witness values and ``decided_by``
 moved.
 
+They were re-recorded a fourth time when constant propagation began to
+resolve a binding constraint against its variable's constant instead of
+substituting into it (docs/solver.md, "Cost").  Throwaway terms such as
+``(= k k)`` stopped being interned, so ids after the first of them
+shifted down, while every surviving term kept its relative creation
+order: vortex ``416db1550d97c27a``/5,527 -> ``1156bc27fd442ce6``/5,522,
+twolf ``e3ac9f03ec78799e``/3,268 -> ``4469ad33f3907411``/3,261, ffmpeg
+``7e151d905500c442``/6,607 -> ``ef19b16d5fc0441c``/6,550, v8
+``a0b94ba1788e757b``/4,486 -> ``bc692e11b4772460``/4,462.  Findings,
+witnesses and ``decided_by`` stayed byte-identical
+(``tests/test_findings_golden.py``).
+
 A drift here is a behaviour change, never noise.  To print fresh values
 (only if the change of ids is intended), run::
 
@@ -108,10 +120,10 @@ def session_record(source: str, checkers=CHECKERS) -> tuple[str, int]:
 
 
 PINNED = {
-    "vortex": ("416db1550d97c27a", 5527),
-    "twolf": ("e3ac9f03ec78799e", 3268),
-    "ffmpeg": ("7e151d905500c442", 6607),
-    "v8": ("a0b94ba1788e757b", 4486),
+    "vortex": ("1156bc27fd442ce6", 5522),
+    "twolf": ("4469ad33f3907411", 3261),
+    "ffmpeg": ("ef19b16d5fc0441c", 6550),
+    "v8": ("bc692e11b4772460", 4462),
 }
 
 

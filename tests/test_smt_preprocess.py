@@ -312,6 +312,15 @@ def _equality_chain(mgr, links=200):
     return chain + [mgr.ult(xs[0], xs[links])]
 
 
+def _binding_chain(mgr, links=50):
+    """x0 = 1, x1 = x0 + 1, ...: constant propagation binds one variable
+    per batch."""
+    xs = [mgr.bv_var(f"x{i}", 8) for i in range(links + 1)]
+    chain = [mgr.eq(xs[i + 1], mgr.bvadd(xs[i], mgr.bv_const(1, 8)))
+             for i in range(links)]
+    return chain + [mgr.eq(xs[0], mgr.bv_const(1, 8))]
+
+
 class TestDeadlineGranularity:
     def test_checked_once_per_elimination(self, mgr):
         deadline = _CountdownDeadline()
@@ -319,6 +328,21 @@ class TestDeadlineGranularity:
                                        deadline=deadline)
         assert result.stats.equalities_propagated == 200
         assert deadline.checks > result.stats.rounds + 200
+
+    def test_checked_once_per_binding_batch(self, mgr):
+        deadline = _CountdownDeadline()
+        result = Preprocessor(mgr, enabled=("constants",)).run(
+            _binding_chain(mgr), deadline=deadline)
+        assert result.verdict is Verdict.SAT
+        assert result.stats.constants_propagated == 51
+        assert deadline.checks > result.stats.rounds + 51
+
+    def test_binding_chain_expires_mid_round(self, mgr):
+        deadline = _CountdownDeadline(10)
+        with pytest.raises(QueryDeadlineExceeded):
+            Preprocessor(mgr, enabled=("constants",)).run(
+                _binding_chain(mgr), deadline=deadline)
+        assert deadline.checks == 10
 
     def test_expires_mid_round(self, mgr):
         deadline = _CountdownDeadline(10)
@@ -395,6 +419,9 @@ class TestMemoIdentity:
 
     def test_equality_chain(self, mgr):
         _assert_memo_changes_nothing(_equality_chain(mgr))
+
+    def test_binding_chain(self, mgr):
+        _assert_memo_changes_nothing(_binding_chain(mgr))
 
 
 class TestStrengthReduction:
