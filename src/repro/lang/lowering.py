@@ -348,9 +348,12 @@ class _FunctionLowering:
 
         # Merge: names visible after the if are those bound before it, plus
         # names bound in *both* branches; branch-local names go out of
-        # scope at the join.
+        # scope at the join.  Joins follow the then-side's binding order,
+        # then the else-side's, so their order and names never depend on
+        # string hashing.
         merged: dict[str, Operand] = {}
-        for name in set(then_env) | set(else_env):
+        for name in [*then_env, *(name for name in else_env
+                                   if name not in then_env)]:
             then_val = then_env.get(name, outer_env.get(name))
             else_val = else_env.get(name, outer_env.get(name))
             if then_val is None or else_val is None:

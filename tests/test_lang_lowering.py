@@ -1,5 +1,10 @@
 """Tests for lowering: gated SSA, loop unrolling, return predication."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.checkers import DivByZeroChecker
@@ -30,6 +35,30 @@ fun foo(a, b) {
 
 def stmts_of(prog, name):
     return list(prog.functions[name].statements())
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+#: Branches closing with two joins: after a plain ``if``, and after an
+#: early return, whose flag and value join beside ``x``.
+TWO_JOINS = (
+    "fun f(a) { x = 1; y = 2; if (a > 3) { x = a; y = a + 1; } "
+    "return x + y; }",
+    "fun f(a) { p = null; x = 1; if (a > 3) { return 0; } "
+    "if (a < 2) { x = a + 1; } deref(p); return x; }",
+)
+
+
+def lowered_under_hash_seed(source: str, seed: int) -> str:
+    """The IR of ``source``, compiled in a fresh interpreter."""
+    env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=os.pathsep
+               .join([str(TESTS.parent / "src"), str(TESTS)]))
+    script = ("import sys; from repro.lang import compile_source; "
+              "from ir_pretty import format_program; "
+              "print(format_program(compile_source(sys.stdin.read())))")
+    return subprocess.run([sys.executable, "-c", script], input=source,
+                          env=env, capture_output=True, text=True,
+                          check=True, timeout=60).stdout
 
 
 class TestBasicLowering:
@@ -144,6 +173,16 @@ class TestGatedSsa:
         outer = [b for b in branches
                  if any(isinstance(s, Branch) for s in b.body)]
         assert len(outer) == 1
+
+    @pytest.mark.parametrize("source", TWO_JOINS,
+                             ids=["if", "early-return"])
+    def test_join_order_does_not_follow_string_hashing(self, source):
+        """Joins and their ``%phi`` names come out in one order under
+        every hash seed."""
+        lowered = {lowered_under_hash_seed(source, seed)
+                   for seed in range(4)}
+        assert len(lowered) == 1, lowered
+        assert "ite(" in lowered.pop()
 
 
 class TestLoopUnrolling:
