@@ -245,12 +245,16 @@ class AnalysisSession:
         :mod:`repro.lang.frontend`).  When every function compiles to
         the current version's ``Function`` object, in the same order and
         with the same externs, the program is unchanged: the PDG, the
-        engine and its views stay.  Otherwise the new engine rebuilds
-        each per-checker sparse view on first use; it only takes over
-        the old views' telemetry counters
+        engine and its views stay.  Otherwise the new PDG walks only the
+        changed functions, and when the old version has store keys, the
+        new version derives keys only for what the edit changed
+        (:class:`repro.exec.store.ProgramIndex`).  The new engine
+        rebuilds each per-checker sparse view on first use; it only
+        takes over the old views' telemetry counters
         (:meth:`repro.pdg.reduce.ViewRegistry.adopt`).  The line index
         keeps the profiles of every item whose text and position stayed.
         """
+        from repro.exec.store import ProgramIndex
         from repro.fusion import prepare_pdg
         from repro.lang.frontend import FrontendCache
         from repro.query.sites import LineMap
@@ -259,7 +263,9 @@ class AnalysisSession:
             self.frontend = FrontendCache(self.settings.lowering())
         program, frontend = self.frontend.compile(source)
         if not _same_program(self.program, program):
-            pdg = prepare_pdg(program)
+            pdg = prepare_pdg(program, self.pdg)
+            if self.pdg is not None and self.pdg.store_index is not None:
+                pdg.store_index = ProgramIndex(pdg, self.pdg.store_index)
             engine = build_engine(self.settings.engine, pdg, want_model=True)
             old_engine = self.engine
             if getattr(old_engine, "views", None) is not None \

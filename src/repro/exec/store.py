@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.checkers.base import BugCandidate, BugReport
-from repro.lang.fingerprint import FINGERPRINT_VERSION, program_keys
+from repro.lang.fingerprint import FINGERPRINT_VERSION, function_key
 from repro.lang.ir import Call
 from repro.pdg.graph import ProgramDependenceGraph
 from repro.pdg.slicing import compute_slice
@@ -135,33 +135,72 @@ class ProgramIndex:
     """The store's keys for one program version, derived once per PDG.
 
     Everything here is a function of the PDG alone, so every bind on
-    one version (each ``analyze``, each demand query) and the version's
-    view adoption share one instance.  :meth:`of` caches it on the PDG
-    (``pdg.store_index``): it lives exactly as long as the version it
-    describes, holds no reference back to the PDG, and is never pickled
-    into process workers.
+    one version (each ``analyze``, each demand query) shares one
+    instance.  :meth:`of` caches it on the PDG (``pdg.store_index``):
+    it lives exactly as long as the version it describes, holds no
+    reference back to the PDG, and is never pickled into process
+    workers.  Keys are over the program the PDG holds, which for a
+    recursive program is the unrolled one; its clones (``f%1``, ...) are
+    deterministic functions of the source, so their keys are as stable
+    as any other function's.
+
+    ``previous`` is the index of the version an edit replaced.  When
+    both versions define the same names at the same width, it lends its
+    keys: content keys and callee lists for every function that is the
+    very same ``Function`` object, and interface keys for every function
+    outside the changed functions' transitive callers (a quick-path
+    summary reads only its function and its callees' summaries).
+    Positions and call-site coordinates are per-PDG and always rebuilt.
     """
 
-    def __init__(self, pdg: ProgramDependenceGraph) -> None:
+    def __init__(self, pdg: ProgramDependenceGraph,
+                 previous: Optional["ProgramIndex"] = None) -> None:
         # Imported here: repro.fusion imports the engine skeleton, which
         # imports this package.
         from repro.fusion.quickpath import QuickPathTable
 
         program = pdg.program
-        quickpaths = QuickPathTable(pdg)
-        self.content: dict[str, str] = program_keys(program)
-        self.interface: dict[str, str] = {}
+        self.width = program.width
+        self.functions = program.functions
+        same: set[str] = set()  # names whose Function object both hold
+        if previous is not None and previous.width == self.width \
+                and previous.functions.keys() == self.functions.keys():
+            same = {name for name, fn in self.functions.items()
+                    if previous.functions[name] is fn}
+        self.content: dict[str, str] = {}
         self.callees: dict[str, tuple[str, ...]] = {}
-        for name, fn in program.functions.items():
-            self.interface[name] = _interface_key(pdg, quickpaths, name)
+        for name, fn in self.functions.items():
+            if name in same:
+                self.content[name] = previous.content[name]
+                self.callees[name] = previous.callees[name]
+                continue
+            self.content[name] = function_key(fn, self.width)
             self.callees[name] = tuple(sorted(
                 {s.callee for s in fn.statements()
                  if isinstance(s, Call)}))
+        # A new interface key for each changed function and each of its
+        # transitive callers; every other function keeps its key.
+        fresh = set(self.functions) - same
+        if same:
+            callers: dict[str, list[str]] = {}
+            for name, callees in self.callees.items():
+                for callee in callees:
+                    callers.setdefault(callee, []).append(name)
+            stack = list(fresh)
+            while stack:
+                for caller in callers.get(stack.pop(), ()):
+                    if caller not in fresh:
+                        fresh.add(caller)
+                        stack.append(caller)
+        quickpaths = QuickPathTable(pdg)
+        self.interface: dict[str, str] = {
+            name: _interface_key(pdg, quickpaths, name) if name in fresh
+            else previous.interface[name] for name in self.functions}
         # Stable coordinates: a vertex is (its function, its position
         # in that function); one list slot per vertex index keeps the
         # index small enough to live as long as the PDG.
         self.position: list[Optional[int]] = [None] * pdg.num_vertices
-        for name in program.functions:
+        for name in self.functions:
             for position, vertex in enumerate(pdg.function_vertices(name)):
                 self.position[vertex.index] = position
         self.site: dict[int, tuple[str, int]] = {

@@ -31,10 +31,12 @@ class FusionConfig:
     budget: Optional[Budget] = None
 
 
-def prepare_pdg(program: Program) -> ProgramDependenceGraph:
+def prepare_pdg(program: Program, previous: Optional[
+        ProgramDependenceGraph] = None) -> ProgramDependenceGraph:
     """Validate the program, unroll recursion and build the
-    whole-program dependence graph."""
-    return build_pdg(program, unroll=True)
+    whole-program dependence graph, walking only the functions that are
+    not ``previous``'s (:func:`repro.pdg.builder.build_pdg`)."""
+    return build_pdg(program, unroll=True, previous=previous)
 
 
 class FusionEngine(PathSensitiveEngine):

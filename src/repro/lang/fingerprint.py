@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 from typing import Iterable
 
-from repro.lang.ir import Branch, Function, Program, Stmt
+from repro.lang.ir import Branch, Function, Stmt
 
 #: Bumped whenever the canonical rendering changes shape, so persisted
 #: keys from an older layout can never collide with current ones.
@@ -50,15 +50,3 @@ def function_key(function: Function, width: int) -> str:
     """Content key of one function under a given bit width."""
     payload = f"w{width}\n{function_text(function)}"
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def program_keys(program: Program) -> dict[str, str]:
-    """Content key per defined function.
-
-    Computed on whatever program the analysis actually reads — for the
-    engines that is the recursion-unrolled program inside the PDG, whose
-    clone functions (``f%1`` etc.) are deterministic functions of the
-    source, so their keys are as stable as any other function's.
-    """
-    return {name: function_key(fn, program.width)
-            for name, fn in program.functions.items()}

@@ -16,6 +16,8 @@ each actual to the receiver.
 
 from __future__ import annotations
 
+from array import array
+from itertools import islice
 from typing import Container, NamedTuple, Optional
 
 from repro.collector import paused
@@ -25,17 +27,25 @@ from repro.pdg.graph import (CallSite, DataEdge, EdgeKind,
 
 
 class Fragment(NamedTuple):
-    """One function's walk.  ``rows`` holds, per statement in program
-    order: the statement, the local index of its control parent (-1 at
-    top level), the kind of its incoming edges (None for a call to a
-    defined function) and, per operand, the local index of its
-    definition (None for a constant)."""
+    """One function's walk, and the PDG's record of that function.
+
+    Per statement ``stmts[i]``, in program order: ``parent[i]`` is the
+    local index of its control parent (-1 at top level), and
+    ``used[starts[i]:starts[i + 1]]`` the local index of each operand's
+    definition (-1 for a constant).  A fragment lives as long as its
+    PDG, so the columns are int arrays rather than per-statement
+    tuples.  Nothing writes them after the walk, so a version may share
+    an unchanged function's fragment with the next (:func:`build_pdg`'s
+    ``previous``)."""
 
     function: Function
-    rows: list[tuple[Stmt, int, Optional[EdgeKind], list]]
+    stmts: tuple[Stmt, ...]
+    parent: array
+    used: array
+    starts: array
     defs: dict[str, int]  # variable name -> local index
     ret: int  # local index of the return, -1 if there is none
-    callees: set[str]  # defined functions it calls
+    callees: frozenset[str]  # defined functions it calls
 
 
 def walk_function(function: Function,
@@ -45,65 +55,80 @@ def walk_function(function: Function,
     Raises ``ValueError`` if the function is not in SSA form, uses an
     undefined variable or has more than one return.  Iterative: branch
     nesting grows with the unroll bound, which may exceed the stack."""
-    rows: list = []
+    stmts, parents, used, starts = [], [], [], [0]
     defs: dict[str, int] = {}
     callees: set[str] = set()
-    returns, late = [], []  # late: rows using a variable defined after them
+    returns, late = [], []  # late: (slot, stmt) using a later definition
     stack = [(iter(function.body), -1)]
     while stack:
-        stmts, parent = stack[-1]
-        for stmt in stmts:
-            index = len(rows)
+        body, parent = stack[-1]
+        for stmt in body:
+            index = len(stmts)
             name = stmt.result.name
             if name in defs:
                 raise ValueError(f"{function.name}: variable {name} "
                                  f"defined twice (SSA violation)")
             defs[name] = index
-            # -1: defined later in the function, or never (checked below).
-            used = [defs.get(op.name, -1) if isinstance(op, Var) else None
-                    for op in stmt.operands()]
-            if -1 in used:
-                late.append(index)
-            kind: Optional[EdgeKind] = EdgeKind.LOCAL
+            # -2: defined later in the function, or never (checked below).
+            row = [defs.get(op.name, -2) if isinstance(op, Var) else -1
+                   for op in stmt.operands()]
+            if -2 in row:
+                late.append((len(used), stmt))
+            stmts.append(stmt)
+            parents.append(parent)
+            used += row
+            starts.append(len(used))
             if isinstance(stmt, Call):
-                kind = None if stmt.callee in defined else EdgeKind.EXTERN
-                if kind is None:
+                if stmt.callee in defined:
                     callees.add(stmt.callee)
             elif isinstance(stmt, Return):
                 returns.append(index)
-            rows.append((stmt, parent, kind, used))
             if isinstance(stmt, Branch):
                 stack.append((iter(stmt.body), index))
                 break
         else:
             stack.pop()
-    for index in late:
-        stmt, _, _, used = rows[index]
-        for position, op in enumerate(stmt.operands()):
-            if used[position] == -1:
+    for slot, stmt in late:
+        for position, op in enumerate(stmt.operands(), slot):
+            if used[position] == -2:
                 if op.name not in defs:
                     raise ValueError(f"{function.name}: use of undefined "
                                      f"variable {op.name} in {stmt!r}")
                 used[position] = defs[op.name]
     if len(returns) > 1:
         raise ValueError(f"{function.name}: multiple return statements")
-    return Fragment(function, rows, defs, returns[0] if returns else -1,
-                    callees)
+    return Fragment(function, tuple(stmts), array("i", parents),
+                    array("i", used), array("i", starts), defs,
+                    returns[0] if returns else -1, frozenset(callees))
 
 
 @paused
-def build_pdg(program: Program, *,
-              unroll: bool = False) -> ProgramDependenceGraph:
+def build_pdg(program: Program, *, unroll: bool = False,
+              previous: Optional[ProgramDependenceGraph] = None
+              ) -> ProgramDependenceGraph:
     """Validate ``program`` and build its whole-program dependence graph.
 
     Recursion would make the engines' template instantiation
     non-terminating: with ``unroll`` a recursive program is first passed
     through :func:`repro.pdg.callgraph.unroll_recursion` (the paper's
-    up-front call-graph unrolling); without it, recursion raises."""
+    up-front call-graph unrolling); without it, recursion raises.
+
+    ``previous`` is an earlier version's PDG.  When it defines the same
+    function names, each function that is the very same ``Function``
+    object keeps its fragment instead of being walked again: a walk
+    reads only the function and the defined names.  The link is always
+    whole-program, so the result equals a build without ``previous``."""
     from repro.pdg.callgraph import CallGraph, unroll_recursion
 
-    fragments = [walk_function(function, program.functions)
-                 for function in program.functions.values()]
+    functions = program.functions
+    carried = previous._fragments if previous is not None \
+        and previous.program.functions.keys() == functions.keys() else {}
+    fragments = []
+    for name, function in functions.items():
+        fragment = carried.get(name)
+        if fragment is None or fragment.function is not function:
+            fragment = walk_function(function, functions)
+        fragments.append(fragment)
     graph = CallGraph(program, {fragment.function.name: fragment.callees
                                 for fragment in fragments})
     if graph.recursive_functions():
@@ -116,14 +141,14 @@ def build_pdg(program: Program, *,
     for fragment in fragments:
         function = fragment.function
         offset = len(pdg.vertices)
-        local = pdg._function_vertices[function.name] = []
-        for index, (stmt, parent, _, _) in enumerate(fragment.rows):
-            local.append(Vertex(offset + index, function.name, stmt))
-            if parent >= 0:
-                pdg._control_parent[offset + index] = local[parent]
-        pdg.vertices.extend(local)
-        pdg._def_of[function.name] = {var: local[index] for var, index
-                                      in fragment.defs.items()}
+        pdg._fragments[function.name] = fragment
+        local = pdg._function_vertices[function.name] = [
+            Vertex(offset + index, function.name, stmt)
+            for index, stmt in enumerate(fragment.stmts)]
+        pdg._control_parent += [local[parent] if parent >= 0 else None
+                                for parent in fragment.parent]
+        pdg._control_edges += len(local) - fragment.parent.count(-1)
+        pdg.vertices += local
         pdg._param_vertices[function.name] = [
             local[fragment.defs[stmt.result.name]]
             for stmt in function.body[:len(function.params)]]
@@ -137,23 +162,27 @@ def build_pdg(program: Program, *,
     for fragment in fragments:
         caller = fragment.function.name
         local = pdg._function_vertices[caller]
-        for dst, (stmt, _, kind, used) in zip(local, fragment.rows):
-            if kind is not None:
-                for src in used:
-                    if src is not None:
+        used, lo = fragment.used, 0
+        for dst, hi in zip(local, islice(fragment.starts, 1, None)):
+            stmt, operands, lo = dst.stmt, used[lo:hi], hi
+            if not isinstance(stmt, Call) or stmt.callee not in functions:
+                kind = EdgeKind.EXTERN if isinstance(stmt, Call) \
+                    else EdgeKind.LOCAL
+                for src in operands:
+                    if src >= 0:
                         add(DataEdge(local[src], dst, kind))
                 continue
-            callee = program.functions[stmt.callee]
-            if len(used) != len(callee.params):
+            callee = functions[stmt.callee]
+            if len(operands) != len(callee.params):
                 raise ValueError(
-                    f"call to {callee.name} with {len(used)} args, "
+                    f"call to {callee.name} with {len(operands)} args, "
                     f"expected {len(callee.params)}")
             callsite_id += 1
             pdg.callsites[callsite_id] = CallSite(callsite_id, caller,
                                                   callee.name, dst)
             # Actual -> formal identity, labelled "(i".
-            for src, param in zip(used, pdg.param_vertices(callee.name)):
-                if src is not None:
+            for src, param in zip(operands, pdg.param_vertices(callee.name)):
+                if src >= 0:
                     add(DataEdge(local[src], param, EdgeKind.CALL,
                                  callsite_id))
             # Callee return -> receiver, labelled ")i".

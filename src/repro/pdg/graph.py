@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from repro.lang.ir import Call, Operand, Program, Stmt, Var
+
+if TYPE_CHECKING:
+    from repro.pdg.builder import Fragment
 
 
 class EdgeKind(enum.Enum):
@@ -116,12 +119,15 @@ class ProgramDependenceGraph:
     def __init__(self, program: Program) -> None:
         self.program = program
         self.vertices: list[Vertex] = []
-        #: Per function: variable name -> defining vertex.
-        self._def_of: dict[str, dict[str, Vertex]] = {}
+        #: Per function: its walk (:class:`repro.pdg.builder.Fragment`),
+        #: which resolves a variable name to its local index.
+        self._fragments: dict[str, Fragment] = {}
         #: Data edges into / out of each vertex, by vertex index.
         self._preds: list[list[DataEdge]] = []
         self._succs: list[list[DataEdge]] = []
-        self._control_parent: dict[int, Vertex] = {}
+        #: Innermost governing branch of each vertex, by vertex index.
+        self._control_parent: list[Optional[Vertex]] = []
+        self._control_edges = 0
         self.callsites: dict[int, CallSite] = {}
         self._function_vertices: dict[str, list[Vertex]] = {}
         self._return_vertex: dict[str, Vertex] = {}
@@ -130,7 +136,7 @@ class ProgramDependenceGraph:
         self._sites: Optional[SiteIndex] = None
         #: The artifact store's keys for this program version
         #: (:class:`repro.exec.store.ProgramIndex`), built by the first
-        #: store bind or view adoption.
+        #: store bind, or by the edit that replaced a version holding one.
         self.store_index = None
 
     # ------------------------------------------------------------------ #
@@ -147,14 +153,18 @@ class ProgramDependenceGraph:
     # ------------------------------------------------------------------ #
 
     def def_of(self, function: str, var: str) -> Vertex:
-        return self._def_of[function][var]
+        return self._function_vertices[function][
+            self._fragments[function].defs[var]]
 
     def def_of_operand(self, function: str,
                        operand: Operand) -> Optional[Vertex]:
         """Defining vertex of an operand, or None for constants."""
-        if isinstance(operand, Var):
-            return self._def_of.get(function, {}).get(operand.name)
-        return None
+        fragment = self._fragments.get(function)
+        if fragment is None or not isinstance(operand, Var):
+            return None
+        index = fragment.defs.get(operand.name)
+        return None if index is None \
+            else self._function_vertices[function][index]
 
     def data_preds(self, vertex: Vertex) -> list[DataEdge]:
         return self._preds[vertex.index]
@@ -175,7 +185,7 @@ class ProgramDependenceGraph:
         return closure
 
     def control_parent(self, vertex: Vertex) -> Optional[Vertex]:
-        return self._control_parent.get(vertex.index)
+        return self._control_parent[vertex.index]
 
     def control_chain(self, vertex: Vertex) -> Iterator[Vertex]:
         """The transitive chain of governing branches (Rule 2 closure)."""
@@ -217,13 +227,13 @@ class ProgramDependenceGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._data_edges + len(self._control_parent)
+        return self._data_edges + self._control_edges
 
     def stats(self) -> dict[str, int]:
         return {
             "functions": len(self._function_vertices),
             "vertices": self.num_vertices,
             "data_edges": self._data_edges,
-            "control_edges": len(self._control_parent),
+            "control_edges": self._control_edges,
             "callsites": len(self.callsites),
         }

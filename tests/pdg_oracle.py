@@ -94,6 +94,7 @@ def oracle_pdg(program: Program) -> ProgramDependenceGraph:
             for branch_id in control[id(stmt)]:
                 pdg._control_parent[vertex_of[id(stmt)].index] = \
                     vertex_of[branch_id]
+                pdg._control_edges += 1
         pdg._param_vertices[function.name] = [
             vertex_of[id(s)] for s in function.body[:len(function.params)]]
         ret = function.return_stmt
@@ -129,7 +130,7 @@ def _add_vertex(pdg: ProgramDependenceGraph, function: str,
     vertex = Vertex(len(pdg.vertices), function, stmt)
     pdg.vertices.append(vertex)
     pdg._function_vertices.setdefault(function, []).append(vertex)
-    pdg._def_of.setdefault(function, {})[stmt.result.name] = vertex
+    pdg._control_parent.append(None)
     pdg._preds.append([])
     pdg._succs.append([])
     return vertex

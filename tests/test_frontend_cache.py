@@ -7,6 +7,9 @@ when the program is unchanged.  Ground truth is a fresh
 program text and PDG (vertex indices, edge lists in order, control
 parents, call sites) must equal the fresh one's, and a rejected edit
 must raise the fresh compile's error and leave the session as it was.
+What a changed program carries from the old version must equal what a
+cold build derives: each function's PDG fragment, and the store keys
+of :class:`~repro.exec.store.ProgramIndex`.
 """
 
 import json
@@ -19,9 +22,11 @@ from hypothesis import strategies as st
 import repro.query.sites as sites
 from repro.engine import AnalysisSession, findings_payload
 from repro.exec import ArtifactStore
+from repro.exec.store import ProgramIndex
 from repro.lang import LoweringError, compile_source, tokenize
 from repro.lang.frontend import FrontendCache
 from repro.lang.scan import block_end, mask_comments, top_level_items
+from repro.pdg.builder import walk_function
 from repro.query.sites import LineProfile, line_index
 from repro.smt.solver import DecidedBy
 from ir_pretty import format_program
@@ -122,8 +127,14 @@ def apply_edit(source: str, kind: str, n: int) -> str:
     return broken[n % len(broken)]
 
 
+def index_fields(index: ProgramIndex) -> tuple:
+    return (index.content, index.callees, index.interface, index.position,
+            index.site)
+
+
 def check_edit(session: AnalysisSession, source: str) -> None:
     """Apply ``source`` to ``session`` and compare with a cold one."""
+    ProgramIndex.of(session.pdg)  # so that the edit carries store keys
     try:
         fresh = AnalysisSession(source)
     except Exception as error:  # noqa: BLE001 — compared below
@@ -141,6 +152,12 @@ def check_edit(session: AnalysisSession, source: str) -> None:
     assert list(session.program.functions) \
         == list(fresh.program.functions)
     assert pdg_shape(session.pdg) == pdg_shape(fresh.pdg)
+    pdg = session.pdg
+    functions = pdg.program.functions
+    for name, function in functions.items():
+        assert pdg._fragments[name] == walk_function(function, functions)
+    assert pdg.store_index is not None
+    assert index_fields(pdg.store_index) == index_fields(ProgramIndex(pdg))
 
 
 @settings(max_examples=40, deadline=None)

@@ -6,6 +6,7 @@ from repro.lang import (Assign, Branch, Call, Const, Function, Identity,
                         Program, Return, Var, compile_source)
 from repro.pdg import (CallGraph, EdgeKind, build_pdg, pdg_to_dot,
                        unroll_recursion)
+from pdg_oracle import pdg_shape
 
 FIGURE1 = """
 fun bar(x) {
@@ -238,6 +239,41 @@ class TestBuildValidates:
         with pytest.raises(ValueError,
                            match="^call to g with 2 args, expected 1$"):
             build_pdg(program)
+
+
+class TestCarry:
+    """``build_pdg(program, previous=...)`` reuses the fragment of each
+    function that is the previous version's very object, and builds the
+    PDG a build without ``previous`` builds."""
+
+    F = Function("f", (Var("a"),), [Identity(Var("a")),
+                                    Call(Var("b"), "g", (Var("a"),)),
+                                    Return(Var("r"), Var("b"))])
+    G = Function("g", (Var("x"),), [Identity(Var("x")),
+                                    Return(Var("s"), Var("x"))])
+
+    def test_unchanged_functions_keep_their_fragments(self):
+        program = compile_source(FIGURE1)
+        previous = build_pdg(program)
+        edited = TestBuildValidates.program(
+            program.functions["bar"],
+            compile_source(FIGURE1.replace("c < d", "d < c"))
+            .functions["foo"])
+        pdg = build_pdg(edited, previous=previous)
+        assert pdg._fragments["bar"] is previous._fragments["bar"]
+        assert pdg._fragments["foo"] is not previous._fragments["foo"]
+        assert pdg_shape(pdg) == pdg_shape(build_pdg(edited))
+
+    @pytest.mark.parametrize("before, after", [((F,), (F, G)),
+                                               ((F, G), (F,))],
+                             ids=["defined", "undefined"])
+    def test_a_callee_changing_status_rewalks_its_callers(self, before,
+                                                           after):
+        previous = build_pdg(TestBuildValidates.program(*before))
+        program = TestBuildValidates.program(*after)
+        pdg = build_pdg(program, previous=previous)
+        assert pdg._fragments["f"] is not previous._fragments["f"]
+        assert pdg_shape(pdg) == pdg_shape(build_pdg(program))
 
 
 class TestCallGraph:

@@ -23,7 +23,7 @@ from repro.checkers import NullDereferenceChecker
 from repro.exec import ArtifactStore, Telemetry
 from repro.fusion import FusionEngine, prepare_pdg
 from repro.lang import LoweringConfig, compile_source
-from repro.lang.fingerprint import function_key, program_keys
+from repro.lang.fingerprint import function_key
 from repro.smt.solver import DecidedBy, SmtStatus
 
 
@@ -36,6 +36,12 @@ def fuzz_source(seed: int) -> str:
 
 def program_of(source: str):
     return compile_source(source, LoweringConfig())
+
+
+def program_keys(program) -> dict[str, str]:
+    """Content key per defined function, derived from scratch."""
+    return {name: function_key(fn, program.width)
+            for name, fn in program.functions.items()}
 
 
 def edit_one_constant(source: str) -> str:

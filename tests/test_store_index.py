@@ -6,8 +6,8 @@ steps"):
 * a program version's store keys are derived once: every ``analyze``
   and every demand query on one version share one
   :class:`~repro.exec.store.ProgramIndex`, and an edit builds exactly
-  one more;
-* the index's keys are exactly what ``program_keys`` and a
+  one more, deriving keys and walking the PDG only for what it changed;
+* the index's keys are exactly what ``function_key`` and a
   per-function interface recomputation give;
 * entry keys and dependency records are unchanged by the index (a
   store written before it replays in full);
@@ -26,6 +26,7 @@ import weakref
 import pytest
 
 import repro.exec.store as store_module
+import repro.pdg.builder as builder
 from repro.bench import SubjectSpec, generate_subject
 from repro.checkers import NullDereferenceChecker
 from repro.engine import AnalysisSession
@@ -35,9 +36,9 @@ from repro.exec.store import ABSENT_INTERFACE, ProgramIndex
 from repro.fusion import prepare_pdg
 from repro.fusion.quickpath import QuickPathTable
 from repro.lang import compile_source
-from repro.lang.fingerprint import program_keys
 from repro.query import line_index, resolve_sink_sites
 from repro.sparse.engine import collect_candidates
+from test_store import program_keys
 
 
 def fuzz_source(seed: int) -> str:
@@ -64,27 +65,39 @@ def sink_lines(session) -> list[int]:
 
 @pytest.fixture
 def counters(monkeypatch):
-    """Count index builds, binds, and the programs ``program_keys`` ran
-    on."""
-    counts = {"indexes": 0, "binds": 0, "keyed": []}
-    build, bind, keys = (ProgramIndex.__init__, ArtifactStore.bind,
-                         store_module.program_keys)
+    """Count index builds, binds, the functions ``function_key`` and
+    ``walk_function`` ran on, and ``_interface_key`` calls."""
+    counts = {"indexes": 0, "binds": 0, "keyed": [], "walked": [],
+              "interfaces": 0}
+    build, bind, key, walk, interface = (
+        ProgramIndex.__init__, ArtifactStore.bind, store_module.function_key,
+        builder.walk_function, store_module._interface_key)
 
-    def counting_build(self, pdg):
+    def counting_build(self, pdg, previous=None):
         counts["indexes"] += 1
-        build(self, pdg)
+        build(self, pdg, previous)
 
     def counting_bind(self, *args, **kwargs):
         counts["binds"] += 1
         return bind(self, *args, **kwargs)
 
-    def counting_keys(program):
-        counts["keyed"].append(program)
-        return keys(program)
+    def counting_key(function, width):
+        counts["keyed"].append(function)
+        return key(function, width)
+
+    def counting_walk(function, defined=()):
+        counts["walked"].append(function)
+        return walk(function, defined)
+
+    def counting_interface(*args):
+        counts["interfaces"] += 1
+        return interface(*args)
 
     monkeypatch.setattr(ProgramIndex, "__init__", counting_build)
     monkeypatch.setattr(ArtifactStore, "bind", counting_bind)
-    monkeypatch.setattr(store_module, "program_keys", counting_keys)
+    monkeypatch.setattr(store_module, "function_key", counting_key)
+    monkeypatch.setattr(builder, "walk_function", counting_walk)
+    monkeypatch.setattr(store_module, "_interface_key", counting_interface)
     return counts
 
 
@@ -100,17 +113,33 @@ def test_one_index_per_program_version(tmp_path, counters):
     assert counters["binds"] > len(CHECKER_FACTORIES), \
         "no demand query reached the store"
     assert counters["indexes"] == 1
+    functions = list(session.pdg.program.functions.values())
+    assert counters["keyed"] == counters["walked"] == functions
+    assert counters["interfaces"] == len(functions)
 
-    old_program = session.pdg.program
     binds = counters["binds"]
+    del counters["keyed"][:], counters["walked"][:]
     session.update_source(edit_one_constant(source))
     for checker in CHECKER_FACTORIES:
         session.analyze(checker)
     assert counters["binds"] == binds + len(CHECKER_FACTORIES)
     assert counters["indexes"] == 2
-    # The old version's keys came from its index, never recomputed.
-    assert sum(program is old_program
-               for program in counters["keyed"]) == 1
+    # A one-literal edit keys and walks the one function it changed; the
+    # other functions' keys and walks come from the old version.
+    [edited] = [fn for fn in session.pdg.program.functions.values()
+                if not any(fn is old for old in functions)]
+    assert counters["keyed"] == counters["walked"] == [edited]
+    # Interface keys: the edited function and its transitive callers.
+    callees = session.pdg.store_index.callees
+    stale = {edited.name}
+    while True:
+        callers = {name for name, called in callees.items()
+                   if stale.intersection(called)} - stale
+        if not callers:
+            break
+        stale |= callers
+    assert len(stale) < len(functions)
+    assert counters["interfaces"] == len(functions) + len(stale)
 
 
 def test_index_keys_match_fresh_derivation(tmp_path):
