@@ -121,24 +121,39 @@ class ConditionTransformer:
         raise NotImplementedError(f"cannot translate {stmt!r}")
 
     def _binary_term(self, op: BinOp, lhs: Term, rhs: Term) -> Term:
+        # An ``is`` chain, not a table: ``Enum.__hash__`` is a Python call.
         mgr = self.manager
-        table = {
-            BinOp.ADD: mgr.bvadd, BinOp.SUB: mgr.bvsub, BinOp.MUL: mgr.bvmul,
-            BinOp.DIV: mgr.bvudiv, BinOp.REM: mgr.bvurem,
-            BinOp.SHL: mgr.bvshl, BinOp.SHR: mgr.bvlshr,
-            BinOp.LT: mgr.slt, BinOp.LE: mgr.sle,
-            BinOp.GT: mgr.gt, BinOp.GE: mgr.ge,
-        }
-        if op in table:
-            return table[op](lhs, rhs)
-        if op in (BinOp.BAND, BinOp.BOR, BinOp.BXOR):
-            if lhs.sort.is_bool:
-                fn = {BinOp.BAND: mgr.and_, BinOp.BOR: mgr.or_,
-                      BinOp.BXOR: mgr.xor}[op]
-                return fn(lhs, rhs)
-            fn = {BinOp.BAND: mgr.bvand, BinOp.BOR: mgr.bvor,
-                  BinOp.BXOR: mgr.bvxor}[op]
-            return fn(lhs, rhs)
+        if op is BinOp.ADD:
+            return mgr.bvadd(lhs, rhs)
+        if op is BinOp.SUB:
+            return mgr.bvsub(lhs, rhs)
+        if op is BinOp.MUL:
+            return mgr.bvmul(lhs, rhs)
+        if op is BinOp.DIV:
+            return mgr.bvudiv(lhs, rhs)
+        if op is BinOp.REM:
+            return mgr.bvurem(lhs, rhs)
+        if op is BinOp.SHL:
+            return mgr.bvshl(lhs, rhs)
+        if op is BinOp.SHR:
+            return mgr.bvlshr(lhs, rhs)
+        if op is BinOp.LT:
+            return mgr.slt(lhs, rhs)
+        if op is BinOp.LE:
+            return mgr.sle(lhs, rhs)
+        if op is BinOp.GT:
+            return mgr.gt(lhs, rhs)
+        if op is BinOp.GE:
+            return mgr.ge(lhs, rhs)
+        if op is BinOp.BAND:
+            return mgr.and_(lhs, rhs) if lhs.sort.is_bool \
+                else mgr.bvand(lhs, rhs)
+        if op is BinOp.BOR:
+            return mgr.or_(lhs, rhs) if lhs.sort.is_bool \
+                else mgr.bvor(lhs, rhs)
+        if op is BinOp.BXOR:
+            return mgr.xor(lhs, rhs) if lhs.sort.is_bool \
+                else mgr.bvxor(lhs, rhs)
         if op is BinOp.EQ:
             return mgr.eq(lhs, rhs)
         if op is BinOp.NE:

@@ -55,11 +55,13 @@ class CompletionStep:
     """Extends a model of the residual formula to the original formula.
 
     ``assign`` receives the mutable model (Term var -> int) and must add the
-    entries for the variables this step eliminated.
+    entries for the variables this step eliminated.  Its second argument
+    is the replay's evaluation memo (term id -> value), which a step
+    passes to :func:`_eval_with_defaults`.
     """
 
     description: str
-    assign: Callable[[dict[Term, int]], None]
+    assign: Callable[[dict[Term, int], dict[int, int]], None]
 
 
 @dataclass
@@ -83,10 +85,19 @@ class PreprocessResult:
     stats: PreprocessStats
 
     def complete_model(self, model: dict[Term, int]) -> dict[Term, int]:
-        """Extend ``model`` (for the residual) to the original constraints."""
+        """Extend ``model`` (for the residual) to the original constraints.
+
+        The steps replay in reverse, sharing one evaluation memo, so a
+        node that several definitions share is evaluated once.  A memoized
+        value never goes stale: a step's definition was recorded after
+        every variable eliminated before it had been substituted out, so
+        no step replayed later assigns a variable that an earlier-replayed
+        step has read (docs/solver.md, "Preprocessing").
+        """
         extended = dict(model)
+        memo: dict[int, int] = {}
         for step in reversed(self.completions):
-            step.assign(extended)
+            step.assign(extended, memo)
         return extended
 
 
@@ -98,11 +109,35 @@ def _twos_valuation(value: int, width: int) -> int:
     return (value & -value).bit_length() - 1
 
 
-def _eval_with_defaults(term: Term, model: dict[Term, int]) -> int:
-    """Evaluate ``term``, defaulting unassigned variables to zero."""
-    for var in term.free_vars():
-        model.setdefault(var, 0)
-    return semantics.evaluate(term, model)
+def _eval_with_defaults(term: Term, model: dict[Term, int],
+                        memo: dict[int, int]) -> int:
+    """Evaluate ``term``, defaulting unassigned variables to zero.
+
+    One walk in :meth:`Term.iter_dag` order that stops at nodes already
+    in ``memo`` (term id -> value) and adds the ones it evaluates.
+    """
+    stack: list[Optional[Term]] = [term]
+    pop, push = stack.pop, stack.append
+    eval_node = semantics.eval_node
+    while stack:
+        node = pop()
+        if node is None:
+            node = pop()
+            memo[node.tid] = eval_node(node, model, memo)
+            continue
+        if node.tid in memo:
+            continue
+        if not node.args:
+            if node.is_var and node not in model:
+                model[node] = 0
+            memo[node.tid] = eval_node(node, model, memo)
+            continue
+        push(node)
+        push(None)
+        for arg in node.args:
+            if arg.tid not in memo:
+                push(arg)
+    return memo[term.tid]
 
 
 def constraint_set_size(constraints: Sequence[Term]) -> int:
@@ -174,35 +209,36 @@ class _Occurrences:
     A pass keys its constraints by list position, so :meth:`of` returns
     hits in list order.  This is the occurrence list of SAT preprocessors
     such as SatELite: a substitution visits the occurrences of the
-    variables it replaces instead of testing every constraint.
+    variables it replaces instead of testing every constraint.  The lists
+    are keyed by variable id, which hashes in C.
     """
 
     __slots__ = ("run", "keys")
 
     def __init__(self, run: _RunState, items: Iterable[tuple]) -> None:
         self.run = run
-        self.keys: dict[Term, set] = {}
+        self.keys: dict[int, set] = {}
         for key, constraint in items:
             self.add(key, constraint)
 
     def add(self, key, constraint: Term) -> None:
         for var in self.run.free_vars(constraint):
-            found = self.keys.get(var)
+            found = self.keys.get(var.tid)
             if found is None:
-                self.keys[var] = {key}
+                self.keys[var.tid] = {key}
             else:
                 found.add(key)
 
     def remove(self, key, constraint: Term) -> None:
         for var in self.run.free_vars(constraint):
-            self.keys[var].discard(key)
+            self.keys[var.tid].discard(key)
 
     def of(self, variables: Iterable[Term]) -> list:
         """Keys of the constraints that mention any of ``variables``, in
         order."""
         hits: set = set()
         for var in variables:
-            hits.update(self.keys.get(var, ()))
+            hits.update(self.keys.get(var.tid, ()))
         return sorted(hits)
 
 
@@ -249,19 +285,23 @@ class Preprocessor:
         :data:`MAX_ROUNDS`).
 
         ``deadline`` is checked once per round, once per batch of constant
-        bindings and once per other eliminated variable, so no single
+        bindings, once per other eliminated variable (a solved Gaussian
+        pivot included) and once per probed constraint, so no single
         round can overrun it by much.
+
+        Each round's DAG size is computed once, at its end: it is the
+        next round's size before, and the last one is ``final_size``.
         """
         run = _RunState(self.manager, deadline)
         stats = PreprocessStats()
         completions: list[CompletionStep] = []
         work = [run.simplify(c) for c in flatten_conjunction(constraints)]
-        stats.initial_size = constraint_set_size(work)
+        size = stats.initial_size = constraint_set_size(work)
 
         for _ in range(MAX_ROUNDS):
             run.check_deadline()
             stats.rounds += 1
-            before = (len(work), constraint_set_size(work))
+            before = (len(work), size)
             work = self._normalize(work, run)
             if work is None:
                 stats.final_size = 0
@@ -294,10 +334,11 @@ class Preprocessor:
                 stats.final_size = 0
                 return PreprocessResult(Verdict.UNSAT, [], completions, stats)
             work = work_check
-            if (len(work), constraint_set_size(work)) == before:
+            size = constraint_set_size(work)
+            if (len(work), size) == before:
                 break
 
-        stats.final_size = constraint_set_size(work)
+        stats.final_size = size
         verdict = Verdict.SAT if not work else Verdict.UNKNOWN
         return PreprocessResult(verdict, work, completions, stats)
 
@@ -403,6 +444,7 @@ class Preprocessor:
             stats.constants_propagated += len(bindings)
 
             def assign(model: dict[Term, int],
+                       memo: dict[int, int],
                        fixed: dict[Term, Term] = bindings) -> None:
                 for var, const in fixed.items():
                     model[var] = const.value
@@ -509,8 +551,9 @@ class Preprocessor:
             stats.equalities_propagated += 1
 
             def assign(model: dict[Term, int],
+                       memo: dict[int, int],
                        v: Term = var, d: Term = definition) -> None:
-                model[v] = _eval_with_defaults(d, model)
+                model[v] = _eval_with_defaults(d, model, memo)
 
             completions.append(
                 CompletionStep(f"equality {var.name}", assign))
@@ -716,6 +759,7 @@ class Preprocessor:
             # completion — which replays steps in reverse — fixes exact
             # values before evaluating pivot definitions that use them.
             for i in range(len(solved) - 1, -1, -1):
+                run.check_deadline()
                 var, coeffs, const = solved[i]
                 definition = self._linear_to_term(coeffs, const, width)
                 definition = mgr.substitute(definition, substitution)
@@ -723,8 +767,9 @@ class Preprocessor:
                 the_var, the_def = var, substitution[var]
 
                 def assign(model: dict[Term, int],
+                           memo: dict[int, int],
                            v: Term = the_var, d: Term = the_def) -> None:
-                    model[v] = _eval_with_defaults(d, model)
+                    model[v] = _eval_with_defaults(d, model, memo)
 
                 completions.append(
                     CompletionStep(f"gaussian {var.name}", assign))
@@ -767,6 +812,7 @@ class Preprocessor:
                         stats.gaussian_solved += 1
 
                         def assign_exact(model: dict[Term, int],
+                                         memo: dict[int, int],
                                          v: Term = var,
                                          val: int = value) -> None:
                             model[v] = val
@@ -872,6 +918,7 @@ class Preprocessor:
                                   for v in support):
                 kept.append(constraint)
                 continue
+            run.check_deadline()
             variables = sorted(support, key=lambda v: v.tid)
             witness = self._find_witness(constraint, variables, rng, attempts)
             if witness is None:
@@ -881,6 +928,7 @@ class Preprocessor:
             snapshot = dict(witness)
 
             def assign(model: dict[Term, int],
+                       memo: dict[int, int],
                        w: dict[Term, int] = snapshot) -> None:
                 model.update(w)
 
@@ -921,7 +969,8 @@ class Preprocessor:
             var = node.args[0]
             fresh = mgr.fresh_var(node.sort)
 
-            def assign_unary(model: dict[Term, int], v: Term = var,
+            def assign_unary(model: dict[Term, int],
+                             memo: dict[int, int], v: Term = var,
                              f: Term = fresh, t: Term = node) -> None:
                 out = model.get(f, 0)
                 width = v.sort.width
@@ -942,11 +991,12 @@ class Preprocessor:
                 if unconstrained(var) and var not in run.free_vars(other):
                     fresh = mgr.fresh_var(node.sort)
 
-                    def assign_binary(model: dict[Term, int], v: Term = var,
+                    def assign_binary(model: dict[Term, int],
+                                      memo: dict[int, int], v: Term = var,
                                       f: Term = fresh, o: Term = other,
                                       t: Term = node, idx: int = i) -> None:
                         out = model.get(f, 0)
-                        oval = _eval_with_defaults(o, model)
+                        oval = _eval_with_defaults(o, model, memo)
                         if t.op is Op.XOR:
                             model[v] = out ^ oval
                             return
@@ -976,7 +1026,8 @@ class Preprocessor:
                     modulus = 1 << node.sort.width
                     inv = pow(other.value, -1, modulus)
 
-                    def assign_mul(model: dict[Term, int], v: Term = var,
+                    def assign_mul(model: dict[Term, int],
+                                   memo: dict[int, int], v: Term = var,
                                    f: Term = fresh, k: int = inv,
                                    m: int = modulus) -> None:
                         model[v] = (model.get(f, 0) * k) % m
@@ -991,10 +1042,11 @@ class Preprocessor:
                 if unconstrained(var) and var not in run.free_vars(other):
                     fresh = mgr.fresh_var(node.sort)
 
-                    def assign_eq(model: dict[Term, int], v: Term = var,
+                    def assign_eq(model: dict[Term, int],
+                                  memo: dict[int, int], v: Term = var,
                                   f: Term = fresh, o: Term = other) -> None:
                         want = model.get(f, 0)
-                        oval = _eval_with_defaults(o, model)
+                        oval = _eval_with_defaults(o, model, memo)
                         if want:
                             model[v] = oval
                         elif v.sort.is_bool:
@@ -1014,7 +1066,8 @@ class Preprocessor:
                 fresh = mgr.fresh_var(node.sort)
                 strict = node.op in (Op.ULT, Op.SLT)
 
-                def assign_cmp(model: dict[Term, int], a: Term = lhs,
+                def assign_cmp(model: dict[Term, int],
+                               memo: dict[int, int], a: Term = lhs,
                                b: Term = rhs, f: Term = fresh,
                                is_strict: bool = strict) -> None:
                     want = model.get(f, 0)

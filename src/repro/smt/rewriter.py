@@ -33,21 +33,31 @@ def simplify(manager: TermManager, term: Term,
     descendants are all in it too: the remaining nodes are visited in the
     same post-order, so a shared memo yields the same terms *and* the same
     term ids as fresh calls.
+
+    The walk is :meth:`Term.iter_dag`'s: a ``None`` on the stack marks
+    that the node under it has all its arguments simplified.  A leaf
+    simplifies to itself, so it is entered without a marker.
     """
     cache: dict[int, Term] = {} if memo is None else memo
-    stack: list[tuple[Term, bool]] = [(term, False)]
+    stack: list[Optional[Term]] = [term]
+    pop, push = stack.pop, stack.append
     while stack:
-        node, expanded = stack.pop()
+        node = pop()
+        if node is None:
+            node = pop()
+            cache[node.tid] = _simplify_node(
+                manager, node, tuple([cache[a.tid] for a in node.args]))
+            continue
         if node.tid in cache:
             continue
-        if expanded:
-            new_args = tuple(cache[a.tid] for a in node.args)
-            cache[node.tid] = _simplify_node(manager, node, new_args)
-        else:
-            stack.append((node, True))
-            for arg in node.args:
-                if arg.tid not in cache:
-                    stack.append((arg, False))
+        if not node.args:
+            cache[node.tid] = node
+            continue
+        push(node)
+        push(None)
+        for arg in node.args:
+            if arg.tid not in cache:
+                push(arg)
     return cache[term.tid]
 
 
@@ -58,7 +68,10 @@ def _simplify_node(mgr: TermManager, node: Term,
         return node
 
     # Constant folding: every argument is a literal.
-    if all(a.is_const for a in args):
+    for a in args:
+        if not a.is_const:
+            break
+    else:
         rebuilt = mgr.rebuild(node, args)
         value = semantics.evaluate(rebuilt, {})
         if rebuilt.sort.is_bool:
@@ -77,7 +90,15 @@ def _simplify_node(mgr: TermManager, node: Term,
 
 
 def _sort_commutative(args: tuple[Term, ...]) -> tuple[Term, ...]:
-    """Order commutative arguments canonically (constants first, then by id)."""
+    """Order commutative arguments canonically (constants first, then by id).
+
+    Two arguments, the common case, are compared directly.
+    """
+    if len(args) == 2:
+        a, b = args
+        if a.is_const is b.is_const:
+            return args if a.tid <= b.tid else (b, a)
+        return args if a.is_const else (b, a)
     return tuple(sorted(args, key=lambda t: (not t.is_const, t.tid)))
 
 

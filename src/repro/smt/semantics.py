@@ -35,12 +35,14 @@ def evaluate(term: Term, assignment: Assignment) -> int:
     """
     cache: dict[int, int] = {}
     for node in term.iter_dag():
-        cache[node.tid] = _eval_node(node, assignment, cache)
+        cache[node.tid] = eval_node(node, assignment, cache)
     return cache[term.tid]
 
 
-def _eval_node(node: Term, assignment: Assignment,
-               cache: dict[int, int]) -> int:
+def eval_node(node: Term, assignment: Assignment,
+              cache: dict[int, int]) -> int:
+    """The value of ``node`` given its arguments' values in ``cache``
+    (term id -> value) and its variable's in ``assignment``."""
     op = node.op
     if op is Op.VAR:
         value = assignment[node]

@@ -10,6 +10,7 @@ enough: ``Bool`` and ``BitVec(w)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,13 @@ BOOL = Sort(0)
 DEFAULT_WIDTH = 32
 
 
+@lru_cache(maxsize=None)
 def bitvec(width: int) -> Sort:
-    """Return the bit-vector sort of the given positive ``width``."""
+    """Return the bit-vector sort of the given positive ``width``.
+
+    Cached: one object per width, so building a variable or a literal
+    allocates no sort.  It still compares equal to ``Sort(width)``.
+    """
     if width <= 0:
         raise ValueError(f"bit-vector width must be positive, got {width}")
     return Sort(width)

@@ -25,7 +25,16 @@ from repro.smt.sorts import BOOL, Sort, bitvec
 
 
 class Op(enum.Enum):
-    """Term constructors."""
+    """Term constructors.
+
+    Members hash by identity (C-level ``object.__hash__``) instead of
+    ``Enum.__hash__``, which hashes the member's name in Python on every
+    intern-key lookup.  Members are singletons, so equality is unchanged;
+    the hashes differ from process to process, so no order may come from
+    iterating a set of operators (none does).
+    """
+
+    __hash__ = object.__hash__
 
     # Leaves.
     VAR = "var"
@@ -87,7 +96,8 @@ class Term:
     the same manager are semantically equal iff they are the same object.
     """
 
-    __slots__ = ("op", "args", "sort", "payload", "tid", "__weakref__")
+    __slots__ = ("op", "args", "sort", "payload", "tid", "is_var",
+                 "is_const", "__weakref__")
 
     def __init__(self, op: Op, args: tuple["Term", ...], sort: Sort,
                  payload: object, tid: int) -> None:
@@ -96,19 +106,15 @@ class Term:
         self.sort = sort
         self.payload = payload
         self.tid = tid
+        # Leaf tests are read in every rewrite; stored, they cost an
+        # attribute load instead of a property call.
+        self.is_var = op is Op.VAR
+        self.is_const = op is Op.CONST or op is Op.TRUE or op is Op.FALSE
 
     def __hash__(self) -> int:
         return self.tid
 
     # Identity equality is intentional: interning guarantees uniqueness.
-
-    @property
-    def is_var(self) -> bool:
-        return self.op is Op.VAR
-
-    @property
-    def is_const(self) -> bool:
-        return self.op in (Op.CONST, Op.TRUE, Op.FALSE)
 
     @property
     def name(self) -> str:
@@ -198,7 +204,9 @@ class TermManager:
 
     def _intern(self, op: Op, args: tuple[Term, ...], sort: Sort,
                 payload: object) -> Term:
-        key = (op, tuple(a.tid for a in args), sort, payload)
+        # The width stands for the sort: it hashes in C, where a
+        # dataclass ``Sort`` would hash in Python.
+        key = (op, tuple([a.tid for a in args]), sort.width, payload)
         term = self._table.get(key)
         if term is None:
             term = Term(op, args, sort, payload, next(self._counter))
@@ -288,13 +296,13 @@ class TermManager:
     # ------------------------------------------------------------------ #
 
     def eq(self, a: Term, b: Term) -> Term:
-        if a.sort != b.sort:
+        if a.sort.width != b.sort.width:
             raise TypeError(f"eq on mismatched sorts: {a.sort} vs {b.sort}")
         return self._intern(Op.EQ, (a, b), BOOL, None)
 
     def ite(self, cond: Term, then: Term, other: Term) -> Term:
         self._check_bool(cond)
-        if then.sort != other.sort:
+        if then.sort.width != other.sort.width:
             raise TypeError(
                 f"ite branches have mismatched sorts: {then.sort} vs {other.sort}")
         return self._intern(Op.ITE, (cond, then, other), then.sort, None)
@@ -304,7 +312,8 @@ class TermManager:
     # ------------------------------------------------------------------ #
 
     def _check_bv_pair(self, a: Term, b: Term) -> Sort:
-        if not a.sort.is_bv or a.sort != b.sort:
+        width = a.sort.width
+        if width == 0 or width != b.sort.width:
             raise TypeError(
                 f"expected matching bit-vector sorts, got {a.sort} and {b.sort}")
         return a.sort
@@ -404,11 +413,16 @@ class TermManager:
 
     def _substitute(self, order: list[Term],
                     mapping: dict[Term, Term]) -> Term:
-        """``substitute`` over ``order``, a term's ``iter_dag``."""
+        """``substitute`` over ``order``, a term's ``iter_dag``.
+
+        ``mapping`` is re-keyed by term id first: an ``int`` lookup hashes
+        in C, where ``Term.__hash__`` is a Python call per node.
+        """
+        replace = {key.tid: value for key, value in mapping.items()}
         cache: dict[int, Term] = {}
         rebuild = self.rebuild
         for node in order:
-            replacement = mapping.get(node)
+            replacement = replace.get(node.tid)
             if replacement is not None:
                 cache[node.tid] = replacement
             elif not node.args:

@@ -49,7 +49,7 @@ def oracle_propagate_constants(self: Preprocessor, work: list[Term],
         stats.constants_propagated += len(bindings)
         snapshot = dict(bindings)
 
-        def assign(model: dict[Term, int],
+        def assign(model: dict[Term, int], memo: dict[int, int],
                    fixed: dict[Term, Term] = snapshot) -> None:
             for var, const in fixed.items():
                 model[var] = const.value
@@ -88,9 +88,9 @@ def oracle_propagate_equalities(self: Preprocessor, work: list[Term],
                 continue
             stats.equalities_propagated += 1
 
-            def assign(model: dict[Term, int],
+            def assign(model: dict[Term, int], memo: dict[int, int],
                        v: Term = var, d: Term = definition) -> None:
-                model[v] = _eval_with_defaults(d, model)
+                model[v] = _eval_with_defaults(d, model, memo)
 
             completions.append(
                 CompletionStep(f"equality {var.name}", assign))

@@ -4,10 +4,14 @@
 ``TermManager.rename`` collects the free variables and rebuilds over
 that one list; ``constraint_set_size`` walks the whole set with one
 stack; ``Preprocessor._substitute_all`` tests a lone variable key by
-membership.  This module keeps what they replaced: the generator walk
-that pushes a ``(term, expanded)`` pair per node, the rename that walks
-twice (``free_vars``, then ``substitute``), the size that starts a fresh
-walk per constraint and the subset test for every mapping.
+membership; ``simplify`` walks with the same ``None`` marker and
+orders two commutative arguments by one comparison.  This module keeps
+what they replaced: the generator walk that pushes a ``(term,
+expanded)`` pair per node (for ``iter_dag`` and ``simplify`` alike),
+the rename that walks twice (``free_vars``, then ``substitute``), the
+size that starts a fresh walk per constraint, the subset test for
+every mapping and the ``sorted`` call that ordered commutative
+arguments.
 ``tests/test_term_walk_oracle.py`` requires the two to agree term id
 for term id.
 
@@ -18,10 +22,10 @@ inside it is the old pipeline.
 from __future__ import annotations
 
 import contextlib
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 from unittest import mock
 
-from repro.smt import preprocess
+from repro.smt import preprocess, rewriter
 from repro.smt.preprocess import Preprocessor
 from repro.smt.terms import Term, TermManager
 
@@ -42,6 +46,31 @@ def oracle_iter_dag(term: Term) -> Iterator[Term]:
             for arg in node.args:
                 if arg.tid not in seen:
                     stack.append((arg, False))
+
+
+def oracle_simplify(manager: TermManager, term: Term,
+                    memo: Optional[dict[int, Term]] = None) -> Term:
+    """``rewriter.simplify`` with a ``(term, expanded)`` pair per push."""
+    cache: dict[int, Term] = {} if memo is None else memo
+    stack: list[tuple[Term, bool]] = [(term, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if node.tid in cache:
+            continue
+        if expanded:
+            new_args = tuple(cache[a.tid] for a in node.args)
+            cache[node.tid] = rewriter._simplify_node(manager, node,
+                                                      new_args)
+        else:
+            stack.append((node, True))
+            for arg in node.args:
+                if arg.tid not in cache:
+                    stack.append((arg, False))
+    return cache[term.tid]
+
+
+def oracle_sort_commutative(args: tuple[Term, ...]) -> tuple[Term, ...]:
+    return tuple(sorted(args, key=lambda t: (not t.is_const, t.tid)))
 
 
 def oracle_free_vars(term: Term) -> set[Term]:
@@ -108,5 +137,8 @@ def parent_walks() -> Iterator[None]:
             mock.patch.object(preprocess, "constraint_set_size",
                               oracle_constraint_set_size), \
             mock.patch.object(Preprocessor, "_substitute_all",
-                              oracle_substitute_all):
+                              oracle_substitute_all), \
+            mock.patch.object(preprocess, "simplify", oracle_simplify), \
+            mock.patch.object(rewriter, "_sort_commutative",
+                              oracle_sort_commutative):
         yield

@@ -321,7 +321,46 @@ def _binding_chain(mgr, links=50):
     return chain + [mgr.eq(xs[0], mgr.bv_const(1, 8))]
 
 
+def _pivot_chain(mgr, rows=50):
+    """x_i + 3*x_(i+1) = i: Gaussian elimination solves one pivot per
+    row."""
+    xs = [mgr.bv_var(f"x{i}", 8) for i in range(rows + 1)]
+    three = mgr.bv_const(3, 8)
+    return [mgr.eq(mgr.bvadd(xs[i], mgr.bvmul(three, xs[i + 1])),
+                   mgr.bv_const(i, 8))
+            for i in range(rows)]
+
+
+def _isolated_constraints(mgr, count=60):
+    """x_i < y_i: each constraint shares no variable with the others,
+    so probing discharges every one."""
+    return [mgr.ult(mgr.bv_var(f"x{i}", 8), mgr.bv_var(f"y{i}", 8))
+            for i in range(count)]
+
+
 class TestDeadlineGranularity:
+    def test_checked_once_per_gaussian_pivot(self, mgr):
+        deadline = _CountdownDeadline()
+        result = Preprocessor(mgr, enabled=("gaussian",)).run(
+            _pivot_chain(mgr), deadline=deadline)
+        assert result.stats.gaussian_solved == 50
+        assert deadline.checks >= result.stats.rounds + 50
+
+    def test_checked_once_per_probed_constraint(self, mgr):
+        deadline = _CountdownDeadline()
+        result = Preprocessor(mgr, enabled=("probing",)).run(
+            _isolated_constraints(mgr), deadline=deadline)
+        assert result.verdict is Verdict.SAT
+        assert result.stats.probed == 60
+        assert deadline.checks >= result.stats.rounds + 60
+
+    def test_pivot_chain_expires_mid_round(self, mgr):
+        deadline = _CountdownDeadline(10)
+        with pytest.raises(QueryDeadlineExceeded):
+            Preprocessor(mgr, enabled=("gaussian",)).run(
+                _pivot_chain(mgr), deadline=deadline)
+        assert deadline.checks == 10
+
     def test_checked_once_per_elimination(self, mgr):
         deadline = _CountdownDeadline()
         result = Preprocessor(mgr).run(_equality_chain(mgr),

@@ -1,8 +1,11 @@
 """Unit tests for the hash-consed term DAG."""
 
 import pytest
+from hypothesis import given, settings
 
-from repro.smt import BOOL, TermManager, bitvec, to_sexpr
+from repro.smt import BOOL, Sort, TermManager, bitvec, to_sexpr
+from repro.smt.terms import Op
+from strategies import bool_terms, make_manager
 
 
 @pytest.fixture
@@ -35,6 +38,38 @@ class TestInterning:
         mgr.bvadd(x, x)
         mgr.bvadd(x, x)  # duplicate: no new node
         assert len(mgr) == before + 2
+
+
+class TestKernel:
+    """Sorts are cached per width, leaf flags are stored on each term and
+    the intern key holds a sort's width."""
+
+    @pytest.mark.parametrize("width", [1, 4, 8, 32])
+    def test_bitvec_is_one_object_per_width(self, width):
+        assert bitvec(width) is bitvec(width)
+        assert Sort(width) == bitvec(width)
+        assert hash(Sort(width)) == hash(bitvec(width))
+
+    def test_bitvec_rejects_nonpositive_widths(self):
+        for width in (0, -1):
+            with pytest.raises(ValueError):
+                bitvec(width)
+
+    def test_bool_and_bitvec_vars_with_one_name_stay_distinct(self, mgr):
+        flag, word = mgr.bool_var("v"), mgr.bv_var("v", 1)
+        assert flag is not word
+        assert (flag.sort, word.sort) == (BOOL, bitvec(1))
+        assert mgr.var("v", Sort(0)) is flag
+        assert mgr.var("v", Sort(1)) is word
+        assert flag.tid != word.tid
+
+    @settings(max_examples=100, deadline=None)
+    @given(bool_terms(*make_manager()))
+    def test_leaf_flags_agree_with_the_operator(self, term):
+        for node in term.iter_dag():
+            assert node.is_var is (node.op is Op.VAR)
+            assert node.is_const is (node.op in (Op.CONST, Op.TRUE,
+                                                 Op.FALSE))
 
 
 class TestSortChecking:

@@ -1,15 +1,17 @@
 """The one-walk term operations against the walks they replaced.
 
 ``tests/term_walk_oracle.py`` keeps the generator ``iter_dag``, the
-two-walk ``rename``, the per-constraint ``constraint_set_size`` and the
-subset-test ``_substitute_all``.  Terms drawn from ``tests/strategies.py``
+two-walk ``rename``, the per-constraint ``constraint_set_size``, the
+subset-test ``_substitute_all`` and the pair-walk ``simplify`` with its
+``sorted`` argument order.  Terms drawn from ``tests/strategies.py``
 are replayed into two fresh managers, so both start from the same ids;
 one side runs the current operations, the other the oracle's.  They
 must agree on the ``iter_dag`` order, on the result ids of ``rename``,
-``substitute`` and ``Preprocessor.run``, on ``constraint_set_size`` and
-on how many terms each manager ends up holding: term ids are interning
-order, and everything downstream (argument order, CNF, the SAT search)
-rests on them.
+``substitute``, ``simplify`` and ``Preprocessor.run``, on
+``constraint_set_size`` and on how many terms each manager ends up
+holding (for ``simplify``, on every term it holds, in id order): term
+ids are interning order, and everything downstream (argument order,
+CNF, the SAT search) rests on them.
 """
 
 import dataclasses
@@ -18,10 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.smt import Preprocessor, TermManager, constraint_set_size
+from repro.smt.rewriter import simplify
 from repro.smt.terms import Op, Term
 from strategies import bool_terms, bv_terms, make_manager
 from term_walk_oracle import (oracle_constraint_set_size, oracle_iter_dag,
-                              oracle_rename, oracle_substitute, parent_walks)
+                              oracle_rename, oracle_simplify,
+                              oracle_substitute, parent_walks)
 
 
 def replay(manager: TermManager, terms: list[Term]) -> list[Term]:
@@ -119,6 +123,32 @@ def test_substitute_interns_like_the_oracle(data):
                                  mapping(oracle_terms))
     assert got.tid == expected.tid
     assert len(fast) == len(oracle)
+
+
+@settings(max_examples=80, deadline=None)
+@given(constraint_sets(max_size=6))
+def test_simplify_interns_like_the_oracle(terms):
+    """The marker walk and the two-argument ordering intern what the
+    pair walk and ``sorted`` did, with a shared memo and without."""
+    (fast, fast_terms), (oracle, oracle_terms) = both_sides(terms)
+    memo: dict = {}
+    got = [simplify(fast, t, memo) for t in fast_terms]
+    got += [simplify(fast, t) for t in reversed(fast_terms)]
+    with parent_walks():
+        oracle_memo: dict = {}
+        expected = [oracle_simplify(oracle, t, oracle_memo)
+                    for t in oracle_terms]
+        expected += [oracle_simplify(oracle, t)
+                     for t in reversed(oracle_terms)]
+    assert tids(got) == tids(expected)
+    assert interned(fast) == interned(oracle)
+
+
+def interned(manager: TermManager) -> list[tuple]:
+    """Every term ``manager`` holds, in id order."""
+    return [(term.op, tids(term.args), term.sort.width, term.payload)
+            for term in sorted(manager._table.values(),
+                               key=lambda term: term.tid)]
 
 
 def run_record(manager: TermManager, terms: list[Term],
