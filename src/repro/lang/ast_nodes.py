@@ -23,33 +23,34 @@ class SourceLoc(NamedTuple):
 
 
 class Expr:
+    __slots__ = ()
     loc: SourceLoc
 
 
-@dataclass
+@dataclass(slots=True)
 class IntLit(Expr):
     value: int
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class BoolLit(Expr):
     value: bool
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class NullLit(Expr):
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class Name(Expr):
     ident: str
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class BinExpr(Expr):
     op: BinOp
     lhs: Expr
@@ -57,14 +58,14 @@ class BinExpr(Expr):
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class UnaryExpr(Expr):
     op: str  # "-" or "!"
     operand: Expr
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class CallExpr(Expr):
     callee: str
     args: list[Expr] = field(default_factory=list)
@@ -72,17 +73,18 @@ class CallExpr(Expr):
 
 
 class Statement:
+    __slots__ = ()
     loc: SourceLoc
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignStmt(Statement):
     target: str
     value: Expr
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExprStmt(Statement):
     """A bare call for its effect (e.g. ``send(c, d);``)."""
 
@@ -90,7 +92,7 @@ class ExprStmt(Statement):
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class IfStmt(Statement):
     cond: Expr
     then_body: list[Statement] = field(default_factory=list)
@@ -98,20 +100,20 @@ class IfStmt(Statement):
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class WhileStmt(Statement):
     cond: Expr
     body: list[Statement] = field(default_factory=list)
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ReturnStmt(Statement):
     value: Optional[Expr] = None
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class FunctionDecl:
     name: str
     params: list[str] = field(default_factory=list)
@@ -119,7 +121,7 @@ class FunctionDecl:
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExternDecl:
     """``extern f;`` — an empty function (third-party library routine)."""
 
@@ -127,7 +129,7 @@ class ExternDecl:
     loc: SourceLoc = SourceLoc(0, 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class Module:
     functions: list[FunctionDecl] = field(default_factory=list)
     externs: list[ExternDecl] = field(default_factory=list)

@@ -53,22 +53,19 @@ class BinOp(enum.Enum):
     AND = "&&"
     OR = "||"
 
-    @property
-    def is_comparison(self) -> bool:
-        return self in (BinOp.LT, BinOp.LE, BinOp.GT, BinOp.GE,
-                        BinOp.EQ, BinOp.NE)
-
-    @property
-    def is_logical(self) -> bool:
-        return self in (BinOp.AND, BinOp.OR)
+    def __init__(self, value: str) -> None:
+        # Each member's kind is stored on it once, so a test is one
+        # attribute read.
+        self.is_comparison = value in ("<", "<=", ">", ">=", "==", "!=")
+        self.is_logical = value in ("&&", "||")
+        self._result_type = VarType.BOOL \
+            if self.is_comparison or self.is_logical else VarType.INT
 
     def result_type(self) -> VarType:
-        if self.is_comparison or self.is_logical:
-            return VarType.BOOL
-        return VarType.INT
+        return self._result_type
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Var:
     """An SSA variable operand."""
 
@@ -79,7 +76,7 @@ class Var:
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     """A literal operand.  ``is_null`` marks the ``null`` pointer literal,
     which the null-exception checker treats as a data-flow source."""
@@ -102,13 +99,14 @@ Operand = Union[Var, Const]
 class Stmt:
     """Base class for IR statements.  Every statement defines ``result``."""
 
+    __slots__ = ()
     result: Var
 
     def operands(self) -> tuple[Operand, ...]:
         raise NotImplementedError
 
 
-@dataclass
+@dataclass(slots=True)
 class Identity(Stmt):
     """``v = <v>``: parameter initialisation."""
 
@@ -121,7 +119,7 @@ class Identity(Stmt):
         return f"{self.result} = <{self.result}>"
 
 
-@dataclass
+@dataclass(slots=True)
 class Assign(Stmt):
     """``v1 = v2``."""
 
@@ -135,7 +133,7 @@ class Assign(Stmt):
         return f"{self.result} = {self.source!r}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Binary(Stmt):
     """``v1 = v2 (+) v3``."""
 
@@ -151,7 +149,7 @@ class Binary(Stmt):
         return f"{self.result} = {self.lhs!r} {self.op.value} {self.rhs!r}"
 
 
-@dataclass
+@dataclass(slots=True)
 class IfThenElse(Stmt):
     """``v1 = ite(v2, v3, v4)``: gated SSA merge."""
 
@@ -168,7 +166,7 @@ class IfThenElse(Stmt):
                 f"{self.then_value!r}, {self.else_value!r})")
 
 
-@dataclass
+@dataclass(slots=True)
 class Call(Stmt):
     """``v1 = f(v2, v3, ...)``."""
 
@@ -184,7 +182,7 @@ class Call(Stmt):
         return f"{self.result} = {self.callee}({args})"
 
 
-@dataclass
+@dataclass(slots=True)
 class Return(Stmt):
     """``return v1 = v2``: the single exit of a function."""
 
@@ -198,7 +196,7 @@ class Return(Stmt):
         return f"return {self.result} = {self.source!r}"
 
 
-@dataclass
+@dataclass(slots=True)
 class Branch(Stmt):
     """``if (v1 = v2) { S1; }``: the branch condition defines ``v1``."""
 

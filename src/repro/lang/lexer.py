@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import re
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from repro.lang.ast_nodes import SourceLoc
 
@@ -75,7 +75,7 @@ _WORD, _INT, _COMMENT = 1, 2, 3
 _MASTER = re.compile(
     r"[ \t\r]*(?:"
     # A word may also start with a non-decimal numeric that ``\w``
-    # admits (``²``, ``½``); ``iter_tokens`` rejects those.
+    # admits (``²``, ``½``); ``tokenize`` rejects those.
     r"([^\W\d]\w*)"
     r"|(\d+)"
     rf"|({COMMENT.pattern})"
@@ -87,13 +87,18 @@ _MASTER = re.compile(
 _new = tuple.__new__
 
 
-def iter_tokens(source: str, first_line: int = 1) -> Iterator[Token]:
-    """Yield the tokens of ``source``, ending with one ``EOF`` token.
+def tokenize(source: str, first_line: int = 1) -> list[Token]:
+    """The tokens of ``source``, ending with one ``EOF`` token.
 
     ``first_line`` numbers the first line of ``source`` (a slice of a
     larger file lexes at its real lines).  Raises :class:`LexError` at
-    the first illegal character, after yielding every token before it.
+    the first illegal character.  The whole source is lexed before a
+    parser reads a token, so a lex error wins over any parse error.
     """
+    tokens: list[Token] = []
+    append = tokens.append
+    # Locals: a ``TokenKind.X`` lookup is slow on Python 3.11.
+    ident, integer = TokenKind.IDENT, TokenKind.INT
     # ``split`` gives at least one line, so ``line`` and ``end_col``
     # are bound when the loop ends.
     for line, text in enumerate(source.split("\n"), first_line):
@@ -105,20 +110,16 @@ def iter_tokens(source: str, first_line: int = 1) -> Iterator[Token]:
             kind = _FIXED.get(token)
             if kind is None:
                 if group == _INT:
-                    kind = TokenKind.INT
+                    kind = integer
                 elif group == _WORD and (token[0] == "_"
                                          or token[0].isalpha()):
-                    kind = TokenKind.IDENT
+                    kind = ident
                 elif group == _COMMENT:
                     end_col = col
                     continue
                 else:
                     raise LexError(f"unexpected character {token[0]!r}",
                                    SourceLoc(line, col))
-            yield _new(Token, (kind, token, _new(SourceLoc, (line, col))))
-    yield Token(TokenKind.EOF, "", SourceLoc(line, end_col))
-
-
-def tokenize(source: str) -> list[Token]:
-    """Tokenize ``source``; raises :class:`LexError` on illegal input."""
-    return list(iter_tokens(source))
+            append(_new(Token, (kind, token, _new(SourceLoc, (line, col)))))
+    append(Token(TokenKind.EOF, "", SourceLoc(line, end_col)))
+    return tokens

@@ -37,6 +37,22 @@ from repro.lang.ir import (Assign, Binary, BinOp, Branch, Call, Const,
 RETFLAG = "%retflag"
 RETVAL = "%retval"
 
+# Enum members as module globals.  On Python 3.11 a ``VarType.X``
+# lookup takes the metaclass's slow attribute path (``EnumType`` defines
+# ``__getattr__``), and lowering tests types several times per statement.
+_INT, _BOOL = VarType.INT, VarType.BOOL
+_EQ, _NE, _SUB = BinOp.EQ, BinOp.NE, BinOp.SUB
+
+# Operands are immutable, so every lowering shares one object per
+# constant instead of building a frozen ``Const`` per use.
+FALSE = Const(0, _BOOL)
+TRUE = Const(1, _BOOL)
+ZERO = Const(0, _INT)
+NULL = Const(0, _INT, is_null=True)
+#: Integer literals below 256 by wrapped value: every value at the
+#: default 8-bit width.
+_SMALL_INTS = (ZERO, *(Const(value, _INT) for value in range(1, 256)))
+
 
 class LoweringError(Exception):
     """A type or scoping error found while lowering the surface AST."""
@@ -179,13 +195,13 @@ class _FunctionLowering:
     # ------------------------------------------------------------------ #
 
     def run(self) -> Function:
-        params = tuple(Var(p, VarType.INT) for p in self.decl.params)
+        params = tuple(Var(p, _INT) for p in self.decl.params)
         for param in params:
             self._versions[param.name] = 1
             self._env[param.name] = param
             self._out.append(Identity(param))
-        self._env[RETFLAG] = Const(0, VarType.BOOL)
-        self._env[RETVAL] = Const(0, VarType.INT)
+        self._env[RETFLAG] = FALSE
+        self._env[RETVAL] = ZERO
 
         self._lower_block(self.decl.body, self._out)
 
@@ -266,7 +282,7 @@ class _FunctionLowering:
         current_out = out
         for _ in range(self.config.loop_unroll):
             cond = self._flatten(stmt.cond, current_out)
-            if _op_type(cond) is not VarType.BOOL:
+            if _op_type(cond) is not _BOOL:
                 raise LoweringError("branch condition must be boolean",
                                     stmt.loc)
             outer_env = dict(self._env)
@@ -275,18 +291,21 @@ class _FunctionLowering:
             self._lower_block(stmt.body, then_out)
             current_out = then_out
         for cond, outer_env, then_out, parent_out in reversed(frames):
-            self._close_branch(cond, outer_env, self._env, then_out,
-                               dict(outer_env), [], parent_out, stmt.loc)
+            self._close_branch(cond, self._env, then_out, outer_env, [],
+                               parent_out, stmt.loc)
 
     def _lower_assign(self, stmt: ast.AssignStmt, out: list[Stmt]) -> None:
         if stmt.target.startswith("%"):
             raise LoweringError("identifiers may not start with '%'",
                                 stmt.loc)
         operand = self._flatten(stmt.value, out, name_hint=stmt.target)
-        if isinstance(operand, Var) and operand.name.startswith(stmt.target) \
-                and out and out[-1].result == operand:
+        if isinstance(operand, Var) and out and out[-1].result == operand \
+                and (operand.name == stmt.target
+                     or operand.name.startswith(stmt.target + ".")):
             # The flattener already named the defining statement after the
-            # target; no extra copy needed.
+            # target (``x`` or ``x.N``); no extra copy needed.  A name
+            # that only starts with the target (``xs``) is another
+            # variable, which still gets its copy.
             self._env[stmt.target] = operand
             return
         target = self._fresh(stmt.target, _op_type(operand))
@@ -295,7 +314,7 @@ class _FunctionLowering:
 
     def _lower_return(self, stmt: ast.ReturnStmt, out: list[Stmt]) -> None:
         value = self._flatten(stmt.value, out) if stmt.value is not None \
-            else Const(0, VarType.INT)
+            else ZERO
         flag = self._env[RETFLAG]
         if _is_static_true(flag):
             return  # unreachable return
@@ -311,11 +330,11 @@ class _FunctionLowering:
             target = self._fresh("%rv", _op_type(value))
             out.append(IfThenElse(target, flag, old, value))
             self._env[RETVAL] = target
-        self._env[RETFLAG] = Const(1, VarType.BOOL)
+        self._env[RETFLAG] = TRUE
 
     def _lower_if(self, stmt: ast.IfStmt, out: list[Stmt]) -> None:
         cond = self._flatten(stmt.cond, out)
-        if _op_type(cond) is not VarType.BOOL:
+        if _op_type(cond) is not _BOOL:
             raise LoweringError("branch condition must be boolean", stmt.loc)
         outer_env = dict(self._env)
 
@@ -324,41 +343,45 @@ class _FunctionLowering:
         self._lower_block(stmt.then_body, then_out)
         then_env = self._env
 
-        # Else branch starts from the outer environment.
-        self._env = dict(outer_env)
+        # Else branch starts from the outer environment.  Closing a
+        # branch never writes to an environment, so an empty else arm
+        # can read ``outer_env`` itself.
         else_out: list[Stmt] = []
-        self._lower_block(stmt.else_body, else_out)
-        else_env = self._env
+        else_env = outer_env
+        if stmt.else_body:
+            self._env = dict(outer_env)
+            self._lower_block(stmt.else_body, else_out)
+            else_env = self._env
 
-        self._close_branch(cond, outer_env, then_env, then_out, else_env,
-                           else_out, out, stmt.loc)
+        self._close_branch(cond, then_env, then_out, else_env, else_out,
+                           out, stmt.loc)
 
-    def _close_branch(self, cond: Operand, outer_env: dict[str, Operand],
-                      then_env: dict[str, Operand], then_out: list[Stmt],
-                      else_env: dict[str, Operand], else_out: list[Stmt],
-                      out: list[Stmt], loc: ast.SourceLoc) -> None:
+    def _close_branch(self, cond: Operand, then_env: dict[str, Operand],
+                      then_out: list[Stmt], else_env: dict[str, Operand],
+                      else_out: list[Stmt], out: list[Stmt],
+                      loc: ast.SourceLoc) -> None:
         if then_out:
-            out.append(Branch(self._fresh("%br", VarType.BOOL), cond,
-                              then_out))
+            out.append(Branch(self._fresh("%br", _BOOL), cond, then_out))
         if else_out:
-            neg = self._fresh("%not", VarType.BOOL)
-            out.append(Binary(neg, BinOp.EQ, cond, Const(0, VarType.BOOL)))
-            out.append(Branch(self._fresh("%br", VarType.BOOL), neg,
-                              else_out))
+            neg = self._fresh("%not", _BOOL)
+            out.append(Binary(neg, _EQ, cond, FALSE))
+            out.append(Branch(self._fresh("%br", _BOOL), neg, else_out))
 
         # Merge: names visible after the if are those bound before it, plus
         # names bound in *both* branches; branch-local names go out of
-        # scope at the join.  Joins follow the then-side's binding order,
-        # then the else-side's, so their order and names never depend on
-        # string hashing.
+        # scope at the join.  Each arm's environment starts from the one
+        # before the if and only ever gains names (a join keeps every name
+        # bound before its if), so a name bound in both arms is a name of
+        # ``then_env`` that ``else_env`` also binds, and a name bound only
+        # in the else arm never merges.  Joins follow the then-side's
+        # binding order, so their order and names never depend on string
+        # hashing.
         merged: dict[str, Operand] = {}
-        for name in [*then_env, *(name for name in else_env
-                                   if name not in then_env)]:
-            then_val = then_env.get(name, outer_env.get(name))
-            else_val = else_env.get(name, outer_env.get(name))
-            if then_val is None or else_val is None:
+        for name, then_val in then_env.items():
+            else_val = else_env.get(name)
+            if else_val is None:
                 continue
-            if then_val == else_val:
+            if then_val is else_val or then_val == else_val:
                 merged[name] = then_val
                 continue
             if _op_type(then_val) is not _op_type(else_val):
@@ -378,11 +401,12 @@ class _FunctionLowering:
     def _flatten(self, expr: ast.Expr, out: list[Stmt],
                  name_hint: Optional[str] = None) -> Operand:
         if isinstance(expr, ast.IntLit):
-            return Const(expr.value % (1 << self.config.width), VarType.INT)
+            value = expr.value % (1 << self.config.width)
+            return _SMALL_INTS[value] if value < 256 else Const(value, _INT)
         if isinstance(expr, ast.BoolLit):
-            return Const(1 if expr.value else 0, VarType.BOOL)
+            return TRUE if expr.value else FALSE
         if isinstance(expr, ast.NullLit):
-            return Const(0, VarType.INT, is_null=True)
+            return NULL
         if isinstance(expr, ast.Name):
             operand = self._env.get(expr.ident)
             if operand is None:
@@ -392,18 +416,16 @@ class _FunctionLowering:
         if isinstance(expr, ast.UnaryExpr):
             inner = self._flatten(expr.operand, out)
             if expr.op == "-":
-                if _op_type(inner) is not VarType.INT:
+                if _op_type(inner) is not _INT:
                     raise LoweringError("unary '-' needs an integer",
                                         expr.loc)
-                result = self._fresh(name_hint or "%t", VarType.INT)
-                out.append(Binary(result, BinOp.SUB,
-                                  Const(0, VarType.INT), inner))
+                result = self._fresh(name_hint or "%t", _INT)
+                out.append(Binary(result, _SUB, ZERO, inner))
                 return result
-            if _op_type(inner) is not VarType.BOOL:
+            if _op_type(inner) is not _BOOL:
                 raise LoweringError("'!' needs a boolean", expr.loc)
-            result = self._fresh(name_hint or "%t", VarType.BOOL)
-            out.append(Binary(result, BinOp.EQ, inner,
-                              Const(0, VarType.BOOL)))
+            result = self._fresh(name_hint or "%t", _BOOL)
+            out.append(Binary(result, _EQ, inner, FALSE))
             return result
         if isinstance(expr, ast.BinExpr):
             lhs = self._flatten(expr.lhs, out)
@@ -415,7 +437,7 @@ class _FunctionLowering:
         if isinstance(expr, ast.CallExpr):
             args = tuple(self._flatten(a, out) for a in expr.args)
             for arg in args:
-                if _op_type(arg) is not VarType.INT:
+                if _op_type(arg) is not _INT:
                     raise LoweringError(
                         f"call to {expr.callee}: arguments must be integers",
                         expr.loc)
@@ -428,7 +450,7 @@ class _FunctionLowering:
                         f"expected {arity}", expr.loc)
             else:
                 self.externs.add(expr.callee)
-                rtype = VarType.INT
+                rtype = _INT
             self.callees.setdefault(expr.callee, signature)
             result = self._fresh(name_hint or "%t", rtype)
             out.append(Call(result, expr.callee, args))
@@ -441,14 +463,14 @@ class _FunctionLowering:
         lt, rt = _op_type(lhs), _op_type(rhs)
         op = expr.op
         if op.is_logical:
-            if lt is not VarType.BOOL or rt is not VarType.BOOL:
+            if lt is not _BOOL or rt is not _BOOL:
                 raise LoweringError(f"'{op.value}' needs booleans", expr.loc)
-        elif op in (BinOp.EQ, BinOp.NE):
+        elif op in (_EQ, _NE):
             if lt is not rt:
                 raise LoweringError(
                     f"'{op.value}' on mismatched types", expr.loc)
         else:
-            if lt is not VarType.INT or rt is not VarType.INT:
+            if lt is not _INT or rt is not _INT:
                 raise LoweringError(f"'{op.value}' needs integers", expr.loc)
 
 
@@ -471,12 +493,12 @@ def _op_type(operand: Operand) -> VarType:
 
 
 def _is_static_true(operand: Operand) -> bool:
-    return isinstance(operand, Const) and operand.type is VarType.BOOL \
+    return isinstance(operand, Const) and operand.type is _BOOL \
         and operand.value == 1
 
 
 def _is_static_false(operand: Operand) -> bool:
-    return isinstance(operand, Const) and operand.type is VarType.BOOL \
+    return isinstance(operand, Const) and operand.type is _BOOL \
         and operand.value == 0
 
 

@@ -27,7 +27,7 @@ Grammar (EBNF)::
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.lang.ast_nodes import (AssignStmt, BinExpr, BoolLit, CallExpr,
                                   Expr, ExprStmt, ExternDecl, FunctionDecl,
@@ -35,7 +35,7 @@ from repro.lang.ast_nodes import (AssignStmt, BinExpr, BoolLit, CallExpr,
                                   ReturnStmt, SourceLoc, Statement,
                                   UnaryExpr, WhileStmt)
 from repro.lang.ir import BinOp
-from repro.lang.lexer import Token, TokenKind, iter_tokens
+from repro.lang.lexer import Token, TokenKind, tokenize
 
 
 class ParseError(Exception):
@@ -51,15 +51,23 @@ _PRECEDENCE = {"||": 1, "&&": 2, "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3,
                "-": 6, "*": 7, "/": 7, "%": 7}
 _COMPARISON, _TIGHTEST = 3, 7
 
+# Token kinds as module globals.  On Python 3.11 a ``TokenKind.X``
+# lookup takes the metaclass's slow attribute path (``EnumType`` defines
+# ``__getattr__``), and the parser tests kinds several times per token.
+(_IDENT, _INT, _KEYWORD, _OP, _LPAREN, _RPAREN, _LBRACE, _RBRACE, _COMMA,
+ _SEMI, _EOF) = (TokenKind.IDENT, TokenKind.INT, TokenKind.KEYWORD,
+                 TokenKind.OP, TokenKind.LPAREN, TokenKind.RPAREN,
+                 TokenKind.LBRACE, TokenKind.RBRACE, TokenKind.COMMA,
+                 TokenKind.SEMI, TokenKind.EOF)
+
 
 class Parser:
-    """Pulls tokens from a stream ending in ``EOF``, holding only the
-    current token and one of lookahead."""
+    """Walks a token list ending in ``EOF`` by index."""
 
-    def __init__(self, tokens: Iterable[Token]) -> None:
-        self._tokens = iter(tokens)
-        self._current = next(self._tokens)
-        self._next = next(self._tokens, self._current)
+    def __init__(self, tokens: list[Token]) -> None:
+        self._tokens = tokens
+        self._pos = 0
+        self._current = tokens[0]
 
     # ------------------------------------------------------------------ #
     # Token helpers
@@ -67,9 +75,9 @@ class Parser:
 
     def _advance(self) -> Token:
         token = self._current
-        if token.kind is not TokenKind.EOF:
-            self._current = self._next
-            self._next = next(self._tokens, self._next)
+        if token.kind is not _EOF:
+            self._pos += 1
+            self._current = self._tokens[self._pos]
         return token
 
     def _check(self, kind: TokenKind, text: Optional[str] = None) -> bool:
@@ -95,44 +103,37 @@ class Parser:
     # ------------------------------------------------------------------ #
 
     def parse_module(self) -> Module:
-        """Parse the whole stream.  A :class:`LexError` anywhere in it
-        wins over an earlier :class:`ParseError`: the rest of the
-        stream is drained before a parse error propagates."""
+        """Parse the whole token list."""
         module = Module()
-        try:
-            while not self._check(TokenKind.EOF):
-                if self._check(TokenKind.KEYWORD, "extern"):
-                    module.externs.extend(self._parse_extern())
-                elif self._check(TokenKind.KEYWORD, "fun"):
-                    module.functions.append(self._parse_function())
-                else:
-                    raise ParseError(
-                        f"expected 'fun' or 'extern', found "
-                        f"{self._current.text!r}", self._current.loc)
-        except ParseError:
-            for _ in self._tokens:
-                pass
-            raise
+        while not self._check(_EOF):
+            if self._check(_KEYWORD, "extern"):
+                module.externs.extend(self._parse_extern())
+            elif self._check(_KEYWORD, "fun"):
+                module.functions.append(self._parse_function())
+            else:
+                raise ParseError(
+                    f"expected 'fun' or 'extern', found "
+                    f"{self._current.text!r}", self._current.loc)
         return module
 
     def _parse_extern(self) -> list[ExternDecl]:
-        loc = self._expect(TokenKind.KEYWORD, "extern").loc
-        decls = [ExternDecl(self._expect(TokenKind.IDENT).text, loc)]
-        while self._match(TokenKind.COMMA):
-            decls.append(ExternDecl(self._expect(TokenKind.IDENT).text, loc))
-        self._expect(TokenKind.SEMI)
+        loc = self._expect(_KEYWORD, "extern").loc
+        decls = [ExternDecl(self._expect(_IDENT).text, loc)]
+        while self._match(_COMMA):
+            decls.append(ExternDecl(self._expect(_IDENT).text, loc))
+        self._expect(_SEMI)
         return decls
 
     def _parse_function(self) -> FunctionDecl:
-        loc = self._expect(TokenKind.KEYWORD, "fun").loc
-        name = self._expect(TokenKind.IDENT).text
-        self._expect(TokenKind.LPAREN)
+        loc = self._expect(_KEYWORD, "fun").loc
+        name = self._expect(_IDENT).text
+        self._expect(_LPAREN)
         params: list[str] = []
-        if not self._check(TokenKind.RPAREN):
-            params.append(self._expect(TokenKind.IDENT).text)
-            while self._match(TokenKind.COMMA):
-                params.append(self._expect(TokenKind.IDENT).text)
-        self._expect(TokenKind.RPAREN)
+        if not self._check(_RPAREN):
+            params.append(self._expect(_IDENT).text)
+            while self._match(_COMMA):
+                params.append(self._expect(_IDENT).text)
+        self._expect(_RPAREN)
         body = self._parse_block()
         if len(set(params)) != len(params):
             raise ParseError(f"duplicate parameter in {name}", loc)
@@ -143,52 +144,53 @@ class Parser:
     # ------------------------------------------------------------------ #
 
     def _parse_block(self) -> list[Statement]:
-        self._expect(TokenKind.LBRACE)
+        self._expect(_LBRACE)
         body: list[Statement] = []
-        while not self._check(TokenKind.RBRACE):
+        while not self._check(_RBRACE):
             body.append(self._parse_statement())
-        self._expect(TokenKind.RBRACE)
+        self._expect(_RBRACE)
         return body
 
     def _parse_statement(self) -> Statement:
         token = self._current
 
-        if token.kind is TokenKind.KEYWORD and token.text == "if":
+        if token.kind is _KEYWORD and token.text == "if":
             return self._parse_if()
-        if token.kind is TokenKind.KEYWORD and token.text == "while":
+        if token.kind is _KEYWORD and token.text == "while":
             loc = self._advance().loc
-            self._expect(TokenKind.LPAREN)
+            self._expect(_LPAREN)
             cond = self._parse_expr()
-            self._expect(TokenKind.RPAREN)
+            self._expect(_RPAREN)
             return WhileStmt(cond, self._parse_block(), loc)
-        if token.kind is TokenKind.KEYWORD and token.text == "return":
+        if token.kind is _KEYWORD and token.text == "return":
             loc = self._advance().loc
-            value = None if self._check(TokenKind.SEMI) else self._parse_expr()
-            self._expect(TokenKind.SEMI)
+            value = None if self._check(_SEMI) else self._parse_expr()
+            self._expect(_SEMI)
             return ReturnStmt(value, loc)
 
-        # Assignment (IDENT "=" ...) vs expression statement.
-        if token.kind is TokenKind.IDENT and \
-                self._next.kind is TokenKind.OP and self._next.text == "=":
+        # Assignment (IDENT "=" ...) vs expression statement.  An IDENT
+        # is never the last token, so the one after it exists.
+        if token.kind is _IDENT and \
+                self._tokens[self._pos + 1].text == "=":
             target = self._advance().text
             self._advance()  # '='
             value = self._parse_expr()
-            self._expect(TokenKind.SEMI)
+            self._expect(_SEMI)
             return AssignStmt(target, value, token.loc)
 
         expr = self._parse_expr()
-        self._expect(TokenKind.SEMI)
+        self._expect(_SEMI)
         return ExprStmt(expr, token.loc)
 
     def _parse_if(self) -> IfStmt:
-        loc = self._expect(TokenKind.KEYWORD, "if").loc
-        self._expect(TokenKind.LPAREN)
+        loc = self._expect(_KEYWORD, "if").loc
+        self._expect(_LPAREN)
         cond = self._parse_expr()
-        self._expect(TokenKind.RPAREN)
+        self._expect(_RPAREN)
         then_body = self._parse_block()
         else_body: list[Statement] = []
-        if self._match(TokenKind.KEYWORD, "else"):
-            if self._check(TokenKind.KEYWORD, "if"):
+        if self._match(_KEYWORD, "else"):
+            if self._check(_KEYWORD, "if"):
                 else_body = [self._parse_if()]
             else:
                 else_body = self._parse_block()
@@ -218,7 +220,7 @@ class Parser:
 
     def _parse_unary(self) -> Expr:
         token = self._current
-        if token.kind is TokenKind.OP and token.text in ("-", "!"):
+        if token.kind is _OP and token.text in ("-", "!"):
             self._advance()
             return UnaryExpr(token.text, self._parse_unary(), token.loc)
         return self._parse_primary()
@@ -226,29 +228,29 @@ class Parser:
     def _parse_primary(self) -> Expr:
         token = self._current
 
-        if token.kind is TokenKind.INT:
+        if token.kind is _INT:
             self._advance()
             return IntLit(int(token.text), token.loc)
-        if token.kind is TokenKind.KEYWORD and token.text == "null":
+        if token.kind is _KEYWORD and token.text == "null":
             self._advance()
             return NullLit(token.loc)
-        if token.kind is TokenKind.KEYWORD and token.text in ("true", "false"):
+        if token.kind is _KEYWORD and token.text in ("true", "false"):
             self._advance()
             return BoolLit(token.text == "true", token.loc)
-        if token.kind is TokenKind.LPAREN:
+        if token.kind is _LPAREN:
             self._advance()
             expr = self._parse_expr()
-            self._expect(TokenKind.RPAREN)
+            self._expect(_RPAREN)
             return expr
-        if token.kind is TokenKind.IDENT:
+        if token.kind is _IDENT:
             self._advance()
-            if self._match(TokenKind.LPAREN):
+            if self._match(_LPAREN):
                 args: list[Expr] = []
-                if not self._check(TokenKind.RPAREN):
+                if not self._check(_RPAREN):
                     args.append(self._parse_expr())
-                    while self._match(TokenKind.COMMA):
+                    while self._match(_COMMA):
                         args.append(self._parse_expr())
-                self._expect(TokenKind.RPAREN)
+                self._expect(_RPAREN)
                 return CallExpr(token.text, args, token.loc)
             return Name(token.text, token.loc)
 
@@ -258,4 +260,4 @@ class Parser:
 def parse(source: str, first_line: int = 1) -> Module:
     """Parse surface source text into a :class:`Module`; ``first_line``
     numbers the first line of ``source``."""
-    return Parser(iter_tokens(source, first_line)).parse_module()
+    return Parser(tokenize(source, first_line)).parse_module()

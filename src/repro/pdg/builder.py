@@ -25,6 +25,11 @@ from repro.lang.ir import Branch, Call, Function, Program, Return, Stmt, Var
 from repro.pdg.graph import (CallSite, DataEdge, EdgeKind,
                              ProgramDependenceGraph, Vertex)
 
+# Vertices and local edges are built with ``tuple.__new__``, skipping
+# the named tuples' Python-level constructors (as the lexer does for
+# tokens): they are the link's two most numerous objects.
+_new = tuple.__new__
+
 
 class Fragment(NamedTuple):
     """One function's walk, and the PDG's record of that function.
@@ -140,25 +145,27 @@ def build_pdg(program: Program, *, unroll: bool = False,
     pdg = ProgramDependenceGraph(program)
     for fragment in fragments:
         function = fragment.function
-        offset = len(pdg.vertices)
-        pdg._fragments[function.name] = fragment
-        local = pdg._function_vertices[function.name] = [
-            Vertex(offset + index, function.name, stmt)
-            for index, stmt in enumerate(fragment.stmts)]
+        name = function.name
+        pdg._fragments[name] = fragment
+        local = pdg._function_vertices[name] = [
+            _new(Vertex, (index, name, stmt))
+            for index, stmt in enumerate(fragment.stmts, len(pdg.vertices))]
         pdg._control_parent += [local[parent] if parent >= 0 else None
                                 for parent in fragment.parent]
         pdg._control_edges += len(local) - fragment.parent.count(-1)
         pdg.vertices += local
-        pdg._param_vertices[function.name] = [
+        pdg._param_vertices[name] = [
             local[fragment.defs[stmt.result.name]]
             for stmt in function.body[:len(function.params)]]
         if fragment.ret >= 0:
-            pdg._return_vertex[function.name] = local[fragment.ret]
+            pdg._return_vertex[name] = local[fragment.ret]
 
-    pdg._preds = [[] for _ in pdg.vertices]
-    pdg._succs = [[] for _ in pdg.vertices]
+    preds = pdg._preds = [[] for _ in pdg.vertices]
+    succs = pdg._succs = [[] for _ in pdg.vertices]
     add = pdg.add_data_edge
-    callsite_id = 0
+    # Locals: an ``EdgeKind.X`` lookup is slow on Python 3.11.
+    local_kind, extern_kind = EdgeKind.LOCAL, EdgeKind.EXTERN
+    callsite_id = local_edges = offset = 0
     for fragment in fragments:
         caller = fragment.function.name
         local = pdg._function_vertices[caller]
@@ -166,11 +173,15 @@ def build_pdg(program: Program, *, unroll: bool = False,
         for dst, hi in zip(local, islice(fragment.starts, 1, None)):
             stmt, operands, lo = dst.stmt, used[lo:hi], hi
             if not isinstance(stmt, Call) or stmt.callee not in functions:
-                kind = EdgeKind.EXTERN if isinstance(stmt, Call) \
-                    else EdgeKind.LOCAL
+                kind = extern_kind if isinstance(stmt, Call) \
+                    else local_kind
+                into = preds[dst.index]
                 for src in operands:
                     if src >= 0:
-                        add(DataEdge(local[src], dst, kind))
+                        edge = _new(DataEdge, (local[src], dst, kind, None))
+                        into.append(edge)
+                        succs[offset + src].append(edge)
+                        local_edges += 1
                 continue
             callee = functions[stmt.callee]
             if len(operands) != len(callee.params):
@@ -189,4 +200,6 @@ def build_pdg(program: Program, *, unroll: bool = False,
             ret = pdg.return_vertex(callee.name)
             if ret is not None:
                 add(DataEdge(ret, dst, EdgeKind.RETURN, callsite_id))
+        offset += len(local)
+    pdg._data_edges += local_edges
     return pdg

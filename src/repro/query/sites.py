@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from repro.checkers.base import Checker
 from repro.lang.ir import Call
-from repro.lang.lexer import Token, TokenKind, iter_tokens
+from repro.lang.lexer import Token, TokenKind, tokenize
 from repro.lang.scan import TopLevelItem
 from repro.pdg.graph import ProgramDependenceGraph, Vertex
 
@@ -61,7 +61,7 @@ def line_index(source: str, first_line: int = 1) -> dict[int, LineProfile]:
     # An identifier waiting for the next token to say whether it is
     # called or assigned, with the profile of its line.
     waiting: Optional[tuple[Token, LineProfile]] = None
-    for token in iter_tokens(source, first_line):
+    for token in tokenize(source, first_line):
         kind = token.kind
         if waiting is not None:
             name, profile = waiting

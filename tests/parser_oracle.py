@@ -11,7 +11,7 @@ against (``tests/test_parser_oracle.py``).
 from __future__ import annotations
 
 from repro.lang.ast_nodes import BinExpr, Expr, Module
-from repro.lang.lexer import TokenKind, iter_tokens
+from repro.lang.lexer import TokenKind, tokenize
 from repro.lang.parser import _BINOPS, Parser
 
 
@@ -49,4 +49,4 @@ class OracleParser(Parser):
 
 def oracle_parse(source: str, first_line: int = 1) -> Module:
     """Parse ``source`` with :class:`OracleParser`."""
-    return OracleParser(iter_tokens(source, first_line)).parse_module()
+    return OracleParser(tokenize(source, first_line)).parse_module()

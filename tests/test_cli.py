@@ -119,6 +119,23 @@ class TestScan:
         assert code == 1
 
 
+class TestQueryTrace:
+    @pytest.mark.parametrize("source_name", ["pp", "q"])
+    def test_trace_names_the_dereferenced_variable(self, source_name,
+                                                   tmp_path, capsys):
+        """The sink step prints ``deref(p)`` even when the copied name
+        starts with ``p``."""
+        path = tmp_path / "prefix.fl"
+        path.write_text(f"fun main(a) {{\n  {source_name} = null;\n"
+                        f"  p = {source_name};\n  if (a > 3) {{\n"
+                        "    deref(p);\n  }\n  return 0;\n}\n")
+        assert main(["query", str(path), "--checker", "null-deref",
+                     "--sink", "5"]) == 1
+        out = capsys.readouterr().out
+        assert f"[BUG] main: {source_name} = null\n" \
+            "      -> main: %t.1 = deref(p)\n" in out
+
+
 class TestOtherCommands:
     def test_subjects_lists_registry(self, capsys):
         assert main(["subjects"]) == 0

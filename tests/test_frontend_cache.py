@@ -296,16 +296,16 @@ class TestLineMap:
     @pytest.fixture
     def lexed(self, monkeypatch):
         """Tokens site resolution lexes, counted by a spy on
-        ``repro.query.sites.iter_tokens``."""
+        ``repro.query.sites.tokenize``."""
         count = [0]
-        real = sites.iter_tokens
+        real = sites.tokenize
 
         def counting(source, first_line=1):
-            for token in real(source, first_line):
-                count[0] += 1
-                yield token
+            tokens = real(source, first_line)
+            count[0] += len(tokens)
+            return tokens
 
-        monkeypatch.setattr(sites, "iter_tokens", counting)
+        monkeypatch.setattr(sites, "tokenize", counting)
         return count
 
     @staticmethod
@@ -322,7 +322,7 @@ class TestLineMap:
 
     def test_edits_rebuild_only_what_they_moved_or_changed(self, lexed):
         session = AnalysisSession(corpus_source(7))
-        whole = len(list(sites.iter_tokens(session.source)))
+        whole = len(sites.tokenize(session.source))
         # Each item is lexed once, with an EOF token of its own.
         assert self.check_every_line(session, lexed) \
             == whole + len(top_level_items(session.source)) - 1
@@ -346,7 +346,7 @@ class TestLineMap:
                    if item.line <= sink <= item.line
                    + source.count("\n", item.start, item.end)]
         text = " " * (item.column - 1) + source[item.start:item.end]
-        assert lexed[0] == len(list(sites.iter_tokens(text)))
+        assert lexed[0] == len(sites.tokenize(text))
         lexed[0] = 0
         session.update_source(apply_edit(source, "comment", 3))
         session.query("null-deref", sink=sink)

@@ -103,6 +103,23 @@ class TestBasicLowering:
         prog = compile_source("fun f(a) { x = mystery(a); return x; }")
         assert "mystery" in prog.externs
 
+    @pytest.mark.parametrize("source_name", ["pp", "q"])
+    def test_copy_from_a_name_the_target_prefixes_is_kept(self,
+                                                          source_name):
+        """``p = pp;`` copies: ``pp`` only starts with ``p``, it is not
+        a version of it, so the copy must not be dropped."""
+        prog = compile_source(f"fun f(a) {{ {source_name} = null; "
+                              f"p = {source_name}; deref(p); return 0; }}")
+        body = prog.functions["f"].body
+        assert [repr(stmt) for stmt in body[1:4]] == [
+            f"{source_name} = null", f"p = {source_name}", "%t = deref(p)"]
+
+    def test_a_version_of_the_target_needs_no_copy(self):
+        prog = compile_source("fun f(a) { x = a + 1; x = x * 2; "
+                              "return x; }")
+        assert [repr(stmt) for stmt in prog.functions["f"].body[1:3]] == [
+            "x = a + 1", "x.1 = x * 2"]
+
 
 class TestGatedSsa:
     def test_if_merge_produces_ite(self):

@@ -15,12 +15,23 @@ An option only one value of which is ever used is a constant: every field
 of a config dataclass must be set by that same non-test code, by keyword
 or position in a constructor call, or as a string subscript key (the CLI
 collects ``FaultPolicy`` arguments in a dict).
+
+The frontend's and the PDG's records are built by the hundred thousand,
+so none of them carries a per-instance ``__dict__``.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import pathlib
+
+from repro.fusion import prepare_pdg
+from repro.lang import ast_nodes, ir
+from repro.lang.lexer import Token, tokenize
+from repro.lang.lowering import lower_module
+from repro.lang.parser import parse
+from repro.pdg.graph import DataEdge, Vertex
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "repro"
@@ -163,3 +174,52 @@ def test_every_config_field_is_set_from_non_test_code():
     assert not unset, (
         "config fields that no non-test code sets; make them module "
         "constants: " + ", ".join(unset))
+
+
+#: Reaches every AST node class and every IR statement class.
+RECORDS_SOURCE = """
+extern sink;
+fun g(a) { return a; }
+fun f(a) {
+  x = -a;
+  b = !(x < 1) && true;
+  p = null;
+  while (b) { b = false; }
+  if (b) { sink(p); } else { x = g(2); }
+  return x;
+}
+"""
+
+
+def _ast_records(node, found: list) -> None:
+    found.append(node)
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        for child in value if isinstance(value, list) else [value]:
+            if dataclasses.is_dataclass(child):
+                _ast_records(child, found)
+
+
+def test_frontend_and_pdg_records_have_no_instance_dict():
+    module = parse(RECORDS_SOURCE)
+    program = lower_module(module)
+    pdg = prepare_pdg(program)
+    records: list = []
+    _ast_records(module, records)
+    ast_classes = {cls for cls in vars(ast_nodes).values()
+                   if isinstance(cls, type) and dataclasses.is_dataclass(cls)}
+    assert {type(record) for record in records} == ast_classes
+    stmts = [stmt for function in program.functions.values()
+             for stmt in function.statements()]
+    assert {type(stmt) for stmt in stmts} == set(ir.Stmt.__subclasses__())
+    records += stmts
+    records += [op for stmt in stmts for op in stmt.operands()]
+    assert {ir.Var, ir.Const} <= {type(record) for record in records}
+    records += tokenize(RECORDS_SOURCE)
+    records += pdg.vertices
+    records += [edge for vertex in pdg.vertices
+                for edge in pdg.data_preds(vertex)]
+    assert {Token, Vertex, DataEdge} <= {type(record) for record in records}
+    with_dict = sorted({type(record).__name__ for record in records
+                        if hasattr(record, "__dict__")})
+    assert not with_dict, f"records with a __dict__: {with_dict}"
